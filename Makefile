@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-crypto bench-crawl bench-wire bench-serve fmt-check ci experiments quickstart clean fuzz-smoke chaos lint lint-bench
+.PHONY: all build vet test race bench bench-crypto bench-crawl bench-wire bench-serve bench-census fmt-check ci experiments quickstart clean fuzz-smoke chaos lint lint-bench
 
 all: build vet test
 
@@ -11,7 +11,7 @@ fmt-check:
 	fi
 
 # Reproduce the full CI pipeline (.github/workflows/ci.yml) locally.
-ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos bench-wire bench-crawl bench-serve
+ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos bench-wire bench-crawl bench-serve bench-census
 
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder.
 # Each target also replays its committed regression corpus first.
@@ -62,6 +62,15 @@ bench-wire:
 bench-serve:
 	go test -race -count=1 ./internal/census
 	go run ./cmd/benchserve -duration 30s -out BENCH_serve.ci.json -baseline BENCH_serve.json
+
+# Census ledger check: two seconds each of the benchmark ledger's
+# write-side (census-publish) and read-side (census-serve) workloads.
+# Each run reconciles what the daemon serves with an offline analysis
+# of the same log and exits non-zero on any mismatch; that is the whole
+# gate. Timings are printed, not judged: they are another machine's.
+bench-census:
+	bash bench/run.sh -workload census-publish -seconds 2
+	bash bench/run.sh -workload census-serve -seconds 2
 
 build:
 	go build ./...

@@ -103,14 +103,13 @@ func Networks(nodes map[string]*NodeObservation) *NetworkCensus {
 	netCounts := map[string]int{}
 	genCounts := map[string]int{}
 	impostors := 0
-	mainnetGenesis := chain.MainnetGenesisHash.Hex()
 	for _, o := range nodes {
 		if !o.HasStatus {
 			continue
 		}
 		netCounts[netKey(o.NetworkID)]++
 		genCounts[o.GenesisHash]++
-		if o.NetworkID != 1 && o.GenesisHash == mainnetGenesis {
+		if o.NetworkID != 1 && o.GenesisHash == mainnetGenesisHex {
 			impostors++
 		}
 	}
@@ -154,10 +153,14 @@ func uitoa(v uint64) string {
 	return string(buf[i:])
 }
 
+// mainnetGenesisHex is the form STATUS genesis hashes are logged in.
+// Every census asks IsMainnet of every node, so it is rendered once.
+var mainnetGenesisHex = chain.MainnetGenesisHash.Hex()
+
 // IsMainnet reports whether an observation is a verified non-Classic
 // Mainnet node: network 1, Mainnet genesis, and a pro-fork DAO check.
 func IsMainnet(o *NodeObservation) bool {
-	return IsMainnetLike(o, chain.MainnetGenesisHash.Hex())
+	return IsMainnetLike(o, mainnetGenesisHex)
 }
 
 // IsMainnetLike is IsMainnet against a caller-supplied genesis hash,

@@ -62,20 +62,62 @@ type GeoCensus struct {
 	Top8AllCloud bool
 }
 
-// Geography resolves node IPs through the geo database.
-func Geography(nodes map[string]*NodeObservation, db *geo.DB) *GeoCensus {
+// GeoRecord is where one identity's address resolves.
+type GeoRecord struct {
+	// IP is the address that was resolved; Valid is false when it does
+	// not parse, and the record then places the identity nowhere.
+	IP      string
+	Valid   bool
+	Country string
+	AS      string
+	Cloud   bool
+}
+
+// GeoIndex is the geography census as a fold: each identity's address
+// is resolved through the geo database once and again only when it
+// changes, because a resolution hashes the address and a census
+// re-reads every identity on every publish.
+type GeoIndex struct {
+	db   *geo.DB
+	recs map[*NodeObservation]GeoRecord
+}
+
+// NewGeoIndex returns an empty index over db.
+func NewGeoIndex(db *geo.DB) *GeoIndex {
+	return &GeoIndex{db: db, recs: make(map[*NodeObservation]GeoRecord)}
+}
+
+// Resolve returns the record for o's current address, resolving it if
+// the identity is new to the index or its address has changed.
+func (g *GeoIndex) Resolve(o *NodeObservation) GeoRecord {
+	rec, ok := g.recs[o]
+	if ok && rec.IP == o.IP {
+		return rec
+	}
+	rec = GeoRecord{IP: o.IP}
+	if addr := net.ParseIP(o.IP); addr != nil {
+		as := g.db.ASOf(addr)
+		rec.Valid = true
+		rec.Country = string(g.db.Country(addr))
+		rec.AS = as.Name
+		rec.Cloud = as.Cloud
+	}
+	g.recs[o] = rec
+	return rec
+}
+
+// Census computes Figure 12 over every identity resolved so far.
+func (g *GeoIndex) Census() *GeoCensus {
 	countries := map[string]int{}
 	ases := map[string]int{}
 	cloudByAS := map[string]bool{}
-	for _, o := range nodes {
-		ip := net.ParseIP(o.IP)
-		if ip == nil {
+	for _, rec := range g.recs {
+		if !rec.Valid {
 			continue
 		}
-		countries[string(db.Country(ip))]++
-		as := db.ASOf(ip)
-		ases[as.Name]++
-		cloudByAS[as.Name] = as.Cloud
+		countries[rec.Country]++
+		ases[rec.AS]++
+		cloudByAS[rec.AS] = rec.Cloud
 	}
 	gc := &GeoCensus{Countries: rank(countries), ASes: rank(ases)}
 	gc.Top8AllCloud = true
@@ -98,6 +140,16 @@ func Geography(nodes map[string]*NodeObservation, db *geo.DB) *GeoCensus {
 		}
 	}
 	return gc
+}
+
+// Geography resolves node IPs through the geo database: a GeoIndex
+// built from scratch over nodes.
+func Geography(nodes map[string]*NodeObservation, db *geo.DB) *GeoCensus {
+	g := NewGeoIndex(db)
+	for _, o := range nodes {
+		g.Resolve(o)
+	}
+	return g.Census()
 }
 
 // CDF is an empirical distribution.

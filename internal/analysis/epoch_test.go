@@ -97,10 +97,18 @@ func TestLiveFingerprintsLatestWins(t *testing.T) {
 		helloEntry("a", "1.0.0.1", "Geth/v1.8.11", caps, t0.Add(5*time.Minute)),
 		disconnectEntry("d", "1.0.0.2", t0.Add(2*time.Minute)),
 		helloEntry("late", "1.0.0.3", "Geth/v1", caps, t0.Add(epochInterval)), // at `until`: excluded
+		// Equal timestamps: the later record wins, and an earlier
+		// timestamp arriving after both changes nothing.
+		helloEntry("tie", "1.0.0.4", "Geth/v1.8.10", caps, t0.Add(3*time.Minute)),
+		helloEntry("tie", "1.0.0.5", "Geth/v1.8.11", caps, t0.Add(3*time.Minute)),
+		helloEntry("tie", "1.0.0.6", "Geth/v1.8.9", caps, t0.Add(2*time.Minute)),
 	}
 	live := LiveFingerprints(entries, t0, t0.Add(epochInterval))
-	if len(live) != 2 {
-		t.Fatalf("%d live, want 2: %v", len(live), live)
+	if len(live) != 3 {
+		t.Fatalf("%d live, want 3: %v", len(live), live)
+	}
+	if live["tie"] != "1.0.0.5|Geth/v1.8.11" {
+		t.Errorf("tie = %q, want the later of two records with equal timestamps", live["tie"])
 	}
 	if live["a"] != "1.0.0.1|Geth/v1.8.11" {
 		t.Errorf("a = %q, want latest hello fingerprint", live["a"])

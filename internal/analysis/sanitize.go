@@ -27,7 +27,10 @@ type NodeObservation struct {
 	FirstResponsive time.Time
 	LastResponsive  time.Time
 	Responsive      bool
-	// Entries are this node's log records, in time order.
+	// EntryCount is how many log records named this node.
+	EntryCount int
+	// Entries are this node's log records, in time order. Only
+	// Aggregate fills it; the Aggregator fold retains no entries.
 	Entries []*mlog.Entry
 
 	// Convenience fields extracted from the most recent useful
@@ -56,59 +59,95 @@ func (o *NodeObservation) ResponsiveSpan() time.Duration {
 	return o.LastResponsive.Sub(o.FirstResponsive)
 }
 
-// Aggregate groups log entries into per-node observations.
+// answered reports whether the peer actually responded in this entry
+// (HELLO or DISCONNECT, the paper's "responding" criterion).
+func answered(e *mlog.Entry) bool { return e.Hello != nil || e.DisconnectReason != nil }
+
+// Aggregator is the census's node table as an explicit fold: Add
+// merges one log entry into its identity's observation and keeps
+// nothing else of it, so the table costs memory per identity, not per
+// entry. The census daemon folds each tick's new entries into one
+// long-lived Aggregator; Aggregate folds a whole log into a fresh one.
+// Fields with a "latest wins" rule resolve ties by fold order, so the
+// result is a function of the entry sequence.
+type Aggregator struct {
+	nodes map[string]*NodeObservation
+}
+
+// NewAggregator returns an empty node table.
+func NewAggregator() *Aggregator {
+	return &Aggregator{nodes: make(map[string]*NodeObservation)}
+}
+
+// Nodes returns the live node table. It is the Aggregator's own map:
+// later Adds update it in place.
+func (a *Aggregator) Nodes() map[string]*NodeObservation { return a.nodes }
+
+// Add folds one entry into its identity's observation and returns
+// that observation, or nil for an entry without a node ID. It does not
+// retain e.
+func (a *Aggregator) Add(e *mlog.Entry) *NodeObservation {
+	if e.NodeID == "" {
+		return nil
+	}
+	o, ok := a.nodes[e.NodeID]
+	if !ok {
+		o = &NodeObservation{ID: e.NodeID, FirstSeen: e.Time, LastSeen: e.Time}
+		a.nodes[e.NodeID] = o
+	}
+	o.EntryCount++
+	if e.Time.Before(o.FirstSeen) {
+		o.FirstSeen = e.Time
+	}
+	if e.Time.After(o.LastSeen) {
+		o.LastSeen = e.Time
+	}
+	if answered(e) {
+		if !o.Responsive || e.Time.Before(o.FirstResponsive) {
+			o.FirstResponsive = e.Time
+		}
+		if !o.Responsive || e.Time.After(o.LastResponsive) {
+			o.LastResponsive = e.Time
+		}
+		o.Responsive = true
+	}
+	if e.IP != "" {
+		o.IP = e.IP
+	}
+	if e.Hello != nil {
+		o.ClientName = e.Hello.ClientName
+		o.Caps = e.Hello.Caps
+	}
+	if e.Status != nil && !e.Time.Before(o.LastStatusTime) {
+		o.NetworkID = e.Status.NetworkID
+		o.GenesisHash = e.Status.GenesisHash
+		o.BestBlock = e.Status.BestBlock
+		o.LastStatusTime = e.Time
+		o.HasStatus = true
+	}
+	if e.DAOFork != "" {
+		o.DAOFork = e.DAOFork
+	}
+	if e.LatencyUS > 0 {
+		o.LatencyUS = e.LatencyUS
+	}
+	return o
+}
+
+// Aggregate groups log entries into per-node observations: the
+// Aggregator fold over the whole log, plus each node's own records
+// (Entries), which only the offline analyses need.
 func Aggregate(entries []*mlog.Entry) map[string]*NodeObservation {
-	nodes := make(map[string]*NodeObservation)
+	a := NewAggregator()
 	for _, e := range entries {
-		if e.NodeID == "" {
-			continue
-		}
-		o, ok := nodes[e.NodeID]
-		if !ok {
-			o = &NodeObservation{ID: e.NodeID, FirstSeen: e.Time, LastSeen: e.Time}
-			nodes[e.NodeID] = o
-		}
-		if e.Time.Before(o.FirstSeen) {
-			o.FirstSeen = e.Time
-		}
-		if e.Time.After(o.LastSeen) {
-			o.LastSeen = e.Time
-		}
-		if e.Hello != nil || e.DisconnectReason != nil {
-			if !o.Responsive || e.Time.Before(o.FirstResponsive) {
-				o.FirstResponsive = e.Time
-			}
-			if !o.Responsive || e.Time.After(o.LastResponsive) {
-				o.LastResponsive = e.Time
-			}
-			o.Responsive = true
-		}
-		o.Entries = append(o.Entries, e)
-		if e.IP != "" {
-			o.IP = e.IP
-		}
-		if e.Hello != nil {
-			o.ClientName = e.Hello.ClientName
-			o.Caps = e.Hello.Caps
-		}
-		if e.Status != nil && !e.Time.Before(o.LastStatusTime) {
-			o.NetworkID = e.Status.NetworkID
-			o.GenesisHash = e.Status.GenesisHash
-			o.BestBlock = e.Status.BestBlock
-			o.LastStatusTime = e.Time
-			o.HasStatus = true
-		}
-		if e.DAOFork != "" {
-			o.DAOFork = e.DAOFork
-		}
-		if e.LatencyUS > 0 {
-			o.LatencyUS = e.LatencyUS
+		if o := a.Add(e); o != nil {
+			o.Entries = append(o.Entries, e)
 		}
 	}
-	for _, o := range nodes {
+	for _, o := range a.nodes {
 		sort.Slice(o.Entries, func(i, j int) bool { return o.Entries[i].Time.Before(o.Entries[j].Time) })
 	}
-	return nodes
+	return a.nodes
 }
 
 // SanitizeResult reports the §5.4 filter outcome.

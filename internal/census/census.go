@@ -14,7 +14,6 @@ package census
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"sort"
 	"time"
 
@@ -260,17 +259,90 @@ type indexPayload struct {
 	Endpoints []string `json:"endpoints"`
 }
 
-// BuildSnapshot aggregates the log and marshals every endpoint
-// payload eagerly, so serving is a byte copy.
-func BuildSnapshot(p BuildParams) *Snapshot {
-	nodes := analysis.Aggregate(p.Entries)
+// fold is the census's write-side state: the node table, the churn
+// series and the geography index, each advanced one log entry at a
+// time. The daemon keeps one fold for its lifetime and feeds it only
+// the entries recorded since the last tick; BuildSnapshot feeds a
+// fresh one the whole log. Either way a snapshot is fold.snapshot, so
+// what is served is a function of the entry sequence alone.
+type fold struct {
+	start     time.Time
+	interval  time.Duration
+	maxPoints int
+	nodes     *analysis.Aggregator
+	epochs    *analysis.EpochFold
+	geo       *analysis.GeoIndex // nil disables geography
+	// points is the sealed series so far. Published snapshots share its
+	// backing array, so it is only ever appended to or resliced.
+	points []analysis.EpochPoint
+	// ids is every known node ID, sorted; fresh are the IDs first seen
+	// since ids was built. Published snapshots share ids, so it is
+	// replaced, never edited.
+	ids   []string
+	fresh []string
+}
 
+func newFold(start time.Time, interval time.Duration, db *geo.DB, maxPoints int) *fold {
+	f := &fold{
+		start:     start,
+		interval:  interval,
+		maxPoints: maxPoints,
+		nodes:     analysis.NewAggregator(),
+	}
+	if interval > 0 {
+		f.epochs = analysis.NewEpochFold(start, interval)
+	}
+	if db != nil {
+		f.geo = analysis.NewGeoIndex(db)
+	}
+	return f
+}
+
+// add folds one entry in. It reports false for a late entry: one whose
+// window is already sealed. A late entry still updates the node table
+// (totals, censuses, /v1/nodes/{id}), but the series point it belongs
+// to has been published and is not rewritten.
+func (f *fold) add(e *mlog.Entry) bool {
+	if o := f.nodes.Add(e); o != nil && o.EntryCount == 1 {
+		f.fresh = append(f.fresh, o.ID)
+	}
+	return f.epochs == nil || f.epochs.Add(e)
+}
+
+// mergeSorted merges two sorted string slices into a new one.
+func mergeSorted(a, b []string) []string {
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] <= b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// BuildSnapshot folds the whole log from scratch and snapshots the
+// result.
+func BuildSnapshot(p BuildParams) *Snapshot {
+	f := newFold(p.Start, p.Interval, p.Geo, p.MaxPoints)
+	for _, e := range p.Entries {
+		f.add(e)
+	}
+	return f.snapshot(p.Epoch, p.Now)
+}
+
+// snapshot seals the windows that are final at now and marshals every
+// endpoint payload eagerly, so serving is a byte copy. Nothing the
+// returned Snapshot references is written again by later adds.
+func (f *fold) snapshot(epoch uint64, now time.Time) *Snapshot {
+	nodes := f.nodes.Nodes()
 	s := &Snapshot{
-		Epoch:    p.Epoch,
-		Time:     p.Now,
-		Start:    p.Start,
-		Interval: p.Interval,
-		etag:     fmt.Sprintf("%q", fmt.Sprintf("census-%d", p.Epoch)),
+		Epoch:    epoch,
+		Time:     now,
+		Start:    f.start,
+		Interval: f.interval,
+		etag:     fmt.Sprintf("%q", fmt.Sprintf("census-%d", epoch)),
 	}
 
 	// Finalized windows lag the build time by one interval: entries
@@ -279,19 +351,32 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 	// nominal) dwarfs the bounded dial timeout, guaranteeing a
 	// finalized window's entry set is complete — this is what lets a
 	// served series reconcile exactly against the raw log.
-	finalized := 0
-	if p.Interval > 0 {
-		finalized = int(p.Now.Sub(p.Start)/p.Interval) - 1
-		if finalized < 0 {
-			finalized = 0
+	//
+	// Finalizing seals: the window's live set is diffed, its point
+	// appended, and the set dropped. Should an entry still turn up for
+	// a sealed window (a crawler that buffers records for longer than
+	// an interval would do it), add reports it late and the published
+	// point stands; the daemon counts these in census.entries_late, so
+	// a series that no longer reconciles with the raw log says so.
+	if f.epochs != nil {
+		f.points = f.epochs.Seal(int(now.Sub(f.start)/f.interval)-1, f.points)
+		if f.maxPoints > 0 && len(f.points) > f.maxPoints {
+			f.points = f.points[len(f.points)-f.maxPoints:]
 		}
 	}
-	s.Points = analysis.EpochSeries(p.Entries, p.Start, p.Interval, finalized)
-	if p.MaxPoints > 0 && len(s.Points) > p.MaxPoints {
-		s.Points = s.Points[len(s.Points)-p.MaxPoints:]
-	}
+	// Capped, so the next Seal's append cannot reach into it.
+	s.Points = f.points[:len(f.points):len(f.points)]
 
-	for _, o := range nodes {
+	if len(f.fresh) > 0 {
+		sort.Strings(f.fresh)
+		f.ids = mergeSorted(f.ids, f.fresh)
+		f.fresh = f.fresh[:0]
+	}
+	s.ids = f.ids
+
+	s.nodes = make(map[string]*NodeSummary, len(nodes))
+	for id, o := range nodes {
+		isMainnet := analysis.IsMainnet(o)
 		s.Totals.Identities++
 		if o.Responsive {
 			s.Totals.Responsive++
@@ -302,14 +387,9 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 		if o.HasStatus {
 			s.Totals.WithStatus++
 		}
-		if analysis.IsMainnet(o) {
+		if isMainnet {
 			s.Totals.Mainnet++
 		}
-	}
-
-	s.nodes = make(map[string]*NodeSummary, len(nodes))
-	s.ids = make([]string, 0, len(nodes))
-	for id, o := range nodes {
 		ns := &NodeSummary{
 			ID:         id,
 			IP:         o.IP,
@@ -319,8 +399,8 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 			Client:     o.ClientName,
 			Caps:       o.Caps,
 			DAOFork:    o.DAOFork,
-			Mainnet:    analysis.IsMainnet(o),
-			Entries:    len(o.Entries),
+			Mainnet:    isMainnet,
+			Entries:    o.EntryCount,
 			LatencyMS:  float64(o.LatencyUS) / 1000,
 		}
 		if o.HasStatus {
@@ -328,26 +408,23 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 			ns.GenesisHash = o.GenesisHash
 			ns.BestBlock = o.BestBlock
 		}
-		if p.Geo != nil {
-			if ip := net.ParseIP(o.IP); ip != nil {
-				ns.Country = string(p.Geo.Country(ip))
-				as := p.Geo.ASOf(ip)
-				ns.AS = as.Name
-				ns.Cloud = as.Cloud
+		if f.geo != nil {
+			if rec := f.geo.Resolve(o); rec.Valid {
+				ns.Country = rec.Country
+				ns.AS = rec.AS
+				ns.Cloud = rec.Cloud
 			}
 		}
 		s.nodes[id] = ns
-		s.ids = append(s.ids, id)
 	}
-	sort.Strings(s.ids)
 
 	nets := analysis.Networks(nodes)
 
 	s.cached[epSummary] = marshal(summaryPayload{
-		Epoch:            p.Epoch,
-		Time:             p.Now,
-		Start:            p.Start,
-		IntervalSeconds:  p.Interval.Seconds(),
+		Epoch:            epoch,
+		Time:             now,
+		Start:            f.start,
+		IntervalSeconds:  f.interval.Seconds(),
 		Totals:           s.Totals,
 		EpochsFinalized:  len(s.Points),
 		DistinctNetworks: nets.DistinctNetworks,
@@ -356,7 +433,7 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 
 	mainnet := analysis.MainnetSubset(nodes)
 	s.cached[epClients] = marshal(clientsPayload{
-		Epoch:    p.Epoch,
+		Epoch:    epoch,
 		Clients:  toShares(analysis.ClientCensus(mainnet), maxShareRows),
 		Services: toShares(analysis.ServiceCensus(nodes), maxShareRows),
 		Versions: []versionPayload{
@@ -365,9 +442,9 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 		},
 	})
 
-	gp := geoPayload{Epoch: p.Epoch, Countries: []share{}, ASes: []share{}}
-	if p.Geo != nil {
-		gc := analysis.Geography(nodes, p.Geo)
+	gp := geoPayload{Epoch: epoch, Countries: []share{}, ASes: []share{}}
+	if f.geo != nil {
+		gc := f.geo.Census()
 		gp.Countries = toShares(gc.Countries, maxShareRows)
 		gp.ASes = toShares(gc.ASes, maxShareRows)
 		gp.Top8ASShare = gc.Top8ASShare
@@ -387,7 +464,7 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 		forks[stance]++
 	}
 	s.cached[epNetworks] = marshal(networksPayload{
-		Epoch:                   p.Epoch,
+		Epoch:                   epoch,
 		Networks:                toShares(nets.Networks, maxShareRows),
 		GenesisHashes:           toShares(nets.GenesisHashes, maxShareRows),
 		DistinctNetworks:        nets.DistinctNetworks,
@@ -398,9 +475,9 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 	})
 
 	s.cached[epSeriesChurn] = marshal(churnPayload{
-		Epoch:           p.Epoch,
-		Start:           p.Start,
-		IntervalSeconds: p.Interval.Seconds(),
+		Epoch:           epoch,
+		Start:           f.start,
+		IntervalSeconds: f.interval.Seconds(),
 		Points:          s.Points,
 	})
 
@@ -408,11 +485,11 @@ func BuildSnapshot(p BuildParams) *Snapshot {
 	for i, pt := range s.Points {
 		arrivals[i] = arrivalPoint{Epoch: pt.Epoch, Start: pt.Start, Arrived: pt.Arrived, Alive: pt.Alive}
 	}
-	s.cached[epSeriesArrivals] = marshal(arrivalsPayload{Epoch: p.Epoch, Points: arrivals})
+	s.cached[epSeriesArrivals] = marshal(arrivalsPayload{Epoch: epoch, Points: arrivals})
 
 	s.cached[epIndex] = marshal(indexPayload{
 		Service:   "censusd",
-		Epoch:     p.Epoch,
+		Epoch:     epoch,
 		Endpoints: endpointPaths,
 	})
 

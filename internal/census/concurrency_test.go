@@ -212,6 +212,11 @@ func TestSoakServedSeriesReconcilesWithMlog(t *testing.T) {
 			t.Errorf("series[%d]: served %+v != recomputed %+v", i, got, want[i])
 		}
 	}
+	// Exactness rests on sealing being sound: no entry reached the
+	// daemon after its window was finalized.
+	if late := reg.Snapshot().Counter("census.entries_late"); late != 0 {
+		t.Errorf("%d entries arrived for an already-sealed window", late)
+	}
 	arrivedTotal := 0
 	for _, p := range snap.Points {
 		arrivedTotal += p.Arrived

@@ -38,21 +38,36 @@ type DaemonConfig struct {
 // pointer swap: readers calling Current never contend with the
 // builder, and a reader holding an old snapshot keeps a fully
 // consistent view until it drops it.
+//
+// The daemon keeps no log. Each publish folds the entries recorded
+// since the previous one into its fold and lets them go, so a publish
+// costs the new entries plus one pass over the node table, and memory
+// follows the population, however long the crawl runs.
 type Daemon struct {
 	cfg DaemonConfig
 
+	// mu guards what Record and the lifecycle calls touch. It is never
+	// held while a snapshot is built, so the crawler's log sink does not
+	// wait for a publish.
 	mu      sync.Mutex
 	pending []*mlog.Entry
-	entries []*mlog.Entry
-	epoch   uint64
-	start   time.Time
+	start   time.Time // the epoch grid's origin; set once
 	timer   simclock.Timer
 	started bool
 	stopped bool
 
+	// pubMu serializes publishes (the tick against an out-of-band
+	// Publish) and guards the state only a publish touches. Lock order:
+	// pubMu, then mu.
+	pubMu sync.Mutex
+	epoch uint64
+	fold  *fold
+	spare []*mlog.Entry // the emptied batch buffer pending swaps with
+
 	cur atomic.Pointer[Snapshot]
 
 	recorded  *metrics.Counter
+	late      *metrics.Counter
 	published *metrics.Counter
 	buildUS   *metrics.Histogram
 }
@@ -68,6 +83,7 @@ func NewDaemon(cfg DaemonConfig) *Daemon {
 	d := &Daemon{
 		cfg:       cfg,
 		recorded:  cfg.Metrics.Counter("census.entries_recorded"),
+		late:      cfg.Metrics.Counter("census.entries_late"),
 		published: cfg.Metrics.Counter("census.snapshots_published"),
 		buildUS:   cfg.Metrics.Histogram("census.build_us"),
 	}
@@ -97,7 +113,8 @@ func (d *Daemon) Record(e *mlog.Entry) {
 
 // Start anchors the epoch grid at the clock's current time, publishes
 // the epoch-0 snapshot immediately, and schedules the periodic ticks.
-// Starting twice is a no-op.
+// Starting twice is a no-op; starting again after Stop resumes the
+// ticks on the original grid, because sealed windows cannot be re-cut.
 func (d *Daemon) Start() {
 	d.mu.Lock()
 	if d.started {
@@ -106,7 +123,9 @@ func (d *Daemon) Start() {
 	}
 	d.started = true
 	d.stopped = false
-	d.start = d.cfg.Clock.Now()
+	if d.start.IsZero() {
+		d.start = d.cfg.Clock.Now()
+	}
 	d.timer = d.cfg.Clock.AfterFunc(d.cfg.Interval, d.tick)
 	d.mu.Unlock()
 	d.publish()
@@ -149,32 +168,38 @@ func (d *Daemon) tick() {
 }
 
 func (d *Daemon) publish() {
+	d.pubMu.Lock()
+	defer d.pubMu.Unlock()
+
 	d.mu.Lock()
 	if d.start.IsZero() {
 		// Publish before Start: anchor the grid here.
 		d.start = d.cfg.Clock.Now()
 	}
-	d.entries = append(d.entries, d.pending...)
-	d.pending = d.pending[:0]
-	epoch := d.epoch
-	d.epoch++
-	// The slice header copy is safe to read outside the lock: entries
-	// is append-only, and appends never write below our length.
-	entries := d.entries
+	batch := d.pending
+	d.pending = d.spare
 	start := d.start
 	d.mu.Unlock()
 
-	t := d.cfg.Clock.Now()
-	snap := BuildSnapshot(BuildParams{
-		Epoch:     epoch,
-		Now:       t,
-		Start:     start,
-		Interval:  d.cfg.Interval,
-		Entries:   entries,
-		Geo:       d.cfg.Geo,
-		MaxPoints: d.cfg.MaxPoints,
-	})
-	d.buildUS.Observe(uint64(d.cfg.Clock.Since(t) / time.Microsecond))
+	// now is behavioural time, on the injected clock: it decides which
+	// windows are final. What the build cost is real time, whatever the
+	// clock.
+	now := d.cfg.Clock.Now()
+	cost := simclock.StartStopwatch()
+	if d.fold == nil {
+		d.fold = newFold(start, d.cfg.Interval, d.cfg.Geo, d.cfg.MaxPoints)
+	}
+	for _, e := range batch {
+		if !d.fold.add(e) {
+			d.late.Inc()
+		}
+	}
+	// Drop the entries: the buffer is reused, and must not pin them.
+	clear(batch)
+	d.spare = batch[:0]
+	snap := d.fold.snapshot(d.epoch, now)
+	d.epoch++
+	d.buildUS.Observe(uint64(cost.Elapsed() / time.Microsecond))
 	d.cur.Store(snap)
 	d.published.Inc()
 }

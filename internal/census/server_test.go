@@ -2,7 +2,9 @@ package census_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -159,7 +161,9 @@ func TestHandlerGoldens(t *testing.T) {
 
 // TestMetricsGolden pins /metrics on a fresh fixture where the only
 // request ever made is the one under test, so every instrument value
-// is deterministic.
+// is deterministic — except census.build_us, which is wall time: its
+// sample count is checked here and the histogram is left out of the
+// golden.
 func TestMetricsGolden(t *testing.T) {
 	reg := metrics.New()
 	d, _ := fixture(t, reg)
@@ -170,7 +174,36 @@ func TestMetricsGolden(t *testing.T) {
 	if rr.Code != 200 {
 		t.Fatalf("status = %d: %s", rr.Code, rr.Body.Bytes())
 	}
-	checkGolden(t, "metrics", rr.Body.Bytes())
+	var body metrics.Snapshot
+	if err := json.Unmarshal(rr.Body.Bytes(), &body); err != nil {
+		t.Fatalf("decoding /metrics: %v\n%s", err, rr.Body.Bytes())
+	}
+	if got := body.Histograms["census.build_us"].Count; got != 4 {
+		t.Errorf("census.build_us count = %d, want 4 (one sample per publish)", got)
+	}
+	delete(body.Histograms, "census.build_us")
+	got, err := json.MarshalIndent(body, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "metrics", append(got, '\n'))
+}
+
+// TestBuildCostIsWallTime: a publish scheduled on a simulated clock
+// takes no virtual time, and census.build_us must still record what it
+// cost.
+func TestBuildCostIsWallTime(t *testing.T) {
+	reg := metrics.New()
+	clk := simclock.NewSimulated(t0)
+	d := census.NewDaemon(census.DaemonConfig{Clock: clk, Geo: geo.NewDB(), Metrics: reg})
+	for i := 0; i < 2000; i++ {
+		d.Record(helloEntry(fmt.Sprintf("n%04d", i), fmt.Sprintf("10.2.%d.%d", i/250, i%250),
+			"Geth/v1.8.10-stable", t0.Add(time.Duration(i)*time.Second)))
+	}
+	d.Publish()
+	if sum := reg.Snapshot().Histograms["census.build_us"].Sum; sum == 0 {
+		t.Error("census.build_us recorded 0 us for a 2000-identity publish on a simulated clock")
+	}
 }
 
 // TestUnavailableBeforeFirstPublish: every data endpoint is 503 with

@@ -48,6 +48,20 @@ func (System) AfterFunc(d time.Duration, fn func()) Timer {
 	return systemTimer{time.AfterFunc(d, fn)}
 }
 
+// Stopwatch measures what an operation cost in real time. Behaviour
+// (when a timer fires, which window an entry falls in) runs on an
+// injected Clock so that it can be simulated; cost does not, because
+// an operation scheduled on a simulated clock takes real time and no
+// virtual time at all. Code in clocked packages reads the wall clock
+// for cost through this type only.
+type Stopwatch struct{ began time.Time }
+
+// StartStopwatch starts timing on the wall clock.
+func StartStopwatch() Stopwatch { return Stopwatch{began: time.Now()} }
+
+// Elapsed returns the real time since the stopwatch started.
+func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.began) }
+
 type systemTimer struct{ t *time.Timer }
 
 func (t systemTimer) Stop() bool { return t.t.Stop() }
