@@ -13,8 +13,11 @@ fmt-check:
 # Reproduce the full CI pipeline (.github/workflows/ci.yml) locally.
 ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos bench-wire bench-crawl bench-serve bench-census
 
-# 30 seconds of coverage-guided fuzzing per untrusted-input decoder.
-# Each target also replays its committed regression corpus first.
+# 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
+# then per differential target of the hand-written arithmetic (the
+# secp256k1 field, scalar and point code against math/big and the
+# oracle; the snappy encoder against its own decoder). Each target
+# also replays its committed regression corpus first.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/rlp
@@ -26,6 +29,10 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReadHello -fuzztime=$(FUZZTIME) ./internal/devp2p
 	go test -run='^$$' -fuzz=FuzzDecodeDisconnect -fuzztime=$(FUZZTIME) ./internal/devp2p
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/snappy
+	go test -run='^$$' -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/snappy
+	go test -run='^$$' -fuzz=FuzzFieldArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
+	go test -run='^$$' -fuzz=FuzzScalarArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
+	go test -run='^$$' -fuzz=FuzzPointArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 
 # The faultnet chaos suite: hostile peer taxonomy + the mixed
 # honest/hostile 215-node crawl, under the race detector.

@@ -126,13 +126,13 @@ func TestQuickRoundTrip(t *testing.T) {
 func TestKDFLengths(t *testing.T) {
 	z := []byte{1, 2, 3}
 	for _, n := range []int{1, 16, 31, 32, 33, 64, 100} {
-		out := kdf(z, nil, n)
+		out := kdf(nil, z, nil, n)
 		if len(out) != n {
 			t.Errorf("kdf length %d: got %d", n, len(out))
 		}
 	}
 	// Different shared info must produce different keys.
-	if bytes.Equal(kdf(z, []byte("a"), 32), kdf(z, []byte("b"), 32)) {
+	if bytes.Equal(kdf(nil, z, []byte("a"), 32), kdf(nil, z, []byte("b"), 32)) {
 		t.Error("kdf ignores shared info")
 	}
 }

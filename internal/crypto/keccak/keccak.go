@@ -7,18 +7,27 @@
 // depend on — node distance keys (Keccak-256 of the node ID), block
 // and genesis hashes, RLPx MAC states — use this legacy variant.
 //
-// The implementation is a straightforward sponge over Keccak-f[1600]
-// with no assembly; it favors clarity and has no dependencies beyond
-// the standard library.
+// The sponge is a plain value type over an unrolled Keccak-f[1600]
+// with no assembly and no dependencies beyond the standard library.
 package keccak
 
-import "hash"
+import (
+	"encoding/binary"
+	"hash"
+	"math/bits"
+)
 
 // Size256 is the byte length of a Keccak-256 digest.
 const Size256 = 32
 
 // Size512 is the byte length of a Keccak-512 digest.
 const Size512 = 64
+
+// Sponge rates in bytes: 200 − 2·digest size.
+const (
+	rate256 = 136
+	rate512 = 72
+)
 
 // roundConstants for Keccak-f[1600] (24 rounds).
 var roundConstants = [24]uint64{
@@ -30,93 +39,140 @@ var roundConstants = [24]uint64{
 	0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
 }
 
-// rotation offsets for the rho step, indexed [x][y].
-var rotc = [5][5]uint{
-	{0, 36, 3, 41, 18},
-	{1, 44, 10, 45, 2},
-	{62, 6, 43, 15, 61},
-	{28, 55, 25, 21, 56},
-	{27, 20, 39, 8, 14},
-}
-
-// keccakF1600 applies the 24-round Keccak-f permutation in place.
+// keccakF1600 applies the 24-round Keccak-f permutation in place. The
+// 25 lanes live in locals for the whole permutation; each round is
+// theta, then rho+pi+chi fused one output row at a time, then iota.
+// Local aNN is lane a[NN], i.e. (x, y) = (NN%5, NN/5).
 func keccakF1600(a *[25]uint64) {
-	var b [25]uint64
-	var c, d [5]uint64
-	for round := 0; round < 24; round++ {
-		// theta
-		for x := 0; x < 5; x++ {
-			c[x] = a[x] ^ a[x+5] ^ a[x+10] ^ a[x+15] ^ a[x+20]
-		}
-		for x := 0; x < 5; x++ {
-			d[x] = c[(x+4)%5] ^ rotl(c[(x+1)%5], 1)
-			for y := 0; y < 5; y++ {
-				a[x+5*y] ^= d[x]
-			}
-		}
-		// rho and pi
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				b[y+5*((2*x+3*y)%5)] = rotl(a[x+5*y], rotc[x][y])
-			}
-		}
-		// chi
-		for x := 0; x < 5; x++ {
-			for y := 0; y < 5; y++ {
-				a[x+5*y] = b[x+5*y] ^ (^b[(x+1)%5+5*y] & b[(x+2)%5+5*y])
-			}
-		}
-		// iota
-		a[0] ^= roundConstants[round]
+	a00, a01, a02, a03, a04 := a[0], a[1], a[2], a[3], a[4]
+	a05, a06, a07, a08, a09 := a[5], a[6], a[7], a[8], a[9]
+	a10, a11, a12, a13, a14 := a[10], a[11], a[12], a[13], a[14]
+	a15, a16, a17, a18, a19 := a[15], a[16], a[17], a[18], a[19]
+	a20, a21, a22, a23, a24 := a[20], a[21], a[22], a[23], a[24]
+
+	for _, rc := range roundConstants {
+		// theta: column parities, then d[x] = c[x-1] ^ rotl(c[x+1], 1).
+		c0 := a00 ^ a05 ^ a10 ^ a15 ^ a20
+		c1 := a01 ^ a06 ^ a11 ^ a16 ^ a21
+		c2 := a02 ^ a07 ^ a12 ^ a17 ^ a22
+		c3 := a03 ^ a08 ^ a13 ^ a18 ^ a23
+		c4 := a04 ^ a09 ^ a14 ^ a19 ^ a24
+		d0 := c4 ^ bits.RotateLeft64(c1, 1)
+		d1 := c0 ^ bits.RotateLeft64(c2, 1)
+		d2 := c1 ^ bits.RotateLeft64(c3, 1)
+		d3 := c2 ^ bits.RotateLeft64(c4, 1)
+		d4 := c3 ^ bits.RotateLeft64(c0, 1)
+
+		// rho + pi: output lane (y, 2x+3y) takes input lane (x, y)
+		// rotated by its fixed offset. Row y' of the output is built
+		// from the five inputs that land in it, then chi is applied.
+		b0 := a00 ^ d0
+		b1 := bits.RotateLeft64(a06^d1, 44)
+		b2 := bits.RotateLeft64(a12^d2, 43)
+		b3 := bits.RotateLeft64(a18^d3, 21)
+		b4 := bits.RotateLeft64(a24^d4, 14)
+		t00 := b0 ^ (^b1 & b2) ^ rc // iota lands on lane 0
+		t01 := b1 ^ (^b2 & b3)
+		t02 := b2 ^ (^b3 & b4)
+		t03 := b3 ^ (^b4 & b0)
+		t04 := b4 ^ (^b0 & b1)
+
+		b0 = bits.RotateLeft64(a03^d3, 28)
+		b1 = bits.RotateLeft64(a09^d4, 20)
+		b2 = bits.RotateLeft64(a10^d0, 3)
+		b3 = bits.RotateLeft64(a16^d1, 45)
+		b4 = bits.RotateLeft64(a22^d2, 61)
+		t05 := b0 ^ (^b1 & b2)
+		t06 := b1 ^ (^b2 & b3)
+		t07 := b2 ^ (^b3 & b4)
+		t08 := b3 ^ (^b4 & b0)
+		t09 := b4 ^ (^b0 & b1)
+
+		b0 = bits.RotateLeft64(a01^d1, 1)
+		b1 = bits.RotateLeft64(a07^d2, 6)
+		b2 = bits.RotateLeft64(a13^d3, 25)
+		b3 = bits.RotateLeft64(a19^d4, 8)
+		b4 = bits.RotateLeft64(a20^d0, 18)
+		t10 := b0 ^ (^b1 & b2)
+		t11 := b1 ^ (^b2 & b3)
+		t12 := b2 ^ (^b3 & b4)
+		t13 := b3 ^ (^b4 & b0)
+		t14 := b4 ^ (^b0 & b1)
+
+		b0 = bits.RotateLeft64(a04^d4, 27)
+		b1 = bits.RotateLeft64(a05^d0, 36)
+		b2 = bits.RotateLeft64(a11^d1, 10)
+		b3 = bits.RotateLeft64(a17^d2, 15)
+		b4 = bits.RotateLeft64(a23^d3, 56)
+		t15 := b0 ^ (^b1 & b2)
+		t16 := b1 ^ (^b2 & b3)
+		t17 := b2 ^ (^b3 & b4)
+		t18 := b3 ^ (^b4 & b0)
+		t19 := b4 ^ (^b0 & b1)
+
+		b0 = bits.RotateLeft64(a02^d2, 62)
+		b1 = bits.RotateLeft64(a08^d3, 55)
+		b2 = bits.RotateLeft64(a14^d4, 39)
+		b3 = bits.RotateLeft64(a15^d0, 41)
+		b4 = bits.RotateLeft64(a21^d1, 2)
+		a20 = b0 ^ (^b1 & b2)
+		a21 = b1 ^ (^b2 & b3)
+		a22 = b2 ^ (^b3 & b4)
+		a23 = b3 ^ (^b4 & b0)
+		a24 = b4 ^ (^b0 & b1)
+
+		a00, a01, a02, a03, a04 = t00, t01, t02, t03, t04
+		a05, a06, a07, a08, a09 = t05, t06, t07, t08, t09
+		a10, a11, a12, a13, a14 = t10, t11, t12, t13, t14
+		a15, a16, a17, a18, a19 = t15, t16, t17, t18, t19
 	}
+
+	a[0], a[1], a[2], a[3], a[4] = a00, a01, a02, a03, a04
+	a[5], a[6], a[7], a[8], a[9] = a05, a06, a07, a08, a09
+	a[10], a[11], a[12], a[13], a[14] = a10, a11, a12, a13, a14
+	a[15], a[16], a[17], a[18], a[19] = a15, a16, a17, a18, a19
+	a[20], a[21], a[22], a[23], a[24] = a20, a21, a22, a23, a24
 }
 
-func rotl(v uint64, n uint) uint64 { return v<<n | v>>(64-n) }
-
-// digest is the sponge state implementing hash.Hash. Unabsorbed
-// input lives in storage[:bufLen]; tracking a length instead of a
-// slice keeps the struct free of interior pointers, so copies are
-// plain value copies and escape analysis can keep short-lived
-// digests (Sum256, Sum snapshots) on the stack.
-type digest struct {
-	state   [25]uint64
-	rate    int  // sponge rate in bytes (block size)
-	size    int  // output size in bytes
-	dsbyte  byte // domain separation + first padding byte
-	bufLen  int  // bytes of storage holding unabsorbed input
-	storage [136]byte
+// Sponge is a Keccak sponge with a digest no longer than its rate
+// (true of every variant here, so one squeeze always suffices). Input
+// is XORed into the state as it arrives — whole lanes straight from
+// the caller's slice when aligned — so there is no staging buffer and
+// the struct is a 200-byte state plus four small fields. It has no
+// interior pointers: a copy is a snapshot, and short-lived sponges
+// (Sum256, Sum) stay on the stack. *Sponge implements hash.Hash; use
+// New256Sponge where the concrete value should live inside another
+// struct. The zero value is not usable.
+type Sponge struct {
+	a      [25]uint64
+	pos    int  // bytes absorbed into the current block, < rate
+	rate   int  // sponge rate in bytes (block size)
+	size   int  // output size in bytes, ≤ rate
+	dsbyte byte // domain separation + first padding byte
 }
+
+// New256Sponge returns a legacy Keccak-256 sponge by value.
+func New256Sponge() Sponge { return Sponge{rate: rate256, size: Size256, dsbyte: 0x01} }
 
 // New256 returns a legacy Keccak-256 hash (Ethereum's variant, NOT
 // NIST SHA3-256).
-func New256() hash.Hash { return newDigest(136, Size256, 0x01) }
+func New256() hash.Hash { d := New256Sponge(); return &d }
 
 // New512 returns a legacy Keccak-512 hash.
-func New512() hash.Hash { return newDigest(72, Size512, 0x01) }
+func New512() hash.Hash { return &Sponge{rate: rate512, size: Size512, dsbyte: 0x01} }
 
 // NewSHA3_256 returns a NIST SHA3-256 hash (domain byte 0x06),
 // provided for comparison and tests.
-func NewSHA3_256() hash.Hash { return newDigest(136, Size256, 0x06) }
-
-func newDigest(rate, size int, dsbyte byte) *digest {
-	d := &digest{}
-	d.init(rate, size, dsbyte)
-	return d
-}
-
-func (d *digest) init(rate, size int, dsbyte byte) {
-	d.rate, d.size, d.dsbyte = rate, size, dsbyte
-}
+func NewSHA3_256() hash.Hash { return &Sponge{rate: rate256, size: Size256, dsbyte: 0x06} }
 
 // Sum256 computes the legacy Keccak-256 digest of data. The sponge
-// state lives on the stack and finalize squeezes straight into out,
-// so a call performs no heap allocation.
+// lives on the stack and squeezes straight into the result, so a call
+// performs no heap allocation.
 func Sum256(data []byte) [Size256]byte {
 	var out [Size256]byte
-	var d digest
-	d.init(136, Size256, 0x01)
+	d := New256Sponge()
 	d.Write(data)
-	d.finalize(out[:0])
+	d.finalize(out[:])
 	return out
 }
 
@@ -124,66 +180,59 @@ func Sum256(data []byte) [Size256]byte {
 // allocation.
 func Sum512(data []byte) [Size512]byte {
 	var out [Size512]byte
-	var d digest
-	d.init(72, Size512, 0x01)
+	d := Sponge{rate: rate512, size: Size512, dsbyte: 0x01}
 	d.Write(data)
-	d.finalize(out[:0])
+	d.finalize(out[:])
 	return out
 }
 
-func (d *digest) Size() int { return d.size }
+// Size returns the digest length in bytes.
+func (d *Sponge) Size() int { return d.size }
 
-func (d *digest) BlockSize() int { return d.rate }
+// BlockSize returns the sponge rate in bytes.
+func (d *Sponge) BlockSize() int { return d.rate }
 
-func (d *digest) Reset() {
-	d.state = [25]uint64{}
-	d.bufLen = 0
+// Reset returns the sponge to its initial, empty state.
+func (d *Sponge) Reset() {
+	d.a = [25]uint64{}
+	d.pos = 0
 }
 
-func (d *digest) Write(p []byte) (int, error) {
+// Write absorbs p. It never fails.
+func (d *Sponge) Write(p []byte) (int, error) {
 	n := len(p)
-	for len(p) > 0 {
-		space := d.rate - d.bufLen
-		if space > len(p) {
-			space = len(p)
+	// Bytes up to the next lane boundary.
+	for d.pos&7 != 0 && len(p) > 0 {
+		d.absorbByte(p[0])
+		p = p[1:]
+	}
+	// Whole lanes, read straight from the input.
+	for len(p) >= 8 {
+		d.a[d.pos>>3] ^= binary.LittleEndian.Uint64(p)
+		p = p[8:]
+		if d.pos += 8; d.pos == d.rate {
+			keccakF1600(&d.a)
+			d.pos = 0
 		}
-		copy(d.storage[d.bufLen:], p[:space])
-		d.bufLen += space
-		p = p[space:]
-		if d.bufLen == d.rate {
-			d.absorb()
-		}
+	}
+	for _, b := range p {
+		d.absorbByte(b)
 	}
 	return n, nil
 }
 
-// absorb XORs a full rate-sized block into the state and permutes.
-func (d *digest) absorb() {
-	for i := 0; i < d.rate/8; i++ {
-		d.state[i] ^= le64(d.storage[i*8:])
+func (d *Sponge) absorbByte(b byte) {
+	d.a[d.pos>>3] ^= uint64(b) << (8 * uint(d.pos&7))
+	if d.pos++; d.pos == d.rate {
+		keccakF1600(&d.a)
+		d.pos = 0
 	}
-	keccakF1600(&d.state)
-	d.bufLen = 0
 }
 
 // Sum appends the digest to b without disturbing the running state:
-// the sponge is a plain value, so a stack copy snapshots it.
-func (d *digest) Sum(b []byte) []byte {
-	dup := *d
-	return dup.finalize(b)
-}
-
-func (d *digest) finalize(b []byte) []byte {
-	// Pad: dsbyte, zeros, final 0x80 (multi-rate padding pad10*1).
-	d.storage[d.bufLen] = d.dsbyte
-	for i := d.bufLen + 1; i < d.rate; i++ {
-		d.storage[i] = 0
-	}
-	d.storage[d.rate-1] |= 0x80
-	d.absorb()
-
-	// Squeeze directly into b, growing it only if it lacks capacity;
-	// Sum(buf[:0]) with enough room is allocation-free.
+// the sponge is a plain value, so a stack copy snapshots it. With
+// enough capacity in b the call is allocation-free.
+func (d *Sponge) Sum(b []byte) []byte {
 	total := len(b) + d.size
 	var ret []byte
 	if cap(b) >= total {
@@ -192,31 +241,18 @@ func (d *digest) finalize(b []byte) []byte {
 		ret = make([]byte, total)
 		copy(ret, b)
 	}
-	out := ret[total-d.size:]
-	n := 0
-	for n < d.size {
-		chunk := d.rate
-		if d.size-n < chunk {
-			chunk = d.size - n
-		}
-		for i := 0; i < (chunk+7)/8; i++ {
-			putLE64(out[n+i*8:], d.state[i])
-		}
-		n += chunk
-		if n < d.size {
-			keccakF1600(&d.state)
-		}
-	}
+	dup := *d
+	dup.finalize(ret[len(b):])
 	return ret
 }
 
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLE64(b []byte, v uint64) {
-	for i := 0; i < 8 && i < len(b); i++ {
-		b[i] = byte(v >> (8 * uint(i)))
+// finalize pads (dsbyte, zeros, final 0x80: multi-rate pad10*1),
+// permutes and squeezes size bytes into out. It consumes the sponge.
+func (d *Sponge) finalize(out []byte) {
+	d.a[d.pos>>3] ^= uint64(d.dsbyte) << (8 * uint(d.pos&7))
+	d.a[(d.rate-1)>>3] ^= 0x80 << 56
+	keccakF1600(&d.a)
+	for i := 0; i < d.size/8; i++ {
+		binary.LittleEndian.PutUint64(out[i*8:], d.a[i])
 	}
 }

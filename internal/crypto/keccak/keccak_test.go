@@ -96,6 +96,19 @@ func TestIncrementalWrite(t *testing.T) {
 			t.Errorf("chunk %d: got %x, want %x", chunk, got, want)
 		}
 	}
+
+	// Same for the 72-byte rate, whose blocks end mid-way through the
+	// 136-byte ones.
+	want512 := Sum512(data)
+	for _, chunk := range []int{1, 5, 71, 72, 73} {
+		h := New512()
+		for i := 0; i < len(data); i += chunk {
+			h.Write(data[i:min(i+chunk, len(data))])
+		}
+		if got := h.Sum(nil); !bytes.Equal(got, want512[:]) {
+			t.Errorf("512 chunk %d: got %x, want %x", chunk, got, want512)
+		}
+	}
 }
 
 func TestSumDoesNotDisturbState(t *testing.T) {
@@ -224,6 +237,114 @@ func TestSumAppendSemantics(t *testing.T) {
 	}
 	if !bytes.Equal(got2[2:], want[:]) {
 		t.Errorf("in-place digest = %x, want %x", got2[2:], want)
+	}
+}
+
+// refKeccakF1600 is the textbook triple-loop permutation (theta, rho,
+// pi, chi, iota spelled out with %5 indexing and a rotation table),
+// kept as the reference the unrolled keccakF1600 is compared against.
+func refKeccakF1600(a *[25]uint64) {
+	rotc := [5][5]uint{ // rho offsets, indexed [x][y]
+		{0, 36, 3, 41, 18},
+		{1, 44, 10, 45, 2},
+		{62, 6, 43, 15, 61},
+		{28, 55, 25, 21, 56},
+		{27, 20, 39, 8, 14},
+	}
+	rotl := func(v uint64, n uint) uint64 { return v<<n | v>>(64-n) }
+	var b [25]uint64
+	var c, d [5]uint64
+	for round := 0; round < 24; round++ {
+		for x := 0; x < 5; x++ {
+			c[x] = a[x] ^ a[x+5] ^ a[x+10] ^ a[x+15] ^ a[x+20]
+		}
+		for x := 0; x < 5; x++ {
+			d[x] = c[(x+4)%5] ^ rotl(c[(x+1)%5], 1)
+			for y := 0; y < 5; y++ {
+				a[x+5*y] ^= d[x]
+			}
+		}
+		for x := 0; x < 5; x++ {
+			for y := 0; y < 5; y++ {
+				b[y+5*((2*x+3*y)%5)] = rotl(a[x+5*y], rotc[x][y])
+			}
+		}
+		for x := 0; x < 5; x++ {
+			for y := 0; y < 5; y++ {
+				a[x+5*y] = b[x+5*y] ^ (^b[(x+1)%5+5*y] & b[(x+2)%5+5*y])
+			}
+		}
+		a[0] ^= roundConstants[round]
+	}
+}
+
+// The unrolled permutation must equal the reference state for state:
+// on the zero and all-ones states, on single-lane states (which catch
+// a swapped rotation or lane), and on random ones, including iterated
+// application so an error in any round position shows.
+func TestPermutationMatchesReference(t *testing.T) {
+	check := func(name string, st [25]uint64) {
+		t.Helper()
+		got, want := st, st
+		for i := 0; i < 3; i++ {
+			keccakF1600(&got)
+			refKeccakF1600(&want)
+			if got != want {
+				t.Fatalf("%s: permutation %d differs from reference\n got %x\nwant %x", name, i+1, got, want)
+			}
+		}
+	}
+	var zero, ones [25]uint64
+	for i := range ones {
+		ones[i] = ^uint64(0)
+	}
+	check("zero", zero)
+	check("all-ones", ones)
+	for i := 0; i < 25; i++ {
+		var st [25]uint64
+		st[i] = 0x8000000000000001
+		check("single lane", st)
+	}
+	rng := rand.New(rand.NewSource(1600))
+	for i := 0; i < 200; i++ {
+		var st [25]uint64
+		for j := range st {
+			st[j] = rng.Uint64()
+		}
+		check("random", st)
+	}
+}
+
+// The RLPx MAC step is Write + Sum on a Sponge held by value inside
+// the connection's MAC state; neither may allocate, at any alignment
+// of the running position.
+func TestSpongeMACStepAllocs(t *testing.T) {
+	d := New256Sponge()
+	var sum [Size256]byte
+	block := make([]byte, 16)
+	d.Write([]byte("odd")) // leave the position off a lane boundary
+	allocs := testing.AllocsPerRun(200, func() {
+		d.Write(block)
+		d.Sum(sum[:0])
+	})
+	if allocs != 0 {
+		t.Errorf("MAC step allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// A Sponge value is a snapshot: copies diverge independently.
+func TestSpongeCopyIsSnapshot(t *testing.T) {
+	d := New256Sponge()
+	d.Write([]byte("shared prefix, "))
+	fork := d
+	d.Write([]byte("left"))
+	fork.Write([]byte("right"))
+	left, right := Sum256([]byte("shared prefix, left")), Sum256([]byte("shared prefix, right"))
+	if got := d.Sum(nil); !bytes.Equal(got, left[:]) {
+		t.Errorf("original after fork = %x, want %x", got, left)
+	}
+	if got := fork.Sum(nil); !bytes.Equal(got, right[:]) {
+		t.Errorf("fork = %x, want %x", got, right)
 	}
 }
 

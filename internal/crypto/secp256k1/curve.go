@@ -5,18 +5,19 @@
 //
 // Ethereum node IDs are secp256k1 public keys; RLPx discovery packets
 // are ECDSA-signed with recoverable signatures; and the RLPx transport
-// handshake derives its symmetric keys from secp256k1 ECDH. Point
-// arithmetic runs on a dedicated fixed-limb field implementation
-// (field.go, scalar.go) with precomputed base-point tables and
-// wNAF/Shamir multi-scalar multiplication (table.go); the original
-// math/big implementation is retained in oracle.go as a
-// differential-test reference. Neither path is constant-time and must
-// not be used to protect real funds; this package exists to drive a
-// protocol measurement stack.
+// handshake derives its symmetric keys from secp256k1 ECDH. Keys hold
+// their coordinates as fixed-limb field and scalar values (field.go,
+// scalar.go) and every key operation stays in that form: a precomputed
+// table walk for base-point multiples and a GLV-split wNAF ladder for
+// variable points (table.go). math/big appears only at the edges: the
+// published curve parameters and the Point API (the original math/big
+// implementation is the differential-test oracle, in oracle_test.go).
+// Nothing here is constant-time and it must not be used to protect
+// real funds; this package exists to drive a protocol measurement
+// stack.
 package secp256k1
 
 import (
-	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -39,8 +40,9 @@ var (
 	halfN = new(big.Int).Rsh(N, 1)
 )
 
-// Point is an affine point on the curve. The zero value is the point
-// at infinity.
+// Point is an affine point on the curve with math/big coordinates:
+// the general-purpose form for callers that compute with points. The
+// zero value is the point at infinity.
 type Point struct {
 	X, Y *big.Int
 }
@@ -64,36 +66,70 @@ func (p *Point) OnCurve() bool {
 	if p.X.Sign() < 0 || p.X.Cmp(P) >= 0 || p.Y.Sign() < 0 || p.Y.Cmp(P) >= 0 {
 		return false
 	}
-	y2 := new(big.Int).Mul(p.Y, p.Y)
-	y2.Mod(y2, P)
-	x3 := new(big.Int).Mul(p.X, p.X)
-	x3.Mul(x3, p.X)
-	x3.Add(x3, B)
-	x3.Mod(x3, P)
-	return y2.Cmp(x3) == 0
+	a := p.affine()
+	return a.onCurve()
+}
+
+// affine converts a finite p to limb form, reducing coordinates mod P.
+func (p *Point) affine() (a affinePoint) {
+	a.x.setBig(p.X)
+	a.y.setBig(p.Y)
+	return a
+}
+
+// onCurve reports whether a satisfies y² = x³ + 7.
+func (a *affinePoint) onCurve() bool {
+	var y2, x3 fieldElement
+	y2.sqr(&a.y)
+	x3.sqr(&a.x)
+	x3.mul(&x3, &a.x)
+	x3.add(&x3, &feB)
+	return y2.equal(&x3)
+}
+
+func pointToJac(p *Point) jacPoint {
+	if p.IsInfinity() {
+		return jacPoint{}
+	}
+	var j jacPoint
+	a := p.affine()
+	j.setAffine(&a)
+	return j
+}
+
+func jacToPoint(j *jacPoint) *Point {
+	a, ok := j.toAffine()
+	if !ok {
+		return &Point{}
+	}
+	return &Point{X: a.x.toBig(), Y: a.y.toBig()}
 }
 
 // ScalarMult returns k*p for a point p and scalar k.
 func ScalarMult(p *Point, k *big.Int) *Point {
-	k = new(big.Int).Mod(k, N)
-	if k.Sign() == 0 || p.IsInfinity() {
+	if p.IsInfinity() {
 		return &Point{}
 	}
-	return active.scalarMult(p, k)
+	var s scalar
+	s.setBig(new(big.Int).Mod(k, N))
+	a := p.affine()
+	j := scalarMultJac(&a, &s)
+	return jacToPoint(&j)
 }
 
 // ScalarBaseMult returns k*G.
 func ScalarBaseMult(k *big.Int) *Point {
-	k = new(big.Int).Mod(k, N)
-	if k.Sign() == 0 {
-		return &Point{}
-	}
-	return active.scalarBaseMult(k)
+	var s scalar
+	s.setBig(new(big.Int).Mod(k, N))
+	j := scalarBaseMultJac(&s)
+	return jacToPoint(&j)
 }
 
 // Add returns p + q in affine coordinates.
 func Add(p, q *Point) *Point {
-	return active.add(p, q)
+	pj, qj := pointToJac(p), pointToJac(q)
+	pj.add(&pj, &qj)
+	return jacToPoint(&pj)
 }
 
 // Neg returns -p.
@@ -106,25 +142,28 @@ func Neg(p *Point) *Point {
 
 // PrivateKey is a secp256k1 private key with its public point.
 type PrivateKey struct {
-	D   *big.Int
+	d   scalar // in [1, N-1]
 	Pub PublicKey
 }
 
-// PublicKey is a point on the curve.
+// PublicKey is a finite point on the curve, held in limb form. Values
+// come from GenerateKey, ParsePublicKey or RecoverPubkey, all of which
+// establish the curve equation; the zero value is not a valid key and
+// every operation that takes one rejects it.
 type PublicKey struct {
-	Point
+	p affinePoint
 }
 
-// GenerateKey creates a private key using entropy from rand.
+// GenerateKey creates a private key using entropy from rand: 32 bytes
+// per attempt, retried until they encode a scalar in [1, N-1].
 func GenerateKey(rand io.Reader) (*PrivateKey, error) {
-	buf := make([]byte, 32)
+	var buf [32]byte
 	for {
-		if _, err := io.ReadFull(rand, buf); err != nil {
+		if _, err := io.ReadFull(rand, buf[:]); err != nil {
 			return nil, fmt.Errorf("secp256k1: reading entropy: %w", err)
 		}
-		d := new(big.Int).SetBytes(buf)
-		if d.Sign() > 0 && d.Cmp(N) < 0 {
-			return PrivateKeyFromScalar(d)
+		if k, err := PrivateKeyFromBytes(buf[:]); err == nil {
+			return k, nil
 		}
 	}
 }
@@ -134,8 +173,9 @@ func PrivateKeyFromScalar(d *big.Int) (*PrivateKey, error) {
 	if d.Sign() <= 0 || d.Cmp(N) >= 0 {
 		return nil, errors.New("secp256k1: scalar out of range")
 	}
-	pub := ScalarBaseMult(d)
-	return &PrivateKey{D: new(big.Int).Set(d), Pub: PublicKey{*pub}}, nil
+	var b [32]byte
+	d.FillBytes(b[:])
+	return PrivateKeyFromBytes(b[:])
 }
 
 // PrivateKeyFromBytes parses a 32-byte big-endian scalar.
@@ -143,22 +183,41 @@ func PrivateKeyFromBytes(b []byte) (*PrivateKey, error) {
 	if len(b) != 32 {
 		return nil, fmt.Errorf("secp256k1: private key must be 32 bytes, got %d", len(b))
 	}
-	return PrivateKeyFromScalar(new(big.Int).SetBytes(b))
+	k := new(PrivateKey)
+	if !k.d.setBytes((*[32]byte)(b)) || k.d.isZero() {
+		return nil, errors.New("secp256k1: scalar out of range")
+	}
+	j := scalarBaseMultJac(&k.d)
+	k.Pub.p, _ = j.toAffine() // d ∈ [1, N-1], so d·G is finite
+	return k, nil
 }
+
+// D returns the private scalar as a big.Int.
+func (k *PrivateKey) D() *big.Int { return k.d.toBig() }
 
 // Bytes returns the 32-byte big-endian scalar.
 func (k *PrivateKey) Bytes() []byte {
 	out := make([]byte, 32)
-	k.D.FillBytes(out)
+	k.d.putBytes(out)
 	return out
 }
+
+// Point returns the key as a math/big affine point.
+func (p *PublicKey) Point() *Point {
+	return &Point{X: p.p.x.toBig(), Y: p.p.y.toBig()}
+}
+
+// Equal reports whether p and q are the same point.
+func (p *PublicKey) Equal(q *PublicKey) bool { return p.p == q.p }
+
+// OnCurve reports whether the key satisfies y² = x³ + 7 (mod P).
+func (p *PublicKey) OnCurve() bool { return p.p.onCurve() }
 
 // SerializeUncompressed returns the 65-byte 0x04-prefixed encoding.
 func (p *PublicKey) SerializeUncompressed() []byte {
 	out := make([]byte, 65)
 	out[0] = 0x04
-	p.X.FillBytes(out[1:33])
-	p.Y.FillBytes(out[33:65])
+	p.PutRaw((*[64]byte)(out[1:]))
 	return out
 }
 
@@ -166,13 +225,19 @@ func (p *PublicKey) SerializeUncompressed() []byte {
 // node IDs (no prefix byte).
 func (p *PublicKey) SerializeRaw() []byte {
 	out := make([]byte, 64)
-	p.X.FillBytes(out[:32])
-	p.Y.FillBytes(out[32:])
+	p.PutRaw((*[64]byte)(out))
 	return out
 }
 
+// PutRaw writes the 64-byte X||Y encoding into out.
+func (p *PublicKey) PutRaw(out *[64]byte) {
+	p.p.x.putBytes(out[:32])
+	p.p.y.putBytes(out[32:])
+}
+
 // ParsePublicKey accepts 65-byte (0x04-prefixed) or 64-byte raw
-// encodings and validates that the point is on the curve.
+// encodings and validates that the coordinates are canonical (< P)
+// and the point is on the curve.
 func ParsePublicKey(b []byte) (*PublicKey, error) {
 	switch len(b) {
 	case 65:
@@ -184,87 +249,86 @@ func ParsePublicKey(b []byte) (*PublicKey, error) {
 	default:
 		return nil, fmt.Errorf("secp256k1: invalid public key length %d", len(b))
 	}
-	p := &PublicKey{Point{
-		X: new(big.Int).SetBytes(b[:32]),
-		Y: new(big.Int).SetBytes(b[32:]),
-	}}
-	if !p.OnCurve() {
+	pub := new(PublicKey)
+	xok := pub.p.x.setBytes((*[32]byte)(b[:32]))
+	yok := pub.p.y.setBytes((*[32]byte)(b[32:]))
+	if !xok || !yok || !pub.p.onCurve() {
 		return nil, errors.New("secp256k1: point not on curve")
 	}
-	return p, nil
+	return pub, nil
 }
 
 // SharedSecret computes the ECDH shared secret: the X coordinate of
 // d*Q, as a 32-byte value. This is the agreement used by RLPx/ECIES.
 func SharedSecret(priv *PrivateKey, pub *PublicKey) ([]byte, error) {
-	if pub == nil || pub.IsInfinity() {
-		return nil, errors.New("secp256k1: nil public key")
-	}
-	p := ScalarMult(&pub.Point, priv.D)
-	if p.IsInfinity() {
-		return nil, errors.New("secp256k1: ECDH produced point at infinity")
-	}
 	out := make([]byte, 32)
-	p.X.FillBytes(out)
+	if err := SharedSecretInto((*[32]byte)(out), priv, pub); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 
-// hmacDRBG implements the RFC 6979 deterministic nonce generator over
-// HMAC-SHA256.
-func rfc6979Nonce(priv *PrivateKey, hash []byte, attempt int) *big.Int {
-	x := priv.Bytes()
-	h := bits2octets(hash)
+// SharedSecretInto is SharedSecret writing into caller storage.
+func SharedSecretInto(out *[32]byte, priv *PrivateKey, pub *PublicKey) error {
+	if pub == nil || !pub.p.onCurve() {
+		return errors.New("secp256k1: invalid public key")
+	}
+	j := scalarMultJac(&pub.p, &priv.d)
+	a, ok := j.toAffine()
+	if !ok {
+		return errors.New("secp256k1: ECDH produced point at infinity")
+	}
+	a.x.putBytes(out[:])
+	return nil
+}
 
-	v := make([]byte, 32)
-	k := make([]byte, 32)
+// hmacSHA256 is HMAC-SHA256 over the concatenation of parts with a
+// 32-byte key, computed in fixed stack buffers: RFC 6979 feeds it at
+// most 97 bytes, so the padded-key block and the message fit in one
+// array and sha256.Sum256 does the rest without a hash object.
+func hmacSHA256(key *[32]byte, parts ...[]byte) [32]byte {
+	var inner [64 + 97]byte
+	var outer [64 + 32]byte
+	for i := 0; i < 64; i++ {
+		inner[i], outer[i] = 0x36, 0x5c
+	}
+	for i, b := range key {
+		inner[i] ^= b
+		outer[i] ^= b
+	}
+	n := 64
+	for _, p := range parts {
+		n += copy(inner[n:], p)
+	}
+	sum := sha256.Sum256(inner[:n])
+	copy(outer[64:], sum[:])
+	return sha256.Sum256(outer[:])
+}
+
+// rfc6979Nonce is the RFC 6979 deterministic nonce generator over
+// HMAC-SHA256: the attempt-th candidate in [1, N-1] for signing hash
+// with priv.
+func rfc6979Nonce(priv *PrivateKey, z *scalar, attempt int) scalar {
+	var x, h [32]byte
+	priv.d.putBytes(x[:])
+	z.putBytes(h[:]) // bits2octets: the hash reduced mod N
+
+	var v, k [32]byte
 	for i := range v {
 		v[i] = 0x01
 	}
-	mac := func(key []byte, parts ...[]byte) []byte {
-		m := hmac.New(sha256.New, key)
-		for _, p := range parts {
-			m.Write(p)
-		}
-		return m.Sum(nil)
-	}
-	k = mac(k, v, []byte{0x00}, x, h)
-	v = mac(k, v)
-	k = mac(k, v, []byte{0x01}, x, h)
-	v = mac(k, v)
+	k = hmacSHA256(&k, v[:], []byte{0x00}, x[:], h[:])
+	v = hmacSHA256(&k, v[:])
+	k = hmacSHA256(&k, v[:], []byte{0x01}, x[:], h[:])
+	v = hmacSHA256(&k, v[:])
 
 	for i := 0; ; i++ {
-		v = mac(k, v)
-		t := new(big.Int).SetBytes(v)
-		if t.Sign() > 0 && t.Cmp(N) < 0 {
-			if i >= attempt {
-				return t
-			}
+		v = hmacSHA256(&k, v[:])
+		var t scalar
+		if t.setBytes(&v) && !t.isZero() && i >= attempt {
+			return t
 		}
-		k = mac(k, v, []byte{0x00})
-		v = mac(k, v)
+		k = hmacSHA256(&k, v[:], []byte{0x00})
+		v = hmacSHA256(&k, v[:])
 	}
-}
-
-// bits2octets reduces the hash modulo N per RFC 6979 §2.3.
-func bits2octets(hash []byte) []byte {
-	z := hashToInt(hash)
-	z.Mod(z, N)
-	out := make([]byte, 32)
-	z.FillBytes(out)
-	return out
-}
-
-// hashToInt converts a hash to an integer, truncating to the bit
-// length of N as per SEC 1 §4.1.3.
-func hashToInt(hash []byte) *big.Int {
-	orderBytes := (N.BitLen() + 7) / 8
-	if len(hash) > orderBytes {
-		hash = hash[:orderBytes]
-	}
-	z := new(big.Int).SetBytes(hash)
-	excess := len(hash)*8 - N.BitLen()
-	if excess > 0 {
-		z.Rsh(z, uint(excess))
-	}
-	return z
 }

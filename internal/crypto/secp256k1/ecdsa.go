@@ -3,7 +3,6 @@ package secp256k1
 import (
 	"errors"
 	"fmt"
-	"math/big"
 )
 
 // SignatureLength is the byte length of a recoverable signature:
@@ -19,22 +18,21 @@ func Sign(priv *PrivateKey, hash []byte) ([]byte, error) {
 	if len(hash) != 32 {
 		return nil, fmt.Errorf("secp256k1: hash must be 32 bytes, got %d", len(hash))
 	}
-	var z, d scalar
-	z.setBig(hashToInt(hash))
-	d.setBig(priv.D)
+	var z scalar
+	z.setBytes((*[32]byte)(hash)) // N is 256 bits: no truncation, just mod N
 	for attempt := 0; attempt < 100; attempt++ {
-		k := rfc6979Nonce(priv, hash, attempt)
-		rp := active.scalarBaseMult(k)
+		k := rfc6979Nonce(priv, &z, attempt)
+		rj := scalarBaseMultJac(&k)
+		rp, _ := rj.toAffine() // k ∈ [1, N-1], so k·G is finite
 		var r scalar
-		r.setBig(rp.X) // rp.X < p < 2N, so this is rp.X mod N
+		xBelowN := r.setField(&rp.x) // R.x < p < 2N, so this is R.x mod N
 		if r.isZero() {
 			continue
 		}
 		// s = k⁻¹ (z + r·d) mod N
-		var ks, kinv, s scalar
-		ks.setBig(k)
-		kinv.inverse(&ks)
-		s.mul(&r, &d)
+		var kinv, s scalar
+		kinv.inverse(&k)
+		s.mul(&r, &priv.d)
 		s.add(&s, &z)
 		s.mul(&s, &kinv)
 		if s.isZero() {
@@ -42,8 +40,11 @@ func Sign(priv *PrivateKey, hash []byte) ([]byte, error) {
 		}
 		// Recovery id: bit 0 is the parity of R.y, bit 1 set if
 		// R.x >= N (astronomically rare).
-		v := byte(rp.Y.Bit(0))
-		if rp.X.Cmp(N) >= 0 {
+		var v byte
+		if rp.y.isOdd() {
+			v = 1
+		}
+		if !xBelowN {
 			v |= 2
 		}
 		// Enforce low-S; flipping s negates the parity bit.
@@ -60,36 +61,43 @@ func Sign(priv *PrivateKey, hash []byte) ([]byte, error) {
 	return nil, errors.New("secp256k1: could not produce signature")
 }
 
+// parseRS loads the r and s halves of a signature, requiring both in
+// [1, N-1].
+func parseRS(sig []byte) (r, s scalar, ok bool) {
+	rok := r.setBytes((*[32]byte)(sig[:32]))
+	sok := s.setBytes((*[32]byte)(sig[32:64]))
+	return r, s, rok && sok && !r.isZero() && !s.isZero()
+}
+
 // Verify checks a 64- or 65-byte signature (recovery id ignored)
-// against a 32-byte hash and public key. The two scalar products are
-// computed in a single Shamir pass: u1·G + u2·Q.
+// against a 32-byte hash and public key: R = u1·G + u2·Q must have
+// R.x ≡ r (mod N).
 func Verify(pub *PublicKey, hash, sig []byte) bool {
 	if len(hash) != 32 || (len(sig) != 64 && len(sig) != 65) {
 		return false
 	}
-	r := new(big.Int).SetBytes(sig[:32])
-	s := new(big.Int).SetBytes(sig[32:64])
-	if r.Sign() <= 0 || s.Sign() <= 0 || r.Cmp(N) >= 0 || s.Cmp(N) >= 0 {
+	r, s, ok := parseRS(sig)
+	if !ok || !pub.p.onCurve() {
 		return false
 	}
-	var z, rs, ss, w, u1, u2 scalar
-	z.setBig(hashToInt(hash))
-	rs.setBig(r)
-	ss.setBig(s)
-	w.inverse(&ss)
+	var z, w, u1, u2 scalar
+	z.setBytes((*[32]byte)(hash))
+	w.inverse(&s)
 	u1.mul(&z, &w)
-	u2.mul(&rs, &w)
-	p := active.doubleScalarBaseMult(u1.toBig(), &pub.Point, u2.toBig())
-	if p.IsInfinity() {
+	u2.mul(&r, &w)
+	pj := doubleScalarMultJac(&u1, &pub.p, &u2)
+	p, finite := pj.toAffine()
+	if !finite {
 		return false
 	}
-	return new(big.Int).Mod(p.X, N).Cmp(r) == 0
+	var x scalar
+	x.setField(&p.x)
+	return x.equal(&r)
 }
 
 // RecoverPubkey returns the public key that produced the given
 // recoverable signature over hash. sig is r || s || v. The recovery
-// equation Q = r⁻¹(s·R − z·G) is evaluated as one Shamir pass over
-// (−z·r⁻¹)·G + (s·r⁻¹)·R.
+// equation is Q = r⁻¹(s·R − z·G) = (−z·r⁻¹)·G + (s·r⁻¹)·R.
 func RecoverPubkey(hash, sig []byte) (*PublicKey, error) {
 	if len(hash) != 32 {
 		return nil, fmt.Errorf("secp256k1: hash must be 32 bytes, got %d", len(hash))
@@ -97,65 +105,61 @@ func RecoverPubkey(hash, sig []byte) (*PublicKey, error) {
 	if len(sig) != SignatureLength {
 		return nil, fmt.Errorf("secp256k1: signature must be %d bytes, got %d", SignatureLength, len(sig))
 	}
-	r := new(big.Int).SetBytes(sig[:32])
-	s := new(big.Int).SetBytes(sig[32:64])
 	v := sig[64]
 	if v > 3 {
 		return nil, fmt.Errorf("secp256k1: invalid recovery id %d", v)
 	}
-	if r.Sign() <= 0 || s.Sign() <= 0 || r.Cmp(N) >= 0 || s.Cmp(N) >= 0 {
+	r, s, ok := parseRS(sig)
+	if !ok {
 		return nil, errors.New("secp256k1: signature values out of range")
 	}
 
-	// R.x = r (+ N if bit 1 of v set); recover R.y from the curve
-	// equation using the parity in bit 0.
-	x := new(big.Int).Set(r)
+	// R.x = r (+ N if bit 1 of v set), which must stay below p;
+	// recover R.y from the curve equation using the parity in bit 0.
+	var rp affinePoint
+	rp.x.n = r.n
 	if v&2 != 0 {
-		x.Add(x, N)
+		var carry uint64
+		rp.x.n, carry = add256(r.n, scN.n)
+		if carry != 0 || rp.x.condSubP() {
+			return nil, errors.New("secp256k1: recovery x out of field range")
+		}
 	}
-	if x.Cmp(P) >= 0 {
-		return nil, errors.New("secp256k1: recovery x out of field range")
+	if !rp.liftX(v&1 == 1) {
+		return nil, errors.New("secp256k1: x is not on the curve")
 	}
-	y, err := liftX(x, v&1 == 1)
-	if err != nil {
-		return nil, err
-	}
-	rp := &Point{x, y}
 
-	// Q = r⁻¹ (s·R − z·G) = (−z·r⁻¹)·G + (s·r⁻¹)·R
-	var z, rs, ss, rinv, u1, u2 scalar
-	z.setBig(hashToInt(hash))
-	rs.setBig(r)
-	ss.setBig(s)
-	rinv.inverse(&rs)
+	var z, rinv, u1, u2 scalar
+	z.setBytes((*[32]byte)(hash))
+	rinv.inverse(&r)
 	u1.mul(&z, &rinv)
 	u1.neg(&u1)
-	u2.mul(&ss, &rinv)
-	q := active.doubleScalarBaseMult(u1.toBig(), rp, u2.toBig())
-	if q.IsInfinity() {
+	u2.mul(&s, &rinv)
+	qj := doubleScalarMultJac(&u1, &rp, &u2)
+	pub := new(PublicKey)
+	var finite bool
+	if pub.p, finite = qj.toAffine(); !finite {
 		return nil, errors.New("secp256k1: recovered point at infinity")
 	}
-	pub := &PublicKey{*q}
-	if !pub.OnCurve() {
+	if !pub.p.onCurve() {
 		return nil, errors.New("secp256k1: recovered point not on curve")
 	}
 	return pub, nil
 }
 
-// liftX computes a curve point's y coordinate from x, choosing the
-// root with the requested parity. The square root runs on the
-// fixed-limb field (p ≡ 3 mod 4, so y = (x³+7)^((p+1)/4)).
-func liftX(x *big.Int, odd bool) (*big.Int, error) {
-	var xf, y2, y fieldElement
-	xf.setBig(x)
-	y2.sqr(&xf)
-	y2.mul(&y2, &xf)
+// liftX sets a.y to the square root of a.x³ + 7 with the requested
+// parity, reporting false when a.x is not the abscissa of a curve
+// point.
+func (a *affinePoint) liftX(odd bool) bool {
+	var y2 fieldElement
+	y2.sqr(&a.x)
+	y2.mul(&y2, &a.x)
 	y2.add(&y2, &feB)
-	if !y.sqrt(&y2) {
-		return nil, errors.New("secp256k1: x is not on the curve")
+	if !a.y.sqrt(&y2) {
+		return false
 	}
-	if y.isOdd() != odd {
-		y.neg(&y)
+	if a.y.isOdd() != odd {
+		a.y.neg(&a.y)
 	}
-	return y.toBig(), nil
+	return true
 }

@@ -35,7 +35,7 @@ func TestRFC6979KnownVector(t *testing.T) {
 		t.Error("vector signature does not verify")
 	}
 	rec, err := RecoverPubkey(h[:], sig)
-	if err != nil || !rec.Equal(&k.Pub.Point) {
+	if err != nil || !rec.Equal(&k.Pub) {
 		t.Errorf("recovery failed: %v", err)
 	}
 }

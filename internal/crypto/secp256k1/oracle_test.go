@@ -2,11 +2,12 @@ package secp256k1
 
 import "math/big"
 
-// oracleBackend is the original math/big Jacobian implementation,
-// retained verbatim as the reference oracle for the fixed-limb fast
-// path. It is roughly 20× slower and exists so differential and fuzz
-// tests can check every fast operation against independent
-// arithmetic; nothing on the hot path uses it.
+// oracleBackend is the package's original math/big Jacobian
+// implementation, retained verbatim as the reference oracle for the
+// fixed-limb code: double-and-add over general Jacobian addition, with
+// no tables, endomorphism or limb arithmetic in common with it. It is
+// roughly 40× slower and exists so differential and fuzz tests can
+// check every point operation against independent arithmetic.
 type oracleBackend struct{}
 
 // jacobian is a point in Jacobian projective coordinates:

@@ -22,11 +22,6 @@ func (p *jacPoint) setAffine(a *affinePoint) {
 	p.z = feOne
 }
 
-// negAssign replaces p with −p.
-func (p *jacPoint) negAssign() {
-	p.y.neg(&p.y)
-}
-
 // toAffine converts to affine coordinates; ok is false at infinity.
 func (p *jacPoint) toAffine() (a affinePoint, ok bool) {
 	if p.isInf() {
@@ -142,9 +137,11 @@ func (r *jacPoint) add(a, b *jacPoint) {
 }
 
 // addMixed sets r = a + b for an affine b (madd-2007-bl, Z2 = 1),
-// saving four multiplications over the general form. Aliasing of r
-// and a is allowed.
-func (r *jacPoint) addMixed(a *jacPoint, b *affinePoint) {
+// saving five multiplications over the general form. Aliasing of r
+// and a is allowed. When zr is non-nil and the generic branch runs it
+// receives the ratio r.z / a.z (= 2·H), which oddMultiples uses to
+// bring a chain of sums to a common Z without inverting.
+func (r *jacPoint) addMixed(a *jacPoint, b *affinePoint, zr *fieldElement) {
 	if a.isInf() {
 		r.setAffine(b)
 		return
@@ -164,10 +161,10 @@ func (r *jacPoint) addMixed(a *jacPoint, b *affinePoint) {
 		return
 	}
 
-	var h, hh, i, j, rr, v fieldElement
+	var h, h2, i, j, rr, v fieldElement
 	h.sub(&u2, &a.x)
-	hh.sqr(&h)
-	i.mulSmall(&hh, 4)
+	h2.add(&h, &h)
+	i.sqr(&h2)
 	j.mul(&h, &i)
 	rr.sub(&s2, &a.y)
 	rr.add(&rr, &rr)
@@ -185,13 +182,57 @@ func (r *jacPoint) addMixed(a *jacPoint, b *affinePoint) {
 	t.add(&t, &t)
 	y3.sub(&y3, &t)
 
-	// Z3 = (Z1+H)² − Z1Z1 − HH = 2·Z1·H
-	z3.add(&a.z, &h)
-	z3.sqr(&z3)
-	z3.sub(&z3, &z1z1)
-	z3.sub(&z3, &hh)
+	z3.mul(&a.z, &h2) // Z3 = 2·Z1·H
 
+	if zr != nil {
+		*zr = h2
+	}
 	r.x, r.y, r.z = x3, y3, z3
+}
+
+// oddMultiples fills tbl with P, 3P, …, 15P for a finite affine P —
+// as affine points of a curve isomorphic to secp256k1 — and returns
+// the isomorphism's scale z: running the whole ladder on tbl with
+// mixed additions and multiplying the result's Z by z gives the
+// secp256k1 answer, with no field inversion spent on the table (the
+// "effective affine" technique of libsecp256k1's ecmult).
+//
+// The doubling and addition formulas for y² = x³ + b never mention b,
+// so they hold on every curve y² = x³ + b·u⁶, to which (X, Y, Z) ↦
+// (X, Y, Z/u) maps secp256k1. First u = C, the Z of D = 2P: there D is
+// affine and every step (2i+1)P = (2i−1)P + D is a mixed addition.
+// Then u = z₇, the Z the last sum ended on: each earlier entry is
+// rescaled to that Z through the chain of ratios addMixed reports.
+func oddMultiples(tbl *[8]affinePoint, p *affinePoint) (z fieldElement) {
+	var pj, d jacPoint
+	pj.setAffine(p)
+	d.double(&pj)
+	var c2, c3 fieldElement
+	c2.sqr(&d.z)
+	c3.mul(&c2, &d.z)
+	dAff := affinePoint{x: d.x, y: d.y}
+
+	var jac [8]jacPoint
+	var zr [8]fieldElement // zr[i] = jac[i].z / jac[i-1].z
+	jac[0].x.mul(&p.x, &c2)
+	jac[0].y.mul(&p.y, &c3)
+	jac[0].z = feOne
+	for i := 1; i < 8; i++ {
+		jac[i].addMixed(&jac[i-1], &dAff, &zr[i])
+	}
+
+	tbl[7] = affinePoint{x: jac[7].x, y: jac[7].y}
+	zs := feOne // jac[7].z / jac[i].z
+	for i := 6; i >= 0; i-- {
+		zs.mul(&zs, &zr[i+1])
+		var zs2, zs3 fieldElement
+		zs2.sqr(&zs)
+		zs3.mul(&zs2, &zs)
+		tbl[i].x.mul(&jac[i].x, &zs2)
+		tbl[i].y.mul(&jac[i].y, &zs3)
+	}
+	z.mul(&jac[7].z, &d.z)
+	return z
 }
 
 // batchToAffine normalizes a slice of finite Jacobian points with a

@@ -21,23 +21,18 @@ var (
 	}}
 	scOne = scalar{n: [4]uint64{1, 0, 0, 0}}
 
-	// Montgomery machinery, derived from the big.Int N in
-	// initScalarConstants: R² mod N (for entering Montgomery form),
-	// R mod N (the Montgomery one), −N⁻¹ mod 2^64, plus the plain
-	// constants N−2 (Fermat inversion exponent) and (N−1)/2 (low-S
-	// threshold).
-	scRR      scalar
-	scRmodN   scalar
-	scNPrime  uint64
-	scNMinus2 [4]uint64
-	scHalfN   scalar
+	// Derived from the big.Int N in initScalarConstants so the limb
+	// forms cannot drift from the authoritative parameter: R² mod N
+	// (for entering Montgomery form, R = 2^256), −N⁻¹ mod 2^64, and
+	// (N−1)/2, the low-S threshold.
+	scRR     scalar
+	scNPrime uint64
+	scHalfN  scalar
 )
 
 func initScalarConstants() {
 	r := new(big.Int).Lsh(big.NewInt(1), 256)
-	scRmodN.n = limbsFromBig(new(big.Int).Mod(r, N))
 	scRR.n = limbsFromBig(new(big.Int).Mod(new(big.Int).Mul(r, r), N))
-	scNMinus2 = limbsFromBig(new(big.Int).Sub(N, big.NewInt(2)))
 	scHalfN.n = limbsFromBig(halfN)
 
 	// −N⁻¹ mod 2^64 by Newton iteration: each step doubles the number
@@ -49,13 +44,22 @@ func initScalarConstants() {
 	scNPrime = -inv
 }
 
-// setBytes loads a 32-byte big-endian value, reducing mod N. One
+// setBytes loads a 32-byte big-endian value, reducing mod N, and
+// reports whether the value was already canonical (< N). One
 // conditional subtraction suffices because 2^256 < 2N.
-func (r *scalar) setBytes(b *[32]byte) {
+func (r *scalar) setBytes(b *[32]byte) (canonical bool) {
 	for i := 0; i < 4; i++ {
 		r.n[i] = binary.BigEndian.Uint64(b[(3-i)*8:])
 	}
-	r.condSubN()
+	return !r.condSubN()
+}
+
+// setField loads a field element's value, reducing mod N, and reports
+// whether it was already below N: the step from a point's x
+// coordinate to a signature's r.
+func (r *scalar) setField(x *fieldElement) (canonical bool) {
+	r.n = x.n
+	return !r.condSubN()
 }
 
 // setBig loads a big.Int in [0, 2^256), reducing mod N.
@@ -94,32 +98,50 @@ func (r *scalar) cmp(a *scalar) int {
 
 func (r *scalar) gteN() bool { return r.cmp(&scN) >= 0 }
 
-func (r *scalar) condSubN() {
+// condSubN subtracts N once if r ≥ N and reports whether it did.
+func (r *scalar) condSubN() bool {
 	if !r.gteN() {
-		return
+		return false
 	}
-	var br uint64
-	r.n[0], br = bits.Sub64(r.n[0], scN.n[0], 0)
-	r.n[1], br = bits.Sub64(r.n[1], scN.n[1], br)
-	r.n[2], br = bits.Sub64(r.n[2], scN.n[2], br)
-	r.n[3], _ = bits.Sub64(r.n[3], scN.n[3], br)
+	r.n, _ = sub256(r.n, scN.n)
+	return true
+}
+
+// sub256 returns a − b mod 2^256 and the borrow out.
+func sub256(a, b [4]uint64) (d [4]uint64, borrow uint64) {
+	d[0], borrow = bits.Sub64(a[0], b[0], 0)
+	d[1], borrow = bits.Sub64(a[1], b[1], borrow)
+	d[2], borrow = bits.Sub64(a[2], b[2], borrow)
+	d[3], borrow = bits.Sub64(a[3], b[3], borrow)
+	return d, borrow
+}
+
+// add256 returns a + b mod 2^256 and the carry out.
+func add256(a, b [4]uint64) (s [4]uint64, carry uint64) {
+	s[0], carry = bits.Add64(a[0], b[0], 0)
+	s[1], carry = bits.Add64(a[1], b[1], carry)
+	s[2], carry = bits.Add64(a[2], b[2], carry)
+	s[3], carry = bits.Add64(a[3], b[3], carry)
+	return s, carry
 }
 
 // add sets r = a + b mod N. Result aliasing is allowed.
 func (r *scalar) add(a, b *scalar) {
 	var c uint64
-	r.n[0], c = bits.Add64(a.n[0], b.n[0], 0)
-	r.n[1], c = bits.Add64(a.n[1], b.n[1], c)
-	r.n[2], c = bits.Add64(a.n[2], b.n[2], c)
-	r.n[3], c = bits.Add64(a.n[3], b.n[3], c)
+	r.n, c = add256(a.n, b.n)
 	if c != 0 || r.gteN() {
 		// With canonical inputs a+b < 2N, so one subtraction is
 		// enough; a 2^256 carry cancels against the borrow.
-		var br uint64
-		r.n[0], br = bits.Sub64(r.n[0], scN.n[0], 0)
-		r.n[1], br = bits.Sub64(r.n[1], scN.n[1], br)
-		r.n[2], br = bits.Sub64(r.n[2], scN.n[2], br)
-		r.n[3], _ = bits.Sub64(r.n[3], scN.n[3], br)
+		r.n, _ = sub256(r.n, scN.n)
+	}
+}
+
+// sub sets r = a − b mod N. Result aliasing is allowed.
+func (r *scalar) sub(a, b *scalar) {
+	var br uint64
+	r.n, br = sub256(a.n, b.n)
+	if br != 0 {
+		r.n, _ = add256(r.n, scN.n)
 	}
 }
 
@@ -129,11 +151,7 @@ func (r *scalar) neg(a *scalar) {
 		*r = scalar{}
 		return
 	}
-	var br uint64
-	r.n[0], br = bits.Sub64(scN.n[0], a.n[0], 0)
-	r.n[1], br = bits.Sub64(scN.n[1], a.n[1], br)
-	r.n[2], br = bits.Sub64(scN.n[2], a.n[2], br)
-	r.n[3], _ = bits.Sub64(scN.n[3], a.n[3], br)
+	r.n, _ = sub256(scN.n, a.n)
 }
 
 // montMul sets r = a · b · R⁻¹ mod N (CIOS Montgomery multiplication,
@@ -177,11 +195,7 @@ func montMul(r, a, b *scalar) {
 		// The CIOS invariant keeps the result below 2N, so a single
 		// subtraction restores canonical form (tExtra absorbs the
 		// borrow when set).
-		var br uint64
-		r.n[0], br = bits.Sub64(r.n[0], scN.n[0], 0)
-		r.n[1], br = bits.Sub64(r.n[1], scN.n[1], br)
-		r.n[2], br = bits.Sub64(r.n[2], scN.n[2], br)
-		r.n[3], _ = bits.Sub64(r.n[3], scN.n[3], br)
+		r.n, _ = sub256(r.n, scN.n)
 	}
 }
 
@@ -192,96 +206,196 @@ func (r *scalar) mul(a, b *scalar) {
 	montMul(r, &aR, b)     // aR·b·R⁻¹ = a·b
 }
 
-// inverse sets r = a⁻¹ mod N via Fermat (a^(N−2)) with a 4-bit window
-// over Montgomery form; inverse(0) = 0.
+// inverse sets r = a⁻¹ mod N by the binary extended Euclidean
+// algorithm for an odd modulus; inverse(0) = 0. The loop keeps
+// x1·a ≡ u and x2·a ≡ v (mod N) while shrinking u and v: each pass
+// strips the factors of two (halving x mod N alongside) and subtracts
+// the smaller from the larger, so bitlen(u)+bitlen(v) falls every
+// pass and at most ~512 cheap limb steps run — a quarter of the cost
+// of a Fermat ladder over Montgomery multiplication.
 func (r *scalar) inverse(a *scalar) {
-	var aR scalar
-	montMul(&aR, a, &scRR)
-	var table [16]scalar
-	table[0] = scRmodN // Montgomery one
-	table[1] = aR
-	for i := 2; i < 16; i++ {
-		montMul(&table[i], &table[i-1], &aR)
+	if a.isZero() {
+		*r = scalar{}
+		return
 	}
-	acc := scRmodN
-	started := false
-	for i := 3; i >= 0; i-- {
-		for shift := 60; shift >= 0; shift -= 4 {
-			if started {
-				montMul(&acc, &acc, &acc)
-				montMul(&acc, &acc, &acc)
-				montMul(&acc, &acc, &acc)
-				montMul(&acc, &acc, &acc)
-			}
-			nib := (scNMinus2[i] >> uint(shift)) & 15
-			if nib != 0 {
-				montMul(&acc, &acc, &table[nib])
-				started = true
-			}
+	u, v := *a, scN
+	x1, x2 := scOne, scalar{}
+	for !u.equal(&scOne) && !v.equal(&scOne) {
+		for u.n[0]&1 == 0 {
+			u.shr1(0)
+			x1.half()
+		}
+		for v.n[0]&1 == 0 {
+			v.shr1(0)
+			x2.half()
+		}
+		if u.cmp(&v) >= 0 {
+			u.n, _ = sub256(u.n, v.n)
+			x1.sub(&x1, &x2)
+		} else {
+			v.n, _ = sub256(v.n, u.n)
+			x2.sub(&x2, &x1)
 		}
 	}
-	montMul(r, &acc, &scOne) // leave Montgomery form
+	if u.equal(&scOne) {
+		*r = x1
+	} else {
+		*r = x2
+	}
 }
 
-// wnafWidth is the window width used for variable-base and dual
+// shr1 shifts r right one bit, shifting top (0 or 1) in at bit 255.
+func (r *scalar) shr1(top uint64) {
+	r.n[0] = r.n[0]>>1 | r.n[1]<<63
+	r.n[1] = r.n[1]>>1 | r.n[2]<<63
+	r.n[2] = r.n[2]>>1 | r.n[3]<<63
+	r.n[3] = r.n[3]>>1 | top<<63
+}
+
+// half sets r = r/2 mod N: an odd r becomes even by adding N first.
+func (r *scalar) half() {
+	var carry uint64
+	if r.n[0]&1 == 1 {
+		r.n, carry = add256(r.n, scN.n)
+	}
+	r.shr1(carry)
+}
+
+// GLV endomorphism. secp256k1 has φ(x, y) = (β·x, y) with φ(P) = λ·P,
+// where β and λ are primitive cube roots of unity mod p and mod N. A
+// scalar k is split as k ≡ k1 + k2·λ (mod N) with |k1|, |k2| < 2^128
+// by rounding k against a short basis (a1, b1), (a2, b2) of the
+// lattice {(x, y) : x + y·λ ≡ 0 mod N} (Gallant–Lambert–Vanstone 2001;
+// constants as in libsecp256k1). Only λ, β and the basis are written
+// down; the rounding multipliers g1 = ⌊2^384·b2/N⌉, g2 = ⌊2^384·(−b1)/N⌉
+// are derived in initGLV, which also checks every identity the split
+// relies on and panics at start-up if one fails.
+var (
+	glvLambda, _ = new(big.Int).SetString("5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72", 16)
+	glvBeta, _   = new(big.Int).SetString("7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee", 16)
+	glvA1, _     = new(big.Int).SetString("3086d221a7d46bcde86c90e49284eb15", 16)
+	glvNegB1, _  = new(big.Int).SetString("e4437ed6010e88286f547fa90abfe4c3", 16) // b1 is negative
+	glvA2, _     = new(big.Int).SetString("114ca50f7a8e2f3f657c1108d9d44cfd8", 16)
+	// b2 = a1.
+
+	scLambda, scNegB1, scNegB2, scG1, scG2 scalar
+	feBeta                                 fieldElement
+)
+
+func initGLV() {
+	one := big.NewInt(1)
+	isCubeRoot := func(x, m *big.Int) bool { // x² + x + 1 ≡ 0 and x ≠ 1
+		v := new(big.Int).Mul(x, x)
+		v.Add(v, x).Add(v, one)
+		return v.Mod(v, m).Sign() == 0 && x.Cmp(one) != 0
+	}
+	inLattice := func(x, y *big.Int) bool {
+		v := new(big.Int).Mul(y, glvLambda)
+		return v.Add(v, x).Mod(v, N).Sign() == 0
+	}
+	b1 := new(big.Int).Neg(glvNegB1)
+	b2 := glvA1
+	// det = a1·b2 − a2·b1 must be N for (a1,b1),(a2,b2) to be a basis
+	// of the whole lattice, not a sublattice.
+	det := new(big.Int).Mul(glvA1, b2)
+	det.Sub(det, new(big.Int).Mul(glvA2, b1))
+	if !isCubeRoot(glvLambda, N) || !isCubeRoot(glvBeta, P) ||
+		!inLattice(glvA1, b1) || !inLattice(glvA2, b2) || det.Cmp(N) != 0 {
+		panic("secp256k1: inconsistent GLV constants")
+	}
+	round384 := func(num *big.Int) [4]uint64 { // ⌊2^384·num/N⌉
+		v := new(big.Int).Lsh(num, 384)
+		v.Add(v, halfN)
+		return limbsFromBig(v.Div(v, N))
+	}
+	scLambda.n = limbsFromBig(glvLambda)
+	scNegB1.n = limbsFromBig(glvNegB1)
+	scNegB2.n = limbsFromBig(new(big.Int).Sub(N, b2))
+	scG1.n = round384(b2)
+	scG2.n = round384(glvNegB1)
+	feBeta.n = limbsFromBig(glvBeta)
+
+	// λ and β must be the *matching* pair of roots: λ·G = (β·Gx, Gy).
+	// (Runs after buildBaseTables.)
+	lg := scalarBaseMultJac(&scLambda)
+	got, _ := lg.toAffine()
+	var want affinePoint
+	want.x.setBig(Gx)
+	want.x.mul(&want.x, &feBeta)
+	want.y.setBig(Gy)
+	if got != want {
+		panic("secp256k1: GLV λ and β are not a matching pair")
+	}
+}
+
+// splitLambda sets k1, k2 so that k ≡ k1 + k2·λ (mod N), each either
+// below 2^128 or above N − 2^128 (a small negative value mod N).
+func (k *scalar) splitLambda(k1, k2 *scalar) {
+	var c1, c2 scalar
+	c1.mulShift384(k, &scG1) // ≈ k·b2/N
+	c2.mulShift384(k, &scG2) // ≈ −k·b1/N
+	c1.mul(&c1, &scNegB1)
+	c2.mul(&c2, &scNegB2)
+	k2.add(&c1, &c2) // k2 = −c1·b1 − c2·b2
+	k1.mul(k2, &scLambda)
+	k1.sub(k, k1) // k1 = k − k2·λ
+}
+
+// mulShift384 sets r = ⌊a·b / 2^384⌉ (rounded to nearest), a value
+// below 2^128.
+func (r *scalar) mulShift384(a, b *scalar) {
+	var t [8]uint64
+	for i := 0; i < 4; i++ {
+		var carry uint64
+		for j := 0; j < 4; j++ {
+			hi, lo := bits.Mul64(a.n[i], b.n[j])
+			v, c1 := bits.Add64(t[i+j], lo, 0)
+			v, c2 := bits.Add64(v, carry, 0)
+			t[i+j] = v
+			carry = hi + c1 + c2
+		}
+		t[i+4] = carry
+	}
+	var c uint64
+	r.n[0], c = bits.Add64(t[6], t[5]>>63, 0) // round on bit 383
+	r.n[1] = t[7] + c
+	r.n[2], r.n[3] = 0, 0
+}
+
+// wnafWidth is the window width used for variable-base
 // multiplication: odd digits in ±{1..15}, eight precomputed points.
 const wnafWidth = 5
 
-// wnaf returns the width-w non-adjacent form of s, least significant
-// digit first, with trailing zeros trimmed.
-func (s *scalar) wnaf(w uint) []int8 {
-	// A fifth limb absorbs the temporary overflow when a negative
+// wnafLen bounds the digits of a half-width scalar: 128 bits plus one
+// for the carry a final negative digit pushes up.
+const wnafLen = 129
+
+// wnaf writes the width-5 non-adjacent form of s (< 2^128), least
+// significant digit first, into out and returns the number of digits
+// up to and including the most significant non-zero one.
+func (s *scalar) wnaf(out *[wnafLen]int8) int {
+	// A third limb absorbs the temporary overflow when a negative
 	// digit is added back.
-	var k [5]uint64
-	copy(k[:4], s.n[:])
-	out := make([]int8, 0, 257)
-	mask := uint64(1)<<w - 1
-	half := int64(1) << (w - 1)
-	for k[0]|k[1]|k[2]|k[3]|k[4] != 0 {
+	k0, k1, k2 := s.n[0], s.n[1], uint64(0)
+	n := 0
+	for i := 0; k0|k1|k2 != 0; i++ {
 		var d int64
-		if k[0]&1 == 1 {
-			d = int64(k[0] & mask)
-			if d > half {
-				d -= int64(1) << w
+		if k0&1 == 1 {
+			d = int64(k0 & (1<<wnafWidth - 1))
+			if d > 1<<(wnafWidth-1) {
+				d -= 1 << wnafWidth
 			}
-			if d > 0 {
-				limbsSubSmall(&k, uint64(d))
-			} else {
-				limbsAddSmall(&k, uint64(-d))
-			}
+			// k -= d, as three-limb two's complement.
+			var br uint64
+			k0, br = bits.Sub64(k0, uint64(d), 0)
+			k1, br = bits.Sub64(k1, uint64(d>>63), br)
+			k2, _ = bits.Sub64(k2, uint64(d>>63), br)
+			n = i + 1
 		}
-		out = append(out, int8(d))
-		limbsShr1(&k)
+		out[i] = int8(d)
+		k0 = k0>>1 | k1<<63
+		k1 = k1>>1 | k2<<63
+		k2 >>= 1
 	}
-	// Trim leading (most-significant) zeros so callers skip empty
-	// doubling iterations.
-	for len(out) > 0 && out[len(out)-1] == 0 {
-		out = out[:len(out)-1]
-	}
-	return out
-}
-
-func limbsSubSmall(k *[5]uint64, v uint64) {
-	var br uint64
-	k[0], br = bits.Sub64(k[0], v, 0)
-	k[1], br = bits.Sub64(k[1], 0, br)
-	k[2], br = bits.Sub64(k[2], 0, br)
-	k[3], br = bits.Sub64(k[3], 0, br)
-	k[4], _ = bits.Sub64(k[4], 0, br)
-}
-
-func limbsAddSmall(k *[5]uint64, v uint64) {
-	var c uint64
-	k[0], c = bits.Add64(k[0], v, 0)
-	k[1], c = bits.Add64(k[1], 0, c)
-	k[2], c = bits.Add64(k[2], 0, c)
-	k[3], c = bits.Add64(k[3], 0, c)
-	k[4], _ = bits.Add64(k[4], 0, c)
-}
-
-func limbsShr1(k *[5]uint64) {
-	for i := 0; i < 4; i++ {
-		k[i] = k[i]>>1 | k[i+1]<<63
-	}
-	k[4] >>= 1
+	return n
 }

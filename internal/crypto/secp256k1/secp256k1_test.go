@@ -103,7 +103,7 @@ func TestKeyGeneration(t *testing.T) {
 	if !k.Pub.OnCurve() {
 		t.Fatal("public key not on curve")
 	}
-	if k.D.Sign() <= 0 || k.D.Cmp(N) >= 0 {
+	if k.D().Sign() <= 0 || k.D().Cmp(N) >= 0 {
 		t.Fatal("private scalar out of range")
 	}
 }
@@ -119,7 +119,7 @@ func TestKeySerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p1.Equal(&k.Pub.Point) {
+	if !p1.Equal(&k.Pub) {
 		t.Fatal("raw round trip mismatch")
 	}
 
@@ -131,7 +131,7 @@ func TestKeySerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p2.Equal(&k.Pub.Point) {
+	if !p2.Equal(&k.Pub) {
 		t.Fatal("uncompressed round trip mismatch")
 	}
 
@@ -140,7 +140,7 @@ func TestKeySerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k2.D.Cmp(k.D) != 0 {
+	if k2.D().Cmp(k.D()) != 0 {
 		t.Fatal("private key round trip mismatch")
 	}
 }
@@ -234,7 +234,7 @@ func TestRecoverPubkey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if !got.Equal(&k.Pub.Point) {
+		if !got.Equal(&k.Pub) {
 			t.Fatalf("seed %d: recovered wrong key", seed)
 		}
 	}
@@ -329,18 +329,18 @@ func BenchmarkRecoverPubkey(b *testing.B) {
 }
 
 func BenchmarkScalarBaseMult(b *testing.B) {
-	k := testKey(b, 45)
+	k := testKey(b, 45).D()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ScalarBaseMult(k.D)
+		ScalarBaseMult(k)
 	}
 }
 
 func BenchmarkScalarMult(b *testing.B) {
-	k := testKey(b, 46)
-	p := testKey(b, 47)
+	k := testKey(b, 46).D()
+	p := testKey(b, 47).Pub.Point()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ScalarMult(&p.Pub.Point, k.D)
+		ScalarMult(p, k)
 	}
 }

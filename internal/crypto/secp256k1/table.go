@@ -1,26 +1,19 @@
 package secp256k1
 
-// Precomputed base-point tables, built once at package init from the
-// authoritative big.Int parameters.
-//
-//   - gTable[w][d-1] = d · 16^w · G for d ∈ 1..15: a 4-bit windowed
-//     decomposition of G multiples. ScalarBaseMult becomes at most 64
-//     mixed additions with no doublings at all.
-//   - gOdd[i] = (2i+1) · G for i ∈ 0..7: the odd multiples used by
-//     the width-5 wNAF half of Shamir dual multiplication (Verify,
-//     RecoverPubkey).
+// gTable is the precomputed base-point table, built once at package
+// init from the authoritative big.Int parameters:
+// gTable[w][d-1] = d · 16^w · G for d ∈ 1..15, a 4-bit windowed
+// decomposition of G multiples. ScalarBaseMult becomes at most 64
+// mixed additions with no doublings at all.
 //
 // Memory: 64·15 affine points · 64 bytes = 60 KiB, built in well
 // under a millisecond thanks to batch normalization.
-var (
-	gTable [64][15]affinePoint
-	gOdd   [8]affinePoint
-)
+var gTable [64][15]affinePoint
 
 func init() {
-	initFieldConstants()
 	initScalarConstants()
 	buildBaseTables()
+	initGLV()
 }
 
 func buildBaseTables() {
@@ -49,9 +42,6 @@ func buildBaseTables() {
 	for w := 0; w < 64; w++ {
 		copy(gTable[w][:], aff[w*15:(w+1)*15])
 	}
-	for i := 0; i < 8; i++ {
-		gOdd[i] = gTable[0][2*i] // (2i+1)·G
-	}
 }
 
 // scalarBaseMultJac computes k·G by walking the windowed table: one
@@ -61,83 +51,77 @@ func scalarBaseMultJac(k *scalar) jacPoint {
 	for w := 0; w < 64; w++ {
 		nib := (k.n[w/16] >> uint((w%16)*4)) & 15
 		if nib != 0 {
-			acc.addMixed(&acc, &gTable[w][nib-1])
+			acc.addMixed(&acc, &gTable[w][nib-1], nil)
 		}
 	}
 	return acc
 }
 
-// scalarMultJac computes k·P with width-5 wNAF: ~256 doublings plus
-// ~43 additions against eight precomputed odd multiples of P.
-func scalarMultJac(p *jacPoint, k *scalar) jacPoint {
-	naf := k.wnaf(wnafWidth)
-	if len(naf) == 0 || p.isInf() {
+// scalarMultJac computes k·P for a finite affine P. k is split by the
+// GLV endomorphism into two half-width scalars, k·P = k1·P + k2·λP,
+// and the two width-5 wNAFs share one chain of ~128 doublings
+// (Straus) with ~21 mixed additions each against the effective-affine
+// table of odd multiples of P; λ·(x, y) = (β·x, y), so the second
+// table is eight multiplications by β.
+func scalarMultJac(p *affinePoint, k *scalar) jacPoint {
+	if k.isZero() {
 		return jacPoint{}
 	}
-	var tbl [8]jacPoint // 1P, 3P, …, 15P
-	tbl[0] = *p
-	var dbl jacPoint
-	dbl.double(p)
-	for i := 1; i < 8; i++ {
-		tbl[i].add(&tbl[i-1], &dbl)
+	var k1, k2 scalar
+	k.splitLambda(&k1, &k2)
+	neg1, neg2 := k1.isHigh(), k2.isHigh()
+	if neg1 {
+		k1.neg(&k1)
 	}
+	if neg2 {
+		k2.neg(&k2)
+	}
+	var naf1, naf2 [wnafLen]int8
+	n1, n2 := k1.wnaf(&naf1), k2.wnaf(&naf2)
+
+	var tbl [8]affinePoint // P, 3P, …, 15P
+	z := oddMultiples(&tbl, p)
+	var betaX [8]fieldElement // x coordinates of λP, 3λP, …, 15λP
+	for i := range tbl {
+		betaX[i].mul(&tbl[i].x, &feBeta)
+	}
+
 	var acc jacPoint
-	for i := len(naf) - 1; i >= 0; i-- {
+	var q affinePoint
+	for i := max(n1, n2) - 1; i >= 0; i-- {
 		acc.double(&acc)
-		if d := naf[i]; d > 0 {
-			acc.add(&acc, &tbl[d/2])
-		} else if d < 0 {
-			neg := tbl[(-d)/2]
-			neg.negAssign()
-			acc.add(&acc, &neg)
+		if d := naf1[i]; d != 0 {
+			q = tbl[abs8(d)/2]
+			if (d < 0) != neg1 {
+				q.y.neg(&q.y)
+			}
+			acc.addMixed(&acc, &q, nil)
+		}
+		if d := naf2[i]; d != 0 {
+			q.x, q.y = betaX[abs8(d)/2], tbl[abs8(d)/2].y
+			if (d < 0) != neg2 {
+				q.y.neg(&q.y)
+			}
+			acc.addMixed(&acc, &q, nil)
 		}
 	}
+	acc.z.mul(&acc.z, &z)
 	return acc
 }
 
-// doubleScalarMultJac computes u1·G + u2·Q in one Shamir/Straus
-// interleaved pass: a single shared doubling chain, with G digits
-// resolved as cheap mixed additions against the static gOdd table and
-// Q digits against eight odd multiples of Q.
-func doubleScalarMultJac(u1 *scalar, q *jacPoint, u2 *scalar) jacPoint {
-	naf1 := u1.wnaf(wnafWidth)
-	naf2 := u2.wnaf(wnafWidth)
-	var qtbl [8]jacPoint // 1Q, 3Q, …, 15Q
-	if q.isInf() {
-		naf2 = nil
-	} else if len(naf2) > 0 {
-		qtbl[0] = *q
-		var dbl jacPoint
-		dbl.double(q)
-		for i := 1; i < 8; i++ {
-			qtbl[i].add(&qtbl[i-1], &dbl)
-		}
+func abs8(d int8) int {
+	if d < 0 {
+		return int(-d)
 	}
-	n := len(naf1)
-	if len(naf2) > n {
-		n = len(naf2)
-	}
-	var acc jacPoint
-	for i := n - 1; i >= 0; i-- {
-		acc.double(&acc)
-		if i < len(naf1) {
-			if d := naf1[i]; d > 0 {
-				acc.addMixed(&acc, &gOdd[d/2])
-			} else if d < 0 {
-				neg := gOdd[(-d)/2]
-				neg.y.neg(&neg.y)
-				acc.addMixed(&acc, &neg)
-			}
-		}
-		if i < len(naf2) {
-			if d := naf2[i]; d > 0 {
-				acc.add(&acc, &qtbl[d/2])
-			} else if d < 0 {
-				neg := qtbl[(-d)/2]
-				neg.negAssign()
-				acc.add(&acc, &neg)
-			}
-		}
-	}
-	return acc
+	return int(d)
+}
+
+// doubleScalarMultJac computes u1·G + u2·Q for a finite affine Q: the
+// table walk for the G half (no doublings), the GLV ladder for the Q
+// half, and one general addition to join them.
+func doubleScalarMultJac(u1 *scalar, q *affinePoint, u2 *scalar) jacPoint {
+	a := scalarBaseMultJac(u1)
+	b := scalarMultJac(q, u2)
+	a.add(&a, &b)
+	return a
 }

@@ -50,7 +50,7 @@ func (id ID) Hash() [32]byte { return keccak.Sum256(id[:]) }
 // PubkeyID converts a public key to a node ID.
 func PubkeyID(pub *secp256k1.PublicKey) ID {
 	var id ID
-	copy(id[:], pub.SerializeRaw())
+	pub.PutRaw((*[IDLength]byte)(&id))
 	return id
 }
 

@@ -98,28 +98,34 @@ func (b *buffer) close() {
 }
 
 // setReadDeadline arms a wake-up for readers blocked on the buffer.
+// The buffer keeps one timer for its whole life and re-arms it: RLPx
+// sets a fresh deadline before every message, and a new timer each
+// time was two allocations per read. A wake-up left over from an
+// earlier deadline is harmless — readers re-check the deadline.
 func (b *buffer) setReadDeadline(t time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.readDeadline = t
-	if b.deadlineTimer != nil {
-		b.deadlineTimer.Stop()
-		b.deadlineTimer = nil
-	}
-	if t.IsZero() {
-		b.cond.Broadcast()
-		return
-	}
 	d := time.Until(t)
-	if d <= 0 {
+	if t.IsZero() || d <= 0 {
+		if b.deadlineTimer != nil {
+			b.deadlineTimer.Stop()
+		}
 		b.cond.Broadcast()
 		return
 	}
-	b.deadlineTimer = time.AfterFunc(d, func() {
-		b.mu.Lock()
-		b.cond.Broadcast()
-		b.mu.Unlock()
-	})
+	if b.deadlineTimer == nil {
+		b.deadlineTimer = time.AfterFunc(d, b.wake)
+	} else {
+		b.deadlineTimer.Reset(d)
+	}
+}
+
+// wake rouses blocked readers so they notice an expired deadline.
+func (b *buffer) wake() {
+	b.mu.Lock()
+	b.cond.Broadcast()
+	b.mu.Unlock()
 }
 
 // stopTimer releases the deadline timer; called on Close so a closed

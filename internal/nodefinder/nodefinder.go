@@ -160,6 +160,15 @@ type Finder struct {
 	staticTimer map[enode.ID]simclock.Timer
 	stats       Stats
 
+	// Every timer the Finder arms is kept so Stop can cancel it: an
+	// armed timer's closure holds the Finder (and through it the
+	// dialer, database and log) for as long as the clock does.
+	// lookupTimer[i] is lookup worker i's pending round and
+	// lookupFn[i] the callback that runs it, built once in New.
+	lookupTimer []simclock.Timer
+	lookupFn    []func()
+	sweepTimer  simclock.Timer
+
 	// sched owns the sharded dial queues and all per-node admission
 	// state (in-flight set, suppression windows, backoff).
 	sched *dialScheduler
@@ -213,6 +222,11 @@ func New(cfg Config) (*Finder, error) {
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		metrics:     newFinderMetrics(cfg.Metrics, cfg.DB),
 		staticTimer: make(map[enode.ID]simclock.Timer),
+		lookupTimer: make([]simclock.Timer, cfg.LookupWorkers),
+		lookupFn:    make([]func(), cfg.LookupWorkers),
+	}
+	for i := range f.lookupFn {
+		f.lookupFn[i] = func() { f.runLookup(i) }
 	}
 	f.sched = newDialScheduler(cfg.DialShards, cfg.ShardQueueCap, cfg.MaxDynamicDials, f.rng, f.metrics, cfg.Metrics)
 	return f, nil
@@ -243,13 +257,15 @@ func (f *Finder) Start() {
 	// Each lookup worker is an independent self-perpetuating chain:
 	// runLookup → Discovery.Lookup → onLookupDone → scheduleLookup.
 	// One worker (the default) is the original crawler cadence.
-	for i := 0; i < f.cfg.LookupWorkers; i++ {
-		f.scheduleLookup(0)
+	for i := range f.lookupFn {
+		f.scheduleLookup(i, 0)
 	}
 	f.scheduleStaleSweep()
 }
 
-// Stop halts scheduling. In-flight operations may still complete.
+// Stop halts scheduling and cancels every armed timer, so nothing the
+// clock holds refers to the Finder afterwards. In-flight operations
+// may still complete.
 func (f *Finder) Stop() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -258,6 +274,16 @@ func (f *Finder) Stop() {
 	for id, t := range f.staticTimer {
 		t.Stop()
 		delete(f.staticTimer, id)
+	}
+	for i, t := range f.lookupTimer {
+		if t != nil {
+			t.Stop()
+			f.lookupTimer[i] = nil
+		}
+	}
+	if f.sweepTimer != nil {
+		f.sweepTimer.Stop()
+		f.sweepTimer = nil
 	}
 }
 
@@ -272,15 +298,21 @@ func (f *Finder) AddStatic(n *enode.Node) {
 	f.armStaticTimerLocked(n, f.cfg.StaticInterval)
 }
 
-// scheduleLookup arms the next discovery round after delay.
-func (f *Finder) scheduleLookup(delay time.Duration) {
-	f.clock.AfterFunc(delay, f.runLookup)
+// scheduleLookup arms lookup worker's next discovery round after
+// delay, unless the Finder has stopped.
+func (f *Finder) scheduleLookup(worker int, delay time.Duration) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.stopped {
+		return
+	}
+	f.lookupTimer[worker] = f.clock.AfterFunc(delay, f.lookupFn[worker])
 }
 
-// runLookup performs one discovery round and schedules the next so
-// that rounds start no closer than LookupInterval apart ("based on
-// start time", §4).
-func (f *Finder) runLookup() {
+// runLookup performs one of worker's discovery rounds and schedules
+// the next so that rounds start no closer than LookupInterval apart
+// ("based on start time", §4).
+func (f *Finder) runLookup(worker int) {
 	f.mu.Lock()
 	if f.stopped {
 		f.mu.Unlock()
@@ -293,11 +325,11 @@ func (f *Finder) runLookup() {
 
 	start := f.clock.Now()
 	f.cfg.Discovery.Lookup(target, func(found []*enode.Node) {
-		f.onLookupDone(start, found)
+		f.onLookupDone(worker, start, found)
 	})
 }
 
-func (f *Finder) onLookupDone(start time.Time, found []*enode.Node) {
+func (f *Finder) onLookupDone(worker int, start time.Time, found []*enode.Node) {
 	f.metrics.lookupNodes.Add(uint64(len(found)))
 	now := f.clock.Now()
 	f.mu.Lock()
@@ -336,7 +368,7 @@ func (f *Finder) onLookupDone(start time.Time, found []*enode.Node) {
 	if delay < 0 {
 		delay = 0
 	}
-	f.scheduleLookup(delay)
+	f.scheduleLookup(worker, delay)
 }
 
 // fillDynamicLocked asks the scheduler to dequeue candidates up to
@@ -433,20 +465,28 @@ func (f *Finder) runStaticDial(n *enode.Node) {
 	f.dial(n, mlog.ConnStaticDial)
 }
 
-// scheduleStaleSweep arms the periodic 24-hour staleness sweep.
+// scheduleStaleSweep arms the periodic 24-hour staleness sweep,
+// unless the Finder has stopped.
 func (f *Finder) scheduleStaleSweep() {
-	f.clock.AfterFunc(10*time.Minute, func() {
-		f.mu.Lock()
-		stopped := f.stopped
-		f.mu.Unlock()
-		if stopped {
-			return
-		}
-		expired := f.cfg.DB.ExpireStale(f.clock.Now(), f.cfg.StaleAfter)
-		f.metrics.staleExpired.Add(uint64(expired))
-		f.pruneBackoff(f.clock.Now())
-		f.scheduleStaleSweep()
-	})
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.stopped {
+		return
+	}
+	f.sweepTimer = f.clock.AfterFunc(10*time.Minute, f.runStaleSweep)
+}
+
+func (f *Finder) runStaleSweep() {
+	f.mu.Lock()
+	stopped := f.stopped
+	f.mu.Unlock()
+	if stopped {
+		return
+	}
+	expired := f.cfg.DB.ExpireStale(f.clock.Now(), f.cfg.StaleAfter)
+	f.metrics.staleExpired.Add(uint64(expired))
+	f.pruneBackoff(f.clock.Now())
+	f.scheduleStaleSweep()
 }
 
 // pruneBackoff drops backoff state for nodes whose window has been

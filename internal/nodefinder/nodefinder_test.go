@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -314,5 +315,125 @@ func TestDeterministicUnderSimClock(t *testing.T) {
 	if s1.DynamicDials != s2.DynamicDials || s1.StaticDials != s2.StaticDials ||
 		s1.DiscoveryAttempts != s2.DiscoveryAttempts || n1 != n2 {
 		t.Fatalf("nondeterministic: %+v/%d vs %+v/%d", s1, n1, s2, n2)
+	}
+}
+
+// countingClock tells real time but keeps its own ledger of timers:
+// a zero delay fires at once on a new goroutine, anything later stays
+// armed — and is never fired — until Stop cancels it, which also drops
+// the callback. What the ledger holds is exactly what a clock would
+// still be keeping alive.
+type countingClock struct {
+	simclock.System
+	mu    sync.Mutex
+	armed map[*countedTimer]func()
+}
+
+func (c *countingClock) AfterFunc(d time.Duration, fn func()) simclock.Timer {
+	t := &countedTimer{clock: c}
+	if d <= 0 {
+		go fn()
+		return t
+	}
+	c.mu.Lock()
+	c.armed[t] = fn
+	c.mu.Unlock()
+	return t
+}
+
+func (c *countingClock) armedCount() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.armed)
+}
+
+type countedTimer struct{ clock *countingClock }
+
+func (t *countedTimer) Stop() bool {
+	t.clock.mu.Lock()
+	defer t.clock.mu.Unlock()
+	_, wasArmed := t.clock.armed[t]
+	delete(t.clock.armed, t)
+	return wasArmed
+}
+
+// asyncDiscovery answers every lookup with nothing, on a fresh
+// goroutine as the Discovery contract requires, and can wait for the
+// answers still in flight.
+type asyncDiscovery struct {
+	self     enode.ID
+	inFlight sync.WaitGroup
+}
+
+func (d *asyncDiscovery) Self() enode.ID { return d.self }
+
+func (d *asyncDiscovery) Lookup(_ enode.ID, done func([]*enode.Node)) {
+	d.inFlight.Add(1)
+	go func() {
+		defer d.inFlight.Done()
+		done(nil)
+	}()
+}
+
+// startStopFinder runs a Finder's whole life on clock — lookup chains
+// started, a static re-dial and the stale sweep armed — and returns
+// with it stopped and no reference left in the caller. collected is
+// closed when the Finder's dialer is freed: only the Finder holds it,
+// so that is when the Finder went (the Finder itself cannot carry the
+// finalizer, because its lookup callbacks point back at it and a
+// finalizer never runs on a member of a cycle).
+//
+//go:noinline
+func startStopFinder(t *testing.T, clock *countingClock) (collected chan struct{}) {
+	const workers = 3
+	disc := &asyncDiscovery{self: enode.RandomID(rand.New(rand.NewSource(9)))}
+	dialer := newFakeWorld(simclock.NewSimulated(t0), 0)
+	collected = make(chan struct{})
+	runtime.SetFinalizer(dialer, func(*fakeWorld) { close(collected) })
+	f, err := New(Config{
+		Clock:         clock,
+		Discovery:     disc,
+		Dialer:        dialer,
+		LookupWorkers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.AddStatic(enode.New(enode.RandomID(rand.New(rand.NewSource(10))), net.IPv4(10, 2, 0, 1), 30303, 30303))
+	f.Start()
+	// Wait for every worker's first round, so each chain has re-armed
+	// its timer (LookupInterval ahead) at least once.
+	for deadline := time.Now().Add(5 * time.Second); f.Stats().DiscoveryAttempts < workers; {
+		if time.Now().After(deadline) {
+			t.Fatal("lookup workers never ran")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	disc.inFlight.Wait()
+	if armed := clock.armedCount(); armed != workers+2 {
+		t.Fatalf("%d timers armed while running, want %d (lookup chains, sweep, static re-dial)", armed, workers+2)
+	}
+	f.Stop()
+	disc.inFlight.Wait()
+	return collected
+}
+
+// TestStopLeavesNoTimer: Stop must cancel everything the Finder armed.
+// Under the real clock a surviving timer (the stale sweep is ten
+// minutes out) keeps the Finder, its dialer, database and log alive
+// long after the crawl is over. The clock outlives the Finder here, as
+// the process-wide real clock does.
+func TestStopLeavesNoTimer(t *testing.T) {
+	leakcheck.Check(t)
+	clock := &countingClock{armed: map[*countedTimer]func(){}}
+	collected := startStopFinder(t, clock)
+	if armed := clock.armedCount(); armed != 0 {
+		t.Errorf("%d timers still armed after Stop", armed)
+	}
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(5 * time.Second):
+		t.Error("stopped Finder's dialer still reachable after a GC")
 	}
 }

@@ -41,13 +41,14 @@ const DefaultMaxReadFrame = 1 << 20
 // one goroutine at a time.
 type Conn struct {
 	fd       net.Conn
-	rw       *frameRW
+	rw       frameRW
 	remoteID enode.ID
 
-	// pbuf is the WriteMsgValue payload scratch. Like the frame
-	// buffers in frameRW it is owned by the single writer goroutine
-	// and reused across messages.
+	// pbuf is the WriteMsgValue payload scratch and zbuf the snappy
+	// output scratch. Like the frame buffers in frameRW they are owned
+	// by the single writer goroutine and reused across messages.
 	pbuf []byte
+	zbuf []byte
 
 	readTimeout  atomic.Int64 // nanoseconds; 0 disables
 	writeTimeout atomic.Int64
@@ -111,11 +112,8 @@ func clearHandshakeDeadline(fd net.Conn, timeout time.Duration) {
 }
 
 func newConn(fd net.Conn, sec *secrets) *Conn {
-	c := &Conn{
-		fd:       fd,
-		rw:       newFrameRW(fd, sec),
-		remoteID: sec.remoteID,
-	}
+	c := &Conn{fd: fd, remoteID: sec.remoteID}
+	c.rw.init(fd, sec)
 	c.readTimeout.Store(int64(FrameReadTimeout))
 	c.writeTimeout.Store(int64(FrameWriteTimeout))
 	c.maxReadFrame.Store(DefaultMaxReadFrame)
@@ -153,9 +151,12 @@ func (c *Conn) WriteMsg(code uint64, payload []byte) error {
 		c.fd.SetWriteDeadline(time.Now().Add(time.Duration(d))) //nolint:errcheck
 	}
 	if c.snappy.Load() {
-		enc, err := snappy.Encode(payload)
+		enc, err := snappy.AppendEncode(c.zbuf[:0], payload)
 		if err != nil {
 			return fmt.Errorf("rlpx: compressing payload: %w", err)
+		}
+		if cap(enc) <= maxKeepPayload {
+			c.zbuf = enc[:0]
 		}
 		payload = enc
 	}
@@ -182,8 +183,8 @@ func (c *Conn) WriteMsgValue(code uint64, v any) error {
 	return c.WriteMsg(code, payload)
 }
 
-// maxKeepPayload caps the payload scratch retained between messages;
-// a rare oversized send should not pin its buffer forever.
+// maxKeepPayload caps each scratch buffer retained between messages;
+// a rare oversized message should not pin its buffer forever.
 const maxKeepPayload = 1 << 17
 
 // ReadMsg receives one message with the standard read deadline.
@@ -193,11 +194,14 @@ func (c *Conn) ReadMsg() (code uint64, payload []byte, err error) {
 		c.fd.SetReadDeadline(time.Now().Add(time.Duration(d))) //nolint:errcheck
 	}
 	max := int(c.maxReadFrame.Load())
-	code, payload, err = c.rw.ReadMsg(max)
+	// A compressed frame is only decompressed from, so it can land in
+	// the reader's scratch; the caller owns the decompressed copy.
+	compressed := c.snappy.Load()
+	code, payload, err = c.rw.ReadMsg(max, compressed)
 	if err == nil {
 		countRead(len(payload))
 	}
-	if err == nil && c.snappy.Load() && len(payload) > 0 {
+	if err == nil && compressed && len(payload) > 0 {
 		// The decompressed payload is held to the same cap as the wire
 		// frame, so a snappy bomb cannot expand past it.
 		payload, err = snappy.DecodeCapped(payload, max)

@@ -5,7 +5,6 @@ import (
 	"crypto/cipher"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 
 	"repro/internal/crypto/keccak"
@@ -29,24 +28,34 @@ var zeroHeader = []byte{0xC2, 0x80, 0x80}
 
 // macState is one direction's rolling MAC: a running Keccak-256
 // absorbing frame ciphertext, combined with an AES-ECB step keyed by
-// the MAC secret. The scratch arrays are reused across frames, which
-// is safe because each direction of a Conn is driven by at most one
-// goroutine (see Conn); results returned by the compute methods are
-// only valid until the next MAC operation on the same state.
+// the MAC secret. The sponge is held by value, so a MAC step is
+// arithmetic on this struct with no interface call or heap traffic.
+// Each direction of a Conn is driven by at most one goroutine (see
+// Conn); a digest returned by the compute methods aliases sum and is
+// valid until the next MAC operation on the same state.
 type macState struct {
-	hash  hash.Hash
+	hash  keccak.Sponge
 	block cipher.Block
-	sum   [32]byte // hash.Sum destination, reused every call
-	seed  [16]byte // frame-MAC seed, kept out of sum's way
+	sum   [32]byte // digest of everything absorbed so far, if fresh
+	fresh bool     // sum matches hash; false after any write
 	aes   [16]byte // AES-ECB output for the update step
 }
 
-func newMACState(macSecret []byte) *macState {
-	block, err := aes.NewCipher(macSecret)
-	if err != nil {
-		panic("rlpx: mac secret has wrong length: " + err.Error())
+// write absorbs p into the running hash.
+func (m *macState) write(p []byte) {
+	m.hash.Write(p)
+	m.fresh = false
+}
+
+// digest returns the first 16 bytes of the running hash's digest. A
+// frame MAC ends on the digest the next header MAC starts from, so
+// the value is kept rather than squeezed out of the same state twice.
+func (m *macState) digest() []byte {
+	if !m.fresh {
+		m.hash.Sum(m.sum[:0])
+		m.fresh = true
 	}
-	return &macState{hash: keccak.New256(), block: block}
+	return m.sum[:16]
 }
 
 // computeHeaderMAC advances the MAC over a header ciphertext.
@@ -54,22 +63,23 @@ func (m *macState) computeHeaderMAC(headerCiphertext []byte) []byte {
 	return m.update(headerCiphertext)
 }
 
-// computeFrameMAC advances the MAC over frame ciphertext.
+// computeFrameMAC advances the MAC over frame ciphertext; the seed of
+// the update step is the digest after absorbing it.
 func (m *macState) computeFrameMAC(frameCiphertext []byte) []byte {
-	m.hash.Write(frameCiphertext)
-	copy(m.seed[:], m.hash.Sum(m.sum[:0]))
-	return m.update(m.seed[:])
+	m.write(frameCiphertext)
+	return m.update(m.digest())
 }
 
 // update implements the odd RLPx MAC step: AES-encrypt the current
 // digest, XOR with the seed, absorb, and return the new digest half.
+// seed may alias the current digest.
 func (m *macState) update(seed []byte) []byte {
-	m.block.Encrypt(m.aes[:], m.hash.Sum(m.sum[:0])[:16])
+	m.block.Encrypt(m.aes[:], m.digest())
 	for i := range m.aes {
 		m.aes[i] ^= seed[i]
 	}
-	m.hash.Write(m.aes[:])
-	return m.hash.Sum(m.sum[:0])[:16]
+	m.write(m.aes[:])
+	return m.digest()
 }
 
 // frameRW encrypts and authenticates frames in both directions.
@@ -79,27 +89,31 @@ type frameRW struct {
 	conn    io.ReadWriter
 	enc     cipher.Stream // egress AES-CTR keystream
 	dec     cipher.Stream // ingress AES-CTR keystream
-	em      *macState
-	im      *macState
+	em      macState
+	im      macState
 	wbuf    []byte   // whole egress wire frame: header|hmac|frame|fmac
+	rbuf    []byte   // ingress frame+fmac of a transient read
 	headbuf [32]byte // ingress header ciphertext + MAC
 }
 
-func newFrameRW(conn io.ReadWriter, s *secrets) *frameRW {
-	encBlock, err := aes.NewCipher(s.aes)
+// init keys rw from the handshake's secrets. One AES block per key is
+// shared by the two directions: cipher.Block is stateless, and each
+// CTR stream and MAC state keeps its own position.
+func (rw *frameRW) init(conn io.ReadWriter, s *secrets) {
+	frameBlock, err := aes.NewCipher(s.aes[:])
 	if err != nil {
 		panic("rlpx: aes secret has wrong length: " + err.Error())
 	}
-	decBlock, _ := aes.NewCipher(s.aes)
-	//lint:ignore boundedalloc AES block size is a 16-byte cipher constant, not peer input
-	iv := make([]byte, encBlock.BlockSize()) // zero IV: keystream is session-unique
-	return &frameRW{
-		conn: conn,
-		enc:  cipher.NewCTR(encBlock, iv),
-		dec:  cipher.NewCTR(decBlock, iv),
-		em:   s.egressMAC,
-		im:   s.ingressMAC,
+	macBlock, err := aes.NewCipher(s.mac[:])
+	if err != nil {
+		panic("rlpx: mac secret has wrong length: " + err.Error())
 	}
+	var iv [aes.BlockSize]byte // zero IV: the key is session-unique
+	rw.conn = conn
+	rw.enc = cipher.NewCTR(frameBlock, iv[:])
+	rw.dec = cipher.NewCTR(frameBlock, iv[:])
+	rw.em = macState{hash: s.egressMAC, block: macBlock}
+	rw.im = macState{hash: s.ingressMAC, block: macBlock}
 }
 
 // WriteMsg frames one message: code plus pre-encoded RLP payload.
@@ -156,7 +170,12 @@ func (rw *frameRW) WriteMsg(code uint64, payload []byte) error {
 // check runs before the frame buffer is allocated, so a hostile
 // header announcing (say) 16 MiB costs nothing but the 32-byte header
 // read. Non-positive maxFrame falls back to the absolute limit.
-func (rw *frameRW) ReadMsg(maxFrame int) (code uint64, payload []byte, err error) {
+//
+// The payload normally gets a buffer of its own and belongs to the
+// caller. With transient set it aliases rw's read scratch instead and
+// is valid only until the next ReadMsg — for a caller that is about to
+// decompress it and keep nothing of the frame.
+func (rw *frameRW) ReadMsg(maxFrame int, transient bool) (code uint64, payload []byte, err error) {
 	if maxFrame <= 0 || maxFrame > MaxFrameSize {
 		maxFrame = MaxFrameSize
 	}
@@ -177,9 +196,18 @@ func (rw *frameRW) ReadMsg(maxFrame int) (code uint64, payload []byte, err error
 	if over := frameSize % 16; over != 0 {
 		padded += 16 - over
 	}
-	// framebuf is freshly allocated on purpose: the returned payload
-	// aliases it and is owned by the caller after ReadMsg returns.
-	framebuf := make([]byte, padded+16)
+	var framebuf []byte
+	switch {
+	case !transient:
+		framebuf = make([]byte, padded+16)
+	case cap(rw.rbuf) >= padded+16:
+		framebuf = rw.rbuf[:padded+16]
+	default:
+		framebuf = make([]byte, padded+16)
+		if len(framebuf) <= maxKeepPayload {
+			rw.rbuf = framebuf
+		}
+	}
 	if _, err := io.ReadFull(rw.conn, framebuf); err != nil {
 		return 0, nil, fmt.Errorf("rlpx: reading frame: %w", err)
 	}

@@ -23,7 +23,6 @@
 package rlpx
 
 import (
-	"bytes"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -69,33 +68,65 @@ type authAckV4 struct {
 	Rest        []rlp.RawValue `rlp:"tail"`
 }
 
-// secrets are the symmetric session keys derived by the handshake.
+// secrets are the symmetric session keys derived by the handshake,
+// with each direction's MAC sponge already seeded.
 type secrets struct {
-	aes, mac              []byte
-	egressMAC, ingressMAC *macState
+	aes, mac              [32]byte
+	egressMAC, ingressMAC keccak.Sponge
 	remoteID              enode.ID
 }
 
-// handshakeState accumulates one side's handshake.
+// handshakeState accumulates one side's handshake and owns its
+// scratch: the two raw packets (kept whole because they seed the frame
+// MACs) and one plaintext buffer that serves the outbound body before
+// sealing and the inbound body after opening.
 type handshakeState struct {
 	initiator bool
 	remotePub *secp256k1.PublicKey // remote static key
 
-	initNonce, respNonce []byte
+	initNonce, respNonce [nonceLen]byte
 	ephemeralKey         *secp256k1.PrivateKey
 	remoteEphemeralPub   *secp256k1.PublicKey
 
-	rbuf []byte // raw auth packet (for MAC seeding)
-	wbuf []byte // raw ack packet
+	rbuf  []byte // raw inbound packet, size prefix included
+	wbuf  []byte // raw outbound packet, size prefix included
+	plain []byte // handshake body scratch
+
+	// scratch backs the three slices above, each capped to its own
+	// region so an oversized packet reallocates instead of running
+	// into its neighbour.
+	scratch [2*maxPacket + maxPlainLen]byte
 }
 
-// xor32 xors two 32-byte values.
-func xor32(a, b []byte) []byte {
-	out := make([]byte, 32)
-	for i := range out {
-		out[i] = a[i] ^ b[i]
+// maxPlainLen bounds the bodies sealEIP8 produces: the auth message
+// (65-, 64- and 32-byte strings with their headers, the version and
+// the list header: 169 bytes; the ack is smaller) plus the padding,
+// which is drawn from [100, maxPadLen). Sizing the scratch to it means
+// a handshake between two of these stacks never grows a buffer.
+const (
+	maxPadLen   = 300
+	maxPlainLen = 169 + maxPadLen
+	maxPacket   = 2 + ecies.Overhead + maxPlainLen
+)
+
+func newHandshakeState(initiator bool) *handshakeState {
+	h := &handshakeState{initiator: initiator}
+	h.rbuf = h.scratch[0:0:maxPacket]
+	h.wbuf = h.scratch[maxPacket : maxPacket : 2*maxPacket]
+	h.plain = h.scratch[2*maxPacket : 2*maxPacket]
+	return h
+}
+
+// staticSharedXorNonce is what the auth signature covers: the static
+// ECDH secret XOR the initiator's nonce.
+func (h *handshakeState) staticSharedXorNonce(priv *secp256k1.PrivateKey) (signed [32]byte, err error) {
+	if err := secp256k1.SharedSecretInto(&signed, priv, h.remotePub); err != nil {
+		return signed, fmt.Errorf("rlpx: static ECDH: %w", err)
 	}
-	return out
+	for i := range signed {
+		signed[i] ^= h.initNonce[i]
+	}
+	return signed, nil
 }
 
 // initiatorHandshake runs the auth/ack exchange from the dialing
@@ -105,27 +136,25 @@ func initiatorHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey, remoteID
 	if err != nil {
 		return nil, fmt.Errorf("rlpx: remote ID is not a valid key: %w", err)
 	}
-	h := &handshakeState{initiator: true, remotePub: remotePub}
+	h := newHandshakeState(true)
+	h.remotePub = remotePub
 
-	authPacket, err := h.makeAuthMsg(priv)
-	if err != nil {
+	if err := h.makeAuthMsg(priv); err != nil {
 		return nil, err
 	}
-	if _, err := conn.Write(authPacket); err != nil {
+	if _, err := conn.Write(h.wbuf); err != nil {
 		return nil, fmt.Errorf("rlpx: writing auth: %w", err)
 	}
-	h.wbuf = authPacket
 
-	ackPacket, ackPlain, err := readHandshakeMsg(conn, priv)
-	if err != nil {
+	if err := h.readHandshakeMsg(conn, priv); err != nil {
 		return nil, err
 	}
-	h.rbuf = ackPacket
+	// DecodeFirst: EIP-8 bodies carry random padding after the list.
 	var ack authAckV4
-	if err := decodeHandshakeBody(ackPlain, &ack); err != nil {
+	if err := rlp.DecodeFirst(h.plain, &ack); err != nil {
 		return nil, fmt.Errorf("%w: decoding ack: %v", ErrBadHandshake, err)
 	}
-	h.respNonce = ack.Nonce[:]
+	h.respNonce = ack.Nonce
 	h.remoteEphemeralPub, err = secp256k1.ParsePublicKey(ack.EphemeralPK[:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: bad ephemeral key in ack: %v", ErrBadHandshake, err)
@@ -136,15 +165,13 @@ func initiatorHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey, remoteID
 // recipientHandshake runs the exchange from the listening side and
 // returns the discovered initiator identity.
 func recipientHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey) (*secrets, error) {
-	h := &handshakeState{}
+	h := newHandshakeState(false)
 
-	authPacket, authPlain, err := readHandshakeMsg(conn, priv)
-	if err != nil {
+	if err := h.readHandshakeMsg(conn, priv); err != nil {
 		return nil, err
 	}
-	h.rbuf = authPacket
 	var auth authMsgV4
-	if err := decodeHandshakeBody(authPlain, &auth); err != nil {
+	if err := rlp.DecodeFirst(h.plain, &auth); err != nil {
 		return nil, fmt.Errorf("%w: decoding auth: %v", ErrBadHandshake, err)
 	}
 	remotePub, err := secp256k1.ParsePublicKey(auth.InitiatorPK[:])
@@ -152,105 +179,85 @@ func recipientHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey) (*secret
 		return nil, fmt.Errorf("%w: bad initiator key: %v", ErrBadHandshake, err)
 	}
 	h.remotePub = remotePub
-	h.initNonce = auth.Nonce[:]
+	h.initNonce = auth.Nonce
 
 	// Recover the initiator's ephemeral key from the signature over
 	// (static-shared-secret XOR nonce).
-	ss, err := secp256k1.SharedSecret(priv, remotePub)
+	signed, err := h.staticSharedXorNonce(priv)
 	if err != nil {
-		return nil, fmt.Errorf("rlpx: static ECDH: %w", err)
+		return nil, err
 	}
-	signed := xor32(ss, h.initNonce)
-	ephPub, err := secp256k1.RecoverPubkey(signed, auth.Signature[:])
+	h.remoteEphemeralPub, err = secp256k1.RecoverPubkey(signed[:], auth.Signature[:])
 	if err != nil {
 		return nil, fmt.Errorf("%w: recovering ephemeral key: %v", ErrBadHandshake, err)
 	}
-	h.remoteEphemeralPub = ephPub
 
 	// Send the ack.
-	ackPacket, err := h.makeAuthAck(priv)
-	if err != nil {
+	if err := h.makeAuthAck(); err != nil {
 		return nil, err
 	}
-	if _, err := conn.Write(ackPacket); err != nil {
+	if _, err := conn.Write(h.wbuf); err != nil {
 		return nil, fmt.Errorf("rlpx: writing ack: %w", err)
 	}
-	h.wbuf = ackPacket
 	return h.deriveSecrets(enode.PubkeyID(remotePub))
 }
 
-// decodeHandshakeBody decodes the first RLP value of an EIP-8 body,
-// ignoring the random trailing padding that follows the list.
-func decodeHandshakeBody(plain []byte, v any) error {
-	s := rlp.NewStream(bytes.NewReader(plain), uint64(len(plain)))
-	return s.Decode(v)
-}
-
-func (h *handshakeState) makeAuthMsg(priv *secp256k1.PrivateKey) ([]byte, error) {
-	h.initNonce = make([]byte, nonceLen)
-	if _, err := rand.Read(h.initNonce); err != nil {
-		return nil, err
+// makeAuthMsg builds the sealed auth packet in h.wbuf.
+func (h *handshakeState) makeAuthMsg(priv *secp256k1.PrivateKey) error {
+	if _, err := rand.Read(h.initNonce[:]); err != nil {
+		return err
 	}
 	var err error
 	h.ephemeralKey, err = secp256k1.GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	ss, err := secp256k1.SharedSecret(priv, h.remotePub)
+	signed, err := h.staticSharedXorNonce(priv)
 	if err != nil {
-		return nil, fmt.Errorf("rlpx: static ECDH: %w", err)
+		return err
 	}
-	signed := xor32(ss, h.initNonce)
-	sig, err := secp256k1.Sign(h.ephemeralKey, signed)
+	sig, err := secp256k1.Sign(h.ephemeralKey, signed[:])
 	if err != nil {
-		return nil, fmt.Errorf("rlpx: signing auth: %w", err)
+		return fmt.Errorf("rlpx: signing auth: %w", err)
 	}
-	msg := &authMsgV4{Version: authVersion}
+	msg := &authMsgV4{Version: authVersion, Nonce: h.initNonce}
 	copy(msg.Signature[:], sig)
-	copy(msg.InitiatorPK[:], priv.Pub.SerializeRaw())
-	copy(msg.Nonce[:], h.initNonce)
-	return sealEIP8(msg, h.remotePub)
+	priv.Pub.PutRaw(&msg.InitiatorPK)
+	return h.sealEIP8(msg)
 }
 
-func (h *handshakeState) makeAuthAck(priv *secp256k1.PrivateKey) ([]byte, error) {
-	h.respNonce = make([]byte, nonceLen)
-	if _, err := rand.Read(h.respNonce); err != nil {
-		return nil, err
+// makeAuthAck builds the sealed ack packet in h.wbuf.
+func (h *handshakeState) makeAuthAck() error {
+	if _, err := rand.Read(h.respNonce[:]); err != nil {
+		return err
 	}
 	var err error
 	h.ephemeralKey, err = secp256k1.GenerateKey(rand.Reader)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	msg := &authAckV4{Version: ackVersion}
-	copy(msg.EphemeralPK[:], h.ephemeralKey.Pub.SerializeRaw())
-	copy(msg.Nonce[:], h.respNonce)
-	return sealEIP8(msg, h.remotePub)
+	msg := &authAckV4{Version: ackVersion, Nonce: h.respNonce}
+	h.ephemeralKey.Pub.PutRaw(&msg.EphemeralPK)
+	return h.sealEIP8(msg)
 }
 
 // sealEIP8 RLP-encodes, pads, encrypts, and prefixes a handshake
-// message per EIP-8.
-func sealEIP8(msg any, remotePub *secp256k1.PublicKey) ([]byte, error) {
-	body, err := rlp.EncodeToBytes(msg)
+// message per EIP-8, leaving the packet in h.wbuf.
+func (h *handshakeState) sealEIP8(msg any) error {
+	body, err := rlp.EncodeAppend(h.plain[:0], msg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Random padding of 100-300 bytes disguises the message type.
-	padLen := 100 + randByteInt(200)
-	pad := make([]byte, padLen)
-	rand.Read(pad)
-	body = append(body, pad...)
+	n := len(body)
+	body = append(body, make([]byte, 100+randByteInt(maxPadLen-100))...)
+	rand.Read(body[n:])
+	h.plain = body[:0]
 
-	prefix := make([]byte, 2)
 	ctLen := len(body) + ecies.Overhead
-	prefix[0] = byte(ctLen >> 8)
-	prefix[1] = byte(ctLen)
-
-	ct, err := ecies.Encrypt(rand.Reader, remotePub, body, nil, prefix)
-	if err != nil {
-		return nil, err
-	}
-	return append(prefix, ct...), nil
+	h.wbuf = append(h.wbuf[:0], byte(ctLen>>8), byte(ctLen))
+	h.wbuf, err = ecies.Seal(h.wbuf, rand.Reader, h.remotePub, body, nil, h.wbuf[:2])
+	return err
 }
 
 func randByteInt(n int) int {
@@ -259,60 +266,73 @@ func randByteInt(n int) int {
 	return (int(b[0])<<8 | int(b[1])) % n
 }
 
-// readHandshakeMsg reads a size-prefixed EIP-8 handshake packet and
-// decrypts it.
-func readHandshakeMsg(r io.Reader, priv *secp256k1.PrivateKey) (packet, plain []byte, err error) {
-	prefix := make([]byte, 2)
-	if _, err := io.ReadFull(r, prefix); err != nil {
-		return nil, nil, fmt.Errorf("rlpx: reading handshake size: %w", err)
+// readHandshakeMsg reads a size-prefixed EIP-8 handshake packet into
+// h.rbuf and decrypts it into h.plain.
+func (h *handshakeState) readHandshakeMsg(r io.Reader, priv *secp256k1.PrivateKey) error {
+	h.rbuf = h.rbuf[:2]
+	if _, err := io.ReadFull(r, h.rbuf); err != nil {
+		return fmt.Errorf("rlpx: reading handshake size: %w", err)
 	}
-	size := int(prefix[0])<<8 | int(prefix[1])
+	size := int(h.rbuf[0])<<8 | int(h.rbuf[1])
 	if size < ecies.Overhead {
-		return nil, nil, fmt.Errorf("%w: handshake size %d too small", ErrBadHandshake, size)
+		return fmt.Errorf("%w: handshake size %d too small", ErrBadHandshake, size)
 	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, nil, fmt.Errorf("rlpx: reading handshake body: %w", err)
+	// size is a 16-bit prefix, so this grows to 64 KiB at most.
+	h.rbuf = append(h.rbuf, make([]byte, size)...)
+	if _, err := io.ReadFull(r, h.rbuf[2:]); err != nil {
+		return fmt.Errorf("rlpx: reading handshake body: %w", err)
 	}
-	plain, err = ecies.Decrypt(priv, buf, nil, prefix)
+	var err error
+	h.plain, err = ecies.Open(h.plain[:0], priv, h.rbuf[2:], nil, h.rbuf[:2])
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: decrypting: %v", ErrBadHandshake, err)
+		return fmt.Errorf("%w: decrypting: %v", ErrBadHandshake, err)
 	}
-	return append(prefix, buf...), plain, nil
+	return nil
 }
 
 // deriveSecrets computes the frame keys and MAC states (§ "secrets"
 // of the RLPx spec).
 func (h *handshakeState) deriveSecrets(remoteID enode.ID) (*secrets, error) {
-	ephShared, err := secp256k1.SharedSecret(h.ephemeralKey, h.remoteEphemeralPub)
-	if err != nil {
+	var eph [32]byte
+	if err := secp256k1.SharedSecretInto(&eph, h.ephemeralKey, h.remoteEphemeralPub); err != nil {
 		return nil, fmt.Errorf("rlpx: ephemeral ECDH: %w", err)
 	}
 	// shared-secret = keccak(eph || keccak(respNonce || initNonce))
-	nonceHash := keccak.Sum256(append(append([]byte{}, h.respNonce...), h.initNonce...))
-	sharedSecret := keccak.Sum256(append(append([]byte{}, ephShared...), nonceHash[:]...))
-	aesSecret := keccak.Sum256(append(append([]byte{}, ephShared...), sharedSecret[:]...))
-	macSecret := keccak.Sum256(append(append([]byte{}, ephShared...), aesSecret[:]...))
-
-	s := &secrets{aes: aesSecret[:], mac: macSecret[:], remoteID: remoteID}
+	nonceHash := hashPair(&h.respNonce, &h.initNonce)
+	sharedSecret := hashPair(&eph, &nonceHash)
+	s := &secrets{remoteID: remoteID}
+	s.aes = hashPair(&eph, &sharedSecret)
+	s.mac = hashPair(&eph, &s.aes)
 
 	// MAC states: egress seeded with (mac-secret ^ remote-nonce) and
 	// our outbound handshake packet; ingress with (mac-secret ^ own
 	// nonce) and the inbound packet.
-	var egressSeed, ingressSeed []byte
+	egressNonce, ingressNonce := &h.initNonce, &h.respNonce
 	if h.initiator {
-		egressSeed = xor32(macSecret[:], h.respNonce)
-		ingressSeed = xor32(macSecret[:], h.initNonce)
-	} else {
-		egressSeed = xor32(macSecret[:], h.initNonce)
-		ingressSeed = xor32(macSecret[:], h.respNonce)
+		egressNonce, ingressNonce = ingressNonce, egressNonce
 	}
-	egress := newMACState(macSecret[:])
-	egress.hash.Write(egressSeed)
-	egress.hash.Write(h.wbuf)
-	ingress := newMACState(macSecret[:])
-	ingress.hash.Write(ingressSeed)
-	ingress.hash.Write(h.rbuf)
-	s.egressMAC, s.ingressMAC = egress, ingress
+	s.egressMAC = seedMAC(&s.mac, egressNonce, h.wbuf)
+	s.ingressMAC = seedMAC(&s.mac, ingressNonce, h.rbuf)
 	return s, nil
+}
+
+// hashPair is keccak(a || b), hashed from one stack buffer.
+func hashPair(a, b *[32]byte) [32]byte {
+	var buf [64]byte
+	copy(buf[:32], a[:])
+	copy(buf[32:], b[:])
+	return keccak.Sum256(buf[:])
+}
+
+// seedMAC starts one direction's MAC sponge: it absorbs
+// (mac-secret ^ nonce) and then the raw handshake packet.
+func seedMAC(macSecret, nonce *[32]byte, packet []byte) keccak.Sponge {
+	var x [32]byte
+	for i := range x {
+		x[i] = macSecret[i] ^ nonce[i]
+	}
+	d := keccak.New256Sponge()
+	d.Write(x[:])
+	d.Write(packet)
+	return d
 }

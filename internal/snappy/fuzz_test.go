@@ -56,3 +56,37 @@ func FuzzDecode(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRoundTrip drives the encoder with arbitrary plaintext across
+// all three hash-table sizes. Invariants: Encode never fails below
+// MaxBlockSize, its output fits MaxEncodedLen, announces the input's
+// length, and DecodeCapped at exactly that length restores the input.
+func FuzzRoundTrip(f *testing.F) {
+	f.Add([]byte(nil))
+	f.Add([]byte("0123456789abcde"))               // 15: last literal-only length
+	f.Add([]byte("0123456789abcdef"))              // 16: first matched length
+	f.Add(bytes.Repeat([]byte("status"), 14))      // ~80 bytes, 2^8 table
+	f.Add(bytes.Repeat([]byte{0xAB, 0xCD}, 1<<7))  // 256: top of the 2^8 class
+	f.Add(bytes.Repeat([]byte("eth/63 "), 37))     // 259: bottom of the 2^11 class
+	f.Add(bytes.Repeat([]byte("0123456789"), 205)) // 2050: bottom of the 2^14 class
+	f.Add(bytes.Repeat([]byte{0}, 70000))          // matches beyond the 64 KiB offset window
+	f.Fuzz(func(t *testing.T, src []byte) {
+		enc, err := Encode(src)
+		if err != nil {
+			t.Fatalf("encode of %d bytes: %v", len(src), err)
+		}
+		if len(enc) > MaxEncodedLen(len(src)) {
+			t.Fatalf("encoded %d bytes into %d, above MaxEncodedLen %d", len(src), len(enc), MaxEncodedLen(len(src)))
+		}
+		if n, err := DecodedLen(enc); err != nil || n != len(src) {
+			t.Fatalf("DecodedLen = %d, %v; want %d", n, err, len(src))
+		}
+		dec, err := DecodeCapped(enc, len(src))
+		if err != nil {
+			t.Fatalf("decode at the exact cap: %v", err)
+		}
+		if !bytes.Equal(dec, src) {
+			t.Fatal("round trip mismatch")
+		}
+	})
+}

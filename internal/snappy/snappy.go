@@ -11,6 +11,7 @@
 package snappy
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -75,59 +76,101 @@ func Encode(src []byte) ([]byte, error) {
 	if len(src) > MaxBlockSize {
 		return nil, fmt.Errorf("snappy: input of %d bytes exceeds block limit", len(src))
 	}
-	dst := uvarint(make([]byte, 0, MaxEncodedLen(len(src))), uint64(len(src)))
-	if len(src) == 0 {
-		return dst, nil
+	return AppendEncode(make([]byte, 0, MaxEncodedLen(len(src))), src)
+}
+
+// AppendEncode is Encode appending the block to dst, for callers that
+// own an output buffer. dst must not overlap src.
+//
+// The table of recent 4-byte sequences lives on the stack and is sized
+// to the input — 2^8, 2^11 or 2^14 slots — because Go zeroes whatever
+// is declared, and grows a goroutine's stack to fit it: a devp2p
+// STATUS is ~80 bytes and should pay for neither clearing 64 KiB nor
+// a 128 KiB stack. A slot holds position+1 so zero means empty.
+func AppendEncode(dst, src []byte) ([]byte, error) {
+	if len(src) > MaxBlockSize {
+		return nil, fmt.Errorf("snappy: input of %d bytes exceeds block limit", len(src))
 	}
-	if len(src) < 16 {
+	dst = uvarint(dst, uint64(len(src)))
+	switch {
+	case len(src) == 0:
+		return dst, nil
+	case len(src) < 16:
 		// Too short for matching: one literal.
 		return emitLiteral(dst, src), nil
+	case len(src) <= 1<<8:
+		return encodeTable8(dst, src), nil
+	case len(src) <= 1<<11:
+		return encodeTable11(dst, src), nil
+	default:
+		return encodeTable14(dst, src), nil
 	}
+}
 
-	// Hash table of recent 4-byte sequences.
-	const tableBits = 14
-	var table [1 << tableBits]int32
-	for i := range table {
-		table[i] = -1
-	}
-	hash := func(u uint32) uint32 {
-		return (u * 0x1e35a7bd) >> (32 - tableBits)
-	}
-	load32 := func(i int) uint32 {
-		return uint32(src[i]) | uint32(src[i+1])<<8 | uint32(src[i+2])<<16 | uint32(src[i+3])<<24
-	}
+// One function per table size, kept out of line so each table is in
+// its own stack frame and Encode's frame holds none of them.
 
+//go:noinline
+func encodeTable8(dst, src []byte) []byte {
+	var table [1 << 8]int32
+	return encodeBlock(dst, src, table[:], 8)
+}
+
+//go:noinline
+func encodeTable11(dst, src []byte) []byte {
+	var table [1 << 11]int32
+	return encodeBlock(dst, src, table[:], 11)
+}
+
+//go:noinline
+func encodeTable14(dst, src []byte) []byte {
+	var table [1 << 14]int32
+	return encodeBlock(dst, src, table[:], 14)
+}
+
+// encodeBlock appends the elements for src (at least 16 bytes) to dst,
+// matching through the zeroed table of 1<<tableBits slots.
+func encodeBlock(dst, src []byte, table []int32, tableBits uint) []byte {
+	shift := 32 - tableBits
 	var (
 		s        = 0 // iterator
 		litStart = 0 // start of pending literal run
 		sLimit   = len(src) - 4
+		// misses since the last match, plus 32: the stride between
+		// lookups is misses/32, so 32 misses in a row start skipping
+		// bytes and incompressible input (hashes, keys) is crossed in
+		// ever longer steps — the reference implementation's heuristic.
+		skip = 32
 	)
 	for s < sLimit {
-		h := hash(load32(s))
-		cand := table[h]
-		table[h] = int32(s)
-		if cand >= 0 && s-int(cand) <= 0xFFFF && load32(int(cand)) == load32(s) {
+		cur := binary.LittleEndian.Uint32(src[s:])
+		h := (cur * 0x1e35a7bd) >> shift
+		cand := int(table[h]) - 1
+		table[h] = int32(s + 1)
+		if cand >= 0 && s-cand <= 0xFFFF && binary.LittleEndian.Uint32(src[cand:]) == cur {
 			// Emit pending literals, then extend the match.
 			if s > litStart {
 				dst = emitLiteral(dst, src[litStart:s])
 			}
 			base := s
 			s += 4
-			m := int(cand) + 4
+			m := cand + 4
 			for s < len(src) && src[s] == src[m] {
 				s++
 				m++
 			}
-			dst = emitCopy(dst, base-int(cand), s-base)
+			dst = emitCopy(dst, base-cand, s-base)
 			litStart = s
+			skip = 32
 			continue
 		}
-		s++
+		s += skip >> 5
+		skip++
 	}
 	if litStart < len(src) {
 		dst = emitLiteral(dst, src[litStart:])
 	}
-	return dst, nil
+	return dst
 }
 
 // emitLiteral appends a literal element.

@@ -166,6 +166,41 @@ func TestVarint(t *testing.T) {
 	}
 }
 
+// A devp2p STATUS is ~80 bytes: Encode may allocate its output and
+// nothing else, whatever table size the input selects.
+func TestEncodeAllocs(t *testing.T) {
+	for _, n := range []int{80, 1500, 5000} {
+		src := bytes.Repeat([]byte("status"), n/6+1)[:n]
+		if got := testing.AllocsPerRun(100, func() { Encode(src) }); got > 1 {
+			t.Errorf("Encode(%d bytes) allocates %.0f objects, want at most 1", n, got)
+		}
+	}
+}
+
+// Inputs on both sides of each table-size boundary round-trip and
+// still compress: a smaller table must not stop finding matches.
+func TestTableSizeClasses(t *testing.T) {
+	for _, n := range []int{16, 255, 256, 257, 2047, 2048, 2049, 20000} {
+		src := bytes.Repeat([]byte("eth/63 NodeFinder "), n/18+1)[:n]
+		roundTrip(t, src)
+		enc, _ := Encode(src)
+		if n >= 255 && len(enc) >= n/2 {
+			t.Errorf("repetitive %d-byte input compressed to %d bytes only", n, len(enc))
+		}
+	}
+}
+
+func BenchmarkEncodeStatus(b *testing.B) {
+	src := make([]byte, 80)
+	rand.New(rand.NewSource(3)).Read(src)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Encode(src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkEncode4K(b *testing.B) {
 	src := []byte(strings.Repeat("transaction payload with some repetition ", 100))[:4096]
 	b.SetBytes(int64(len(src)))
