@@ -1,6 +1,6 @@
 // Command benchcrawl measures crawl throughput at scale: it builds a
 // deterministic-seed analytic world (default 100,000 nodes), crawls
-// it with the sharded NodeFinder pipeline to census convergence, and
+// it with the multi-worker NodeFinder pipeline to census convergence, and
 // emits a BENCH_crawl.json with nodes/sec, peak RSS, and convergence
 // wall-clock. The world is event-driven — idle nodes are pure state
 // machines — so the bench exercises exactly the promotion-free path a
@@ -188,12 +188,11 @@ func run(nodes int, seed int64, converge float64, maxWall time.Duration, verbose
 		Log:       batch,
 		Metrics:   reg,
 		Seed:      seed + 3,
-		// The sharded pipeline at scale: parallel lookup chains feeding
-		// sharded bounded queues. Unreachable nodes hold dial slots for
-		// the full 15 s virtual timeout, so the dial budget must cover
+		// The pipeline at scale: parallel lookup chains feeding one
+		// bounded queue. Unreachable nodes hold dial slots for the full
+		// 15 s virtual timeout, so the dial budget must cover
 		// lookupRate × mean dial duration with slack.
 		LookupWorkers:   16,
-		DialShards:      8,
 		MaxDynamicDials: 256,
 	})
 	if err != nil {

@@ -91,7 +91,6 @@ func run(addr string, nodes int, seed int64, interval, chunk, pace time.Duration
 		Metrics:       reg,
 		Seed:          seed + 3,
 		LookupWorkers: 4,
-		DialShards:    4,
 	})
 	if err != nil {
 		return err

@@ -10,6 +10,7 @@ package chain
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"math/big"
 
@@ -21,7 +22,11 @@ import (
 type Hash [32]byte
 
 // Hex returns the full lowercase hex form.
-func (h Hash) Hex() string { return fmt.Sprintf("%x", h[:]) }
+func (h Hash) Hex() string {
+	var buf [2 * len(h)]byte
+	hex.Encode(buf[:], h[:])
+	return string(buf[:])
+}
 
 // Short returns the abbreviated form used in the paper's prose,
 // e.g. "d4e567…cb8fa3".

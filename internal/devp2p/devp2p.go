@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/enode"
 	"repro/internal/rlp"
@@ -102,7 +103,7 @@ type Cap struct {
 }
 
 // String renders the conventional name/version form, e.g. "eth/63".
-func (c Cap) String() string { return fmt.Sprintf("%s/%d", c.Name, c.Version) }
+func (c Cap) String() string { return c.Name + "/" + strconv.FormatUint(uint64(c.Version), 10) }
 
 // Hello is the DEVp2p handshake message.
 type Hello struct {

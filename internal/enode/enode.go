@@ -13,6 +13,7 @@
 package enode
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -35,10 +36,18 @@ type ID [IDLength]byte
 func (id ID) Bytes() []byte { return id[:] }
 
 // String returns the full hexadecimal representation.
-func (id ID) String() string { return fmt.Sprintf("%x", id[:]) }
+func (id ID) String() string {
+	var buf [2 * IDLength]byte
+	hex.Encode(buf[:], id[:])
+	return string(buf[:])
+}
 
 // TerminalString returns an abbreviated form for logs.
-func (id ID) TerminalString() string { return fmt.Sprintf("%x…%x", id[:4], id[60:]) }
+func (id ID) TerminalString() string {
+	buf := make([]byte, 0, 8+len("…")+8)
+	buf = append(hex.AppendEncode(buf, id[:4]), "…"...)
+	return string(hex.AppendEncode(buf, id[60:]))
+}
 
 // IsZero reports whether the ID is all zeroes.
 func (id ID) IsZero() bool { return id == ID{} }

@@ -34,8 +34,8 @@ type finderMetrics struct {
 	rtt          *metrics.Histogram
 	staleExpired *metrics.Counter
 	backoffSkips *metrics.Counter
-	// queueDropped counts discovered candidates rejected because their
-	// dial shard was full (bounded-queue overload shedding).
+	// queueDropped counts discovered candidates rejected because the
+	// dial queue was full (bounded-queue overload shedding).
 	queueDropped *metrics.Counter
 }
 
@@ -44,7 +44,7 @@ type finderMetrics struct {
 func newFinderMetrics(r *metrics.Registry, db *nodedb.DB) *finderMetrics {
 	if r != nil {
 		r.GaugeFunc("finder.known_nodes", func() int64 { return int64(db.Len()) })
-		r.GaugeFunc("finder.static_nodes", func() int64 { return int64(len(db.StaticNodes())) })
+		r.GaugeFunc("finder.static_nodes", func() int64 { return int64(db.StaticLen()) })
 	}
 	return &finderMetrics{
 		lookups:      r.Counter("finder.lookups"),

@@ -12,9 +12,14 @@ import "sync"
 //
 // Ordering is preserved: the flusher drains whole buffers in arrival
 // order, and Close hands back only after everything recorded before
-// the call has reached the underlying sink. No timers are involved —
-// the flusher wakes on a condition variable whenever the buffer is
-// non-empty, so the Batcher is safe to use under the simulated clock.
+// the call has reached the underlying sink. No timers are involved, so
+// the Batcher is safe under the simulated clock: the flusher sleeps
+// on a condition variable while the buffer is empty, and the record
+// that completes a batch of wakeBatch wakes it. (Woken per record it
+// outruns the dial path and is asleep again before the next one, so
+// every Record pays a futex call.) Fewer than wakeBatch records can
+// therefore sit in memory until Close — like the last lines in a
+// Writer's buffer until Flush.
 type Batcher struct {
 	sink Sink
 
@@ -24,6 +29,8 @@ type Batcher struct {
 	closed bool
 	done   chan struct{}
 }
+
+const wakeBatch = 1024
 
 // NewBatcher wraps sink with an asynchronous buffer and starts the
 // flusher goroutine. Callers must Close the Batcher to drain it.
@@ -40,7 +47,9 @@ func (b *Batcher) Record(e *Entry) {
 	b.mu.Lock()
 	if !b.closed {
 		b.buf = append(b.buf, e)
-		b.cond.Signal()
+		if len(b.buf) == wakeBatch {
+			b.cond.Signal()
+		}
 	}
 	b.mu.Unlock()
 }
@@ -53,47 +62,37 @@ func (b *Batcher) Pending() int {
 }
 
 // Close drains every buffered entry into the underlying sink, stops
-// the flusher goroutine, and returns. Safe to call once.
+// the flusher goroutine, and returns. Safe to call more than once.
 func (b *Batcher) Close() {
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
-		<-b.done
-		return
-	}
 	b.closed = true
 	b.cond.Signal()
 	b.mu.Unlock()
 	<-b.done
 }
 
-// flushLoop swaps the shared buffer for an empty one and writes the
-// batch outside the lock, so recorders are never blocked by the
-// underlying sink's encode/write latency.
+// flushLoop swaps the shared buffer for a drained spare and writes
+// the batch outside the lock, so recorders are never blocked by the
+// underlying sink's encode/write latency. The two buffers take turns
+// and keep their capacity; a drained one is cleared of its entries.
 func (b *Batcher) flushLoop() {
 	defer close(b.done)
+	var batch []*Entry
 	for {
 		b.mu.Lock()
 		for len(b.buf) == 0 && !b.closed {
 			b.cond.Wait()
 		}
-		batch := b.buf
-		b.buf = nil
+		batch, b.buf = b.buf, batch[:0]
 		closed := b.closed
 		b.mu.Unlock()
 
 		for _, e := range batch {
 			b.sink.Record(e)
 		}
+		clear(batch)
 		if closed {
-			b.mu.Lock()
-			rest := b.buf
-			b.buf = nil
-			b.mu.Unlock()
-			for _, e := range rest {
-				b.sink.Record(e)
-			}
-			return
+			return // nothing is admitted once closed is set
 		}
 	}
 }

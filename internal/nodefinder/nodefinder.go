@@ -21,6 +21,7 @@
 package nodefinder
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -123,15 +124,11 @@ type Config struct {
 	// aggregate lookup rate scales with the worker count. Zero means
 	// one worker — the original single-chain crawler.
 	LookupWorkers int
-	// DialShards is the number of bounded dial queues candidates are
-	// sharded into by node ID. Zero means DefaultDialShards (one
-	// shard, the original single-queue behavior).
-	DialShards int
-	// ShardQueueCap bounds each shard's queue; candidates beyond the
-	// cap are dropped (and counted in finder.queue_dropped) rather
-	// than growing memory without bound during a discovery burst.
-	// Zero means DefaultShardQueueCap; negative disables the bound.
-	ShardQueueCap int
+	// QueueCap bounds the queue of discovered dial candidates; those
+	// beyond the cap are dropped (and counted in finder.queue_dropped)
+	// rather than growing memory without bound during a discovery
+	// burst. Zero means DefaultQueueCap; negative disables the bound.
+	QueueCap int
 }
 
 // Stats are cumulative crawler counters, the raw material for
@@ -154,28 +151,21 @@ type Finder struct {
 	rng     *rand.Rand
 	metrics *finderMetrics
 
-	mu          sync.Mutex
-	running     bool
-	stopped     bool
-	staticTimer map[enode.ID]simclock.Timer
-	stats       Stats
+	mu      sync.Mutex
+	running bool
+	stopped bool
+	stats   Stats
+	// nodes holds the one record of every node discovery handed over.
+	nodes map[enode.ID]*nodeState
+	sched *dialScheduler
 
 	// Every timer the Finder arms is kept so Stop can cancel it: an
-	// armed timer's closure holds the Finder (and through it the
-	// dialer, database and log) for as long as the clock does.
-	// lookupTimer[i] is lookup worker i's pending round and
-	// lookupFn[i] the callback that runs it, built once in New.
+	// armed timer's closure holds the Finder (and its dialer, database
+	// and log) for as long as the clock does. lookupTimer[i] is worker
+	// i's pending round, lookupFn[i] the callback that runs it.
 	lookupTimer []simclock.Timer
 	lookupFn    []func()
 	sweepTimer  simclock.Timer
-
-	// sched owns the sharded dial queues and all per-node admission
-	// state (in-flight set, suppression windows, backoff).
-	sched *dialScheduler
-
-	// onIdle, if set, is called (locked) whenever the dynamic queue
-	// drains; tests use it.
-	onIdle func()
 }
 
 // New validates the config and creates a Finder.
@@ -192,43 +182,25 @@ func New(cfg Config) (*Finder, error) {
 	if cfg.Log == nil {
 		cfg.Log = mlog.NewCollector()
 	}
-	if cfg.LookupInterval == 0 {
-		cfg.LookupInterval = DefaultLookupInterval
-	}
-	if cfg.StaticInterval == 0 {
-		cfg.StaticInterval = DefaultStaticInterval
-	}
-	if cfg.MaxDynamicDials == 0 {
-		cfg.MaxDynamicDials = DefaultMaxDynamicDials
-	}
-	if cfg.StaleAfter == 0 {
-		cfg.StaleAfter = DefaultStaleAfter
-	}
-	if cfg.LookupWorkers <= 0 {
-		cfg.LookupWorkers = 1
-	}
-	if cfg.DialShards <= 0 {
-		cfg.DialShards = DefaultDialShards
-	}
-	switch {
-	case cfg.ShardQueueCap == 0:
-		cfg.ShardQueueCap = DefaultShardQueueCap
-	case cfg.ShardQueueCap < 0:
-		cfg.ShardQueueCap = 0 // unbounded
-	}
+	cfg.LookupInterval = cmp.Or(cfg.LookupInterval, DefaultLookupInterval)
+	cfg.StaticInterval = cmp.Or(cfg.StaticInterval, DefaultStaticInterval)
+	cfg.MaxDynamicDials = cmp.Or(cfg.MaxDynamicDials, DefaultMaxDynamicDials)
+	cfg.StaleAfter = cmp.Or(cfg.StaleAfter, DefaultStaleAfter)
+	cfg.LookupWorkers = max(cfg.LookupWorkers, 1)
+	cfg.QueueCap = max(cmp.Or(cfg.QueueCap, DefaultQueueCap), 0) // negative: unbounded
 	f := &Finder{
 		cfg:         cfg,
 		clock:       cfg.Clock,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		metrics:     newFinderMetrics(cfg.Metrics, cfg.DB),
-		staticTimer: make(map[enode.ID]simclock.Timer),
+		nodes:       make(map[enode.ID]*nodeState),
 		lookupTimer: make([]simclock.Timer, cfg.LookupWorkers),
 		lookupFn:    make([]func(), cfg.LookupWorkers),
 	}
 	for i := range f.lookupFn {
 		f.lookupFn[i] = func() { f.runLookup(i) }
 	}
-	f.sched = newDialScheduler(cfg.DialShards, cfg.ShardQueueCap, cfg.MaxDynamicDials, f.rng, f.metrics, cfg.Metrics)
+	f.sched = newDialScheduler(cfg.QueueCap, cfg.MaxDynamicDials, f.rng, f.metrics, cfg.Metrics)
 	return f, nil
 }
 
@@ -240,7 +212,7 @@ func (f *Finder) Stats() Stats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	s := f.stats
-	s.StaticListSize = len(f.cfg.DB.StaticNodes())
+	s.StaticListSize = f.cfg.DB.StaticLen()
 	s.KnownNodes = f.cfg.DB.Len()
 	return s
 }
@@ -260,7 +232,7 @@ func (f *Finder) Start() {
 	for i := range f.lookupFn {
 		f.scheduleLookup(i, 0)
 	}
-	f.scheduleStaleSweep()
+	f.runStaleSweep() // a database loaded from disk may hold stale nodes already
 }
 
 // Stop halts scheduling and cancels every armed timer, so nothing the
@@ -271,19 +243,20 @@ func (f *Finder) Stop() {
 	defer f.mu.Unlock()
 	f.stopped = true
 	f.running = false
-	for id, t := range f.staticTimer {
-		t.Stop()
-		delete(f.staticTimer, id)
+	for _, nd := range f.nodes {
+		cancel(&nd.timer)
 	}
-	for i, t := range f.lookupTimer {
-		if t != nil {
-			t.Stop()
-			f.lookupTimer[i] = nil
-		}
+	for i := range f.lookupTimer {
+		cancel(&f.lookupTimer[i])
 	}
-	if f.sweepTimer != nil {
-		f.sweepTimer.Stop()
-		f.sweepTimer = nil
+	cancel(&f.sweepTimer)
+}
+
+// cancel stops *t if it is armed and forgets it.
+func cancel(t *simclock.Timer) {
+	if *t != nil {
+		(*t).Stop()
+		*t = nil
 	}
 }
 
@@ -295,7 +268,28 @@ func (f *Finder) AddStatic(n *enode.Node) {
 	f.cfg.DB.RecordSuccess(n, now)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.armStaticTimerLocked(n, f.cfg.StaticInterval)
+	f.armStaticTimerLocked(f.nodeLocked(n, now))
+}
+
+// nodeLocked returns n's record, creating it on first sight — the one
+// ID-keyed lookup a discovered node costs. A known node follows the
+// endpoint discovery last reported, except while a dial is reading it.
+func (f *Finder) nodeLocked(n *enode.Node, now time.Time) *nodeState {
+	nd := f.nodes[n.ID]
+	switch {
+	case nd == nil:
+		nd = &nodeState{node: n, ip: n.IP.String(), rec: f.cfg.DB.Ensure(n, now)}
+		nd.redial = func() { f.runStaticDial(nd) }
+		nd.dialDone = func(res *DialResult) { f.onDialDone(nd, res) }
+		f.nodes[n.ID] = nd
+	case nd.node != n && !nd.dialing:
+		if !nd.node.IP.Equal(n.IP) || nd.node.UDP != n.UDP || nd.node.TCP != n.TCP {
+			nd.ip = n.IP.String()
+			f.cfg.DB.Ensure(n, now)
+		}
+		nd.node = n
+	}
+	return nd
 }
 
 // scheduleLookup arms lookup worker's next discovery round after
@@ -332,76 +326,52 @@ func (f *Finder) runLookup(worker int) {
 func (f *Finder) onLookupDone(worker int, start time.Time, found []*enode.Node) {
 	f.metrics.lookupNodes.Add(uint64(len(found)))
 	now := f.clock.Now()
+	self := f.cfg.Discovery.Self()
+	var buf [8]*nodeState
 	f.mu.Lock()
 	if f.stopped {
 		f.mu.Unlock()
 		return
 	}
 	for _, n := range found {
-		if n.ID == f.cfg.Discovery.Self() {
+		if n.ID == self {
 			continue
 		}
-		if !f.sched.admissibleLocked(n.ID, now) {
-			continue
-		}
+		nd := f.nodeLocked(n, now)
 		// Static-list members are managed by the static scheduler;
 		// excluding them here mirrors Geth's dial state, and is why
 		// Figure 8 sees mostly static (not dynamic) dials to a
 		// long-known node.
-		if rec := f.cfg.DB.Get(n.ID); rec != nil && rec.Static {
-			continue
+		if f.sched.admissibleLocked(nd, now) && !f.cfg.DB.IsStatic(nd.rec) {
+			f.sched.enqueueLocked(nd)
 		}
-		f.sched.enqueueLocked(n)
 	}
-	launch := f.fillDynamicLocked()
+	launch := f.sched.fillLocked(now, buf[:0])
+	f.stats.DynamicDials += uint64(len(launch))
 	f.mu.Unlock()
-	for _, n := range launch {
-		f.dial(n, mlog.ConnDynamicDial)
-	}
-	for _, n := range found {
-		f.cfg.DB.Ensure(n, now)
+	for _, nd := range launch {
+		f.dial(nd)
 	}
 
 	// Next round: LookupInterval after this round STARTED.
-	next := start.Add(f.cfg.LookupInterval)
-	delay := next.Sub(now)
-	if delay < 0 {
-		delay = 0
-	}
-	f.scheduleLookup(worker, delay)
+	f.scheduleLookup(worker, max(0, start.Add(f.cfg.LookupInterval).Sub(now)))
 }
 
-// fillDynamicLocked asks the scheduler to dequeue candidates up to
-// the concurrency budget and returns the nodes the caller must launch
-// after releasing f.mu.
-func (f *Finder) fillDynamicLocked() []*enode.Node {
-	launch := f.sched.fillLocked(f.clock.Now())
-	f.stats.DynamicDials += uint64(len(launch))
-	if f.sched.active == 0 && f.sched.queuedLocked() == 0 && f.onIdle != nil {
-		f.onIdle()
-	}
-	return launch
+// dial runs the outbound attempt the scheduler has marked in flight.
+func (f *Finder) dial(nd *nodeState) {
+	f.cfg.Dialer.Dial(nd.node, nd.kind, nd.dialDone)
 }
 
-// dial runs one outbound attempt.
-func (f *Finder) dial(n *enode.Node, kind mlog.ConnType) {
-	f.cfg.DB.RecordDial(n, f.clock.Now())
-	f.cfg.Dialer.Dial(n, kind, func(res *DialResult) {
-		f.onDialDone(n, kind, res)
-	})
-}
-
-func (f *Finder) onDialDone(n *enode.Node, kind mlog.ConnType, res *DialResult) {
+func (f *Finder) onDialDone(nd *nodeState, res *DialResult) {
 	now := f.clock.Now()
-	f.record(res)
-
+	f.record(res, nd.rec.IDx, nd.ip)
 	success := res.Hello != nil
-	if success {
-		f.cfg.DB.RecordSuccess(n, now)
-	}
+	var buf [4]*nodeState
+	launch := buf[:0]
 
 	f.mu.Lock()
-	f.sched.completeLocked(n.ID, kind == mlog.ConnDynamicDial, success, now)
+	static := f.cfg.DB.RecordResult(nd.rec, nd.lastDial, now, success)
+	f.sched.completeLocked(nd, success, now)
 	if success {
 		f.stats.SuccessfulConns++
 	} else {
@@ -415,88 +385,60 @@ func (f *Finder) onDialDone(n *enode.Node, kind mlog.ConnType, res *DialResult) 
 	// ("NodeFinder re-schedules next static-dial upon completion of
 	// any type of outbound connection attempt", §5.2) — provided the
 	// node is on the static list.
-	if rec := f.cfg.DB.Get(n.ID); rec != nil && rec.Static {
-		f.armStaticTimerLocked(n, f.cfg.StaticInterval)
+	if static {
+		f.armStaticTimerLocked(nd)
 	}
-	var launch []*enode.Node
-	if kind == mlog.ConnDynamicDial {
-		launch = f.fillDynamicLocked()
+	if nd.kind == mlog.ConnDynamicDial {
+		launch = f.sched.fillLocked(now, launch)
+		f.stats.DynamicDials += uint64(len(launch))
 	}
 	f.mu.Unlock()
 	for _, next := range launch {
-		f.dial(next, mlog.ConnDynamicDial)
+		f.dial(next)
 	}
 }
 
-// armStaticTimerLocked (re)schedules a static re-dial. Caller holds
-// f.mu.
-func (f *Finder) armStaticTimerLocked(n *enode.Node, delay time.Duration) {
-	if t, ok := f.staticTimer[n.ID]; ok {
-		t.Stop()
-	}
-	n = enode.New(n.ID, n.IP, n.UDP, n.TCP)
-	f.staticTimer[n.ID] = f.clock.AfterFunc(delay, func() {
-		f.runStaticDial(n)
-	})
+// armStaticTimerLocked (re)schedules nd's static re-dial one
+// StaticInterval out. Caller holds f.mu.
+func (f *Finder) armStaticTimerLocked(nd *nodeState) {
+	cancel(&nd.timer)
+	nd.timer = f.clock.AfterFunc(f.cfg.StaticInterval, nd.redial)
 }
 
-func (f *Finder) runStaticDial(n *enode.Node) {
+func (f *Finder) runStaticDial(nd *nodeState) {
+	launch := false
 	f.mu.Lock()
-	if f.stopped {
-		f.mu.Unlock()
-		return
-	}
-	rec := f.cfg.DB.Get(n.ID)
-	if rec == nil || !rec.Static {
+	nd.timer = nil
+	switch {
+	case f.stopped:
+	case !f.cfg.DB.IsStatic(nd.rec):
 		// Dropped from the static list (stale) since scheduling.
-		delete(f.staticTimer, n.ID)
-		f.mu.Unlock()
-		return
-	}
-	if f.sched.dialing[n.ID] {
+	case nd.dialing:
 		// Already being dialed; re-arm rather than double-dial.
-		f.armStaticTimerLocked(n, f.cfg.StaticInterval)
-		f.mu.Unlock()
-		return
+		f.armStaticTimerLocked(nd)
+	default:
+		f.sched.beginLocked(nd, mlog.ConnStaticDial, f.clock.Now())
+		f.stats.StaticDials++
+		launch = true
 	}
-	f.sched.beginStaticLocked(n.ID, f.clock.Now())
-	f.stats.StaticDials++
 	f.mu.Unlock()
-	f.dial(n, mlog.ConnStaticDial)
+	if launch {
+		f.dial(nd)
+	}
 }
 
-// scheduleStaleSweep arms the periodic 24-hour staleness sweep,
-// unless the Finder has stopped.
-func (f *Finder) scheduleStaleSweep() {
+// runStaleSweep demotes the static nodes with no successful connection
+// in StaleAfter and re-arms itself, unless the Finder has stopped.
+func (f *Finder) runStaleSweep() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.stopped {
 		return
 	}
-	f.sweepTimer = f.clock.AfterFunc(10*time.Minute, f.runStaleSweep)
-}
-
-func (f *Finder) runStaleSweep() {
-	f.mu.Lock()
-	stopped := f.stopped
-	f.mu.Unlock()
-	if stopped {
-		return
-	}
-	expired := f.cfg.DB.ExpireStale(f.clock.Now(), f.cfg.StaleAfter)
+	f.sched.lastSweep = f.clock.Now()
+	expired := f.cfg.DB.ExpireStale(f.sched.lastSweep, f.cfg.StaleAfter)
 	f.metrics.staleExpired.Add(uint64(expired))
-	f.pruneBackoff(f.clock.Now())
-	f.scheduleStaleSweep()
-}
-
-// pruneBackoff drops backoff state for nodes whose window has been
-// over for a full maxDialBackoff — long-quiet addresses the crawler
-// may never hear about again — so §5.4-style identity spam cannot
-// grow the failure maps without bound.
-func (f *Finder) pruneBackoff(now time.Time) {
-	f.mu.Lock()
-	f.sched.pruneLocked(now)
-	f.mu.Unlock()
+	f.sweepTimer = f.clock.AfterFunc(10*time.Minute, f.runStaleSweep)
 }
 
 // HandleIncoming records an inbound connection result (NodeFinder
@@ -510,35 +452,32 @@ func (f *Finder) HandleIncoming(res *DialResult) {
 		f.stats.FailedConns++
 	}
 	f.mu.Unlock()
-	now := f.clock.Now()
+	var id, ip string
 	if res.Node != nil {
-		f.cfg.DB.Ensure(res.Node, now)
-		if res.Hello != nil {
-			// An inbound peer proved its TCP reachability of us, not
-			// ours of it; record success only for bookkeeping of
-			// liveness, not static membership.
-			rec := f.cfg.DB.Ensure(res.Node, now)
-			rec.LastSuccess = now
-		}
+		id = f.cfg.DB.RecordIncoming(res.Node, f.clock.Now(), res.Hello != nil).IDx
+		ip = res.Node.IP.String()
 	}
-	f.record(res)
+	f.record(res, id, ip)
 }
 
-// record converts a DialResult to a log entry. The metrics observe
-// call lives here so the finder.conns counters increment exactly
-// once per mlog entry, keeping telemetry and log reconcilable.
-func (f *Finder) record(res *DialResult) {
+// record converts a DialResult to a log entry; id and ip are res.Node's
+// ID and IP as text. The metrics observe call lives here so the
+// finder.conns counters increment exactly once per mlog entry.
+func (f *Finder) record(res *DialResult, id, ip string) {
 	f.metrics.observe(res)
-	e := &mlog.Entry{
+	// The disconnect reason the entry points at rides in its allocation.
+	buf := &struct {
+		mlog.Entry
+		reason uint64
+	}{Entry: mlog.Entry{
 		Time:       res.Start,
 		ConnType:   res.Kind,
 		LatencyUS:  res.RTT.Microseconds(),
 		DurationUS: res.Duration.Microseconds(),
-	}
+	}}
+	e := &buf.Entry
 	if res.Node != nil {
-		e.NodeID = res.Node.ID.String()
-		e.IP = res.Node.IP.String()
-		e.Port = res.Node.TCP
+		e.NodeID, e.IP, e.Port = id, ip, res.Node.TCP
 	}
 	if res.Err != nil {
 		e.Err = res.Err.Error()
@@ -556,8 +495,8 @@ func (f *Finder) record(res *DialResult) {
 		}
 	}
 	if res.Disconnect != nil {
-		r := uint64(*res.Disconnect)
-		e.DisconnectReason = &r
+		buf.reason = uint64(*res.Disconnect)
+		e.DisconnectReason = &buf.reason
 	}
 	if res.Status != nil {
 		e.Status = &mlog.StatusInfo{

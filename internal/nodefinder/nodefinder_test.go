@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -278,6 +279,48 @@ func TestIncomingConnectionsLogged(t *testing.T) {
 	}
 	if entries[1].Hello == nil || entries[1].Hello.ClientName != "Parity/v1.10.3" {
 		t.Error("hello not logged")
+	}
+}
+
+// TestIncomingRacesSweepAndSave: inbound connections refresh a static
+// node's LastSuccess while the stale sweep reads it and a snapshot
+// marshals it. Run under -race this is the proof that HandleIncoming
+// writes the record under the database's lock; in any mode it checks
+// that a node kept alive only by inbound handshakes never goes stale.
+func TestIncomingRacesSweepAndSave(t *testing.T) {
+	leakcheck.Check(t)
+	clock := simclock.NewSimulated(t0)
+	w := newFakeWorld(clock, 8)
+	f := newTestFinder(t, clock, w, mlog.NewCollector())
+	for _, n := range w.nodes {
+		f.AddStatic(n)
+	}
+	path := filepath.Join(t.TempDir(), "nodes.json")
+	const rounds = 200
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			for _, n := range w.nodes {
+				f.HandleIncoming(&DialResult{Node: n, Kind: mlog.ConnIncoming, Start: clock.Now(), Hello: &devp2p.Hello{Name: "Geth/v1.8.11"}})
+			}
+			clock.Advance(time.Hour) // not started: only the static re-dials run
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			f.DB().ExpireStale(clock.Now(), 2*time.Hour)
+			if err := f.DB().Save(path); err != nil {
+				t.Error(err)
+			}
+			f.DB().All()
+		}
+	}()
+	wg.Wait()
+	if got := f.Stats().StaticListSize; got != len(w.nodes) {
+		t.Fatalf("%d of %d static nodes left: inbound handshakes did not keep them fresh", got, len(w.nodes))
 	}
 }
 

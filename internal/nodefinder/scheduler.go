@@ -1,184 +1,165 @@
 package nodefinder
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"repro/internal/enode"
 	"repro/internal/metrics"
+	"repro/internal/nodedb"
+	"repro/internal/nodefinder/mlog"
+	"repro/internal/simclock"
 )
 
-// dialScheduler is the central admission point of the sharded crawl
-// pipeline. Discovery workers feed candidates into per-shard bounded
-// queues (sharded by node ID, so one hot shard cannot starve the
-// rest and queue memory is capped); a single scheduler dequeues
-// round-robin across shards, enforcing the global concurrent-dial
-// budget, the redial-suppression window, and the per-node exponential
-// backoff — semantics identical to the pre-sharding Finder.
-//
-// The scheduler is not itself goroutine-safe: every method requires
-// the Finder's lock (the *Locked suffix convention), which keeps the
-// admission decisions serializable and the crawl deterministic under
-// the simulated clock.
+// nodeState is the Finder's one record of a node. Discovery finds it
+// with a single ID-keyed lookup; from there it travels by pointer
+// through the queue, the dial, its completion, the log record and the
+// static re-arm, so nothing after discovery hashes a 64-byte ID again.
+// The Finder's lock guards every field; node, ip and kind change only
+// while no dial is in flight, so the dialing goroutine reads them
+// without it.
+type nodeState struct {
+	node *enode.Node // endpoint discovery last handed over; what a dial targets
+	ip   string      // node.IP.String(), rendered once per endpoint
+	rec  *nodedb.Record
+
+	// Admission state, shared by the dynamic and static dial paths.
+	// failStreak counts consecutive failures; backoffUntil is the
+	// jittered instant before which the node is not dynamically
+	// re-dialed. Both reset on any success.
+	dialing      bool
+	kind         mlog.ConnType // of the dial in flight
+	lastDial     time.Time
+	failStreak   int
+	backoffUntil time.Time
+
+	timer    simclock.Timer    // the pending static re-dial
+	redial   func()            // what timer runs; bound once, like
+	dialDone func(*DialResult) // the dial's completion callback
+}
+
+// dialScheduler is the central admission point of the crawl pipeline.
+// Discovery workers feed candidates into one bounded FIFO; the
+// scheduler dequeues, enforcing the global concurrent-dial budget, the
+// redial-suppression window, and the per-node exponential backoff.
+// Every method requires the Finder's lock (the *Locked suffix), which
+// keeps admission serializable and the crawl deterministic under the
+// simulated clock.
 type dialScheduler struct {
-	shards   []dialShard
-	rr       int // round-robin cursor over shards
+	// queue is a ring of power-of-two length, doubled until it holds
+	// queueCap; the queued candidates start at head.
+	queue    []*nodeState
+	head     int
+	queued   int
 	queueCap int
+	depth    *metrics.Gauge
 
 	maxActive int
 	active    int // in-flight dynamic dials
 
-	// Per-node admission state, shared by the dynamic and static dial
-	// paths.
-	dialing  map[enode.ID]bool
-	lastDial map[enode.ID]time.Time
-
-	// failStreak counts consecutive failed establishment attempts per
-	// node; backoffUntil holds the jittered instant before which the
-	// node is not dynamically re-dialed. Both reset on any success.
-	failStreak   map[enode.ID]int
-	backoffUntil map[enode.ID]time.Time
+	// lastSweep is the latest stale sweep. A node whose backoff window
+	// had been over for a full maxDialBackoff by then starts its next
+	// failure streak from zero: the sweep forgives without visiting.
+	lastSweep time.Time
 
 	rng *rand.Rand
 	m   *finderMetrics
 }
 
-// dialShard is one bounded FIFO of dial candidates. depth mirrors
-// len(queue) as an atomic gauge so monitoring reads never touch the
-// slice itself (which is guarded by the Finder's lock).
-type dialShard struct {
-	queue []*enode.Node
-	depth *metrics.Gauge
-}
+// DefaultQueueCap is the candidate queue's bound (Config.QueueCap).
+const DefaultQueueCap = 4096
 
-// Sharded-pipeline defaults. One shard with an effectively unbounded
-// queue reproduces the original single-queue Finder exactly; large
-// worlds raise both via Config.
-const (
-	DefaultDialShards    = 1
-	DefaultShardQueueCap = 4096
-)
-
-func newDialScheduler(shards, queueCap, maxActive int, rng *rand.Rand, m *finderMetrics, r *metrics.Registry) *dialScheduler {
-	s := &dialScheduler{
-		shards:       make([]dialShard, shards),
-		queueCap:     queueCap,
-		maxActive:    maxActive,
-		dialing:      make(map[enode.ID]bool),
-		lastDial:     make(map[enode.ID]time.Time),
-		failStreak:   make(map[enode.ID]int),
-		backoffUntil: make(map[enode.ID]time.Time),
-		rng:          rng,
-		m:            m,
+func newDialScheduler(queueCap, maxActive int, rng *rand.Rand, m *finderMetrics, r *metrics.Registry) *dialScheduler {
+	return &dialScheduler{
+		queueCap:  queueCap,
+		depth:     r.Gauge("finder.queue_depth"),
+		maxActive: maxActive,
+		rng:       rng,
+		m:         m,
 	}
-	for i := range s.shards {
-		s.shards[i].depth = r.Gauge(fmt.Sprintf("finder.shard_depth{shard-%d}", i))
-	}
-	return s
-}
-
-// shardFor maps a node ID onto its queue. The first ID byte is
-// uniformly distributed (IDs are hashes/public keys), so shards load
-// evenly without extra hashing.
-func (s *dialScheduler) shardFor(id enode.ID) *dialShard {
-	return &s.shards[int(id[0])%len(s.shards)]
 }
 
 // admissibleLocked applies the per-node gates every dynamic dial must
 // pass, in the original Finder's order: not already dialing, outside
 // the redial-suppression window, outside the backoff window.
-func (s *dialScheduler) admissibleLocked(id enode.ID, now time.Time) bool {
-	if s.dialing[id] {
+func (s *dialScheduler) admissibleLocked(nd *nodeState, now time.Time) bool {
+	if nd.dialing {
 		return false
 	}
-	if last, ok := s.lastDial[id]; ok && now.Sub(last) < redialSuppression {
+	if !nd.lastDial.IsZero() && now.Sub(nd.lastDial) < redialSuppression {
 		return false
 	}
-	if until, ok := s.backoffUntil[id]; ok && now.Before(until) {
+	if now.Before(nd.backoffUntil) {
 		s.m.backoffSkips.Inc()
 		return false
 	}
 	return true
 }
 
-// enqueueLocked admits one discovered candidate into its shard queue.
-// A full shard drops the candidate (and counts the drop): discovery
-// keeps returning live nodes, so dropping is strictly cheaper than
-// letting queues grow without bound during a population burst.
-func (s *dialScheduler) enqueueLocked(n *enode.Node) bool {
-	sh := s.shardFor(n.ID)
-	if s.queueCap > 0 && len(sh.queue) >= s.queueCap {
+// enqueueLocked admits one discovered candidate. A full queue drops
+// it (and counts the drop): discovery keeps returning live nodes, so
+// dropping is cheaper than growing without bound during a burst.
+func (s *dialScheduler) enqueueLocked(nd *nodeState) bool {
+	if s.queueCap > 0 && s.queued >= s.queueCap {
 		s.m.queueDropped.Inc()
 		return false
 	}
-	sh.queue = append(sh.queue, n)
-	sh.depth.Set(int64(len(sh.queue)))
+	if s.queued == len(s.queue) {
+		grown := make([]*nodeState, max(16, 2*len(s.queue)))
+		n := copy(grown, s.queue[s.head:])
+		copy(grown[n:], s.queue[:s.head])
+		s.queue, s.head = grown, 0
+	}
+	s.queue[(s.head+s.queued)&(len(s.queue)-1)] = nd
+	s.queued++
+	s.depth.Set(int64(s.queued))
 	return true
 }
 
-// queuedLocked reports the total number of queued candidates.
-func (s *dialScheduler) queuedLocked() int {
-	total := 0
-	for i := range s.shards {
-		total += len(s.shards[i].queue)
-	}
-	return total
-}
-
-// fillLocked dequeues candidates round-robin across shards up to the
-// concurrency budget, marks them in-flight, and returns the nodes the
-// caller must launch after releasing the lock.
-func (s *dialScheduler) fillLocked(now time.Time) []*enode.Node {
-	var launch []*enode.Node
-	empty := 0
-	for s.active < s.maxActive && empty < len(s.shards) {
-		sh := &s.shards[s.rr%len(s.shards)]
-		s.rr++
-		if len(sh.queue) == 0 {
-			empty++
+// fillLocked dequeues candidates up to the concurrency budget, marks
+// them in flight, and appends to launch the nodes the caller must dial
+// after releasing the lock.
+func (s *dialScheduler) fillLocked(now time.Time, launch []*nodeState) []*nodeState {
+	for s.active < s.maxActive && s.queued > 0 {
+		nd := s.queue[s.head]
+		s.queue[s.head] = nil
+		s.head = (s.head + 1) & (len(s.queue) - 1)
+		s.queued--
+		if !s.admissibleLocked(nd, now) {
 			continue
 		}
-		empty = 0
-		n := sh.queue[0]
-		sh.queue = sh.queue[1:]
-		sh.depth.Set(int64(len(sh.queue)))
-		if !s.admissibleLocked(n.ID, now) {
-			continue
-		}
-		s.dialing[n.ID] = true
-		s.lastDial[n.ID] = now
+		s.beginLocked(nd, mlog.ConnDynamicDial, now)
 		s.active++
-		launch = append(launch, n)
+		launch = append(launch, nd)
 	}
+	s.depth.Set(int64(s.queued))
 	return launch
 }
 
-// beginStaticLocked marks a static dial in flight. Static dials are
-// paced by their own 30-minute timers, not the dynamic budget, so
-// they bypass the queues; the shared dialing map still prevents a
-// dynamic/static double-dial.
-func (s *dialScheduler) beginStaticLocked(id enode.ID, now time.Time) {
-	s.dialing[id] = true
-	s.lastDial[id] = now
+// beginLocked marks a dial in flight. Static dials are paced by their
+// own timers, not the dynamic budget, so they bypass the queue; the
+// shared dialing flag still prevents a dynamic/static double-dial.
+func (s *dialScheduler) beginLocked(nd *nodeState, kind mlog.ConnType, now time.Time) {
+	nd.dialing, nd.kind, nd.lastDial = true, kind, now
 }
 
 // completeLocked records a finished outbound attempt and updates the
 // backoff state: success resets the streak, failure doubles the
 // suppression window (jittered, capped).
-func (s *dialScheduler) completeLocked(id enode.ID, dynamic, success bool, now time.Time) {
-	delete(s.dialing, id)
-	s.lastDial[id] = now
-	if dynamic {
+func (s *dialScheduler) completeLocked(nd *nodeState, success bool, now time.Time) {
+	nd.dialing, nd.lastDial = false, now
+	if nd.kind == mlog.ConnDynamicDial {
 		s.active--
 	}
 	if success {
-		delete(s.failStreak, id)
-		delete(s.backoffUntil, id)
-	} else {
-		s.failStreak[id]++
-		s.backoffUntil[id] = now.Add(s.backoffDelayLocked(s.failStreak[id]))
+		nd.failStreak, nd.backoffUntil = 0, time.Time{}
+		return
 	}
+	if nd.failStreak > 0 && s.lastSweep.Sub(nd.backoffUntil) > maxDialBackoff {
+		nd.failStreak = 0 // forgiven by a sweep since the last failure
+	}
+	nd.failStreak++
+	nd.backoffUntil = now.Add(s.backoffDelayLocked(nd.failStreak))
 }
 
 // backoffDelayLocked computes the jittered suppression window after
@@ -194,17 +175,4 @@ func (s *dialScheduler) backoffDelayLocked(streak int) time.Duration {
 		d = maxDialBackoff
 	}
 	return time.Duration(float64(d) * (0.8 + 0.4*s.rng.Float64()))
-}
-
-// pruneLocked drops backoff state for nodes whose window has been
-// over for a full maxDialBackoff — long-quiet addresses the crawler
-// may never hear about again — so §5.4-style identity spam cannot
-// grow the failure maps without bound.
-func (s *dialScheduler) pruneLocked(now time.Time) {
-	for id, until := range s.backoffUntil {
-		if now.Sub(until) > maxDialBackoff {
-			delete(s.backoffUntil, id)
-			delete(s.failStreak, id)
-		}
-	}
 }

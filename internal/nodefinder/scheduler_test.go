@@ -9,139 +9,164 @@ import (
 	"repro/internal/enode"
 	"repro/internal/metrics"
 	"repro/internal/nodedb"
+	"repro/internal/nodefinder/mlog"
 	"repro/internal/simclock"
 )
 
-func testScheduler(shards, queueCap, maxActive int, reg *metrics.Registry) *dialScheduler {
+func testScheduler(queueCap, maxActive int, reg *metrics.Registry) *dialScheduler {
 	if reg == nil {
 		reg = metrics.New()
 	}
-	return newDialScheduler(shards, queueCap, maxActive,
+	return newDialScheduler(queueCap, maxActive,
 		rand.New(rand.NewSource(1)), newFinderMetrics(reg, nodedb.New()), reg)
 }
 
-func nodeWithFirstByte(b byte, i int) *enode.Node {
+func testNode(i int) *nodeState {
 	var id enode.ID
-	id[0] = b
-	id[1] = byte(i >> 8)
-	id[2] = byte(i)
-	id[31] = 0xAA
-	return enode.New(id, net.IP{127, 0, 0, 1}, uint16(30000+i%1000), uint16(30000+i%1000))
+	id[0], id[1], id[31] = byte(i>>8), byte(i), 0xAA
+	return &nodeState{node: enode.New(id, net.IP{127, 0, 0, 1}, uint16(30000+i%1000), uint16(30000+i%1000))}
 }
 
-// TestShardQueueBounded is the bounded-memory property: no shard's
-// queue ever exceeds the cap no matter how many candidates discovery
-// bursts in, and every rejected candidate is counted.
-func TestShardQueueBounded(t *testing.T) {
+// TestQueueBounded is the bounded-memory property: the queue never
+// exceeds the cap no matter how many candidates discovery bursts in,
+// every rejected candidate is counted, and what was admitted comes
+// back out in arrival order — across ring growth and wrap-around.
+func TestQueueBounded(t *testing.T) {
 	const (
-		shards   = 4
-		queueCap = 8
+		queueCap = 24 // not a power of two: the ring is bigger than the bound
 		burst    = 500
 	)
 	reg := metrics.New()
-	s := testScheduler(shards, queueCap, 16, reg)
+	s := testScheduler(queueCap, 1<<30, reg)
+	now := time.Unix(0, 0)
 
-	admitted := 0
-	for i := 0; i < burst; i++ {
-		if s.enqueueLocked(nodeWithFirstByte(byte(i), i)) {
-			admitted++
-		}
-		for j := range s.shards {
-			if depth := len(s.shards[j].queue); depth > queueCap {
-				t.Fatalf("shard %d depth %d exceeds cap %d", j, depth, queueCap)
+	next, admitted := 0, 0 // next: the node the queue must yield next
+	for round := 0; round < 5; round++ {
+		for i := 0; i < burst; i++ {
+			if s.enqueueLocked(testNode(admitted)) {
+				admitted++
+			}
+			if s.queued > queueCap {
+				t.Fatalf("queue depth %d exceeds cap %d", s.queued, queueCap)
 			}
 		}
+		if s.queued != queueCap {
+			t.Fatalf("round %d: %d queued after a burst, want the cap %d", round, s.queued, queueCap)
+		}
+		if got := reg.Snapshot().Gauges["finder.queue_depth"]; got != queueCap {
+			t.Fatalf("finder.queue_depth %d, want %d", got, queueCap)
+		}
+		// Drain a different amount each round so head wraps at every
+		// offset.
+		s.maxActive = s.active + 7 + round
+		for _, nd := range s.fillLocked(now, nil) {
+			if want := testNode(next).node.ID; nd.node.ID != want {
+				t.Fatalf("dequeued %x, want %x (arrival order)", nd.node.ID[:2], want[:2])
+			}
+			next++
+		}
 	}
-	if want := shards * queueCap; admitted != want {
-		t.Fatalf("admitted %d candidates, want exactly %d (shards×cap)", admitted, want)
+	if want := 5*burst - admitted; reg.Snapshot().Counter("finder.queue_dropped") != uint64(want) {
+		t.Fatalf("queue_dropped %d, want %d", reg.Snapshot().Counter("finder.queue_dropped"), want)
 	}
-	if got := reg.Snapshot().Counter("finder.queue_dropped"); got != uint64(burst-admitted) {
-		t.Fatalf("queue_dropped %d, want %d", got, burst-admitted)
-	}
-	if got := s.queuedLocked(); got != admitted {
-		t.Fatalf("queuedLocked %d, want %d", got, admitted)
+	if len(s.queue) != 32 {
+		t.Fatalf("ring grew to %d slots for a cap of %d, want 32", len(s.queue), queueCap)
 	}
 
 	// Unbounded mode (cap<=0) admits everything.
-	u := testScheduler(1, 0, 16, nil)
+	u := testScheduler(0, 16, nil)
 	for i := 0; i < burst; i++ {
-		if !u.enqueueLocked(nodeWithFirstByte(0, i)) {
+		if !u.enqueueLocked(testNode(i)) {
 			t.Fatal("unbounded queue rejected a candidate")
 		}
+	}
+	if u.queued != burst {
+		t.Fatalf("unbounded queue holds %d, want %d", u.queued, burst)
 	}
 }
 
 // TestFillRespectsBudget: fillLocked never exceeds the concurrency
-// budget, marks launched nodes in-flight, and drains round-robin
-// across shards rather than exhausting one first.
+// budget, marks launched nodes in-flight, and re-checks admission at
+// dequeue time.
 func TestFillRespectsBudget(t *testing.T) {
-	s := testScheduler(4, 0, 6, nil)
+	s := testScheduler(0, 6, nil)
 	now := time.Unix(0, 0)
-	for i := 0; i < 40; i++ {
-		s.enqueueLocked(nodeWithFirstByte(byte(i%4), i))
+	nodes := make([]*nodeState, 40)
+	for i := range nodes {
+		nodes[i] = testNode(i)
+		s.enqueueLocked(nodes[i])
 	}
+	s.enqueueLocked(nodes[0]) // found twice before its first dial
 
-	launch := s.fillLocked(now)
+	launch := s.fillLocked(now, nil)
 	if len(launch) != 6 || s.active != 6 {
 		t.Fatalf("launched %d active=%d, want budget 6", len(launch), s.active)
 	}
-	// Round-robin: the first budget's worth comes from distinct shards
-	// in rotation, not one shard drained first.
-	shardsSeen := map[byte]int{}
-	for _, n := range launch {
-		shardsSeen[n.ID[0]%4]++
-	}
-	if len(shardsSeen) != 4 {
-		t.Fatalf("first fill drew from %d shards, want all 4: %v", len(shardsSeen), shardsSeen)
-	}
-	for _, n := range launch {
-		if !s.dialing[n.ID] {
-			t.Fatalf("launched node %x not marked dialing", n.ID[:4])
+	for i, nd := range launch {
+		if nd != nodes[i] {
+			t.Fatalf("launch %d is not the %d-th candidate enqueued", i, i)
+		}
+		if !nd.dialing || nd.kind != mlog.ConnDynamicDial || !nd.lastDial.Equal(now) {
+			t.Fatalf("launched node %d not marked as a dynamic dial in flight: %+v", i, nd)
 		}
 	}
 	// Nothing more launches until a slot frees.
-	if extra := s.fillLocked(now); len(extra) != 0 {
+	if extra := s.fillLocked(now, nil); len(extra) != 0 {
 		t.Fatalf("over-budget launch of %d", len(extra))
 	}
-	s.completeLocked(launch[0].ID, true, true, now)
-	if refill := s.fillLocked(now); len(refill) != 1 {
+	s.completeLocked(launch[0], true, now)
+	if refill := s.fillLocked(now, nil); len(refill) != 1 {
 		t.Fatalf("freed one slot, refilled %d", len(refill))
+	}
+	// The duplicate of node 0 at the back is dropped at dequeue: it was
+	// dialed a moment ago.
+	s.maxActive = 100
+	for _, nd := range s.fillLocked(now, nil) {
+		if nd == nodes[0] {
+			t.Fatal("a node inside its redial-suppression window was launched from the queue")
+		}
+	}
+	if s.queued != 0 {
+		t.Fatalf("%d candidates left queued under an ample budget", s.queued)
 	}
 }
 
 // TestSchedulerAdmission pins the per-node gates in the original
 // Finder's order: in-flight, redial suppression, backoff.
 func TestSchedulerAdmission(t *testing.T) {
-	s := testScheduler(1, 0, 16, nil)
+	s := testScheduler(0, 16, nil)
 	now := time.Unix(1000, 0)
-	id := nodeWithFirstByte(1, 1).ID
+	nd := testNode(1)
 
-	if !s.admissibleLocked(id, now) {
+	if !s.admissibleLocked(nd, now) {
 		t.Fatal("fresh node not admissible")
 	}
-	s.dialing[id] = true
-	if s.admissibleLocked(id, now) {
+	s.beginLocked(nd, mlog.ConnStaticDial, now)
+	if s.admissibleLocked(nd, now.Add(time.Hour)) {
 		t.Fatal("in-flight node admissible")
 	}
-	delete(s.dialing, id)
 
-	// A successful dial suppresses redial for redialSuppression.
-	s.completeLocked(id, true, true, now)
-	s.active++ // completeLocked decremented past the test's synthetic zero
-	if s.admissibleLocked(id, now.Add(redialSuppression-time.Second)) {
+	// A successful dial suppresses redial for redialSuppression. It was
+	// a static dial: the dynamic budget is not touched.
+	s.completeLocked(nd, true, now)
+	if s.active != 0 {
+		t.Fatalf("a static dial's completion moved the dynamic budget to %d", s.active)
+	}
+	if s.admissibleLocked(nd, now.Add(redialSuppression-time.Second)) {
 		t.Fatal("admissible inside the suppression window")
 	}
-	if !s.admissibleLocked(id, now.Add(redialSuppression+time.Second)) {
+	if !s.admissibleLocked(nd, now.Add(redialSuppression+time.Second)) {
 		t.Fatal("not admissible after the suppression window")
 	}
 
 	// A failure adds backoff on top: at minimum 0.8×redialSuppression,
 	// so just past suppression the node is still gated.
-	s.completeLocked(id, true, false, now)
-	if s.admissibleLocked(id, now.Add(redialSuppression+time.Second)) {
+	s.beginLocked(nd, mlog.ConnStaticDial, now)
+	s.completeLocked(nd, false, now)
+	if s.admissibleLocked(nd, now.Add(redialSuppression+time.Second)) {
 		t.Fatal("failed node admissible before backoff expires")
 	}
-	if !s.admissibleLocked(id, now.Add(3*redialSuppression)) {
+	if !s.admissibleLocked(nd, now.Add(3*redialSuppression)) {
 		t.Fatal("failed node still gated after backoff expired")
 	}
 }
@@ -163,7 +188,7 @@ func TestBackoffDelayTable(t *testing.T) {
 		{7, maxDialBackoff},  // stays capped
 		{20, maxDialBackoff}, // deep streaks cannot overflow
 	}
-	s := testScheduler(1, 0, 16, nil)
+	s := testScheduler(0, 16, nil)
 	for _, tc := range cases {
 		for trial := 0; trial < 200; trial++ {
 			d := s.backoffDelayLocked(tc.streak)
@@ -176,29 +201,94 @@ func TestBackoffDelayTable(t *testing.T) {
 	}
 }
 
-// TestBackoffPrune: state for long-expired nodes is dropped, live
-// backoff state is kept — the spam-identity memory bound.
-func TestBackoffPrune(t *testing.T) {
-	s := testScheduler(1, 0, 16, nil)
-	now := time.Unix(0, 0).Add(10 * maxDialBackoff)
-	stale := nodeWithFirstByte(1, 1).ID
-	live := nodeWithFirstByte(2, 2).ID
-	s.failStreak[stale], s.backoffUntil[stale] = 3, now.Add(-maxDialBackoff-time.Minute)
-	s.failStreak[live], s.backoffUntil[live] = 3, now.Add(-time.Minute)
+// refBackoff is the scheduler this one replaced, as far as failure
+// streaks go: two maps keyed by node, and a sweep that visits every
+// entry and deletes those whose window has been over for a full
+// maxDialBackoff.
+type refBackoff struct {
+	streak map[int]int
+	until  map[int]time.Time
+}
 
-	s.pruneLocked(now)
-	if _, ok := s.backoffUntil[stale]; ok {
-		t.Fatal("stale backoff state survived prune")
+func (r *refBackoff) complete(id int, success bool, until time.Time) {
+	if success {
+		delete(r.streak, id)
+		delete(r.until, id)
+		return
 	}
-	if _, ok := s.backoffUntil[live]; !ok {
-		t.Fatal("live backoff state pruned")
+	r.streak[id]++
+	r.until[id] = until
+}
+
+func (r *refBackoff) prune(now time.Time) {
+	for id, until := range r.until {
+		if now.Sub(until) > maxDialBackoff {
+			delete(r.until, id)
+			delete(r.streak, id)
+		}
 	}
 }
 
-// TestShardedFinderDeterministic: the full Finder over the sharded
-// pipeline (multiple shards AND multiple lookup workers) is still a
-// pure function of its seed under the simulated clock.
-func TestShardedFinderDeterministic(t *testing.T) {
+// TestBackoffPrune: forgiving a long-quiet node lazily — at its next
+// failure, against the instant of the last sweep — restarts its streak
+// exactly when the old full-table prune would have: iff some sweep fell
+// more than maxDialBackoff after its backoffUntil. Differential, over a
+// random schedule of completions and sweeps.
+func TestBackoffPrune(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := testScheduler(0, 16, nil)
+	ref := &refBackoff{streak: map[int]int{}, until: map[int]time.Time{}}
+	nodes := make([]*nodeState, 50)
+	for i := range nodes {
+		nodes[i] = testNode(i)
+	}
+	now := time.Unix(0, 0)
+	restarts := 0
+	for step := 0; step < 20000; step++ {
+		now = now.Add(time.Duration(rng.Int63n(int64(4 * time.Minute))))
+		if rng.Intn(20) == 0 {
+			s.lastSweep = now
+			ref.prune(now)
+			continue
+		}
+		i := rng.Intn(len(nodes))
+		nd, success := nodes[i], rng.Intn(8) == 0
+		before := nd.failStreak
+		s.beginLocked(nd, mlog.ConnStaticDial, now)
+		s.completeLocked(nd, success, now)
+		ref.complete(i, success, nd.backoffUntil)
+		if nd.failStreak != ref.streak[i] {
+			t.Fatalf("step %d node %d: streak %d, the pruned maps say %d", step, i, nd.failStreak, ref.streak[i])
+		}
+		if !success && before > 1 && nd.failStreak == 1 {
+			restarts++
+		}
+	}
+	if restarts == 0 {
+		t.Fatal("the schedule never let a sweep forgive a streak: the test exercised nothing")
+	}
+
+	// The two boundary cases by hand: a sweep exactly maxDialBackoff
+	// after the window's end forgives nothing, a nanosecond later it does.
+	nd := testNode(99)
+	nd.failStreak, nd.backoffUntil = 3, now
+	s.lastSweep = now.Add(maxDialBackoff)
+	s.completeLocked(nd, false, now.Add(3*maxDialBackoff))
+	if nd.failStreak != 4 {
+		t.Fatalf("streak %d after a sweep exactly maxDialBackoff past the window, want 4", nd.failStreak)
+	}
+	nd.failStreak, nd.backoffUntil = 3, now
+	s.lastSweep = now.Add(maxDialBackoff + 1)
+	s.completeLocked(nd, false, now.Add(3*maxDialBackoff))
+	if nd.failStreak != 1 {
+		t.Fatalf("streak %d after a sweep more than maxDialBackoff past the window, want 1", nd.failStreak)
+	}
+}
+
+// TestMultiWorkerFinderDeterministic: the full Finder with several
+// lookup workers feeding a tight queue is still a pure function of its
+// seed under the simulated clock.
+func TestMultiWorkerFinderDeterministic(t *testing.T) {
 	run := func() (uint64, uint64) {
 		clk := simclock.NewSimulated(t0)
 		w := newFakeWorld(clk, 200)
@@ -208,8 +298,7 @@ func TestShardedFinderDeterministic(t *testing.T) {
 			Dialer:        w,
 			Seed:          7,
 			LookupWorkers: 3,
-			DialShards:    4,
-			ShardQueueCap: 16,
+			QueueCap:      16,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -223,9 +312,9 @@ func TestShardedFinderDeterministic(t *testing.T) {
 	d1, s1 := run()
 	d2, s2 := run()
 	if d1 != d2 || s1 != s2 {
-		t.Fatalf("sharded crawl not deterministic: (%d,%d) vs (%d,%d)", d1, s1, d2, s2)
+		t.Fatalf("multi-worker crawl not deterministic: (%d,%d) vs (%d,%d)", d1, s1, d2, s2)
 	}
 	if d1 == 0 || s1 == 0 {
-		t.Fatalf("sharded crawl did nothing: dials=%d successes=%d", d1, s1)
+		t.Fatalf("multi-worker crawl did nothing: dials=%d successes=%d", d1, s1)
 	}
 }

@@ -11,7 +11,7 @@
 package simclock
 
 import (
-	"container/heap"
+	"math"
 	"sync"
 	"time"
 )
@@ -71,23 +71,27 @@ func (t systemTimer) Stop() bool { return t.t.Stop() }
 // timestamp order (ties broken by scheduling order), giving fully
 // deterministic executions.
 type Simulated struct {
-	mu     sync.Mutex
-	now    time.Time
-	seq    uint64
-	queue  eventQueue
-	active map[*simTimer]struct{}
+	mu    sync.Mutex
+	start time.Time
+	now   time.Duration // virtual time elapsed since start
+	seq   uint64
+	// heap is a min-heap by (at, seq) of the live timers only: a fired
+	// or stopped timer leaves it at once, so a crawl that re-arms
+	// 100k static timers every half hour does not sift through the
+	// cancelled ones.
+	heap []*simTimer
 }
 
 // NewSimulated creates a simulated clock starting at the given time.
 func NewSimulated(start time.Time) *Simulated {
-	return &Simulated{now: start, active: make(map[*simTimer]struct{})}
+	return &Simulated{start: start}
 }
 
 // Now implements Clock.
 func (c *Simulated) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.now
+	return c.start.Add(c.now)
 }
 
 // Since implements Clock.
@@ -98,54 +102,32 @@ func (c *Simulated) Since(t time.Time) time.Duration {
 // AfterFunc implements Clock. The callback runs synchronously inside
 // a future Advance/Run call.
 func (c *Simulated) AfterFunc(d time.Duration, fn func()) Timer {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if d < 0 {
 		d = 0
 	}
-	t := &simTimer{clock: c, when: c.now.Add(d), fn: fn, seq: c.seq}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := &simTimer{clock: c, at: c.now + d, seq: c.seq, fn: fn, index: len(c.heap)}
 	c.seq++
-	heap.Push(&c.queue, t)
-	c.active[t] = struct{}{}
+	c.heap = append(c.heap, t)
+	c.up(t.index)
 	return t
 }
 
 // Advance moves the clock forward by d, firing all callbacks due in
 // the interval in order. It returns the number of callbacks fired.
 func (c *Simulated) Advance(d time.Duration) int {
-	c.mu.Lock()
-	target := c.now.Add(d)
-	c.mu.Unlock()
-	return c.RunUntil(target)
+	return c.RunUntil(c.Now().Add(d))
 }
 
 // RunUntil fires callbacks in order until the queue holds nothing due
 // at or before target, then sets the clock to target.
 func (c *Simulated) RunUntil(target time.Time) int {
 	fired := 0
-	for {
-		c.mu.Lock()
-		if len(c.queue) == 0 || c.queue[0].when.After(target) {
-			if target.After(c.now) {
-				c.now = target
-			}
-			c.mu.Unlock()
-			return fired
-		}
-		t := heap.Pop(&c.queue).(*simTimer)
-		if _, ok := c.active[t]; !ok {
-			c.mu.Unlock()
-			continue // cancelled
-		}
-		delete(c.active, t)
-		if t.when.After(c.now) {
-			c.now = t.when
-		}
-		fn := t.fn
-		c.mu.Unlock()
-		fn()
+	for c.fireNext(target.Sub(c.start), true) {
 		fired++
 	}
+	return fired
 }
 
 // RunAll fires every pending callback (including ones scheduled by
@@ -153,34 +135,39 @@ func (c *Simulated) RunUntil(target time.Time) int {
 // guards against runaway self-rescheduling loops.
 func (c *Simulated) RunAll(limit int) int {
 	fired := 0
-	for fired < limit {
-		c.mu.Lock()
-		if len(c.queue) == 0 {
-			c.mu.Unlock()
-			return fired
-		}
-		t := heap.Pop(&c.queue).(*simTimer)
-		if _, ok := c.active[t]; !ok {
-			c.mu.Unlock()
-			continue
-		}
-		delete(c.active, t)
-		if t.when.After(c.now) {
-			c.now = t.when
-		}
-		fn := t.fn
-		c.mu.Unlock()
-		fn()
+	for fired < limit && c.fireNext(math.MaxInt64, false) {
 		fired++
 	}
 	return fired
+}
+
+// fireNext runs the earliest timer due at or before limit, with the
+// clock moved to its deadline, and reports whether there was one. With
+// nothing due and settle set, the clock moves on to limit.
+func (c *Simulated) fireNext(limit time.Duration, settle bool) bool {
+	c.mu.Lock()
+	if len(c.heap) == 0 || c.heap[0].at > limit {
+		if settle && limit > c.now {
+			c.now = limit
+		}
+		c.mu.Unlock()
+		return false
+	}
+	t := c.heap[0]
+	c.remove(0)
+	if t.at > c.now {
+		c.now = t.at
+	}
+	c.mu.Unlock()
+	t.fn()
+	return true
 }
 
 // PendingCount returns the number of live timers.
 func (c *Simulated) PendingCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.active)
+	return len(c.heap)
 }
 
 // NextDeadline returns the time of the earliest live timer, and false
@@ -188,63 +175,73 @@ func (c *Simulated) PendingCount() int {
 func (c *Simulated) NextDeadline() (time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.queue) > 0 {
-		if _, ok := c.active[c.queue[0]]; ok {
-			return c.queue[0].when, true
-		}
-		heap.Pop(&c.queue)
+	if len(c.heap) == 0 {
+		return time.Time{}, false
 	}
-	return time.Time{}, false
+	return c.start.Add(c.heap[0].at), true
 }
 
 type simTimer struct {
 	clock *Simulated
-	when  time.Time
-	fn    func()
+	at    time.Duration // deadline, as virtual time since the clock's start
 	seq   uint64
-	index int
+	fn    func()
+	index int // position in clock.heap; -1 once fired or stopped
 }
 
 // Stop implements Timer.
 func (t *simTimer) Stop() bool {
-	t.clock.mu.Lock()
-	defer t.clock.mu.Unlock()
-	if _, ok := t.clock.active[t]; ok {
-		delete(t.clock.active, t)
-		return true
+	c := t.clock
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.index < 0 {
+		return false
 	}
-	return false
+	c.remove(t.index)
+	return true
 }
 
-// eventQueue is a min-heap of timers by (when, seq).
-type eventQueue []*simTimer
+func (t *simTimer) before(u *simTimer) bool {
+	return t.at < u.at || t.at == u.at && t.seq < u.seq
+}
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when.Equal(q[j].when) {
-		return q[i].seq < q[j].seq
+// remove takes the timer at heap position i out. Caller holds c.mu.
+func (c *Simulated) remove(i int) {
+	h, last := c.heap, len(c.heap)-1
+	h[i].index = -1
+	moved := h[last]
+	h[last] = nil
+	c.heap = h[:last]
+	if i != last {
+		h[i] = moved
+		c.down(i)
+		c.up(moved.index)
 	}
-	return q[i].when.Before(q[j].when)
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// up and down sift the timer at heap position i into place.
+func (c *Simulated) up(i int) {
+	h, t := c.heap, c.heap[i]
+	for parent := (i - 1) / 2; i > 0 && t.before(h[parent]); i, parent = parent, (parent-1)/2 {
+		h[i] = h[parent]
+		h[i].index = i
+	}
+	h[i] = t
+	t.index = i
 }
 
-func (q *eventQueue) Push(x any) {
-	t := x.(*simTimer)
-	t.index = len(*q)
-	*q = append(*q, t)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return t
+func (c *Simulated) down(i int) {
+	h, t := c.heap, c.heap[i]
+	for child := 2*i + 1; child < len(h); i, child = child, 2*child+1 {
+		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(t) {
+			break
+		}
+		h[i] = h[child]
+		h[i].index = i
+	}
+	h[i] = t
+	t.index = i
 }

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -182,5 +183,115 @@ func TestNegativeDelay(t *testing.T) {
 	c.Advance(0)
 	if !fired {
 		t.Fatal("negative-delay timer should fire immediately on advance")
+	}
+}
+
+// checkHeap: every timer in the heap is live, sits where its index
+// says, and no child is due before its parent.
+func checkHeap(t *testing.T, c *Simulated) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, tm := range c.heap {
+		if tm.index != i {
+			t.Fatalf("heap[%d] believes it is at %d", i, tm.index)
+		}
+		if i > 0 && tm.before(c.heap[(i-1)/2]) {
+			t.Fatalf("heap[%d] is due before its parent", i)
+		}
+	}
+}
+
+// TestStopRemovesFromHeap: a stopped timer leaves the heap at once —
+// it is not left to be skipped when its deadline comes up — and the
+// timers around it still fire in (deadline, scheduling) order.
+func TestStopRemovesFromHeap(t *testing.T) {
+	c := NewSimulated(epoch)
+	rng := rand.New(rand.NewSource(3))
+	type armed struct {
+		tm      Timer
+		at      time.Duration
+		seq     int
+		stopped bool
+	}
+	var timers []*armed
+	var fired []*armed
+	for i := 0; i < 2000; i++ {
+		a := &armed{at: time.Duration(rng.Intn(500)) * time.Second, seq: i}
+		a.tm = c.AfterFunc(a.at, func() { fired = append(fired, a) })
+		timers = append(timers, a)
+	}
+	live := len(timers)
+	for _, i := range rng.Perm(len(timers))[:1200] {
+		if !timers[i].tm.Stop() {
+			t.Fatal("Stop on an armed timer reported false")
+		}
+		timers[i].stopped = true
+		live--
+		if c.PendingCount() != live {
+			t.Fatalf("PendingCount %d after a Stop, want %d", c.PendingCount(), live)
+		}
+		if i%100 == 0 {
+			checkHeap(t, c)
+		}
+	}
+	checkHeap(t, c)
+	for _, a := range timers {
+		if a.stopped && a.tm.(*simTimer).index != -1 {
+			t.Fatal("a stopped timer is still in the heap")
+		}
+	}
+	// NextDeadline is the earliest live timer's, with no stopped one
+	// in the way.
+	want := time.Duration(-1)
+	for _, a := range timers {
+		if !a.stopped && (want < 0 || a.at < want) {
+			want = a.at
+		}
+	}
+	if d, ok := c.NextDeadline(); !ok || !d.Equal(epoch.Add(want)) {
+		t.Fatalf("NextDeadline %v %v, want %v", d, ok, epoch.Add(want))
+	}
+
+	if n := c.Advance(time.Hour); n != live {
+		t.Fatalf("fired %d, want the %d live timers", n, live)
+	}
+	for i, a := range fired {
+		if a.stopped {
+			t.Fatal("a stopped timer fired")
+		}
+		if i > 0 && (fired[i-1].at > a.at || fired[i-1].at == a.at && fired[i-1].seq > a.seq) {
+			t.Fatalf("fired out of order: (%v, #%d) before (%v, #%d)", fired[i-1].at, fired[i-1].seq, a.at, a.seq)
+		}
+		if a.tm.Stop() {
+			t.Fatal("Stop after firing reported true")
+		}
+	}
+	if c.PendingCount() != 0 {
+		t.Fatalf("%d timers pending after everything fired", c.PendingCount())
+	}
+	if _, ok := c.NextDeadline(); ok {
+		t.Fatal("NextDeadline on a drained clock")
+	}
+}
+
+// TestStopFromCallback: a callback may stop a timer due at the same
+// instant but scheduled after it, and may find its own timer already
+// spent.
+func TestStopFromCallback(t *testing.T) {
+	c := NewSimulated(epoch)
+	var first, second Timer
+	secondFired := false
+	first = c.AfterFunc(time.Second, func() {
+		if first.Stop() {
+			t.Error("a running callback's own timer still stoppable")
+		}
+		if !second.Stop() {
+			t.Error("could not stop a same-instant timer scheduled later")
+		}
+	})
+	second = c.AfterFunc(time.Second, func() { secondFired = true })
+	if n := c.Advance(time.Minute); n != 1 || secondFired {
+		t.Fatalf("fired %d callbacks, second fired: %v", n, secondFired)
 	}
 }

@@ -25,6 +25,10 @@ const (
 	simDialTimeout = 15 * time.Second // Geth's defaultDialTimeout
 )
 
+// discTooManyPeers is what every full simulated node answers; results
+// point at it rather than each at a copy of their own.
+var discTooManyPeers = devp2p.DiscTooManyPeers
+
 // Common simulated failures.
 var (
 	errConnRefused = errors.New("connect: connection refused")
@@ -83,10 +87,10 @@ func (d *SimDiscovery) Lookup(target enode.ID, done func([]*enode.Node)) {
 	// table entries). This staleness is why only ≈31% of dialed
 	// nodes respond (Figures 6-7).
 	now := d.W.Clock.Now()
-	var found []*enode.Node
+	found := make([]*enode.Node, 0, 16)
 	population := d.W.Nodes
 	if len(population) > 0 {
-		for try := 0; try < 96 && len(found) < 16; try++ {
+		for try := 0; try < 96 && len(found) < cap(found); try++ {
 			n := population[d.rng.Intn(len(population))]
 			if now.Before(n.Born) {
 				continue // identity does not exist yet
@@ -172,8 +176,7 @@ func (d *SimDialer) outcome(target *enode.Node, kind mlog.ConnType, start time.T
 	// Peer-limit check happens before the protocol handshake, as in
 	// Geth: a full node rejects with Too many peers and no HELLO.
 	if d.rng.Float64() < n.Occupancy {
-		reason := devp2p.DiscTooManyPeers
-		res.Disconnect = &reason
+		res.Disconnect = &discTooManyPeers
 		return res, 3 * rtt
 	}
 
