@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-crypto bench-crawl bench-wire bench-serve bench-census fmt-check ci experiments quickstart clean fuzz-smoke chaos lint lint-bench
+.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments quickstart clean fuzz-smoke chaos lint lint-bench
 
 all: build vet test
 
@@ -10,8 +10,9 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Reproduce the full CI pipeline (.github/workflows/ci.yml) locally.
-ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos bench-wire bench-crawl bench-serve bench-census
+# Reproduce the full CI pipeline (.github/workflows/ci.yml) locally:
+# every gating step of every job there is one of these targets.
+ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos bench-ledger
 
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
 # then per differential target of the hand-written arithmetic (the
@@ -46,36 +47,18 @@ chaos:
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Crawl-at-scale gate: a deterministic-seed 100k-node world crawled to
-# census convergence. Emits BENCH_crawl.ci.json (nodes/sec, peak RSS,
-# convergence wall-clock) and fails on >60 s wall, >2 GiB RSS, or a
-# >20% nodes/sec regression against the committed BENCH_crawl.json.
-bench-crawl:
-	go run ./cmd/benchcrawl -out BENCH_crawl.ci.json -baseline BENCH_crawl.json
-
-# Wire-codec gate: plan codec vs reflection oracle on the
-# handshake-path messages (HELLO, STATUS, discv4 PING). Emits
-# BENCH_wire.ci.json and fails if any encode/decode direction falls
-# below a 10x allocs/op advantage, or regresses >20% in ns/op against
-# the committed BENCH_wire.json.
-bench-wire:
-	go run ./cmd/benchwire -out BENCH_wire.ci.json -baseline BENCH_wire.json
-
-# Census-serving gate: the handler/concurrency/soak suite under -race,
-# then a 30 s benchserve run with 10k in-process clients against a
-# snapshot that republishes mid-load. Emits BENCH_serve.ci.json and
-# fails on a >0.1% error rate, a >20% req/s regression, or a p99 more
-# than 20% over the committed BENCH_serve.json.
-bench-serve:
-	go test -race -count=1 ./internal/census
-	go run ./cmd/benchserve -duration 30s -out BENCH_serve.ci.json -baseline BENCH_serve.json
-
-# Census ledger check: two seconds each of the benchmark ledger's
-# write-side (census-publish) and read-side (census-serve) workloads.
-# Each run reconciles what the daemon serves with an offline analysis
-# of the same log and exits non-zero on any mismatch; that is the whole
-# gate. Timings are printed, not judged: they are another machine's.
-bench-census:
+# The benchmark ledger as a gate: two seconds of each of its four
+# workloads (BENCHMARK.json). A workload exits non-zero unless it is
+# `correct` with `failed` = 0 — crawl-sim's counters reconcile with its
+# log (1508478 conns / 466012106 log bytes at seed 42), crawl-wire's
+# HELLO/STATUS match each node's ground truth, the census workloads
+# serve what an offline analysis of the same log computes — and that
+# exit status is the whole gate. Timings are printed, not judged: a
+# committed figure would be another machine's. Speed claims are paired
+# runs of `bash bench/run.sh` on two commits (bench/README.md).
+bench-ledger:
+	bash bench/run.sh -workload crawl-sim -seconds 2
+	bash bench/run.sh -workload crawl-wire -seconds 2
 	bash bench/run.sh -workload census-publish -seconds 2
 	bash bench/run.sh -workload census-serve -seconds 2
 
@@ -124,8 +107,7 @@ race:
 bench:
 	go test -bench=. -benchmem ./...
 
-# Crypto hot-path benchmarks: the numbers recorded in
-# BENCH_crypto.json come from this target.
+# Crypto hot-path benchmarks, measured (not part of `make ci`).
 bench-crypto:
 	go test -run='^$$' -bench=. -benchmem ./internal/crypto/...
 	go test -run='^$$' -bench=Packet -benchmem ./internal/discv4

@@ -165,7 +165,7 @@ func TestGolden(t *testing.T) {
 		"connclose":     2,
 		"goroutinelife": 3,
 		"deadlineflow":  3,
-		"wiresym":       6,
+		"wiresym":       5,
 		"lint":          5,
 		"frozenpublish": 3,
 		"sharedstate":   3,

@@ -14,19 +14,5 @@ func Encode(w io.Writer, v interface{}) error { return nil }
 // DecodeBytes parses b into v.
 func DecodeBytes(b []byte, v interface{}) error { return nil }
 
-// Decode parses r into v.
-func Decode(r io.Reader, v interface{}) error { return nil }
-
-// Stream is a resumable decoder with an input limit.
-type Stream struct {
-	r     io.Reader
-	limit uint64
-}
-
-// NewStream wraps r with an input byte limit; 0 disables the limit.
-func NewStream(r io.Reader, limit uint64) *Stream {
-	return &Stream{r: r, limit: limit}
-}
-
-// Decode parses the next value from the stream into v.
-func (s *Stream) Decode(v interface{}) error { return nil }
+// Stream is what a custom DecodeRLP reads from.
+type Stream struct{}

@@ -1,7 +1,7 @@
 // Package bad breaks wire symmetry every way the analyzer knows: a
 // one-sided custom codec, encodes with no decode counterpart (direct
 // and through an any-typed helper), a shape mismatch under a shared
-// message code, and unbounded decode inputs.
+// message code, and an unbounded decode input.
 package bad
 
 import (
@@ -96,17 +96,4 @@ func decodePingOut(payload []byte) {
 func RecvUnbounded(payload []byte) {
 	var in PingIn
 	rlp.DecodeBytes(payload, &in) // want "no earlier len"
-}
-
-// RecvReader decodes straight off a reader with no limit anywhere.
-func RecvReader(r io.Reader) {
-	var in PingIn
-	rlp.Decode(r, &in) // want "unbounded io.Reader"
-}
-
-// RecvNoLimit builds a stream with the limit explicitly disabled.
-func RecvNoLimit(r io.Reader) {
-	s := rlp.NewStream(r, 0)
-	var in PingIn
-	s.Decode(&in) // want "no input limit"
 }

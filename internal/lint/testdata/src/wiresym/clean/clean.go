@@ -68,17 +68,3 @@ func recvEchoDirect(payload []byte) {
 	var v interface{} = new(Echo)
 	rlp.DecodeBytes(payload, v)
 }
-
-// DecodeFrom decodes off a stream parameter: the creator set the
-// limit, so the site is exempt.
-func DecodeFrom(s *rlp.Stream) error {
-	var e Echo
-	return s.Decode(&e)
-}
-
-// DecodeLimited builds its own stream with a real input cap.
-func DecodeLimited(r io.Reader) error {
-	s := rlp.NewStream(r, maxEchoSize)
-	var e Echo
-	return s.Decode(&e)
-}

@@ -28,9 +28,9 @@ import (
 //  2. Round-trip existence: every named struct type from a configured
 //     package that flows into rlp.EncodeToBytes/rlp.Encode somewhere
 //     in the module must also flow into rlp.DecodeBytes /
-//     rlp.Decode / Stream.Decode somewhere. `any`-typed encode
-//     helpers (discv4's EncodePacket) are resolved through reaching
-//     definitions and call-site argument types.
+//     rlp.DecodeFirst somewhere. `any`-typed encode helpers (discv4's
+//     EncodePacket) are resolved through reaching definitions and
+//     call-site argument types.
 //  3. Shape symmetry per message code: when one function references a
 //     message-code constant (…Msg / …Packet) and encodes type T, and
 //     another references the same constant and decodes, some decoded
@@ -39,9 +39,8 @@ import (
 //     allowed.
 //  4. Bounded decode input: a decode site in a configured package
 //     must be size-guarded — a len() check on the payload earlier in
-//     the function, or an rlp.NewStream with a non-zero input limit.
-//     *rlp.Stream parameters are exempt (the stream carries its
-//     creator's limit).
+//     the function. (The codec has no entry point that reads an
+//     io.Reader, so a byte slice is the only input there is.)
 type WireSym struct {
 	// Packages are the message-defining packages whose types and
 	// consts are checked. Encode/decode site collection spans the
@@ -184,7 +183,7 @@ func (wc *wsChecker) classifyRLPCall(f *ir.Func, call *ast.CallExpr) (enc, dec b
 		return false, false, 0
 	}
 	switch sel.Sel.Name {
-	case "EncodeToBytes", "OracleEncodeToBytes":
+	case "EncodeToBytes":
 		return true, false, 0
 	case "EncodeAppend":
 		// rlp.EncodeAppend(dst, v): the value rides in the second
@@ -194,13 +193,8 @@ func (wc *wsChecker) classifyRLPCall(f *ir.Func, call *ast.CallExpr) (enc, dec b
 		// rlp.Encode(w, v); Stream has no Encode method so package
 		// function is the only shape.
 		return true, false, 1
-	case "DecodeBytes", "DecodeFirst", "OracleDecodeBytes":
+	case "DecodeBytes", "DecodeFirst":
 		return false, true, 1
-	case "Decode":
-		if fn.Type().(*types.Signature).Recv() != nil {
-			return false, true, 0 // (*Stream).Decode(v)
-		}
-		return false, true, 1 // rlp.Decode(r, v)
 	}
 	return false, false, 0
 }
@@ -500,42 +494,13 @@ func (wc *wsChecker) checkBounds(analyzer string) []Finding {
 		}
 		seen[site.call] = true
 		f := site.host
-		sel, ok := unparen(site.call.Fun).(*ast.SelectorExpr)
-		if !ok {
-			continue
-		}
-		obj := ir.CalleeOf(f.Pkg, site.call)
-		fn, ok := obj.(*types.Func)
-		if !ok {
-			continue
-		}
-		switch fn.Name() {
-		case "DecodeBytes", "DecodeFirst", "OracleDecodeBytes":
-			buf := unparen(site.call.Args[0])
-			if !lenGuardBefore(f, buf, site.call.Pos()) {
-				findings = append(findings, Finding{
-					Pos:      f.Position(site.call.Pos()),
-					Analyzer: analyzer,
-					Message:  fmt.Sprintf("rlp.%s on a payload with no earlier len() bound: a hostile peer sizes this allocation — check the payload length against the message's cap first", fn.Name()),
-				})
-			}
-		case "Decode":
-			if fn.Type().(*types.Signature).Recv() != nil {
-				// (*Stream).Decode: the stream must carry a limit.
-				if !wc.streamLimited(f, sel.X) {
-					findings = append(findings, Finding{
-						Pos:      f.Position(site.call.Pos()),
-						Analyzer: analyzer,
-						Message:  "Stream.Decode on a stream with no input limit: construct it with rlp.NewStream(r, limit) sized from the message cap",
-					})
-				}
-			} else {
-				findings = append(findings, Finding{
-					Pos:      f.Position(site.call.Pos()),
-					Analyzer: analyzer,
-					Message:  "rlp.Decode reads an unbounded io.Reader: use DecodeBytes after a size check, or NewStream with an input limit",
-				})
-			}
+		buf := unparen(site.call.Args[0])
+		if !lenGuardBefore(f, buf, site.call.Pos()) {
+			findings = append(findings, Finding{
+				Pos:      f.Position(site.call.Pos()),
+				Analyzer: analyzer,
+				Message:  fmt.Sprintf("rlp.%s on a payload with no earlier len() bound: a hostile peer sizes this allocation — check the payload length against the message's cap first", calleeName(site.call)),
+			})
 		}
 	}
 	return findings
@@ -592,47 +557,4 @@ func exprObject(f *ir.Func, e ast.Expr) types.Object {
 		return obj
 	}
 	return f.Pkg.Info.Defs[id]
-}
-
-// streamLimited: the Stream expression is a *rlp.Stream parameter
-// (limit set by the creator), or a local built by rlp.NewStream with
-// a non-zero limit argument.
-func (wc *wsChecker) streamLimited(f *ir.Func, stream ast.Expr) bool {
-	stream = unparen(stream)
-	id, ok := stream.(*ast.Ident)
-	if !ok {
-		return true // field/complex expression: conservatively trust it
-	}
-	obj := f.Pkg.Info.Uses[id]
-	if obj == nil {
-		return true
-	}
-	if _, _, isParam := paramIndex(f, obj); isParam {
-		return true
-	}
-	v, ok := obj.(*types.Var)
-	if !ok {
-		return true
-	}
-	rhss := wc.defUseOf(f).AllRHS(v)
-	for _, rhs := range rhss {
-		call, ok := unparen(rhs).(*ast.CallExpr)
-		if !ok {
-			continue
-		}
-		if calleeName(call) != "NewStream" || len(call.Args) < 2 {
-			continue
-		}
-		limit := unparen(call.Args[1])
-		if lit, ok := limit.(*ast.BasicLit); ok && lit.Value == "0" {
-			return false
-		}
-		if tv, ok := f.Pkg.Info.Types[limit]; ok && tv.Value != nil {
-			if v, exact := constant.Uint64Val(tv.Value); exact && v == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	return true
 }

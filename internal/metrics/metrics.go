@@ -161,8 +161,8 @@ func bucketUpper(i int) uint64 {
 
 // HistogramSnapshot is a point-in-time copy of a Histogram. Only
 // non-empty buckets are materialized. Quantiles carries the standard
-// p50/p90/p99 summary so JSON consumers (the census /metrics endpoint,
-// benchserve's gate math) never re-derive bucket arithmetic.
+// p50/p90/p99 summary so JSON consumers (the census /metrics
+// endpoint) never re-derive bucket arithmetic.
 type HistogramSnapshot struct {
 	Count     uint64          `json:"count"`
 	Sum       uint64          `json:"sum"`

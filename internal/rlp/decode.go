@@ -18,13 +18,6 @@ type Decoder interface {
 
 var decoderType = reflect.TypeOf((*Decoder)(nil)).Elem()
 
-// Decode parses RLP-encoded data from r and stores the result in the
-// value pointed to by v. v must be a non-nil pointer.
-func Decode(r io.Reader, v any) error {
-	s := NewStream(r, 0)
-	return s.Decode(v)
-}
-
 // DecodeBytes parses RLP data from b into v. Input must contain
 // exactly one value and no trailing data.
 func DecodeBytes(b []byte, v any) error {
@@ -50,27 +43,11 @@ func decodeBytesInner(b []byte, v any, exact bool) error {
 	if rv.IsNil() {
 		return errors.New("rlp: Decode target is a nil pointer")
 	}
-	if PlanCodecEnabled() {
-		if p, err := cachedPlan(rv.Type().Elem()); err == nil {
-			var d byteDec
-			d.in = b
-			if err := d.decode(p, rv.Elem(), len(b), false); err != nil {
-				return err
-			}
-			if exact && d.pos < len(b) {
-				return ErrMoreThanOneValue
-			}
-			return nil
-		}
-	}
-	// Reflection fallback (plan backend off, or the type does not
-	// compile); the stream and its reader come from a pool.
-	ps := getStream(b)
-	defer putStream(ps)
-	if err := ps.s.Decode(v); err != nil {
+	d := byteDec{in: b}
+	if err := d.decode(cachedPlan(rv.Type().Elem()), rv.Elem(), len(b), false); err != nil {
 		return err
 	}
-	if exact && ps.s.remaining() > 0 {
+	if exact && d.pos < len(b) {
 		return ErrMoreThanOneValue
 	}
 	return nil
@@ -97,16 +74,6 @@ type Stream struct {
 	stack []uint64
 }
 
-// NewStream creates a new decoding stream reading from r. If
-// inputLimit is greater than zero, the stream refuses to read values
-// larger than the limit; pass the input length when decoding from a
-// byte slice.
-func NewStream(r io.Reader, inputLimit uint64) *Stream {
-	s := new(Stream)
-	s.Reset(r, inputLimit)
-	return s
-}
-
 // Reset discards all stream state and starts reading from r. The
 // list stack's backing array is kept so pooled streams do not regrow
 // it on every decode.
@@ -122,13 +89,6 @@ func (s *Stream) Reset(r io.Reader, inputLimit uint64) {
 	} else if _, ok := r.(*bufio.Reader); ok {
 		// Unlimited buffered reader: fine as-is.
 	}
-}
-
-func (s *Stream) remaining() uint64 {
-	if !s.limited {
-		return ^uint64(0)
-	}
-	return s.remainingBytes
 }
 
 // Kind returns the kind and size of the next value in the stream.
@@ -535,262 +495,6 @@ func (s *Stream) discard(n uint64) error {
 // unconsumed elements.
 func (s *Stream) MoreDataInList() bool {
 	return len(s.stack) > 0 && s.pos < s.stack[len(s.stack)-1]
-}
-
-// Decode reads the next value from the stream into v, which must be a
-// non-nil pointer.
-func (s *Stream) Decode(v any) error {
-	if v == nil {
-		return errors.New("rlp: Decode target is nil")
-	}
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer {
-		return fmt.Errorf("rlp: Decode target must be a pointer, got %T", v)
-	}
-	if rv.IsNil() {
-		return errors.New("rlp: Decode target is a nil pointer")
-	}
-	return s.decodeValue(rv.Elem())
-}
-
-const maxDecodeDepth = 1024
-
-func (s *Stream) decodeValue(v reflect.Value) error {
-	if len(s.stack) > maxDecodeDepth {
-		return fmt.Errorf("rlp: decode nesting exceeds %d levels", maxDecodeDepth)
-	}
-	typ := v.Type()
-
-	if typ == rawValueType {
-		raw, err := s.Raw()
-		if err != nil {
-			return err
-		}
-		v.SetBytes(raw)
-		return nil
-	}
-	if reflect.PointerTo(typ).Implements(decoderType) {
-		return v.Addr().Interface().(Decoder).DecodeRLP(s)
-	}
-	if typ == bigIntType {
-		i, err := s.BigInt()
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
-		v.Set(reflect.ValueOf(i))
-		return nil
-	}
-	if typ.Kind() != reflect.Pointer && reflect.PointerTo(typ) == bigIntType {
-		i, err := s.BigInt()
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
-		v.Set(reflect.ValueOf(*i))
-		return nil
-	}
-
-	switch typ.Kind() {
-	case reflect.Bool:
-		b, err := s.Bool()
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
-		v.SetBool(b)
-		return nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		i, err := s.uint(typ.Bits())
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
-		v.SetUint(i)
-		return nil
-	case reflect.String:
-		b, err := s.Bytes()
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
-		v.SetString(string(b))
-		return nil
-	case reflect.Slice:
-		if typ.Elem().Kind() == reflect.Uint8 {
-			b, err := s.Bytes()
-			if err != nil {
-				return wrapTypeError(err, typ)
-			}
-			v.SetBytes(b)
-			return nil
-		}
-		return s.decodeSlice(v)
-	case reflect.Array:
-		if isByteArray(typ) {
-			if !v.CanAddr() {
-				return fmt.Errorf("rlp: cannot decode into unaddressable array of type %v", typ)
-			}
-			err := s.ReadBytes(v.Slice(0, v.Len()).Bytes())
-			return wrapTypeError(err, typ)
-		}
-		return s.decodeArray(v)
-	case reflect.Struct:
-		return s.decodeStruct(v)
-	case reflect.Pointer:
-		return s.decodePointer(v)
-	case reflect.Interface:
-		if typ.NumMethod() != 0 {
-			return fmt.Errorf("rlp: cannot decode into non-empty interface %v", typ)
-		}
-		return s.decodeInterface(v)
-	default:
-		return fmt.Errorf("rlp: type %v is not RLP-deserializable", typ)
-	}
-}
-
-func (s *Stream) decodeSlice(v reflect.Value) error {
-	if _, err := s.List(); err != nil {
-		return wrapTypeError(err, v.Type())
-	}
-	out := reflect.MakeSlice(v.Type(), 0, 4)
-	for i := 0; ; i++ {
-		elem := reflect.New(v.Type().Elem()).Elem()
-		err := s.decodeValue(elem)
-		if err == EOL {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		out = reflect.Append(out, elem)
-	}
-	v.Set(out)
-	return s.ListEnd()
-}
-
-func (s *Stream) decodeArray(v reflect.Value) error {
-	if _, err := s.List(); err != nil {
-		return wrapTypeError(err, v.Type())
-	}
-	i := 0
-	for ; i < v.Len(); i++ {
-		err := s.decodeValue(v.Index(i))
-		if err == EOL {
-			return fmt.Errorf("rlp: list has %d elements, want %d for %v", i, v.Len(), v.Type())
-		}
-		if err != nil {
-			return err
-		}
-	}
-	// Array full: list must end now.
-	if _, _, err := s.Kind(); err != EOL {
-		return fmt.Errorf("rlp: list has more than %d elements for %v", v.Len(), v.Type())
-	}
-	return s.ListEnd()
-}
-
-func (s *Stream) decodeStruct(v reflect.Value) error {
-	fields, err := structFields(v.Type())
-	if err != nil {
-		return err
-	}
-	if _, err := s.List(); err != nil {
-		return wrapTypeError(err, v.Type())
-	}
-	for _, f := range fields {
-		fv := v.Field(f.index)
-		if f.tail {
-			// Collect remaining elements into the tail slice.
-			out := reflect.MakeSlice(fv.Type(), 0, 4)
-			for {
-				elem := reflect.New(fv.Type().Elem()).Elem()
-				err := s.decodeValue(elem)
-				if err == EOL {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				out = reflect.Append(out, elem)
-			}
-			fv.Set(out)
-			continue
-		}
-		err := s.decodeValue(fv)
-		if err == EOL {
-			if f.optional {
-				// Remaining optional fields keep their zero values.
-				break
-			}
-			return fmt.Errorf("rlp: too few elements for %v (missing %s)", v.Type(), f.name)
-		}
-		if err != nil {
-			return fmt.Errorf("rlp: field %s.%s: %w", v.Type(), f.name, err)
-		}
-	}
-	if s.MoreDataInList() {
-		return fmt.Errorf("rlp: input list has too many elements for %v", v.Type())
-	}
-	return s.ListEnd()
-}
-
-func (s *Stream) decodePointer(v reflect.Value) error {
-	// A nil value decodes into a nil pointer when the input is the
-	// empty string/list; otherwise allocate and decode into it.
-	kind, size, err := s.Kind()
-	if err != nil {
-		return wrapTypeError(err, v.Type())
-	}
-	if size == 0 && kind != Byte {
-		// Consume the empty value and leave/make the pointer nil.
-		s.haveHdr = false
-		if kind == List {
-			s.stack = append(s.stack, s.pos)
-			if err := s.ListEnd(); err != nil {
-				return err
-			}
-		}
-		v.Set(reflect.Zero(v.Type()))
-		return nil
-	}
-	if v.IsNil() {
-		v.Set(reflect.New(v.Type().Elem()))
-	}
-	return s.decodeValue(v.Elem())
-}
-
-// decodeInterface fills an empty interface with []byte for strings
-// and []any for lists.
-func (s *Stream) decodeInterface(v reflect.Value) error {
-	kind, _, err := s.Kind()
-	if err != nil {
-		return err
-	}
-	if kind == List {
-		if _, err := s.List(); err != nil {
-			return err
-		}
-		vals := []any{}
-		for {
-			var elem any
-			ev := reflect.ValueOf(&elem).Elem()
-			err := s.decodeInterface(ev)
-			if err == EOL {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			vals = append(vals, elem)
-		}
-		if err := s.ListEnd(); err != nil {
-			return err
-		}
-		v.Set(reflect.ValueOf(vals))
-		return nil
-	}
-	b, err := s.Bytes()
-	if err != nil {
-		return err
-	}
-	v.Set(reflect.ValueOf(b))
-	return nil
 }
 
 // CountValues returns the number of top-level values in b.

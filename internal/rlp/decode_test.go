@@ -232,7 +232,7 @@ func TestDecodePointerReuse(t *testing.T) {
 }
 
 func TestStreamList(t *testing.T) {
-	s := NewStream(bytes.NewReader(mustHex("c50183040404")), 0)
+	s := newStream(bytes.NewReader(mustHex("c50183040404")), 0)
 	size, err := s.List()
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestStreamList(t *testing.T) {
 func TestStreamSkip(t *testing.T) {
 	// [1, [2,3], "dog"] — skip the nested list.
 	enc, _ := EncodeToBytes([]any{uint(1), []uint{2, 3}, "dog"})
-	s := NewStream(bytes.NewReader(enc), 0)
+	s := newStream(bytes.NewReader(enc), 0)
 	if _, err := s.List(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestStreamSkip(t *testing.T) {
 
 func TestStreamRaw(t *testing.T) {
 	enc := mustHex("c88363617483646f67")
-	s := NewStream(bytes.NewReader(enc), 0)
+	s := newStream(bytes.NewReader(enc), 0)
 	raw, err := s.Raw()
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestStreamRaw(t *testing.T) {
 }
 
 func TestStreamReset(t *testing.T) {
-	s := NewStream(bytes.NewReader(mustHex("01")), 0)
+	s := newStream(bytes.NewReader(mustHex("01")), 0)
 	if v, _ := s.Uint64(); v != 1 {
 		t.Fatal("bad")
 	}

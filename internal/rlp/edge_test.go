@@ -81,7 +81,7 @@ func TestEncodeUnaddressableByteArray(t *testing.T) {
 }
 
 func TestStreamIntegerSizes(t *testing.T) {
-	s := NewStream(bytes.NewReader(mustHex("08")), 0)
+	s := newStream(bytes.NewReader(mustHex("08")), 0)
 	if v, err := s.Uint8(); err != nil || v != 8 {
 		t.Fatal(v, err)
 	}
@@ -101,7 +101,7 @@ func TestStreamIntegerSizes(t *testing.T) {
 }
 
 func TestStreamBoolErrors(t *testing.T) {
-	s := NewStream(bytes.NewReader(mustHex("02")), 0)
+	s := newStream(bytes.NewReader(mustHex("02")), 0)
 	if _, err := s.Bool(); err == nil {
 		t.Fatal("2 accepted as bool")
 	}
@@ -109,14 +109,14 @@ func TestStreamBoolErrors(t *testing.T) {
 
 func TestStreamBigIntCanon(t *testing.T) {
 	// Leading zero byte in a big int is non-canonical.
-	s := NewStream(bytes.NewReader(mustHex("820001")), 0)
+	s := newStream(bytes.NewReader(mustHex("820001")), 0)
 	if _, err := s.BigInt(); !errors.Is(err, ErrCanonInt) {
 		t.Fatal(err)
 	}
 }
 
 func TestStreamListEndErrors(t *testing.T) {
-	s := NewStream(bytes.NewReader(mustHex("c20102")), 0)
+	s := newStream(bytes.NewReader(mustHex("c20102")), 0)
 	if err := s.ListEnd(); err == nil {
 		t.Fatal("ListEnd outside list accepted")
 	}
@@ -129,7 +129,7 @@ func TestStreamListEndErrors(t *testing.T) {
 }
 
 func TestStreamSkipString(t *testing.T) {
-	s := NewStream(bytes.NewReader(mustHex("83646f6705")), 0)
+	s := newStream(bytes.NewReader(mustHex("83646f6705")), 0)
 	if err := s.Skip(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,7 @@
 package rlp
 
 import (
-	"fmt"
 	"io"
-	"math/big"
 	"reflect"
 )
 
@@ -91,8 +89,6 @@ type encBuffer struct {
 	depth  int        // current nesting depth during encoding
 }
 
-func newEncBuffer() *encBuffer { return &encBuffer{} }
-
 // reset prepares a recycled buffer for a new encode, keeping the
 // backing arrays.
 func (buf *encBuffer) reset() {
@@ -177,24 +173,6 @@ func (buf *encBuffer) writeUint(i uint64) {
 	buf.write(tmp[:n])
 }
 
-func (buf *encBuffer) writeBigInt(i *big.Int) error {
-	if i == nil {
-		buf.writeByte(0x80)
-		return nil
-	}
-	if i.Sign() < 0 {
-		return ErrNegativeBigInt
-	}
-	if i.BitLen() <= 64 {
-		buf.writeUint(i.Uint64())
-		return nil
-	}
-	b := i.Bytes()
-	buf.writeHead(0x80, len(b))
-	buf.write(b)
-	return nil
-}
-
 // listStart opens a new list and returns its index for listEnd.
 func (buf *encBuffer) listStart() int {
 	buf.lheads = append(buf.lheads, listHead{offset: len(buf.str), size: buf.lhsize})
@@ -237,167 +215,3 @@ func (buf *encBuffer) appendTo(dst []byte) []byte {
 }
 
 const maxEncodeDepth = 1024
-
-func (buf *encBuffer) encode(v reflect.Value) error {
-	if buf.depth > maxEncodeDepth {
-		return fmt.Errorf("rlp: encode nesting exceeds %d levels", maxEncodeDepth)
-	}
-	if !v.IsValid() {
-		return fmt.Errorf("rlp: cannot encode nil interface value")
-	}
-	typ := v.Type()
-
-	// Custom encoders and special types first.
-	if typ == rawValueType {
-		buf.write(v.Bytes())
-		return nil
-	}
-	if typ.Implements(encoderType) {
-		if typ.Kind() == reflect.Pointer && v.IsNil() {
-			buf.writeByte(0xC0)
-			return nil
-		}
-		// EncodeRLP writes fully-encoded bytes; capture them and
-		// splice verbatim.
-		w := &encWriter{}
-		if err := v.Interface().(Encoder).EncodeRLP(w); err != nil {
-			return err
-		}
-		buf.write(w.data)
-		return nil
-	}
-	if !typ.Implements(encoderType) && typ.Kind() != reflect.Pointer &&
-		reflect.PointerTo(typ).Implements(encoderType) && typ != bigIntType.Elem() {
-		// Pointer-receiver Encoder used for a value: take the address
-		// (copying if unaddressable) so EncodeRLP applies.
-		cp := reflect.New(typ)
-		cp.Elem().Set(v)
-		return buf.encode(cp)
-	}
-	if typ == bigIntType {
-		return buf.writeBigInt(v.Interface().(*big.Int))
-	}
-	if typ.Kind() != reflect.Pointer && reflect.PointerTo(typ) == bigIntType {
-		i := v.Interface().(big.Int)
-		return buf.writeBigInt(&i)
-	}
-
-	switch typ.Kind() {
-	case reflect.Bool:
-		if v.Bool() {
-			buf.writeByte(0x01)
-		} else {
-			buf.writeByte(0x80)
-		}
-		return nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		buf.writeUint(v.Uint())
-		return nil
-	case reflect.String:
-		buf.writeString([]byte(v.String()))
-		return nil
-	case reflect.Slice:
-		if typ.Elem().Kind() == reflect.Uint8 && !typ.Elem().Implements(encoderType) {
-			buf.writeString(v.Bytes())
-			return nil
-		}
-		return buf.encodeList(v)
-	case reflect.Array:
-		if isByteArray(typ) {
-			if !v.CanAddr() {
-				// Copy so Slice is legal on unaddressable arrays.
-				cp := reflect.New(typ).Elem()
-				cp.Set(v)
-				v = cp
-			}
-			buf.writeString(v.Slice(0, v.Len()).Bytes())
-			return nil
-		}
-		return buf.encodeList(v)
-	case reflect.Struct:
-		return buf.encodeStruct(v)
-	case reflect.Pointer:
-		if v.IsNil() {
-			return buf.encodeNilPointer(typ.Elem())
-		}
-		return buf.encode(v.Elem())
-	case reflect.Interface:
-		if v.IsNil() {
-			return fmt.Errorf("rlp: cannot encode nil interface value")
-		}
-		return buf.encode(v.Elem())
-	default:
-		return fmt.Errorf("rlp: type %v is not RLP-serializable", typ)
-	}
-}
-
-// encodeNilPointer writes the conventional empty value for a nil
-// pointer: empty string for string-like element types, empty list for
-// list-like ones.
-func (buf *encBuffer) encodeNilPointer(elem reflect.Type) error {
-	switch {
-	case elem.Kind() == reflect.Struct && elem != bigIntType.Elem():
-		buf.writeByte(0xC0)
-	case elem.Kind() == reflect.Slice && elem.Elem().Kind() != reflect.Uint8:
-		buf.writeByte(0xC0)
-	case elem.Kind() == reflect.Array && !isByteArray(elem):
-		buf.writeByte(0xC0)
-	default:
-		buf.writeByte(0x80)
-	}
-	return nil
-}
-
-func (buf *encBuffer) encodeList(v reflect.Value) error {
-	idx := buf.listStart()
-	buf.depth++
-	for i := 0; i < v.Len(); i++ {
-		if err := buf.encode(v.Index(i)); err != nil {
-			return err
-		}
-	}
-	buf.depth--
-	buf.listEnd(idx)
-	return nil
-}
-
-func (buf *encBuffer) encodeStruct(v reflect.Value) error {
-	fields, err := structFields(v.Type())
-	if err != nil {
-		return err
-	}
-	// Trailing optional fields holding zero values are omitted, in
-	// reverse order, so that older decoders accept the output.
-	last := len(fields)
-	for last > 0 && fields[last-1].optional && v.Field(fields[last-1].index).IsZero() {
-		last--
-	}
-	idx := buf.listStart()
-	buf.depth++
-	for _, f := range fields[:last] {
-		fv := v.Field(f.index)
-		if f.tail {
-			// Tail fields splice their elements into the outer list.
-			for i := 0; i < fv.Len(); i++ {
-				if err := buf.encode(fv.Index(i)); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		if err := buf.encode(fv); err != nil {
-			return err
-		}
-	}
-	buf.depth--
-	buf.listEnd(idx)
-	return nil
-}
-
-// encWriter collects bytes written by a custom Encoder implementation.
-type encWriter struct{ data []byte }
-
-func (w *encWriter) Write(p []byte) (int, error) {
-	w.data = append(w.data, p...)
-	return len(p), nil
-}

@@ -10,30 +10,33 @@ import (
 // reflection walk (tag parsing, kind switches, interface checks) runs
 // once per type in the compiler below, and the interpreters in this
 // file and plan_decode.go then execute a flat op dispatch per value.
-// The op set mirrors the reflection walker's dispatch order exactly —
-// including its asymmetries, such as byte slices whose element type
-// implements Encoder encoding as lists but decoding as byte strings —
-// so the two backends are byte-for-byte interchangeable. Differential
-// fuzz targets (plan_diff_test.go) hold them to that.
+// The op set mirrors the dispatch order of the reflection walker this
+// codec replaced (now the test-only oracle in oracle_test.go) exactly
+// — including its asymmetries, such as byte slices whose element type
+// implements Encoder encoding as lists but decoding as byte strings,
+// and its habit of reporting an unsupported type only when a value of
+// it is reached — so the two stay byte-for-byte and error-for-error
+// interchangeable. Differential fuzz targets (plan_diff_test.go) hold
+// them to that.
 
 type op uint8
 
 const (
-	opInvalid    op = iota
-	opRaw           // RawValue: spliced/copied verbatim
-	opUint          // uint8..uint64, uint, uintptr
-	opBool          // bool
-	opString        // string
-	opBytes         // []byte (and named byte-slice types)
-	opByteArray     // [N]byte
-	opBigIntPtr     // *big.Int
-	opBigIntVal     // big.Int
-	opList          // non-byte slice or array
-	opStruct        // struct: list of RLP-visible fields
-	opPtr           // pointer (nil ⇄ empty value)
-	opIface         // empty interface; non-empty handled by dispatch
-	opCustom        // type itself implements Encoder / *T implements Decoder
-	opCustomAddr    // encode only: *T implements Encoder, T used by value
+	opInvalid    op = iota // unsupported in this direction: returns encErr / decErr
+	opRaw                  // RawValue: spliced/copied verbatim
+	opUint                 // uint8..uint64, uint, uintptr
+	opBool                 // bool
+	opString               // string
+	opBytes                // []byte (and named byte-slice types)
+	opByteArray            // [N]byte
+	opBigIntPtr            // *big.Int
+	opBigIntVal            // big.Int
+	opList                 // non-byte slice or array
+	opStruct               // struct: list of RLP-visible fields
+	opPtr                  // pointer (nil ⇄ empty value)
+	opIface                // empty interface; non-empty handled by dispatch
+	opCustom               // type itself implements Encoder / *T implements Decoder
+	opCustomAddr           // encode only: *T implements Encoder, T used by value
 )
 
 // plan is one node of the compiled codec program. Encode and decode
@@ -43,6 +46,10 @@ type plan struct {
 	typ   reflect.Type
 	encOp op
 	decOp op
+
+	// Why the op is opInvalid: the type is not RLP-(de)serializable,
+	// or its struct tags are malformed.
+	encErr, decErr error
 
 	elem   *plan       // opList element, opPtr target
 	fields []planField // opStruct
@@ -79,27 +86,22 @@ type compileCtx struct {
 	inProgress map[reflect.Type]*plan
 }
 
-func (cc *compileCtx) compile(typ reflect.Type) (*plan, error) {
+func (cc *compileCtx) compile(typ reflect.Type) *plan {
 	if p := cc.inProgress[typ]; p != nil {
-		return p, nil
+		return p
 	}
 	p := &plan{typ: typ}
 	cc.inProgress[typ] = p
-	if err := cc.fill(p, typ); err != nil {
-		delete(cc.inProgress, typ)
-		return nil, err
-	}
-	return p, nil
+	cc.fill(p, typ)
+	return p
 }
 
 var bigIntValType = bigIntType.Elem()
 
 // fill resolves the encode and decode ops for typ and compiles any
-// child plans. Any unsupported corner returns an error, which the
-// cache records so the whole type permanently falls back to the
-// reflection walker — behavior there is identical by construction,
-// just slower.
-func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
+// child plans. An unsupported corner leaves that direction's op
+// opInvalid and records the error for the interpreter to return.
+func (cc *compileCtx) fill(p *plan, typ reflect.Type) {
 	kind := typ.Kind()
 
 	// Encode op, in the reflection walker's dispatch order.
@@ -142,11 +144,11 @@ func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
 		case reflect.Interface:
 			p.encOp = opIface
 		default:
-			return fmt.Errorf("rlp: type %v is not RLP-serializable", typ)
+			p.encErr = fmt.Errorf("rlp: type %v is not RLP-serializable", typ)
 		}
 	}
 
-	// Decode op, mirroring Stream.decodeValue.
+	// Decode op, in the oracle walker's dispatch order.
 	switch {
 	case typ == rawValueType:
 		p.decOp = opRaw
@@ -183,37 +185,36 @@ func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
 			p.decOp = opPtr
 		case reflect.Interface:
 			if typ.NumMethod() != 0 {
-				return fmt.Errorf("rlp: cannot decode into non-empty interface %v", typ)
+				p.decErr = fmt.Errorf("rlp: cannot decode into non-empty interface %v", typ)
+			} else {
+				p.decOp = opIface
 			}
-			p.decOp = opIface
 		default:
-			return fmt.Errorf("rlp: type %v is not RLP-deserializable", typ)
+			p.decErr = fmt.Errorf("rlp: type %v is not RLP-deserializable", typ)
 		}
 	}
 
 	// Children, by structural kind.
 	if p.encOp == opList || p.decOp == opList {
-		elem, err := cc.compile(typ.Elem())
-		if err != nil {
-			return err
-		}
-		p.elem = elem
+		p.elem = cc.compile(typ.Elem())
 		if p.decOp == opList && kind == reflect.Slice {
 			p.empty = reflect.MakeSlice(typ, 0, 0)
 		}
 	}
 	if p.encOp == opPtr || p.decOp == opPtr {
-		elem, err := cc.compile(typ.Elem())
-		if err != nil {
-			return err
-		}
-		p.elem = elem
+		p.elem = cc.compile(typ.Elem())
 		p.nilByte = nilPointerByte(typ.Elem())
 	}
 	if p.encOp == opStruct || p.decOp == opStruct {
 		infos, err := structFields(typ)
 		if err != nil {
-			return err
+			if p.encOp == opStruct {
+				p.encOp, p.encErr = opInvalid, err
+			}
+			if p.decOp == opStruct {
+				p.decOp, p.decErr = opInvalid, err
+			}
+			return
 		}
 		p.fields = make([]planField, 0, len(infos))
 		for _, fi := range infos {
@@ -222,17 +223,13 @@ func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
 			if fi.tail {
 				ctyp = ftyp.Elem()
 			}
-			fp, err := cc.compile(ctyp)
-			if err != nil {
-				return err
-			}
 			pf := planField{
 				index:    fi.index,
 				name:     fi.name,
 				tail:     fi.tail,
 				optional: fi.optional,
 				typ:      ftyp,
-				p:        fp,
+				p:        cc.compile(ctyp),
 			}
 			if fi.tail {
 				pf.empty = reflect.MakeSlice(ftyp, 0, 0)
@@ -240,7 +237,6 @@ func (cc *compileCtx) fill(p *plan, typ reflect.Type) error {
 			p.fields = append(p.fields, pf)
 		}
 	}
-	return nil
 }
 
 // bigWordBytes is the byte width of a big.Word on this platform.
@@ -249,8 +245,8 @@ const bigWordBytes = (32 << (uint64(^big.Word(0)) >> 63)) / 8
 // writeBigIntFast is writeBigInt without the i.Bytes() allocation for
 // integers wider than 64 bits: the words are serialized big-endian
 // straight into the buffer's string data. Output bytes are identical
-// to writeBigInt (the differential fuzz targets hold both backends to
-// that); only the reflection oracle keeps the allocating form.
+// to the oracle's allocating writeBigInt (the differential fuzz
+// targets hold the two to that).
 func (buf *encBuffer) writeBigIntFast(i *big.Int) error {
 	if i == nil {
 		buf.writeByte(0x80)
@@ -282,8 +278,9 @@ func (buf *encBuffer) writeBigIntFast(i *big.Int) error {
 	return nil
 }
 
-// nilPointerByte is encodeNilPointer as data: the empty value written
-// for a nil pointer of the given element type.
+// nilPointerByte is the conventional empty value written for a nil
+// pointer of the given element type: empty string for string-like
+// element types, empty list for list-like ones.
 func nilPointerByte(elem reflect.Type) byte {
 	switch {
 	case elem.Kind() == reflect.Struct && elem != bigIntValType:
@@ -298,24 +295,24 @@ func nilPointerByte(elem reflect.Type) byte {
 }
 
 // encodeValue is the codec entry point used by Encode/EncodeToBytes/
-// EncodeAppend: the compiled plan when the backend is enabled and the
-// type compiles, the reflection walker otherwise.
+// EncodeAppend, and the re-dispatch on an interface's concrete type.
 func (buf *encBuffer) encodeValue(v reflect.Value) error {
-	if PlanCodecEnabled() && v.IsValid() {
-		if p, err := cachedPlan(v.Type()); err == nil {
-			return buf.encodePlan(p, v)
-		}
+	if !v.IsValid() {
+		return fmt.Errorf("rlp: cannot encode nil interface value")
 	}
-	return buf.encode(v)
+	return buf.encodePlan(cachedPlan(v.Type()), v)
 }
 
 // encodePlan executes the encode side of a compiled plan against v,
-// writing into buf exactly what the reflection walker would.
+// writing into buf exactly what the oracle would.
 func (buf *encBuffer) encodePlan(p *plan, v reflect.Value) error {
 	if buf.depth > maxEncodeDepth {
 		return fmt.Errorf("rlp: encode nesting exceeds %d levels", maxEncodeDepth)
 	}
 	switch p.encOp {
+	case opInvalid:
+		return p.encErr
+
 	case opRaw:
 		buf.write(v.Bytes())
 		return nil

@@ -7,6 +7,8 @@ import (
 	"reflect"
 )
 
+const maxDecodeDepth = 1024
+
 // byteDec is the plan decoder: a cursor over a complete input slice.
 // Where Stream reads through an io.Reader with a list-end stack, the
 // byte decoder passes each container's payload end down the call
@@ -121,6 +123,9 @@ func (d *byteDec) decode(p *plan, v reflect.Value, end int, inList bool) error {
 		return fmt.Errorf("rlp: decode nesting exceeds %d levels", maxDecodeDepth)
 	}
 	switch p.decOp {
+	case opInvalid:
+		return p.decErr
+
 	case opRaw:
 		start := d.pos
 		kind, size, _, err := d.readHeader(end, inList)

@@ -5,11 +5,12 @@ import (
 	"sync"
 )
 
-// Pooled codec scratch. Encode buffers and fallback decode streams
-// are recycled through sync.Pool so steady-state wire traffic
-// allocates only the caller-visible output (the encoded []byte, the
-// decoded values). Oversized buffers are dropped on return instead of
-// pinning their backing arrays in the pool.
+// Pooled codec scratch. Encode buffers and the streams handed to
+// custom DecodeRLP implementations are recycled through sync.Pool so
+// steady-state wire traffic allocates only the caller-visible output
+// (the encoded []byte, the decoded values). Oversized buffers are
+// dropped on return instead of pinning their backing arrays in the
+// pool.
 
 // maxPooledBuf caps the retained capacity of a recycled encode
 // buffer. The wire messages this package exists for (HELLO, STATUS,
@@ -32,9 +33,9 @@ func putEncBuffer(buf *encBuffer) {
 	encBufPool.Put(buf)
 }
 
-// pooledStream bundles a Stream with its bytes.Reader so the
-// reflection fallback and custom DecodeRLP implementations run
-// without per-call allocations for the decoder machinery itself.
+// pooledStream bundles a Stream with its bytes.Reader so custom
+// DecodeRLP implementations run without per-call allocations for the
+// decoder machinery itself.
 type pooledStream struct {
 	s  Stream
 	br bytes.Reader

@@ -6,9 +6,10 @@
 // protocols (discovery packets, RLPx frames, DEVp2p and eth
 // subprotocol messages) as well as for blocks and transactions.
 //
-// The package provides a reflection-driven Encode/Decode pair modeled
-// on encoding/json, plus a low-level streaming decoder (Stream) for
-// protocol code that wants explicit control.
+// The package provides an Encode/DecodeBytes pair modeled on
+// encoding/json — each Go type is compiled once into a codec plan
+// (plan.go) — plus the low-level reader (Stream) a custom DecodeRLP
+// is handed when a type wants explicit control of its wire shape.
 //
 // Type mapping:
 //

@@ -6,35 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// The plan codec is the default wire path: each Go type is compiled
-// once into a flat program of encode/decode ops (plan.go) and cached
-// here. SetPlanCodec(false) routes everything through the original
-// reflection walker instead; differential tests flip the switch (or
-// call the Oracle* entry points directly) to cross-check the two
-// paths byte-for-byte — the same backend-switch pattern the
-// secp256k1 package uses for its math/big oracle.
-
-// planCodecOff is inverted so the zero value means "plans on" without
-// an init hook.
-var planCodecOff atomic.Bool
-
-// SetPlanCodec selects the codec backend: true (the default) uses
-// compiled plans with pooled buffers, false uses the reflection
-// walker on every call. Not intended for concurrent flipping with
-// in-flight codec calls; tests and benchmarks switch it at quiesce.
-func SetPlanCodec(on bool) { planCodecOff.Store(!on) }
-
-// PlanCodecEnabled reports whether the compiled-plan backend is
-// active.
-func PlanCodecEnabled() bool { return !planCodecOff.Load() }
-
-// planInfo is a cache slot: either a compiled plan or the reason the
-// type cannot be compiled (such types permanently fall back to
-// reflection without retrying the compiler).
-type planInfo struct {
-	p   *plan
-	err error
-}
+// The plan codec is the only wire path: each Go type is compiled once
+// into a flat program of encode/decode ops (plan.go) and cached here.
+// The reflection walker it replaced survives as the differential
+// oracle in oracle_test.go, out of every production binary.
 
 // planCache is an atomic-swap type cache (go-ethereum's
 // rlp/typecache.go idiom): readers Load the current map with no
@@ -42,46 +17,44 @@ type planInfo struct {
 // and Stores the copy. After warmup every lookup is a single atomic
 // load plus a map read.
 type planCache struct {
-	cur atomic.Value // map[reflect.Type]*planInfo
+	cur atomic.Value // map[reflect.Type]*plan
 	mu  sync.Mutex
 }
 
 var thePlanCache planCache
 
 // cachedPlan returns the compiled plan for typ, compiling and caching
-// it on first use.
-func cachedPlan(typ reflect.Type) (*plan, error) {
-	m, _ := thePlanCache.cur.Load().(map[reflect.Type]*planInfo)
-	if info := m[typ]; info != nil {
-		return info.p, info.err
+// it on first use. Compilation cannot fail: a type (or one direction
+// of it) the codec does not support compiles to an op that returns
+// the error when a value of that type is reached.
+func cachedPlan(typ reflect.Type) *plan {
+	m, _ := thePlanCache.cur.Load().(map[reflect.Type]*plan)
+	if p := m[typ]; p != nil {
+		return p
 	}
 	return thePlanCache.generate(typ)
 }
 
-func (c *planCache) generate(typ reflect.Type) (*plan, error) {
+func (c *planCache) generate(typ reflect.Type) *plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	cur, _ := c.cur.Load().(map[reflect.Type]*planInfo)
-	if info := cur[typ]; info != nil {
+	cur, _ := c.cur.Load().(map[reflect.Type]*plan)
+	if p := cur[typ]; p != nil {
 		// Raced with another writer between Load and Lock.
-		return info.p, info.err
+		return p
 	}
 	cc := &compileCtx{inProgress: make(map[reflect.Type]*plan)}
-	p, err := cc.compile(typ)
-	next := make(map[reflect.Type]*planInfo, len(cur)+1)
+	p := cc.compile(typ)
+	next := make(map[reflect.Type]*plan, len(cur)+len(cc.inProgress))
 	for k, v := range cur {
 		next[k] = v
 	}
-	if err != nil {
-		next[typ] = &planInfo{err: err}
-	} else {
-		// Every type reached during a successful compile is complete;
-		// registering them all saves recompiling shared message
-		// substructures (Endpoint, Cap, ...) on their own first use.
-		for t, sub := range cc.inProgress {
-			next[t] = &planInfo{p: sub}
-		}
+	// Every type reached during the compile is complete; registering
+	// them all saves recompiling shared message substructures
+	// (Endpoint, Cap, ...) on their own first use.
+	for t, sub := range cc.inProgress {
+		next[t] = sub
 	}
 	c.cur.Store(next)
-	return p, err
+	return p
 }

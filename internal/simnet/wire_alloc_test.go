@@ -1,0 +1,35 @@
+//go:build !race
+
+// Allocation-regression pin for one full dial. Excluded under the
+// race detector, whose instrumentation changes allocation counts.
+package simnet_test
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/nodefinder"
+)
+
+// TestWireDialAllocs holds one honest Mainnet dial — RLPx handshake,
+// HELLO, STATUS, DAO header check, DISCONNECT, through RealDialer over
+// World.DialWire — to an absolute allocation budget, both ends of the
+// pipe counted. It is the go-test twin of the ledger's crawl-wire
+// allocs_per_op, which averages the same path over every outcome a
+// 10k world produces and is compared only between two commits.
+func TestWireDialAllocs(t *testing.T) {
+	w := wireWorld(t, 7, nil)
+	target := honestMainnetNode(t, w)
+	d := wireDialer(t, w, 10*time.Second)
+	allocs := testing.AllocsPerRun(50, func() {
+		res := dialOne(t, d, target.Node)
+		if class := nodefinder.OutcomeClass(res); class != "eth-handshake" || !res.DAOChecked {
+			t.Fatalf("outcome %q (DAO checked %v): %v", class, res.DAOChecked, res.Err)
+		}
+		waitDemoted(t, w, 0) // the serving side's teardown belongs to this dial
+	})
+	const budget = 170 // measures 155, harness channel and timeout timer included
+	if allocs > budget {
+		t.Errorf("honest mainnet wire dial: %.1f allocs, budget %d", allocs, budget)
+	}
+}

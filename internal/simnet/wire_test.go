@@ -57,6 +57,23 @@ func wireDialer(t *testing.T, w *simnet.World, budget time.Duration) *nodefinder
 	}
 }
 
+// honestMainnetNode picks an online honest Mainnet node and frees its
+// peer slots, so a dial to it runs the full chain instead of drawing
+// a too-many-peers disconnect.
+func honestMainnetNode(t *testing.T, w *simnet.World) *simnet.SimNode {
+	t.Helper()
+	now := w.Clock.Now()
+	for _, n := range w.Nodes {
+		if n.Service == simnet.SvcEth && !n.Hostile && n.Network != nil &&
+			n.Network.NetworkID == 1 && n.Network.DAOFork && n.OnlineAt(now) {
+			n.Occupancy = 0
+			return n
+		}
+	}
+	t.Fatal("no online mainnet node in world")
+	return nil
+}
+
 func dialOne(t *testing.T, d *nodefinder.RealDialer, n *enode.Node) *nodefinder.DialResult {
 	t.Helper()
 	ch := make(chan *nodefinder.DialResult, 1)
@@ -78,20 +95,7 @@ func TestPromotedHonestDial(t *testing.T) {
 	leakcheck.Check(t)
 	reg := metrics.New()
 	w := wireWorld(t, 7, reg)
-	now := w.Clock.Now()
-
-	var target *simnet.SimNode
-	for _, n := range w.Nodes {
-		if n.Service == simnet.SvcEth && !n.Hostile && n.Network != nil &&
-			n.Network.NetworkID == 1 && n.Network.DAOFork && n.OnlineAt(now) {
-			target = n
-			break
-		}
-	}
-	if target == nil {
-		t.Fatal("no online mainnet node in world")
-	}
-	target.Occupancy = 0 // this test wants the full chain, not a peer-limit draw
+	target := honestMainnetNode(t, w)
 
 	res := dialOne(t, wireDialer(t, w, 10*time.Second), target.Node)
 	if res.Err != nil {
