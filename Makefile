@@ -17,8 +17,9 @@ ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos b
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
 # then per differential target of the hand-written arithmetic (the
 # secp256k1 field, scalar and point code against math/big and the
-# oracle; the snappy encoder against its own decoder). Each target
-# also replays its committed regression corpus first.
+# oracle; the snappy encoder against its own decoder; the census
+# daemon's incremental publish against its from-scratch oracle). Each
+# target also replays its committed regression corpus first.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/rlp
@@ -34,6 +35,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzFieldArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzScalarArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzPointArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
+	go test -run='^$$' -fuzz=FuzzFoldVsOracle -fuzztime=$(FUZZTIME) ./internal/census
 
 # The faultnet chaos suite: hostile peer taxonomy + the mixed
 # honest/hostile 215-node crawl, under the race detector.

@@ -116,12 +116,42 @@ func TestPrimaryService(t *testing.T) {
 		{[]string{"les/2"}, "les"},
 		{[]string{"pip/1"}, "pip"},
 		{[]string{"weird/9"}, "other:weird"},
+		{[]string{"/9", "odd/1", "shh/6"}, "shh"},       // a known service anywhere wins
+		{[]string{"/9", "odd", "odder/1"}, "other:odd"}, // else the first name there is
+		{[]string{"/9"}, "unknown"},
 		{nil, "unknown"},
 	}
 	for _, test := range tests {
 		if got := PrimaryService(test.caps); got != test.want {
 			t.Errorf("%v -> %s, want %s", test.caps, got, test.want)
 		}
+	}
+}
+
+// TestCensusKeysDoNotAllocate: the bucket keys run once per rebuilt
+// record on the census daemon's publish path. For the services,
+// clients, versions and reasons that have names they are substrings
+// and constants.
+func TestCensusKeysDoNotAllocate(t *testing.T) {
+	o := &NodeObservation{ClientName: "Geth/v1.8.10-stable/linux-amd64/go1.10", Caps: []string{"les/2", "bzz/0", "eth/63"}}
+	var service, impl, version, reason string
+	allocs := testing.AllocsPerRun(100, func() {
+		service, _ = ServiceKey(o)
+		impl, _ = ClientKey(o)
+		version, _ = VersionKey(o, "Geth")
+		reason = reasonName(0x04) + reasonName(0x7f)[:0]
+	})
+	if allocs != 0 {
+		t.Errorf("%.0f allocations per set of keys, want 0", allocs)
+	}
+	if service != "eth" || impl != "Geth" || version != "v1.8.10-stable" || reason != "Too many peers" {
+		t.Errorf("keys %q %q %q %q", service, impl, version, reason)
+	}
+	if _, ok := VersionKey(o, "Parity"); ok {
+		t.Error("a Geth node has a Parity version")
+	}
+	if v, ok := VersionKey(&NodeObservation{ClientName: "Geth"}, "Geth"); ok {
+		t.Errorf("a name without a version has version %q", v)
 	}
 }
 

@@ -1,22 +1,30 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/chain"
 )
 
-// Share is one row of a ranked distribution.
+// Share is one row of a ranked distribution; the census service serves
+// it as is.
 type Share struct {
-	Key      string
-	Count    int
-	Fraction float64
+	Key      string  `json:"key"`
+	Count    int     `json:"count"`
+	Fraction float64 `json:"fraction"`
 }
 
-// rank converts a count map to rows sorted by count descending (ties
+// Every census below is two steps: count the observations by a bucket
+// key (ServiceKey, ClientKey, VersionKey, NetworkKey, ResolveGeo), then
+// finish the counts into ranked rows (Rank, NetworkCensusOf,
+// VersionCensusOf, GeoCensusOf). The census daemon keeps the same
+// counts as running tallies, by the same keys, and finishes them with
+// the same functions; only how the counts come about differs.
+
+// Rank converts a count map to rows sorted by count descending (ties
 // by key for determinism).
-func rank(counts map[string]int) []Share {
+func Rank(counts map[string]int) []Share {
 	total := 0
 	for _, c := range counts {
 		total += c
@@ -29,11 +37,11 @@ func rank(counts map[string]int) []Share {
 		}
 		rows = append(rows, Share{Key: k, Count: c, Fraction: f})
 	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Count != rows[j].Count {
-			return rows[i].Count > rows[j].Count
+	slices.SortFunc(rows, func(a, b Share) int {
+		if a.Count != b.Count {
+			return b.Count - a.Count
 		}
-		return rows[i].Key < rows[j].Key
+		return strings.Compare(a.Key, b.Key)
 	})
 	return rows
 }
@@ -45,39 +53,39 @@ var knownServices = []string{"eth", "bzz", "les", "exp", "istanbul", "shh", "dbi
 // list, the way Table 3 does: eth wins if present, then the other
 // known services, otherwise the first capability name.
 func PrimaryService(caps []string) string {
-	names := map[string]bool{}
-	var first string
-	for _, c := range caps {
-		name := c
-		if i := strings.IndexByte(c, '/'); i >= 0 {
-			name = c[:i]
-		}
-		if first == "" {
-			first = name
-		}
-		names[name] = true
-	}
 	for _, s := range knownServices {
-		if names[s] {
-			return s
+		for _, c := range caps {
+			if name, _, _ := strings.Cut(c, "/"); name == s {
+				return s
+			}
 		}
 	}
-	if first == "" {
-		return "unknown"
+	for _, c := range caps {
+		if name, _, _ := strings.Cut(c, "/"); name != "" {
+			return "other:" + name
+		}
 	}
-	return "other:" + first
+	return "unknown"
+}
+
+// ServiceKey is o's Table 3 row; ok is false without a HELLO, which
+// leaves o out of the DEVp2p census.
+func ServiceKey(o *NodeObservation) (key string, ok bool) {
+	if len(o.Caps) == 0 {
+		return "", false
+	}
+	return PrimaryService(o.Caps), true
 }
 
 // ServiceCensus computes Table 3 from per-node observations.
 func ServiceCensus(nodes map[string]*NodeObservation) []Share {
 	counts := map[string]int{}
 	for _, o := range nodes {
-		if len(o.Caps) == 0 {
-			continue // no HELLO: not part of the DEVp2p census
+		if key, ok := ServiceKey(o); ok {
+			counts[key]++
 		}
-		counts[PrimaryService(o.Caps)]++
 	}
-	return rank(counts)
+	return Rank(counts)
 }
 
 // NetworkCensus captures Figure 9.
@@ -107,15 +115,26 @@ func Networks(nodes map[string]*NodeObservation) *NetworkCensus {
 		if !o.HasStatus {
 			continue
 		}
-		netCounts[netKey(o.NetworkID)]++
+		netCounts[NetworkKey(o.NetworkID)]++
 		genCounts[o.GenesisHash]++
-		if o.NetworkID != 1 && o.GenesisHash == mainnetGenesisHex {
+		if IsImpostor(o) {
 			impostors++
 		}
 	}
+	return NetworkCensusOf(netCounts, genCounts, impostors)
+}
+
+// IsImpostor reports a peer outside network 1 advertising the Mainnet
+// genesis hash.
+func IsImpostor(o *NodeObservation) bool {
+	return o.HasStatus && o.NetworkID != 1 && o.GenesisHash == mainnetGenesisHex
+}
+
+// NetworkCensusOf finishes Figure 9 from its counts.
+func NetworkCensusOf(netCounts, genCounts map[string]int, impostors int) *NetworkCensus {
 	nc := &NetworkCensus{
-		Networks:                rank(netCounts),
-		GenesisHashes:           rank(genCounts),
+		Networks:                Rank(netCounts),
+		GenesisHashes:           Rank(genCounts),
 		DistinctNetworks:        len(netCounts),
 		DistinctGenesis:         len(genCounts),
 		MainnetGenesisImpostors: impostors,
@@ -128,7 +147,8 @@ func Networks(nodes map[string]*NodeObservation) *NetworkCensus {
 	return nc
 }
 
-func netKey(id uint64) string {
+// NetworkKey is the Figure 9 row of a network ID.
+func NetworkKey(id uint64) string {
 	switch id {
 	case 1:
 		return "1 (Mainnet/Classic)"
@@ -188,16 +208,26 @@ func MainnetSubset(nodes map[string]*NodeObservation) map[string]*NodeObservatio
 func ClientCensus(nodes map[string]*NodeObservation) []Share {
 	counts := map[string]int{}
 	for _, o := range nodes {
-		if o.ClientName == "" {
-			continue
+		if impl, ok := ClientKey(o); ok {
+			counts[impl]++
 		}
-		impl := o.ClientName
-		if i := strings.IndexByte(impl, '/'); i >= 0 {
-			impl = impl[:i]
-		}
-		counts[impl]++
 	}
-	return rank(counts)
+	return Rank(counts)
+}
+
+// ClientKey is o's Table 4 row: the implementation its HELLO names, the
+// client name up to the first '/'; ok is false without a name.
+func ClientKey(o *NodeObservation) (impl string, ok bool) {
+	impl, _, _ = strings.Cut(o.ClientName, "/")
+	return impl, o.ClientName != ""
+}
+
+// VersionKey is o's Table 5 row for client: the second part of a client
+// name whose first part is client; ok is false for any other name.
+func VersionKey(o *NodeObservation, client string) (version string, ok bool) {
+	rest, ok := strings.CutPrefix(o.ClientName, client+"/")
+	version, _, _ = strings.Cut(rest, "/")
+	return version, ok
 }
 
 // VersionCensus captures Table 5 for one client.
@@ -214,26 +244,25 @@ type VersionCensus struct {
 // "Parity").
 func Versions(nodes map[string]*NodeObservation, client string) *VersionCensus {
 	counts := map[string]int{}
-	stable := 0
-	total := 0
 	for _, o := range nodes {
-		if !strings.HasPrefix(o.ClientName, client+"/") {
-			continue
-		}
-		parts := strings.SplitN(o.ClientName, "/", 3)
-		if len(parts) < 2 {
-			continue
-		}
-		v := parts[1]
-		counts[v]++
-		total++
-		if strings.Contains(v, "stable") {
-			stable++
+		if v, ok := VersionKey(o, client); ok {
+			counts[v]++
 		}
 	}
-	vc := &VersionCensus{Client: client, Total: total, StableCount: stable, Versions: rank(counts)}
-	if total > 0 {
-		vc.StableShare = float64(stable) / float64(total)
+	return VersionCensusOf(client, counts)
+}
+
+// VersionCensusOf finishes Table 5 from client's version counts.
+func VersionCensusOf(client string, counts map[string]int) *VersionCensus {
+	vc := &VersionCensus{Client: client, Versions: Rank(counts)}
+	for v, c := range counts {
+		vc.Total += c
+		if strings.Contains(v, "stable") {
+			vc.StableCount += c
+		}
+	}
+	if vc.Total > 0 {
+		vc.StableShare = float64(vc.StableCount) / float64(vc.Total)
 	}
 	return vc
 }
@@ -244,20 +273,22 @@ func DisconnectTable(counts map[uint64]uint64) []Share {
 	for reason, c := range counts {
 		m[reasonName(reason)] = int(c)
 	}
-	return rank(m)
+	return Rank(m)
+}
+
+// reasonNames are Table 1's rows, by DISCONNECT reason code.
+var reasonNames = map[uint64]string{
+	0x00: "Disconnect requested",
+	0x03: "Useless peer",
+	0x04: "Too many peers",
+	0x05: "Already connected",
+	0x08: "Client quitting",
+	0x0b: "Read timeout",
+	0x10: "Subprotocol error",
 }
 
 func reasonName(r uint64) string {
-	names := map[uint64]string{
-		0x00: "Disconnect requested",
-		0x03: "Useless peer",
-		0x04: "Too many peers",
-		0x05: "Already connected",
-		0x08: "Client quitting",
-		0x0b: "Read timeout",
-		0x10: "Subprotocol error",
-	}
-	if n, ok := names[r]; ok {
+	if n, ok := reasonNames[r]; ok {
 		return n
 	}
 	return "Other"

@@ -62,94 +62,64 @@ type GeoCensus struct {
 	Top8AllCloud bool
 }
 
-// GeoRecord is where one identity's address resolves.
+// GeoRecord is where one address resolves.
 type GeoRecord struct {
-	// IP is the address that was resolved; Valid is false when it does
-	// not parse, and the record then places the identity nowhere.
-	IP      string
+	// Valid is false when the address does not parse; the record then
+	// places its identity nowhere.
 	Valid   bool
 	Country string
 	AS      string
 	Cloud   bool
 }
 
-// GeoIndex is the geography census as a fold: each identity's address
-// is resolved through the geo database once and again only when it
-// changes, because a resolution hashes the address and a census
-// re-reads every identity on every publish.
-type GeoIndex struct {
-	db   *geo.DB
-	recs map[*NodeObservation]GeoRecord
-}
-
-// NewGeoIndex returns an empty index over db.
-func NewGeoIndex(db *geo.DB) *GeoIndex {
-	return &GeoIndex{db: db, recs: make(map[*NodeObservation]GeoRecord)}
-}
-
-// Resolve returns the record for o's current address, resolving it if
-// the identity is new to the index or its address has changed.
-func (g *GeoIndex) Resolve(o *NodeObservation) GeoRecord {
-	rec, ok := g.recs[o]
-	if ok && rec.IP == o.IP {
-		return rec
+// ResolveGeo resolves one address through db. A resolution hashes the
+// address twice, so the census daemon keeps each identity's record
+// until its address changes.
+func ResolveGeo(db *geo.DB, ip string) GeoRecord {
+	addr := net.ParseIP(ip)
+	if addr == nil {
+		return GeoRecord{}
 	}
-	rec = GeoRecord{IP: o.IP}
-	if addr := net.ParseIP(o.IP); addr != nil {
-		as := g.db.ASOf(addr)
-		rec.Valid = true
-		rec.Country = string(g.db.Country(addr))
-		rec.AS = as.Name
-		rec.Cloud = as.Cloud
-	}
-	g.recs[o] = rec
-	return rec
+	as := db.ASOf(addr)
+	return GeoRecord{Valid: true, Country: string(db.Country(addr)), AS: as.Name, Cloud: as.Cloud}
 }
 
-// Census computes Figure 12 over every identity resolved so far.
-func (g *GeoIndex) Census() *GeoCensus {
+// Geography resolves node IPs through the geo database.
+func Geography(nodes map[string]*NodeObservation, db *geo.DB) *GeoCensus {
 	countries := map[string]int{}
 	ases := map[string]int{}
-	cloudByAS := map[string]bool{}
-	for _, rec := range g.recs {
-		if !rec.Valid {
+	cloudASes := map[string]int{}
+	for _, o := range nodes {
+		if rec := ResolveGeo(db, o.IP); rec.Valid {
+			countries[rec.Country]++
+			ases[rec.AS]++
+			if rec.Cloud {
+				cloudASes[rec.AS]++
+			}
+		}
+	}
+	return GeoCensusOf(countries, ases, cloudASes)
+}
+
+// GeoCensusOf finishes Figure 12 from its counts; cloudASes counts, by
+// AS, the identities in ASes that are cloud providers.
+func GeoCensusOf(countries, ases, cloudASes map[string]int) *GeoCensus {
+	gc := &GeoCensus{Countries: Rank(countries), ASes: Rank(ases), Top8AllCloud: true}
+	// "OTHER" aggregates the long tail; skip it when ranking real ASes.
+	top := 0
+	for _, s := range gc.ASes {
+		if s.Key == "OTHER" {
 			continue
 		}
-		countries[rec.Country]++
-		ases[rec.AS]++
-		cloudByAS[rec.AS] = rec.Cloud
-	}
-	gc := &GeoCensus{Countries: rank(countries), ASes: rank(ases)}
-	gc.Top8AllCloud = true
-	top := gc.ASes
-	// "OTHER" aggregates the long tail; skip it when ranking real
-	// ASes.
-	real := make([]Share, 0, len(top))
-	for _, s := range top {
-		if s.Key != "OTHER" {
-			real = append(real, s)
-		}
-	}
-	for i, s := range real {
-		if i >= 8 {
+		if top++; top > 8 {
 			break
 		}
 		gc.Top8ASShare += s.Fraction
-		if !cloudByAS[s.Key] {
+		if cloudASes[s.Key] == 0 {
 			gc.Top8AllCloud = false
 		}
 	}
 	return gc
-}
-
-// Geography resolves node IPs through the geo database: a GeoIndex
-// built from scratch over nodes.
-func Geography(nodes map[string]*NodeObservation, db *geo.DB) *GeoCensus {
-	g := NewGeoIndex(db)
-	for _, o := range nodes {
-		g.Resolve(o)
-	}
-	return g.Census()
 }
 
 // CDF is an empirical distribution.

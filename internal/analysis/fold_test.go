@@ -3,12 +3,10 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
 	"testing"
 	"time"
 
-	"repro/internal/geo"
 	"repro/internal/nodefinder/mlog"
 )
 
@@ -149,42 +147,5 @@ func TestAggregatorRetainsNoEntries(t *testing.T) {
 		if !reflect.DeepEqual(*o, w) {
 			t.Errorf("%s:\n fold %+v\n want %+v", id, *o, w)
 		}
-	}
-}
-
-// TestGeoIndexFollowsAddressChanges: a record is kept while the
-// identity's address stands, replaced when it changes, and the index
-// census equals Geography over the same observations.
-func TestGeoIndexFollowsAddressChanges(t *testing.T) {
-	db := geo.NewDB()
-	g := NewGeoIndex(db)
-	nodes := map[string]*NodeObservation{}
-	for i := 0; i < 300; i++ {
-		o := &NodeObservation{ID: fmt.Sprintf("n%d", i), IP: fmt.Sprintf("%d.%d.7.9", 11+i%200, i%251)}
-		nodes[o.ID] = o
-		g.Resolve(o)
-	}
-	nodes["bad"] = &NodeObservation{ID: "bad", IP: "not-an-ip"}
-	if rec := g.Resolve(nodes["bad"]); rec.Valid {
-		t.Errorf("unparseable address resolved: %+v", rec)
-	}
-
-	o := nodes["n0"]
-	before := g.Resolve(o)
-	if want := string(db.Country(net.ParseIP(o.IP))); !before.Valid || before.Country != want {
-		t.Fatalf("n0 resolved to %+v, want country %s", before, want)
-	}
-	for i := 0; i < 200 && string(db.Country(net.ParseIP(o.IP))) == before.Country; i++ {
-		o.IP = fmt.Sprintf("%d.3.3.3", 20+i) // move until the country differs
-	}
-	after := g.Resolve(o)
-	if after.Country == before.Country {
-		t.Fatalf("n0 moved from %s to %s and is still placed in %s", before.IP, o.IP, after.Country)
-	}
-	if after.IP != o.IP || after.Country != string(db.Country(net.ParseIP(o.IP))) {
-		t.Errorf("after moving to %s the record is %+v", o.IP, after)
-	}
-	if got, want := g.Census(), Geography(nodes, db); !reflect.DeepEqual(got, want) {
-		t.Errorf("index census differs from Geography:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -46,6 +46,11 @@ type NodeObservation struct {
 	HasStatus      bool
 	DAOFork        string // "", "supported", "opposed", "unknown"
 	LatencyUS      int64
+
+	// Seq numbers the identities of one Aggregator in the order it first
+	// saw them, from 0: a dense index for state kept beside the table.
+	Seq     int
+	touched bool // on the Aggregator's touched list
 }
 
 // Active returns how long the identity was observed.
@@ -71,7 +76,8 @@ func answered(e *mlog.Entry) bool { return e.Hello != nil || e.DisconnectReason 
 // Fields with a "latest wins" rule resolve ties by fold order, so the
 // result is a function of the entry sequence.
 type Aggregator struct {
-	nodes map[string]*NodeObservation
+	nodes   map[string]*NodeObservation
+	touched []*NodeObservation
 }
 
 // NewAggregator returns an empty node table.
@@ -83,6 +89,18 @@ func NewAggregator() *Aggregator {
 // later Adds update it in place.
 func (a *Aggregator) Nodes() map[string]*NodeObservation { return a.nodes }
 
+// Touched returns the observations Add has updated since the previous
+// call, each once, in the order first touched. The next Add reuses the
+// slice.
+func (a *Aggregator) Touched() []*NodeObservation {
+	t := a.touched
+	for _, o := range t {
+		o.touched = false
+	}
+	a.touched = t[:0]
+	return t
+}
+
 // Add folds one entry into its identity's observation and returns
 // that observation, or nil for an entry without a node ID. It does not
 // retain e.
@@ -92,8 +110,12 @@ func (a *Aggregator) Add(e *mlog.Entry) *NodeObservation {
 	}
 	o, ok := a.nodes[e.NodeID]
 	if !ok {
-		o = &NodeObservation{ID: e.NodeID, FirstSeen: e.Time, LastSeen: e.Time}
+		o = &NodeObservation{ID: e.NodeID, FirstSeen: e.Time, LastSeen: e.Time, Seq: len(a.nodes)}
 		a.nodes[e.NodeID] = o
+	}
+	if !o.touched {
+		o.touched = true
+		a.touched = append(a.touched, o)
 	}
 	o.EntryCount++
 	if e.Time.Before(o.FirstSeen) {

@@ -4,17 +4,23 @@
 // censuses (§6) plus the epoch churn series, and an HTTP layer serves
 // the snapshot without ever blocking the daemon.
 //
-// The serving design is read-mostly and allocation-bounded: every
-// endpoint's response body is marshaled once at publish time and
-// stored inside the Snapshot, snapshots swap atomically, and handlers
-// write the pre-built bytes. Readers never take a lock and never
-// marshal on the hot path.
+// The serving design is read-mostly and allocation-bounded: the census
+// and series bodies are marshaled once at publish time and stored
+// inside the Snapshot, snapshots swap atomically, and handlers write
+// the pre-built bytes. Readers never take a lock; only /v1/nodes/{id},
+// ?last=N and /metrics marshal per request.
+//
+// A publish costs what changed since the last one: the daemon keeps one
+// immutable record per identity, rebuilds only those the new entries
+// name, keeps every census as counts that a rebuilt record adjusts, and
+// encodes a series point once, when its window is sealed.
 package census
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/analysis"
@@ -43,47 +49,10 @@ const (
 	maxVersionRows = 12
 )
 
-// share is analysis.Share with JSON tags for serving.
-type share struct {
-	Key      string  `json:"key"`
-	Count    int     `json:"count"`
-	Fraction float64 `json:"fraction"`
-}
+type share = analysis.Share
 
-func toShares(rows []analysis.Share, max int) []share {
-	if len(rows) > max {
-		rows = rows[:max]
-	}
-	out := make([]share, len(rows))
-	for i, r := range rows {
-		out[i] = share{Key: r.Key, Count: r.Count, Fraction: r.Fraction}
-	}
-	return out
-}
-
-// rankCounts is analysis' rank ordering for locally-computed count
-// maps: count descending, ties by key.
-func rankCounts(counts map[string]int) []share {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	rows := make([]share, 0, len(counts))
-	for k, c := range counts {
-		f := 0.0
-		if total > 0 {
-			f = float64(c) / float64(total)
-		}
-		rows = append(rows, share{Key: k, Count: c, Fraction: f})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].Count != rows[j].Count {
-			return rows[i].Count > rows[j].Count
-		}
-		return rows[i].Key < rows[j].Key
-	})
-	return rows
-}
+// top is the first max rows of a ranking.
+func top(rows []share, max int) []share { return rows[:min(len(rows), max)] }
 
 // Totals are the headline population counts of one snapshot.
 type Totals struct {
@@ -125,7 +94,9 @@ type NodeSummary struct {
 // Snapshot is one immutable published census. All exported fields and
 // the cached payloads are written once by BuildSnapshot and never
 // mutated afterwards, so a *Snapshot may be shared across any number
-// of concurrent readers without synchronization.
+// of concurrent readers without synchronization. That includes what
+// snapshots share with each other and with the fold: a record is built
+// once per change to its identity and never written again.
 type Snapshot struct {
 	// Epoch counts published snapshots, starting at 0 when the daemon
 	// starts. It keys every response cache: a new epoch is the only
@@ -141,8 +112,14 @@ type Snapshot struct {
 	// so every in-flight dial of a finalized window has landed.
 	Points []analysis.EpochPoint
 
-	nodes  map[string]*NodeSummary
+	// ids is every known node ID, sorted; seqs[i] is the ordinal
+	// (analysis.NodeObservation.Seq) of ids[i], and recs is indexed by
+	// ordinal. Consecutive snapshots share ids and seqs until an identity
+	// arrives, and every record of an identity the log did not mention in
+	// between.
 	ids    []string
+	seqs   []int
+	recs   []*record
 	cached [numEndpoints][]byte
 	etag   string
 }
@@ -152,7 +129,13 @@ type Snapshot struct {
 func (s *Snapshot) ETag() string { return s.etag }
 
 // Node returns the summary for a node ID, or nil.
-func (s *Snapshot) Node(id string) *NodeSummary { return s.nodes[id] }
+func (s *Snapshot) Node(id string) *NodeSummary {
+	i, ok := slices.BinarySearch(s.ids, id)
+	if !ok {
+		return nil
+	}
+	return &s.recs[s.seqs[i]].NodeSummary
+}
 
 // NodeIDs returns all known IDs in sorted order. The slice is shared
 // and must not be mutated.
@@ -259,27 +242,119 @@ type indexPayload struct {
 	Endpoints []string `json:"endpoints"`
 }
 
+// record is everything the census keeps of one identity as of its last
+// log entry: the summary /v1/nodes/{id} serves (whose IP is also the
+// address Country, AS and Cloud were resolved for) and what the identity
+// counts for in the censuses. Records are immutable and shared between
+// the fold and every snapshot since they were built.
+type record struct {
+	NodeSummary
+	counts contribution
+}
+
+// contribution is one identity's part in every census: the
+// populations it is counted in and its bucket in each distribution. Two
+// records with equal contributions are interchangeable as far as the
+// tallies go.
+type contribution struct {
+	// responsive, devp2p (a HELLO: service is its bucket), status
+	// (network, genesis and fork are) and mainnet are the totals.
+	// hasClient and versionOf > 0 hold for verified Mainnet nodes only:
+	// client is the implementation's bucket, version the bucket in the
+	// census of versionClients[versionOf-1].
+	responsive, devp2p, status, mainnet, hasClient, impostor bool
+	versionOf                                                int8
+	service, client, version, network, genesis, fork         string
+	// geo is where the address resolves, while geography is on.
+	geo analysis.GeoRecord
+}
+
+// versionClients are the clients whose version census is served.
+var versionClients = [...]string{"Geth", "Parity"}
+
+// tally is a counted multiset of bucket keys. A bucket that returns to
+// zero is deleted, so len is the number of distinct keys.
+type tally map[string]int
+
+func (t tally) add(key string, d int) {
+	if n := t[key] + d; n != 0 {
+		t[key] = n
+	} else {
+		delete(t, key)
+	}
+}
+
+// tallies are the §6 censuses as running counts over the records.
+type tallies struct {
+	totals    Totals
+	impostors int
+	versions  [len(versionClients)]tally
+
+	services, clients, networks, genesis, forks, countries, ases, cloudASes tally
+}
+
+func count(n *int, in bool, d int) {
+	if in {
+		*n += d
+	}
+}
+
+// apply asserts (d = 1) or retracts (d = -1) one contribution.
+func (t *tallies) apply(c *contribution, d int) {
+	t.totals.Identities += d
+	count(&t.totals.Responsive, c.responsive, d)
+	count(&t.totals.DEVp2p, c.devp2p, d)
+	count(&t.totals.WithStatus, c.status, d)
+	count(&t.totals.Mainnet, c.mainnet, d)
+	count(&t.impostors, c.impostor, d)
+	if c.devp2p {
+		t.services.add(c.service, d)
+	}
+	if c.hasClient {
+		t.clients.add(c.client, d)
+	}
+	if c.versionOf > 0 {
+		t.versions[c.versionOf-1].add(c.version, d)
+	}
+	if c.status {
+		t.networks.add(c.network, d)
+		t.genesis.add(c.genesis, d)
+		t.forks.add(c.fork, d)
+	}
+	if c.geo.Valid {
+		t.countries.add(c.geo.Country, d)
+		t.ases.add(c.geo.AS, d)
+		if c.geo.Cloud {
+			t.cloudASes.add(c.geo.AS, d)
+		}
+	}
+}
+
 // fold is the census's write-side state: the node table, the churn
-// series and the geography index, each advanced one log entry at a
-// time. The daemon keeps one fold for its lifetime and feeds it only
-// the entries recorded since the last tick; BuildSnapshot feeds a
-// fresh one the whole log. Either way a snapshot is fold.snapshot, so
-// what is served is a function of the entry sequence alone.
+// series and the censuses, each advanced one log entry at a time. The
+// daemon keeps one fold for its lifetime and feeds it only the entries
+// recorded since the last tick; BuildSnapshot feeds a fresh one the
+// whole log. Either way a snapshot is fold.snapshot, so what is served
+// is a function of the entry sequence alone.
 type fold struct {
 	start     time.Time
 	interval  time.Duration
 	maxPoints int
 	nodes     *analysis.Aggregator
 	epochs    *analysis.EpochFold
-	geo       *analysis.GeoIndex // nil disables geography
-	// points is the sealed series so far. Published snapshots share its
-	// backing array, so it is only ever appended to or resliced.
-	points []analysis.EpochPoint
-	// ids is every known node ID, sorted; fresh are the IDs first seen
-	// since ids was built. Published snapshots share ids, so it is
-	// replaced, never edited.
+	geo       *geo.DB // nil disables geography
+	// points is the sealed series so far, and churn and arrivals each
+	// point's element of the two series bodies, encoded when it was
+	// sealed. Published snapshots share points' backing array, so it is
+	// only ever appended to or resliced.
+	points          []analysis.EpochPoint
+	churn, arrivals [][]byte
+	// ids, seqs and recs are the last snapshot's (see Snapshot), which
+	// shares them: they are replaced, never edited. tally counts recs.
 	ids   []string
-	fresh []string
+	seqs  []int
+	recs  []*record
+	tally tallies
 }
 
 func newFold(start time.Time, interval time.Duration, db *geo.DB, maxPoints int) *fold {
@@ -288,12 +363,15 @@ func newFold(start time.Time, interval time.Duration, db *geo.DB, maxPoints int)
 		interval:  interval,
 		maxPoints: maxPoints,
 		nodes:     analysis.NewAggregator(),
+		geo:       db,
+		tally: tallies{services: tally{}, clients: tally{}, networks: tally{}, genesis: tally{},
+			forks: tally{}, countries: tally{}, ases: tally{}, cloudASes: tally{}},
+	}
+	for i := range f.tally.versions {
+		f.tally.versions[i] = tally{}
 	}
 	if interval > 0 {
 		f.epochs = analysis.NewEpochFold(start, interval)
-	}
-	if db != nil {
-		f.geo = analysis.NewGeoIndex(db)
 	}
 	return f
 }
@@ -303,123 +381,180 @@ func newFold(start time.Time, interval time.Duration, db *geo.DB, maxPoints int)
 // (totals, censuses, /v1/nodes/{id}), but the series point it belongs
 // to has been published and is not rewritten.
 func (f *fold) add(e *mlog.Entry) bool {
-	if o := f.nodes.Add(e); o != nil && o.EntryCount == 1 {
-		f.fresh = append(f.fresh, o.ID)
-	}
+	f.nodes.Add(e)
 	return f.epochs == nil || f.epochs.Add(e)
 }
 
-// mergeSorted merges two sorted string slices into a new one.
-func mergeSorted(a, b []string) []string {
-	out := make([]string, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		if a[0] <= b[0] {
-			out, a = append(out, a[0]), a[1:]
-		} else {
-			out, b = append(out, b[0]), b[1:]
-		}
-	}
-	return append(append(out, a...), b...)
-}
-
 // BuildSnapshot folds the whole log from scratch and snapshots the
-// result.
+// result: every identity's contribution is asserted once and none is
+// retracted.
 func BuildSnapshot(p BuildParams) *Snapshot {
 	f := newFold(p.Start, p.Interval, p.Geo, p.MaxPoints)
 	for _, e := range p.Entries {
 		f.add(e)
 	}
-	return f.snapshot(p.Epoch, p.Now)
+	s, _, _ := f.snapshot(p.Epoch, p.Now)
+	return s
 }
 
-// snapshot seals the windows that are final at now and marshals every
-// endpoint payload eagerly, so serving is a byte copy. Nothing the
-// returned Snapshot references is written again by later adds.
-func (f *fold) snapshot(epoch uint64, now time.Time) *Snapshot {
-	nodes := f.nodes.Nodes()
-	s := &Snapshot{
+// seal closes the windows that are final at now.
+//
+// Finalized windows lag the build time by one interval: entries carry
+// the dial's start time but land in the log at dial end, so the newest
+// window may still be filling. One interval (30 min nominal) dwarfs the
+// bounded dial timeout, guaranteeing a finalized window's entry set is
+// complete — this is what lets a served series reconcile exactly
+// against the raw log.
+//
+// Finalizing seals: the window's live set is diffed, its point appended
+// and encoded, and the set dropped. Should an entry still turn up for a
+// sealed window (a crawler that buffers records for longer than an
+// interval would do it), add reports it late and the published point
+// stands; the daemon counts these in census.entries_late, so a series
+// that no longer reconciles with the raw log says so.
+func (f *fold) seal(now time.Time) {
+	if f.epochs == nil {
+		return
+	}
+	sealed := len(f.points)
+	f.points = f.epochs.Seal(int(now.Sub(f.start)/f.interval)-1, f.points)
+	for _, pt := range f.points[sealed:] {
+		f.churn = append(f.churn, encode(pt, elementPrefix))
+		f.arrivals = append(f.arrivals, encode(arrivalPoint{Epoch: pt.Epoch, Start: pt.Start, Arrived: pt.Arrived, Alive: pt.Alive}, elementPrefix))
+	}
+	if drop := len(f.points) - f.maxPoints; f.maxPoints > 0 && drop > 0 {
+		f.points, f.churn, f.arrivals = f.points[drop:], f.churn[drop:], f.arrivals[drop:]
+	}
+}
+
+// admit gives the identities first seen since the last snapshot their
+// places in the sorted ID index.
+func (f *fold) admit(fresh []*analysis.NodeObservation) {
+	slices.SortFunc(fresh, func(a, b *analysis.NodeObservation) int { return strings.Compare(a.ID, b.ID) })
+	ids := make([]string, 0, len(f.ids)+len(fresh))
+	seqs := make([]int, 0, cap(ids))
+	old := 0
+	for _, o := range fresh {
+		for ; old < len(f.ids) && f.ids[old] < o.ID; old++ {
+			ids, seqs = append(ids, f.ids[old]), append(seqs, f.seqs[old])
+		}
+		ids, seqs = append(ids, o.ID), append(seqs, o.Seq)
+	}
+	f.ids, f.seqs = append(ids, f.ids[old:]...), append(seqs, f.seqs[old:]...)
+}
+
+// rebuild brings recs and the tallies up to date with the node table:
+// one new record per identity the log mentioned since the last
+// snapshot, and, where the new record counts differently from the one
+// it replaces, the old contribution retracted and the new one asserted.
+// It reports how many records it built and how many of them moved a
+// tally.
+func (f *fold) rebuild() (touched, moved int) {
+	obs := f.nodes.Touched()
+	if len(obs) == 0 {
+		return 0, 0
+	}
+	// The last snapshot reads f.recs: patch a copy, with room for the
+	// identities that are new.
+	recs := make([]*record, len(f.nodes.Nodes()))
+	known := copy(recs, f.recs)
+	f.recs = recs
+	var fresh []*analysis.NodeObservation
+	for _, o := range obs {
+		old := f.recs[o.Seq]
+		if o.Seq >= known {
+			fresh = append(fresh, o)
+		}
+		r := f.record(o, old)
+		f.recs[o.Seq] = r
+		switch {
+		case old == nil:
+			f.tally.apply(&r.counts, 1)
+		case old.counts != r.counts:
+			f.tally.apply(&old.counts, -1)
+			f.tally.apply(&r.counts, 1)
+		default:
+			continue
+		}
+		moved++
+	}
+	if len(fresh) > 0 {
+		f.admit(fresh)
+	}
+	return len(obs), moved
+}
+
+// record builds o's record; old is the one it replaces, or nil.
+func (f *fold) record(o *analysis.NodeObservation, old *record) *record {
+	r := &record{NodeSummary: NodeSummary{
+		ID:         o.ID,
+		IP:         o.IP,
+		Responsive: o.Responsive,
+		FirstSeen:  o.FirstSeen,
+		LastSeen:   o.LastSeen,
+		Client:     o.ClientName,
+		Caps:       o.Caps,
+		DAOFork:    o.DAOFork,
+		Mainnet:    analysis.IsMainnet(o),
+		Entries:    o.EntryCount,
+		LatencyMS:  float64(o.LatencyUS) / 1000,
+	}}
+	c := &r.counts
+	c.responsive, c.status, c.mainnet = o.Responsive, o.HasStatus, r.Mainnet
+	c.service, c.devp2p = analysis.ServiceKey(o)
+	if c.mainnet {
+		c.client, c.hasClient = analysis.ClientKey(o)
+		for i, client := range versionClients {
+			if v, ok := analysis.VersionKey(o, client); ok {
+				c.version, c.versionOf = v, int8(i+1)
+			}
+		}
+	}
+	if o.HasStatus {
+		r.NetworkID, r.GenesisHash, r.BestBlock = o.NetworkID, o.GenesisHash, o.BestBlock
+		c.network, c.genesis, c.impostor = analysis.NetworkKey(o.NetworkID), o.GenesisHash, analysis.IsImpostor(o)
+		if c.fork = o.DAOFork; c.fork == "" {
+			c.fork = "unchecked"
+		}
+	}
+	if f.geo != nil {
+		if old != nil && old.IP == o.IP {
+			c.geo = old.counts.geo
+		} else {
+			c.geo = analysis.ResolveGeo(f.geo, o.IP)
+		}
+		if c.geo.Valid {
+			r.Country, r.AS, r.Cloud = c.geo.Country, c.geo.AS, c.geo.Cloud
+		}
+	}
+	return r
+}
+
+// snapshot seals the windows that are final at now, rebuilds the
+// records of the identities the log mentioned since the last snapshot,
+// and marshals every endpoint payload eagerly, so serving is a byte
+// copy: the censuses ranked from the tallies, the series assembled from
+// the points' encoded elements. Nothing the returned Snapshot references
+// is written again by later adds. touched and moved are rebuild's.
+func (f *fold) snapshot(epoch uint64, now time.Time) (s *Snapshot, touched, moved int) {
+	f.seal(now)
+	touched, moved = f.rebuild()
+	t := &f.tally
+	s = &Snapshot{
 		Epoch:    epoch,
 		Time:     now,
 		Start:    f.start,
 		Interval: f.interval,
-		etag:     fmt.Sprintf("%q", fmt.Sprintf("census-%d", epoch)),
+		Totals:   t.totals,
+		// Capped, so the next seal's append cannot reach into it.
+		Points: f.points[:len(f.points):len(f.points)],
+		ids:    f.ids,
+		seqs:   f.seqs,
+		recs:   f.recs,
+		etag:   fmt.Sprintf("%q", fmt.Sprintf("census-%d", epoch)),
 	}
 
-	// Finalized windows lag the build time by one interval: entries
-	// carry the dial's start time but land in the log at dial end, so
-	// the newest window may still be filling. One interval (30 min
-	// nominal) dwarfs the bounded dial timeout, guaranteeing a
-	// finalized window's entry set is complete — this is what lets a
-	// served series reconcile exactly against the raw log.
-	//
-	// Finalizing seals: the window's live set is diffed, its point
-	// appended, and the set dropped. Should an entry still turn up for
-	// a sealed window (a crawler that buffers records for longer than
-	// an interval would do it), add reports it late and the published
-	// point stands; the daemon counts these in census.entries_late, so
-	// a series that no longer reconciles with the raw log says so.
-	if f.epochs != nil {
-		f.points = f.epochs.Seal(int(now.Sub(f.start)/f.interval)-1, f.points)
-		if f.maxPoints > 0 && len(f.points) > f.maxPoints {
-			f.points = f.points[len(f.points)-f.maxPoints:]
-		}
-	}
-	// Capped, so the next Seal's append cannot reach into it.
-	s.Points = f.points[:len(f.points):len(f.points)]
-
-	if len(f.fresh) > 0 {
-		sort.Strings(f.fresh)
-		f.ids = mergeSorted(f.ids, f.fresh)
-		f.fresh = f.fresh[:0]
-	}
-	s.ids = f.ids
-
-	s.nodes = make(map[string]*NodeSummary, len(nodes))
-	for id, o := range nodes {
-		isMainnet := analysis.IsMainnet(o)
-		s.Totals.Identities++
-		if o.Responsive {
-			s.Totals.Responsive++
-		}
-		if len(o.Caps) > 0 {
-			s.Totals.DEVp2p++
-		}
-		if o.HasStatus {
-			s.Totals.WithStatus++
-		}
-		if isMainnet {
-			s.Totals.Mainnet++
-		}
-		ns := &NodeSummary{
-			ID:         id,
-			IP:         o.IP,
-			Responsive: o.Responsive,
-			FirstSeen:  o.FirstSeen,
-			LastSeen:   o.LastSeen,
-			Client:     o.ClientName,
-			Caps:       o.Caps,
-			DAOFork:    o.DAOFork,
-			Mainnet:    isMainnet,
-			Entries:    o.EntryCount,
-			LatencyMS:  float64(o.LatencyUS) / 1000,
-		}
-		if o.HasStatus {
-			ns.NetworkID = o.NetworkID
-			ns.GenesisHash = o.GenesisHash
-			ns.BestBlock = o.BestBlock
-		}
-		if f.geo != nil {
-			if rec := f.geo.Resolve(o); rec.Valid {
-				ns.Country = rec.Country
-				ns.AS = rec.AS
-				ns.Cloud = rec.Cloud
-			}
-		}
-		s.nodes[id] = ns
-	}
-
-	nets := analysis.Networks(nodes)
-
+	nets := analysis.NetworkCensusOf(t.networks, t.genesis, t.impostors)
 	s.cached[epSummary] = marshal(summaryPayload{
 		Epoch:            epoch,
 		Time:             now,
@@ -431,61 +566,53 @@ func (f *fold) snapshot(epoch uint64, now time.Time) *Snapshot {
 		DistinctGenesis:  nets.DistinctGenesis,
 	})
 
-	mainnet := analysis.MainnetSubset(nodes)
-	s.cached[epClients] = marshal(clientsPayload{
+	cp := clientsPayload{
 		Epoch:    epoch,
-		Clients:  toShares(analysis.ClientCensus(mainnet), maxShareRows),
-		Services: toShares(analysis.ServiceCensus(nodes), maxShareRows),
-		Versions: []versionPayload{
-			versionRows(mainnet, "Geth"),
-			versionRows(mainnet, "Parity"),
-		},
-	})
+		Clients:  top(analysis.Rank(t.clients), maxShareRows),
+		Services: top(analysis.Rank(t.services), maxShareRows),
+	}
+	for i, client := range versionClients {
+		vc := analysis.VersionCensusOf(client, t.versions[i])
+		cp.Versions = append(cp.Versions, versionPayload{
+			Client:      client,
+			Total:       vc.Total,
+			StableShare: vc.StableShare,
+			Top:         top(vc.Versions, maxVersionRows),
+		})
+	}
+	s.cached[epClients] = marshal(cp)
 
 	gp := geoPayload{Epoch: epoch, Countries: []share{}, ASes: []share{}}
 	if f.geo != nil {
-		gc := f.geo.Census()
-		gp.Countries = toShares(gc.Countries, maxShareRows)
-		gp.ASes = toShares(gc.ASes, maxShareRows)
+		gc := analysis.GeoCensusOf(t.countries, t.ases, t.cloudASes)
+		gp.Countries = top(gc.Countries, maxShareRows)
+		gp.ASes = top(gc.ASes, maxShareRows)
 		gp.Top8ASShare = gc.Top8ASShare
 		gp.Top8AllCloud = gc.Top8AllCloud
 	}
 	s.cached[epGeo] = marshal(gp)
 
-	forks := map[string]int{}
-	for _, o := range nodes {
-		if !o.HasStatus {
-			continue
-		}
-		stance := o.DAOFork
-		if stance == "" {
-			stance = "unchecked"
-		}
-		forks[stance]++
-	}
 	s.cached[epNetworks] = marshal(networksPayload{
 		Epoch:                   epoch,
-		Networks:                toShares(nets.Networks, maxShareRows),
-		GenesisHashes:           toShares(nets.GenesisHashes, maxShareRows),
+		Networks:                top(nets.Networks, maxShareRows),
+		GenesisHashes:           top(nets.GenesisHashes, maxShareRows),
 		DistinctNetworks:        nets.DistinctNetworks,
 		DistinctGenesis:         nets.DistinctGenesis,
 		SinglePeerNetworks:      nets.SinglePeerNetworks,
 		MainnetGenesisImpostors: nets.MainnetGenesisImpostors,
-		Forks:                   rankCounts(forks),
+		Forks:                   analysis.Rank(t.forks),
 	})
 
-	s.cached[epSeriesChurn] = marshal(churnPayload{
+	// A series body is its header, marshaled with no points, and the
+	// points' elements spliced in. nil[:0] is nil: with nothing sealed
+	// the churn series still says null.
+	s.cached[epSeriesChurn] = splice(marshal(churnPayload{
 		Epoch:           epoch,
 		Start:           f.start,
 		IntervalSeconds: f.interval.Seconds(),
-		Points:          s.Points,
-	})
-
-	arrivals := make([]arrivalPoint, len(s.Points))
-	for i, pt := range s.Points {
-		arrivals[i] = arrivalPoint{Epoch: pt.Epoch, Start: pt.Start, Arrived: pt.Arrived, Alive: pt.Alive}
-	}
-	s.cached[epSeriesArrivals] = marshal(arrivalsPayload{Epoch: epoch, Points: arrivals})
+		Points:          s.Points[:0],
+	}), f.churn)
+	s.cached[epSeriesArrivals] = splice(marshal(arrivalsPayload{Epoch: epoch, Points: []arrivalPoint{}}), f.arrivals)
 
 	s.cached[epIndex] = marshal(indexPayload{
 		Service:   "censusd",
@@ -493,25 +620,46 @@ func (f *fold) snapshot(epoch uint64, now time.Time) *Snapshot {
 		Endpoints: endpointPaths,
 	})
 
-	return s
+	return s, touched, moved
 }
 
-func versionRows(nodes map[string]*analysis.NodeObservation, client string) versionPayload {
-	vc := analysis.Versions(nodes, client)
-	return versionPayload{
-		Client:      vc.Client,
-		Total:       vc.Total,
-		StableShare: vc.StableShare,
-		Top:         toShares(vc.Versions, maxVersionRows),
-	}
-}
+// marshal encodes a payload struct built entirely from local types.
+func marshal(v any) []byte { return append(encode(v, ""), '\n') }
 
-// marshal encodes a payload struct built entirely from local types;
-// encoding cannot fail, so a failure is a programming error.
-func marshal(v any) []byte {
-	buf, err := json.MarshalIndent(v, "", "  ")
+// elementPrefix is the indent of an element of a body's top-level array.
+const elementPrefix = "    "
+
+// encode is json.MarshalIndent at the given prefix: "" for a whole
+// body, elementPrefix for an array element (less its first line's
+// indent). Encoding local types cannot fail, so a
+// failure is a programming error.
+func encode(v any, prefix string) []byte {
+	buf, err := json.MarshalIndent(v, prefix, "  ")
 	if err != nil {
 		panic("census: marshal: " + err.Error())
 	}
-	return append(buf, '\n')
+	return buf
+}
+
+// splice returns body, a marshaled payload whose last field is an empty
+// array, with elems as that array's elements.
+func splice(body []byte, elems [][]byte) []byte {
+	if len(elems) == 0 {
+		return body
+	}
+	const empty, first, next, end = "[]\n}\n", "[\n" + elementPrefix, ",\n" + elementPrefix, "\n  ]\n}\n"
+	size := len(body) - len(empty) + len(elems)*len(next) + len(end)
+	for _, e := range elems {
+		size += len(e)
+	}
+	out := append(make([]byte, 0, size), body[:len(body)-len(empty)]...)
+	for i, e := range elems {
+		if i == 0 {
+			out = append(out, first...)
+		} else {
+			out = append(out, next...)
+		}
+		out = append(out, e...)
+	}
+	return append(out, end...)
 }

@@ -1,6 +1,8 @@
 package census_test
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -101,6 +103,90 @@ func TestSnapshotSwapUnderLoad(t *testing.T) {
 	d.Stop()
 	if d.Current().Epoch < 1 {
 		t.Fatalf("load ran against a single epoch (epoch %d); swap path untested", d.Current().Epoch)
+	}
+}
+
+// digest hashes everything a snapshot serves: every cached body and the
+// JSON of every node.
+func digest(s *census.Snapshot) [sha256.Size]byte {
+	h := sha256.New()
+	for ep := 0; ep < census.NumEndpoints; ep++ {
+		h.Write(s.Payload(ep))
+	}
+	for _, id := range s.NodeIDs() {
+		node, _ := json.Marshal(s.Node(id))
+		h.Write(node)
+	}
+	return [sha256.Size]byte(h.Sum(nil))
+}
+
+// TestSharedRecordsStayFrozen: consecutive snapshots share the records
+// of the identities that did not change between them, and the fold keeps
+// pointers to all of them. Eight snapshots are held and hashed while
+// the daemon publishes 32 more, every one changing most of the same
+// identities and leaving the rest (whose records stay shared) alone;
+// readers hash the held ones throughout (under -race, a write through
+// a shared record is a report), and at the end each still hashes as it
+// did when it was current.
+func TestSharedRecordsStayFrozen(t *testing.T) {
+	leakcheck.Check(t)
+	const (
+		identities = 24
+		held       = 8
+		further    = 32
+		readers    = 4
+	)
+	clk := simclock.NewSimulated(t0)
+	d := census.NewDaemon(census.DaemonConfig{Clock: clk, Geo: geo.NewDB()})
+	d.Start()
+	defer d.Stop()
+	publish := func(k int) *census.Snapshot {
+		for i := 0; i < identities; i++ {
+			if (i+k)%3 == 0 {
+				continue // untouched this round: its record is shared
+			}
+			e := helloEntry(fmt.Sprintf("n%02d", i), fmt.Sprintf("52.%d.%d.9", k/2%5, i), fmt.Sprintf("Geth/v1.8.%d-stable", k%4), clk.Now())
+			e.Status = &mlog.StatusInfo{ProtocolVersion: 63, NetworkID: uint64(1 + (i+k)%3), GenesisHash: "0x01"}
+			d.Record(e)
+		}
+		clk.Advance(census.DefaultInterval)
+		return d.Current()
+	}
+
+	var snaps [held]*census.Snapshot
+	var sums [held][sha256.Size]byte
+	for k := range snaps {
+		snaps[k] = publish(k)
+		sums[k] = digest(snaps[k])
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if k := i % held; digest(snaps[k]) != sums[k] {
+					t.Errorf("held snapshot %d changed under a reader", k)
+					return
+				}
+			}
+		}(r)
+	}
+	for k := held; k < held+further; k++ {
+		publish(k)
+	}
+	close(stop)
+	wg.Wait()
+	for k, s := range snaps {
+		if digest(s) != sums[k] {
+			t.Errorf("snapshot of epoch %d no longer hashes as it did when published", s.Epoch)
+		}
 	}
 }
 

@@ -41,8 +41,9 @@ type DaemonConfig struct {
 //
 // The daemon keeps no log. Each publish folds the entries recorded
 // since the previous one into its fold and lets them go, so a publish
-// costs the new entries plus one pass over the node table, and memory
-// follows the population, however long the crawl runs.
+// costs the new entries, one record per identity they name and the
+// distinct census keys, and memory follows the population, however
+// long the crawl runs.
 type Daemon struct {
 	cfg DaemonConfig
 
@@ -70,6 +71,10 @@ type Daemon struct {
 	late      *metrics.Counter
 	published *metrics.Counter
 	buildUS   *metrics.Histogram
+	// Why a publish cost what it did: records rebuilt per publish, and
+	// how many rebuilds moved a tally.
+	touched *metrics.Histogram
+	moved   *metrics.Counter
 }
 
 // NewDaemon creates a daemon; call Start to begin the tick schedule.
@@ -86,6 +91,8 @@ func NewDaemon(cfg DaemonConfig) *Daemon {
 		late:      cfg.Metrics.Counter("census.entries_late"),
 		published: cfg.Metrics.Counter("census.snapshots_published"),
 		buildUS:   cfg.Metrics.Histogram("census.build_us"),
+		touched:   cfg.Metrics.Histogram("census.publish_touched"),
+		moved:     cfg.Metrics.Counter("census.contributions_changed"),
 	}
 	cfg.Metrics.GaugeFunc("census.epoch", func() int64 {
 		if s := d.Current(); s != nil {
@@ -197,9 +204,11 @@ func (d *Daemon) publish() {
 	// Drop the entries: the buffer is reused, and must not pin them.
 	clear(batch)
 	d.spare = batch[:0]
-	snap := d.fold.snapshot(d.epoch, now)
+	snap, touched, moved := d.fold.snapshot(d.epoch, now)
 	d.epoch++
 	d.buildUS.Observe(uint64(cost.Elapsed() / time.Microsecond))
+	d.touched.Observe(uint64(touched))
+	d.moved.Add(uint64(moved))
 	d.cur.Store(snap)
 	d.published.Inc()
 }

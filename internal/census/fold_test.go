@@ -2,10 +2,10 @@ package census_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
+	"net"
 	"reflect"
 	"runtime"
 	"sort"
@@ -36,14 +36,22 @@ type arrival struct {
 // most the finalization lag allows); timestamps are whole minutes over
 // a few identities, so equal times are common; identities move between
 // addresses and clients; a quarter of the responsive entries are
-// DISCONNECTs without a HELLO; window `empty` has no entry at all.
+// DISCONNECTs without a HELLO; window `empty` has no entry at all. And
+// every census contribution moves: clients go up and down versions (and
+// carry names with no version, no implementation or no '/' at all),
+// capability lists change, STATUS turns up after the first HELLO,
+// network IDs, genesis hashes and DAO stances flip (so identities join
+// and leave Mainnet, and a handful of rare network IDs gain and lose
+// their only peer), and the addresses span countries and ASes.
 func randomArrivals(rng *rand.Rand, n, epochs, empty int) []arrival {
 	const interval = census.DefaultInterval
 	mainnet := chain.MainnetGenesisHash.Hex()
 	clients := []string{
-		"Geth/v1.8.10-stable/linux-amd64/go1.10", "Geth/v1.8.11-stable/linux-amd64/go1.10",
-		"Parity-Ethereum/v1.10.6-stable", "cpp-ethereum/v1.3.0",
+		"Geth/v1.8.10-stable/linux-amd64/go1.10", "Geth/v1.8.11-stable/linux-amd64/go1.10", "Geth/v1.8.12-unstable",
+		"Parity/v1.10.6-stable/x86_64-linux-gnu/rustc1.26.1", "Parity/v1.11.0-beta", "Parity-Ethereum/v1.10.6-stable",
+		"cpp-ethereum/v1.3.0", "Geth//odd", "/anonymous", "noslash",
 	}
+	caps := [][]string{{"eth/63"}, {"eth/62", "eth/63"}, {"les/2"}, {"bzz/0", "eth/63"}, {"foo/1"}, {"/9", "bar/2", "shh/6"}, {"/9"}}
 	var out []arrival
 	for len(out) < n {
 		at := t0.Add(time.Duration(rng.Int63n(int64(epochs) * int64(interval))))
@@ -63,11 +71,14 @@ func randomArrivals(rng *rand.Rand, n, epochs, empty int) []arrival {
 			e.DisconnectReason = &reason
 		default:
 			e.LatencyUS = 500 + rng.Int63n(90_000)
-			e.Hello = &mlog.HelloInfo{Version: 5, ClientName: clients[rng.Intn(len(clients))], Caps: []string{"eth/63"}}
+			e.Hello = &mlog.HelloInfo{Version: 5, ClientName: clients[rng.Intn(len(clients))], Caps: caps[rng.Intn(len(caps))]}
 			if rng.Intn(3) > 0 {
-				e.Status = &mlog.StatusInfo{ProtocolVersion: 63, NetworkID: uint64(1 + rng.Intn(2)),
+				e.Status = &mlog.StatusInfo{ProtocolVersion: 63, NetworkID: []uint64{1, 1, 1, 2, 3, 100 + uint64(rng.Intn(6))}[rng.Intn(6)],
 					GenesisHash: mainnet, BestBlock: 5_500_000 + uint64(rng.Intn(1000))}
-				e.DAOFork = []string{"supported", "opposed", ""}[rng.Intn(3)]
+				if rng.Intn(4) == 0 {
+					e.Status.GenesisHash = fmt.Sprintf("0x%064x", rng.Intn(5))
+				}
+				e.DAOFork = []string{"supported", "supported", "opposed", ""}[rng.Intn(4)]
 			}
 		}
 		out = append(out, arrival{at: at, e: e})
@@ -76,58 +87,47 @@ func randomArrivals(rng *rand.Rand, n, epochs, empty int) []arrival {
 	return out
 }
 
-type fixedSource struct{ s *census.Snapshot }
-
-func (f fixedSource) Current() *census.Snapshot { return f.s }
-
-func get(t *testing.T, h http.Handler, target string) []byte {
-	t.Helper()
-	rr := httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", target, nil))
-	if rr.Code != http.StatusOK {
-		t.Fatalf("GET %s: status %d: %s", target, rr.Code, rr.Body.Bytes())
-	}
-	return rr.Body.Bytes()
-}
-
-// sameCensus fails unless got, published by a daemon, is what
-// BuildSnapshot makes of the log so far: totals, series, ID list, and
-// every endpoint body (each node's included) byte for byte.
+// sameCensus fails unless got is the census of the log so far as the
+// oracle computes it: totals, series, ID list, all seven cached bodies
+// byte for byte, and every identity's summary.
 func sameCensus(t *testing.T, when string, got *census.Snapshot, p census.BuildParams) {
 	t.Helper()
 	p.Epoch = got.Epoch
-	want := census.BuildSnapshot(p)
+	want := census.OracleSnapshot(p)
 	if got.Totals != want.Totals {
-		t.Errorf("%s: totals %+v, from scratch %+v", when, got.Totals, want.Totals)
+		t.Errorf("%s: totals %+v, oracle %+v", when, got.Totals, want.Totals)
 	}
-	if !got.Time.Equal(want.Time) || !got.Start.Equal(want.Start) || got.Interval != want.Interval || got.ETag() != want.ETag() {
-		t.Errorf("%s: header (%v %v %v %s), from scratch (%v %v %v %s)", when,
-			got.Time, got.Start, got.Interval, got.ETag(), want.Time, want.Start, want.Interval, want.ETag())
+	if etag := fmt.Sprintf(`"census-%d"`, p.Epoch); !got.Time.Equal(p.Now) || !got.Start.Equal(p.Start) || got.Interval != p.Interval || got.ETag() != etag {
+		t.Errorf("%s: header (%v %v %v %s), want (%v %v %v %s)", when,
+			got.Time, got.Start, got.Interval, got.ETag(), p.Now, p.Start, p.Interval, etag)
 	}
 	if !reflect.DeepEqual(got.Points, want.Points) {
 		t.Errorf("%s: series\n got %+v\nwant %+v", when, got.Points, want.Points)
 	}
-	if !reflect.DeepEqual(got.NodeIDs(), want.NodeIDs()) && len(got.NodeIDs())+len(want.NodeIDs()) > 0 {
-		t.Errorf("%s: IDs %v, from scratch %v", when, got.NodeIDs(), want.NodeIDs())
+	if !reflect.DeepEqual(got.NodeIDs(), want.IDs) && len(got.NodeIDs())+len(want.IDs) > 0 {
+		t.Errorf("%s: IDs %v, oracle %v", when, got.NodeIDs(), want.IDs)
 	}
-	gh := census.NewHandler(census.ServerConfig{Source: fixedSource{got}})
-	wh := census.NewHandler(census.ServerConfig{Source: fixedSource{want}})
-	targets := []string{"/", "/v1/summary", "/v1/clients", "/v1/geo", "/v1/networks",
-		"/v1/series/churn", "/v1/series/arrivals", "/v1/series/churn?last=2"}
-	for _, id := range want.NodeIDs() {
-		targets = append(targets, "/v1/nodes/"+id)
-	}
-	for _, target := range targets {
-		if g, w := get(t, gh, target), get(t, wh, target); !bytes.Equal(g, w) {
-			t.Errorf("%s: GET %s\n--- daemon ---\n%s--- from scratch ---\n%s", when, target, g, w)
+	for ep := 0; ep < census.NumEndpoints; ep++ {
+		if g, w := got.Payload(ep), want.Payloads[ep]; !bytes.Equal(g, w) {
+			t.Errorf("%s: payload %d\n--- served ---\n%s--- oracle ---\n%s", when, ep, g, w)
 		}
+	}
+	for id, w := range want.Nodes {
+		if g := got.Node(id); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: node %s\n got %+v\nwant %+v", when, id, g, w)
+		}
+	}
+	if n := got.Node("no such node"); n != nil {
+		t.Errorf("%s: an unknown ID has a summary: %+v", when, n)
 	}
 }
 
 // TestIncrementalEqualsFromScratch drives one daemon tick by tick over
-// a randomized log and, at every publish, compares what it serves with
-// a census built from scratch over the log so far. The daemon has long
-// dropped those entries; only the test keeps them.
+// a randomized log and, at every publish, holds what it serves — built
+// by retracting and asserting the contributions of the identities that
+// tick touched — to the oracle's census of the log so far, and
+// BuildSnapshot (every contribution asserted once) with it. The daemon
+// has long dropped those entries; only the test keeps them.
 func TestIncrementalEqualsFromScratch(t *testing.T) {
 	const (
 		interval = census.DefaultInterval
@@ -141,6 +141,9 @@ func TestIncrementalEqualsFromScratch(t *testing.T) {
 			clk := simclock.NewSimulated(t0)
 			reg := metrics.New()
 			db := geo.NewDB()
+			if seed == 4 {
+				db = nil // geography off
+			}
 			d := census.NewDaemon(census.DaemonConfig{Clock: clk, Geo: db, Metrics: reg, MaxPoints: maxPoints})
 
 			var log []*mlog.Entry
@@ -199,11 +202,86 @@ func TestIncrementalEqualsFromScratch(t *testing.T) {
 			if maxPoints == 0 && snap.Points[empty].Alive != 0 {
 				t.Errorf("seed %d: the empty window has %d alive", seed, snap.Points[empty].Alive)
 			}
-			if late := reg.Snapshot().Counter("census.entries_late"); late != 0 {
+			m := reg.Snapshot()
+			if late := m.Counter("census.entries_late"); late != 0 {
 				t.Errorf("maxPoints %d seed %d: %d entries counted late; every one arrived inside the lag", maxPoints, seed, late)
+			}
+			// Every identity is rebuilt at least once, its first rebuild
+			// moves a tally, and no rebuild moves more than one's worth.
+			touched, moved := m.Histograms["census.publish_touched"], m.Counter("census.contributions_changed")
+			if ids := uint64(snap.Totals.Identities); touched.Count != snap.Epoch+1 || touched.Sum < ids || moved < ids || moved > touched.Sum {
+				t.Errorf("maxPoints %d seed %d: %d identities over %d publishes, census.publish_touched %+v, census.contributions_changed %d",
+					maxPoints, seed, ids, snap.Epoch+1, touched, moved)
 			}
 		}
 	}
+}
+
+// TestContributionsRetract walks two identities through every way a
+// contribution can move, one change per publish, holding each publish
+// to the oracle; where a bucket's count returns to zero its key must be
+// gone from the ranked rows and from the distinct counts.
+func TestContributionsRetract(t *testing.T) {
+	db := geo.NewDB()
+	mainnet := chain.MainnetGenesisHash.Hex()
+	// Two addresses in different countries and different ASes.
+	home, abroad := "52.1.2.3", ""
+	for i := 0; abroad == ""; i++ {
+		ip := fmt.Sprintf("%d.3.3.3", 20+i)
+		addr, was := net.ParseIP(ip), net.ParseIP(home)
+		if db.Country(addr) != db.Country(was) && db.ASOf(addr).Name != db.ASOf(was).Name {
+			abroad = ip
+		}
+	}
+
+	clk := simclock.NewSimulated(t0)
+	d := census.NewDaemon(census.DaemonConfig{Clock: clk, Geo: db})
+	d.Start()
+	defer d.Stop()
+	var log []*mlog.Entry
+	var networks struct {
+		Networks                             []struct{ Key string }
+		DistinctNetworks, SinglePeerNetworks int
+	}
+	// step records one dial of id and publishes.
+	step := func(what, id, ip, client string, caps []string, network uint64, dao string) {
+		t.Helper()
+		e := helloEntry(id, ip, client, clk.Now())
+		e.Hello.Caps = caps
+		if network != 0 {
+			e.Status = &mlog.StatusInfo{ProtocolVersion: 63, NetworkID: network, GenesisHash: mainnet, BestBlock: 5_550_000}
+			e.DAOFork = dao
+		}
+		log = append(log, e)
+		d.Record(e)
+		clk.Advance(census.DefaultInterval)
+		sameCensus(t, what, d.Current(), census.BuildParams{Now: clk.Now(), Start: t0, Interval: census.DefaultInterval, Entries: log, Geo: db})
+		if err := json.Unmarshal(d.Current().Payload(census.EpNetworks), &networks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eth := []string{"eth/63"}
+	step("a Mainnet Geth node", "aa", home, "Geth/v1.8.10-stable/linux", eth, 1, "supported")
+	step("a second one, HELLO only", "bb", home, "Geth/v1.8.9-stable/linux", eth, 0, "")
+	step("STATUS appears later, on a network of its own", "bb", home, "Geth/v1.8.9-stable/linux", eth, 77, "")
+	if networks.DistinctNetworks != 2 || networks.SinglePeerNetworks != 2 {
+		t.Errorf("two networks of one peer each are served as %+v", networks)
+	}
+	step("network-ID change", "bb", home, "Geth/v1.8.9-stable/linux", eth, 78, "")
+	if networks.DistinctNetworks != 2 || networks.SinglePeerNetworks != 2 || networks.Networks[1].Key != "78" {
+		t.Errorf("after its only peer moved to network 78, network 77 is still served: %+v", networks)
+	}
+	step("joins network 1", "bb", home, "Geth/v1.8.9-stable/linux", eth, 1, "supported")
+	if networks.DistinctNetworks != 1 || networks.SinglePeerNetworks != 0 || len(networks.Networks) != 1 {
+		t.Errorf("with both peers on network 1: %+v", networks)
+	}
+	step("client upgrade", "aa", home, "Geth/v1.8.11-stable/linux", eth, 1, "supported")
+	step("client downgrade", "aa", home, "Geth/v1.8.10-stable/linux", eth, 1, "supported")
+	step("change of implementation", "aa", home, "Parity/v1.10.6-stable/linux", eth, 1, "supported")
+	step("DAO stance flip: leaves Mainnet", "aa", home, "Parity/v1.10.6-stable/linux", eth, 1, "opposed")
+	step("address moves across country and AS", "aa", abroad, "Parity/v1.10.6-stable/linux", eth, 1, "opposed")
+	step("HELLO with different caps", "aa", abroad, "Parity/v1.10.6-stable/linux", []string{"les/2", "foo/1"}, 1, "opposed")
+	step("a dial that changes nothing but the counts", "aa", abroad, "Parity/v1.10.6-stable/linux", []string{"les/2", "foo/1"}, 1, "opposed")
 }
 
 // TestLateEntryIsCountedNotFolded plants an entry for a window the
@@ -262,24 +340,51 @@ func steadyLog(population, windows, entriesPerWindow int) []*mlog.Entry {
 	return log
 }
 
-// TestIdlePublishAllocsIndependentOfLogSize: what a publish allocates
-// depends on the population and the served series, not on how many
-// entries the daemon has folded.
-func TestIdlePublishAllocsIndependentOfLogSize(t *testing.T) {
-	idle := func(entriesPerWindow int) float64 {
+// TestPublishAllocsFollowTheDelta is the O(Δ) publish as counts no
+// machine changes: a publish with nothing new allocates the same
+// whether the census holds 200 identities or 1,600, and so does one
+// that follows entries for exactly 50 of them. (What a publish does per
+// identity regardless — one pointer copied — allocates once.)
+func TestPublishAllocsFollowTheDelta(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops at random, and encoding/json's buffers with it")
+	}
+	const runs = 20
+	publish := func(population, touch int) float64 {
 		clk := simclock.NewSimulated(t0)
 		d := census.NewDaemon(census.DaemonConfig{Clock: clk, Geo: geo.NewDB()})
-		for _, e := range steadyLog(200, 6, entriesPerWindow) {
+		for _, e := range steadyLog(population, 4, population) {
 			d.Record(e)
 		}
 		d.Start()
-		clk.Advance(8 * census.DefaultInterval)
+		clk.Advance(6 * census.DefaultInterval)
 		defer d.Stop()
-		return testing.AllocsPerRun(20, func() { d.Publish() })
+		// AllocsPerRun calls once to warm up; every call's entries exist
+		// beforehand, so only recording and publishing them is counted.
+		batches := make([][]*mlog.Entry, runs+1)
+		for i := range batches {
+			for k := 0; k < touch; k++ {
+				n := k * (population / touch)
+				batches[i] = append(batches[i], helloEntry(fmt.Sprintf("%040x", n), fmt.Sprintf("52.%d.%d.9", n/250, n%250),
+					fmt.Sprintf("Geth/v1.8.%d-stable/linux-amd64/go1.10", 10+i%2), clk.Now()))
+			}
+		}
+		next := 0
+		return testing.AllocsPerRun(runs, func() {
+			for _, e := range batches[next] {
+				d.Record(e)
+			}
+			next++
+			d.Publish()
+		})
 	}
-	small, large := idle(400), idle(3200)
-	if small == 0 || large > small*1.05 || large < small*0.95 {
-		t.Errorf("an idle publish allocates %.0f times after 2,400 entries and %.0f after 19,200; want within 5%%", small, large)
+	for _, touch := range []int{0, 50} {
+		small, large := publish(200, touch), publish(1600, touch)
+		t.Logf("%d identities touched: %.0f allocations per publish at 200 identities, %.0f at 1,600", touch, small, large)
+		if small == 0 || large > small*1.05 || large < small*0.95 {
+			t.Errorf("a publish after entries for %d identities allocates %.0f times with 200 identities and %.0f with 1,600; want within 5%%",
+				touch, small, large)
+		}
 	}
 }
 

@@ -1,0 +1,5 @@
+//go:build !race
+
+package census_test
+
+const raceEnabled = false
