@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments quickstart clean fuzz-smoke chaos lint lint-bench
+.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments quickstart clean fuzz-smoke chaos lint
 
 all: build vet test
 
@@ -12,7 +12,7 @@ fmt-check:
 
 # Reproduce the full CI pipeline (.github/workflows/ci.yml) locally:
 # every gating step of every job there is one of these targets.
-ci: fmt-check build vet lint lint-bench test race bench-smoke fuzz-smoke chaos bench-ledger
+ci: fmt-check build vet lint test race bench-smoke fuzz-smoke chaos bench-ledger
 
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
 # then per differential target of the hand-written arithmetic (the
@@ -73,27 +73,11 @@ build:
 # termination signals, deadlines on dialed-conn I/O, RLP wire
 # symmetry, frozen-after-publish, cross-goroutine shared state,
 # bounded channel discipline, interprocedural wire-taint tracking.
-# -cache reuses the previous run when no source changed
-# (content-hashed; hit rate reported on stderr).
+# An uncached run is ≈1.5 s (most of it type-checking std from source),
+# so there is no result cache in front of it; `repolint -v` adds each
+# analyzer's raw/suppressed/reported counts.
 lint:
-	go run ./cmd/repolint -cache ./...
-
-# lint-bench times the lint gate itself: a cold run then a warm cached
-# run, against a scratch cache file so the benchmark never deletes or
-# overwrites the developer's warm .repolint.cache. The warm run must
-# stay under 10 s — the content-hash cache is what keeps twelve
-# interprocedural analyzers cheap enough to sit on every push, so a
-# slow warm run is a developer-loop regression even when findings stay
-# clean.
-lint-bench:
-	@set -e; cachefile=$$(mktemp -t repolint-bench.XXXXXX); rm -f "$$cachefile"; \
-	trap 'rm -f "$$cachefile"' EXIT; \
-	start=$$(date +%s%N); go run ./cmd/repolint -cache -cache-file "$$cachefile" ./... >/dev/null; \
-	cold=$$(( ($$(date +%s%N) - start) / 1000000 )); \
-	start=$$(date +%s%N); go run ./cmd/repolint -cache -cache-file "$$cachefile" ./... >/dev/null; \
-	warm=$$(( ($$(date +%s%N) - start) / 1000000 )); \
-	echo "lint-bench: cold $${cold} ms, warm $${warm} ms (warm budget 10000 ms)"; \
-	if [ $$warm -gt 10000 ]; then echo "lint-bench: FAIL: warm cached run exceeded 10 s"; exit 1; fi
+	go run ./cmd/repolint ./...
 
 vet:
 	go vet ./...

@@ -11,27 +11,17 @@
 //
 // Flags:
 //
-//	-v            print analyzer docs and progress to stderr
-//	-json         render findings as a JSON array instead of text
+//	-v            print to stderr each analyzer's doc and, after the
+//	              run, its raw / suppressed / reported finding counts
+//	              (the source of every suppression figure in the docs)
 //	-annotations  render findings as GitHub Actions ::error commands,
 //	              so CI surfaces them inline on the PR diff
-//	-sarif        render findings as a SARIF 2.1.0 log for GitHub
-//	              code-scanning upload
-//	-cache        reuse the previous run's findings when no source
-//	              file changed (content-hash keyed; see internal/lint
-//	              cache.go for why reuse is all-or-nothing)
-//	-cache-file PATH
-//	              read/write the cache at PATH instead of
-//	              .repolint.cache beside go.mod (benchmarks and tests
-//	              point this at a scratch file so they never touch the
-//	              developer's warm cache)
 //	-list         print every analyzer name with its one-line doc and
 //	              exit without linting
 //	-only NAME    run a single analyzer by name. Suppression-hygiene
 //	              findings (stale or malformed //lint:ignore) are
 //	              withheld — directives for the other analyzers would
-//	              look stale — and the cache is bypassed so a partial
-//	              run never clobbers the full-run cache file.
+//	              look stale.
 package main
 
 import (
@@ -39,14 +29,9 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/lint"
 )
-
-// cacheName is the default per-module cache file, kept beside go.mod
-// and ignored by git.
-const cacheName = ".repolint.cache"
 
 func main() {
 	os.Exit(runMain(os.Args[1:], os.Stdout, os.Stderr))
@@ -57,14 +42,10 @@ func main() {
 func runMain(args []string, stdout, stderr io.Writer) int {
 	flags := flag.NewFlagSet("repolint", flag.ContinueOnError)
 	flags.SetOutput(stderr)
-	verbose := flags.Bool("v", false, "print analyzer docs and per-analyzer finding counts")
-	jsonOut := flags.Bool("json", false, "render findings as JSON")
+	verbose := flags.Bool("v", false, "print analyzer docs and per-analyzer raw/suppressed/reported finding counts")
 	annotations := flags.Bool("annotations", false, "render findings as GitHub Actions error annotations")
-	sarif := flags.Bool("sarif", false, "render findings as a SARIF 2.1.0 log")
-	useCache := flags.Bool("cache", false, "reuse previous findings when no source file changed")
-	cacheFile := flags.String("cache-file", "", "cache file path (default .repolint.cache beside go.mod)")
 	list := flags.Bool("list", false, "list analyzer names and docs, then exit")
-	only := flags.String("only", "", "run a single analyzer by name (bypasses the cache)")
+	only := flags.String("only", "", "run a single analyzer by name")
 	if err := flags.Parse(args); err != nil {
 		return 2
 	}
@@ -83,8 +64,7 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	onlyRun := *only != ""
-	if onlyRun {
+	if *only != "" {
 		var picked []lint.Analyzer
 		for _, a := range analyzers {
 			if a.Name() == *only {
@@ -96,10 +76,6 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		analyzers = picked
-		// A single-analyzer run would mis-key the shared cache file and
-		// mistake every other analyzer's directives for stale ones, so
-		// the cache is skipped and hygiene findings are withheld below.
-		*useCache = false
 	}
 	if *verbose {
 		fmt.Fprintf(stderr, "repolint: %d analyzers\n", len(analyzers))
@@ -108,85 +84,42 @@ func runMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	config := lint.CacheConfig(modulePath, analyzers)
-	cachePath := *cacheFile
-	if cachePath == "" {
-		cachePath = filepath.Join(root, cacheName)
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		fmt.Fprintln(stderr, "repolint:", err)
+		return 2
 	}
-
-	var findings []lint.Finding
-	cached := false
-	var digests map[string]string
-	if *useCache {
-		digests, err = lint.DigestPackages(loader)
-		if err != nil {
-			fmt.Fprintln(stderr, "repolint: cache disabled:", err)
-			digests = nil
-		} else if prev := lint.LoadCache(cachePath); prev != nil {
-			hits, total, ok := prev.Hits(config, digests)
-			if ok {
-				findings = prev.Findings
-				cached = true
-				fmt.Fprintf(stderr, "repolint: cache hit: %d/%d packages unchanged, reusing previous findings\n", hits, total)
-			} else {
-				// The analyzers are interprocedural, so one changed
-				// package can move findings in unchanged ones: any miss
-				// re-analyzes the whole module.
-				fmt.Fprintf(stderr, "repolint: cache miss: %d/%d packages unchanged, re-analyzing module\n", hits, total)
-			}
-		} else {
-			fmt.Fprintln(stderr, "repolint: cache cold, analyzing module")
+	if *verbose {
+		fmt.Fprintf(stderr, "repolint: %d packages loaded\n", len(pkgs))
+	}
+	findings, tallies := lint.Run(loader, pkgs, analyzers)
+	if *verbose {
+		fmt.Fprintf(stderr, "repolint: %-13s %5s %10s %8s\n", "analyzer", "raw", "suppressed", "reported")
+		for _, t := range tallies {
+			fmt.Fprintf(stderr, "  %-13s %5d %10d %8d\n", t.Analyzer, t.Raw, t.Suppressed, t.Reported())
 		}
 	}
-
-	if !cached {
-		pkgs, err := loader.LoadAll()
-		if err != nil {
-			fmt.Fprintln(stderr, "repolint:", err)
-			return 2
-		}
-		if *verbose {
-			fmt.Fprintf(stderr, "repolint: %d packages loaded\n", len(pkgs))
-		}
-		findings = lint.Run(loader, pkgs, analyzers)
-		if onlyRun {
-			// Directives naming the analyzers we did not run would all
-			// read as unknown or stale; hygiene checks need a full run.
-			kept := findings[:0]
-			for _, f := range findings {
-				if f.Analyzer != "lint" {
-					kept = append(kept, f)
-				}
-			}
-			findings = kept
-		}
-		for i := range findings {
-			findings[i].Pos.Filename = loader.RelPath(findings[i].Pos.Filename)
-		}
-		if digests != nil {
-			if err := lint.SaveCache(cachePath, config, digests, findings); err != nil {
-				fmt.Fprintln(stderr, "repolint: cache not saved:", err)
+	if *only != "" {
+		// Directives naming the analyzers we did not run would all
+		// read as unknown or stale; hygiene checks need a full run.
+		kept := findings[:0]
+		for _, f := range findings {
+			if f.Analyzer != "lint" {
+				kept = append(kept, f)
 			}
 		}
+		findings = kept
+	}
+	for i := range findings {
+		findings[i].Pos.Filename = loader.RelPath(findings[i].Pos.Filename)
 	}
 
-	switch {
-	case *jsonOut:
-		if err := lint.WriteJSON(stdout, findings); err != nil {
-			fmt.Fprintln(stderr, "repolint:", err)
-			return 2
-		}
-	case *annotations:
+	if *annotations {
 		if err := lint.WriteAnnotations(stdout, findings); err != nil {
 			fmt.Fprintln(stderr, "repolint:", err)
 			return 2
 		}
-	case *sarif:
-		if err := lint.WriteSARIF(stdout, analyzers, findings); err != nil {
-			fmt.Fprintln(stderr, "repolint:", err)
-			return 2
-		}
-	default:
+	} else {
 		for _, f := range findings {
 			fmt.Fprintln(stdout, f.String())
 		}

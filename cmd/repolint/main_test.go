@@ -1,90 +1,93 @@
 package main
 
 import (
-	"go/token"
-	"os"
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/lint"
 )
 
-// poisonCache writes a cache file at path that a `-cache` run over the
-// current, unmodified repository would accept: real per-package
-// digests, the real analyzer config, and one fabricated finding that
-// no analyzer would ever produce.
-func poisonCache(t *testing.T, path string) {
-	t.Helper()
+// TestOnlyWithholdsHygiene pins -only end to end over this module. The
+// tree carries //lint:ignore directives for five analyzers; a run that
+// knows only one of them sees every other directive as naming an
+// unknown analyzer, so lint.Run reports them (the control below) and
+// repolint must withhold those reports for the partial run to be
+// usable at all.
+func TestOnlyWithholdsHygiene(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and analyzes the whole module")
+	}
+	var stdout, stderr strings.Builder
+	code := runMain([]string{"-only", "wiretaint", "-v"}, &stdout, &stderr)
+	if code != 0 || stdout.Len() != 0 {
+		t.Fatalf("-only wiretaint over the clean repo: exit %d, want 0 and no findings\nstdout: %s\nstderr: %s",
+			code, stdout.String(), stderr.String())
+	}
+	// -v prints the one analyzer's tally: every raw finding suppressed.
+	tally := regexp.MustCompile(`(?m)^  wiretaint +(\d+) +(\d+) +0$`).FindStringSubmatch(stderr.String())
+	if tally == nil || tally[1] == "0" || tally[1] != tally[2] {
+		t.Errorf("-v did not print wiretaint's raw/suppressed/reported tally (raw = suppressed > 0, reported 0)\nstderr: %s", stderr.String())
+	}
+	if strings.Contains(stderr.String(), "boundedalloc") {
+		t.Errorf("-only wiretaint ran or listed another analyzer\nstderr: %s", stderr.String())
+	}
+
+	// Control: the same single-analyzer run does raise hygiene findings.
 	root, modulePath, err := lint.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	digests, err := lint.DigestPackages(lint.NewLoader(root, modulePath))
+	loader := lint.NewLoader(root, modulePath)
+	pkgs, err := loader.LoadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	config := lint.CacheConfig(modulePath, lint.RepoAnalyzers(modulePath))
-	poisoned := []lint.Finding{{
-		Pos:      token.Position{Filename: "internal/poison/poison.go", Line: 1, Column: 1},
-		Analyzer: "wiretaint",
-		Message:  "poisoned cache entry",
-	}}
-	if err := lint.SaveCache(path, config, digests, poisoned); err != nil {
-		t.Fatal(err)
+	var only []lint.Analyzer
+	for _, a := range lint.RepoAnalyzers(modulePath) {
+		if a.Name() == "wiretaint" {
+			only = append(only, a)
+		}
+	}
+	findings, _ := lint.Run(loader, pkgs, only)
+	hygiene := 0
+	for _, f := range findings {
+		if f.Analyzer == "lint" {
+			hygiene++
+		}
+	}
+	if hygiene == 0 {
+		t.Error("a wiretaint-only lint.Run raised no hygiene finding; the withholding above proved nothing")
 	}
 }
 
-// TestOnlyBypassesCache pins the -only/-cache interaction end to end:
-// a cache file a full `-cache` run replays verbatim is ignored by an
-// `-only` run, which re-analyzes from source and neither reads nor
-// clobbers the cache file. The control run doubles as the -cache-file
-// read-path test: the hit comes from the supplied path, not the
-// default .repolint.cache beside go.mod.
-func TestOnlyBypassesCache(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and analyzes the whole module")
-	}
-	cachePath := t.TempDir() + "/poisoned.cache"
-	poisonCache(t, cachePath)
-	before, err := os.ReadFile(cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Control: a full cached run must replay the poisoned findings.
+// TestFlagSurface pins the command line: four flags, twelve analyzers,
+// and a usage error for an analyzer that does not exist.
+func TestFlagSurface(t *testing.T) {
 	var stdout, stderr strings.Builder
-	code := runMain([]string{"-cache", "-cache-file", cachePath}, &stdout, &stderr)
-	if code != 1 {
-		t.Fatalf("poisoned cached run: exit %d, want 1\nstderr: %s", code, stderr.String())
+	if code := runMain([]string{"-h"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-h: exit %d, want 2", code)
 	}
-	if !strings.Contains(stderr.String(), "cache hit") {
-		t.Fatalf("poisoned cache was not replayed; the control is invalid\nstderr: %s", stderr.String())
+	got := regexp.MustCompile(`(?m)^  -(\w+)`).FindAllStringSubmatch(stderr.String(), -1)
+	var names []string
+	for _, m := range got {
+		names = append(names, m[1])
 	}
-	if !strings.Contains(stdout.String(), "poisoned cache entry") {
-		t.Fatalf("cache hit did not echo the poisoned finding\nstdout: %s", stdout.String())
+	if strings.Join(names, " ") != "annotations list only v" {
+		t.Errorf("flags = %v, want exactly annotations, list, only, v\n%s", names, stderr.String())
 	}
 
-	// The -only run must bypass that same cache entirely.
 	stdout.Reset()
 	stderr.Reset()
-	code = runMain([]string{"-only", "wiretaint", "-cache", "-cache-file", cachePath}, &stdout, &stderr)
-	if strings.Contains(stderr.String(), "cache hit") {
-		t.Errorf("-only run reported a cache hit\nstderr: %s", stderr.String())
+	if code := runMain([]string{"-list"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("-list: exit %d\nstderr: %s", code, stderr.String())
 	}
-	if strings.Contains(stdout.String(), "poisoned cache entry") {
-		t.Errorf("-only run replayed the poisoned finding\nstdout: %s", stdout.String())
-	}
-	if code != 0 {
-		t.Errorf("-only wiretaint over the clean repo: exit %d, want 0\nstdout: %s\nstderr: %s",
-			code, stdout.String(), stderr.String())
+	if n := strings.Count(stdout.String(), "\n"); n != 12 {
+		t.Errorf("-list printed %d analyzers, want 12:\n%s", n, stdout.String())
 	}
 
-	// A partial run must never clobber the full-run cache file.
-	after, err := os.ReadFile(cachePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(before) != string(after) {
-		t.Error("-only run rewrote the cache file")
+	stderr.Reset()
+	if code := runMain([]string{"-only", "nosuch"}, &stdout, &stderr); code != 2 {
+		t.Errorf("-only nosuch: exit %d, want 2\nstderr: %s", code, stderr.String())
 	}
 }

@@ -14,7 +14,9 @@ import (
 //
 // The analysis is ir.TaintAnalysis in pessimistic mode — the shared
 // wire-taint engine with sources disabled, so every value the engine
-// cannot prove bounded counts as attacker-sized:
+// cannot prove bounded counts as attacker-sized. The module's one such
+// pass (ir.Program.PessimisticSinks) also serves boundedchan; this
+// analyzer reads its allocation and ReadAll sinks:
 //
 //   - Constants, len/cap results, and values of small fixed-width
 //     integer types (≤ 16 bits — a 2-byte prefix cannot exceed 65535)
@@ -49,10 +51,8 @@ func (b *BoundedAlloc) Doc() string {
 
 // Run implements Analyzer.
 func (b *BoundedAlloc) Run(l *Loader, pkgs []*Package) []Finding {
-	prog := l.Program(pkgs)
-	eng := &ir.TaintAnalysis{Prog: prog, Mode: ir.ModePessimistic}
 	var findings []Finding
-	for _, sink := range eng.Run() {
+	for _, sink := range l.Program(pkgs).PessimisticSinks() {
 		if !matchesAny(sink.Fn.Pkg.Path, b.Packages) {
 			continue
 		}

@@ -8,25 +8,26 @@ import (
 	"repro/internal/lint/ir"
 )
 
-// BoundedChan pins the Finder shard-queue discipline: queues between
-// goroutines must be bounded AND never silently become back-pressure
-// points.
+// BoundedChan pins the discipline the Finder's dial queue follows
+// (one bounded ring, Config.QueueCap, finder.queue_dropped): queues
+// between goroutines must be bounded AND never silently become
+// back-pressure points.
 //
 // Two rules:
 //
 //   - Every make(chan T, n) capacity must be provably capped — a
 //     constant, a small fixed-width integer, or a value clamped by a
-//     dominating guard. The capacity check plugs into the shared
-//     ir.TaintAnalysis engine (the same one boundedalloc runs on), so
-//     `if n > max { n = max }` clamping works here too — including a
-//     clamp inside a module-local callee. An attacker- or config-sized
-//     capacity is a hidden unbounded buffer.
+//     dominating guard. The verdict is the SinkChanCap record of the
+//     module's one pessimistic ir.TaintAnalysis pass (the same run
+//     boundedalloc reads), so `if n > max { n = max }` clamping works
+//     here too — including a clamp inside a module-local callee. An
+//     attacker- or config-sized capacity is a hidden unbounded buffer.
 //
 //   - Every send into a channel the package visibly made buffered
 //     must sit under a select with an escape arm (a default clause or
 //     a receive case such as a timeout or ctx.Done()). A plain send
 //     into a bounded queue blocks the producer exactly when the queue
-//     is doing its job; the shard queues drop-and-count instead.
+//     is doing its job; the dial queue drops and counts instead.
 //
 // Channels whose construction is not visible in the package
 // (parameters, fields assigned elsewhere) and unbuffered channels
@@ -47,39 +48,29 @@ func (b *BoundedChan) Doc() string {
 
 // Run implements Analyzer.
 func (b *BoundedChan) Run(l *Loader, pkgs []*Package) []Finding {
-	checkers := make(map[string]*chanChecker, len(pkgs))
-	var order []*chanChecker
+	inScope := func(path string) bool { return len(b.Packages) == 0 || matchesAny(path, b.Packages) }
+	var findings []Finding
+	// Capacities: the module's one pessimistic taint pass already holds
+	// the flow-sensitive boundedness verdict (guards, clamps,
+	// callee-summary caps) at every make(chan) site.
+	for _, sink := range l.Program(pkgs).PessimisticSinks() {
+		if sink.Kind != ir.SinkChanCap || !inScope(sink.Fn.Pkg.Path) {
+			continue
+		}
+		findings = append(findings, Finding{
+			Pos:      sink.Fn.Position(sink.Pos),
+			Analyzer: b.Name(),
+			Message: fmt.Sprintf("channel capacity %s is not provably capped: use a constant or clamp it before make",
+				sink.Expr),
+		})
+	}
 	for _, pkg := range pkgs {
-		if len(b.Packages) > 0 && !matchesAny(pkg.Path, b.Packages) {
+		if !inScope(pkg.Path) {
 			continue
 		}
 		c := &chanChecker{pkg: pkg, analyzer: b.Name(), buffered: make(map[types.Object]bool)}
 		c.collectChans()
-		checkers[pkg.Path] = c
-		order = append(order, c)
-	}
-	// One engine pass over the whole module supplies the flow-sensitive
-	// boundedness state (guards, clamps, callee-summary caps) that the
-	// capacity check consults at every make(chan) site.
-	eng := &ir.TaintAnalysis{
-		Prog: l.Program(pkgs),
-		Mode: ir.ModePessimistic,
-		CallCheck: func(f *ir.Func, call *ast.CallExpr, bounded func(ast.Expr) bool) {
-			c := checkers[f.Pkg.Path]
-			if c == nil {
-				return
-			}
-			c.checkCap(call, bounded)
-		},
-	}
-	eng.Run()
-	var findings []Finding
-	for _, c := range order {
-		for _, file := range c.pkg.Files {
-			for _, body := range funcBodies(file) {
-				c.checkSends(body.List, nil)
-			}
-		}
+		c.checkSends()
 		findings = append(findings, c.findings...)
 	}
 	return findings
@@ -163,11 +154,11 @@ func (c *chanChecker) record(obj types.Object, buffered bool) {
 // so, whether it is buffered (a capacity argument that is not the
 // constant zero).
 func (c *chanChecker) makeChanBuffered(expr ast.Expr) (buffered, isMakeChan bool) {
-	call, ok := unparen(expr).(*ast.CallExpr)
+	call, ok := ast.Unparen(expr).(*ast.CallExpr)
 	if !ok || len(call.Args) == 0 {
 		return false, false
 	}
-	id, ok := unparen(call.Fun).(*ast.Ident)
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
 	if !ok {
 		return false, false
 	}
@@ -193,12 +184,9 @@ func (c *chanChecker) makeChanBuffered(expr ast.Expr) (buffered, isMakeChan bool
 // chanTarget resolves the object a channel assignment lands in: a
 // plain identifier's var or the struct field of a selector.
 func (c *chanChecker) chanTarget(lhs ast.Expr) types.Object {
-	switch e := unparen(lhs).(type) {
+	switch e := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
-		if obj := c.pkg.Info.Defs[e]; obj != nil {
-			return obj
-		}
-		return c.pkg.Info.Uses[e]
+		return c.pkg.Info.ObjectOf(e)
 	case *ast.SelectorExpr:
 		if v, ok := c.pkg.Info.Uses[e.Sel].(*types.Var); ok && v.IsField() {
 			return v
@@ -210,7 +198,7 @@ func (c *chanChecker) chanTarget(lhs ast.Expr) types.Object {
 // chanObj resolves the object behind a channel expression at a send
 // site (ident or field selector).
 func (c *chanChecker) chanObj(expr ast.Expr) types.Object {
-	switch e := unparen(expr).(type) {
+	switch e := ast.Unparen(expr).(type) {
 	case *ast.Ident:
 		return c.pkg.Info.Uses[e]
 	case *ast.SelectorExpr:
@@ -221,95 +209,28 @@ func (c *chanChecker) chanObj(expr ast.Expr) types.Object {
 	return nil
 }
 
-// checkCap is the taint engine's CallCheck hook: every make(chan T, n)
-// capacity must pass the engine's boundedness proof in the flow state
-// holding at the call site.
-func (c *chanChecker) checkCap(call *ast.CallExpr, bounded func(ast.Expr) bool) {
-	if _, isMakeChan := c.makeChanBuffered(call); !isMakeChan || len(call.Args) < 2 {
-		return
-	}
-	if !bounded(call.Args[1]) {
-		c.findings = append(c.findings, Finding{
-			Pos:      c.pkg.Fset.Position(call.Pos()),
-			Analyzer: c.analyzer,
-			Message: fmt.Sprintf("channel capacity %s is not provably capped: use a constant or clamp it before make",
-				types.ExprString(call.Args[1])),
+// checkSends checks every send statement of the package. A send that
+// is a comm clause of a select WITH an escape arm is exempt; ast.Inspect
+// is pre-order, so each select is seen before the sends inside it.
+func (c *chanChecker) checkSends() {
+	escaped := make(map[*ast.SendStmt]bool)
+	for _, file := range c.pkg.Files {
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch s := n.(type) {
+			case *ast.SelectStmt:
+				if !selectHasEscape(s) {
+					break
+				}
+				for _, cc := range s.Body.List {
+					if send, ok := cc.(*ast.CommClause).Comm.(*ast.SendStmt); ok {
+						escaped[send] = true
+					}
+				}
+			case *ast.SendStmt:
+				c.checkSend(s, escaped[s])
+			}
+			return true
 		})
-	}
-}
-
-// checkSends walks statements looking for sends on known-buffered
-// channels outside a select escape. escaped carries the send
-// statements that are comm clauses of a select WITH an escape arm.
-func (c *chanChecker) checkSends(list []ast.Stmt, escaped map[*ast.SendStmt]bool) {
-	for _, stmt := range list {
-		c.checkSendStmt(stmt, escaped)
-	}
-}
-
-func (c *chanChecker) checkSendStmt(stmt ast.Stmt, escaped map[*ast.SendStmt]bool) {
-	switch s := stmt.(type) {
-	case *ast.SendStmt:
-		c.checkSend(s, escaped[s])
-	case *ast.SelectStmt:
-		hasEscape := selectHasEscape(s)
-		inner := make(map[*ast.SendStmt]bool, len(escaped))
-		for k, v := range escaped {
-			inner[k] = v
-		}
-		for _, cc := range s.Body.List {
-			clause, ok := cc.(*ast.CommClause)
-			if !ok {
-				continue
-			}
-			if send, ok := clause.Comm.(*ast.SendStmt); ok && hasEscape {
-				inner[send] = true
-			}
-			if clause.Comm != nil {
-				c.checkSendStmt(clause.Comm, inner)
-			}
-			c.checkSends(clause.Body, escaped)
-		}
-	case *ast.BlockStmt:
-		c.checkSends(s.List, escaped)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			c.checkSendStmt(s.Init, escaped)
-		}
-		c.checkSends(s.Body.List, escaped)
-		if s.Else != nil {
-			c.checkSendStmt(s.Else, escaped)
-		}
-	case *ast.ForStmt:
-		if s.Init != nil {
-			c.checkSendStmt(s.Init, escaped)
-		}
-		if s.Post != nil {
-			c.checkSendStmt(s.Post, escaped)
-		}
-		c.checkSends(s.Body.List, escaped)
-	case *ast.RangeStmt:
-		c.checkSends(s.Body.List, escaped)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			c.checkSendStmt(s.Init, escaped)
-		}
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				c.checkSends(clause.Body, escaped)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				c.checkSends(clause.Body, escaped)
-			}
-		}
-	case *ast.LabeledStmt:
-		c.checkSendStmt(s.Stmt, escaped)
-	case *ast.DeferStmt, *ast.GoStmt:
-		// Function literals inside are walked as their own bodies by
-		// funcBodies; nothing to do here.
 	}
 }
 

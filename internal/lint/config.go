@@ -126,7 +126,8 @@ func RepoAnalyzers(module string) []Analyzer {
 		},
 		// Queue discipline is repo-wide: every buffered channel is a
 		// bounded queue, and bounded queues drop-or-degrade instead of
-		// stalling their producer (the Finder shard-queue contract).
+		// stalling their producer (the Finder's dial queue drops and
+		// counts finder.queue_dropped when full).
 		&BoundedChan{},
 		&WireTaint{
 			// The wire codecs: their exported decode APIs are taint

@@ -38,21 +38,13 @@ func (cc *ConnClose) Doc() string {
 
 // Run implements Analyzer.
 func (cc *ConnClose) Run(l *Loader, pkgs []*Package) []Finding {
-	connType, err := l.StdType("net", "Conn")
-	if err != nil {
-		return []Finding{{Analyzer: cc.Name(), Message: fmt.Sprintf("cannot resolve net.Conn: %v", err)}}
-	}
-	connIface, ok := connType.Underlying().(*types.Interface)
-	if !ok {
-		return []Finding{{Analyzer: cc.Name(), Message: "net.Conn is not an interface?"}}
+	connIface, failed := netConn(l, cc.Name())
+	if failed != nil {
+		return failed
 	}
 	var findings []Finding
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, body := range funcBodies(file) {
-				findings = append(findings, checkConnClose(pkg, body, connIface, cc.Name())...)
-			}
-		}
+	for _, f := range l.Program(pkgs).Funcs {
+		findings = append(findings, checkConnClose(f.Pkg, f.Body, connIface, cc.Name())...)
 	}
 	return findings
 }
@@ -100,25 +92,18 @@ func checkConnClose(pkg *Package, body *ast.BlockStmt, conn *types.Interface, an
 		if !implementsConn(first, conn) {
 			return
 		}
-		id, ok := unparen(as.Lhs[0]).(*ast.Ident)
+		id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
 		if !ok || id.Name == "_" {
 			return
 		}
-		obj := pkg.Info.Defs[id]
-		if obj == nil {
-			obj = pkg.Info.Uses[id]
-		}
+		obj := pkg.Info.ObjectOf(id)
 		if obj == nil {
 			return
 		}
 		a := acquisition{obj: obj, pos: as.Pos(), callee: callee}
 		if len(as.Lhs) > 1 {
-			if errID, ok := unparen(as.Lhs[1]).(*ast.Ident); ok && errID.Name != "_" {
-				if eo := pkg.Info.Defs[errID]; eo != nil {
-					a.errObj = eo
-				} else {
-					a.errObj = pkg.Info.Uses[errID]
-				}
+			if errID, ok := ast.Unparen(as.Lhs[1]).(*ast.Ident); ok && errID.Name != "_" {
+				a.errObj = pkg.Info.ObjectOf(errID)
 			}
 		}
 		acqs = append(acqs, a)
@@ -344,7 +329,7 @@ func coveredByClose(closes []closeSite, ret returnSite) bool {
 // tracked error object, including inside || chains, which cover
 // idioms like `if err != nil || conn == nil`.
 func isErrNilCheck(pkg *Package, cond ast.Expr, errObj types.Object) bool {
-	cond = unparen(cond)
+	cond = ast.Unparen(cond)
 	be, ok := cond.(*ast.BinaryExpr)
 	if !ok {
 		return false
@@ -356,30 +341,19 @@ func isErrNilCheck(pkg *Package, cond ast.Expr, errObj types.Object) bool {
 		return false
 	}
 	matches := func(e ast.Expr) bool {
-		id, ok := unparen(e).(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && pkg.Info.Uses[id] == errObj
 	}
 	isNil := func(e ast.Expr) bool {
-		id, ok := unparen(e).(*ast.Ident)
+		id, ok := ast.Unparen(e).(*ast.Ident)
 		return ok && id.Name == "nil"
 	}
 	return (matches(be.X) && isNil(be.Y)) || (matches(be.Y) && isNil(be.X))
 }
 
-// implementsConn reports whether t is (or implements) net.Conn.
-func implementsConn(t types.Type, conn *types.Interface) bool {
-	if types.Implements(t, conn) {
-		return true
-	}
-	if _, isPtr := t.(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), conn)
-	}
-	return false
-}
-
 // calleeName extracts the called function's bare name.
 func calleeName(call *ast.CallExpr) string {
-	switch fn := unparen(call.Fun).(type) {
+	switch fn := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		return fn.Name
 	case *ast.SelectorExpr:

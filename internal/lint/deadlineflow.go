@@ -86,41 +86,23 @@ type dflowChecker struct {
 	packages   []string
 	connIface  *types.Interface
 	connFields map[*types.Var]bool
-	armCache   *ir.SummaryCache
-	memo       map[*ir.Func]*dfSummary
-	visiting   map[*ir.Func]bool
-	defuse     map[*ir.Func]*ir.DefUse
+	arms       ir.Memo[*ir.Func, bool]
+	sums       ir.Memo[*ir.Func, *dfSummary]
 	findings   []Finding
-}
-
-func (dc *dflowChecker) defUseOf(f *ir.Func) *ir.DefUse {
-	if du, ok := dc.defuse[f]; ok {
-		return du
-	}
-	du := ir.BuildDefUse(f)
-	dc.defuse[f] = du
-	return du
 }
 
 // Run implements Analyzer.
 func (d *DeadlineFlow) Run(l *Loader, pkgs []*Package) []Finding {
-	connType, err := l.StdType("net", "Conn")
-	if err != nil {
-		return []Finding{{Analyzer: d.Name(), Message: fmt.Sprintf("cannot resolve net.Conn: %v", err)}}
-	}
-	connIface, ok := connType.Underlying().(*types.Interface)
-	if !ok {
-		return []Finding{{Analyzer: d.Name(), Message: "net.Conn is not an interface?"}}
+	connIface, failed := netConn(l, d.Name())
+	if failed != nil {
+		return failed
 	}
 	dc := &dflowChecker{
 		prog:      l.Program(pkgs),
 		analyzer:  d.Name(),
 		packages:  d.Packages,
 		connIface: connIface,
-		armCache:  ir.NewSummaryCache(),
-		memo:      make(map[*ir.Func]*dfSummary),
-		visiting:  make(map[*ir.Func]bool),
-		defuse:    make(map[*ir.Func]*ir.DefUse),
+		arms:      ir.Memo[*ir.Func, bool]{MaxDepth: ir.SummaryDepth},
 	}
 	dc.connFields = collectConnFields(pkgs, connIface)
 
@@ -178,7 +160,7 @@ func collectConnFields(pkgs []*Package, conn *types.Interface) map[*types.Var]bo
 						if i >= len(n.Rhs) {
 							break
 						}
-						sel, ok := unparen(lhs).(*ast.SelectorExpr)
+						sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
 						if !ok {
 							continue
 						}
@@ -196,18 +178,9 @@ func collectConnFields(pkgs []*Package, conn *types.Interface) map[*types.Var]bo
 
 // summarize computes (memoized) the unarmed-I/O obligations of f,
 // emitting findings for obligations that bottom out at a local dial.
+// A call-graph cycle sees no obligations.
 func (dc *dflowChecker) summarize(f *ir.Func) *dfSummary {
-	if s, ok := dc.memo[f]; ok {
-		return s
-	}
-	if dc.visiting[f] {
-		return &dfSummary{} // call-graph cycle: no obligations
-	}
-	dc.visiting[f] = true
-	s := dc.compute(f)
-	delete(dc.visiting, f)
-	dc.memo[f] = s
-	return s
+	return dc.sums.Get(f, &dfSummary{}, func() *dfSummary { return dc.compute(f) })
 }
 
 func (dc *dflowChecker) compute(f *ir.Func) *dfSummary {
@@ -280,7 +253,7 @@ func (dc *dflowChecker) compute(f *ir.Func) *dfSummary {
 							arg = call.Args[ob.param]
 						}
 					case dfRecv:
-						if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+						if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 							arg = sel.X
 						}
 					}
@@ -334,34 +307,32 @@ func (dc *dflowChecker) armedFacts(f *ir.Func) []*ir.BitSet {
 // blockArms reports whether the block contains an arming statement.
 func (dc *dflowChecker) blockArms(f *ir.Func, b *ir.Block) bool {
 	for _, s := range b.Nodes {
-		arms := false
-		inspectShallow(s, func(n ast.Node) {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || arms {
-				return
-			}
-			if dc.callArms(f, call, 0) {
-				arms = true
-			}
-		})
-		if arms {
-			return true
-		}
 		// A clock watchdog: AfterFunc whose callback closes the conn
 		// bounds the I/O exactly like a deadline (the simclock idiom
 		// for code driven by the virtual clock).
-		if isCloseWatchdog(s) {
+		if dc.stmtArms(f, s, 0) || isCloseWatchdog(s) {
 			return true
 		}
 	}
 	return false
 }
 
+// stmtArms reports whether some call directly inside s arms a deadline.
+func (dc *dflowChecker) stmtArms(f *ir.Func, s ast.Stmt, depth int) bool {
+	arms := false
+	inspectShallow(s, func(n ast.Node) {
+		if call, ok := n.(*ast.CallExpr); ok && !arms && dc.callArms(f, call, depth) {
+			arms = true
+		}
+	})
+	return arms
+}
+
 // callArms: a Set*Deadline method call, or a call into a module
 // function that (transitively) arms a deadline on a conn-ish
 // argument.
 func (dc *dflowChecker) callArms(f *ir.Func, call *ast.CallExpr, depth int) bool {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		switch sel.Sel.Name {
 		case "SetDeadline", "SetReadDeadline", "SetWriteDeadline":
 			return true
@@ -370,11 +341,7 @@ func (dc *dflowChecker) callArms(f *ir.Func, call *ast.CallExpr, depth int) bool
 	if depth > 8 {
 		return false
 	}
-	obj := ir.CalleeOf(f.Pkg, call)
-	if obj == nil {
-		return false
-	}
-	callee := dc.prog.FuncOf[obj]
+	callee := dc.prog.FuncOf[ir.CalleeOf(f.Pkg, call)]
 	if callee == nil {
 		return false
 	}
@@ -392,16 +359,10 @@ func (dc *dflowChecker) callArms(f *ir.Func, call *ast.CallExpr, depth int) bool
 	if !connArg {
 		return false
 	}
-	return dc.armCache.Memo(callee, "dflow.arms", false, func() bool {
+	return dc.arms.Get(callee, false, func() bool {
 		for _, b := range callee.Blocks {
 			for _, s := range b.Nodes {
-				arms := false
-				inspectShallow(s, func(n ast.Node) {
-					if c, ok := n.(*ast.CallExpr); ok && !arms && dc.callArms(callee, c, depth+1) {
-						arms = true
-					}
-				})
-				if arms {
+				if dc.stmtArms(callee, s, depth+1) {
 					return true
 				}
 			}
@@ -414,51 +375,41 @@ func (dc *dflowChecker) callArms(f *ir.Func, call *ast.CallExpr, depth int) bool
 // style statements.
 func isCloseWatchdog(s ast.Stmt) bool {
 	found := false
-	inspectShallowIncludingLits(s, func(n ast.Node) {
+	// Function literals are entered on purpose: the callback's body is
+	// where the Close is.
+	ast.Inspect(s, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || found {
-			return
+			return !found
 		}
-		sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 		if !ok || sel.Sel.Name != "AfterFunc" {
-			return
+			return true
 		}
 		for _, arg := range call.Args {
-			lit, ok := unparen(arg).(*ast.FuncLit)
+			lit, ok := ast.Unparen(arg).(*ast.FuncLit)
 			if !ok {
 				continue
 			}
 			ast.Inspect(lit, func(m ast.Node) bool {
 				if c, ok := m.(*ast.CallExpr); ok {
-					if s2, ok := unparen(c.Fun).(*ast.SelectorExpr); ok && s2.Sel.Name == "Close" {
+					if s2, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok && s2.Sel.Name == "Close" {
 						found = true
 					}
 				}
 				return !found
 			})
 		}
+		return !found
 	})
 	return found
-}
-
-// inspectShallowIncludingLits is inspectShallow but it does enter
-// function literals at the top level of the statement (needed to see
-// the AfterFunc callback's body).
-func inspectShallowIncludingLits(root ast.Node, visit func(ast.Node)) {
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			return true
-		}
-		visit(n)
-		return true
-	})
 }
 
 // ioTarget decides whether call is a raw I/O operation on a conn-ish
 // value and returns that value's expression.
 func (dc *dflowChecker) ioTarget(f *ir.Func, call *ast.CallExpr) (ast.Expr, string) {
 	// x.Read(...) / x.Write(...) where x is conn-ish.
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		name := sel.Sel.Name
 		if name == "Read" || name == "Write" {
 			if dc.connish(f, sel.X) {
@@ -468,16 +419,13 @@ func (dc *dflowChecker) ioTarget(f *ir.Func, call *ast.CallExpr) (ast.Expr, stri
 		// io.ReadFull(conn, buf) and friends.
 		if pkgID, ok := sel.X.(*ast.Ident); ok {
 			if pn, ok := f.Pkg.Info.Uses[pkgID].(*types.PkgName); ok && pn.Imported().Path() == "io" {
-				var idx int
 				switch name {
 				case "ReadFull", "ReadAtLeast", "ReadAll", "Copy", "CopyN", "WriteString":
-					if name == "Copy" || name == "CopyN" || name == "WriteString" {
-						idx = 0 // dst/src position varies; check both below
-					}
 				default:
 					return nil, ""
 				}
-				for i := idx; i < len(call.Args) && i < 2; i++ {
+				// The conn's position (dst or src) varies: check both.
+				for i := 0; i < len(call.Args) && i < 2; i++ {
 					if dc.connish(f, call.Args[i]) {
 						return call.Args[i], "io." + name
 					}
@@ -491,7 +439,7 @@ func (dc *dflowChecker) ioTarget(f *ir.Func, call *ast.CallExpr) (ast.Expr, stri
 // connish: the expression's type implements net.Conn, or it selects a
 // known conn field.
 func (dc *dflowChecker) connish(f *ir.Func, e ast.Expr) bool {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if sel, ok := e.(*ast.SelectorExpr); ok {
 		if v, ok := f.Pkg.Info.Uses[sel.Sel].(*types.Var); ok && dc.connFields[v] {
 			return true
@@ -509,13 +457,10 @@ func (dc *dflowChecker) classify(f *ir.Func, e ast.Expr, depth int) (dfSource, b
 	if depth > 8 {
 		return dfSource{}, false
 	}
-	e = unparen(e)
+	e = ast.Unparen(e)
 	switch e := e.(type) {
 	case *ast.Ident:
-		obj := f.Pkg.Info.Uses[e]
-		if obj == nil {
-			obj = f.Pkg.Info.Defs[e]
-		}
+		obj := f.Pkg.Info.ObjectOf(e)
 		if obj == nil {
 			return dfSource{}, false
 		}
@@ -526,9 +471,8 @@ func (dc *dflowChecker) classify(f *ir.Func, e ast.Expr, depth int) (dfSource, b
 			return dfSource{kind: dfParam, param: idx, pos: e.Pos(), desc: "parameter " + obj.Name()}, true
 		}
 		// Local: look at everything ever assigned to it.
-		du := dc.defUseOf(f)
 		if v, ok := obj.(*types.Var); ok {
-			for _, rhs := range du.AllRHS(v) {
+			for _, rhs := range f.DefUse().AllRHS(v) {
 				if rhs == nil {
 					continue
 				}
@@ -548,7 +492,7 @@ func (dc *dflowChecker) classify(f *ir.Func, e ast.Expr, depth int) (dfSource, b
 		// A conn field: classify the base (receiver fields become
 		// receiver obligations).
 		if v, ok := f.Pkg.Info.Uses[e.Sel].(*types.Var); ok && dc.connFields[v] {
-			if base, ok := unparen(e.X).(*ast.Ident); ok {
+			if base, ok := ast.Unparen(e.X).(*ast.Ident); ok {
 				obj := f.Pkg.Info.Uses[base]
 				if _, isRecv, ok := paramIndex(f, obj); ok && isRecv {
 					return dfSource{kind: dfRecv, pos: e.Pos(), desc: "receiver field " + e.Sel.Name}, true
@@ -583,38 +527,16 @@ func (dc *dflowChecker) classify(f *ir.Func, e ast.Expr, depth int) (dfSource, b
 
 // paramIndex locates obj among f's parameters (index) or receiver.
 func paramIndex(f *ir.Func, obj types.Object) (idx int, isRecv, ok bool) {
-	if obj == nil {
+	v, isVar := obj.(*types.Var)
+	if !isVar {
 		return 0, false, false
 	}
-	var ftype *ast.FuncType
-	if f.Decl != nil {
-		ftype = f.Decl.Type
-		if f.Decl.Recv != nil {
-			for _, fld := range f.Decl.Recv.List {
-				for _, name := range fld.Names {
-					if f.Pkg.Info.Defs[name] == obj {
-						return 0, true, true
-					}
-				}
-			}
-		}
-	} else if f.Lit != nil {
-		ftype = f.Lit.Type
+	if v == ir.RecvVar(f) {
+		return 0, true, true
 	}
-	if ftype == nil || ftype.Params == nil {
-		return 0, false, false
-	}
-	i := 0
-	for _, fld := range ftype.Params.List {
-		if len(fld.Names) == 0 {
-			i++
-			continue
-		}
-		for _, name := range fld.Names {
-			if f.Pkg.Info.Defs[name] == obj {
-				return i, false, true
-			}
-			i++
+	for i, p := range ir.ParamVars(f) {
+		if p == v {
+			return i, false, true
 		}
 	}
 	return 0, false, false

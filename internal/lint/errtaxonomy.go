@@ -8,6 +8,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/lint/ir"
 )
 
 // ErrTaxonomy enforces the failure-taxonomy contract: the census
@@ -174,7 +176,7 @@ func (e *ErrTaxonomy) Run(l *Loader, pkgs []*Package) []Finding {
 				// Switches over the classifier's result must cover every
 				// class string it can return (or carry a default).
 				if call, ok := sw.Tag.(*ast.CallExpr); ok && len(returnedClasses) > 0 {
-					if callee := calleeObject(pkg, call); callee == classifierObj {
+					if ir.CalleeOf(pkg, call) == classifierObj {
 						covered, hasDefault := coveredStringCases(pkg, sw)
 						if hasDefault {
 							return true
@@ -255,7 +257,7 @@ func coveredCases(pkg *Package, sw *ast.SwitchStmt) (map[string]bool, bool) {
 			continue
 		}
 		for _, expr := range cc.List {
-			expr = unparen(expr)
+			expr = ast.Unparen(expr)
 			var id *ast.Ident
 			switch v := expr.(type) {
 			case *ast.Ident:
@@ -296,18 +298,6 @@ func coveredStringCases(pkg *Package, sw *ast.SwitchStmt) (map[string]bool, bool
 	return covered, hasDefault
 }
 
-// calleeObject resolves the object a call expression invokes, if it
-// is a plain function or selector call.
-func calleeObject(pkg *Package, call *ast.CallExpr) types.Object {
-	switch fn := unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return pkg.Info.Uses[fn]
-	case *ast.SelectorExpr:
-		return pkg.Info.Uses[fn.Sel]
-	}
-	return nil
-}
-
 // isErrorType reports whether t is the built-in error interface.
 func isErrorType(t types.Type) bool {
 	iface, ok := t.Underlying().(*types.Interface)
@@ -321,14 +311,4 @@ func typeShort(t types.Type) string {
 		return s[i+1:]
 	}
 	return s
-}
-
-func unparen(e ast.Expr) ast.Expr {
-	for {
-		p, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = p.X
-	}
 }

@@ -1,10 +1,7 @@
 package lint
 
 import (
-	"encoding/json"
 	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -62,35 +59,6 @@ func TestSortFindingsDeterminism(t *testing.T) {
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	var sb strings.Builder
-	fs := []Finding{mkFinding("x/y.go", 3, 7, "locknet", `mutex "mu" held`)}
-	if err := WriteJSON(&sb, fs); err != nil {
-		t.Fatal(err)
-	}
-	var decoded []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if len(decoded) != 1 {
-		t.Fatalf("got %d entries, want 1", len(decoded))
-	}
-	e := decoded[0]
-	if e["file"] != "x/y.go" || e["line"] != float64(3) || e["col"] != float64(7) ||
-		e["analyzer"] != "locknet" || e["message"] != `mutex "mu" held` {
-		t.Errorf("unexpected entry: %#v", e)
-	}
-
-	// The empty run must be an array, not null.
-	sb.Reset()
-	if err := WriteJSON(&sb, nil); err != nil {
-		t.Fatal(err)
-	}
-	if strings.TrimSpace(sb.String()) != "[]" {
-		t.Errorf("empty findings render as %q, want []", sb.String())
-	}
-}
-
 func TestWriteAnnotations(t *testing.T) {
 	var sb strings.Builder
 	fs := []Finding{
@@ -106,192 +74,5 @@ func TestWriteAnnotations(t *testing.T) {
 	}
 	if strings.Count(sb.String(), "\n") != 1 {
 		t.Errorf("annotation must be a single line, got %q", sb.String())
-	}
-}
-
-// TestWriteSARIF pins the code-scanning contract: a valid SARIF 2.1.0
-// envelope, a rule per analyzer plus the "lint" pseudo-rule, and each
-// finding rendered as an error result with a slash-normalized URI.
-func TestWriteSARIF(t *testing.T) {
-	var sb strings.Builder
-	analyzers := []Analyzer{&Wallclock{}, &WireTaint{}}
-	fs := []Finding{
-		mkFinding("internal/x/x.go", 12, 5, "wiretaint", "wire-tainted allocation size: n"),
-	}
-	if err := WriteSARIF(&sb, analyzers, fs); err != nil {
-		t.Fatal(err)
-	}
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Level     string `json:"level"`
-				Message   struct{ Text string }
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine   int `json:"startLine"`
-							StartColumn int `json:"startColumn"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal([]byte(sb.String()), &log); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, sb.String())
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Errorf("envelope: version=%q schema=%q", log.Version, log.Schema)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("got %d runs, want 1", len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "repolint" {
-		t.Errorf("driver name = %q, want repolint", run.Tool.Driver.Name)
-	}
-	ruleIDs := make(map[string]bool)
-	for _, r := range run.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
-	}
-	for _, want := range []string{"wallclock", "wiretaint", "lint"} {
-		if !ruleIDs[want] {
-			t.Errorf("rule table is missing %q: %v", want, ruleIDs)
-		}
-	}
-	if len(run.Results) != 1 {
-		t.Fatalf("got %d results, want 1", len(run.Results))
-	}
-	res := run.Results[0]
-	if res.RuleID != "wiretaint" || res.Level != "error" ||
-		res.Message.Text != "wire-tainted allocation size: n" {
-		t.Errorf("unexpected result: %+v", res)
-	}
-	loc := res.Locations[0].PhysicalLocation
-	if loc.ArtifactLocation.URI != "internal/x/x.go" ||
-		loc.Region.StartLine != 12 || loc.Region.StartColumn != 5 {
-		t.Errorf("unexpected location: %+v", loc)
-	}
-
-	// The empty run still carries the full rule table, so an upload
-	// from a clean tree closes previously open alerts.
-	sb.Reset()
-	if err := WriteSARIF(&sb, analyzers, nil); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), `"results": []`) {
-		t.Errorf("empty run must render an empty results array:\n%s", sb.String())
-	}
-}
-
-// TestCacheConfigToolchain pins the stale-cache fix: the config
-// fingerprint embeds the toolchain identity, so findings cached under
-// one Go release can never be replayed under another.
-func TestCacheConfigToolchain(t *testing.T) {
-	fp := ToolchainFingerprint()
-	if len(fp) != 16 {
-		t.Fatalf("fingerprint %q: want 16 hex chars", fp)
-	}
-	if fp2 := ToolchainFingerprint(); fp2 != fp {
-		t.Errorf("fingerprint is not deterministic: %q then %q", fp, fp2)
-	}
-	config := CacheConfig("example.com/mod", []Analyzer{&Wallclock{}})
-	if !strings.Contains(config, fp) {
-		t.Errorf("CacheConfig %q does not embed the toolchain fingerprint %q", config, fp)
-	}
-	if !strings.Contains(config, "wallclock") || !strings.Contains(config, "example.com/mod") {
-		t.Errorf("CacheConfig %q lost the analyzer set or module path", config)
-	}
-}
-
-// TestCacheRoundTrip checks the digest/hit/save/load cycle: identical
-// content hits, any content change misses, and the persisted findings
-// survive the round trip.
-func TestCacheRoundTrip(t *testing.T) {
-	root := t.TempDir()
-	writeFile := func(rel, content string) {
-		p := filepath.Join(root, rel)
-		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("go.mod", "module cachetest\n")
-	writeFile("a/a.go", "package a\n\nfunc A() int { return 1 }\n")
-	writeFile("b/b.go", "package b\n\nfunc B() int { return 2 }\n")
-
-	l := NewLoader(root, "cachetest")
-	digests, err := DigestPackages(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(digests) != 2 {
-		t.Fatalf("digested %d packages, want 2: %v", len(digests), digests)
-	}
-
-	config := "test-config"
-	cachePath := filepath.Join(root, ".repolint.cache")
-	findings := []Finding{mkFinding("a/a.go", 3, 1, "wallclock", "msg")}
-	if err := SaveCache(cachePath, config, digests, findings); err != nil {
-		t.Fatal(err)
-	}
-
-	prev := LoadCache(cachePath)
-	if prev == nil {
-		t.Fatal("cache did not load back")
-	}
-	hits, total, ok := prev.Hits(config, digests)
-	if !ok || hits != 2 || total != 2 {
-		t.Fatalf("unchanged tree: hits=%d total=%d ok=%v, want 2/2 true", hits, total, ok)
-	}
-	if len(prev.Findings) != 1 || prev.Findings[0].String() != findings[0].String() {
-		t.Fatalf("findings did not survive the round trip: %+v", prev.Findings)
-	}
-
-	// A config change alone invalidates.
-	if _, _, ok := prev.Hits("other-config", digests); ok {
-		t.Error("config change still hit")
-	}
-
-	// Touch one file's content: that package misses, the other hits,
-	// and reuse is refused.
-	writeFile("b/b.go", "package b\n\nfunc B() int { return 3 }\n")
-	l2 := NewLoader(root, "cachetest")
-	digests2, err := DigestPackages(l2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, total, ok = prev.Hits(config, digests2)
-	if ok || hits != 1 || total != 2 {
-		t.Fatalf("after edit: hits=%d total=%d ok=%v, want 1/2 false", hits, total, ok)
-	}
-
-	// A new package also invalidates even though every cached package
-	// still matches.
-	writeFile("b/b.go", "package b\n\nfunc B() int { return 2 }\n")
-	writeFile("c/c.go", "package c\n\nfunc C() int { return 4 }\n")
-	l3 := NewLoader(root, "cachetest")
-	digests3, err := DigestPackages(l3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, ok := prev.Hits(config, digests3); ok {
-		t.Error("added package still hit")
 	}
 }

@@ -23,7 +23,7 @@ import (
 //
 //  1. Find publish sites: atomic Store calls, channel sends of
 //     reference values, and calls into module functions that
-//     transitively publish a parameter (SummaryCache-memoized).
+//     transitively publish a parameter (ir.Memo-memoized).
 //  2. Take the may-alias class of the published roots.
 //  3. Walk every statement CFG-reachable after the publish (loops
 //     count: a Store inside a loop freezes the value for the next
@@ -55,10 +55,9 @@ func (fp *FrozenPublish) Doc() string {
 func (fp *FrozenPublish) Run(l *Loader, pkgs []*Package) []Finding {
 	prog := l.Program(pkgs)
 	c := &frozenChecker{
-		prog: prog,
-		escs: make(map[*ir.Func]*ir.Escape),
-		doms: make(map[*ir.Func][]*ir.BitSet),
-		sums: ir.NewSummaryCache(),
+		prog:      prog,
+		publishes: ir.Memo[*types.Var, bool]{MaxDepth: ir.SummaryDepth},
+		mutates:   ir.Memo[*types.Var, bool]{MaxDepth: ir.SummaryDepth},
 	}
 	var findings []Finding
 	for _, f := range prog.Funcs {
@@ -72,27 +71,9 @@ func (fp *FrozenPublish) Run(l *Loader, pkgs []*Package) []Finding {
 
 type frozenChecker struct {
 	prog *ir.Program
-	escs map[*ir.Func]*ir.Escape
-	doms map[*ir.Func][]*ir.BitSet
-	sums *ir.SummaryCache
-}
-
-func (c *frozenChecker) escapeOf(f *ir.Func) *ir.Escape {
-	e, ok := c.escs[f]
-	if !ok {
-		e = ir.BuildEscape(f)
-		c.escs[f] = e
-	}
-	return e
-}
-
-func (c *frozenChecker) domOf(f *ir.Func) []*ir.BitSet {
-	d, ok := c.doms[f]
-	if !ok {
-		d = ir.Dominators(f)
-		c.doms[f] = d
-	}
-	return d
+	// publishes / mutates memoize, per parameter variable, whether its
+	// function (transitively) publishes or writes through it.
+	publishes, mutates ir.Memo[*types.Var, bool]
 }
 
 // stmtAt pins a block-resident statement to its CFG coordinates.
@@ -116,8 +97,7 @@ func (c *frozenChecker) checkFunc(analyzer string, f *ir.Func) []Finding {
 	if len(pubs) == 0 {
 		return nil
 	}
-	esc := c.escapeOf(f)
-	dom := c.domOf(f)
+	esc := f.Escape()
 	var findings []Finding
 	for _, pub := range pubs {
 		class := make(map[*types.Var]bool)
@@ -131,7 +111,7 @@ func (c *frozenChecker) checkFunc(analyzer string, f *ir.Func) []Finding {
 		pubLine := f.Position(pub.pos).Line
 		for _, at := range after {
 			for _, hit := range c.writeHits(f, at.s, class) {
-				if killedByRebind(dom, rebinds, hit.root, at) {
+				if killedByRebind(f.Dom(), rebinds, hit.root, at) {
 					continue
 				}
 				findings = append(findings, Finding{
@@ -150,7 +130,7 @@ func (c *frozenChecker) checkFunc(analyzer string, f *ir.Func) []Finding {
 // Stores, reference-valued channel sends, and calls that transitively
 // publish an argument.
 func (c *frozenChecker) publishSites(f *ir.Func) []pubSite {
-	esc := c.escapeOf(f)
+	esc := f.Escape()
 	pkg := f.Pkg
 	var pubs []pubSite
 	for _, b := range f.Blocks {
@@ -178,7 +158,7 @@ func (c *frozenChecker) publishSites(f *ir.Func) []pubSite {
 				if arg := ir.AtomicStoreArg(pkg, call); arg != nil {
 					if roots := esc.ValueRoots(arg); len(roots) > 0 {
 						recv := "?"
-						if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+						if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 							recv = types.ExprString(sel.X)
 						}
 						pubs = append(pubs, pubSite{
@@ -222,9 +202,8 @@ func (c *frozenChecker) publishSites(f *ir.Func) []pubSite {
 // object its parameter pv points to — stores it atomically, sends it,
 // or passes it onward to a function that does.
 func (c *frozenChecker) publishesParam(callee *ir.Func, pv *types.Var) bool {
-	kind := fmt.Sprintf("frozenpublish.pub.%d", pv.Pos())
-	return c.sums.Memo(callee, kind, false, func() bool {
-		esc := c.escapeOf(callee)
+	return c.publishes.Get(pv, false, func() bool {
+		esc := callee.Escape()
 		pkg := callee.Pkg
 		class := make(map[*types.Var]bool)
 		for _, v := range esc.AliasVars(pv) {
@@ -300,51 +279,35 @@ func (c *frozenChecker) writeHits(f *ir.Func, s ast.Stmt, class map[*types.Var]b
 	}
 	pkg := f.Pkg
 	var hits []writeHit
-	chainHit := func(expr ast.Expr, desc string) {
-		base := unparen(expr)
-		switch base.(type) {
+	for _, w := range stmtWrites(pkg, s) {
+		root := ir.RootVar(pkg, w.target)
+		if root == nil || !class[root] {
+			continue
+		}
+		if w.builtin != nil {
+			hits = append(hits, writeHit{
+				pos:  w.builtin.Pos(),
+				root: root,
+				desc: fmt.Sprintf("builtin %s mutates %s", types.ExprString(w.builtin.Fun), types.ExprString(w.target)),
+			})
+			continue
+		}
+		// Rebinding a plain identifier is not a write through it.
+		switch ast.Unparen(w.target).(type) {
 		case *ast.SelectorExpr, *ast.IndexExpr, *ast.StarExpr:
-			if root := ir.RootVar(pkg, base); root != nil && class[root] {
-				hits = append(hits, writeHit{pos: expr.Pos(), root: root, desc: fmt.Sprintf(desc, types.ExprString(expr))})
-			}
+			hits = append(hits, writeHit{pos: w.target.Pos(), root: root, desc: "write to " + types.ExprString(w.target)})
 		}
-	}
-	switch s := s.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range s.Lhs {
-			chainHit(lhs, "write to %s")
-		}
-	case *ast.IncDecStmt:
-		chainHit(s.X, "write to %s")
 	}
 	inspectShallow(s, func(n ast.Node) {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return
 		}
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB {
-				switch b.Name() {
-				case "delete", "clear", "copy", "append":
-					if len(call.Args) == 0 {
-						return
-					}
-					if root := ir.RootVar(pkg, call.Args[0]); root != nil && class[root] {
-						hits = append(hits, writeHit{
-							pos:  call.Pos(),
-							root: root,
-							desc: fmt.Sprintf("builtin %s mutates %s", b.Name(), types.ExprString(call.Args[0])),
-						})
-					}
-				}
-				return
-			}
-		}
 		callee := c.moduleCallee(pkg, call)
 		if callee == nil {
 			return
 		}
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if root := ir.RootVar(pkg, sel.X); root != nil && class[root] {
 				if rv := ir.RecvVar(callee); rv != nil && c.mutatesParam(callee, rv) {
 					hits = append(hits, writeHit{
@@ -375,9 +338,8 @@ func (c *frozenChecker) writeHits(f *ir.Func, s ast.Stmt, class map[*types.Var]b
 // mutatesParam reports whether callee (transitively) writes through
 // the object graph reachable from pv.
 func (c *frozenChecker) mutatesParam(callee *ir.Func, pv *types.Var) bool {
-	kind := fmt.Sprintf("frozenpublish.mut.%d", pv.Pos())
-	return c.sums.Memo(callee, kind, false, func() bool {
-		esc := c.escapeOf(callee)
+	return c.mutates.Get(pv, false, func() bool {
+		esc := callee.Escape()
 		class := make(map[*types.Var]bool)
 		for _, v := range esc.AliasVars(pv) {
 			class[v] = true
@@ -394,7 +356,7 @@ func (c *frozenChecker) mutatesParam(callee *ir.Func, pv *types.Var) bool {
 }
 
 // moduleCallee resolves call to a module-local function with a body.
-func (c *frozenChecker) moduleCallee(pkg *ir.SourcePackage, call *ast.CallExpr) *ir.Func {
+func (c *frozenChecker) moduleCallee(pkg *ir.Package, call *ast.CallExpr) *ir.Func {
 	obj := ir.CalleeOf(pkg, call)
 	if obj == nil {
 		return nil
@@ -493,17 +455,11 @@ func collectRebinds(f *ir.Func, after []stmtAt, class map[*types.Var]bool) []reb
 			continue
 		}
 		for _, lhs := range as.Lhs {
-			id, ok := unparen(lhs).(*ast.Ident)
+			id, ok := ast.Unparen(lhs).(*ast.Ident)
 			if !ok || id.Name == "_" {
 				continue
 			}
-			var v *types.Var
-			if dv, ok := pkg.Info.Defs[id].(*types.Var); ok {
-				v = dv
-			} else if uv, ok := pkg.Info.Uses[id].(*types.Var); ok {
-				v = uv
-			}
-			if v != nil && class[v] {
+			if v, ok := pkg.Info.ObjectOf(id).(*types.Var); ok && class[v] {
 				out = append(out, rebind{at: at, v: v})
 			}
 		}

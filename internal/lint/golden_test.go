@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -107,27 +108,59 @@ func collectWants(t *testing.T, pkgs []*Package) []*wantSpec {
 	return wants
 }
 
-// TestGolden runs every analyzer over the lintest universe and checks
-// the findings against the // want annotations: every finding must be
-// expected, every expectation must fire, and the clean twin packages
-// must stay silent (any stray finding there is unexpected by
-// construction).
-func TestGolden(t *testing.T) {
+// loadGolden loads the lintest universe under testdata/src.
+func loadGolden(t *testing.T) (root string, l *Loader, pkgs []*Package) {
+	t.Helper()
 	root, err := filepath.Abs(filepath.Join("testdata", "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLoader(root, "lintest")
-	pkgs, err := l.LoadAll()
+	l = NewLoader(root, "lintest")
+	pkgs, err = l.LoadAll()
 	if err != nil {
 		t.Fatalf("loading lintest universe: %v", err)
 	}
 	if len(pkgs) < 10 {
 		t.Fatalf("expected the full lintest universe, loaded only %d packages", len(pkgs))
 	}
+	return root, l, pkgs
+}
 
-	findings := Run(l, pkgs, testAnalyzers())
+// renderGolden is the golden file's format: one finding per line,
+// every path (in the position and inside messages) relative to root.
+func renderGolden(root string, findings []Finding) string {
+	var sb strings.Builder
+	for _, f := range findings {
+		sb.WriteString(filepath.ToSlash(strings.ReplaceAll(f.String(), root+string(filepath.Separator), "")))
+		sb.WriteByte('\n')
+	}
+	return sb.String()
+}
+
+// TestGolden runs every analyzer over the lintest universe and checks
+// the findings twice over. Against the // want annotations: every
+// finding must be expected, every expectation must fire, and the clean
+// twin packages must stay silent (any stray finding there is
+// unexpected by construction). And against testdata/golden.findings,
+// byte for byte — the want regexps do not pin columns, whole messages
+// or witness chains, and a refactor of the analyzers' shared substrate
+// must move none of them. A change that means to move a finding edits
+// the file by the +/- lines the failure prints, and that diff is
+// reviewed like code.
+func TestGolden(t *testing.T) {
+	root, l, pkgs := loadGolden(t)
+	findings, _ := Run(l, pkgs, testAnalyzers())
 	wants := collectWants(t, pkgs)
+
+	goldenPath := filepath.Join("testdata", "golden.findings")
+	got := renderGolden(root, findings)
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("findings differ from %s:\n%s", goldenPath, lineDiff(string(want), got))
+	}
 
 	perAnalyzer := make(map[string]int)
 	for _, f := range findings {
@@ -183,6 +216,47 @@ func TestGolden(t *testing.T) {
 		if strings.Contains(f.Pos.Filename, string(filepath.Separator)+"clean"+string(filepath.Separator)) ||
 			strings.Contains(f.Pos.Filename, "errtaxclean") {
 			t.Errorf("clean twin is not silent: %s", f)
+		}
+	}
+}
+
+// lineDiff lists the lines only one of want and got holds.
+func lineDiff(want, got string) string {
+	count := make(map[string]int)
+	for _, line := range strings.Split(want, "\n") {
+		count[line]++
+	}
+	var sb strings.Builder
+	for _, line := range strings.Split(got, "\n") {
+		if count[line] == 0 {
+			fmt.Fprintf(&sb, "+ %s\n", line)
+		}
+		count[line]--
+	}
+	for _, line := range strings.Split(want, "\n") {
+		if count[line] > 0 {
+			fmt.Fprintf(&sb, "- %s\n", line)
+			count[line]--
+		}
+	}
+	return sb.String()
+}
+
+// TestRunIsDeterministic runs the suite several times in one process
+// over the same packages and requires identical reports: Go randomizes
+// map iteration per range statement, so a message or an order that
+// leaks map order differs between runs with high probability
+// (locknet's held-mutex list did, until it was sorted).
+func TestRunIsDeterministic(t *testing.T) {
+	root, l, pkgs := loadGolden(t)
+	var first string
+	for i := 0; i < 4; i++ {
+		findings, tallies := Run(l, pkgs, testAnalyzers())
+		got := renderGolden(root, findings) + fmt.Sprint(tallies)
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("run %d differs from run 0:\n%s", i, lineDiff(first, got))
 		}
 	}
 }

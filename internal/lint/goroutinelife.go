@@ -55,9 +55,8 @@ func (g *GoroutineLife) Run(l *Loader, pkgs []*Package) []Finding {
 	prog := l.Program(pkgs)
 	gl := &glifeChecker{
 		prog:     prog,
-		memo:     make(map[*ir.Func]glVerdict),
-		visiting: make(map[*ir.Func]bool),
-		sigCache: ir.NewSummaryCache(),
+		verdicts: ir.Memo[*ir.Func, glVerdict]{MaxDepth: 33}, // call chains deeper than this are assumed to terminate
+		signals:  ir.Memo[*ir.Func, bool]{MaxDepth: ir.SummaryDepth},
 	}
 
 	var findings []Finding
@@ -87,10 +86,8 @@ type glVerdict struct {
 
 type glifeChecker struct {
 	prog     *ir.Program
-	memo     map[*ir.Func]glVerdict
-	visiting map[*ir.Func]bool
-	sigCache *ir.SummaryCache
-	depth    int
+	verdicts ir.Memo[*ir.Func, glVerdict]
+	signals  ir.Memo[*ir.Func, bool]
 }
 
 func (gl *glifeChecker) checkSpawn(analyzer string, spawner *ir.Func, g *ast.GoStmt) []Finding {
@@ -128,19 +125,7 @@ func (gl *glifeChecker) checkSpawn(analyzer string, spawner *ir.Func, g *ast.GoS
 // treats in-progress functions as OK — a cycle in the call graph is a
 // recursion pattern, not a spawned loop.
 func (gl *glifeChecker) terminates(f *ir.Func) glVerdict {
-	if v, ok := gl.memo[f]; ok {
-		return v
-	}
-	if gl.visiting[f] || gl.depth > 32 {
-		return glVerdict{ok: true}
-	}
-	gl.visiting[f] = true
-	gl.depth++
-	v := gl.computeTerminates(f)
-	gl.depth--
-	delete(gl.visiting, f)
-	gl.memo[f] = v
-	return v
+	return gl.verdicts.Get(f, glVerdict{ok: true}, func() glVerdict { return gl.computeTerminates(f) })
 }
 
 func (gl *glifeChecker) computeTerminates(f *ir.Func) glVerdict {
@@ -176,7 +161,7 @@ type cycle struct {
 
 // exitlessCycles finds the natural loops of f no edge leaves.
 func exitlessCycles(f *ir.Func) []cycle {
-	dom := ir.Dominators(f)
+	dom := f.Dom()
 	var out []cycle
 	for _, u := range f.Blocks {
 		if u.Unreachable() {
@@ -237,10 +222,8 @@ func (gl *glifeChecker) stmtHasSignal(f *ir.Func, s ast.Stmt) bool {
 	case *ast.SelectStmt:
 		return true
 	case *ast.RangeStmt:
-		if t := f.Pkg.Info.TypeOf(s.X); t != nil {
-			if _, isChan := t.Underlying().(*types.Chan); isChan {
-				return true
-			}
+		if isChanType(f.Pkg.Info.TypeOf(s.X)) {
+			return true
 		}
 	}
 	found := false
@@ -267,7 +250,7 @@ func (gl *glifeChecker) stmtHasSignal(f *ir.Func, s ast.Stmt) bool {
 // callHasSignal: a Read/Write/Accept-shaped call on a closable
 // receiver, or a call into a module function containing a signal.
 func (gl *glifeChecker) callHasSignal(f *ir.Func, call *ast.CallExpr) bool {
-	if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		name := sel.Sel.Name
 		ioShaped := strings.HasPrefix(name, "Read") || strings.HasPrefix(name, "Write") ||
 			strings.HasPrefix(name, "Accept")
@@ -291,7 +274,7 @@ func (gl *glifeChecker) callHasSignal(f *ir.Func, call *ast.CallExpr) bool {
 // funcHasSignal: does the function (transitively) contain a
 // termination signal anywhere?
 func (gl *glifeChecker) funcHasSignal(f *ir.Func) bool {
-	return gl.sigCache.Memo(f, "glife.signal", false, func() bool {
+	return gl.signals.Get(f, false, func() bool {
 		for _, b := range f.Blocks {
 			for _, s := range b.Nodes {
 				if gl.stmtHasSignal(f, s) {

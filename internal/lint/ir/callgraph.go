@@ -8,7 +8,7 @@ import (
 // Program is the whole-module IR: every function and literal's CFG
 // plus the static call graph connecting them.
 type Program struct {
-	Pkgs  []*SourcePackage
+	Pkgs  []*Package
 	Funcs []*Func
 	// FuncOf maps a declared function/method object to its Func.
 	FuncOf map[types.Object]*Func
@@ -16,12 +16,15 @@ type Program struct {
 	LitOf map[*ast.FuncLit]*Func
 	// Callers lists the resolved call sites targeting each Func.
 	Callers map[*Func][]*CallSite
+
+	pessimistic     []TaintSink
+	pessimisticDone bool
 }
 
 // BuildProgram constructs CFGs for every function declaration and
 // literal in pkgs and links the static call graph. Packages must all
 // share one token.FileSet.
-func BuildProgram(pkgs []*SourcePackage) *Program {
+func BuildProgram(pkgs []*Package) *Program {
 	p := &Program{
 		Pkgs:    pkgs,
 		FuncOf:  make(map[types.Object]*Func),
@@ -60,7 +63,7 @@ func BuildProgram(pkgs []*SourcePackage) *Program {
 			cs.CalleeObj = CalleeOf(f.Pkg, cs.Call)
 			if cs.CalleeObj != nil {
 				cs.Callee = p.FuncOf[cs.CalleeObj]
-			} else if lit, ok := unparenExpr(cs.Call.Fun).(*ast.FuncLit); ok {
+			} else if lit, ok := ast.Unparen(cs.Call.Fun).(*ast.FuncLit); ok {
 				cs.Callee = p.LitOf[lit]
 			}
 			if cs.Callee != nil {
@@ -75,8 +78,8 @@ func BuildProgram(pkgs []*SourcePackage) *Program {
 // plain function calls, method calls, qualified package calls, and
 // method expressions. Dynamic calls through function values return
 // nil.
-func CalleeOf(pkg *SourcePackage, call *ast.CallExpr) types.Object {
-	switch fun := unparenExpr(call.Fun).(type) {
+func CalleeOf(pkg *Package, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if obj, ok := pkg.Info.Uses[fun].(*types.Func); ok {
 			return obj
@@ -96,9 +99,9 @@ func CalleeOf(pkg *SourcePackage, call *ast.CallExpr) types.Object {
 // declared function/method, a named literal, or an inline literal.
 // Returns the module-local Func when available (else nil) plus the
 // callee object (nil for literals and dynamic values).
-func (p *Program) ResolveSpawn(pkg *SourcePackage, g *ast.GoStmt) (*Func, types.Object) {
+func (p *Program) ResolveSpawn(pkg *Package, g *ast.GoStmt) (*Func, types.Object) {
 	call := g.Call
-	if lit, ok := unparenExpr(call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return p.LitOf[lit], nil
 	}
 	obj := CalleeOf(pkg, call)
@@ -106,14 +109,4 @@ func (p *Program) ResolveSpawn(pkg *SourcePackage, g *ast.GoStmt) (*Func, types.
 		return p.FuncOf[obj], obj
 	}
 	return nil, nil
-}
-
-func unparenExpr(e ast.Expr) ast.Expr {
-	for {
-		pe, ok := e.(*ast.ParenExpr)
-		if !ok {
-			return e
-		}
-		e = pe.X
-	}
 }

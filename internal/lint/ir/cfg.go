@@ -9,7 +9,7 @@ import (
 // BuildFunc constructs the CFG for one function declaration or
 // literal. The body is required (declarations without bodies —
 // assembly stubs — have no CFG).
-func BuildFunc(pkg *SourcePackage, obj types.Object, decl *ast.FuncDecl, lit *ast.FuncLit) *Func {
+func BuildFunc(pkg *Package, obj types.Object, decl *ast.FuncDecl, lit *ast.FuncLit) *Func {
 	f := &Func{Pkg: pkg, Obj: obj, Decl: decl, Lit: lit, stmtBlock: make(map[ast.Stmt]*Block)}
 	switch {
 	case decl != nil:
@@ -380,58 +380,50 @@ func (b *cfgBuilder) recordCalls(s ast.Stmt) {
 	if mapped, ok := b.f.stmtBlock[s]; ok {
 		blk = mapped
 	}
-	skipBody := func(n ast.Node) bool {
-		_, isLit := n.(*ast.FuncLit)
-		return isLit
+	// Only a compound statement's headline belongs to this block; its
+	// bodies are lowered into their own blocks and re-visited there.
+	root := Headline(s)
+	if root == nil {
+		return
 	}
-	// For compound statements (if/for/switch...) only the headline
-	// expressions belong to this block; their bodies are lowered into
-	// their own blocks and re-visited there. Restrict the walk.
-	var exprs []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.CallExpr:
+			b.f.Calls = append(b.f.Calls, &CallSite{Caller: b.f, Block: blk, Call: n})
+		}
+		return true
+	})
+}
+
+// Headline returns the part of s that is evaluated where s itself sits
+// in the control flow: a simple statement is its own headline; an if
+// or for contributes its condition, a switch its tag, a range its
+// operand, a type switch its guard assignment; select, block and
+// labeled statements (and condition-less for/switch) contribute
+// nothing — their parts are statements in their own right.
+func Headline(s ast.Stmt) ast.Node {
 	switch s := s.(type) {
 	case *ast.IfStmt:
-		exprs = append(exprs, s.Cond)
+		return s.Cond
 	case *ast.ForStmt:
-		if s.Cond != nil {
-			exprs = append(exprs, s.Cond)
-		}
+		return s.Cond
 	case *ast.RangeStmt:
-		exprs = append(exprs, s.X)
+		return s.X
 	case *ast.SwitchStmt:
-		if s.Tag != nil {
-			exprs = append(exprs, s.Tag)
-		}
+		return s.Tag
 	case *ast.TypeSwitchStmt:
-		exprs = append(exprs, s.Assign)
-	case *ast.SelectStmt:
-		// Comm statements are added to clause blocks separately.
-	case *ast.LabeledStmt:
-		// Inner statement handled on its own.
-	default:
-		exprs = append(exprs, s)
+		return s.Assign
+	case *ast.SelectStmt, *ast.BlockStmt, *ast.LabeledStmt:
+		return nil
 	}
-	for _, root := range exprs {
-		if root == nil {
-			continue
-		}
-		ast.Inspect(root, func(n ast.Node) bool {
-			if n == nil {
-				return false
-			}
-			if skipBody(n) {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				b.f.Calls = append(b.f.Calls, &CallSite{Caller: b.f, Block: blk, Call: call})
-			}
-			return true
-		})
-	}
+	return s
 }
 
 // terminatesFlow reports whether a simple statement never lets
 // control continue: panic(...), os.Exit(...), runtime.Goexit().
-func terminatesFlow(pkg *SourcePackage, s ast.Stmt) bool {
+func terminatesFlow(pkg *Package, s ast.Stmt) bool {
 	es, ok := s.(*ast.ExprStmt)
 	if !ok {
 		return false

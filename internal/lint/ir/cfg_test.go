@@ -13,10 +13,10 @@ import (
 // AST nodes back to their source text by offset.
 var fixtureText string
 
-// parseFixture type-checks one source string into a SourcePackage and
+// parseFixture type-checks one source string into a Package and
 // returns the built Program. Fixtures must be import-free (the test
 // deliberately avoids go/importer, which needs compiled export data).
-func parseFixture(t *testing.T, src string) (*SourcePackage, *Program) {
+func parseFixture(t *testing.T, src string) (*Package, *Program) {
 	t.Helper()
 	fixtureText = src
 	fset := token.NewFileSet()
@@ -36,14 +36,14 @@ func parseFixture(t *testing.T, src string) (*SourcePackage, *Program) {
 	if err != nil {
 		t.Fatalf("typecheck fixture: %v", err)
 	}
-	sp := &SourcePackage{
+	sp := &Package{
 		Path:  "fixture",
 		Fset:  fset,
 		Files: []*ast.File{file},
 		Info:  info,
 		Types: tpkg,
 	}
-	return sp, BuildProgram([]*SourcePackage{sp})
+	return sp, BuildProgram([]*Package{sp})
 }
 
 func funcByName(t *testing.T, p *Program, name string) *Func {

@@ -1,5 +1,7 @@
 package ir
 
+import "math/bits"
+
 // BitSet is a fixed-capacity bit vector used as the dataflow lattice
 // element. The zero value of makeBitSet(n) is the empty set.
 type BitSet struct {
@@ -77,13 +79,6 @@ func (s *BitSet) IntersectWith(o *BitSet) bool {
 	return changed
 }
 
-// DiffWith s &^= o.
-func (s *BitSet) DiffWith(o *BitSet) {
-	for i := range s.words {
-		s.words[i] &^= o.words[i]
-	}
-}
-
 // Equal reports set equality.
 func (s *BitSet) Equal(o *BitSet) bool {
 	if s.n != o.n {
@@ -112,20 +107,11 @@ func (s *BitSet) ForEach(fn func(i int)) {
 	for wi, w := range s.words {
 		for w != 0 {
 			bit := w & -w
-			i := wi*64 + trailingZeros(bit)
+			i := wi*64 + bits.TrailingZeros64(bit)
 			fn(i)
 			w &^= bit
 		}
 	}
-}
-
-func trailingZeros(w uint64) int {
-	n := 0
-	for w&1 == 0 {
-		w >>= 1
-		n++
-	}
-	return n
 }
 
 // Direction of a dataflow problem.

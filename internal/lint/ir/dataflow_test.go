@@ -217,11 +217,11 @@ func odd(n int) bool {
 	even := funcByName(t, prog, "even")
 	odd := funcByName(t, prog, "odd")
 
-	cache := NewSummaryCache()
+	cache := Memo[*Func, bool]{MaxDepth: SummaryDepth}
 	computes := 0
 	var query func(f *Func) bool
 	query = func(f *Func) bool {
-		return cache.Memo(f, "test", false, func() bool {
+		return cache.Get(f, false, func() bool {
 			computes++
 			// Recurse into every resolved callee: cycles must hit the
 			// visiting guard, not recurse forever.

@@ -66,30 +66,14 @@ func (d *DefUse) collectDefs() {
 		d.byVar[v] = append(d.byVar[v], idx)
 	}
 
-	// Parameters, receiver, named results: defined at entry.
-	var fields []*ast.Field
-	var ftype *ast.FuncType
-	if d.f.Decl != nil {
-		ftype = d.f.Decl.Type
-		if d.f.Decl.Recv != nil {
-			fields = append(fields, d.f.Decl.Recv.List...)
-		}
-	} else if d.f.Lit != nil {
-		ftype = d.f.Lit.Type
+	// Receiver, parameters, named results: defined at entry.
+	entry := append(ParamVars(d.f), ResultVars(d.f)...)
+	if rv := RecvVar(d.f); rv != nil {
+		entry = append([]*types.Var{rv}, entry...)
 	}
-	if ftype != nil {
-		if ftype.Params != nil {
-			fields = append(fields, ftype.Params.List...)
-		}
-		if ftype.Results != nil {
-			fields = append(fields, ftype.Results.List...)
-		}
-	}
-	for _, fld := range fields {
-		for _, name := range fld.Names {
-			if v, ok := info.Defs[name].(*types.Var); ok {
-				addDef(v, nil, nil, name.Pos())
-			}
+	for _, v := range entry {
+		if v != nil {
+			addDef(v, nil, nil, v.Pos())
 		}
 	}
 

@@ -28,10 +28,10 @@ import (
 // pulled out of a struct may share the struct's reachable heap) and
 // in the must direction for escapes (a call result is treated as a
 // fresh object; interprocedural effects are the analyzers' job via
-// SummaryCache).
+// Memo).
 type Escape struct {
 	f      *Func
-	parent map[*types.Var]*types.Var
+	parent varSets
 	sites  map[*types.Var][]EscapeSite // keyed by class representative
 	all    map[*types.Var]bool         // every var ever observed
 
@@ -42,7 +42,7 @@ type Escape struct {
 	// element insertion (append args, composite literals) do NOT
 	// merge: a slice that merely contains the same pointers is not
 	// the same container. MayAliasTight answers over this relation.
-	tparent map[*types.Var]*types.Var
+	tparent varSets
 }
 
 // EscapeKind classifies how a value leaves its owning goroutine/frame.
@@ -109,10 +109,10 @@ type EscapeSite struct {
 func BuildEscape(f *Func) *Escape {
 	e := &Escape{
 		f:       f,
-		parent:  make(map[*types.Var]*types.Var),
+		parent:  make(varSets),
 		sites:   make(map[*types.Var][]EscapeSite),
 		all:     make(map[*types.Var]bool),
-		tparent: make(map[*types.Var]*types.Var),
+		tparent: make(varSets),
 	}
 	if f.Body == nil {
 		return e
@@ -158,22 +158,40 @@ func BuildEscape(f *Func) *Escape {
 	return e
 }
 
+// varSets is a union-find over variables. The earliest-declared
+// member represents its class, so results do not depend on the order
+// the merges were discovered in.
+type varSets map[*types.Var]*types.Var
+
 // rep returns the class representative of v with path compression.
-func (e *Escape) rep(v *types.Var) *types.Var {
+func (s varSets) rep(v *types.Var) *types.Var {
 	r := v
 	for {
-		p, ok := e.parent[r]
+		p, ok := s[r]
 		if !ok || p == r {
 			break
 		}
 		r = p
 	}
 	for v != r {
-		next := e.parent[v]
-		e.parent[v] = r
+		next := s[v]
+		s[v] = r
 		v = next
 	}
 	return r
+}
+
+// union merges the classes of a and b, returning the surviving and the
+// absorbed representative (equal when they already were one class).
+func (s varSets) union(a, b *types.Var) (keep, gone *types.Var) {
+	keep, gone = s.rep(a), s.rep(b)
+	if keep != gone {
+		if gone.Pos() < keep.Pos() {
+			keep, gone = gone, keep
+		}
+		s[gone] = keep
+	}
+	return keep, gone
 }
 
 func (e *Escape) union(a, b *types.Var) {
@@ -181,17 +199,10 @@ func (e *Escape) union(a, b *types.Var) {
 		return
 	}
 	e.all[a], e.all[b] = true, true
-	ra, rb := e.rep(a), e.rep(b)
-	if ra == rb {
-		return
+	if keep, gone := e.parent.union(a, b); keep != gone {
+		e.sites[keep] = append(e.sites[keep], e.sites[gone]...)
+		delete(e.sites, gone)
 	}
-	// Deterministic root choice: earliest declaration wins.
-	if rb.Pos() < ra.Pos() {
-		ra, rb = rb, ra
-	}
-	e.parent[rb] = ra
-	e.sites[ra] = append(e.sites[ra], e.sites[rb]...)
-	delete(e.sites, rb)
 }
 
 func (e *Escape) mark(v *types.Var, kind EscapeKind, pos token.Pos) {
@@ -199,7 +210,7 @@ func (e *Escape) mark(v *types.Var, kind EscapeKind, pos token.Pos) {
 		return
 	}
 	e.all[v] = true
-	r := e.rep(v)
+	r := e.parent.rep(v)
 	e.sites[r] = append(e.sites[r], EscapeSite{Kind: kind, Pos: pos})
 }
 
@@ -230,12 +241,12 @@ func (e *Escape) flow(lhs, rhs ast.Expr, tight bool) {
 		return
 	}
 	pkg := e.f.Pkg
-	switch base := unparenExpr(lhs).(type) {
+	switch base := ast.Unparen(lhs).(type) {
 	case *ast.Ident:
 		if base.Name == "_" {
 			return
 		}
-		lv := objVar(pkg, base)
+		lv := ObjVar(pkg, base)
 		if lv == nil {
 			return
 		}
@@ -244,7 +255,7 @@ func (e *Escape) flow(lhs, rhs ast.Expr, tight bool) {
 		}
 		if tight {
 			if tr := e.tightRoot(rhs); tr != nil {
-				e.tunion(lv, tr)
+				e.tparent.union(lv, tr)
 			}
 		}
 		e.markIfGlobal(lv, lhs.Pos())
@@ -264,7 +275,7 @@ func (e *Escape) flow(lhs, rhs ast.Expr, tight bool) {
 // markIfGlobal records an EscGlobal site when v is package-level: the
 // whole alias class is now reachable by any goroutine.
 func (e *Escape) markIfGlobal(v *types.Var, pos token.Pos) {
-	if v != nil && isGlobalVar(v) {
+	if v != nil && IsGlobalVar(v) {
 		e.mark(v, EscGlobal, pos)
 	}
 }
@@ -274,12 +285,12 @@ func (e *Escape) markIfGlobal(v *types.Var, pos token.Pos) {
 // go'd literal.
 func (e *Escape) goStmt(g *ast.GoStmt) {
 	call := g.Call
-	if lit, ok := unparenExpr(call.Fun).(*ast.FuncLit); ok {
+	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 		for _, v := range FreeVars(e.f.Pkg, lit) {
 			e.mark(v, EscGoCapture, g.Pos())
 		}
 	}
-	if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if v := RootVar(e.f.Pkg, sel.X); v != nil {
 			e.mark(v, EscGoArg, g.Pos())
 		}
@@ -303,7 +314,7 @@ func (e *Escape) call(c *ast.CallExpr) {
 		return
 	}
 	// Builtins and conversions move values inside the frame only.
-	if id, ok := unparenExpr(c.Fun).(*ast.Ident); ok {
+	if id, ok := ast.Unparen(c.Fun).(*ast.Ident); ok {
 		if _, isB := pkg.Info.Uses[id].(*types.Builtin); isB {
 			return
 		}
@@ -311,7 +322,7 @@ func (e *Escape) call(c *ast.CallExpr) {
 	if tv, ok := pkg.Info.Types[c.Fun]; ok && tv.IsType() {
 		return
 	}
-	if sel, ok := unparenExpr(c.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
 		if v := RootVar(pkg, sel.X); v != nil {
 			e.mark(v, EscArg, c.Pos())
 		}
@@ -329,16 +340,16 @@ func (e *Escape) call(c *ast.CallExpr) {
 // return nil (fresh objects).
 func (e *Escape) ValueRoots(expr ast.Expr) []*types.Var {
 	pkg := e.f.Pkg
-	switch x := unparenExpr(expr).(type) {
+	switch x := ast.Unparen(expr).(type) {
 	case *ast.Ident:
-		if v := objVar(pkg, x); v != nil && isRefLike(pkg.Info.TypeOf(x)) {
+		if v := ObjVar(pkg, x); v != nil && IsRefLike(pkg.Info.TypeOf(x)) {
 			return []*types.Var{v}
 		}
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
 			// &v aliases v regardless of v's own type; &T{...} reaches
 			// each reference element of the literal.
-			if cl, ok := unparenExpr(x.X).(*ast.CompositeLit); ok {
+			if cl, ok := ast.Unparen(x.X).(*ast.CompositeLit); ok {
 				return e.compositeRoots(cl)
 			}
 			if v := RootVar(pkg, x.X); v != nil {
@@ -349,13 +360,13 @@ func (e *Escape) ValueRoots(expr ast.Expr) []*types.Var {
 		// A reference read out of an object may share that object's
 		// heap; a value copy (struct load) does not.
 		ex := x.(ast.Expr)
-		if isRefLike(pkg.Info.TypeOf(ex)) {
+		if IsRefLike(pkg.Info.TypeOf(ex)) {
 			if v := RootVar(pkg, ex); v != nil {
 				return []*types.Var{v}
 			}
 		}
 	case *ast.CallExpr:
-		if id, ok := unparenExpr(x.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB && b.Name() == "append" {
 				var out []*types.Var
 				for _, a := range x.Args {
@@ -384,37 +395,6 @@ func (e *Escape) compositeRoots(cl *ast.CompositeLit) []*types.Var {
 	return out
 }
 
-func (e *Escape) trep(v *types.Var) *types.Var {
-	r := v
-	for {
-		p, ok := e.tparent[r]
-		if !ok || p == r {
-			break
-		}
-		r = p
-	}
-	for v != r {
-		next := e.tparent[v]
-		e.tparent[v] = r
-		v = next
-	}
-	return r
-}
-
-func (e *Escape) tunion(a, b *types.Var) {
-	if a == nil || b == nil {
-		return
-	}
-	ra, rb := e.trep(a), e.trep(b)
-	if ra == rb {
-		return
-	}
-	if rb.Pos() < ra.Pos() {
-		ra, rb = rb, ra
-	}
-	e.tparent[rb] = ra
-}
-
 // tightRoot resolves the variable whose backing storage the value of
 // expr IS (not merely contains): whole-value reads, conversions,
 // address-of, type assertions, reslicing, and append-to-same-slice
@@ -422,34 +402,34 @@ func (e *Escape) tunion(a, b *types.Var) {
 // allocations return nil.
 func (e *Escape) tightRoot(expr ast.Expr) *types.Var {
 	pkg := e.f.Pkg
-	switch x := unparenExpr(expr).(type) {
+	switch x := ast.Unparen(expr).(type) {
 	case *ast.Ident:
-		if v := objVar(pkg, x); v != nil && isRefLike(pkg.Info.TypeOf(x)) {
+		if v := ObjVar(pkg, x); v != nil && IsRefLike(pkg.Info.TypeOf(x)) {
 			return v
 		}
 	case *ast.UnaryExpr:
 		if x.Op == token.AND {
-			if _, isLit := unparenExpr(x.X).(*ast.CompositeLit); isLit {
+			if _, isLit := ast.Unparen(x.X).(*ast.CompositeLit); isLit {
 				return nil // fresh object
 			}
 			return RootVar(pkg, x.X)
 		}
 	case *ast.SelectorExpr:
 		// The value stored in s.f lives in s's reachable heap.
-		if isRefLike(pkg.Info.TypeOf(x)) {
+		if IsRefLike(pkg.Info.TypeOf(x)) {
 			return RootVar(pkg, x)
 		}
 	case *ast.SliceExpr:
 		// x[i:j] shares x's backing array.
-		if isRefLike(pkg.Info.TypeOf(x)) {
+		if IsRefLike(pkg.Info.TypeOf(x)) {
 			return RootVar(pkg, x.X)
 		}
 	case *ast.TypeAssertExpr:
-		if isRefLike(pkg.Info.TypeOf(x)) {
+		if IsRefLike(pkg.Info.TypeOf(x)) {
 			return RootVar(pkg, x.X)
 		}
 	case *ast.CallExpr:
-		if id, ok := unparenExpr(x.Fun).(*ast.Ident); ok {
+		if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok {
 			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB && b.Name() == "append" && len(x.Args) > 0 {
 				// append may grow in place: the result shares arg0's
 				// backing; the appended elements do not become it.
@@ -472,7 +452,7 @@ func (e *Escape) MayAliasTight(a, b *types.Var) bool {
 	if a == b {
 		return true
 	}
-	return e.trep(a) == e.trep(b)
+	return e.tparent.rep(a) == e.tparent.rep(b)
 }
 
 // MayAlias reports whether a and b can reach the same object.
@@ -483,7 +463,7 @@ func (e *Escape) MayAlias(a, b *types.Var) bool {
 	if a == b {
 		return true
 	}
-	return e.rep(a) == e.rep(b)
+	return e.parent.rep(a) == e.parent.rep(b)
 }
 
 // AliasVars returns every observed variable in v's alias class
@@ -492,11 +472,11 @@ func (e *Escape) AliasVars(v *types.Var) []*types.Var {
 	if v == nil {
 		return nil
 	}
-	r := e.rep(v)
+	r := e.parent.rep(v)
 	out := []*types.Var{}
 	seen := false
 	for x := range e.all {
-		if e.rep(x) == r {
+		if e.parent.rep(x) == r {
 			out = append(out, x)
 			if x == v {
 				seen = true
@@ -515,7 +495,7 @@ func (e *Escape) Sites(v *types.Var) []EscapeSite {
 	if v == nil {
 		return nil
 	}
-	return e.sites[e.rep(v)]
+	return e.sites[e.parent.rep(v)]
 }
 
 // SharedWithGoroutine reports whether v's alias class escapes to
@@ -536,8 +516,8 @@ func (e *Escape) Escapes(v *types.Var) bool { return len(e.Sites(v)) > 0 }
 // AtomicStoreArg returns the stored value when call is a Store method
 // call on a sync/atomic type (atomic.Value, atomic.Pointer[T], the
 // scalar wrappers), else nil.
-func AtomicStoreArg(pkg *SourcePackage, call *ast.CallExpr) ast.Expr {
-	sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr)
+func AtomicStoreArg(pkg *Package, call *ast.CallExpr) ast.Expr {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Store" || len(call.Args) != 1 {
 		return nil
 	}
@@ -556,7 +536,7 @@ func AtomicStoreArg(pkg *SourcePackage, call *ast.CallExpr) ast.Expr {
 // enclosing scopes: every identifier used in its body that resolves
 // to a non-field, non-package-level variable declared outside the
 // literal. Sorted by declaration position for determinism.
-func FreeVars(pkg *SourcePackage, lit *ast.FuncLit) []*types.Var {
+func FreeVars(pkg *Package, lit *ast.FuncLit) []*types.Var {
 	seen := make(map[*types.Var]bool)
 	var out []*types.Var
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -565,7 +545,7 @@ func FreeVars(pkg *SourcePackage, lit *ast.FuncLit) []*types.Var {
 			return true
 		}
 		v, ok := pkg.Info.Uses[id].(*types.Var)
-		if !ok || v.IsField() || isGlobalVar(v) {
+		if !ok || v.IsField() || IsGlobalVar(v) {
 			return true
 		}
 		if v.Pos() < lit.Pos() || v.Pos() >= lit.End() {
@@ -584,8 +564,8 @@ func FreeVars(pkg *SourcePackage, lit *ast.FuncLit) []*types.Var {
 // at: x, x.f, x[i], *x, &x.f, T(x) all root at x. Returns nil when
 // the chain bottoms out in a call, a literal, or anything else with
 // no variable identity. Package-level variables are returned too;
-// callers that need locals must filter with isGlobalVar/IsGlobalVar.
-func RootVar(pkg *SourcePackage, expr ast.Expr) *types.Var {
+// callers that need locals must filter with IsGlobalVar.
+func RootVar(pkg *Package, expr ast.Expr) *types.Var {
 	for {
 		switch x := expr.(type) {
 		case *ast.ParenExpr:
@@ -622,68 +602,68 @@ func RootVar(pkg *SourcePackage, expr ast.Expr) *types.Var {
 			}
 			return nil
 		case *ast.Ident:
-			return objVar(pkg, x)
+			return ObjVar(pkg, x)
 		default:
 			return nil
 		}
 	}
 }
 
-// RecvVar returns the declared receiver variable of f, or nil.
-func RecvVar(f *Func) *types.Var {
-	if f.Decl == nil || f.Decl.Recv == nil || len(f.Decl.Recv.List) == 0 {
-		return nil
+// Type returns f's signature syntax.
+func (f *Func) Type() *ast.FuncType {
+	if f.Decl != nil {
+		return f.Decl.Type
 	}
-	names := f.Decl.Recv.List[0].Names
-	if len(names) == 0 {
-		return nil
-	}
-	if v, ok := f.Pkg.Info.Defs[names[0]].(*types.Var); ok {
-		return v
-	}
-	return nil
+	return f.Lit.Type
 }
 
-// ParamVars returns f's declared parameters in order (receiver
-// excluded — see RecvVar). Unnamed and blank parameters contribute
-// nil placeholders so indexes line up with call-site arguments.
-func ParamVars(f *Func) []*types.Var {
-	var ft *ast.FuncType
-	if f.Decl != nil {
-		ft = f.Decl.Type
-	} else {
-		ft = f.Lit.Type
-	}
+// fieldVars lists the variables a parameter, result or receiver list
+// declares, in order. Unnamed entries contribute nil placeholders so
+// indexes line up with call-site arguments and result positions.
+func fieldVars(pkg *Package, list *ast.FieldList) []*types.Var {
 	var out []*types.Var
-	if ft.Params == nil {
+	if list == nil {
 		return out
 	}
-	for _, fl := range ft.Params.List {
+	for _, fl := range list.List {
 		if len(fl.Names) == 0 {
 			out = append(out, nil)
 			continue
 		}
 		for _, n := range fl.Names {
-			if v, ok := f.Pkg.Info.Defs[n].(*types.Var); ok {
-				out = append(out, v)
-			} else {
-				out = append(out, nil)
-			}
+			v, _ := pkg.Info.Defs[n].(*types.Var)
+			out = append(out, v)
 		}
 	}
 	return out
 }
 
-// IsGlobalVar reports whether v is a package-level variable.
-func IsGlobalVar(v *types.Var) bool { return isGlobalVar(v) }
+// RecvVar returns the declared receiver variable of f, or nil.
+func RecvVar(f *Func) *types.Var {
+	if f.Decl == nil {
+		return nil
+	}
+	if vars := fieldVars(f.Pkg, f.Decl.Recv); len(vars) > 0 {
+		return vars[0]
+	}
+	return nil
+}
 
-func isGlobalVar(v *types.Var) bool {
+// ParamVars returns f's declared parameters in order (receiver
+// excluded — see RecvVar), nil where a parameter is unnamed.
+func ParamVars(f *Func) []*types.Var { return fieldVars(f.Pkg, f.Type().Params) }
+
+// ResultVars returns f's results in order, nil where one is unnamed.
+func ResultVars(f *Func) []*types.Var { return fieldVars(f.Pkg, f.Type().Results) }
+
+// IsGlobalVar reports whether v is a package-level variable.
+func IsGlobalVar(v *types.Var) bool {
 	return v != nil && v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
 }
 
-// objVar resolves an identifier to its variable object (use or def),
+// ObjVar resolves an identifier to its variable object (use or def),
 // excluding struct fields.
-func objVar(pkg *SourcePackage, id *ast.Ident) *types.Var {
+func ObjVar(pkg *Package, id *ast.Ident) *types.Var {
 	if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
 		return v
 	}
@@ -693,9 +673,9 @@ func objVar(pkg *SourcePackage, id *ast.Ident) *types.Var {
 	return nil
 }
 
-// isRefLike reports whether values of t carry references: mutating
+// IsRefLike reports whether values of t carry references: mutating
 // through one copy is visible through another.
-func isRefLike(t types.Type) bool {
+func IsRefLike(t types.Type) bool {
 	if t == nil {
 		return false
 	}

@@ -8,7 +8,7 @@ import (
 
 // localVar finds the unique *types.Var named name declared anywhere in
 // the fixture (fixtures use unique names per variable on purpose).
-func localVar(t *testing.T, sp *SourcePackage, name string) *types.Var {
+func localVar(t *testing.T, sp *Package, name string) *types.Var {
 	t.Helper()
 	var found *types.Var
 	for _, obj := range sp.Info.Defs {

@@ -1,10 +1,15 @@
 // Package ir is the lint driver's "SSA-lite" intermediate
-// representation: a statement-granularity control-flow graph per
-// function, def-use information, dominators, a static call graph, and
-// a generic forward/backward dataflow solver — everything the
-// interprocedural analyzers (goroutinelife, deadlineflow, wiresym)
-// need, built only on go/ast and go/types because the container is
-// offline and golang.org/x/tools is unavailable.
+// representation: the one Package type every analyzer works against,
+// a statement-granularity control-flow graph per function, def-use
+// information, dominators, a static call graph, a generic
+// forward/backward dataflow solver, the flow-insensitive alias/escape
+// analysis, the interprocedural taint engine and the one Memo that
+// breaks call-graph recursion — everything the dataflow analyzers
+// (goroutinelife, deadlineflow, wiresym, frozenpublish, sharedstate,
+// boundedalloc, boundedchan, wiretaint) need, built only on go/ast and
+// go/types because the container is offline and golang.org/x/tools is
+// unavailable. Per-function facts (Escape, Dominators, DefUse) are
+// computed once per Func and shared by every analyzer of a run.
 //
 // The IR is deliberately not full SSA: values are not renamed, and
 // expressions are not lowered. Blocks hold the original statements in
@@ -21,22 +26,28 @@ import (
 	"go/types"
 )
 
-// SourcePackage is the slice of a type-checked package the IR needs.
-// The lint loader converts its own Package values into this shape so
-// ir does not import the driver (the driver imports ir).
-type SourcePackage struct {
-	Path  string
-	Fset  *token.FileSet
+// Package bundles everything an analyzer needs about one type-checked
+// module package: syntax with comments, the type-checked object graph,
+// and resolved use/def information. The loader builds it; the driver
+// and every analyzer share it (lint.Package is this type).
+type Package struct {
+	// Path is the package's import path (module path + relative dir).
+	Path string
+	// Fset is the loader's shared file set.
+	Fset *token.FileSet
+	// Files are the parsed non-test source files, with comments.
 	Files []*ast.File
-	Info  *types.Info
+	// Types is the type-checked package.
 	Types *types.Package
+	// Info holds identifier resolution and expression types.
+	Info *types.Info
 }
 
 // Func is one analyzed function: a declaration or a function literal.
 // Literals are independent Funcs — a closure's body is never part of
 // its enclosing function's CFG.
 type Func struct {
-	Pkg  *SourcePackage
+	Pkg  *Package
 	Name string // diagnostic name, e.g. "pkg.(*T).Method" or "pkg.func@12"
 	// Obj is the declared function object (nil for literals).
 	Obj types.Object
@@ -55,6 +66,36 @@ type Func struct {
 
 	// stmtBlock maps each block-resident statement to its block.
 	stmtBlock map[ast.Stmt]*Block
+
+	// Per-function facts, built on first use and shared by every
+	// analyzer of the run (see Escape, Dom, DefUse).
+	escape *Escape
+	dom    []*BitSet
+	defUse *DefUse
+}
+
+// Escape returns f's alias/escape facts, building them on first use.
+func (f *Func) Escape() *Escape {
+	if f.escape == nil {
+		f.escape = BuildEscape(f)
+	}
+	return f.escape
+}
+
+// Dom returns f's dominator sets, computing them on first use.
+func (f *Func) Dom() []*BitSet {
+	if f.dom == nil {
+		f.dom = Dominators(f)
+	}
+	return f.dom
+}
+
+// DefUse returns f's reaching definitions, solving them on first use.
+func (f *Func) DefUse() *DefUse {
+	if f.defUse == nil {
+		f.defUse = BuildDefUse(f)
+	}
+	return f.defUse
 }
 
 // Position renders a position within the function's file set.
@@ -97,10 +138,6 @@ type CallSite struct {
 	Callee *Func
 }
 
-// BlockOf returns the block holding stmt, or nil when stmt is not a
-// block-resident statement of f (e.g. it sits in a nested literal).
-func (f *Func) BlockOf(stmt ast.Stmt) *Block { return f.stmtBlock[stmt] }
-
 // EnclosingStmt returns the outermost block-resident statement of f
 // that contains pos, together with its block. It is how analyzers map
 // an arbitrary expression node back onto the CFG.
@@ -116,7 +153,7 @@ func (f *Func) EnclosingStmt(pos token.Pos) (ast.Stmt, *Block) {
 }
 
 // funcName builds the diagnostic name for a declaration.
-func funcName(pkg *SourcePackage, decl *ast.FuncDecl) string {
+func funcName(pkg *Package, decl *ast.FuncDecl) string {
 	if decl.Recv == nil || len(decl.Recv.List) == 0 {
 		return pkg.Path + "." + decl.Name.Name
 	}
@@ -132,7 +169,7 @@ func funcName(pkg *SourcePackage, decl *ast.FuncDecl) string {
 	return fmt.Sprintf("%s.(%s).%s", pkg.Path, recv, decl.Name.Name)
 }
 
-func litName(pkg *SourcePackage, lit *ast.FuncLit) string {
+func litName(pkg *Package, lit *ast.FuncLit) string {
 	pos := pkg.Fset.Position(lit.Pos())
 	return fmt.Sprintf("%s.func@%d", pkg.Path, pos.Line)
 }

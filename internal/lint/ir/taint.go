@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -35,10 +36,8 @@ import (
 // which is exactly how a guard inside a callee sanitizes every caller.
 //
 // Per-function facts (result taint, pointee effects, recorded
-// call-site arguments, sink obligations) are memoized summaries;
-// recursion through the call graph is broken with a visiting set the
-// same way SummaryCache does it, so cyclic queries see a conservative
-// stub that is never cached.
+// call-site arguments, sink obligations) are memoized summaries in a
+// Memo, so cyclic queries see a conservative stub that is never cached.
 
 // Taint is the value lattice: Bounded < Unknown < Wire.
 type Taint uint8
@@ -121,13 +120,13 @@ func wireish(v TVal) bool { return v.T == TaintWire || v.Params != 0 }
 type TaintMode uint8
 
 const (
-	// ModePessimistic is boundedalloc's contract: no content tracking
-	// (element/field reads and external results are Unknown), loops
-	// walked once, and every recorded sink whose value is not strictly
-	// bounded is a finding. This pins the original flow-sensitive
-	// boundedness walk, with one deliberate upgrade: module-local call
-	// results resolve through callee summaries, so a clamp inside a
-	// callee now bounds the call site.
+	// ModePessimistic is boundedalloc's and boundedchan's contract: no
+	// content tracking (element/field reads and external results are
+	// Unknown), loops walked once, and every recorded sink whose value
+	// is not strictly bounded is a finding. This pins the original
+	// flow-sensitive boundedness walk, with one deliberate upgrade:
+	// module-local call results resolve through callee summaries, so a
+	// clamp inside a callee now bounds the call site.
 	ModePessimistic TaintMode = iota
 	// ModeWire is wiretaint's contract: sources inject TaintWire,
 	// element/field reads propagate it, loops run to a cheap two-pass
@@ -236,26 +235,15 @@ type TaintAnalysis struct {
 	// taintArgs lists argument indices whose pointee content becomes
 	// wire (conn.Read(buf) → [0]). ok=false falls through to normal
 	// call handling.
-	SourceCall func(pkg *SourcePackage, call *ast.CallExpr, callee types.Object) (src string, taintsResult bool, taintArgs []int, ok bool)
+	SourceCall func(pkg *Package, call *ast.CallExpr, callee types.Object) (src string, taintsResult bool, taintArgs []int, ok bool)
 
 	// EntryParam marks a parameter as wire at function entry (wire
 	// mode): the trust-boundary roots, e.g. the []byte input of an
 	// exported decoder in a wire package.
 	EntryParam func(f *Func, i int, v *types.Var) (src string, ok bool)
 
-	// CallCheck, when set, replaces the pessimistic-mode default sink
-	// checks: it receives every call expression once, plus a predicate
-	// evaluating strict boundedness in the current flow state. This is
-	// how boundedchan reuses the guard/clamp tracking for channel
-	// capacities.
-	CallCheck func(f *Func, call *ast.CallExpr, bounded func(ast.Expr) bool)
-
-	facts    map[*Func]*FuncTaint
-	visiting map[*Func]bool
-	depth    int
-	escapes  map[*Func]*Escape
-	pwMemo   map[pwKey]pwResult
-	pwVis    map[pwKey]bool
+	facts     Memo[*Func, *FuncTaint]
+	paramWire Memo[pwKey, pwResult]
 }
 
 type pwKey struct {
@@ -269,44 +257,16 @@ type pwResult struct {
 	ok    bool
 }
 
-func (a *TaintAnalysis) init() {
-	if a.facts == nil {
-		a.facts = make(map[*Func]*FuncTaint)
-		a.visiting = make(map[*Func]bool)
-		a.escapes = make(map[*Func]*Escape)
-		a.pwMemo = make(map[pwKey]pwResult)
-		a.pwVis = make(map[pwKey]bool)
-	}
-}
+// noFacts is the stub a cyclic Facts query sees; it is only ever read.
+var noFacts = &FuncTaint{}
 
 // Facts returns f's taint summary, computing and memoizing it on first
 // use. A query that cycles back into an in-progress computation (or
 // exceeds the depth bound) gets an empty stub that is NOT cached, so a
 // later top-level query recomputes properly.
 func (a *TaintAnalysis) Facts(f *Func) *FuncTaint {
-	a.init()
-	if ft, ok := a.facts[f]; ok {
-		return ft
-	}
-	if a.visiting[f] || a.depth >= taintMaxDepth {
-		return &FuncTaint{}
-	}
-	a.visiting[f] = true
-	a.depth++
-	ft := a.compute(f)
-	a.depth--
-	delete(a.visiting, f)
-	a.facts[f] = ft
-	return ft
-}
-
-func (a *TaintAnalysis) escapeOf(f *Func) *Escape {
-	if e, ok := a.escapes[f]; ok {
-		return e
-	}
-	e := BuildEscape(f)
-	a.escapes[f] = e
-	return e
+	a.facts.MaxDepth = taintMaxDepth
+	return a.facts.Get(f, noFacts, func() *FuncTaint { return a.compute(f) })
 }
 
 // Run computes facts for every function and resolves sink obligations
@@ -315,17 +275,14 @@ func (a *TaintAnalysis) escapeOf(f *Func) *Escape {
 // parameter mask resolves to wire through the recorded call-site
 // arguments (yielding the witness chain). Results are position-sorted.
 func (a *TaintAnalysis) Run() []TaintSink {
-	a.init()
+	// Every summary first: resolving a parameter obligation reads the
+	// recorded arguments of callers that may sit later in Funcs.
 	for _, f := range a.Prog.Funcs {
 		a.Facts(f)
 	}
 	var out []TaintSink
 	for _, f := range a.Prog.Funcs {
-		ft := a.facts[f]
-		if ft == nil {
-			continue
-		}
-		for _, s := range ft.Sinks {
+		for _, s := range a.Facts(f).Sinks {
 			switch a.Mode {
 			case ModePessimistic:
 				if !s.Val.BoundedStrict() {
@@ -353,29 +310,32 @@ func (a *TaintAnalysis) Run() []TaintSink {
 	return out
 }
 
+// PessimisticSinks is the module's one pessimistic-mode engine run,
+// computed on first use: boundedalloc and boundedchan each filter it by
+// sink kind instead of walking every function again.
+func (p *Program) PessimisticSinks() []TaintSink {
+	if !p.pessimisticDone {
+		p.pessimistic = (&TaintAnalysis{Prog: p, Mode: ModePessimistic}).Run()
+		p.pessimisticDone = true
+	}
+	return p.pessimistic
+}
+
 // ParamWire reports whether parameter idx of f (recvParam for the
 // receiver) receives a wire-tainted argument at any call site,
 // returning the wire value and the sink-outward witness chain.
 func (a *TaintAnalysis) ParamWire(f *Func, idx int) (TVal, []string, bool) {
-	a.init()
-	key := pwKey{f: f, idx: idx}
-	if r, ok := a.pwMemo[key]; ok {
-		return r.val, r.chain, r.ok
-	}
-	if a.pwVis[key] {
-		return TVal{}, nil, false
-	}
-	a.pwVis[key] = true
-	val, chain, ok := a.paramWireUncached(f, idx)
-	delete(a.pwVis, key)
-	a.pwMemo[key] = pwResult{val: val, chain: chain, ok: ok}
-	return val, chain, ok
+	r := a.paramWire.Get(pwKey{f: f, idx: idx}, pwResult{}, func() pwResult {
+		val, chain, ok := a.paramWireUncached(f, idx)
+		return pwResult{val: val, chain: chain, ok: ok}
+	})
+	return r.val, r.chain, r.ok
 }
 
 func (a *TaintAnalysis) paramWireUncached(f *Func, idx int) (TVal, []string, bool) {
 	for _, cs := range a.Prog.Callers[f] {
-		ft := a.facts[cs.Caller]
-		if ft == nil {
+		ft, ok := a.facts.Cached(cs.Caller)
+		if !ok {
 			continue
 		}
 		var av TVal
@@ -479,17 +439,17 @@ func (a *TaintAnalysis) compute(f *Func) *FuncTaint {
 		return ft
 	}
 	w := &taintWalker{
-		a:       a,
-		f:       f,
-		ft:      ft,
-		csOf:    make(map[*ast.CallExpr]*CallSite, len(f.Calls)),
-		pidx:    make(map[*types.Var]int),
-		checked: make(map[*ast.CallExpr]bool),
+		a:    a,
+		f:    f,
+		ft:   ft,
+		csOf: make(map[*ast.CallExpr]*CallSite, len(f.Calls)),
+		pidx: make(map[*types.Var]int),
 	}
 	for _, cs := range f.Calls {
 		w.csOf[cs.Call] = cs
 	}
-	w.resultVars, w.numResults = resultInfo(f)
+	w.resultVars = ResultVars(f)
+	w.numResults = len(w.resultVars)
 
 	state := make(taintState)
 	params := ParamVars(f)
@@ -518,42 +478,9 @@ func (a *TaintAnalysis) compute(f *Func) *FuncTaint {
 	return ft
 }
 
-func resultInfo(f *Func) (vars []*types.Var, n int) {
-	var ftype *ast.FuncType
-	if f.Decl != nil {
-		ftype = f.Decl.Type
-	} else {
-		ftype = f.Lit.Type
-	}
-	if ftype.Results == nil {
-		return nil, 0
-	}
-	for _, fl := range ftype.Results.List {
-		if len(fl.Names) == 0 {
-			vars = append(vars, nil)
-			n++
-			continue
-		}
-		for _, nm := range fl.Names {
-			v, _ := f.Pkg.Info.Defs[nm].(*types.Var)
-			vars = append(vars, v)
-			n++
-		}
-	}
-	return vars, n
-}
-
 // taintState maps in-scope objects to their current taint. Absent
 // means Unknown.
 type taintState map[types.Object]TVal
-
-func cloneState(s taintState) taintState {
-	c := make(taintState, len(s))
-	for k, v := range s {
-		c[k] = v
-	}
-	return c
-}
 
 // joinStates is the branch-merge join; a variable tracked on only one
 // side joins with Unknown (matching the original intersect semantics:
@@ -599,9 +526,6 @@ type taintWalker struct {
 	// loopTaint stacks the trip-count taint of enclosing wire-bounded
 	// loops, for the spawn sink.
 	loopTaint []TVal
-
-	// checked dedupes CallCheck hook firings per call node.
-	checked map[*ast.CallExpr]bool
 }
 
 func (w *taintWalker) record(kind SinkKind, pos token.Pos, expr string, val TVal) {
@@ -622,8 +546,8 @@ func (w *taintWalker) lookup(obj types.Object, state taintState) TVal {
 		return v
 	}
 	if w.a.Mode == ModeWire {
-		if tv, ok := obj.(*types.Var); ok && isRefLike(tv.Type()) {
-			esc := w.a.escapeOf(w.f)
+		if tv, ok := obj.(*types.Var); ok && IsRefLike(tv.Type()) {
+			esc := w.f.Escape()
 			out := UnknownVal()
 			found := false
 			for o, v := range state {
@@ -693,7 +617,7 @@ func (w *taintWalker) walkStmt(stmt ast.Stmt, state taintState) {
 		}
 		for _, cc := range s.Body.List {
 			if clause, ok := cc.(*ast.CaseClause); ok {
-				inner := cloneState(state)
+				inner := maps.Clone(state)
 				if s.Tag == nil {
 					// Tagless switch: a clause body runs under its own
 					// condition's truth.
@@ -707,7 +631,7 @@ func (w *taintWalker) walkStmt(stmt ast.Stmt, state taintState) {
 	case *ast.TypeSwitchStmt:
 		ast.Inspect(s, func(n ast.Node) bool {
 			if inner, ok := n.(*ast.CaseClause); ok {
-				w.walkStmts(inner.Body, cloneState(state))
+				w.walkStmts(inner.Body, maps.Clone(state))
 				return false
 			}
 			return true
@@ -716,9 +640,9 @@ func (w *taintWalker) walkStmt(stmt ast.Stmt, state taintState) {
 		for _, cc := range s.Body.List {
 			if clause, ok := cc.(*ast.CommClause); ok {
 				if clause.Comm != nil {
-					w.walkStmt(clause.Comm, cloneState(state))
+					w.walkStmt(clause.Comm, maps.Clone(state))
 				}
-				w.walkStmts(clause.Body, cloneState(state))
+				w.walkStmts(clause.Body, maps.Clone(state))
 			}
 		}
 	case *ast.BlockStmt:
@@ -746,7 +670,7 @@ func (w *taintWalker) walkStmt(stmt ast.Stmt, state taintState) {
 		w.scan(s.Value, state)
 	case *ast.IncDecStmt:
 		w.scan(s.X, state)
-		if idx, ok := unparenExpr(s.X).(*ast.IndexExpr); ok {
+		if idx, ok := ast.Unparen(s.X).(*ast.IndexExpr); ok {
 			w.checkMapKey(idx, state)
 		}
 	case *ast.LabeledStmt:
@@ -767,7 +691,7 @@ func (w *taintWalker) addReturn(s *ast.ReturnStmt, state taintState) {
 			vals = append(vals, w.eval(r, state))
 		}
 	case len(s.Results) == 1 && w.numResults > 1:
-		if call, ok := unparenExpr(s.Results[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(s.Results[0]).(*ast.CallExpr); ok {
 			vals = append(vals, w.evalCallExpr(call, state)...)
 		}
 	case len(s.Results) == 0:
@@ -806,11 +730,11 @@ func (w *taintWalker) walkIf(s *ast.IfStmt, state taintState) {
 	}
 	w.scan(s.Cond, state)
 
-	bodySet := cloneState(state)
+	bodySet := maps.Clone(state)
 	w.applyFacts(bodySet, state, s.Cond, true)
 	w.walkStmts(s.Body.List, bodySet)
 
-	elseSet := cloneState(state)
+	elseSet := maps.Clone(state)
 	w.applyFacts(elseSet, state, s.Cond, false)
 	if s.Else != nil {
 		w.walkStmt(s.Else, elseSet)
@@ -837,7 +761,7 @@ func (w *taintWalker) walkIf(s *ast.IfStmt, state taintState) {
 // the condition, and (wire mode) a second body pass so loop-carried
 // taint reaches sinks earlier in the body.
 func (w *taintWalker) walkFor(s *ast.ForStmt, state taintState) {
-	inner := cloneState(state)
+	inner := maps.Clone(state)
 	if s.Init != nil {
 		w.walkStmt(s.Init, inner)
 	}
@@ -856,7 +780,7 @@ func (w *taintWalker) walkFor(s *ast.ForStmt, state taintState) {
 	if s.Post != nil {
 		w.walkStmt(s.Post, inner)
 	}
-	preBody := cloneState(inner)
+	preBody := maps.Clone(inner)
 	w.walkStmts(s.Body.List, inner)
 	if w.a.Mode == ModeWire {
 		second := joinStates(preBody, inner)
@@ -873,7 +797,7 @@ func (w *taintWalker) walkFor(s *ast.ForStmt, state taintState) {
 
 func (w *taintWalker) walkRange(s *ast.RangeStmt, state taintState) {
 	w.scan(s.X, state)
-	inner := cloneState(state)
+	inner := maps.Clone(state)
 	pushed := false
 	if w.a.Mode == ModeWire {
 		xv := w.eval(s.X, state)
@@ -890,7 +814,7 @@ func (w *taintWalker) walkRange(s *ast.RangeStmt, state taintState) {
 		}
 		w.bindRangeVars(s, xv, inner)
 	}
-	preBody := cloneState(inner)
+	preBody := maps.Clone(inner)
 	w.walkStmts(s.Body.List, inner)
 	if w.a.Mode == ModeWire {
 		second := joinStates(preBody, inner)
@@ -913,7 +837,7 @@ func (w *taintWalker) bindRangeVars(s *ast.RangeStmt, xv TVal, state taintState)
 		_, isMap = xt.Underlying().(*types.Map)
 	}
 	if id, ok := s.Key.(*ast.Ident); ok && id.Name != "_" {
-		if obj := w.rangeVarObj(id); obj != nil {
+		if obj := w.f.Pkg.Info.ObjectOf(id); obj != nil {
 			if isMap {
 				state[obj] = xv
 			} else {
@@ -922,17 +846,10 @@ func (w *taintWalker) bindRangeVars(s *ast.RangeStmt, xv TVal, state taintState)
 		}
 	}
 	if id, ok := s.Value.(*ast.Ident); ok && id.Name != "_" {
-		if obj := w.rangeVarObj(id); obj != nil {
+		if obj := w.f.Pkg.Info.ObjectOf(id); obj != nil {
 			state[obj] = xv
 		}
 	}
-}
-
-func (w *taintWalker) rangeVarObj(id *ast.Ident) types.Object {
-	if obj := w.f.Pkg.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return w.f.Pkg.Info.Uses[id]
 }
 
 // loopBound picks the tightest conjunct bound of a loop condition:
@@ -942,7 +859,7 @@ func (w *taintWalker) loopBound(cond ast.Expr, state taintState) (TVal, ast.Expr
 	var cmps []*ast.BinaryExpr
 	var collect func(e ast.Expr)
 	collect = func(e ast.Expr) {
-		switch x := unparenExpr(e).(type) {
+		switch x := ast.Unparen(e).(type) {
 		case *ast.BinaryExpr:
 			if x.Op == token.LAND {
 				collect(x.X)
@@ -1007,7 +924,7 @@ func (w *taintWalker) applyAssign(s *ast.AssignStmt, state taintState) {
 	// Multi-value from a single call (x, err := f()): resolve each
 	// result through the callee summary.
 	if len(s.Rhs) == 1 && len(s.Lhs) > 1 {
-		if call, ok := unparenExpr(s.Rhs[0]).(*ast.CallExpr); ok {
+		if call, ok := ast.Unparen(s.Rhs[0]).(*ast.CallExpr); ok {
 			vals := w.evalCallExpr(call, state)
 			for i, lhs := range s.Lhs {
 				v := UnknownVal()
@@ -1060,7 +977,7 @@ func (w *taintWalker) applyAssign(s *ast.AssignStmt, state taintState) {
 				delete(state, obj)
 			}
 		}
-		if idx, ok := unparenExpr(lhs).(*ast.IndexExpr); ok {
+		if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 			w.checkMapKey(idx, state)
 		}
 	}
@@ -1090,7 +1007,7 @@ func (w *taintWalker) assignOne(lhs ast.Expr, val TVal, state taintState) {
 		state[obj] = val
 		return
 	}
-	if idx, ok := unparenExpr(lhs).(*ast.IndexExpr); ok {
+	if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok {
 		w.checkMapKey(idx, state)
 	}
 	w.assignThrough(lhs, val, state)
@@ -1103,7 +1020,7 @@ func (w *taintWalker) assignThrough(lhs ast.Expr, val TVal, state taintState) {
 	if w.a.Mode != ModeWire || !wireish(val) {
 		return
 	}
-	switch unparenExpr(lhs).(type) {
+	switch ast.Unparen(lhs).(type) {
 	case *ast.IndexExpr, *ast.StarExpr, *ast.SelectorExpr:
 	default:
 		return
@@ -1124,14 +1041,10 @@ func (w *taintWalker) assignThrough(lhs ast.Expr, val TVal, state taintState) {
 }
 
 func (w *taintWalker) lhsObject(lhs ast.Expr) types.Object {
-	id, ok := unparenExpr(lhs).(*ast.Ident)
-	if !ok {
-		return nil
+	if id, ok := ast.Unparen(lhs).(*ast.Ident); ok {
+		return w.f.Pkg.Info.ObjectOf(id)
 	}
-	if obj := w.f.Pkg.Info.Defs[id]; obj != nil {
-		return obj
-	}
-	return w.f.Pkg.Info.Uses[id]
+	return nil
 }
 
 // checkMapKey records a map-key sink: a wire-tainted key inserted into
@@ -1171,7 +1084,7 @@ func (w *taintWalker) longLived(mapExpr ast.Expr) bool {
 	if _, ok := w.pidx[root]; ok {
 		return true
 	}
-	if _, ok := unparenExpr(mapExpr).(*ast.Ident); !ok {
+	if _, ok := ast.Unparen(mapExpr).(*ast.Ident); !ok {
 		return true // field chains: x.m, x.f.m
 	}
 	return false
@@ -1198,7 +1111,7 @@ func (w *taintWalker) scan(expr ast.Expr, state taintState) {
 
 // eval computes the taint of an expression in the current state.
 func (w *taintWalker) eval(expr ast.Expr, state taintState) TVal {
-	expr = unparenExpr(expr)
+	expr = ast.Unparen(expr)
 	if tv, ok := w.f.Pkg.Info.Types[expr]; ok {
 		// Compile-time constants are bounded by definition.
 		if tv.Value != nil {
@@ -1215,10 +1128,7 @@ func (w *taintWalker) eval(expr ast.Expr, state taintState) TVal {
 	}
 	switch e := expr.(type) {
 	case *ast.Ident:
-		if obj := w.f.Pkg.Info.Uses[e]; obj != nil {
-			return w.lookup(obj, state)
-		}
-		if obj := w.f.Pkg.Info.Defs[e]; obj != nil {
+		if obj := w.f.Pkg.Info.ObjectOf(e); obj != nil {
 			return w.lookup(obj, state)
 		}
 		return UnknownVal()
@@ -1270,10 +1180,17 @@ func (w *taintWalker) eval(expr ast.Expr, state taintState) TVal {
 		}
 		return out
 	case *ast.FuncLit:
-		if w.a.Mode == ModeWire {
-			return BoundedVal()
-		}
-		return UnknownVal()
+		return w.fresh()
+	}
+	return UnknownVal()
+}
+
+// fresh is the taint of a value this frame just made (make, new, a
+// copy count, a function literal): bounded in wire mode; pessimistic
+// mode tracks no content, so there it is simply not provably bounded.
+func (w *taintWalker) fresh() TVal {
+	if w.a.Mode == ModeWire {
+		return BoundedVal()
 	}
 	return UnknownVal()
 }
@@ -1283,16 +1200,7 @@ func (w *taintWalker) eval(expr ast.Expr, state taintState) TVal {
 // calls resolved through summaries, and opaque externals. It returns
 // one TVal per result.
 func (w *taintWalker) evalCallExpr(call *ast.CallExpr, state taintState) []TVal {
-	// The CallCheck hook replaces the default pessimistic sink checks
-	// (boundedchan plugs its capacity rule in here), firing once per
-	// call node.
-	if w.a.CallCheck != nil && !w.checked[call] {
-		w.checked[call] = true
-		w.a.CallCheck(w.f, call, func(e ast.Expr) bool {
-			return w.eval(e, state).BoundedStrict()
-		})
-	}
-	fun := unparenExpr(call.Fun)
+	fun := ast.Unparen(call.Fun)
 	if id, ok := fun.(*ast.Ident); ok {
 		if b, ok := w.f.Pkg.Info.Uses[id].(*types.Builtin); ok {
 			return w.evalBuiltin(b, call, state)
@@ -1338,11 +1246,7 @@ func (w *taintWalker) evalBuiltin(b *types.Builtin, call *ast.CallExpr, state ta
 		return []TVal{UnknownVal()}
 	case "make":
 		w.checkMakeSinks(call, state)
-		if w.a.Mode == ModeWire {
-			// The made container starts zeroed: fresh, bounded content.
-			return []TVal{BoundedVal()}
-		}
-		return []TVal{UnknownVal()}
+		return []TVal{w.fresh()} // the made container starts zeroed
 	case "append":
 		if w.a.Mode == ModeWire {
 			out := BoundedVal()
@@ -1356,27 +1260,19 @@ func (w *taintWalker) evalBuiltin(b *types.Builtin, call *ast.CallExpr, state ta
 		if w.a.Mode == ModeWire && len(call.Args) == 2 {
 			w.taintContent(call.Args[0], w.eval(call.Args[1], state), state)
 		}
-		// copy's count result is capped by len of both slices.
-		if w.a.Mode == ModeWire {
-			return []TVal{BoundedVal()}
-		}
-		return []TVal{UnknownVal()}
+		return []TVal{w.fresh()} // the count is capped by len of both slices
 	case "new":
-		if w.a.Mode == ModeWire {
-			return []TVal{BoundedVal()}
-		}
-		return []TVal{UnknownVal()}
+		return []TVal{w.fresh()}
 	default:
 		return []TVal{UnknownVal()}
 	}
 }
 
 // checkMakeSinks records the allocation-size sinks of a make call:
-// slice length/capacity and map size hints (SinkAlloc), channel
-// capacities (SinkChanCap, wire mode — pessimistic capacity checking
-// belongs to boundedchan via CallCheck).
+// slice length/capacity and map size hints (SinkAlloc) and channel
+// capacities (SinkChanCap).
 func (w *taintWalker) checkMakeSinks(call *ast.CallExpr, state taintState) {
-	if w.a.CallCheck != nil || len(call.Args) < 2 {
+	if len(call.Args) < 2 {
 		return
 	}
 	tv, ok := w.f.Pkg.Info.Types[call.Args[0]]
@@ -1393,9 +1289,6 @@ func (w *taintWalker) checkMakeSinks(call *ast.CallExpr, state taintState) {
 		}
 		kind = SinkAlloc
 	case *types.Chan:
-		if w.a.Mode != ModeWire {
-			return
-		}
 		kind = SinkChanCap
 	default:
 		return
@@ -1433,7 +1326,7 @@ func (w *taintWalker) evalRealCall(call *ast.CallExpr, state taintState) []TVal 
 	}
 	var recvVal TVal
 	hasRecv := false
-	if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if _, isSel := pkg.Info.Selections[sel]; isSel {
 			recvVal = w.eval(sel.X, state)
 			hasRecv = true
@@ -1442,7 +1335,7 @@ func (w *taintWalker) evalRealCall(call *ast.CallExpr, state taintState) []TVal 
 	callee := CalleeOf(pkg, call)
 
 	// io.ReadAll never has a bound; pessimistic mode flags every call.
-	if w.a.Mode == ModePessimistic && w.a.CallCheck == nil && isReadAllCall(pkg, call) {
+	if w.a.Mode == ModePessimistic && isReadAllCall(pkg, call) {
 		w.record(SinkReadAll, call.Pos(), "io.ReadAll", UnknownVal())
 	}
 
@@ -1492,7 +1385,7 @@ func (w *taintWalker) evalRealCall(call *ast.CallExpr, state taintState) []TVal 
 				}
 			}
 			if sum.Effects&(1<<recvParam) != 0 && hasRecv {
-				if sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr); ok {
+				if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 					w.taintContent(sel.X, ev, state)
 				}
 			}
@@ -1610,8 +1503,8 @@ func (w *taintWalker) callResultCount(call *ast.CallExpr) int {
 
 // isReadAllCall reports whether call invokes io.ReadAll (or the legacy
 // io/ioutil.ReadAll).
-func isReadAllCall(pkg *SourcePackage, call *ast.CallExpr) bool {
-	sel, ok := unparenExpr(call.Fun).(*ast.SelectorExpr)
+func isReadAllCall(pkg *Package, call *ast.CallExpr) bool {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
@@ -1668,8 +1561,8 @@ type BoundFact struct {
 // operands hold); for truth=false it decomposes || chains (all
 // negations hold). A comparison bounds the variable on its small side:
 // `v < cap` bounds v when true; `v > cap` bounds v when false.
-func condFacts(pkg *SourcePackage, cond ast.Expr, truth bool) []BoundFact {
-	cond = unparenExpr(cond)
+func condFacts(pkg *Package, cond ast.Expr, truth bool) []BoundFact {
+	cond = ast.Unparen(cond)
 	switch e := cond.(type) {
 	case *ast.BinaryExpr:
 		switch e.Op {
@@ -1704,7 +1597,7 @@ func condFacts(pkg *SourcePackage, cond ast.Expr, truth bool) []BoundFact {
 	return nil
 }
 
-func boundFacts(pkg *SourcePackage, small, big ast.Expr) []BoundFact {
+func boundFacts(pkg *Package, small, big ast.Expr) []BoundFact {
 	var out []BoundFact
 	for _, obj := range identObjects(pkg, small) {
 		out = append(out, BoundFact{Obj: obj, Bound: big})
@@ -1714,11 +1607,11 @@ func boundFacts(pkg *SourcePackage, small, big ast.Expr) []BoundFact {
 
 // identObjects returns the object behind expr if it is a plain
 // identifier (possibly through a conversion like uint64(v)).
-func identObjects(pkg *SourcePackage, expr ast.Expr) []types.Object {
-	expr = unparenExpr(expr)
+func identObjects(pkg *Package, expr ast.Expr) []types.Object {
+	expr = ast.Unparen(expr)
 	if call, ok := expr.(*ast.CallExpr); ok && len(call.Args) == 1 {
 		if tv, ok := pkg.Info.Types[call.Fun]; ok && tv.IsType() {
-			expr = unparenExpr(call.Args[0])
+			expr = ast.Unparen(call.Args[0])
 		}
 	}
 	if id, ok := expr.(*ast.Ident); ok {
@@ -1747,7 +1640,7 @@ func StmtTerminates(stmt ast.Stmt) bool {
 		return s.Tok == token.BREAK || s.Tok == token.CONTINUE || s.Tok == token.GOTO
 	case *ast.ExprStmt:
 		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := unparenExpr(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				return true
 			}
 		}

@@ -9,7 +9,7 @@ import (
 
 // taintRecv is the unit-test source hook: any call to a function named
 // recv returns peer-controlled data.
-func taintRecv(pkg *SourcePackage, call *ast.CallExpr, callee types.Object) (string, bool, []int, bool) {
+func taintRecv(pkg *Package, call *ast.CallExpr, callee types.Object) (string, bool, []int, bool) {
 	if callee != nil && callee.Name() == "recv" {
 		return "peer", true, nil, true
 	}
@@ -54,7 +54,7 @@ func pong(n int) int { return ping(n) }`)
 	helper := funcByName(t, prog, "helper")
 
 	a.Facts(funcByName(t, prog, "caller1"))
-	cached, ok := a.facts[helper]
+	cached, ok := a.facts.Cached(helper)
 	if !ok || cached == nil {
 		t.Fatal("walking caller1 must compute and cache helper's summary on demand")
 	}
@@ -78,10 +78,11 @@ func pong(n int) int { return ping(n) }`)
 	if ft2 := a.Facts(ping); ft2 != ft1 {
 		t.Error("recursive function must still memoize to a single summary")
 	}
-	if a.facts[pong] == nil {
+	cachedPong, _ := a.facts.Cached(pong)
+	if cachedPong == nil {
 		t.Error("the cycle partner must end up cached too")
 	}
-	if got := a.Facts(pong); got != a.facts[pong] {
+	if got := a.Facts(pong); got != cachedPong {
 		t.Error("Facts(pong) must return the cached cycle-partner summary")
 	}
 }

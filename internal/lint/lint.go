@@ -2,7 +2,9 @@
 // repository, built only on the standard library's go/parser, go/ast,
 // and go/types (no golang.org/x/tools — the build environment is
 // offline). It enforces the repo-wide contracts the runtime test
-// suites can only check probabilistically:
+// suites can only check probabilistically, one analyzer each
+// (RepoAnalyzers in config.go is the configured list; DESIGN.md
+// "Static invariants" keeps each one's cost-and-catch ledger):
 //
 //   - boundedalloc: every wire-derived length is capped before memory
 //     is allocated for it (the bug class behind the 16 MiB-frame and
@@ -17,6 +19,25 @@
 //     luck).
 //   - connclose: every net.Conn acquired from a dialer has Close
 //     reachable on all exit paths of the acquiring function.
+//   - goroutinelife: every spawned goroutine has a provable
+//     termination signal.
+//   - deadlineflow: conn I/O reachable from a dial or accept runs
+//     under a deadline.
+//   - wiresym: every RLP-encoded message type has a bounded,
+//     shape-matching decode counterpart.
+//   - frozenpublish: nothing reachable from a value is written after
+//     an atomic Store or channel send published it.
+//   - sharedstate: state reached from more than one goroutine is
+//     mutex-guarded, atomic, or confined.
+//   - boundedchan: channel capacities are constant or clamped, and
+//     sends into bounded queues have a select escape arm.
+//   - wiretaint: a peer-controlled value is capped before it sizes an
+//     allocation, loop, map, timer, spawn count or queue.
+//
+// The analyzers share one substrate: one Package type (ir.Package),
+// one IR per run with per-function facts computed once (package ir),
+// and one answer each to "which mutexes are held here", "what does
+// this statement write" and "what is net.Conn" (substrate.go).
 //
 // Findings can be suppressed with a justified inline directive:
 //
@@ -28,7 +49,6 @@ package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"sort"
 	"strings"
@@ -74,21 +94,47 @@ type suppression struct {
 	used     bool
 }
 
+// Tally is one analyzer's line in a run's accounting: how many
+// distinct findings it raised and how many of those a //lint:ignore
+// directive silenced. It is what `repolint -v` prints, and the only
+// source the documents' suppression figures are taken from.
+type Tally struct {
+	Analyzer   string
+	Raw        int
+	Suppressed int
+}
+
+// Reported is the number of findings that survived suppression.
+func (t Tally) Reported() int { return t.Raw - t.Suppressed }
+
 // Run executes the analyzers over pkgs, filters findings through
 // //lint:ignore directives, appends findings for malformed or stale
-// suppressions, and returns everything sorted and deduplicated.
-func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) []Finding {
-	known := make(map[string]bool, len(analyzers))
+// suppressions, and returns everything sorted and deduplicated, plus
+// one Tally per analyzer name in the order given.
+func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) ([]Finding, []Tally) {
+	// slot maps each analyzer name that ran to its place in tallies.
+	slot := make(map[string]int, len(analyzers))
+	var tallies []Tally
 	var all []Finding
 	for _, a := range analyzers {
-		known[a.Name()] = true
+		if _, seen := slot[a.Name()]; !seen {
+			slot[a.Name()] = len(tallies)
+			tallies = append(tallies, Tally{Analyzer: a.Name()})
+		}
 		all = append(all, a.Run(l, pkgs)...)
 	}
+	// Deduplicate before counting, so a statement reached through two
+	// call-graph paths is one raw finding.
+	all = SortFindings(all)
 
-	sups, bad := collectSuppressions(pkgs, known)
+	sups, bad := collectSuppressions(pkgs, slot)
 	kept := all[:0]
 	for _, f := range all {
-		if !markSuppressed(sups, f) {
+		t := &tallies[slot[f.Analyzer]]
+		t.Raw++
+		if markSuppressed(sups, f) {
+			t.Suppressed++
+		} else {
 			kept = append(kept, f)
 		}
 	}
@@ -106,7 +152,7 @@ func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) []Finding {
 			})
 		}
 	}
-	return SortFindings(kept)
+	return SortFindings(kept), tallies
 }
 
 // SortFindings orders findings by file, line, column, analyzer, and
@@ -148,7 +194,7 @@ func SortFindings(fs []Finding) []Finding {
 // Directives missing a reason, or naming an unknown analyzer, are
 // returned as findings instead of suppressions: the policy is that a
 // silence must always carry a written justification.
-func collectSuppressions(pkgs []*Package, known map[string]bool) ([]suppression, []Finding) {
+func collectSuppressions(pkgs []*Package, known map[string]int) ([]suppression, []Finding) {
 	var sups []suppression
 	var bad []Finding
 	for _, pkg := range pkgs {
@@ -167,7 +213,7 @@ func collectSuppressions(pkgs []*Package, known map[string]bool) ([]suppression,
 						continue
 					}
 					name := fields[0]
-					if !known[name] {
+					if _, ok := known[name]; !ok {
 						bad = append(bad, Finding{Pos: pos, Analyzer: "lint",
 							Message: fmt.Sprintf("suppression references unknown analyzer %q", name)})
 						continue
@@ -202,27 +248,6 @@ func markSuppressed(sups []suppression, f Finding) bool {
 		}
 	}
 	return hit
-}
-
-// funcBodies returns every function body in the file — declarations
-// and literals — so statement-flow analyzers treat closures as
-// independent functions.
-func funcBodies(file *ast.File) []*ast.BlockStmt {
-	var bodies []*ast.BlockStmt
-	ast.Inspect(file, func(n ast.Node) bool {
-		switch fn := n.(type) {
-		case *ast.FuncDecl:
-			if fn.Body != nil {
-				bodies = append(bodies, fn.Body)
-			}
-		case *ast.FuncLit:
-			if fn.Body != nil {
-				bodies = append(bodies, fn.Body)
-			}
-		}
-		return true
-	})
-	return bodies
 }
 
 // hasPrefixPath reports whether path equals prefix or sits below it.

@@ -19,7 +19,8 @@ func TestRepoInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading module packages: %v", err)
 	}
-	for _, f := range Run(l, pkgs, RepoAnalyzers(module)) {
+	findings, _ := Run(l, pkgs, RepoAnalyzers(module))
+	for _, f := range findings {
 		t.Errorf("%s:%d:%d: %s: %s", l.RelPath(f.Pos.Filename), f.Pos.Line, f.Pos.Column, f.Analyzer, f.Message)
 	}
 }

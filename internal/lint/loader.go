@@ -9,29 +9,16 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/lint/ir"
 )
 
-// Package bundles everything an analyzer needs about one type-checked
-// module package: syntax with comments, the type-checked object graph,
-// and resolved use/def information.
-type Package struct {
-	// Path is the package's import path (module path + relative dir).
-	Path string
-	// Dir is the absolute directory the package was loaded from.
-	Dir string
-	// Fset is the loader's shared file set.
-	Fset *token.FileSet
-	// Files are the parsed non-test source files, with comments.
-	Files []*ast.File
-	// Types is the type-checked package.
-	Types *types.Package
-	// Info holds identifier resolution and expression types.
-	Info *types.Info
-}
+// Package is one type-checked module package: the loader builds it and
+// the driver, the IR and every analyzer share it.
+type Package = ir.Package
 
 // Loader loads and type-checks every package of one module using only
 // the standard library: module packages are located by mapping import
@@ -60,29 +47,10 @@ type Loader struct {
 // building it on first use and sharing it between the dataflow
 // analyzers of one run.
 func (l *Loader) Program(pkgs []*Package) *ir.Program {
-	if l.irProg != nil && len(l.irFor) == len(pkgs) {
-		same := true
-		for i := range pkgs {
-			if l.irFor[i] != pkgs[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return l.irProg
-		}
+	if l.irProg != nil && slices.Equal(l.irFor, pkgs) {
+		return l.irProg
 	}
-	srcs := make([]*ir.SourcePackage, len(pkgs))
-	for i, p := range pkgs {
-		srcs[i] = &ir.SourcePackage{
-			Path:  p.Path,
-			Fset:  p.Fset,
-			Files: p.Files,
-			Info:  p.Info,
-			Types: p.Types,
-		}
-	}
-	l.irProg = ir.BuildProgram(srcs)
+	l.irProg = ir.BuildProgram(pkgs)
 	l.irFor = pkgs
 	return l.irProg
 }
@@ -133,7 +101,7 @@ func ModuleRoot(dir string) (root, modulePath string, err error) {
 // ListPackages discovers every package import path under the module
 // root (skipping testdata, hidden directories, and directories with no
 // non-test Go files), sorted, without parsing or type-checking
-// anything — the cache layer uses it to hash file sets cheaply.
+// anything.
 func (l *Loader) ListPackages() ([]string, error) {
 	var paths []string
 	err := filepath.WalkDir(l.RootDir, func(path string, d os.DirEntry, err error) error {
@@ -166,23 +134,6 @@ func (l *Loader) ListPackages() ([]string, error) {
 	}
 	sort.Strings(paths)
 	return paths, nil
-}
-
-// SourceFiles returns the absolute paths of one module package's
-// non-test Go files, in build order, without parsing them.
-func (l *Loader) SourceFiles(importPath string) ([]string, error) {
-	rel := strings.TrimPrefix(importPath, l.ModulePath)
-	rel = strings.TrimPrefix(rel, "/")
-	dir := filepath.Join(l.RootDir, filepath.FromSlash(rel))
-	bp, err := l.ctx.ImportDir(dir, 0)
-	if err != nil {
-		return nil, fmt.Errorf("lint: %s: %w", importPath, err)
-	}
-	files := make([]string, 0, len(bp.GoFiles))
-	for _, name := range bp.GoFiles {
-		files = append(files, filepath.Join(dir, name))
-	}
-	return files, nil
 }
 
 // LoadAll returns every module package type-checked, sorted by path.
@@ -252,7 +203,7 @@ func (l *Loader) LoadPackage(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
+	p := &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}
 	l.modPkgs[path] = p
 	return p, nil
 }

@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+
+	"repro/internal/lint/ir"
 )
 
 // LockNet reports mutexes held across net.Conn reads/writes or
@@ -34,25 +36,18 @@ func (ln *LockNet) Doc() string {
 
 // Run implements Analyzer.
 func (ln *LockNet) Run(l *Loader, pkgs []*Package) []Finding {
-	connType, err := l.StdType("net", "Conn")
-	if err != nil {
-		return []Finding{{Analyzer: ln.Name(), Message: fmt.Sprintf("cannot resolve net.Conn: %v", err)}}
+	conn, failed := netConn(l, ln.Name())
+	if failed != nil {
+		return failed
 	}
-	connIface, ok := connType.Underlying().(*types.Interface)
-	if !ok {
-		return []Finding{{Analyzer: ln.Name(), Message: "net.Conn is not an interface?"}}
+	// Every declaration and literal is walked as its own function: a
+	// closure does not inherit the critical section it was written in.
+	w := &lockWalker{analyzer: ln.Name(), conn: conn, comm: make(map[ast.Stmt]bool)}
+	for _, f := range l.Program(pkgs).Funcs {
+		w.pkg = f.Pkg
+		walkHeld(f.Pkg, f.Body.List, map[string]bool{}, w.visit)
 	}
-	var findings []Finding
-	for _, pkg := range pkgs {
-		for _, file := range pkg.Files {
-			for _, body := range funcBodies(file) {
-				w := &lockWalker{pkg: pkg, analyzer: ln.Name(), conn: connIface}
-				w.walkStmts(body.List, map[string]bool{})
-				findings = append(findings, w.findings...)
-			}
-		}
-	}
-	return findings
+	return w.findings
 }
 
 type lockWalker struct {
@@ -60,165 +55,61 @@ type lockWalker struct {
 	analyzer string
 	conn     *types.Interface
 	findings []Finding
+
+	// comm holds the comm statements of the selects seen so far: the
+	// select as a whole already answered for them.
+	comm map[ast.Stmt]bool
 }
 
-func cloneHeld(held map[string]bool) map[string]bool {
-	c := make(map[string]bool, len(held))
-	for k, v := range held {
-		c[k] = v
+// visit is the walkHeld callback: it checks one statement against the
+// lockset holding there. Deferred calls run after the lock is
+// released and a spawned goroutine does not inherit the spawner's
+// critical section, so neither is checked against this set.
+func (w *lockWalker) visit(stmt ast.Stmt, held map[string]bool) {
+	if len(held) == 0 || w.comm[stmt] {
+		return
 	}
-	return c
-}
-
-// heldNames renders the held set for messages.
-func heldNames(held map[string]bool) string {
-	out := ""
-	for k := range held {
-		if out != "" {
-			out += ", "
-		}
-		out += k
-	}
-	return out
-}
-
-func (w *lockWalker) walkStmts(list []ast.Stmt, held map[string]bool) {
-	for _, stmt := range list {
-		w.walkStmt(stmt, held)
-	}
-}
-
-func (w *lockWalker) walkStmt(stmt ast.Stmt, held map[string]bool) {
 	switch s := stmt.(type) {
 	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if recv, name, ok := w.mutexOp(call); ok {
-				switch name {
-				case "Lock", "RLock":
-					held[recv] = true
-				case "Unlock", "RUnlock":
-					delete(held, recv)
-				}
-				return
-			}
-		}
 		w.checkBlocking(s.X, held)
-	case *ast.DeferStmt:
-		// defer mu.Unlock() means the mutex stays held for the rest of
-		// the function; any blocking op that follows is inside the
-		// critical section. Other deferred calls run after the lock is
-		// released, so their bodies are not checked against this set.
-		if _, name, ok := w.mutexOp(s.Call); ok && (name == "Unlock" || name == "RUnlock") {
-			return
-		}
 	case *ast.AssignStmt:
 		for _, rhs := range s.Rhs {
 			w.checkBlocking(rhs, held)
 		}
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			w.report(s.Pos(), "channel send", held)
-		}
-	case *ast.SelectStmt:
-		hasDefault := false
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok && clause.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if len(held) > 0 && !hasDefault {
-			w.report(s.Pos(), "blocking select", held)
-		}
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok {
-				w.walkStmts(clause.Body, cloneHeld(held))
-			}
-		}
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		w.checkBlocking(s.Cond, held)
-		w.walkStmts(s.Body.List, cloneHeld(held))
-		if s.Else != nil {
-			w.walkStmt(s.Else, cloneHeld(held))
-		}
-	case *ast.ForStmt:
-		inner := cloneHeld(held)
-		if s.Init != nil {
-			w.walkStmt(s.Init, inner)
-		}
-		if s.Cond != nil {
-			w.checkBlocking(s.Cond, inner)
-		}
-		w.walkStmts(s.Body.List, inner)
-	case *ast.RangeStmt:
-		inner := cloneHeld(held)
-		// Ranging over a channel blocks per iteration.
-		if tv, ok := w.pkg.Info.Types[s.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan && len(inner) > 0 {
-				w.report(s.Pos(), "range over channel", inner)
-			}
-		}
-		w.walkStmts(s.Body.List, inner)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.walkStmt(s.Init, held)
-		}
-		if s.Tag != nil {
-			w.checkBlocking(s.Tag, held)
-		}
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				w.walkStmts(clause.Body, cloneHeld(held))
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				w.walkStmts(clause.Body, cloneHeld(held))
-			}
-		}
-	case *ast.BlockStmt:
-		w.walkStmts(s.List, held)
 	case *ast.ReturnStmt:
 		for _, r := range s.Results {
 			w.checkBlocking(r, held)
 		}
-	case *ast.GoStmt:
-		// A spawned goroutine does not inherit the spawner's critical
-		// section.
-	case *ast.LabeledStmt:
-		w.walkStmt(s.Stmt, held)
+	case *ast.IfStmt, *ast.ForStmt, *ast.SwitchStmt:
+		if cond, ok := ir.Headline(s).(ast.Expr); ok {
+			w.checkBlocking(cond, held)
+		}
+	case *ast.SendStmt:
+		w.report(s.Pos(), "channel send", held)
+	case *ast.SelectStmt:
+		hasDefault := false
+		for _, cc := range s.Body.List {
+			clause := cc.(*ast.CommClause)
+			if clause.Comm == nil {
+				hasDefault = true
+			} else {
+				w.comm[clause.Comm] = true
+			}
+		}
+		if !hasDefault {
+			w.report(s.Pos(), "blocking select", held)
+		}
+	case *ast.RangeStmt:
+		// Ranging over a channel blocks per iteration.
+		if isChanType(w.pkg.Info.TypeOf(s.X)) {
+			w.report(s.Pos(), "range over channel", held)
+		}
 	}
-}
-
-// mutexOp reports whether call is sync.Mutex/RWMutex Lock/Unlock
-// (or RLock/RUnlock), returning the receiver's expression string.
-func (w *lockWalker) mutexOp(call *ast.CallExpr) (recv, method string, ok bool) {
-	sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	name := sel.Sel.Name
-	switch name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	fn, isFn := w.pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), name, true
 }
 
 // checkBlocking scans an expression for operations that can block on
 // a peer while a mutex is held.
 func (w *lockWalker) checkBlocking(expr ast.Expr, held map[string]bool) {
-	if expr == nil || len(held) == 0 {
-		return
-	}
 	ast.Inspect(expr, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
@@ -237,7 +128,7 @@ func (w *lockWalker) checkBlocking(expr ast.Expr, held map[string]bool) {
 
 // checkCall flags conn I/O calls made while a lock is held.
 func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
@@ -247,7 +138,7 @@ func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
 	}
 	// Direct Read/Write on a net.Conn implementer.
 	if fn.Name() == "Read" || fn.Name() == "Write" {
-		if tv, ok := w.pkg.Info.Types[sel.X]; ok && w.isConn(tv.Type) {
+		if tv, ok := w.pkg.Info.Types[sel.X]; ok && implementsConn(tv.Type, w.conn) {
 			w.report(call.Pos(), fmt.Sprintf("%s.%s on net.Conn", types.ExprString(sel.X), fn.Name()), held)
 			return
 		}
@@ -257,7 +148,7 @@ func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
 		switch fn.Name() {
 		case "ReadFull", "ReadAll", "Copy", "CopyN", "ReadAtLeast":
 			for _, arg := range call.Args {
-				if tv, ok := w.pkg.Info.Types[arg]; ok && w.isConn(tv.Type) {
+				if tv, ok := w.pkg.Info.Types[arg]; ok && implementsConn(tv.Type, w.conn) {
 					w.report(call.Pos(), fmt.Sprintf("io.%s on net.Conn %s", fn.Name(), types.ExprString(arg)), held)
 					return
 				}
@@ -266,24 +157,11 @@ func (w *lockWalker) checkCall(call *ast.CallExpr, held map[string]bool) {
 	}
 }
 
-// isConn reports whether t (or *t) implements net.Conn.
-func (w *lockWalker) isConn(t types.Type) bool {
-	if types.Implements(t, w.conn) {
-		return true
-	}
-	if _, isPtr := t.(*types.Pointer); !isPtr {
-		if types.Implements(types.NewPointer(t), w.conn) {
-			return true
-		}
-	}
-	return false
-}
-
 func (w *lockWalker) report(pos token.Pos, what string, held map[string]bool) {
 	w.findings = append(w.findings, Finding{
 		Pos:      w.pkg.Fset.Position(pos),
 		Analyzer: w.analyzer,
 		Message: fmt.Sprintf("%s while holding mutex %s: a slow peer can stall every contender on this lock",
-			what, heldNames(held)),
+			what, heldList(held)),
 	})
 }

@@ -1,40 +1,10 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"path/filepath"
 	"strings"
 )
-
-// jsonFinding is the stable machine-readable rendering of one
-// Finding; the flat shape keeps consumers free of go/token types.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// WriteJSON renders findings as a JSON array (always an array — an
-// empty run prints [], not null).
-func WriteJSON(w io.Writer, fs []Finding) error {
-	out := make([]jsonFinding, 0, len(fs))
-	for _, f := range fs {
-		out = append(out, jsonFinding{
-			File:     f.Pos.Filename,
-			Line:     f.Pos.Line,
-			Col:      f.Pos.Column,
-			Analyzer: f.Analyzer,
-			Message:  f.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(out)
-}
 
 // WriteAnnotations renders findings as GitHub Actions workflow
 // commands, so a CI lint job surfaces each one inline on the PR diff:
@@ -50,116 +20,6 @@ func WriteAnnotations(w io.Writer, fs []Finding) error {
 		}
 	}
 	return nil
-}
-
-// SARIF 2.1.0 skeleton, reduced to the subset GitHub code scanning
-// ingests: one run, one driver, one rule per analyzer, one result per
-// finding. Each analyzer surfaces as its own rule so suppression and
-// severity can be managed per-analyzer in the code-scanning UI.
-type sarifLog struct {
-	Schema  string     `json:"$schema"`
-	Version string     `json:"version"`
-	Runs    []sarifRun `json:"runs"`
-}
-
-type sarifRun struct {
-	Tool    sarifTool     `json:"tool"`
-	Results []sarifResult `json:"results"`
-}
-
-type sarifTool struct {
-	Driver sarifDriver `json:"driver"`
-}
-
-type sarifDriver struct {
-	Name  string      `json:"name"`
-	Rules []sarifRule `json:"rules"`
-}
-
-type sarifRule struct {
-	ID               string       `json:"id"`
-	ShortDescription sarifMessage `json:"shortDescription"`
-}
-
-type sarifMessage struct {
-	Text string `json:"text"`
-}
-
-type sarifResult struct {
-	RuleID    string          `json:"ruleId"`
-	Level     string          `json:"level"`
-	Message   sarifMessage    `json:"message"`
-	Locations []sarifLocation `json:"locations"`
-}
-
-type sarifLocation struct {
-	PhysicalLocation sarifPhysicalLocation `json:"physicalLocation"`
-}
-
-type sarifPhysicalLocation struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Region           sarifRegion           `json:"region"`
-}
-
-type sarifArtifactLocation struct {
-	URI string `json:"uri"`
-}
-
-type sarifRegion struct {
-	StartLine   int `json:"startLine"`
-	StartColumn int `json:"startColumn,omitempty"`
-}
-
-// WriteSARIF renders findings as a SARIF 2.1.0 log for GitHub code
-// scanning upload. The rule table is built from the analyzer set that
-// ran (not just the analyzers that fired), plus the "lint" pseudo-rule
-// the suppression-hygiene checks report under, so every result's
-// ruleId resolves. Finding filenames are expected to be repo-relative
-// with forward slashes — the form the cache and text outputs already
-// use — since code scanning matches artifact URIs against the checkout.
-func WriteSARIF(w io.Writer, analyzers []Analyzer, fs []Finding) error {
-	rules := make([]sarifRule, 0, len(analyzers)+1)
-	for _, a := range analyzers {
-		rules = append(rules, sarifRule{
-			ID:               a.Name(),
-			ShortDescription: sarifMessage{Text: a.Doc()},
-		})
-	}
-	rules = append(rules, sarifRule{
-		ID:               "lint",
-		ShortDescription: sarifMessage{Text: "suppression hygiene: stale, bare, or unknown //lint:ignore directives"},
-	})
-
-	results := make([]sarifResult, 0, len(fs))
-	for _, f := range fs {
-		line := f.Pos.Line
-		if line < 1 {
-			line = 1
-		}
-		results = append(results, sarifResult{
-			RuleID:  f.Analyzer,
-			Level:   "error",
-			Message: sarifMessage{Text: f.Message},
-			Locations: []sarifLocation{{
-				PhysicalLocation: sarifPhysicalLocation{
-					ArtifactLocation: sarifArtifactLocation{URI: filepath.ToSlash(f.Pos.Filename)},
-					Region:           sarifRegion{StartLine: line, StartColumn: f.Pos.Column},
-				},
-			}},
-		})
-	}
-
-	log := sarifLog{
-		Schema:  "https://json.schemastore.org/sarif-2.1.0.json",
-		Version: "2.1.0",
-		Runs: []sarifRun{{
-			Tool:    sarifTool{Driver: sarifDriver{Name: "repolint", Rules: rules}},
-			Results: results,
-		}},
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "\t")
-	return enc.Encode(&log)
 }
 
 // escapeAnnotationData escapes the message part of a workflow command

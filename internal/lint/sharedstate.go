@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 
@@ -52,11 +53,7 @@ func (ss *SharedState) Doc() string {
 // Run implements Analyzer.
 func (ss *SharedState) Run(l *Loader, pkgs []*Package) []Finding {
 	prog := l.Program(pkgs)
-	c := &sharedChecker{
-		prog: prog,
-		escs: make(map[*ir.Func]*ir.Escape),
-		doms: make(map[*ir.Func][]*ir.BitSet),
-	}
+	c := &sharedChecker{prog: prog}
 	var findings []Finding
 	for _, f := range prog.Funcs {
 		if len(ss.Packages) > 0 && !matchesAny(f.Pkg.Path, ss.Packages) {
@@ -69,26 +66,6 @@ func (ss *SharedState) Run(l *Loader, pkgs []*Package) []Finding {
 
 type sharedChecker struct {
 	prog *ir.Program
-	escs map[*ir.Func]*ir.Escape
-	doms map[*ir.Func][]*ir.BitSet
-}
-
-func (c *sharedChecker) escapeOf(f *ir.Func) *ir.Escape {
-	e, ok := c.escs[f]
-	if !ok {
-		e = ir.BuildEscape(f)
-		c.escs[f] = e
-	}
-	return e
-}
-
-func (c *sharedChecker) domOf(f *ir.Func) []*ir.BitSet {
-	d, ok := c.doms[f]
-	if !ok {
-		d = ir.Dominators(f)
-		c.doms[f] = d
-	}
-	return d
 }
 
 // spawnInfo is one go statement with its resolved target and the
@@ -148,7 +125,6 @@ func (c *sharedChecker) checkSpawner(analyzer string, f *ir.Func) []Finding {
 // spawnsOf collects every go statement of f with its shared roots.
 func (c *sharedChecker) spawnsOf(f *ir.Func) []spawnInfo {
 	pkg := f.Pkg
-	esc := c.escapeOf(f)
 	var out []spawnInfo
 	for _, b := range f.Blocks {
 		for idx, s := range b.Nodes {
@@ -160,12 +136,12 @@ func (c *sharedChecker) spawnsOf(f *ir.Func) []spawnInfo {
 			spawned, _ := c.prog.ResolveSpawn(pkg, g)
 			sp.fn = spawned
 			if spawned != nil {
-				if lit, isLit := unparen(g.Call.Fun).(*ast.FuncLit); isLit {
+				if lit, isLit := ast.Unparen(g.Call.Fun).(*ast.FuncLit); isLit {
 					for _, v := range ir.FreeVars(pkg, lit) {
 						sp.roots = append(sp.roots, sharedRoot{spawnerVar: v, goVar: v})
 					}
-				} else if sel, isSel := unparen(g.Call.Fun).(*ast.SelectorExpr); isSel {
-					if rv := ir.RecvVar(spawned); rv != nil && isRefLikeType(rv.Type()) {
+				} else if sel, isSel := ast.Unparen(g.Call.Fun).(*ast.SelectorExpr); isSel {
+					if rv := ir.RecvVar(spawned); rv != nil && ir.IsRefLike(rv.Type()) {
 						if sv := ir.RootVar(pkg, sel.X); sv != nil {
 							sp.roots = append(sp.roots, sharedRoot{spawnerVar: sv, goVar: rv})
 						}
@@ -177,14 +153,13 @@ func (c *sharedChecker) spawnsOf(f *ir.Func) []spawnInfo {
 						continue
 					}
 					pv := params[argIdx]
-					if !isRefLikeType(pv.Type()) {
+					if !ir.IsRefLike(pv.Type()) {
 						continue
 					}
 					if sv := ir.RootVar(pkg, arg); sv != nil {
 						sp.roots = append(sp.roots, sharedRoot{spawnerVar: sv, goVar: pv})
 					}
 				}
-				_ = esc
 			}
 			out = append(out, sp)
 		}
@@ -195,10 +170,9 @@ func (c *sharedChecker) spawnsOf(f *ir.Func) []spawnInfo {
 // goroutineAccesses collects every direct access to root (or an
 // alias of it) inside the spawned function's body.
 func (c *sharedChecker) goroutineAccesses(fn *ir.Func, root *types.Var, capture bool) []ssAccess {
-	esc := c.escapeOf(fn)
 	var accs []ssAccess
-	walkHeld(fn.Pkg, fn.Body.List, map[string]bool{}, func(node ast.Node, held map[string]bool) {
-		collectAccesses(fn.Pkg, node, held, esc, root, capture, func(a ssAccess) {
+	walkHeld(fn.Pkg, fn.Body.List, map[string]bool{}, func(s ast.Stmt, held map[string]bool) {
+		collectAccesses(fn.Pkg, s, held, fn.Escape(), root, capture, func(a ssAccess) {
 			accs = append(accs, a)
 		})
 	})
@@ -210,8 +184,6 @@ func (c *sharedChecker) goroutineAccesses(fn *ir.Func, root *types.Var, capture 
 // after the go statement, minus those behind a dominating join
 // (wg.Wait or a channel receive).
 func (c *sharedChecker) spawnerAccessesAfter(f *ir.Func, sp spawnInfo, root *types.Var, capture bool) []ssAccess {
-	esc := c.escapeOf(f)
-	dom := c.domOf(f)
 	after := afterStmts(f, sp.at.b, sp.at.idx)
 	afterSet := make(map[ast.Stmt]stmtAt, len(after))
 	for _, at := range after {
@@ -219,8 +191,8 @@ func (c *sharedChecker) spawnerAccessesAfter(f *ir.Func, sp spawnInfo, root *typ
 	}
 	joins := joinStmts(f, after)
 	var accs []ssAccess
-	walkHeld(f.Pkg, f.Body.List, map[string]bool{}, func(node ast.Node, held map[string]bool) {
-		collectAccesses(f.Pkg, node, held, esc, root, capture, func(a ssAccess) {
+	walkHeld(f.Pkg, f.Body.List, map[string]bool{}, func(s ast.Stmt, held map[string]bool) {
+		collectAccesses(f.Pkg, s, held, f.Escape(), root, capture, func(a ssAccess) {
 			st := enclosingNarrow(f, a.pos)
 			if st == nil {
 				return
@@ -229,7 +201,7 @@ func (c *sharedChecker) spawnerAccessesAfter(f *ir.Func, sp spawnInfo, root *typ
 			if !ok || st == ast.Stmt(sp.g) {
 				return
 			}
-			if isJoined(dom, joins, at) {
+			if isJoined(f.Dom(), joins, at) {
 				return
 			}
 			accs = append(accs, a)
@@ -246,24 +218,28 @@ func (c *sharedChecker) judge(analyzer string, f *ir.Func, sp spawnInfo, root sh
 	}
 	goLine := f.Position(sp.g.Pos()).Line
 	var findings []Finding
-	for _, field := range sharedFields(goAccs, spAccs) {
-		ga := filterField(goAccs, field)
-		sa := filterField(spAccs, field)
-		if len(ga) == 0 || len(sa) == 0 {
-			continue
-		}
-		all := append(append([]ssAccess(nil), ga...), sa...)
-		if !anyWrite(all) || guarded(all) {
-			continue
-		}
+	racyFields(goAccs, spAccs, func(field *types.Var, ga, sa, all []ssAccess) {
 		findings = append(findings, Finding{
 			Pos:      f.Position(firstWritePos(all)),
 			Analyzer: analyzer,
 			Message: fmt.Sprintf("%s is shared with the goroutine spawned at line %d but not consistently guarded (goroutine holds {%s}, spawner holds {%s}): hold one mutex on both sides, use sync/atomic, or confine it before the go statement",
 				accessDesc(field, root.spawnerVar), goLine, commonHeldList(ga), commonHeldList(sa)),
 		})
-	}
+	})
 	return findings
+}
+
+// racyFields calls report for every storage key both sides access,
+// some access writes, and no common guard protects: the two sides'
+// accesses to it, and their concatenation.
+func racyFields(a, b []ssAccess, report func(field *types.Var, fa, fb, all []ssAccess)) {
+	for _, field := range sharedFields(a, b) {
+		fa, fb := filterField(a, field), filterField(b, field)
+		all := append(append([]ssAccess(nil), fa...), fb...)
+		if anyWrite(all) && !guarded(all) {
+			report(field, fa, fb, all)
+		}
+	}
 }
 
 // judgeSiblings checks two goroutines spawned by the same function
@@ -272,7 +248,7 @@ func (c *sharedChecker) judgeSiblings(analyzer string, f *ir.Func, a, b spawnInf
 	if a.fn == nil || b.fn == nil {
 		return nil
 	}
-	esc := c.escapeOf(f)
+	esc := f.Escape()
 	var findings []Finding
 	for _, ra := range a.roots {
 		for _, rb := range b.roots {
@@ -285,23 +261,14 @@ func (c *sharedChecker) judgeSiblings(analyzer string, f *ir.Func, a, b spawnInf
 				continue
 			}
 			lineA := f.Position(a.g.Pos()).Line
-			for _, field := range sharedFields(ga, gb) {
-				fa := filterField(ga, field)
-				fb := filterField(gb, field)
-				if len(fa) == 0 || len(fb) == 0 {
-					continue
-				}
-				all := append(append([]ssAccess(nil), fa...), fb...)
-				if !anyWrite(all) || guarded(all) {
-					continue
-				}
+			racyFields(ga, gb, func(field *types.Var, fa, fb, _ []ssAccess) {
 				findings = append(findings, Finding{
 					Pos:      f.Position(b.g.Pos()),
 					Analyzer: analyzer,
 					Message: fmt.Sprintf("%s is shared with the sibling goroutine spawned at line %d but not consistently guarded (this goroutine holds {%s}, sibling holds {%s}): hold one mutex in both goroutines or use sync/atomic",
 						accessDesc(field, ra.spawnerVar), lineA, commonHeldList(fb), commonHeldList(fa)),
 				})
-			}
+			})
 		}
 	}
 	return findings
@@ -395,32 +362,22 @@ func guarded(accs []ssAccess) bool {
 	if allAtomic {
 		return true
 	}
-	var common map[string]bool
 	for _, a := range accs {
 		if a.atomic {
 			// An atomic access holds no lock; mixing atomic and plain
 			// accesses to the same field is itself a race.
 			return false
 		}
-		if common == nil {
-			common = cloneHeld(a.held)
-			continue
-		}
-		for k := range common {
-			if !a.held[k] {
-				delete(common, k)
-			}
-		}
 	}
-	return len(common) > 0
+	return len(commonHeld(accs)) > 0
 }
 
-// commonHeldList renders the locks held at every access of one side.
-func commonHeldList(accs []ssAccess) string {
+// commonHeld intersects the locksets of every access.
+func commonHeld(accs []ssAccess) map[string]bool {
 	var common map[string]bool
 	for _, a := range accs {
 		if common == nil {
-			common = cloneHeld(a.held)
+			common = maps.Clone(a.held)
 			continue
 		}
 		for k := range common {
@@ -429,13 +386,11 @@ func commonHeldList(accs []ssAccess) string {
 			}
 		}
 	}
-	keys := make([]string, 0, len(common))
-	for k := range common {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, ", ")
+	return common
 }
+
+// commonHeldList renders the locks held at every access of one side.
+func commonHeldList(accs []ssAccess) string { return heldList(commonHeld(accs)) }
 
 // joinStmts finds the statements in the after-region that
 // happen-after the goroutine's work: sync.WaitGroup.Wait calls,
@@ -445,10 +400,8 @@ func joinStmts(f *ir.Func, after []stmtAt) []stmtAt {
 	var out []stmtAt
 	for _, at := range after {
 		if rs, ok := at.s.(*ast.RangeStmt); ok {
-			if t := pkg.Info.TypeOf(rs.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					out = append(out, at)
-				}
+			if isChanType(pkg.Info.TypeOf(rs.X)) {
+				out = append(out, at)
 			}
 			continue
 		}
@@ -466,7 +419,7 @@ func joinStmts(f *ir.Func, after []stmtAt) []stmtAt {
 					found = true
 				}
 			case *ast.CallExpr:
-				if sel, ok := unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
+				if sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Wait" {
 					if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync" {
 						found = true
 					}
@@ -513,119 +466,6 @@ func enclosingNarrow(f *ir.Func, pos token.Pos) ast.Stmt {
 	return best
 }
 
-// walkHeld walks a statement list in source order tracking the set of
-// held mutexes exactly like locknet does (defer Unlock keeps the lock
-// held; branches run under a clone), invoking cb for every simple
-// statement and every compound-statement headline expression.
-func walkHeld(pkg *ir.SourcePackage, list []ast.Stmt, held map[string]bool, cb func(node ast.Node, held map[string]bool)) {
-	for _, stmt := range list {
-		walkHeldStmt(pkg, stmt, held, cb)
-	}
-}
-
-func walkHeldStmt(pkg *ir.SourcePackage, stmt ast.Stmt, held map[string]bool, cb func(node ast.Node, held map[string]bool)) {
-	switch s := stmt.(type) {
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if recv, name, ok := syncLockOp(pkg, call); ok {
-				switch name {
-				case "Lock", "RLock":
-					held[recv] = true
-				case "Unlock", "RUnlock":
-					delete(held, recv)
-				}
-				return
-			}
-		}
-		cb(s, held)
-	case *ast.DeferStmt:
-		if _, name, ok := syncLockOp(pkg, s.Call); ok && (name == "Unlock" || name == "RUnlock") {
-			return // lock stays held for the rest of the function
-		}
-		cb(s, held)
-	case *ast.IfStmt:
-		if s.Init != nil {
-			walkHeldStmt(pkg, s.Init, held, cb)
-		}
-		cb(s.Cond, held)
-		walkHeld(pkg, s.Body.List, cloneHeld(held), cb)
-		if s.Else != nil {
-			walkHeldStmt(pkg, s.Else, cloneHeld(held), cb)
-		}
-	case *ast.ForStmt:
-		inner := cloneHeld(held)
-		if s.Init != nil {
-			walkHeldStmt(pkg, s.Init, inner, cb)
-		}
-		if s.Cond != nil {
-			cb(s.Cond, inner)
-		}
-		walkHeld(pkg, s.Body.List, inner, cb)
-		if s.Post != nil {
-			walkHeldStmt(pkg, s.Post, inner, cb)
-		}
-	case *ast.RangeStmt:
-		cb(s.X, held)
-		walkHeld(pkg, s.Body.List, cloneHeld(held), cb)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			walkHeldStmt(pkg, s.Init, held, cb)
-		}
-		if s.Tag != nil {
-			cb(s.Tag, held)
-		}
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				walkHeld(pkg, clause.Body, cloneHeld(held), cb)
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		cb(s.Assign, held)
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CaseClause); ok {
-				walkHeld(pkg, clause.Body, cloneHeld(held), cb)
-			}
-		}
-	case *ast.SelectStmt:
-		for _, cc := range s.Body.List {
-			if clause, ok := cc.(*ast.CommClause); ok {
-				inner := cloneHeld(held)
-				if clause.Comm != nil {
-					walkHeldStmt(pkg, clause.Comm, inner, cb)
-				}
-				walkHeld(pkg, clause.Body, inner, cb)
-			}
-		}
-	case *ast.BlockStmt:
-		walkHeld(pkg, s.List, held, cb)
-	case *ast.LabeledStmt:
-		walkHeldStmt(pkg, s.Stmt, held, cb)
-	case nil:
-	default:
-		// Assign, Send, IncDec, Return, Decl, Go, Branch, Empty.
-		cb(s, held)
-	}
-}
-
-// syncLockOp mirrors locknet's mutexOp against an ir.SourcePackage.
-func syncLockOp(pkg *ir.SourcePackage, call *ast.CallExpr) (recv, method string, ok bool) {
-	sel, isSel := unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	name := sel.Sel.Name
-	switch name {
-	case "Lock", "Unlock", "RLock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	fn, isFn := pkg.Info.Uses[sel.Sel].(*types.Func)
-	if !isFn || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	return types.ExprString(sel.X), name, true
-}
-
 // collectAccesses finds direct accesses to variables selected by
 // match inside one statement or headline expression, classifying
 // each as read/write/atomic and stamping the (normalized) lockset.
@@ -647,7 +487,11 @@ func syncLockOp(pkg *ir.SourcePackage, call *ast.CallExpr) (recv, method string,
 // the class can reach the struct); raw-memory accesses match on
 // MayAliasTight so two slices that merely contain the same element
 // pointers are not mistaken for the same backing array.
-func collectAccesses(pkg *ir.SourcePackage, node ast.Node, held map[string]bool, esc *ir.Escape, root *types.Var, capture bool, emit func(ssAccess)) {
+func collectAccesses(pkg *Package, stmt ast.Stmt, held map[string]bool, esc *ir.Escape, root *types.Var, capture bool, emit func(ssAccess)) {
+	node := ir.Headline(stmt)
+	if node == nil {
+		return
+	}
 	match := func(v *types.Var) bool { return esc.MayAlias(v, root) }
 	matchMem := func(v *types.Var) bool { return esc.MayAliasTight(v, root) }
 	selW, cellW, memW := writeTargets(pkg, node)
@@ -673,7 +517,7 @@ func collectAccesses(pkg *ir.SourcePackage, node ast.Node, held map[string]bool,
 				return true
 			}
 			skipIdents[base] = true
-			v := objVarOf(pkg, base)
+			v := ir.ObjVar(pkg, base)
 			if v == nil || !match(v) {
 				return true
 			}
@@ -704,7 +548,7 @@ func collectAccesses(pkg *ir.SourcePackage, node ast.Node, held map[string]bool,
 				return true
 			}
 			skipIdents[base] = true
-			v := objVarOf(pkg, base)
+			v := ir.ObjVar(pkg, base)
 			if v == nil || !matchMem(v) || selfSyncType(v.Type()) {
 				return true
 			}
@@ -716,7 +560,7 @@ func collectAccesses(pkg *ir.SourcePackage, node ast.Node, held map[string]bool,
 			if _, isDef := pkg.Info.Defs[n]; isDef {
 				return true // declaration site, not an access
 			}
-			v := objVarOf(pkg, n)
+			v := ir.ObjVar(pkg, n)
 			if v == nil || selfSyncType(v.Type()) {
 				return true
 			}
@@ -746,7 +590,7 @@ func collectAccesses(pkg *ir.SourcePackage, node ast.Node, held map[string]bool,
 // builtin (memW). A := defining a genuinely new variable is not a
 // write to any shared one (per-iteration loop variables are fresh
 // instances).
-func writeTargets(pkg *ir.SourcePackage, node ast.Node) (selW map[*ast.SelectorExpr]bool, cellW, memW map[*ast.Ident]bool) {
+func writeTargets(pkg *Package, node ast.Node) (selW map[*ast.SelectorExpr]bool, cellW, memW map[*ast.Ident]bool) {
 	selW = make(map[*ast.SelectorExpr]bool)
 	cellW = make(map[*ast.Ident]bool)
 	memW = make(map[*ast.Ident]bool)
@@ -770,34 +614,11 @@ func writeTargets(pkg *ir.SourcePackage, node ast.Node) (selW map[*ast.SelectorE
 		}
 		cellW[id] = true
 	}
-	stmt, ok := node.(ast.Stmt)
-	if !ok {
-		return selW, cellW, memW
+	if stmt, ok := node.(ast.Stmt); ok {
+		for _, w := range stmtWrites(pkg, stmt) {
+			markWrite(w.target, w.define, w.builtin != nil)
+		}
 	}
-	switch s := stmt.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range s.Lhs {
-			markWrite(lhs, s.Tok == token.DEFINE, false)
-		}
-	case *ast.IncDecStmt:
-		markWrite(s.X, false, false)
-	}
-	inspectShallow(stmt, func(n ast.Node) {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return
-		}
-		if id, ok := unparen(call.Fun).(*ast.Ident); ok {
-			if b, isB := pkg.Info.Uses[id].(*types.Builtin); isB {
-				switch b.Name() {
-				case "delete", "clear", "copy", "append":
-					if len(call.Args) > 0 {
-						markWrite(call.Args[0], false, true)
-					}
-				}
-			}
-		}
-	})
 	return selW, cellW, memW
 }
 
@@ -811,7 +632,7 @@ func writeChain(expr ast.Expr) (sel *ast.SelectorExpr, id *ast.Ident, mem bool) 
 	cur := expr
 	through := false
 	for {
-		switch x := unparen(cur).(type) {
+		switch x := ast.Unparen(cur).(type) {
 		case *ast.IndexExpr:
 			cur, through = x.X, true
 		case *ast.SliceExpr:
@@ -850,7 +671,7 @@ func stripToIdent(expr ast.Expr) (*ast.Ident, bool) {
 // atomicCallRanges returns the source ranges of calls into the
 // sync/atomic package (atomic.AddInt64(&x.n, 1) style); accesses
 // inside them are atomic by construction.
-func atomicCallRanges(pkg *ir.SourcePackage, node ast.Node) [][2]token.Pos {
+func atomicCallRanges(pkg *Package, node ast.Node) [][2]token.Pos {
 	var out [][2]token.Pos
 	ast.Inspect(node, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
@@ -860,7 +681,7 @@ func atomicCallRanges(pkg *ir.SourcePackage, node ast.Node) [][2]token.Pos {
 		if !ok {
 			return true
 		}
-		if sel, ok := unparen(call.Fun).(*ast.SelectorExpr); ok {
+		if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 			if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" {
 				out = append(out, [2]token.Pos{call.Pos(), call.End()})
 			}
@@ -898,17 +719,6 @@ func normalizeHeld(held map[string]bool, rootName string) map[string]bool {
 	return out
 }
 
-// objVarOf resolves an identifier against an ir.SourcePackage.
-func objVarOf(pkg *ir.SourcePackage, id *ast.Ident) *types.Var {
-	if v, ok := pkg.Info.Defs[id].(*types.Var); ok {
-		return v
-	}
-	if v, ok := pkg.Info.Uses[id].(*types.Var); ok && !v.IsField() {
-		return v
-	}
-	return nil
-}
-
 // selfSyncType reports whether t is a sync or sync/atomic type (or a
 // pointer to one): such values synchronize themselves.
 func selfSyncType(t types.Type) bool {
@@ -930,15 +740,4 @@ func isChanType(t types.Type) bool {
 	}
 	_, ok := t.Underlying().(*types.Chan)
 	return ok
-}
-
-func isRefLikeType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan, *types.Interface, *types.Signature:
-		return true
-	}
-	return false
 }

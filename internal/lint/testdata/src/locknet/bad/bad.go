@@ -38,3 +38,20 @@ func (p *Peer) Wait(ready chan struct{}) {
 	<-ready // want "channel receive while holding mutex p.mu"
 	p.mu.Unlock()
 }
+
+// Hub guards its registry and its statistics with separate mutexes.
+type Hub struct {
+	regMu   sync.Mutex
+	statsMu sync.Mutex
+	events  chan string
+}
+
+// Announce sends with both locks held; the report names them in
+// sorted order, whichever was taken first.
+func (h *Hub) Announce(ev string) {
+	h.statsMu.Lock()
+	defer h.statsMu.Unlock()
+	h.regMu.Lock()
+	defer h.regMu.Unlock()
+	h.events <- ev // want "channel send while holding mutex h.regMu, h.statsMu:"
+}

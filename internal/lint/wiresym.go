@@ -77,7 +77,6 @@ type wsChecker struct {
 	packages []string
 	encodes  []wsSite
 	decodes  []wsSite
-	defuse   map[*ir.Func]*ir.DefUse
 }
 
 // Run implements Analyzer.
@@ -86,7 +85,6 @@ func (w *WireSym) Run(l *Loader, pkgs []*Package) []Finding {
 		prog:     l.Program(pkgs),
 		rlpPkg:   w.RLPPkg,
 		packages: w.Packages,
-		defuse:   make(map[*ir.Func]*ir.DefUse),
 	}
 	var findings []Finding
 	findings = append(findings, w.checkCodecPairing(pkgs)...)
@@ -135,15 +133,6 @@ func (w *WireSym) checkCodecPairing(pkgs []*Package) []Finding {
 	return findings
 }
 
-func (wc *wsChecker) defUseOf(f *ir.Func) *ir.DefUse {
-	if du, ok := wc.defuse[f]; ok {
-		return du
-	}
-	du := ir.BuildDefUse(f)
-	wc.defuse[f] = du
-	return du
-}
-
 // collectSites finds every rlp encode/decode call in the module and
 // resolves the concrete type(s) of the value argument.
 func (wc *wsChecker) collectSites() {
@@ -173,7 +162,7 @@ func (wc *wsChecker) collectSites() {
 // classifyRLPCall recognizes the codec entry points and returns which
 // argument carries the value.
 func (wc *wsChecker) classifyRLPCall(f *ir.Func, call *ast.CallExpr) (enc, dec bool, argIdx int) {
-	sel, ok := unparen(call.Fun).(*ast.SelectorExpr)
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false, false, 0
 	}
@@ -208,7 +197,7 @@ func (wc *wsChecker) resolveConcrete(f *ir.Func, e ast.Expr, call *ast.CallExpr,
 	if depth > 6 {
 		return nil
 	}
-	e = unparen(e)
+	e = ast.Unparen(e)
 	t := f.Pkg.Info.TypeOf(e)
 	if t != nil {
 		if _, isIface := t.Underlying().(*types.Interface); !isIface {
@@ -237,7 +226,7 @@ func (wc *wsChecker) resolveConcrete(f *ir.Func, e ast.Expr, call *ast.CallExpr,
 			return nil
 		}
 		var sites []wsSite
-		for _, rhs := range wc.defUseOf(f).AllRHS(v) {
+		for _, rhs := range f.DefUse().AllRHS(v) {
 			if rhs == nil || rhs == e {
 				continue
 			}
@@ -250,7 +239,7 @@ func (wc *wsChecker) resolveConcrete(f *ir.Func, e ast.Expr, call *ast.CallExpr,
 		}
 	case *ast.CallExpr:
 		// new(T) is the decode idiom; resolve to T.
-		if id, ok := unparen(e.Fun).(*ast.Ident); ok && id.Name == "new" && len(e.Args) == 1 {
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok && id.Name == "new" && len(e.Args) == 1 {
 			if t := f.Pkg.Info.TypeOf(e.Args[0]); t != nil {
 				return []wsSite{{fn: f, typ: deref(t), pos: e.Pos(), call: call}}
 			}
@@ -494,7 +483,7 @@ func (wc *wsChecker) checkBounds(analyzer string) []Finding {
 		}
 		seen[site.call] = true
 		f := site.host
-		buf := unparen(site.call.Args[0])
+		buf := ast.Unparen(site.call.Args[0])
 		if !lenGuardBefore(f, buf, site.call.Pos()) {
 			findings = append(findings, Finding{
 				Pos:      f.Position(site.call.Pos()),
@@ -526,11 +515,11 @@ func lenGuardBefore(f *ir.Func, buf ast.Expr, pos token.Pos) bool {
 			return true
 		}
 		for _, side := range []ast.Expr{be.X, be.Y} {
-			call, ok := unparen(side).(*ast.CallExpr)
+			call, ok := ast.Unparen(side).(*ast.CallExpr)
 			if !ok || len(call.Args) != 1 {
 				continue
 			}
-			if id, ok := unparen(call.Fun).(*ast.Ident); !ok || id.Name != "len" {
+			if id, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || id.Name != "len" {
 				continue
 			}
 			if bufObj != nil && exprObject(f, call.Args[0]) == bufObj {
@@ -545,16 +534,13 @@ func lenGuardBefore(f *ir.Func, buf ast.Expr, pos token.Pos) bool {
 // exprObject resolves an expression to the object it names, when it
 // is a plain identifier (possibly sliced: buf[a:b] guards len(buf)).
 func exprObject(f *ir.Func, e ast.Expr) types.Object {
-	e = unparen(e)
+	e = ast.Unparen(e)
 	if sl, ok := e.(*ast.SliceExpr); ok {
-		e = unparen(sl.X)
+		e = ast.Unparen(sl.X)
 	}
 	id, ok := e.(*ast.Ident)
 	if !ok {
 		return nil
 	}
-	if obj := f.Pkg.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return f.Pkg.Info.Defs[id]
+	return f.Pkg.Info.ObjectOf(id)
 }

@@ -128,7 +128,7 @@ func isByteSlice(t types.Type) bool {
 }
 
 // sourceCall classifies trust-boundary calls for the engine.
-func (wt *WireTaint) sourceCall(pkg *ir.SourcePackage, call *ast.CallExpr, callee types.Object) (string, bool, []int, bool) {
+func (wt *WireTaint) sourceCall(pkg *ir.Package, call *ast.CallExpr, callee types.Object) (string, bool, []int, bool) {
 	fn, ok := callee.(*types.Func)
 	if !ok {
 		return "", false, nil, false
@@ -193,7 +193,7 @@ func (wt *WireTaint) sourceCall(pkg *ir.SourcePackage, call *ast.CallExpr, calle
 // entropyExpr reports whether e is an entropy stream: a value whose
 // named type, or whose package-level variable (crypto/rand.Reader),
 // lives in an entropy package.
-func (wt *WireTaint) entropyExpr(pkg *ir.SourcePackage, e ast.Expr) bool {
+func (wt *WireTaint) entropyExpr(pkg *ir.Package, e ast.Expr) bool {
 	if t := pkg.Info.TypeOf(e); t != nil {
 		if p, ok := t.(*types.Pointer); ok {
 			t = p.Elem()
