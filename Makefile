@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments quickstart clean fuzz-smoke chaos lint
+.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments quickstart clean fuzz-smoke chaos lint mutate
 
 all: build vet test
 
@@ -12,7 +12,7 @@ fmt-check:
 
 # Reproduce the full CI pipeline (.github/workflows/ci.yml) locally:
 # every gating step of every job there is one of these targets.
-ci: fmt-check build vet lint test race bench-smoke fuzz-smoke chaos bench-ledger
+ci: fmt-check build vet lint test race bench-smoke fuzz-smoke chaos bench-ledger mutate
 
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
 # then per differential target of the hand-written arithmetic (the
@@ -68,16 +68,23 @@ build:
 	go build ./...
 
 # Repo-specific static invariants (see DESIGN.md "Static invariants"):
-# bounded wire allocations, clock discipline, taxonomy coverage, no
-# locks across conn I/O, conn Close on every path, goroutine
-# termination signals, deadlines on dialed-conn I/O, RLP wire
-# symmetry, frozen-after-publish, cross-goroutine shared state,
-# bounded channel discipline, interprocedural wire-taint tracking.
-# An uncached run is ≈1.5 s (most of it type-checking std from source),
-# so there is no result cache in front of it; `repolint -v` adds each
-# analyzer's raw/suppressed/reported counts.
+# bounded wire allocations, clock discipline, taxonomy coverage,
+# interprocedural wire-taint tracking. Locks vs conn I/O, conn Close,
+# goroutine termination, conn deadlines, RLP wire symmetry,
+# frozen-after-publish, shared state and bounded channels are held by
+# runtime tests instead (`make mutate` proves which test catches
+# each). An uncached run is ≈1.5 s (most of it type-checking std from
+# source), so there is no result cache in front of it; `repolint -v`
+# adds each analyzer's raw/suppressed/reported counts.
 lint:
 	go run ./cmd/repolint ./...
+
+# Every gate proven to trip: each mutations/*.patch plants one
+# violation in a scratch copy of the tree, and the command on its
+# `expect:` line (a runtime test, or repolint for the four analyzers)
+# must then fail. One PASS line per patch.
+mutate:
+	bash mutations/run.sh
 
 vet:
 	go vet ./...

@@ -120,7 +120,8 @@ func run(addr string, nodes int, seed int64, interval, chunk, pace time.Duration
 		MaxHeaderBytes:    16 << 10,
 	}
 	serveErr := make(chan error, 1)
-	//lint:ignore boundedchan serveErr is cap-1 and ListenAndServe returns exactly once; the send always finds the slot empty
+	// serveErr is cap-1 and ListenAndServe returns exactly once, so the
+	// send always finds the slot empty.
 	go func() { serveErr <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "censusd: serving %d-node world on %s (epoch every %s virtual, %s virtual per %s wall)\n",
 		nodes, addr, interval, chunk, pace)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestOnlyWithholdsHygiene pins -only end to end over this module. The
-// tree carries //lint:ignore directives for five analyzers; a run that
+// tree carries //lint:ignore directives for three analyzers; a run that
 // knows only one of them sees every other directive as naming an
 // unknown analyzer, so lint.Run reports them (the control below) and
 // repolint must withhold those reports for the partial run to be
@@ -61,7 +61,7 @@ func TestOnlyWithholdsHygiene(t *testing.T) {
 	}
 }
 
-// TestFlagSurface pins the command line: four flags, twelve analyzers,
+// TestFlagSurface pins the command line: four flags, four analyzers,
 // and a usage error for an analyzer that does not exist.
 func TestFlagSurface(t *testing.T) {
 	var stdout, stderr strings.Builder
@@ -82,8 +82,8 @@ func TestFlagSurface(t *testing.T) {
 	if code := runMain([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list: exit %d\nstderr: %s", code, stderr.String())
 	}
-	if n := strings.Count(stdout.String(), "\n"); n != 12 {
-		t.Errorf("-list printed %d analyzers, want 12:\n%s", n, stdout.String())
+	if n := strings.Count(stdout.String(), "\n"); n != 4 {
+		t.Errorf("-list printed %d analyzers, want 4:\n%s", n, stdout.String())
 	}
 
 	stderr.Reset()

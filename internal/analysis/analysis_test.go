@@ -153,6 +153,37 @@ func TestCensusKeysDoNotAllocate(t *testing.T) {
 	if v, ok := VersionKey(&NodeObservation{ClientName: "Geth"}, "Geth"); ok {
 		t.Errorf("a name without a version has version %q", v)
 	}
+	stable := false
+	if allocs := testing.AllocsPerRun(100, func() { stable = stableVersion(version) }); allocs != 0 {
+		t.Errorf("%.0f allocations per stable check, want 0", allocs)
+	}
+	if !stable {
+		t.Errorf("%q is not stable", version)
+	}
+}
+
+// TestStableVersion pins Table 5's stable test to the release tag:
+// "-unstable" contains "stable" and must not count.
+func TestStableVersion(t *testing.T) {
+	for v, want := range map[string]bool{
+		"v1.8.11-stable":           true,
+		"v1.8.11-stable-dea1ce05":  true,
+		"v1.8.11-unstable":         false,
+		"v1.8.12-unstable-4e7d8c2": false,
+		"v1.10.4-beta":             false,
+		"v1.10.5-rc":               false,
+		"v1.8.11":                  false,
+		"stable":                   false,
+		"":                         false,
+	} {
+		if got := stableVersion(v); got != want {
+			t.Errorf("stableVersion(%q) = %v, want %v", v, got, want)
+		}
+	}
+	vc := VersionCensusOf("Geth", map[string]int{"v1.8.11-stable": 3, "v1.8.11-unstable": 1})
+	if vc.StableCount != 3 || vc.Total != 4 {
+		t.Errorf("stable %d of %d, want 3 of 4", vc.StableCount, vc.Total)
+	}
 }
 
 func TestServiceCensus(t *testing.T) {

@@ -257,7 +257,7 @@ func VersionCensusOf(client string, counts map[string]int) *VersionCensus {
 	vc := &VersionCensus{Client: client, Versions: Rank(counts)}
 	for v, c := range counts {
 		vc.Total += c
-		if strings.Contains(v, "stable") {
+		if stableVersion(v) {
 			vc.StableCount += c
 		}
 	}
@@ -265,6 +265,16 @@ func VersionCensusOf(client string, counts map[string]int) *VersionCensus {
 		vc.StableShare = float64(vc.StableCount) / float64(vc.Total)
 	}
 	return vc
+}
+
+// stableVersion reports whether version names a stable-channel release:
+// its release tag, the part after the first '-', is "stable" or starts
+// with "stable-" (Geth appends the commit, as in
+// "v1.8.11-stable-dea1ce05"). "-unstable", "-beta", "-rc" and untagged
+// versions are not stable.
+func stableVersion(version string) bool {
+	_, tag, ok := strings.Cut(version, "-")
+	return ok && (tag == "stable" || strings.HasPrefix(tag, "stable-"))
 }
 
 // DisconnectTable computes Table 1 style shares from reason counts.

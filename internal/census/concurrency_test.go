@@ -75,6 +75,13 @@ func TestSnapshotSwapUnderLoad(t *testing.T) {
 					}
 					lastEpoch = epoch
 				}
+				// A held snapshot's own fields are as frozen as its
+				// bodies: under -race a publish that writes one after
+				// the swap is a report here.
+				if s := d.Current(); s.Time.Before(s.Start) {
+					errs <- fmt.Errorf("epoch %d: time %v precedes series start %v", s.Epoch, s.Time, s.Start)
+					return
+				}
 			}
 		}(w)
 	}

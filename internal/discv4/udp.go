@@ -254,8 +254,9 @@ func (t *Transport) expireLoop() {
 		case <-t.closed:
 			t.mu.Lock()
 			for _, p := range t.pending {
-				//lint:ignore locknet errc is buffered (cap 1) and each pending entry resolves once, so the send cannot block
-				p.errc <- errors.New("discv4: transport closed") //lint:ignore boundedchan cap-1 reply slot filled exactly once per pending entry; the send can never block
+				// errc is buffered (cap 1) and each pending entry resolves
+				// once, so the send under t.mu cannot block.
+				p.errc <- errors.New("discv4: transport closed")
 			}
 			t.pending = nil
 			t.mu.Unlock()
@@ -265,8 +266,8 @@ func (t *Transport) expireLoop() {
 			kept := t.pending[:0]
 			for _, p := range t.pending {
 				if now.After(p.deadline) {
-					//lint:ignore locknet errc is buffered (cap 1) and each pending entry resolves once, so the send cannot block
-					p.errc <- errTimeout //lint:ignore boundedchan cap-1 reply slot filled exactly once per pending entry; the send can never block
+					// Cap-1 errc, resolved once: the send cannot block.
+					p.errc <- errTimeout
 				} else {
 					kept = append(kept, p)
 				}
@@ -399,8 +400,8 @@ func (t *Transport) deliver(from enode.ID, ptype byte, pkt any) {
 			consumed, done := p.matched(pkt)
 			matched = matched || consumed
 			if done {
-				//lint:ignore locknet errc is buffered (cap 1) and each pending entry resolves once, so the send cannot block
-				p.errc <- nil //lint:ignore boundedchan cap-1 reply slot filled exactly once per pending entry; the send can never block
+				// Cap-1 errc, resolved once: the send cannot block.
+				p.errc <- nil
 				continue
 			}
 		}

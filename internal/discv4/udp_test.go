@@ -28,7 +28,13 @@ func newLoopbackTransport(t *testing.T, seed int64, boot []*enode.Node) (*Transp
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { tr.Close() })
+	t.Cleanup(func() {
+		// After a failure the transport may be wedged, and Close would
+		// wait on it until the package times out.
+		if !t.Failed() {
+			tr.Close()
+		}
+	})
 	addr := conn.LocalAddr().(*net.UDPAddr)
 	self := enode.New(tr.Self(), addr.IP, uint16(addr.Port), 30303)
 	return tr, self
@@ -121,6 +127,42 @@ func TestLookupConverges(t *testing.T) {
 		}
 	}
 	t.Fatalf("lookups discovered fewer than 4/7 members")
+}
+
+// TestTransportNeverWedges: replies are resolved under t.mu on cap-1
+// slots, so a reply path that can block (a slot with no room, a lock
+// held across the wait) stalls the whole transport instead of failing.
+// Each step here must finish well inside its watchdog: a ping that is
+// answered, one that times out, and a Close with a reply still pending.
+func TestTransportNeverWedges(t *testing.T) {
+	a, _ := newLoopbackTransport(t, 42, nil)
+	_, bNode := newLoopbackTransport(t, 43, nil)
+	ghost := enode.New(enode.RandomID(rand.New(rand.NewSource(44))), net.IPv4(127, 0, 0, 1), 9, 9)
+	within := func(what string, step func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); step() }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s wedged the transport", what)
+		}
+	}
+	within("an answered ping", func() { a.Ping(bNode) })
+	within("a ping that times out", func() { a.Ping(ghost) })
+	go a.Ping(ghost)
+	within("registering a reply", func() {
+		for {
+			a.mu.Lock()
+			n := len(a.pending)
+			a.mu.Unlock()
+			if n > 0 {
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	})
+	within("closing with a reply pending", func() { a.Close() })
 }
 
 func TestTransportCloseIdempotent(t *testing.T) {

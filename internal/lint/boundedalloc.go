@@ -14,9 +14,8 @@ import (
 //
 // The analysis is ir.TaintAnalysis in pessimistic mode — the shared
 // wire-taint engine with sources disabled, so every value the engine
-// cannot prove bounded counts as attacker-sized. The module's one such
-// pass (ir.Program.PessimisticSinks) also serves boundedchan; this
-// analyzer reads its allocation and ReadAll sinks:
+// cannot prove bounded counts as attacker-sized. Its sinks are
+// allocation sizes and ReadAll calls:
 //
 //   - Constants, len/cap results, and values of small fixed-width
 //     integer types (≤ 16 bits — a 2-byte prefix cannot exceed 65535)
@@ -52,7 +51,8 @@ func (b *BoundedAlloc) Doc() string {
 // Run implements Analyzer.
 func (b *BoundedAlloc) Run(l *Loader, pkgs []*Package) []Finding {
 	var findings []Finding
-	for _, sink := range l.Program(pkgs).PessimisticSinks() {
+	eng := &ir.TaintAnalysis{Prog: l.Program(pkgs), Mode: ir.ModePessimistic}
+	for _, sink := range eng.Run() {
 		if !matchesAny(sink.Fn.Pkg.Path, b.Packages) {
 			continue
 		}

@@ -1,6 +1,6 @@
 package lint
 
-// RepoAnalyzers returns the twelve invariant analyzers configured for
+// RepoAnalyzers returns the four invariant analyzers configured for
 // this repository's contracts. module is the module path from go.mod
 // ("repro"); taking it as a parameter keeps the analyzers themselves
 // reusable against the golden testdata trees, which load under a
@@ -63,72 +63,6 @@ func RepoAnalyzers(module string) []Analyzer {
 				module + "/internal/nodefinder/mlog.ConnType",
 			},
 		},
-		&LockNet{},
-		&ConnClose{},
-		&GoroutineLife{
-			// Packages that spawn long-lived goroutines next to the
-			// connection machinery. A loop with no shutdown signal here
-			// outlives its dial slot and leaks for the rest of an
-			// 82-day crawl.
-			Packages: []string{
-				module + "/internal/nodefinder",
-				module + "/internal/discv4",
-				module + "/internal/ethnode",
-				module + "/internal/faultnet",
-				module + "/internal/simnet",
-				module + "/internal/census",
-			},
-		},
-		&DeadlineFlow{
-			// Packages whose functions perform conn I/O reachable from a
-			// dial or accept. An unarmed read here hangs a crawler slot
-			// on the first peer that stops talking mid-handshake.
-			Packages: []string{
-				module + "/internal/rlpx",
-				module + "/internal/nodefinder",
-				module + "/internal/faultnet",
-				module + "/internal/ethnode",
-			},
-		},
-		&WireSym{
-			// Packages that define RLP wire messages. Encode without a
-			// shape-matching bounded decode corrupts the census silently:
-			// the peer answers, we mis-parse, the node vanishes from the
-			// measurement as a fake protocol error.
-			Packages: []string{
-				module + "/internal/devp2p",
-				module + "/internal/eth",
-				module + "/internal/discv4",
-			},
-			RLPPkg: module + "/internal/rlp",
-		},
-		// Published values are frozen everywhere: the census Snapshot
-		// contract (write, publish via atomic.Pointer.Store or channel
-		// send, never touch again) is the only way lock-free readers
-		// stay coherent, and nothing outside the census should violate
-		// it either.
-		&FrozenPublish{},
-		&SharedState{
-			// Packages that spawn goroutines around mutable crawl state.
-			// A field reached from two goroutines without a common guard
-			// is a data race the -race CI job only catches when a test
-			// happens to interleave it; the lockset pass catches the
-			// shape statically.
-			Packages: []string{
-				module + "/internal/nodefinder",
-				module + "/internal/discv4",
-				module + "/internal/rlpx",
-				module + "/internal/simnet",
-				module + "/internal/faultnet",
-				module + "/internal/ethnode",
-				module + "/internal/census",
-			},
-		},
-		// Queue discipline is repo-wide: every buffered channel is a
-		// bounded queue, and bounded queues drop-or-degrade instead of
-		// stalling their producer (the Finder's dial queue drops and
-		// counts finder.queue_dropped when full).
-		&BoundedChan{},
 		&WireTaint{
 			// The wire codecs: their exported decode APIs are taint
 			// sources at every cross-package call site, and their own

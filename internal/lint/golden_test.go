@@ -33,17 +33,6 @@ func testAnalyzers() []Analyzer {
 			ClassifierFunc: "Classify",
 			EnumTypes:      []string{"lintest/errtaxclean/classify.Kind"},
 		},
-		&LockNet{},
-		&ConnClose{},
-		&GoroutineLife{Packages: []string{"lintest/goroutinelife"}},
-		&DeadlineFlow{Packages: []string{"lintest/deadlineflow"}},
-		&WireSym{
-			Packages: []string{"lintest/wiresym"},
-			RLPPkg:   "lintest/rlp",
-		},
-		&FrozenPublish{Packages: []string{"lintest/frozenpublish"}},
-		&SharedState{Packages: []string{"lintest/sharedstate"}},
-		&BoundedChan{Packages: []string{"lintest/boundedchan"}},
 		&WireTaint{
 			SourcePackages:  []string{"lintest/wiretaint/codec"},
 			ReportPackages:  []string{"lintest/wiretaint"},
@@ -143,7 +132,7 @@ func renderGolden(root string, findings []Finding) string {
 // twin packages must stay silent (any stray finding there is
 // unexpected by construction). And against testdata/golden.findings,
 // byte for byte — the want regexps do not pin columns, whole messages
-// or witness chains, and a refactor of the analyzers' shared substrate
+// or witness chains, and a refactor of the IR or the taint engine
 // must move none of them. A change that means to move a finding edits
 // the file by the +/- lines the failure prints, and that diff is
 // reviewed like code.
@@ -191,19 +180,11 @@ func TestGolden(t *testing.T) {
 	// package; the suppression machinery ("lint") must demonstrate its
 	// three malformed-directive shapes.
 	for name, minimum := range map[string]int{
-		"boundedalloc":  2,
-		"wallclock":     2,
-		"errtaxonomy":   2,
-		"locknet":       2,
-		"connclose":     2,
-		"goroutinelife": 3,
-		"deadlineflow":  3,
-		"wiresym":       5,
-		"lint":          5,
-		"frozenpublish": 3,
-		"sharedstate":   3,
-		"boundedchan":   3,
-		"wiretaint":     9,
+		"boundedalloc": 2,
+		"wallclock":    2,
+		"errtaxonomy":  2,
+		"lint":         5,
+		"wiretaint":    9,
 	} {
 		if perAnalyzer[name] < minimum {
 			t.Errorf("analyzer %s reported %d findings in the golden universe, want at least %d",
@@ -245,8 +226,7 @@ func lineDiff(want, got string) string {
 // TestRunIsDeterministic runs the suite several times in one process
 // over the same packages and requires identical reports: Go randomizes
 // map iteration per range statement, so a message or an order that
-// leaks map order differs between runs with high probability
-// (locknet's held-mutex list did, until it was sorted).
+// leaks map order differs between runs with high probability.
 func TestRunIsDeterministic(t *testing.T) {
 	root, l, pkgs := loadGolden(t)
 	var first string

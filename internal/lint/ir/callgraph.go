@@ -16,9 +16,6 @@ type Program struct {
 	LitOf map[*ast.FuncLit]*Func
 	// Callers lists the resolved call sites targeting each Func.
 	Callers map[*Func][]*CallSite
-
-	pessimistic     []TaintSink
-	pessimisticDone bool
 }
 
 // BuildProgram constructs CFGs for every function declaration and
@@ -93,20 +90,4 @@ func CalleeOf(pkg *Package, call *ast.CallExpr) types.Object {
 		}
 	}
 	return nil
-}
-
-// ResolveSpawn resolves the function started by a go statement: a
-// declared function/method, a named literal, or an inline literal.
-// Returns the module-local Func when available (else nil) plus the
-// callee object (nil for literals and dynamic values).
-func (p *Program) ResolveSpawn(pkg *Package, g *ast.GoStmt) (*Func, types.Object) {
-	call := g.Call
-	if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
-		return p.LitOf[lit], nil
-	}
-	obj := CalleeOf(pkg, call)
-	if obj != nil {
-		return p.FuncOf[obj], obj
-	}
-	return nil, nil
 }

@@ -217,7 +217,7 @@ func odd(n int) bool {
 	even := funcByName(t, prog, "even")
 	odd := funcByName(t, prog, "odd")
 
-	cache := Memo[*Func, bool]{MaxDepth: SummaryDepth}
+	cache := Memo[*Func, bool]{MaxDepth: 16}
 	computes := 0
 	var query func(f *Func) bool
 	query = func(f *Func) bool {

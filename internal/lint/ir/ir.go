@@ -1,22 +1,17 @@
-// Package ir is the lint driver's "SSA-lite" intermediate
-// representation: the one Package type every analyzer works against,
-// a statement-granularity control-flow graph per function, def-use
-// information, dominators, a static call graph, a generic
-// forward/backward dataflow solver, the flow-insensitive alias/escape
-// analysis, the interprocedural taint engine and the one Memo that
-// breaks call-graph recursion — everything the dataflow analyzers
-// (goroutinelife, deadlineflow, wiresym, frozenpublish, sharedstate,
-// boundedalloc, boundedchan, wiretaint) need, built only on go/ast and
-// go/types because the container is offline and golang.org/x/tools is
-// unavailable. Per-function facts (Escape, Dominators, DefUse) are
-// computed once per Func and shared by every analyzer of a run.
+// Package ir is the lint driver's intermediate representation: the one
+// Package type every analyzer works against, a static call graph over
+// every function and literal, the tight alias relation, and the
+// interprocedural taint engine that boundedalloc (pessimistic mode)
+// and wiretaint (wire mode) run, with the Memo that breaks call-graph
+// recursion in its summaries. It is built only on go/ast and go/types;
+// golang.org/x/tools is not a dependency.
 //
-// The IR is deliberately not full SSA: values are not renamed, and
-// expressions are not lowered. Blocks hold the original statements in
-// order, so analyzers keep working directly against syntax with
-// resolved types, and the CFG supplies what syntax alone cannot:
-// which statements can follow which, which loops exist, and which
-// definitions reach a use.
+// The taint engine walks syntax with resolved types and reads only
+// Func.Calls and Program.Callers. The statement-granularity CFG each
+// Func carries (cfg.go), dominators (dom.go), reaching definitions
+// (defuse.go) and the forward/backward dataflow solver (dataflow.go)
+// have no analyzer client; DESIGN.md "Static invariants" records why
+// they remain.
 package ir
 
 import (
@@ -67,40 +62,16 @@ type Func struct {
 	// stmtBlock maps each block-resident statement to its block.
 	stmtBlock map[ast.Stmt]*Block
 
-	// Per-function facts, built on first use and shared by every
-	// analyzer of the run (see Escape, Dom, DefUse).
-	escape *Escape
-	dom    []*BitSet
-	defUse *DefUse
+	// alias is the alias relation, built on first use (see Alias).
+	alias *Alias
 }
 
-// Escape returns f's alias/escape facts, building them on first use.
-func (f *Func) Escape() *Escape {
-	if f.escape == nil {
-		f.escape = BuildEscape(f)
+// Alias returns f's alias relation, building it on first use.
+func (f *Func) Alias() *Alias {
+	if f.alias == nil {
+		f.alias = BuildAlias(f)
 	}
-	return f.escape
-}
-
-// Dom returns f's dominator sets, computing them on first use.
-func (f *Func) Dom() []*BitSet {
-	if f.dom == nil {
-		f.dom = Dominators(f)
-	}
-	return f.dom
-}
-
-// DefUse returns f's reaching definitions, solving them on first use.
-func (f *Func) DefUse() *DefUse {
-	if f.defUse == nil {
-		f.defUse = BuildDefUse(f)
-	}
-	return f.defUse
-}
-
-// Position renders a position within the function's file set.
-func (f *Func) Position(pos token.Pos) token.Position {
-	return f.Pkg.Fset.Position(pos)
+	return f.alias
 }
 
 // Block is one basic-ish block: a maximal run of statements with no

@@ -17,11 +17,6 @@ type Memo[K comparable, V any] struct {
 	depth    int
 }
 
-// SummaryDepth is the MaxDepth the boolean per-function summaries use;
-// sixteen frames is far deeper than any real call chain in this
-// module.
-const SummaryDepth = 16
-
 // Get returns the cached value for key, computing it with compute on a
 // miss. cycleDefault is returned (uncached) when the query cycles back
 // into an in-progress computation or exceeds the depth bound.

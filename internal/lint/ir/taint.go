@@ -12,7 +12,7 @@ import (
 )
 
 // This file is the interprocedural taint engine the wire-facing
-// analyzers (wiretaint, boundedalloc, boundedchan) share. It answers
+// analyzers (wiretaint, boundedalloc) share. It answers
 // one question per value: can a remote peer have chosen this number?
 //
 // The lattice is three-point — Bounded < Unknown < Wire — plus a
@@ -120,10 +120,10 @@ func wireish(v TVal) bool { return v.T == TaintWire || v.Params != 0 }
 type TaintMode uint8
 
 const (
-	// ModePessimistic is boundedalloc's and boundedchan's contract: no
-	// content tracking (element/field reads and external results are
-	// Unknown), loops walked once, and every recorded sink whose value
-	// is not strictly bounded is a finding. This pins the original
+	// ModePessimistic is boundedalloc's contract: no content tracking
+	// (element/field reads and external results are Unknown), loops
+	// walked once, and every recorded sink whose value is not strictly
+	// bounded is a finding. This pins the original
 	// flow-sensitive boundedness walk, with one deliberate upgrade:
 	// module-local call results resolve through callee summaries, so a
 	// clamp inside a callee now bounds the call site.
@@ -149,7 +149,7 @@ const (
 	SinkSleep
 	// SinkSpawn: a goroutine started inside a wire-bounded loop.
 	SinkSpawn
-	// SinkChanCap: make(chan) capacity.
+	// SinkChanCap: make(chan) capacity, wire mode only.
 	SinkChanCap
 	// SinkReadAll: io.ReadAll, pessimistic mode only (no bound at all).
 	SinkReadAll
@@ -308,17 +308,6 @@ func (a *TaintAnalysis) Run() []TaintSink {
 		return out[i].Kind < out[j].Kind
 	})
 	return out
-}
-
-// PessimisticSinks is the module's one pessimistic-mode engine run,
-// computed on first use: boundedalloc and boundedchan each filter it by
-// sink kind instead of walking every function again.
-func (p *Program) PessimisticSinks() []TaintSink {
-	if !p.pessimisticDone {
-		p.pessimistic = (&TaintAnalysis{Prog: p, Mode: ModePessimistic}).Run()
-		p.pessimisticDone = true
-	}
-	return p.pessimistic
 }
 
 // ParamWire reports whether parameter idx of f (recvParam for the
@@ -547,7 +536,7 @@ func (w *taintWalker) lookup(obj types.Object, state taintState) TVal {
 	}
 	if w.a.Mode == ModeWire {
 		if tv, ok := obj.(*types.Var); ok && IsRefLike(tv.Type()) {
-			esc := w.f.Escape()
+			alias := w.f.Alias()
 			out := UnknownVal()
 			found := false
 			for o, v := range state {
@@ -555,7 +544,7 @@ func (w *taintWalker) lookup(obj types.Object, state taintState) TVal {
 				if !ok || ov == tv {
 					continue
 				}
-				if esc.MayAliasTight(tv, ov) {
+				if alias.MayAliasTight(tv, ov) {
 					out = out.Join(v)
 					found = true
 				}
@@ -1269,8 +1258,8 @@ func (w *taintWalker) evalBuiltin(b *types.Builtin, call *ast.CallExpr, state ta
 }
 
 // checkMakeSinks records the allocation-size sinks of a make call:
-// slice length/capacity and map size hints (SinkAlloc) and channel
-// capacities (SinkChanCap).
+// slice length/capacity and map size hints (SinkAlloc) and, in wire
+// mode, channel capacities (SinkChanCap).
 func (w *taintWalker) checkMakeSinks(call *ast.CallExpr, state taintState) {
 	if len(call.Args) < 2 {
 		return
@@ -1289,6 +1278,9 @@ func (w *taintWalker) checkMakeSinks(call *ast.CallExpr, state taintState) {
 		}
 		kind = SinkAlloc
 	case *types.Chan:
+		if w.a.Mode != ModeWire {
+			return
+		}
 		kind = SinkChanCap
 	default:
 		return

@@ -1,10 +1,11 @@
 // Package lint is a from-scratch static-analysis driver for this
 // repository, built only on the standard library's go/parser, go/ast,
 // and go/types (no golang.org/x/tools — the build environment is
-// offline). It enforces the repo-wide contracts the runtime test
-// suites can only check probabilistically, one analyzer each
-// (RepoAnalyzers in config.go is the configured list; DESIGN.md
-// "Static invariants" keeps each one's cost-and-catch ledger):
+// offline). It enforces the repo-wide contracts no runtime test
+// checks as well, one analyzer each (RepoAnalyzers in config.go is the
+// configured list; DESIGN.md "Static invariants" keeps each one's
+// cost-and-catch ledger, and mutations/ holds a plant each one must
+// report):
 //
 //   - boundedalloc: every wire-derived length is capped before memory
 //     is allocated for it (the bug class behind the 16 MiB-frame and
@@ -14,30 +15,13 @@
 //   - errtaxonomy: every transport sentinel error is classifiable by
 //     nodefinder's OutcomeClass, and enum-style switches are
 //     exhaustive, so no failure disappears from the census taxonomy.
-//   - locknet: no mutex is held across net.Conn I/O or blocking
-//     channel operations (the stall shape chaos tests find only by
-//     luck).
-//   - connclose: every net.Conn acquired from a dialer has Close
-//     reachable on all exit paths of the acquiring function.
-//   - goroutinelife: every spawned goroutine has a provable
-//     termination signal.
-//   - deadlineflow: conn I/O reachable from a dial or accept runs
-//     under a deadline.
-//   - wiresym: every RLP-encoded message type has a bounded,
-//     shape-matching decode counterpart.
-//   - frozenpublish: nothing reachable from a value is written after
-//     an atomic Store or channel send published it.
-//   - sharedstate: state reached from more than one goroutine is
-//     mutex-guarded, atomic, or confined.
-//   - boundedchan: channel capacities are constant or clamped, and
-//     sends into bounded queues have a select escape arm.
 //   - wiretaint: a peer-controlled value is capped before it sizes an
 //     allocation, loop, map, timer, spawn count or queue.
 //
-// The analyzers share one substrate: one Package type (ir.Package),
-// one IR per run with per-function facts computed once (package ir),
-// and one answer each to "which mutexes are held here", "what does
-// this statement write" and "what is net.Conn" (substrate.go).
+// Concurrency, conn-lifecycle and wire-symmetry contracts are held by
+// runtime tests instead (the race detector, leakcheck, the hostile
+// taxonomy and round-trip tests); DESIGN.md records which test catches
+// what.
 //
 // Findings can be suppressed with a justified inline directive:
 //

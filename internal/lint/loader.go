@@ -43,8 +43,8 @@ type Loader struct {
 	irFor  []*Package
 }
 
-// Program returns the module-wide IR (CFGs + call graph) for pkgs,
-// building it on first use and sharing it between the dataflow
+// Program returns the module-wide IR (functions and call graph) for
+// pkgs, building it on first use and sharing it between the taint
 // analyzers of one run.
 func (l *Loader) Program(pkgs []*Package) *ir.Program {
 	if l.irProg != nil && slices.Equal(l.irFor, pkgs) {
@@ -225,8 +225,8 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 }
 
 // loadStd type-checks a standard-library package from $GOROOT source.
-// No detailed type info is recorded; analyzers only need the exported
-// object graph (e.g. the net.Conn interface) from std.
+// No detailed type info is recorded: checking the module's packages
+// needs only std's exported object graph.
 func (l *Loader) loadStd(path string) (*types.Package, error) {
 	if p, ok := l.stdPkgs[path]; ok {
 		return p, nil
@@ -277,22 +277,6 @@ func (l *Loader) parseFiles(dir string, names []string) ([]*ast.File, error) {
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// StdType looks up a named type exported by a standard-library
-// package, e.g. StdType("net", "Conn"). Analyzers use it to compare
-// against interfaces like net.Conn without importing them at lint
-// runtime.
-func (l *Loader) StdType(pkgPath, name string) (types.Type, error) {
-	p, err := l.loadStd(pkgPath)
-	if err != nil {
-		return nil, err
-	}
-	obj := p.Scope().Lookup(name)
-	if obj == nil {
-		return nil, fmt.Errorf("lint: %s.%s not found", pkgPath, name)
-	}
-	return obj.Type(), nil
 }
 
 // RelPath renders an absolute file path relative to the module root,

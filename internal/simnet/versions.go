@@ -117,22 +117,3 @@ func (w *World) ClientNameAt(n *SimNode, t time.Time) string {
 		return "unknown-client/v0.1"
 	}
 }
-
-// ParseClientVersion splits a client identifier into implementation
-// and version, the way the paper's census does.
-func ParseClientVersion(name string) (client, version string) {
-	parts := strings.Split(name, "/")
-	if len(parts) == 0 {
-		return "unknown", ""
-	}
-	client = parts[0]
-	if len(parts) > 1 {
-		version = parts[1]
-	}
-	return client, version
-}
-
-// IsStableVersion classifies a version string the way Table 5 does.
-func IsStableVersion(version string) bool {
-	return strings.Contains(version, "stable")
-}

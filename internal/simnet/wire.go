@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/devp2p"
-	"repro/internal/enode"
 	"repro/internal/eth"
 	"repro/internal/faultnet"
 	"repro/internal/metrics"
@@ -302,7 +301,3 @@ func (w *World) headersFor(n *SimNode, now time.Time, req *eth.GetBlockHeaders) 
 	}
 	return headers
 }
-
-// WireNode exposes a node's enode record by index — convenience for
-// tests that seed discovery with the wire world's population.
-func (w *World) WireNode(i int) *enode.Node { return w.Nodes[i].Node }

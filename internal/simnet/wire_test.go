@@ -27,7 +27,13 @@ func wireWorld(t *testing.T, seed int64, reg *metrics.Registry) *simnet.World {
 	cfg.WireFidelity = true
 	cfg.Metrics = reg
 	w := simnet.NewWorld(cfg)
-	t.Cleanup(w.CloseWire)
+	t.Cleanup(func() {
+		// After a failure a serving goroutine may be stuck for good, and
+		// CloseWire would wait on it until the package times out.
+		if !t.Failed() {
+			w.CloseWire()
+		}
+	})
 	return w
 }
 
@@ -241,6 +247,9 @@ func TestPromoteDemoteChurn(t *testing.T) {
 			break
 		}
 	}
+	// Every dialer has hung up, so every serving goroutine must demote
+	// on its own; CloseWire would sever a stuck one and hide it.
+	waitDemoted(t, w, 0)
 	w.CloseWire()
 	if active := w.PromotedActive(); active != 0 {
 		t.Fatalf("%d connections still promoted after CloseWire", active)

@@ -79,6 +79,7 @@ nextG:
 type TB interface {
 	Cleanup(func())
 	Errorf(format string, args ...any)
+	Failed() bool
 	Helper()
 }
 
@@ -98,6 +99,9 @@ func Window(d time.Duration) Option {
 // Check snapshots the current goroutines and registers a cleanup that
 // fails t if goroutines created during the test outlive it. Call it
 // first thing in any test that starts listeners, dialers, or nodes.
+// A test that has already failed gets its survivors reported at once:
+// its teardown may never stop them, and waiting out the window would
+// only delay the failure.
 func Check(t TB, options ...Option) {
 	t.Helper()
 	o := opts{window: 5 * time.Second}
@@ -106,7 +110,11 @@ func Check(t TB, options ...Option) {
 	}
 	before := interestingGoroutines()
 	t.Cleanup(func() {
-		leaked := diffRetry(before, o.window)
+		window := o.window
+		if t.Failed() {
+			window = 0
+		}
+		leaked := diffRetry(before, window)
 		if len(leaked) == 0 {
 			return
 		}

@@ -11,13 +11,15 @@ import (
 type recorder struct {
 	cleanups []func()
 	failures []string
+	failed   bool // the "test" failed before its cleanups ran
 }
 
 func (r *recorder) Cleanup(fn func()) { r.cleanups = append(r.cleanups, fn) }
 func (r *recorder) Errorf(format string, args ...any) {
 	r.failures = append(r.failures, fmt.Sprintf(format, args...))
 }
-func (r *recorder) Helper() {}
+func (r *recorder) Failed() bool { return r.failed || len(r.failures) > 0 }
+func (r *recorder) Helper()      {}
 func (r *recorder) runCleanups() {
 	for _, fn := range r.cleanups {
 		fn()
@@ -42,6 +44,24 @@ func TestLeakedGoroutineDetected(t *testing.T) {
 	close(stop)
 	if len(rec.failures) == 0 {
 		t.Fatal("leaked goroutine not detected")
+	}
+}
+
+// TestFailedTestSkipsWindow: a test that already failed reports its
+// survivors without waiting out the retry window.
+func TestFailedTestSkipsWindow(t *testing.T) {
+	rec := &recorder{failed: true}
+	Check(rec, Window(time.Minute))
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() { <-stop }()
+	start := time.Now()
+	rec.runCleanups()
+	if len(rec.failures) == 0 {
+		t.Fatal("leaked goroutine not reported")
+	}
+	if waited := time.Since(start); waited > 5*time.Second {
+		t.Errorf("cleanup of a failed test waited %v", waited)
 	}
 }
 
