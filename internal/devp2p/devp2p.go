@@ -13,7 +13,7 @@ package devp2p
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/enode"
@@ -234,37 +234,38 @@ func SendPong(rw MsgReadWriter) error { return rw.WriteMsg(PongMsg, []byte{0xC0}
 // offsets. Both sides sort shared caps by name (then version) and
 // stack their message spaces above the base protocol, so equal HELLOs
 // yield equal offsets on both ends. For equal names the highest
-// shared version wins.
+// shared version wins. A name lengths does not list gets 16 codes.
+//
+// Cap lists are a handful of entries, so MatchCaps scans them rather
+// than building a map, and keeps the result sorted as it grows: the
+// result slice is its only allocation.
 func MatchCaps(ours, theirs []Cap, lengths map[string]uint64) []NegotiatedCap {
-	// Highest mutual version per name.
-	best := map[string]uint{}
-	for _, oc := range ours {
-		for _, tc := range theirs {
-			if oc.Name == tc.Name && oc.Version == tc.Version {
-				if v, ok := best[oc.Name]; !ok || oc.Version > v {
-					best[oc.Name] = oc.Version
-				}
-			}
-		}
-	}
-	names := make([]string, 0, len(best))
-	for name := range best {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
 	var out []NegotiatedCap
+	for _, oc := range ours {
+		if !slices.Contains(theirs, oc) {
+			continue
+		}
+		i := 0
+		for i < len(out) && out[i].Name < oc.Name {
+			i++
+		}
+		if i < len(out) && out[i].Name == oc.Name {
+			out[i].Version = max(out[i].Version, oc.Version)
+			continue
+		}
+		if out == nil {
+			// Every shared name is in both lists once at least.
+			out = make([]NegotiatedCap, 0, min(len(ours), len(theirs)))
+		}
+		out = slices.Insert(out, i, NegotiatedCap{Cap: oc})
+	}
 	offset := BaseProtocolLength
-	for _, name := range names {
-		length := lengths[name]
+	for i := range out {
+		length := lengths[out[i].Name]
 		if length == 0 {
 			length = 16 // conservative default message space
 		}
-		out = append(out, NegotiatedCap{
-			Cap:    Cap{Name: name, Version: best[name]},
-			Offset: offset,
-			Length: length,
-		})
+		out[i].Offset, out[i].Length = offset, length
 		offset += length
 	}
 	return out

@@ -3,6 +3,7 @@ package devp2p
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/enode"
@@ -133,23 +134,6 @@ func TestReasonStrings(t *testing.T) {
 	}
 }
 
-func TestMatchCaps(t *testing.T) {
-	ours := []Cap{{"eth", 62}, {"eth", 63}, {"shh", 2}, {"bzz", 1}}
-	theirs := []Cap{{"eth", 63}, {"les", 2}, {"shh", 2}}
-	lengths := map[string]uint64{"eth": 17, "shh": 300}
-	got := MatchCaps(ours, theirs, lengths)
-	if len(got) != 2 {
-		t.Fatalf("got %v", got)
-	}
-	// Alphabetical: eth before shh.
-	if got[0].Name != "eth" || got[0].Version != 63 || got[0].Offset != BaseProtocolLength || got[0].Length != 17 {
-		t.Errorf("eth: %+v", got[0])
-	}
-	if got[1].Name != "shh" || got[1].Offset != BaseProtocolLength+17 {
-		t.Errorf("shh: %+v", got[1])
-	}
-}
-
 func TestMatchCapsHighestVersion(t *testing.T) {
 	ours := []Cap{{"eth", 62}, {"eth", 63}}
 	theirs := []Cap{{"eth", 62}, {"eth", 63}}
@@ -162,6 +146,59 @@ func TestMatchCapsHighestVersion(t *testing.T) {
 func TestMatchCapsNone(t *testing.T) {
 	if got := MatchCaps([]Cap{{"eth", 63}}, []Cap{{"exp", 1}}, nil); len(got) != 0 {
 		t.Fatalf("got %v", got)
+	}
+}
+
+// TestMatchCaps: shared names sorted whatever order either side lists
+// them in, the highest version both sides share (not the highest either
+// side has), offsets stacked above the base protocol, and the 16-code
+// default for a name the lengths map does not know.
+func TestMatchCaps(t *testing.T) {
+	type nc = NegotiatedCap
+	const base = BaseProtocolLength
+	lengths := map[string]uint64{"eth": 17, "les": 21}
+	cases := []struct {
+		name         string
+		ours, theirs []Cap
+		want         []NegotiatedCap
+	}{
+		{"eth and shh", []Cap{{"eth", 62}, {"eth", 63}, {"shh", 2}, {"bzz", 1}}, []Cap{{"eth", 63}, {"les", 2}, {"shh", 2}},
+			[]nc{{Cap{"eth", 63}, base, 17}, {Cap{"shh", 2}, base + 17, 16}}},
+		{"empty", nil, nil, nil},
+		{"one side empty", []Cap{{"eth", 63}}, nil, nil},
+		{"no version in common", []Cap{{"eth", 62}}, []Cap{{"eth", 63}}, nil},
+		{"eth only", []Cap{{"eth", 62}, {"eth", 63}}, []Cap{{"eth", 62}, {"eth", 63}},
+			[]nc{{Cap{"eth", 63}, base, 17}}},
+		{"highest shared, not highest offered", []Cap{{"eth", 64}, {"eth", 62}}, []Cap{{"eth", 62}, {"eth", 65}, {"eth", 64}},
+			[]nc{{Cap{"eth", 64}, base, 17}}},
+		{"sorted by name, unknown name gets 16", []Cap{{"shh", 2}, {"les", 2}, {"eth", 63}, {"bzz", 1}},
+			[]Cap{{"les", 2}, {"bzz", 1}, {"shh", 2}, {"eth", 63}},
+			[]nc{{Cap{"bzz", 1}, base, 16}, {Cap{"eth", 63}, base + 16, 17}, {Cap{"les", 2}, base + 33, 21}, {Cap{"shh", 2}, base + 54, 16}}},
+		{"duplicates on both sides", []Cap{{"les", 1}, {"les", 1}, {"les", 2}}, []Cap{{"les", 2}, {"les", 1}, {"les", 2}},
+			[]nc{{Cap{"les", 2}, base, 21}}},
+		{"empty name sorts first", []Cap{{"eth", 63}, {"", 1}}, []Cap{{"", 1}, {"eth", 63}},
+			[]nc{{Cap{"", 1}, base, 16}, {Cap{"eth", 63}, base + 16, 17}}},
+	}
+	for _, tc := range cases {
+		got := MatchCaps(tc.ours, tc.theirs, lengths)
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+		// Negotiation is symmetric: the other end computes the same.
+		if back := MatchCaps(tc.theirs, tc.ours, lengths); !slices.Equal(back, got) {
+			t.Errorf("%s: the two ends disagree: %+v against %+v", tc.name, back, got)
+		}
+	}
+}
+
+// TestMatchCapsAllocatesOnlyResult: a handshake's negotiation costs
+// the slice it returns and nothing else.
+func TestMatchCapsAllocatesOnlyResult(t *testing.T) {
+	ours := []Cap{{"eth", 62}, {"eth", 63}, {"les", 2}}
+	theirs := []Cap{{"les", 2}, {"eth", 63}, {"eth", 62}, {"pip", 1}}
+	lengths := map[string]uint64{"eth": 17}
+	if n := testing.AllocsPerRun(100, func() { MatchCaps(ours, theirs, lengths) }); n > 1 {
+		t.Fatalf("MatchCaps allocates %.1f objects, want at most 1", n)
 	}
 }
 

@@ -33,6 +33,10 @@ import (
 	"repro/internal/rlpx"
 )
 
+// ethCapLengths gives MatchCaps the message space of eth, the one
+// subprotocol spoken here. Read-only: every handshake shares it.
+var ethCapLengths = map[string]uint64{eth.ProtocolName: eth.ProtocolLength}
+
 // TxRelayPolicy selects which peers receive transaction broadcasts.
 type TxRelayPolicy int
 
@@ -387,7 +391,7 @@ func (n *Node) runSession(conn *rlpx.Conn) {
 	// Capability match; useless peers are cut loose like Geth does.
 	// ethCap is read concurrently by the broadcast loop, so the
 	// assignment happens under the node lock.
-	caps := devp2p.MatchCaps(ours.Caps, theirs.Caps, map[string]uint64{eth.ProtocolName: eth.ProtocolLength})
+	caps := devp2p.MatchCaps(ours.Caps, theirs.Caps, ethCapLengths)
 	var ethCap *devp2p.NegotiatedCap
 	for i := range caps {
 		if caps[i].Name == eth.ProtocolName {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/nodefinder/mlog"
 )
 
 // TestQuickSuiteShapes runs the scaled-down full suite and requires
@@ -129,5 +131,35 @@ func TestRunCrawlSanitization(t *testing.T) {
 	}
 	if len(run.Sanitized) >= len(run.Nodes) {
 		t.Error("sanitization removed nothing")
+	}
+}
+
+// TestFig8TieBreakIsDeterministic: when several nodes tie for the most
+// static dials, Figure 8 follows the smallest ID every time, not
+// whichever the map hands out first.
+func TestFig8TieBreakIsDeterministic(t *testing.T) {
+	start := time.Date(2018, 4, 18, 0, 0, 0, 0, time.UTC)
+	run := &LongRun{Start: start, Days: 2}
+	ids := []string{"f0", "3c", "a7", "19", "d2", "5e", "88", "2b"}
+	for i, prefix := range ids {
+		id := prefix + strings.Repeat("0", 126)
+		for k := 0; k < 96; k++ { // 48 static dials/day, the ceiling
+			at := start.Add(time.Duration(k)*30*time.Minute + time.Duration(i)*time.Second)
+			run.Entries = append(run.Entries, &mlog.Entry{Time: at, NodeID: id, ConnType: mlog.ConnStaticDial})
+		}
+		run.Entries = append(run.Entries, &mlog.Entry{Time: start, NodeID: id, ConnType: mlog.ConnDynamicDial})
+	}
+	// A node below the ceiling never wins.
+	run.Entries = append(run.Entries, &mlog.Entry{Time: start, NodeID: "00" + strings.Repeat("0", 126), ConnType: mlog.ConnStaticDial})
+
+	want := "Most-redialed node: 19" + strings.Repeat("0", 14) + "…"
+	first := Fig8(run).Text
+	if !strings.HasPrefix(first, want) {
+		t.Fatalf("Fig8 picked\n%s\nwant the smallest tied ID: %s", first, want)
+	}
+	for i := 0; i < 20; i++ {
+		if got := Fig8(run).Text; got != first {
+			t.Fatalf("run %d rendered\n%s\nafter\n%s", i, got, first)
+		}
 	}
 }

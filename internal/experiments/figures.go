@@ -158,6 +158,8 @@ func Fig6And7(run *LongRun) *Result {
 // dials/day (30-minute interval), a few dynamic.
 func Fig8(run *LongRun) *Result {
 	// Pick the node with the most static dials as the "bootstrap".
+	// Many nodes tie at the 48/day ceiling; the smallest ID wins, so
+	// the choice does not follow map order.
 	staticCount := map[string]int{}
 	for _, e := range run.Entries {
 		if e.ConnType == mlog.ConnStaticDial {
@@ -166,7 +168,7 @@ func Fig8(run *LongRun) *Result {
 	}
 	bootID, best := "", 0
 	for id, c := range staticCount {
-		if c > best {
+		if c > best || c == best && id < bootID {
 			bootID, best = id, c
 		}
 	}

@@ -18,6 +18,10 @@ import (
 	"repro/internal/simclock"
 )
 
+// ethCapLengths gives MatchCaps the message space of eth, the one
+// subprotocol spoken here. Read-only: every handshake shares it.
+var ethCapLengths = map[string]uint64{eth.ProtocolName: eth.ProtocolLength}
+
 // RealDiscovery adapts a discv4.Transport to the Discovery interface.
 type RealDiscovery struct {
 	T *discv4.Transport
@@ -161,7 +165,7 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 	}
 
 	// Without a shared eth capability there is nothing more to learn.
-	caps := devp2p.MatchCaps(hello.Caps, theirs.Caps, map[string]uint64{eth.ProtocolName: eth.ProtocolLength})
+	caps := devp2p.MatchCaps(hello.Caps, theirs.Caps, ethCapLengths)
 	var ethCap *devp2p.NegotiatedCap
 	for i := range caps {
 		if caps[i].Name == eth.ProtocolName {

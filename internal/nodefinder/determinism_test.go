@@ -116,15 +116,15 @@ func TestCrawlLogGolden(t *testing.T) {
 
 // TestCrawlAllocsPerConn: the whole crawl — discovery, scheduler,
 // node table, clock, simulated dialer, log record and JSON encode —
-// may allocate at most 8.5 objects per connection. One lookup chain,
-// as in the Finder's default: a lookup costs its five objects whether
+// may allocate at most 5.5 objects per connection. One lookup chain,
+// as in the Finder's default: a lookup costs its three objects whether
 // or not a 2,000-node world still has anyone new to return, so four
 // chains would mostly measure discovery.
 func TestCrawlAllocsPerConn(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own account")
 	}
-	const budget = 8.5
+	const budget = 5.5
 	out := goldenCrawl(t, 256, 1)
 	perConn := float64(out.mallocs) / float64(out.lines)
 	t.Logf("%d allocations / %d records = %.2f per connection", out.mallocs, out.lines, perConn)

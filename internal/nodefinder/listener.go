@@ -125,7 +125,7 @@ func (l *Listener) handle(fd net.Conn) {
 	}
 
 	// If the peer shares eth, exchange STATUS to learn its chain.
-	caps := devp2p.MatchCaps(l.Hello.Caps, theirs.Caps, map[string]uint64{eth.ProtocolName: eth.ProtocolLength})
+	caps := devp2p.MatchCaps(l.Hello.Caps, theirs.Caps, ethCapLengths)
 	for i := range caps {
 		if caps[i].Name != eth.ProtocolName {
 			continue

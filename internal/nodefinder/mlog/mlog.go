@@ -117,25 +117,29 @@ func (c *Collector) Len() int {
 	return len(c.entries)
 }
 
-// Writer is a Sink that streams JSON lines to an io.Writer.
+// Writer is a Sink that streams JSON lines to an io.Writer. Each line
+// is the one json.NewEncoder(w).Encode(e) would write, byte for byte
+// (Entry.AppendJSON), rendered into one reused buffer, so a record
+// allocates nothing.
 type Writer struct {
 	mu  sync.Mutex
 	w   *bufio.Writer
-	enc *json.Encoder
+	buf []byte
 }
 
 // NewWriter wraps w as a JSONL sink.
 func NewWriter(w io.Writer) *Writer {
-	bw := bufio.NewWriter(w)
-	return &Writer{w: bw, enc: json.NewEncoder(bw)}
+	return &Writer{w: bufio.NewWriter(w)}
 }
 
-// Record implements Sink. Encoding errors are deliberately dropped;
-// measurement must not crash the crawler.
+// Record implements Sink. A record that cannot be encoded and write
+// errors are deliberately dropped; measurement must not crash the
+// crawler.
 func (w *Writer) Record(e *Entry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.enc.Encode(e) //nolint:errcheck
+	w.buf = e.AppendJSON(w.buf[:0])
+	w.w.Write(w.buf) //nolint:errcheck
 }
 
 // Flush drains buffered output.

@@ -66,6 +66,17 @@ type systemTimer struct{ t *time.Timer }
 
 func (t systemTimer) Stop() bool { return t.t.Stop() }
 
+// Event is a callback scheduled on a Simulated clock with Schedule.
+// A type that carries its own state can be its own Event, so that
+// scheduling it allocates nothing.
+type Event interface{ Fire() }
+
+// funcEvent adapts a plain function to Event; a func value fits in an
+// interface without an allocation.
+type funcEvent func()
+
+func (f funcEvent) Fire() { f() }
+
 // Simulated is a virtual clock. Time only moves when Advance or Run
 // is called; due callbacks execute on the advancing goroutine in
 // timestamp order (ties broken by scheduling order), giving fully
@@ -75,11 +86,24 @@ type Simulated struct {
 	start time.Time
 	now   time.Duration // virtual time elapsed since start
 	seq   uint64
-	// heap is a min-heap by (at, seq) of the live timers only: a fired
-	// or stopped timer leaves it at once, so a crawl that re-arms
-	// 100k static timers every half hour does not sift through the
-	// cancelled ones.
-	heap []*simTimer
+	// heap is a min-heap by (at, seq) of the live events only, held by
+	// value: a fired or stopped timer leaves it at once, so a crawl that
+	// re-arms 100k static timers every half hour does not sift through
+	// the cancelled ones.
+	heap []event
+}
+
+// event is one heap slot. t is the stoppable handle AfterFunc returned
+// for it, kept told of the slot's position; nil for a Schedule call.
+type event struct {
+	at  time.Duration // deadline, as virtual time since the clock's start
+	seq uint64
+	ev  Event
+	t   *simTimer
+}
+
+func (e *event) before(u *event) bool {
+	return e.at < u.at || e.at == u.at && e.seq < u.seq
 }
 
 // NewSimulated creates a simulated clock starting at the given time.
@@ -99,19 +123,33 @@ func (c *Simulated) Since(t time.Time) time.Duration {
 	return c.Now().Sub(t)
 }
 
-// AfterFunc implements Clock. The callback runs synchronously inside
-// a future Advance/Run call.
+// Schedule arranges for ev.Fire to run after d, synchronously inside a
+// future Advance/Run call, in the same (deadline, scheduling) order as
+// AfterFunc callbacks. It is for callbacks nobody stops: there is no
+// handle, and nothing is allocated beyond the heap's own growth.
+func (c *Simulated) Schedule(d time.Duration, ev Event) {
+	c.mu.Lock()
+	c.push(d, ev, nil)
+	c.mu.Unlock()
+}
+
+// AfterFunc implements Clock: Schedule with a handle that can stop it.
 func (c *Simulated) AfterFunc(d time.Duration, fn func()) Timer {
+	t := &simTimer{clock: c}
+	c.mu.Lock()
+	c.push(d, funcEvent(fn), t)
+	c.mu.Unlock()
+	return t
+}
+
+// push adds an event due d from now. Caller holds c.mu.
+func (c *Simulated) push(d time.Duration, ev Event, t *simTimer) {
 	if d < 0 {
 		d = 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &simTimer{clock: c, at: c.now + d, seq: c.seq, fn: fn, index: len(c.heap)}
+	c.heap = append(c.heap, event{at: c.now + d, seq: c.seq, ev: ev, t: t})
 	c.seq++
-	c.heap = append(c.heap, t)
-	c.up(t.index)
-	return t
+	c.up(len(c.heap) - 1)
 }
 
 // Advance moves the clock forward by d, firing all callbacks due in
@@ -141,7 +179,7 @@ func (c *Simulated) RunAll(limit int) int {
 	return fired
 }
 
-// fireNext runs the earliest timer due at or before limit, with the
+// fireNext runs the earliest event due at or before limit, with the
 // clock moved to its deadline, and reports whether there was one. With
 // nothing due and settle set, the clock moves on to limit.
 func (c *Simulated) fireNext(limit time.Duration, settle bool) bool {
@@ -153,13 +191,13 @@ func (c *Simulated) fireNext(limit time.Duration, settle bool) bool {
 		c.mu.Unlock()
 		return false
 	}
-	t := c.heap[0]
+	at, ev := c.heap[0].at, c.heap[0].ev
 	c.remove(0)
-	if t.at > c.now {
-		c.now = t.at
+	if at > c.now {
+		c.now = at
 	}
 	c.mu.Unlock()
-	t.fn()
+	ev.Fire()
 	return true
 }
 
@@ -181,11 +219,9 @@ func (c *Simulated) NextDeadline() (time.Time, bool) {
 	return c.start.Add(c.heap[0].at), true
 }
 
+// simTimer is AfterFunc's handle on its heap slot.
 type simTimer struct {
 	clock *Simulated
-	at    time.Duration // deadline, as virtual time since the clock's start
-	seq   uint64
-	fn    func()
 	index int // position in clock.heap; -1 once fired or stopped
 }
 
@@ -201,47 +237,51 @@ func (t *simTimer) Stop() bool {
 	return true
 }
 
-func (t *simTimer) before(u *simTimer) bool {
-	return t.at < u.at || t.at == u.at && t.seq < u.seq
-}
-
-// remove takes the timer at heap position i out. Caller holds c.mu.
+// remove takes the event at heap position i out. Caller holds c.mu.
 func (c *Simulated) remove(i int) {
 	h, last := c.heap, len(c.heap)-1
-	h[i].index = -1
+	if t := h[i].t; t != nil {
+		t.index = -1
+	}
 	moved := h[last]
-	h[last] = nil
+	h[last] = event{}
 	c.heap = h[:last]
 	if i != last {
 		h[i] = moved
-		c.down(i)
-		c.up(moved.index)
+		c.up(c.down(i))
 	}
 }
 
-// up and down sift the timer at heap position i into place.
+// place puts e at heap position i and tells its handle. Caller holds
+// c.mu.
+func (c *Simulated) place(i int, e event) {
+	c.heap[i] = e
+	if e.t != nil {
+		e.t.index = i
+	}
+}
+
+// up and down sift the event at heap position i into place; down
+// returns where it came to rest.
 func (c *Simulated) up(i int) {
-	h, t := c.heap, c.heap[i]
-	for parent := (i - 1) / 2; i > 0 && t.before(h[parent]); i, parent = parent, (parent-1)/2 {
-		h[i] = h[parent]
-		h[i].index = i
+	h, e := c.heap, c.heap[i]
+	for parent := (i - 1) / 2; i > 0 && e.before(&h[parent]); i, parent = parent, (parent-1)/2 {
+		c.place(i, h[parent])
 	}
-	h[i] = t
-	t.index = i
+	c.place(i, e)
 }
 
-func (c *Simulated) down(i int) {
-	h, t := c.heap, c.heap[i]
+func (c *Simulated) down(i int) int {
+	h, e := c.heap, c.heap[i]
 	for child := 2*i + 1; child < len(h); i, child = child, 2*child+1 {
-		if r := child + 1; r < len(h) && h[r].before(h[child]) {
+		if r := child + 1; r < len(h) && h[r].before(&h[child]) {
 			child = r
 		}
-		if !h[child].before(t) {
+		if !h[child].before(&e) {
 			break
 		}
-		h[i] = h[child]
-		h[i].index = i
+		c.place(i, h[child])
 	}
-	h[i] = t
-	t.index = i
+	c.place(i, e)
+	return i
 }

@@ -186,42 +186,57 @@ func TestNegativeDelay(t *testing.T) {
 	}
 }
 
-// checkHeap: every timer in the heap is live, sits where its index
-// says, and no child is due before its parent.
+// checkHeap: every heap slot holds an event, a slot with a handle sits
+// where the handle says, and no event is due before its parent.
 func checkHeap(t *testing.T, c *Simulated) {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, tm := range c.heap {
-		if tm.index != i {
-			t.Fatalf("heap[%d] believes it is at %d", i, tm.index)
+	for i := range c.heap {
+		e := &c.heap[i]
+		if e.ev == nil {
+			t.Fatalf("heap[%d] has no event", i)
 		}
-		if i > 0 && tm.before(c.heap[(i-1)/2]) {
+		if e.t != nil && e.t.index != i {
+			t.Fatalf("heap[%d] believes it is at %d", i, e.t.index)
+		}
+		if i > 0 && e.before(&c.heap[(i-1)/2]) {
 			t.Fatalf("heap[%d] is due before its parent", i)
 		}
 	}
 }
 
+// probe is a test event: it logs itself when it fires. tm is its
+// handle when it was armed with AfterFunc, nil after Schedule.
+type probe struct {
+	tm      Timer
+	at      time.Duration
+	seq     int
+	stopped bool
+	log     *[]*probe
+}
+
+func (p *probe) Fire() { *p.log = append(*p.log, p) }
+
 // TestStopRemovesFromHeap: a stopped timer leaves the heap at once —
-// it is not left to be skipped when its deadline comes up — and the
-// timers around it still fire in (deadline, scheduling) order.
+// it is not left to be skipped when its deadline comes up — while
+// handle-less Schedule events push the timers about, and everything
+// around it still fires in (deadline, scheduling) order.
 func TestStopRemovesFromHeap(t *testing.T) {
 	c := NewSimulated(epoch)
 	rng := rand.New(rand.NewSource(3))
-	type armed struct {
-		tm      Timer
-		at      time.Duration
-		seq     int
-		stopped bool
+	var all, timers, fired []*probe
+	for i := 0; i < 3000; i++ {
+		a := &probe{at: time.Duration(rng.Intn(500)) * time.Second, seq: i, log: &fired}
+		if i%3 == 0 {
+			c.Schedule(a.at, a)
+		} else {
+			a.tm = c.AfterFunc(a.at, a.Fire)
+			timers = append(timers, a)
+		}
+		all = append(all, a)
 	}
-	var timers []*armed
-	var fired []*armed
-	for i := 0; i < 2000; i++ {
-		a := &armed{at: time.Duration(rng.Intn(500)) * time.Second, seq: i}
-		a.tm = c.AfterFunc(a.at, func() { fired = append(fired, a) })
-		timers = append(timers, a)
-	}
-	live := len(timers)
+	live := len(all)
 	for _, i := range rng.Perm(len(timers))[:1200] {
 		if !timers[i].tm.Stop() {
 			t.Fatal("Stop on an armed timer reported false")
@@ -241,10 +256,10 @@ func TestStopRemovesFromHeap(t *testing.T) {
 			t.Fatal("a stopped timer is still in the heap")
 		}
 	}
-	// NextDeadline is the earliest live timer's, with no stopped one
+	// NextDeadline is the earliest live event's, with no stopped one
 	// in the way.
 	want := time.Duration(-1)
-	for _, a := range timers {
+	for _, a := range all {
 		if !a.stopped && (want < 0 || a.at < want) {
 			want = a.at
 		}
@@ -254,7 +269,7 @@ func TestStopRemovesFromHeap(t *testing.T) {
 	}
 
 	if n := c.Advance(time.Hour); n != live {
-		t.Fatalf("fired %d, want the %d live timers", n, live)
+		t.Fatalf("fired %d, want the %d live events", n, live)
 	}
 	for i, a := range fired {
 		if a.stopped {
@@ -263,7 +278,7 @@ func TestStopRemovesFromHeap(t *testing.T) {
 		if i > 0 && (fired[i-1].at > a.at || fired[i-1].at == a.at && fired[i-1].seq > a.seq) {
 			t.Fatalf("fired out of order: (%v, #%d) before (%v, #%d)", fired[i-1].at, fired[i-1].seq, a.at, a.seq)
 		}
-		if a.tm.Stop() {
+		if a.tm != nil && a.tm.Stop() {
 			t.Fatal("Stop after firing reported true")
 		}
 	}
@@ -293,5 +308,51 @@ func TestStopFromCallback(t *testing.T) {
 	second = c.AfterFunc(time.Second, func() { secondFired = true })
 	if n := c.Advance(time.Minute); n != 1 || secondFired {
 		t.Fatalf("fired %d callbacks, second fired: %v", n, secondFired)
+	}
+}
+
+// TestScheduleAndAfterFuncShareOrder: Schedule and AfterFunc feed one
+// queue, so at equal deadlines they fire in the order they were
+// scheduled, whichever call scheduled them.
+func TestScheduleAndAfterFuncShareOrder(t *testing.T) {
+	c := NewSimulated(epoch)
+	var fired []*probe
+	early := &probe{seq: -1, log: &fired}
+	for i := 0; i < 12; i++ {
+		p := &probe{seq: i, log: &fired}
+		if i%2 == 0 {
+			c.Schedule(time.Second, p)
+		} else {
+			c.AfterFunc(time.Second, p.Fire)
+		}
+	}
+	c.Schedule(-time.Second, early) // clamped to now: fires first
+	if n := c.Advance(time.Second); n != 13 {
+		t.Fatalf("fired %d, want 13", n)
+	}
+	for i, p := range fired {
+		if p.seq != i-1 {
+			t.Fatalf("#%d fired in place %d, want -1, 0, 1, …, 11 in order", p.seq, i)
+		}
+	}
+}
+
+// TestScheduleAllocatesNothing: once the heap has grown, scheduling an
+// Event and firing it costs no allocation.
+func TestScheduleAllocatesNothing(t *testing.T) {
+	c := NewSimulated(epoch)
+	fired := make([]*probe, 0, 1024)
+	p := &probe{log: &fired}
+	for i := 0; i < 64; i++ {
+		c.Schedule(time.Second, p)
+	}
+	c.Advance(time.Second)
+	n := testing.AllocsPerRun(100, func() {
+		c.Schedule(time.Second, p)
+		c.Schedule(2*time.Second, p)
+		c.Advance(2 * time.Second)
+	})
+	if n != 0 {
+		t.Fatalf("Schedule and fire allocate %.1f objects, want 0", n)
 	}
 }

@@ -87,7 +87,8 @@ func (d *SimDiscovery) Lookup(target enode.ID, done func([]*enode.Node)) {
 	// table entries). This staleness is why only ≈31% of dialed
 	// nodes respond (Figures 6-7).
 	now := d.W.Clock.Now()
-	found := make([]*enode.Node, 0, 16)
+	l := &simLookup{done: done}
+	found := l.nodes[:0]
 	population := d.W.Nodes
 	if len(population) > 0 {
 		for try := 0; try < 96 && len(found) < cap(found); try++ {
@@ -105,8 +106,22 @@ func (d *SimDiscovery) Lookup(target enode.ID, done func([]*enode.Node)) {
 		}
 	}
 	d.mu.Unlock()
-	d.W.Clock.AfterFunc(dur, func() { done(found) })
+	l.n = len(found)
+	d.W.Clock.Schedule(dur, l)
 }
+
+// simLookup is one discovery round in flight, and the one object it
+// allocates: the array its result lives in and the completion it owes.
+// It keeps a count rather than a slice header, which holds it to 144
+// bytes: at 160 it would share a size class with the log entries and
+// scatter them through memory, slowing every pass over a retained log.
+type simLookup struct {
+	nodes [16]*enode.Node
+	n     int
+	done  func([]*enode.Node)
+}
+
+func (l *simLookup) Fire() { l.done(l.nodes[:l.n]) }
 
 // SimDialer implements nodefinder.Dialer over the world, modeling the
 // outcome classes the paper's crawler observed: dead addresses, NAT
@@ -133,34 +148,43 @@ func (w *World) NewDialer(seed int64) *SimDialer {
 
 // Dial implements nodefinder.Dialer.
 func (d *SimDialer) Dial(target *enode.Node, kind mlog.ConnType, done func(*nodefinder.DialResult)) {
-	start := d.W.Clock.Now()
-	res, dur := d.outcome(target, kind, start)
-	d.W.Clock.AfterFunc(dur, func() {
-		res.Duration = dur
-		d.Metrics.Observe(res)
-		done(res)
-	})
+	p := &simDial{d: d, done: done}
+	p.res.Duration = d.outcome(&p.res, target, kind, d.W.Clock.Now())
+	d.W.Clock.Schedule(p.res.Duration, p)
 }
 
-// outcome computes the dial result and its virtual duration.
-func (d *SimDialer) outcome(target *enode.Node, kind mlog.ConnType, start time.Time) (*nodefinder.DialResult, time.Duration) {
+// simDial is one dial in flight, and the one object it allocates: the
+// result it will report and the completion it owes.
+type simDial struct {
+	res  nodefinder.DialResult
+	d    *SimDialer
+	done func(*nodefinder.DialResult)
+}
+
+func (p *simDial) Fire() {
+	p.d.Metrics.Observe(&p.res)
+	p.done(&p.res)
+}
+
+// outcome fills in the dial result and returns its virtual duration.
+func (d *SimDialer) outcome(res *nodefinder.DialResult, target *enode.Node, kind mlog.ConnType, start time.Time) time.Duration {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	res := &nodefinder.DialResult{Node: target, Kind: kind, Start: start}
+	res.Node, res.Kind, res.Start = target, kind, start
 
 	n := d.W.NodeByID(target.ID)
 	if n == nil {
 		res.Err = errConnRefused
-		return res, 200 * time.Millisecond
+		return 200 * time.Millisecond
 	}
 	if !n.Reachable {
 		// NAT'd: SYN black-holes until the dial timeout.
 		res.Err = errTimeout
-		return res, simDialTimeout
+		return simDialTimeout
 	}
 	if !n.OnlineAt(start) {
 		res.Err = errConnRefused
-		return res, 300 * time.Millisecond
+		return 300 * time.Millisecond
 	}
 
 	// Connected: sample an RTT for this connection.
@@ -177,7 +201,7 @@ func (d *SimDialer) outcome(target *enode.Node, kind mlog.ConnType, start time.T
 	// Geth: a full node rejects with Too many peers and no HELLO.
 	if d.rng.Float64() < n.Occupancy {
 		res.Disconnect = &discTooManyPeers
-		return res, 3 * rtt
+		return 3 * rtt
 	}
 
 	// DEVp2p HELLO.
@@ -187,7 +211,7 @@ func (d *SimDialer) outcome(target *enode.Node, kind mlog.ConnType, start time.T
 	// (les/pip) and other services end here — §5.3's explanation for
 	// the nodes Ethernodes saw but NodeFinder could not verify.
 	if n.Service != SvcEth {
-		return res, 4 * rtt
+		return 4 * rtt
 	}
 
 	// eth STATUS.
@@ -205,44 +229,44 @@ func (d *SimDialer) outcome(target *enode.Node, kind mlog.ConnType, start time.T
 		} else {
 			res.DAOFork = eth.DAOForkOpposed
 		}
-		return res, 6 * rtt
+		return 6 * rtt
 	}
-	return res, 5 * rtt
+	return 5 * rtt
 }
 
 // hostileOutcome models a dial against one of faultnet's hostile
 // peer behaviors, with the failure surfacing at the same protocol
 // stage — and carrying the same sentinel error — as the real stack
 // produces. Caller holds d.mu.
-func (d *SimDialer) hostileOutcome(n *SimNode, res *nodefinder.DialResult, rtt time.Duration, start time.Time) (*nodefinder.DialResult, time.Duration) {
+func (d *SimDialer) hostileOutcome(n *SimNode, res *nodefinder.DialResult, rtt time.Duration, start time.Time) time.Duration {
 	switch n.HostileKind {
 	case faultnet.HostileNeverAck:
 		// Auth sent, no ack: the handshake deadline expires.
 		res.Err = errSimNeverAck
-		return res, rlpx.HandshakeTimeout
+		return rlpx.HandshakeTimeout
 	case faultnet.HostileHangAfterHandshake:
 		// RLPx completes, then silence where HELLO belongs.
 		res.Err = errSimHangHello
-		return res, rlpx.HandshakeTimeout + 2*rtt
+		return rlpx.HandshakeTimeout + 2*rtt
 	case faultnet.HostileWrongMAC:
 		res.Err = errSimBadMAC
-		return res, 3 * rtt
+		return 3 * rtt
 	case faultnet.HostileGiantFrame:
 		res.Err = errSimGiant
-		return res, 3 * rtt
+		return 3 * rtt
 	case faultnet.HostileOversizedHello:
 		res.Err = errSimBigHello
-		return res, 3 * rtt
+		return 3 * rtt
 	case faultnet.HostileBadRLPHello:
 		res.Err = errSimBadRLP
-		return res, 3 * rtt
+		return 3 * rtt
 	case faultnet.HostileSnappyBomb:
 		// The bomb lands after a successful HELLO, exactly like the
 		// real attack: census-wise the node responded, but the eth
 		// handshake dies in decompression.
 		res.Hello = d.W.helloFor(n, start)
 		res.Err = errSimSnappy
-		return res, 4 * rtt
+		return 4 * rtt
 	case faultnet.HostileStatusFlood:
 		// The flood handshakes honestly; the productive part of the
 		// census still records it (the crawler disconnects after
@@ -252,13 +276,13 @@ func (d *SimDialer) hostileOutcome(n *SimNode, res *nodefinder.DialResult, rtt t
 			res.Status = d.W.statusFor(n, start)
 			res.BestBlock = n.BestBlockAt(start)
 		}
-		return res, 5 * rtt
+		return 5 * rtt
 	case faultnet.HostileImmediateReset:
 		res.Err = errSimReset
-		return res, rtt
+		return rtt
 	default: // HostileGarbage
 		res.Err = errSimGarbage
-		return res, 2 * rtt
+		return 2 * rtt
 	}
 }
 
@@ -309,11 +333,22 @@ type IncomingGenerator struct {
 	rng     *rand.Rand
 	stopped bool
 	mu      sync.Mutex
+	tick    incomingTick
+}
+
+// incomingTick is the generator's clock event, so re-arming it
+// allocates nothing.
+type incomingTick struct{ g *IncomingGenerator }
+
+func (t *incomingTick) Fire() {
+	t.g.fire()
+	t.g.schedule()
 }
 
 // StartIncoming begins generating inbound connections.
 func (w *World) StartIncoming(f *nodefinder.Finder, mean time.Duration, seed int64) *IncomingGenerator {
 	g := &IncomingGenerator{W: w, Finder: f, MeanInterval: mean, rng: rand.New(rand.NewSource(seed ^ 0x1c0))}
+	g.tick.g = g
 	g.schedule()
 	return g
 }
@@ -333,10 +368,7 @@ func (g *IncomingGenerator) schedule() {
 	}
 	gap := time.Duration(float64(g.MeanInterval) * (0.1 + g.rng.ExpFloat64()))
 	g.mu.Unlock()
-	g.W.Clock.AfterFunc(gap, func() {
-		g.fire()
-		g.schedule()
-	})
+	g.W.Clock.Schedule(gap, &g.tick)
 }
 
 func (g *IncomingGenerator) fire() {

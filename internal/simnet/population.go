@@ -539,15 +539,18 @@ func (w *World) assignEthIdentity(n *SimNode, rng *rand.Rand) {
 
 func pickOne(rng *rand.Rand, xs []string) string { return xs[rng.Intn(len(xs))] }
 
+// countryRTTms is the median RTT, in milliseconds, from the central US
+// to each country the world places nodes in. Read-only.
+var countryRTTms = map[geo.Country]float64{
+	"US": 40, "CA": 55, "GB": 95, "DE": 105, "FR": 100, "NL": 100,
+	"RU": 150, "CN": 210, "KR": 180, "JP": 160, "SG": 220, "AU": 210,
+	"OTHER": 140,
+}
+
 // rttForCountry samples a median RTT consistent with a crawler in
 // the central US (the paper's vantage point).
 func rttForCountry(c geo.Country, rng *rand.Rand) time.Duration {
-	base := map[geo.Country]float64{
-		"US": 40, "CA": 55, "GB": 95, "DE": 105, "FR": 100, "NL": 100,
-		"RU": 150, "CN": 210, "KR": 180, "JP": 160, "SG": 220, "AU": 210,
-		"OTHER": 140,
-	}
-	m, ok := base[c]
+	m, ok := countryRTTms[c]
 	if !ok {
 		m = 140
 	}
@@ -604,43 +607,54 @@ func (w *World) startAbusiveGenerators() {
 	for i := 0; i < w.Cfg.AbusiveIPs; i++ {
 		ip := w.nextIP()
 		w.AbusiveAddrs = append(w.AbusiveAddrs, ip)
-		w.scheduleAbusiveMint(ip)
+		(&abusiveMinter{w: w, ip: ip}).schedule()
 	}
 }
 
-func (w *World) scheduleAbusiveMint(ip net.IP) {
+// abusiveMinter is one abusive IP's clock event: each firing mints a
+// fresh identity there and arms the next, allocating no callback.
+type abusiveMinter struct {
+	w  *World
+	ip net.IP
+}
+
+func (m *abusiveMinter) schedule() {
+	w := m.w
 	jitter := time.Duration(w.Rng.Int63n(int64(w.Cfg.AbusiveRate)/2 + 1))
-	w.Clock.AfterFunc(w.Cfg.AbusiveRate/2+jitter, func() {
-		now := w.Clock.Now()
-		id := enode.RandomID(w.Rng)
-		var key *secp256k1.PrivateKey
-		if w.Cfg.WireFidelity {
-			key = w.mintKey()
-			id = enode.PubkeyID(&key.Pub)
-		}
-		n := &SimNode{
-			Node:        enode.New(id, ip, 30303, 30303),
-			key:         key,
-			Service:     SvcEth,
-			Client:      ClientEthereumJS,
-			OSBuild:     "",
-			Network:     w.Mainnet,
-			MaxPeers:    25,
-			Occupancy:   0,
-			Reachable:   true,
-			Born:        now,
-			Died:        now.Add(time.Duration(5+w.Rng.Intn(25)) * time.Minute),
-			SessionMean: time.Hour,
-			OfflineMean: time.Hour,
-			life:        lifecycle{seed: uint64(w.Rng.Int63())},
-			Fresh:       FreshStuckOld,
-			LagBlocks:   math.MaxUint64 >> 1, // best hash pinned at genesis
-			RTTMedian:   120 * time.Millisecond,
-			Abusive:     true,
-		}
-		w.register(n)
-		w.scheduleAbusiveMint(ip)
-	})
+	w.Clock.Schedule(w.Cfg.AbusiveRate/2+jitter, m)
+}
+
+func (m *abusiveMinter) Fire() {
+	w, ip := m.w, m.ip
+	now := w.Clock.Now()
+	id := enode.RandomID(w.Rng)
+	var key *secp256k1.PrivateKey
+	if w.Cfg.WireFidelity {
+		key = w.mintKey()
+		id = enode.PubkeyID(&key.Pub)
+	}
+	n := &SimNode{
+		Node:        enode.New(id, ip, 30303, 30303),
+		key:         key,
+		Service:     SvcEth,
+		Client:      ClientEthereumJS,
+		OSBuild:     "",
+		Network:     w.Mainnet,
+		MaxPeers:    25,
+		Occupancy:   0,
+		Reachable:   true,
+		Born:        now,
+		Died:        now.Add(time.Duration(5+w.Rng.Intn(25)) * time.Minute),
+		SessionMean: time.Hour,
+		OfflineMean: time.Hour,
+		life:        lifecycle{seed: uint64(w.Rng.Int63())},
+		Fresh:       FreshStuckOld,
+		LagBlocks:   math.MaxUint64 >> 1, // best hash pinned at genesis
+		RTTMedian:   120 * time.Millisecond,
+		Abusive:     true,
+	}
+	w.register(n)
+	m.schedule()
 }
 
 // assignClientName fills OSBuild used when composing version strings.

@@ -41,6 +41,10 @@ import (
 // backstop against a client that connects and never speaks.
 const wireHandshakeTimeout = 10 * time.Second
 
+// ethCapLengths gives MatchCaps the message space of eth, the one
+// subprotocol spoken here. Read-only: every handshake shares it.
+var ethCapLengths = map[string]uint64{eth.ProtocolName: eth.ProtocolLength}
+
 // Analytic connect failures, shaped like the net package's errors so
 // the taxonomy matches a real crawl.
 var (
@@ -194,7 +198,7 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 		conn.SetSnappy(true)
 	}
 
-	caps := devp2p.MatchCaps(ours.Caps, theirs.Caps, map[string]uint64{eth.ProtocolName: eth.ProtocolLength})
+	caps := devp2p.MatchCaps(ours.Caps, theirs.Caps, ethCapLengths)
 	var ethCap *devp2p.NegotiatedCap
 	for i := range caps {
 		if caps[i].Name == eth.ProtocolName {
