@@ -70,20 +70,20 @@ build:
 	go build ./...
 
 # Repo-specific static invariants (see DESIGN.md "Static invariants"):
-# bounded wire allocations, clock discipline, taxonomy coverage,
-# interprocedural wire-taint tracking. Locks vs conn I/O, conn Close,
-# goroutine termination, conn deadlines, RLP wire symmetry,
-# frozen-after-publish, shared state and bounded channels are held by
-# runtime tests instead (`make mutate` proves which test catches
-# each). An uncached run is ≈1.5 s (most of it type-checking std from
-# source), so there is no result cache in front of it; `repolint -v`
-# adds each analyzer's raw/suppressed/reported counts.
+# clock discipline and taxonomy coverage. Bounded wire allocations,
+# wire taint, locks vs conn I/O, conn Close, goroutine termination,
+# conn deadlines, RLP wire symmetry, frozen-after-publish, shared state
+# and bounded channels are held by runtime tests instead (`make mutate`
+# proves which test catches each). A run is ≈1.5 s (most of it
+# type-checking std from source), so there is no result cache in front
+# of it; `repolint -v` adds each analyzer's raw/suppressed/reported
+# counts.
 lint:
 	go run ./cmd/repolint ./...
 
 # Every gate proven to trip: each mutations/*.patch plants one
 # violation in a scratch copy of the tree, and the command on its
-# `expect:` line (a runtime test, or repolint for the four analyzers)
+# `expect:` line (a runtime test, or repolint for the two analyzers)
 # must then fail. One PASS line per patch.
 mutate:
 	bash mutations/run.sh

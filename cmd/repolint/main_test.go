@@ -9,31 +9,38 @@ import (
 )
 
 // TestOnlyWithholdsHygiene pins -only end to end over this module. The
-// tree carries //lint:ignore directives for three analyzers; a run that
-// knows only one of them sees every other directive as naming an
-// unknown analyzer, so lint.Run reports them (the control below) and
-// repolint must withhold those reports for the partial run to be
-// usable at all.
+// tree's //lint:ignore directives all name wallclock; a run that knows
+// only errtaxonomy sees each of them as naming an unknown analyzer, so
+// lint.Run reports them (the control below) and repolint must withhold
+// those reports for the partial run to be usable at all. A
+// wallclock-only run, which knows the directives, prints the tally they
+// account for.
 func TestOnlyWithholdsHygiene(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and analyzes the whole module")
 	}
 	var stdout, stderr strings.Builder
-	code := runMain([]string{"-only", "wiretaint", "-v"}, &stdout, &stderr)
+	code := runMain([]string{"-only", "errtaxonomy"}, &stdout, &stderr)
 	if code != 0 || stdout.Len() != 0 {
-		t.Fatalf("-only wiretaint over the clean repo: exit %d, want 0 and no findings\nstdout: %s\nstderr: %s",
+		t.Fatalf("-only errtaxonomy over the clean repo: exit %d, want 0 and no findings\nstdout: %s\nstderr: %s",
 			code, stdout.String(), stderr.String())
 	}
+
 	// -v prints the one analyzer's tally: every raw finding suppressed.
-	tally := regexp.MustCompile(`(?m)^  wiretaint +(\d+) +(\d+) +0$`).FindStringSubmatch(stderr.String())
-	if tally == nil || tally[1] == "0" || tally[1] != tally[2] {
-		t.Errorf("-v did not print wiretaint's raw/suppressed/reported tally (raw = suppressed > 0, reported 0)\nstderr: %s", stderr.String())
+	stderr.Reset()
+	if code := runMain([]string{"-only", "wallclock", "-v"}, &stdout, &stderr); code != 0 || stdout.Len() != 0 {
+		t.Fatalf("-only wallclock over the clean repo: exit %d, want 0 and no findings\nstdout: %s\nstderr: %s",
+			code, stdout.String(), stderr.String())
 	}
-	if strings.Contains(stderr.String(), "boundedalloc") {
-		t.Errorf("-only wiretaint ran or listed another analyzer\nstderr: %s", stderr.String())
+	tally := regexp.MustCompile(`(?m)^  wallclock +(\d+) +(\d+) +0$`).FindStringSubmatch(stderr.String())
+	if tally == nil || tally[1] == "0" || tally[1] != tally[2] {
+		t.Errorf("-v did not print wallclock's raw/suppressed/reported tally (raw = suppressed > 0, reported 0)\nstderr: %s", stderr.String())
+	}
+	if strings.Contains(stderr.String(), "errtaxonomy") {
+		t.Errorf("-only wallclock ran or listed another analyzer\nstderr: %s", stderr.String())
 	}
 
-	// Control: the same single-analyzer run does raise hygiene findings.
+	// Control: an errtaxonomy-only lint.Run does raise hygiene findings.
 	root, modulePath, err := lint.ModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +52,7 @@ func TestOnlyWithholdsHygiene(t *testing.T) {
 	}
 	var only []lint.Analyzer
 	for _, a := range lint.RepoAnalyzers(modulePath) {
-		if a.Name() == "wiretaint" {
+		if a.Name() == "errtaxonomy" {
 			only = append(only, a)
 		}
 	}
@@ -57,11 +64,11 @@ func TestOnlyWithholdsHygiene(t *testing.T) {
 		}
 	}
 	if hygiene == 0 {
-		t.Error("a wiretaint-only lint.Run raised no hygiene finding; the withholding above proved nothing")
+		t.Error("an errtaxonomy-only lint.Run raised no hygiene finding; the withholding above proved nothing")
 	}
 }
 
-// TestFlagSurface pins the command line: four flags, four analyzers,
+// TestFlagSurface pins the command line: four flags, two analyzers,
 // and a usage error for an analyzer that does not exist.
 func TestFlagSurface(t *testing.T) {
 	var stdout, stderr strings.Builder
@@ -82,8 +89,8 @@ func TestFlagSurface(t *testing.T) {
 	if code := runMain([]string{"-list"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-list: exit %d\nstderr: %s", code, stderr.String())
 	}
-	if n := strings.Count(stdout.String(), "\n"); n != 4 {
-		t.Errorf("-list printed %d analyzers, want 4:\n%s", n, stdout.String())
+	if n := strings.Count(stdout.String(), "\n"); n != 2 {
+		t.Errorf("-list printed %d analyzers, want 2:\n%s", n, stdout.String())
 	}
 
 	stderr.Reset()

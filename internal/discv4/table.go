@@ -196,7 +196,7 @@ func (t *Table) Contains(id enode.ID) bool {
 func (t *Table) Closest(target enode.ID, n int) []*enode.Node {
 	targetHash := target.Hash()
 	t.mu.Lock()
-	//lint:ignore boundedalloc t.count is bounded by the table's fixed bucket capacity (17*16 entries)
+	// t.count is bounded by the table's fixed bucket capacity (17*16 entries).
 	all := make([]*enode.Node, 0, t.count)
 	for i := range t.buckets {
 		for _, e := range t.buckets[i].entries {
@@ -216,7 +216,7 @@ func (t *Table) Closest(target enode.ID, n int) []*enode.Node {
 // Random returns up to n randomly chosen table nodes.
 func (t *Table) Random(n int) []*enode.Node {
 	t.mu.Lock()
-	//lint:ignore boundedalloc t.count is bounded by the table's fixed bucket capacity (17*16 entries)
+	// t.count is bounded by the table's fixed bucket capacity (17*16 entries).
 	all := make([]*enode.Node, 0, t.count)
 	for i := range t.buckets {
 		for _, e := range t.buckets[i].entries {
@@ -235,7 +235,7 @@ func (t *Table) Random(n int) []*enode.Node {
 func (t *Table) All() []*enode.Node {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	//lint:ignore boundedalloc t.count is bounded by the table's fixed bucket capacity (17*16 entries)
+	// t.count is bounded by the table's fixed bucket capacity (17*16 entries).
 	all := make([]*enode.Node, 0, t.count)
 	for i := range t.buckets {
 		for _, e := range t.buckets[i].entries {

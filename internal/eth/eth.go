@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 
 	"repro/internal/chain"
@@ -274,24 +275,38 @@ func ServeHeaders(c *chain.Chain, req *GetBlockHeaders) []*chain.Header {
 		return nil
 	}
 	headers := []*chain.Header{start}
-	step := int64(req.Skip) + 1
-	cur := start.Number.Int64()
+	cur := start.Number.Uint64()
 	for uint64(len(headers)) < amount {
-		if req.Reverse {
-			cur -= step
-		} else {
-			cur += step
-		}
-		if cur < 0 {
+		next, ok := req.Next(cur)
+		if !ok {
 			break
 		}
-		h := c.HeaderByNumber(uint64(cur))
+		h := c.HeaderByNumber(next)
 		if h == nil {
 			break
 		}
 		headers = append(headers, h)
+		cur = next
 	}
 	return headers
+}
+
+// Next returns the block number the request asks for after n: Skip+1
+// blocks on, or back when Reverse. ok is false when that number would
+// leave the uint64 range. Skip is peer-chosen, so Skip+1 (which wraps
+// to 0 at 2^64-1 and would answer the same block forever) is never
+// computed.
+func (req *GetBlockHeaders) Next(n uint64) (next uint64, ok bool) {
+	if req.Reverse {
+		if req.Skip >= n {
+			return 0, false
+		}
+		return n - req.Skip - 1, true
+	}
+	if req.Skip >= math.MaxUint64-n {
+		return 0, false
+	}
+	return n + req.Skip + 1, true
 }
 
 // VerifyDAOFork performs NodeFinder's fork check: request the DAO

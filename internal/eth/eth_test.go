@@ -2,7 +2,9 @@ package eth
 
 import (
 	"errors"
+	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/chain"
@@ -170,6 +172,58 @@ func TestServeHeaders(t *testing.T) {
 	// Unknown origin.
 	if hs := ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 999}, Amount: 1}); hs != nil {
 		t.Fatal("phantom origin")
+	}
+}
+
+// TestServeHeadersClampsAmount is the runtime twin of the
+// MaxHeadersServe clamp: a peer asking for 2^64-1 headers gets exactly
+// MaxHeadersServe of them, whichever way it walks the chain.
+func TestServeHeadersClampsAmount(t *testing.T) {
+	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "clamp", Length: MaxHeadersServe + 100})
+	head := c.Head().Number.Uint64()
+	for _, tc := range []struct {
+		name string
+		req  GetBlockHeaders
+	}{
+		{"forward", GetBlockHeaders{Origin: HashOrNumber{Number: 0}}},
+		{"reverse from head", GetBlockHeaders{Origin: HashOrNumber{Number: head}, Reverse: true}},
+		{"forward from hash", GetBlockHeaders{Origin: HashOrNumber{Hash: c.GenesisHash(), IsHash: true}}},
+	} {
+		tc.req.Amount = math.MaxUint64
+		if hs := ServeHeaders(c, &tc.req); len(hs) != MaxHeadersServe {
+			t.Errorf("%s: Amount 2^64-1 answered %d headers, want MaxHeadersServe = %d", tc.name, len(hs), MaxHeadersServe)
+		}
+	}
+}
+
+// TestServeHeadersSkipWrap holds ServeHeaders to the uint64 range: a
+// Skip whose step would pass the last or the first block number ends
+// the answer at the origin instead of wrapping around to it.
+func TestServeHeadersSkipWrap(t *testing.T) {
+	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "wrap", Length: 50})
+	for _, tc := range []struct {
+		name    string
+		req     GetBlockHeaders
+		numbers []uint64
+	}{
+		{"skip 2^64-1", GetBlockHeaders{Amount: 5, Skip: math.MaxUint64}, []uint64{10}},
+		{"skip 2^64-1 reverse", GetBlockHeaders{Amount: 5, Skip: math.MaxUint64, Reverse: true}, []uint64{10}},
+		{"skip 2^64-1 amount 2^64-1", GetBlockHeaders{Amount: math.MaxUint64, Skip: math.MaxUint64}, []uint64{10}},
+		{"skip 2^63", GetBlockHeaders{Amount: 5, Skip: 1 << 63}, []uint64{10}},
+		{"skip 2^63 reverse", GetBlockHeaders{Amount: 5, Skip: 1 << 63, Reverse: true}, []uint64{10}},
+		{"skip to the head", GetBlockHeaders{Amount: 5, Skip: 39}, []uint64{10, 50}},
+		{"skip to genesis", GetBlockHeaders{Amount: 5, Skip: 9, Reverse: true}, []uint64{10, 0}},
+		{"skip past genesis", GetBlockHeaders{Amount: 5, Skip: 10, Reverse: true}, []uint64{10}},
+	} {
+		tc.req.Origin = HashOrNumber{Number: 10}
+		hs := ServeHeaders(c, &tc.req)
+		got := make([]uint64, len(hs))
+		for i, h := range hs {
+			got[i] = h.Number.Uint64()
+		}
+		if !slices.Equal(got, tc.numbers) {
+			t.Errorf("%s: answered %d headers %v…, want blocks %v", tc.name, len(got), got[:min(len(got), 5)], tc.numbers)
+		}
 	}
 }
 

@@ -1,25 +1,12 @@
 package lint
 
-// RepoAnalyzers returns the four invariant analyzers configured for
+// RepoAnalyzers returns the two invariant analyzers configured for
 // this repository's contracts. module is the module path from go.mod
 // ("repro"); taking it as a parameter keeps the analyzers themselves
 // reusable against the golden testdata trees, which load under a
 // different module path.
 func RepoAnalyzers(module string) []Analyzer {
 	return []Analyzer{
-		&BoundedAlloc{
-			// Packages that parse bytes a remote peer controls. An
-			// unchecked make() here converts a forged length field into
-			// an allocation the attacker sizes.
-			Packages: []string{
-				module + "/internal/rlp",
-				module + "/internal/rlpx",
-				module + "/internal/devp2p",
-				module + "/internal/eth",
-				module + "/internal/snappy",
-				module + "/internal/discv4",
-			},
-		},
 		&Wallclock{
 			// Packages driven by simclock.Clock in simulated 82-day
 			// runs. A stray time.Now here silently decouples a
@@ -61,42 +48,6 @@ func RepoAnalyzers(module string) []Analyzer {
 			ClassifierFunc: "OutcomeClass",
 			EnumTypes: []string{
 				module + "/internal/nodefinder/mlog.ConnType",
-			},
-		},
-		&WireTaint{
-			// The wire codecs: their exported decode APIs are taint
-			// sources at every cross-package call site, and their own
-			// decode entry-point []byte parameters are wire at entry.
-			SourcePackages: []string{
-				module + "/internal/rlp",
-				module + "/internal/rlpx",
-				module + "/internal/devp2p",
-				module + "/internal/eth",
-				module + "/internal/snappy",
-				module + "/internal/discv4",
-			},
-			// Where wire-tainted sinks are reported: the codecs plus the
-			// long-lived stores peer-derived values land in (the node
-			// database, the Finder's suppression tables, enode records).
-			ReportPackages: []string{
-				module + "/internal/rlp",
-				module + "/internal/rlpx",
-				module + "/internal/devp2p",
-				module + "/internal/eth",
-				module + "/internal/snappy",
-				module + "/internal/discv4",
-				module + "/internal/nodefinder",
-				module + "/internal/nodedb",
-				module + "/internal/enode",
-			},
-			// Entropy and digest readers are not peer input: without
-			// this, GenerateKey's io.ReadFull(rand, ...) would taint
-			// every key-carrying config in the module.
-			EntropyPackages: []string{
-				"crypto",
-				"math/rand",
-				"hash",
-				module + "/internal/crypto",
 			},
 		},
 	}

@@ -8,8 +8,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"repro/internal/lint/ir"
 )
 
 // ErrTaxonomy enforces the failure-taxonomy contract: the census
@@ -176,7 +174,7 @@ func (e *ErrTaxonomy) Run(l *Loader, pkgs []*Package) []Finding {
 				// Switches over the classifier's result must cover every
 				// class string it can return (or carry a default).
 				if call, ok := sw.Tag.(*ast.CallExpr); ok && len(returnedClasses) > 0 {
-					if ir.CalleeOf(pkg, call) == classifierObj {
+					if calleeOf(pkg, call) == classifierObj {
 						covered, hasDefault := coveredStringCases(pkg, sw)
 						if hasDefault {
 							return true
@@ -311,4 +309,17 @@ func typeShort(t types.Type) string {
 		return s[i+1:]
 	}
 	return s
+}
+
+// calleeOf resolves the function a call names, plain (F) or qualified
+// (pkg.F, x.M); a call through a function value resolves to that
+// value's variable, never to a function.
+func calleeOf(pkg *Package, call *ast.CallExpr) types.Object {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		return pkg.Info.Uses[fun]
+	case *ast.SelectorExpr:
+		return pkg.Info.Uses[fun.Sel]
+	}
+	return nil
 }

@@ -16,14 +16,13 @@ func mkFinding(file string, line, col int, analyzer, msg string) Finding {
 
 // TestSortFindingsDeterminism is the regression test for report
 // stability: any input permutation sorts to the same sequence, and
-// identical findings reached through different call-graph paths
-// collapse to one.
+// identical findings collapse to one.
 func TestSortFindingsDeterminism(t *testing.T) {
 	base := []Finding{
 		mkFinding("b.go", 4, 1, "wallclock", "m1"),
-		mkFinding("a.go", 10, 2, "wiretaint", "m2"),
-		mkFinding("a.go", 10, 2, "wiretaint", "m2"), // duplicate path
-		mkFinding("a.go", 10, 2, "boundedalloc", "m3"),
+		mkFinding("a.go", 10, 2, "wallclock", "m2"),
+		mkFinding("a.go", 10, 2, "wallclock", "m2"), // duplicate
+		mkFinding("a.go", 10, 2, "errtaxonomy", "m3"),
 		mkFinding("a.go", 2, 9, "errtaxonomy", "m4"),
 		mkFinding("a.go", 10, 1, "errtaxonomy", "m5"),
 		mkFinding("b.go", 4, 1, "wallclock", "m0"),
@@ -31,8 +30,8 @@ func TestSortFindingsDeterminism(t *testing.T) {
 	want := []string{
 		"a.go:2:9: errtaxonomy: m4",
 		"a.go:10:1: errtaxonomy: m5",
-		"a.go:10:2: boundedalloc: m3",
-		"a.go:10:2: wiretaint: m2",
+		"a.go:10:2: errtaxonomy: m3",
+		"a.go:10:2: wallclock: m2",
 		"b.go:4:1: wallclock: m0",
 		"b.go:4:1: wallclock: m1",
 	}
@@ -62,13 +61,13 @@ func TestSortFindingsDeterminism(t *testing.T) {
 func TestWriteAnnotations(t *testing.T) {
 	var sb strings.Builder
 	fs := []Finding{
-		mkFinding("p/q.go", 12, 5, "wiretaint", "line one\nline two, 100% sure"),
+		mkFinding("p/q.go", 12, 5, "wallclock", "line one\nline two, 100% sure"),
 	}
 	if err := WriteAnnotations(&sb, fs); err != nil {
 		t.Fatal(err)
 	}
 	got := strings.TrimRight(sb.String(), "\n")
-	want := "::error file=p/q.go,line=12,col=5,title=repolint/wiretaint::line one%0Aline two, 100%25 sure"
+	want := "::error file=p/q.go,line=12,col=5,title=repolint/wallclock::line one%0Aline two, 100%25 sure"
 	if got != want {
 		t.Errorf("annotation:\n got %q\nwant %q", got, want)
 	}

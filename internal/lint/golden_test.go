@@ -14,7 +14,6 @@ import (
 // universe under testdata/src.
 func testAnalyzers() []Analyzer {
 	return []Analyzer{
-		&BoundedAlloc{Packages: []string{"lintest/boundedalloc"}},
 		&Wallclock{
 			Packages: []string{"lintest/wallclock", "lintest/suppress"},
 			AllowFiles: map[string]string{
@@ -32,11 +31,6 @@ func testAnalyzers() []Analyzer {
 			ClassifierPkg:  "lintest/errtaxclean/classify",
 			ClassifierFunc: "Classify",
 			EnumTypes:      []string{"lintest/errtaxclean/classify.Kind"},
-		},
-		&WireTaint{
-			SourcePackages:  []string{"lintest/wiretaint/codec"},
-			ReportPackages:  []string{"lintest/wiretaint"},
-			EntropyPackages: []string{"lintest/wiretaint/entropy"},
 		},
 	}
 }
@@ -109,7 +103,7 @@ func loadGolden(t *testing.T) (root string, l *Loader, pkgs []*Package) {
 	if err != nil {
 		t.Fatalf("loading lintest universe: %v", err)
 	}
-	if len(pkgs) < 10 {
+	if len(pkgs) < 8 {
 		t.Fatalf("expected the full lintest universe, loaded only %d packages", len(pkgs))
 	}
 	return root, l, pkgs
@@ -131,11 +125,10 @@ func renderGolden(root string, findings []Finding) string {
 // finding must be expected, every expectation must fire, and the clean
 // twin packages must stay silent (any stray finding there is
 // unexpected by construction). And against testdata/golden.findings,
-// byte for byte — the want regexps do not pin columns, whole messages
-// or witness chains, and a refactor of the IR or the taint engine
-// must move none of them. A change that means to move a finding edits
-// the file by the +/- lines the failure prints, and that diff is
-// reviewed like code.
+// byte for byte — the want regexps do not pin columns or whole
+// messages, and a refactor of the driver or an analyzer must move none
+// of them. A change that means to move a finding edits the file by the
+// +/- lines the failure prints, and that diff is reviewed like code.
 func TestGolden(t *testing.T) {
 	root, l, pkgs := loadGolden(t)
 	findings, _ := Run(l, pkgs, testAnalyzers())
@@ -180,11 +173,9 @@ func TestGolden(t *testing.T) {
 	// package; the suppression machinery ("lint") must demonstrate its
 	// three malformed-directive shapes.
 	for name, minimum := range map[string]int{
-		"boundedalloc": 2,
-		"wallclock":    2,
-		"errtaxonomy":  2,
-		"lint":         5,
-		"wiretaint":    9,
+		"wallclock":   2,
+		"errtaxonomy": 2,
+		"lint":        5,
 	} {
 		if perAnalyzer[name] < minimum {
 			t.Errorf("analyzer %s reported %d findings in the golden universe, want at least %d",

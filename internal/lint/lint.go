@@ -7,21 +7,16 @@
 // cost-and-catch ledger, and mutations/ holds a plant each one must
 // report):
 //
-//   - boundedalloc: every wire-derived length is capped before memory
-//     is allocated for it (the bug class behind the 16 MiB-frame and
-//     rlp size-overflow fixes).
 //   - wallclock: clocked packages observe time only through
 //     simclock.Clock, keeping simulated 82-day crawls deterministic.
 //   - errtaxonomy: every transport sentinel error is classifiable by
 //     nodefinder's OutcomeClass, and enum-style switches are
 //     exhaustive, so no failure disappears from the census taxonomy.
-//   - wiretaint: a peer-controlled value is capped before it sizes an
-//     allocation, loop, map, timer, spawn count or queue.
 //
-// Concurrency, conn-lifecycle and wire-symmetry contracts are held by
-// runtime tests instead (the race detector, leakcheck, the hostile
-// taxonomy and round-trip tests); DESIGN.md records which test catches
-// what.
+// Bounded allocation, wire taint, concurrency, conn-lifecycle and
+// wire-symmetry contracts are held by runtime tests instead (the race
+// detector, leakcheck, the hostile taxonomy, size-cap and round-trip
+// tests); DESIGN.md records which test catches what.
 //
 // Findings can be suppressed with a justified inline directive:
 //
@@ -107,8 +102,8 @@ func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) ([]Finding, []Tally) 
 		}
 		all = append(all, a.Run(l, pkgs)...)
 	}
-	// Deduplicate before counting, so a statement reached through two
-	// call-graph paths is one raw finding.
+	// Deduplicate before counting, so a site reported twice is one raw
+	// finding.
 	all = SortFindings(all)
 
 	sups, bad := collectSuppressions(pkgs, slot)
@@ -140,9 +135,8 @@ func Run(l *Loader, pkgs []*Package, analyzers []Analyzer) ([]Finding, []Tally) 
 }
 
 // SortFindings orders findings by file, line, column, analyzer, and
-// message, then drops exact duplicates. Interprocedural analyzers can
-// legitimately reach one offending statement through several
-// call-graph paths; the report should still name it once.
+// message, then drops exact duplicates, so a report names each
+// finding once.
 func SortFindings(fs []Finding) []Finding {
 	sort.Slice(fs, func(i, j int) bool {
 		a, b := fs[i], fs[j]

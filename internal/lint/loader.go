@@ -9,16 +9,26 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
-
-	"repro/internal/lint/ir"
 )
 
-// Package is one type-checked module package: the loader builds it and
-// the driver, the IR and every analyzer share it.
-type Package = ir.Package
+// Package bundles everything an analyzer needs about one type-checked
+// module package: syntax with comments, the type-checked object graph,
+// and resolved uses. The loader builds it; the driver and every
+// analyzer share it.
+type Package struct {
+	// Path is the package's import path (module path + relative dir).
+	Path string
+	// Fset is the loader's shared file set.
+	Fset *token.FileSet
+	// Files are the parsed non-test source files, with comments.
+	Files []*ast.File
+	// Types is the type-checked package.
+	Types *types.Package
+	// Info holds identifier uses and expression types.
+	Info *types.Info
+}
 
 // Loader loads and type-checks every package of one module using only
 // the standard library: module packages are located by mapping import
@@ -38,21 +48,6 @@ type Loader struct {
 	modPkgs map[string]*Package
 	stdPkgs map[string]*types.Package
 	loading map[string]bool
-
-	irProg *ir.Program
-	irFor  []*Package
-}
-
-// Program returns the module-wide IR (functions and call graph) for
-// pkgs, building it on first use and sharing it between the taint
-// analyzers of one run.
-func (l *Loader) Program(pkgs []*Package) *ir.Program {
-	if l.irProg != nil && slices.Equal(l.irFor, pkgs) {
-		return l.irProg
-	}
-	l.irProg = ir.BuildProgram(pkgs)
-	l.irFor = pkgs
-	return l.irProg
 }
 
 // NewLoader creates a loader for the module rooted at root. Cgo is
@@ -192,11 +187,8 @@ func (l *Loader) LoadPackage(path string) (*Package, error) {
 		return nil, err
 	}
 	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Uses:  make(map[*ast.Ident]types.Object),
 	}
 	conf := types.Config{Importer: l}
 	tpkg, err := conf.Check(path, l.Fset, files, info)

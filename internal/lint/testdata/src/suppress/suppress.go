@@ -43,11 +43,11 @@ func Stale() time.Time {
 	return time.Time{}
 }
 
-// StaleWire carries a justified wiretaint directive over an
-// allocation the taint engine proves constant-sized: nothing is left
-// to silence, so the directive itself is reported.
-func StaleWire() []byte {
+// StaleTaxonomy carries a justified errtaxonomy directive over a line
+// errtaxonomy does not report: nothing is left to silence, so the
+// directive itself is reported.
+func StaleTaxonomy() error {
 	// wantnext "no longer suppresses any finding"
-	//lint:ignore wiretaint the peer-sized allocation this excused was rewritten to a fixed frame
-	return make([]byte, 64)
+	//lint:ignore errtaxonomy the sentinel this excused is now handled by the classifier
+	return nil
 }

@@ -70,7 +70,9 @@ func (db *DB) ensure(n *enode.Node, now time.Time, refresh bool) *Record {
 	r, ok := db.nodes[n.ID]
 	if !ok {
 		r, refresh = &Record{ID: n.ID, IDx: n.ID.String(), FirstSeen: now}, true
-		//lint:ignore wiretaint the census exists to record every distinct peer ID; growth is bounded by the real network's size and evicting entries would erase the measurement
+		// The census exists to record every distinct peer ID: growth is
+		// bounded by the real network's size, and evicting entries
+		// would erase the measurement.
 		db.nodes[n.ID] = r
 	}
 	if refresh {

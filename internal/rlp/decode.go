@@ -236,7 +236,6 @@ func (s *Stream) readBytesSized(size uint64) ([]byte, error) {
 	if s.limited || size <= maxPrealloc {
 		// On a limited stream Kind has verified size <= remainingBytes,
 		// so the allocation is bounded by the caller-chosen input limit.
-		//lint:ignore boundedalloc size was checked against the stream's input limit in Kind
 		b := make([]byte, size)
 		if err := s.readFull(b); err != nil {
 			return nil, err

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math/big"
+	"runtime"
 	"testing"
 )
 
@@ -97,6 +98,37 @@ func TestStreamIntegerSizes(t *testing.T) {
 	s.Reset(bytes.NewReader(mustHex("820400")), 0)
 	if _, err := s.Uint8(); !errors.Is(err, ErrUintOverflow) {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamUnlimitedDistrustsDeclaredSize is the runtime twin of
+// readBytesSized's preallocation cap. An unlimited stream (a reader
+// Reset cannot size) meets a header declaring a 1 GiB string followed
+// by 10 bytes: Bytes and Raw must fail on the short body having
+// allocated in proportion to what arrived, not to what was declared.
+func TestStreamUnlimitedDistrustsDeclaredSize(t *testing.T) {
+	const budget = 1 << 20
+	header := []byte{0xbb, 0x40, 0x00, 0x00, 0x00} // string, 4-byte size 0x40000000
+	body := make([]byte, 10)
+	var s Stream
+	for _, read := range []struct {
+		name string
+		f    func() ([]byte, error)
+	}{
+		{"Bytes", s.Bytes},
+		{"Raw", s.Raw},
+	} {
+		s.Reset(io.MultiReader(bytes.NewReader(header), bytes.NewReader(body)), 0)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b, err := read.f()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: 1 GiB declared, 10 bytes sent: returned %d bytes and no error", read.name, len(b))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > budget {
+			t.Errorf("%s: allocated %d bytes for a 10-byte body, want at most %d", read.name, grew, budget)
+		}
 	}
 }
 

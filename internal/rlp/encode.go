@@ -190,7 +190,7 @@ func (buf *encBuffer) listEnd(idx int) {
 // finish interleaves the accumulated string data with the
 // materialized list headers.
 func (buf *encBuffer) finish() []byte {
-	//lint:ignore boundedalloc egress buffer sized by our own encoder's accounting, not peer input
+	// An egress buffer, sized by our own encoder's accounting, not peer input.
 	out := make([]byte, 0, buf.size())
 	return buf.appendTo(out)
 }

@@ -263,8 +263,8 @@ func (buf *encBuffer) writeBigIntFast(i *big.Int) error {
 	n := (bitlen + 7) / 8
 	buf.writeHead(0x80, n)
 	// The append(…, make(…)…) form extends in place without a
-	// temporary.
-	//lint:ignore boundedalloc egress buffer: n is the byte length of a big.Int we are encoding ourselves, not peer input
+	// temporary. An egress buffer: n is the byte length of a big.Int we
+	// are encoding ourselves, not peer input.
 	buf.str = append(buf.str, make([]byte, n)...)
 	out := buf.str[len(buf.str)-n:]
 	idx := n

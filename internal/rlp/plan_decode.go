@@ -521,7 +521,9 @@ func (d *byteDec) decodeIface(v reflect.Value, end int, inList bool) error {
 		lend := d.pos + size
 		d.depth++
 		vals := []any{}
-		//lint:ignore wiretaint readHeader clamps size to the remaining input, so lend never exceeds len(d.in), and every iteration consumes at least the one header byte that advances pos
+		// readHeader clamps size to the remaining input, so lend never
+		// exceeds len(d.in), and every iteration consumes at least the
+		// one header byte that advances pos.
 		for d.pos < lend {
 			var elem any
 			ev := reflect.ValueOf(&elem).Elem()

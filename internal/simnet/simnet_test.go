@@ -1,11 +1,13 @@
 package simnet
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"repro/internal/devp2p"
 	"repro/internal/enode"
+	"repro/internal/eth"
 	"repro/internal/faultnet"
 	"repro/internal/metrics"
 	"repro/internal/nodefinder"
@@ -434,4 +436,26 @@ func mustID(t *testing.T, hex string) enode.ID {
 		t.Fatal(err)
 	}
 	return id
+}
+
+// TestHeadersForSkipWrap holds the simulated header answer to the
+// uint64 range, as eth.ServeHeaders is: a Skip of 2^64-1 or 2^63
+// answers the origin alone, forward and reverse.
+func TestHeadersForSkipWrap(t *testing.T) {
+	now := time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
+	n := &SimNode{Network: &Network{base: 100, baseTime: now}, Fresh: FreshSynced}
+	w := &World{}
+	for _, skip := range []uint64{math.MaxUint64, 1 << 63} {
+		for _, reverse := range []bool{false, true} {
+			req := &eth.GetBlockHeaders{Origin: eth.HashOrNumber{Number: 10}, Amount: 5, Skip: skip, Reverse: reverse}
+			hs := w.headersFor(n, now, req)
+			if len(hs) != 1 || hs[0].Number.Uint64() != 10 {
+				t.Errorf("skip %d reverse %v: answered %d headers, want block 10 alone", skip, reverse, len(hs))
+			}
+		}
+	}
+	req := &eth.GetBlockHeaders{Origin: eth.HashOrNumber{Number: 10}, Amount: 3, Skip: 45}
+	if hs := w.headersFor(n, now, req); len(hs) != 2 || hs[1].Number.Uint64() != 56 {
+		t.Errorf("skip 45 from 10 under head 100: answered %d headers, want blocks 10 and 56", len(hs))
+	}
 }

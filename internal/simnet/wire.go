@@ -278,12 +278,8 @@ func (w *World) headersFor(n *SimNode, now time.Time, req *eth.GetBlockHeaders) 
 		amount = 16 // the crawler never asks for more than one
 	}
 	var headers []*chain.Header
-	step := req.Skip + 1
 	num := req.Origin.Number
-	for uint64(len(headers)) < amount {
-		if num > best {
-			break
-		}
+	for uint64(len(headers)) < amount && num <= best {
 		h := &chain.Header{
 			Difficulty: big.NewInt(131072),
 			Number:     new(big.Int).SetUint64(num),
@@ -294,14 +290,11 @@ func (w *World) headersFor(n *SimNode, now time.Time, req *eth.GetBlockHeaders) 
 			h.Extra = append([]byte(nil), chain.DAOForkBlockExtra...)
 		}
 		headers = append(headers, h)
-		if req.Reverse {
-			if num < step {
-				break
-			}
-			num -= step
-		} else {
-			num += step
+		next, ok := req.Next(num)
+		if !ok {
+			break
 		}
+		num = next
 	}
 	return headers
 }
