@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments quickstart clean fuzz-smoke chaos lint mutate
+.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments experiments-check quickstart clean fuzz-smoke chaos lint mutate
 
 all: build vet test
 
@@ -12,7 +12,7 @@ fmt-check:
 
 # Reproduce the full CI pipeline (.github/workflows/ci.yml) locally:
 # every gating step of every job there is one of these targets.
-ci: fmt-check build vet lint test race bench-smoke fuzz-smoke chaos bench-ledger mutate
+ci: fmt-check build vet lint test experiments-check race bench-smoke fuzz-smoke chaos bench-ledger mutate
 
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
 # then per differential target of the hand-written arithmetic (the
@@ -111,6 +111,17 @@ bench-crypto:
 # Regenerate every table/figure and EXPERIMENTS.md (full scale).
 experiments:
 	go run ./cmd/experiments -out EXPERIMENTS.md
+
+# EXPERIMENTS.md must be what `make experiments` writes (seed 2018,
+# full scale, ≈21 s), byte for byte: a change that moves a row
+# regenerates the file and lists the moved rows in CHANGES.md.
+experiments-check:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	go run ./cmd/experiments -out "$$tmp" >/dev/null && \
+	if ! cmp "$$tmp" EXPERIMENTS.md; then \
+		diff -u EXPERIMENTS.md "$$tmp" | head -40; \
+		echo "EXPERIMENTS.md is stale: run make experiments"; exit 1; \
+	fi
 
 # End-to-end crawl over real sockets.
 quickstart:

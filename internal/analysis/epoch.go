@@ -35,82 +35,101 @@ type EpochPoint struct {
 	Changed int `json:"changed"`
 }
 
-// liveSet is one window's live identities: how each last presented
+// member is one identity live in a window: how it last presented
 // itself, and when.
-type liveSet struct {
-	fp     map[string]string
-	latest map[string]time.Time
+type member struct {
+	at     time.Time
+	ip     string
+	client string // the HELLO's client name; "" without one
+	id     int32
+	hello  bool
 }
 
-func newLiveSet() *liveSet {
-	return &liveSet{fp: map[string]string{}, latest: map[string]time.Time{}}
+// fingerprint is how m presented itself: "ip|clientName" when a HELLO
+// was decoded, bare "ip" otherwise.
+func (m *member) fingerprint() string {
+	if m.hello {
+		return m.ip + "|" + m.client
+	}
+	return m.ip
+}
+
+// sameFingerprint reports m.fingerprint() == o.fingerprint(). With the
+// '|' at the same offset in both, that is field equality; an IP
+// containing '|' can spell another member's HELLO fingerprint, so
+// otherwise, if the lengths agree, the strings are built and compared.
+func (m *member) sameFingerprint(o *member) bool {
+	if m.hello == o.hello && len(m.ip) == len(o.ip) {
+		return m.ip == o.ip && m.client == o.client
+	}
+	return m.fingerprintLen() == o.fingerprintLen() && m.fingerprint() == o.fingerprint()
+}
+
+func (m *member) fingerprintLen() int {
+	if m.hello {
+		return len(m.ip) + 1 + len(m.client)
+	}
+	return len(m.ip)
+}
+
+// liveSet is one window's live identities, in the order they went
+// live. pos[id] is 1 + identity id's index in members, 0 if it is not
+// live here; reset clears it member by member, so a reused set
+// observes and resets without hashing or allocating.
+type liveSet struct {
+	members []member
+	pos     []int32
 }
 
 func (l *liveSet) reset() {
-	clear(l.fp)
-	clear(l.latest)
+	for i := range l.members {
+		l.pos[l.members[i].id] = 0
+	}
+	clear(l.members) // drop the strings
+	l.members = l.members[:0]
 }
 
-// observe is the live-fingerprint rule. An entry with a responsive
-// record (HELLO or DISCONNECT, the paper's "responding" criterion)
-// makes its identity live in the entry's window, with a fingerprint of
-// how it presented itself: "ip|clientName" when a HELLO was decoded,
-// bare "ip" otherwise. Later entries win; among equal timestamps,
-// later log order wins, so the result is deterministic for a fixed
-// entry sequence.
-func (l *liveSet) observe(e *mlog.Entry) {
-	if e.NodeID == "" || !answered(e) {
+// lookup returns identity id's member, or nil if it is not live here.
+func (l *liveSet) lookup(id int32) *member {
+	if int(id) >= len(l.pos) || l.pos[id] == 0 {
+		return nil
+	}
+	return &l.members[l.pos[id]-1]
+}
+
+// observe is the live-fingerprint rule for an answered entry (HELLO or
+// DISCONNECT, the paper's "responding" criterion) of identity id: it
+// makes id live in the set, with the fingerprint of e. Later entries
+// win; among equal timestamps, later log order wins, so the result is
+// deterministic for a fixed entry sequence.
+func (l *liveSet) observe(e *mlog.Entry, id int32) {
+	if int(id) >= len(l.pos) {
+		l.pos = append(l.pos, make([]int32, int(id)+1-len(l.pos))...)
+	}
+	m := l.lookup(id)
+	switch {
+	case m == nil:
+		l.members = append(l.members, member{id: id})
+		l.pos[id] = int32(len(l.members))
+		m = &l.members[len(l.members)-1]
+	case e.Time.Before(m.at):
 		return
 	}
-	if t, ok := l.latest[e.NodeID]; ok && e.Time.Before(t) {
-		return
+	m.at, m.ip, m.hello, m.client = e.Time, e.IP, e.Hello != nil, ""
+	if m.hello {
+		m.client = e.Hello.ClientName
 	}
-	l.latest[e.NodeID] = e.Time
-	fp := e.IP
-	if e.Hello != nil {
-		fp += "|" + e.Hello.ClientName
-	}
-	l.fp[e.NodeID] = fp
-}
-
-// LiveFingerprints returns the fingerprint (see liveSet.observe) of
-// every identity live in [since, until).
-func LiveFingerprints(entries []*mlog.Entry, since, until time.Time) map[string]string {
-	live := newLiveSet()
-	for _, e := range entries {
-		if !e.Time.Before(since) && e.Time.Before(until) {
-			live.observe(e)
-		}
-	}
-	return live.fp
-}
-
-// DiffEpoch compares consecutive live-fingerprint sets: identities in
-// cur but not prev arrived, identities in prev but not cur departed,
-// and identities in both whose fingerprint differs changed.
-func DiffEpoch(prev, cur map[string]string) (arrived, departed, changed int) {
-	for id, fp := range cur {
-		pfp, ok := prev[id]
-		switch {
-		case !ok:
-			arrived++
-		case pfp != fp:
-			changed++
-		}
-	}
-	for id := range prev {
-		if _, ok := cur[id]; !ok {
-			departed++
-		}
-	}
-	return arrived, departed, changed
 }
 
 // EpochFold computes the churn series incrementally. Add files an
 // entry under its window; Seal closes windows in order, diffing each
-// against its predecessor. Only the last sealed window's live set and
-// the still-open windows stay in memory, so the fold's footprint
-// follows the live population, not the length of the log.
+// against its predecessor. The caller numbers identities densely, one
+// number per node ID for the fold's lifetime (the census passes
+// NodeObservation.Seq). Only the last sealed window's live set, the
+// still-open windows' and one spare stay in memory, each costing a
+// 64-byte member per identity live in it plus 4 bytes per identity
+// number up to the highest it has seen: the live population, and 4
+// bytes per identity ever numbered for each of those few sets.
 //
 // Window i covers [start+i*interval, start+(i+1)*interval). The first
 // window diffs against an empty set, so a crawl's opening burst shows
@@ -128,45 +147,48 @@ type EpochFold struct {
 // NewEpochFold starts a series at start with the given window width,
 // which must be positive.
 func NewEpochFold(start time.Time, interval time.Duration) *EpochFold {
-	return &EpochFold{start: start, interval: interval, prev: newLiveSet(), open: map[int]*liveSet{}}
+	return &EpochFold{start: start, interval: interval, prev: &liveSet{}, open: map[int]*liveSet{}}
 }
 
-// window returns the index of the window e falls in; ok is false for
-// an entry from before the series start.
-func (f *EpochFold) window(e *mlog.Entry) (w int, ok bool) {
-	if e.Time.Before(f.start) {
+// window returns the index of the window t falls in; ok is false
+// before the series start.
+func (f *EpochFold) window(t time.Time) (w int, ok bool) {
+	d := t.Sub(f.start)
+	if d < 0 {
 		return 0, false
 	}
-	return int(e.Time.Sub(f.start) / f.interval), true
+	return int(d / f.interval), true
 }
 
-// Add files e under its window. It reports false when that window is
-// already sealed: its published point stands, and e is left out of the
-// series.
-func (f *EpochFold) Add(e *mlog.Entry) bool {
-	w, ok := f.window(e)
+// Add files e, the entry of identity number id, under its window; id
+// is ignored for an entry without a node ID. It reports false when
+// that window is already sealed: its published point stands, and e is
+// left out of the series.
+func (f *EpochFold) Add(e *mlog.Entry, id int) bool {
+	w, ok := f.window(e.Time)
 	if !ok {
 		return true
 	}
 	if w < f.sealed {
 		return false
 	}
-	live := f.open[w]
-	if live == nil {
-		live = f.emptySet()
-		f.open[w] = live
+	if e.NodeID != "" && answered(e) {
+		f.set(w).observe(e, int32(id))
 	}
-	live.observe(e)
 	return true
 }
 
-// emptySet hands out the spare set if there is one, else a new one.
-func (f *EpochFold) emptySet() *liveSet {
-	if s := f.spare; s != nil {
-		f.spare = nil
-		return s
+// set returns window w's live set, opening it, from the spare set if
+// there is one, on first use.
+func (f *EpochFold) set(w int) *liveSet {
+	live := f.open[w]
+	if live == nil {
+		if live, f.spare = f.spare, nil; live == nil {
+			live = &liveSet{}
+		}
+		f.open[w] = live
 	}
-	return newLiveSet()
+	return live
 }
 
 // Seal closes, in order, every window below n that is not yet sealed
@@ -174,19 +196,25 @@ func (f *EpochFold) emptySet() *liveSet {
 // already sealed is a no-op.
 func (f *EpochFold) Seal(n int, points []EpochPoint) []EpochPoint {
 	for ; f.sealed < n; f.sealed++ {
-		cur := f.open[f.sealed]
+		cur := f.set(f.sealed)
 		delete(f.open, f.sealed)
-		if cur == nil {
-			cur = f.emptySet()
+		arrived, changed := 0, 0
+		for i := range cur.members {
+			m := &cur.members[i]
+			switch p := f.prev.lookup(m.id); {
+			case p == nil:
+				arrived++
+			case !m.sameFingerprint(p):
+				changed++
+			}
 		}
-		arrived, departed, changed := DiffEpoch(f.prev.fp, cur.fp)
 		points = append(points, EpochPoint{
 			Epoch:    f.sealed,
 			Start:    f.start.Add(time.Duration(f.sealed) * f.interval),
 			End:      f.start.Add(time.Duration(f.sealed+1) * f.interval),
-			Alive:    len(cur.fp),
+			Alive:    len(cur.members),
 			Arrived:  arrived,
-			Departed: departed,
+			Departed: len(f.prev.members) - (len(cur.members) - arrived), // prev's members that did not stay
 			Changed:  changed,
 		})
 		f.prev.reset()
@@ -197,39 +225,58 @@ func (f *EpochFold) Seal(n int, points []EpochPoint) []EpochPoint {
 
 // EpochSeries slices entries into `epochs` fixed intervals from start
 // and produces the full churn series: the EpochFold run from scratch.
-// Entries are first bucketed by window (one pass, log order kept
-// within a window) and then folded one window at a time, so the whole
-// series costs one pass over the log and two live sets of memory.
+// One pass numbers the answered entries' identities and counts them by
+// window, a second buckets them by window (log order kept within one),
+// and the windows are folded one at a time: one map lookup per
+// answered entry, 12 bytes per entry and two live sets of memory.
 func EpochSeries(entries []*mlog.Entry, start time.Time, interval time.Duration, epochs int) []EpochPoint {
 	if epochs <= 0 || interval <= 0 {
 		return nil
 	}
 	f := NewEpochFold(start, interval)
+	// filing[i] is entries[i]'s identity number and window; w < 0
+	// leaves it out.
+	type filed struct{ id, w int32 }
+	filing := make([]filed, len(entries))
+	ids := map[string]int32{}
 	// Counting sort by window; ends[w] becomes the end of window w's
 	// run in byWindow.
 	ends := make([]int, epochs)
-	for _, e := range entries {
-		if w, ok := f.window(e); ok && w < epochs {
-			ends[w]++
+	for i, e := range entries {
+		filing[i].w = -1
+		if e.NodeID == "" || !answered(e) {
+			continue
 		}
+		w, ok := f.window(e.Time)
+		if !ok || w >= epochs {
+			continue
+		}
+		id, seen := ids[e.NodeID]
+		if !seen {
+			id = int32(len(ids))
+			ids[e.NodeID] = id
+		}
+		filing[i] = filed{id: id, w: int32(w)}
+		ends[w]++
 	}
 	total := 0
 	for w, n := range ends {
 		ends[w] = total // the run's start, until the fill below advances it
 		total += n
 	}
-	byWindow := make([]*mlog.Entry, total)
-	for _, e := range entries {
-		if w, ok := f.window(e); ok && w < epochs {
-			byWindow[ends[w]] = e
-			ends[w]++
+	byWindow := make([]int32, total) // indexes into entries
+	for i, fl := range filing {
+		if fl.w >= 0 {
+			byWindow[ends[fl.w]] = int32(i)
+			ends[fl.w]++
 		}
 	}
 	points := make([]EpochPoint, 0, epochs)
 	from := 0
 	for w, end := range ends {
-		for _, e := range byWindow[from:end] {
-			f.Add(e)
+		live := f.set(w)
+		for _, i := range byWindow[from:end] {
+			live.observe(entries[i], filing[i].id)
 		}
 		from = end
 		points = f.Seal(w+1, points)

@@ -49,8 +49,9 @@ type NodeObservation struct {
 
 	// Seq numbers the identities of one Aggregator in the order it first
 	// saw them, from 0: a dense index for state kept beside the table.
-	Seq     int
-	touched bool // on the Aggregator's touched list
+	Seq      int
+	touched  bool // on the Aggregator's touched list
+	unsorted bool // Aggregate: Entries arrived out of time order
 }
 
 // Active returns how long the identity was observed.
@@ -158,15 +159,24 @@ func (a *Aggregator) Add(e *mlog.Entry) *NodeObservation {
 
 // Aggregate groups log entries into per-node observations: the
 // Aggregator fold over the whole log, plus each node's own records
-// (Entries), which only the offline analyses need.
+// (Entries), which only the offline analyses need. Only the nodes
+// whose records arrived out of time order are sorted: sort.Slice
+// leaves a non-decreasing slice as it is, so skipping the others
+// changes nothing.
 func Aggregate(entries []*mlog.Entry) map[string]*NodeObservation {
 	a := NewAggregator()
+	var unsorted []*NodeObservation
 	for _, e := range entries {
 		if o := a.Add(e); o != nil {
+			if n := len(o.Entries); n > 0 && !o.unsorted && e.Time.Before(o.Entries[n-1].Time) {
+				o.unsorted = true
+				unsorted = append(unsorted, o)
+			}
 			o.Entries = append(o.Entries, e)
 		}
 	}
-	for _, o := range a.nodes {
+	for _, o := range unsorted {
+		o.unsorted = false
 		sort.Slice(o.Entries, func(i, j int) bool { return o.Entries[i].Time.Before(o.Entries[j].Time) })
 	}
 	return a.nodes

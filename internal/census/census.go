@@ -381,8 +381,11 @@ func newFold(start time.Time, interval time.Duration, db *geo.DB, maxPoints int)
 // (totals, censuses, /v1/nodes/{id}), but the series point it belongs
 // to has been published and is not rewritten.
 func (f *fold) add(e *mlog.Entry) bool {
-	f.nodes.Add(e)
-	return f.epochs == nil || f.epochs.Add(e)
+	id := 0 // an entry without a node ID has no number; EpochFold ignores it
+	if o := f.nodes.Add(e); o != nil {
+		id = o.Seq
+	}
+	return f.epochs == nil || f.epochs.Add(e, id)
 }
 
 // BuildSnapshot folds the whole log from scratch and snapshots the
