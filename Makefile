@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments experiments-check quickstart clean fuzz-smoke chaos lint mutate
+.PHONY: all build vet test race bench bench-crypto bench-ledger fmt-check ci experiments experiments-check quickstart clean fuzz-smoke chaos mutate
 
 all: build vet test
 
@@ -12,7 +12,7 @@ fmt-check:
 
 # Reproduce the full CI pipeline (.github/workflows/ci.yml) locally:
 # every gating step of every job there is one of these targets.
-ci: fmt-check build vet lint test experiments-check race bench-smoke fuzz-smoke chaos bench-ledger mutate
+ci: fmt-check build vet test experiments-check race bench-smoke fuzz-smoke chaos bench-ledger mutate
 
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
 # then per differential target of the hand-written arithmetic (the
@@ -69,22 +69,11 @@ bench-ledger:
 build:
 	go build ./...
 
-# Repo-specific static invariants (see DESIGN.md "Static invariants"):
-# clock discipline and taxonomy coverage. Bounded wire allocations,
-# wire taint, locks vs conn I/O, conn Close, goroutine termination,
-# conn deadlines, RLP wire symmetry, frozen-after-publish, shared state
-# and bounded channels are held by runtime tests instead (`make mutate`
-# proves which test catches each). A run is ≈1.5 s (most of it
-# type-checking std from source), so there is no result cache in front
-# of it; `repolint -v` adds each analyzer's raw/suppressed/reported
-# counts.
-lint:
-	go run ./cmd/repolint ./...
-
 # Every gate proven to trip: each mutations/*.patch plants one
-# violation in a scratch copy of the tree, and the command on its
-# `expect:` line (a runtime test, or repolint for the two analyzers)
-# must then fail. One PASS line per patch.
+# violation in a scratch copy of the tree, and the runtime test on its
+# `expect:` line must then fail (DESIGN.md "Contracts and their
+# gates" maps each contract to its gate and plant). One PASS line per
+# patch.
 mutate:
 	bash mutations/run.sh
 

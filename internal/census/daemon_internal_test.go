@@ -28,7 +28,11 @@ func TestRecordDoesNotWaitForPublish(t *testing.T) {
 	}
 	d.pubMu.Unlock()
 
-	if got := d.Publish().Totals.Identities; got != 1 {
+	snap := d.Publish()
+	if got := snap.Totals.Identities; got != 1 {
 		t.Errorf("%d identities after the publish, want the 1 recorded meanwhile", got)
+	}
+	if !snap.Start.Equal(start) {
+		t.Errorf("a publish before Start anchored the grid at %v, want the clock's %v", snap.Start, start)
 	}
 }

@@ -109,7 +109,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 func TestHandlerGoldens(t *testing.T) {
 	reg := metrics.New()
 	d, _ := fixture(t, reg)
-	h := census.NewHandler(census.ServerConfig{Source: d, Metrics: reg})
+	h := census.NewHandler(census.ServerConfig{Source: d, Metrics: reg, Clock: simclock.NewSimulated(t0)})
 
 	tests := []struct {
 		name       string
@@ -156,6 +156,10 @@ func TestHandlerGoldens(t *testing.T) {
 			}
 			checkGolden(t, tc.golden, rr.Body.Bytes())
 		})
+	}
+	// Latency is timed on ServerConfig.Clock, which is frozen here.
+	if lat := reg.Snapshot().Histograms["census.http_latency_us"]; lat.Count != uint64(len(tests)) || lat.Sum != 0 {
+		t.Errorf("census.http_latency_us = %+v, want %d samples of 0 µs", lat, len(tests))
 	}
 }
 

@@ -50,7 +50,9 @@ func (c *conn) sleep(d time.Duration) bool {
 	if d <= 0 {
 		return true
 	}
-	t := time.NewTimer(d) //lint:ignore wallclock the injected-latency timer emulates real network delay on real sockets; tests keep it sub-millisecond
+	// Wall time by design: the injected-latency timer emulates real
+	// network delay on real sockets; tests keep it sub-millisecond.
+	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:

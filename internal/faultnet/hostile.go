@@ -181,8 +181,9 @@ func (s *HostileServer) acceptLoop() {
 // Errors are irrelevant: the victim hanging up on us IS the desired
 // outcome.
 func ServeConn(kind HostileKind, key *secp256k1.PrivateKey, seed int64, fd net.Conn) {
-	now := time.Now()                            //lint:ignore wallclock the socket deadline must be an absolute wall-clock instant the kernel compares against real time
-	fd.SetDeadline(now.Add(hostileConnDeadline)) //nolint:errcheck
+	// Wall time by design: the socket deadline is an absolute
+	// wall-clock instant the kernel compares against real time.
+	fd.SetDeadline(time.Now().Add(hostileConnDeadline)) //nolint:errcheck
 	serveConn(kind, key, fd, rand.New(rand.NewSource(seed)))
 }
 

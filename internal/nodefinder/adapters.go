@@ -120,24 +120,27 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 	}
 	res.RTT = clk.Since(tcpStart) // SYN round trip approximates sRTT
 	defer fd.Close()
+	// Every return from here on is timed before the close.
+	defer func() { res.Duration = clk.Since(res.Start) }()
 
 	// The per-dial budget is one absolute deadline covering every
 	// read and write that follows; rlpx's own handshake timeout and
 	// per-message deadlines are disabled so they cannot extend it.
+	// Wall time by design: a socket deadline is an instant the conn
+	// compares against real time, whatever clock times the dial.
 	budget := d.Budget
 	if budget == 0 {
 		budget = DefaultDialBudget
 	}
 	handshakeTimeout := rlpx.HandshakeTimeout
 	if budget > 0 {
-		fd.SetDeadline(clk.Now().Add(budget)) //nolint:errcheck
+		fd.SetDeadline(time.Now().Add(budget)) //nolint:errcheck
 		handshakeTimeout = 0
 	}
 
 	conn, err := rlpx.InitiateTimeout(fd, d.Key, n.ID, handshakeTimeout)
 	if err != nil {
 		res.Err = fmt.Errorf("rlpx: %w", err)
-		res.Duration = clk.Since(res.Start)
 		return res
 	}
 	if budget > 0 {
@@ -155,7 +158,6 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 		} else {
 			res.Err = err
 		}
-		res.Duration = clk.Since(res.Start)
 		return res
 	}
 	res.Hello = theirs
@@ -174,7 +176,6 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 	}
 	if ethCap == nil {
 		devp2p.SendDisconnect(conn, devp2p.DiscUselessPeer) //nolint:errcheck
-		res.Duration = clk.Since(res.Start)
 		return res
 	}
 
@@ -186,7 +187,6 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 	}
 	if err := eth.SendStatus(conn, ethCap.Offset, &status); err != nil {
 		res.Err = err
-		res.Duration = clk.Since(res.Start)
 		return res
 	}
 	theirStatus, err := eth.ReadStatus(conn, ethCap.Offset)
@@ -197,7 +197,6 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 		} else {
 			res.Err = err
 		}
-		res.Duration = clk.Since(res.Start)
 		return res
 	}
 	res.Status = theirStatus
@@ -213,6 +212,5 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 
 	// Done collecting: free the peer slot immediately (§4).
 	devp2p.SendDisconnect(conn, devp2p.DiscRequested) //nolint:errcheck
-	res.Duration = clk.Since(res.Start)
 	return res
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"repro/internal/crypto/secp256k1"
 	"repro/internal/devp2p"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/eth"
 	"repro/internal/nodefinder/mlog"
 	"repro/internal/rlpx"
-	"repro/internal/simclock"
 )
 
 // Listener accepts inbound RLPx connections for a Finder. NodeFinder
@@ -25,8 +25,6 @@ type Listener struct {
 	Hello  devp2p.Hello
 	Status eth.Status
 	Finder *Finder
-	// Clock supplies timestamps; nil uses the system clock.
-	Clock simclock.Clock
 
 	ln     net.Listener
 	wg     sync.WaitGroup
@@ -87,11 +85,8 @@ func (l *Listener) handle(fd net.Conn) {
 	if l.Finder == nil {
 		return
 	}
-	clk := l.Clock
-	if clk == nil {
-		clk = simclock.System{}
-	}
-	start := clk.Now()
+	// Wall time by design: the listener only serves real TCP sessions.
+	start := time.Now()
 	res := &DialResult{Kind: mlog.ConnIncoming, Start: start}
 
 	conn, err := rlpx.Accept(fd, l.Key)
@@ -115,7 +110,7 @@ func (l *Listener) handle(fd net.Conn) {
 		} else {
 			res.Err = err
 		}
-		res.Duration = clk.Since(start)
+		res.Duration = time.Since(start)
 		l.Finder.HandleIncoming(res)
 		return
 	}
@@ -143,7 +138,7 @@ func (l *Listener) handle(fd net.Conn) {
 	// Done collecting: free the slot (the peer may keep talking; we
 	// politely disconnect instead).
 	devp2p.SendDisconnect(conn, devp2p.DiscRequested) //nolint:errcheck
-	res.Duration = clk.Since(start)
+	res.Duration = time.Since(start)
 	res.RTT = conn.SmoothedRTT()
 	l.Finder.HandleIncoming(res)
 }

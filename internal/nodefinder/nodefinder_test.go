@@ -215,9 +215,16 @@ func TestBootstrapNodesAreStaticDialed(t *testing.T) {
 	f := newTestFinder(t, clock, w, mlog.NewCollector())
 	boot := enode.New(enode.RandomID(rand.New(rand.NewSource(9))), net.IPv4(192, 0, 2, 1), 30303, 30303)
 	f.AddStatic(boot)
+	r := f.cfg.DB.Get(boot.ID)
+	if !r.FirstSeen.Equal(t0) || !r.LastSuccess.Equal(t0) {
+		t.Fatalf("bootstrap record stamped %v / %v, want the virtual %v", r.FirstSeen, r.LastSuccess, t0)
+	}
 	f.Start()
 	clock.Advance(2 * time.Hour)
 	f.Stop()
+	if r.LastDial.Before(t0) || r.LastDial.After(clock.Now()) {
+		t.Errorf("static dial stamped %v, want a virtual time", r.LastDial)
+	}
 	w.mu.Lock()
 	dials := w.perNodeDial[boot.ID]
 	w.mu.Unlock()

@@ -2,6 +2,11 @@ package nodefinder
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/devp2p"
@@ -10,34 +15,53 @@ import (
 	"repro/internal/snappy"
 )
 
-// TestOutcomeClassCoversTransportSentinels is the runtime twin of the
-// errtaxonomy lint contract: every exported sentinel a transport
-// package can surface must map to its own taxonomy class, not the
-// "error-other" catch-all — a sentinel landing there would silently
-// merge a distinct failure mode into the census noise bucket. The
+// TestOutcomeClassCoversTransportSentinels holds the failure taxonomy:
+// every exported Err* sentinel a transport package declares must map
+// to its own class, not the "error-other" catch-all, where a distinct
+// failure mode would silently merge into the census noise bucket. The
+// table is complete by construction: the test parses the transports'
+// source and fails on any package-level Err* it does not name. The
 // sentinels are wrapped the way the dial path wraps them (fmt.Errorf
 // with %w) to prove classification survives wrapping.
 func TestOutcomeClassCoversTransportSentinels(t *testing.T) {
-	cases := []struct {
+	cases := map[string]struct {
 		sentinel error
 		want     string
 	}{
-		{rlpx.ErrBadHeaderMAC, "rlpx-bad-mac"},
-		{rlpx.ErrBadFrameMAC, "rlpx-bad-mac"},
-		{rlpx.ErrFrameTooBig, "frame-oversize"},
-		{rlpx.ErrBadHandshake, "rlpx-bad-handshake"},
-		{devp2p.ErrUnexpectedMessage, "protocol-violation"},
-		{devp2p.ErrNoCommonProtocol, "no-common-caps"},
-		{devp2p.ErrMsgTooBig, "msg-oversize"},
-		{eth.ErrNetworkMismatch, "status-mismatch"},
-		{eth.ErrGenesisMismatch, "status-mismatch"},
-		{eth.ErrProtocolMismatch, "status-mismatch"},
-		{eth.ErrNoStatus, "protocol-violation"},
-		{eth.ErrMsgTooBig, "msg-oversize"},
-		{snappy.ErrCorrupt, "snappy-corrupt"},
-		{snappy.ErrTooLarge, "snappy-corrupt"},
+		"rlpx.ErrBadHeaderMAC":        {rlpx.ErrBadHeaderMAC, "rlpx-bad-mac"},
+		"rlpx.ErrBadFrameMAC":         {rlpx.ErrBadFrameMAC, "rlpx-bad-mac"},
+		"rlpx.ErrFrameTooBig":         {rlpx.ErrFrameTooBig, "frame-oversize"},
+		"rlpx.ErrBadHandshake":        {rlpx.ErrBadHandshake, "rlpx-bad-handshake"},
+		"devp2p.ErrUnexpectedMessage": {devp2p.ErrUnexpectedMessage, "protocol-violation"},
+		"devp2p.ErrNoCommonProtocol":  {devp2p.ErrNoCommonProtocol, "no-common-caps"},
+		"devp2p.ErrMsgTooBig":         {devp2p.ErrMsgTooBig, "msg-oversize"},
+		"eth.ErrNetworkMismatch":      {eth.ErrNetworkMismatch, "status-mismatch"},
+		"eth.ErrGenesisMismatch":      {eth.ErrGenesisMismatch, "status-mismatch"},
+		"eth.ErrProtocolMismatch":     {eth.ErrProtocolMismatch, "status-mismatch"},
+		"eth.ErrNoStatus":             {eth.ErrNoStatus, "protocol-violation"},
+		"eth.ErrMsgTooBig":            {eth.ErrMsgTooBig, "msg-oversize"},
+		"snappy.ErrCorrupt":           {snappy.ErrCorrupt, "snappy-corrupt"},
+		"snappy.ErrTooLarge":          {snappy.ErrTooLarge, "snappy-corrupt"},
 	}
-	for _, tc := range cases {
+	declared := map[string]bool{}
+	for _, pkg := range []string{"rlpx", "devp2p", "eth", "snappy", "faultnet"} {
+		for _, spec := range packageSpecs(t, filepath.Join("..", pkg), token.VAR) {
+			for _, name := range spec.Names {
+				if strings.HasPrefix(name.Name, "Err") {
+					declared[pkg+"."+name.Name] = true
+				}
+			}
+		}
+	}
+	for name := range declared {
+		if _, ok := cases[name]; !ok {
+			t.Errorf("%s is declared but not in this table: give it an OutcomeClass class and a row here", name)
+		}
+	}
+	for name, tc := range cases {
+		if !declared[name] {
+			t.Errorf("row %s names no declared sentinel: the source scan is stale", name)
+		}
 		t.Run(tc.sentinel.Error(), func(t *testing.T) {
 			res := &DialResult{Err: fmt.Errorf("handshake stage: %w", tc.sentinel)}
 			got := OutcomeClass(res)
@@ -49,6 +73,82 @@ func TestOutcomeClassCoversTransportSentinels(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestConnTypeSwitchesAreExhaustive holds the other half of the
+// taxonomy: a switch over an entry's ConnType in analysis must name
+// every mlog.ConnType constant (or carry a default), so a new
+// connection type cannot be dropped silently from a figure.
+func TestConnTypeSwitchesAreExhaustive(t *testing.T) {
+	var consts []string
+	for _, spec := range packageSpecs(t, "mlog", token.CONST) {
+		if id, ok := spec.Type.(*ast.Ident); ok && id.Name == "ConnType" {
+			consts = append(consts, spec.Names[0].Name)
+		}
+	}
+	switches := 0
+	for _, file := range sourceFiles(t, filepath.Join("..", "analysis")) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			sw, ok := n.(*ast.SwitchStmt)
+			if !ok {
+				return true
+			}
+			if tag, ok := sw.Tag.(*ast.SelectorExpr); !ok || tag.Sel.Name != "ConnType" {
+				return true
+			}
+			switches++
+			covered := map[string]bool{}
+			for _, cc := range sw.Body.List {
+				if cc.(*ast.CaseClause).List == nil {
+					return true // a default covers the rest
+				}
+				for _, expr := range cc.(*ast.CaseClause).List {
+					if sel, ok := expr.(*ast.SelectorExpr); ok {
+						covered[sel.Sel.Name] = true
+					}
+				}
+			}
+			for _, c := range consts {
+				if !covered[c] {
+					t.Errorf("analysis: a switch over ConnType misses mlog.%s (add the case or a default)", c)
+				}
+			}
+			return true
+		})
+	}
+	if len(consts) == 0 || switches == 0 {
+		t.Fatalf("%d ConnType constants, %d switches over one: the source scan is stale", len(consts), switches)
+	}
+}
+
+// packageSpecs returns the package-level var or const specs in the
+// non-test Go files of dir.
+func packageSpecs(t *testing.T, dir string, tok token.Token) (specs []*ast.ValueSpec) {
+	for _, file := range sourceFiles(t, dir) {
+		for _, decl := range file.Decls {
+			if gd, ok := decl.(*ast.GenDecl); ok && gd.Tok == tok {
+				for _, spec := range gd.Specs {
+					specs = append(specs, spec.(*ast.ValueSpec))
+				}
+			}
+		}
+	}
+	return specs
+}
+
+// sourceFiles parses the non-test Go files of one package directory.
+func sourceFiles(t *testing.T, dir string) (files []*ast.File) {
+	paths, _ := filepath.Glob(filepath.Join(dir, "*.go"))
+	for _, p := range paths {
+		if !strings.HasSuffix(p, "_test.go") {
+			f, err := parser.ParseFile(token.NewFileSet(), p, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+	}
+	return files
 }
 
 // TestOutcomeClassNonErrorStates pins the classifier's non-error

@@ -100,7 +100,8 @@ func AcceptTimeout(fd net.Conn, priv *secp256k1.PrivateKey, timeout time.Duratio
 
 func armHandshakeDeadline(fd net.Conn, timeout time.Duration) {
 	if timeout > 0 {
-		//lint:ignore wallclock socket deadlines are absolute wall-clock instants the kernel compares against real time
+		// Wall time by design: socket deadlines are absolute wall-clock
+		// instants the kernel compares against real time.
 		fd.SetDeadline(time.Now().Add(timeout)) //nolint:errcheck
 	}
 }
@@ -147,7 +148,8 @@ func (c *Conn) SetMaxReadFrame(n int) {
 // WriteMsg sends one message with the standard write deadline.
 func (c *Conn) WriteMsg(code uint64, payload []byte) error {
 	if d := c.writeTimeout.Load(); d > 0 {
-		//lint:ignore wallclock socket deadlines are absolute wall-clock instants the kernel compares against real time
+		// Wall time by design: socket deadlines are absolute wall-clock
+		// instants the kernel compares against real time.
 		c.fd.SetWriteDeadline(time.Now().Add(time.Duration(d))) //nolint:errcheck
 	}
 	if c.snappy.Load() {
@@ -190,7 +192,8 @@ const maxKeepPayload = 1 << 17
 // ReadMsg receives one message with the standard read deadline.
 func (c *Conn) ReadMsg() (code uint64, payload []byte, err error) {
 	if d := c.readTimeout.Load(); d > 0 {
-		//lint:ignore wallclock socket deadlines are absolute wall-clock instants the kernel compares against real time
+		// Wall time by design: socket deadlines are absolute wall-clock
+		// instants the kernel compares against real time.
 		c.fd.SetReadDeadline(time.Now().Add(time.Duration(d))) //nolint:errcheck
 	}
 	max := int(c.maxReadFrame.Load())

@@ -169,7 +169,8 @@ func (w *World) serveWire(n *SimNode, fd net.Conn, seed int64, occupied bool) {
 // before writing at each exchange; the buffered pipe makes ordering
 // safe regardless.
 func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
-	//lint:ignore wallclock connection deadlines are wall-clock instants guarding real goroutines, not simulated events
+	// Wall time by design: connection deadlines are wall-clock instants
+	// guarding real goroutines, not simulated events.
 	fd.SetDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
 	conn, err := rlpx.AcceptTimeout(fd, n.key, wireHandshakeTimeout)
 	if err != nil {

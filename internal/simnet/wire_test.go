@@ -131,6 +131,34 @@ func TestPromotedHonestDial(t *testing.T) {
 	}
 }
 
+// TestRealDialerOnVirtualTime dials with the world's own frozen clock:
+// every time a RealDialer reports, and the STATUS the world serves,
+// must come from that clock, on the connected path and the refused one
+// alike, while the budget deadline stays on wall time (a virtual one
+// would already have expired).
+func TestRealDialerOnVirtualTime(t *testing.T) {
+	leakcheck.Check(t)
+	w := wireWorld(t, 7, metrics.New())
+	d := wireDialer(t, w, 0)
+	d.Clock = w.Clock
+	now := w.Clock.Now()
+	target := honestMainnetNode(t, w)
+	stranger := enode.New(enode.RandomID(rand.New(rand.NewSource(1))), net.IP{10, 9, 9, 9}, 30303, 30303)
+	for i, n := range []*enode.Node{target.Node, stranger} {
+		res := dialOne(t, d, n)
+		if want := target.Network.BestHashAt(target.BestBlockAt(now)); i == 0 && (res.Status == nil || res.Status.BestHash != want) {
+			t.Errorf("served STATUS is not the virtual now's (best hash %x)", want)
+		}
+		if class, want := nodefinder.OutcomeClass(res), []string{"eth-handshake", "tcp-refused"}[i]; class != want {
+			t.Errorf("dial %d: outcome %q (err=%v), want %q", i, class, res.Err, want)
+		}
+		if !res.Start.Equal(now) || res.RTT != 0 || res.Duration != 0 {
+			t.Errorf("dial %d: Start %v, RTT %v, Duration %v; want %v, 0, 0 on the frozen clock",
+				i, res.Start, res.RTT, res.Duration, now)
+		}
+	}
+}
+
 // TestPromotedOfflineAndUnknownDials pins the analytic failure shapes:
 // addresses outside the world refuse, NAT'd nodes time out, offline
 // nodes refuse — all without promoting anything.
