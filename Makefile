@@ -19,7 +19,8 @@ ci: fmt-check build vet test experiments-check race bench-smoke fuzz-smoke chaos
 # secp256k1 field, scalar and point code against math/big and the
 # oracle; the snappy encoder against its own decoder; the census
 # daemon's incremental publish against its from-scratch oracle; the
-# measurement log's JSON encoder against encoding/json). Each
+# measurement log's JSON encoder and the census's node body against
+# encoding/json). Each
 # target also replays its committed regression corpus first.
 FUZZTIME ?= 30s
 fuzz-smoke:
@@ -37,6 +38,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzScalarArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzPointArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzFoldVsOracle -fuzztime=$(FUZZTIME) ./internal/census
+	go test -run='^$$' -fuzz=FuzzAppendNode -fuzztime=$(FUZZTIME) ./internal/census
 	go test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=$(FUZZTIME) ./internal/nodefinder/mlog
 
 # The faultnet chaos suite: hostile peer taxonomy + the mixed

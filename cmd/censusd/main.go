@@ -35,7 +35,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/nodefinder"
 	"repro/internal/nodefinder/mlog"
-	"repro/internal/simclock"
 	"repro/internal/simnet"
 )
 
@@ -105,11 +104,7 @@ func run(addr string, nodes int, seed int64, interval, chunk, pace time.Duration
 		d.Stop()
 	}()
 
-	handler := census.NewHandler(census.ServerConfig{
-		Source:  d,
-		Metrics: reg,
-		Clock:   simclock.System{},
-	})
+	handler := census.NewHandler(census.ServerConfig{Source: d, Metrics: reg})
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           handler,

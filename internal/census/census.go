@@ -7,8 +7,10 @@
 // The serving design is read-mostly and allocation-bounded: the census
 // and series bodies are marshaled once at publish time and stored
 // inside the Snapshot, snapshots swap atomically, and handlers write
-// the pre-built bytes. Readers never take a lock; only /v1/nodes/{id},
-// ?last=N and /metrics marshal per request.
+// the pre-built bytes under header values also built at publish.
+// Readers never take a lock. ?last=N splices encoded series elements
+// into a marshaled head, /v1/nodes/{id} is appended without reflection,
+// and only /metrics marshals per request.
 //
 // A publish costs what changed since the last one: the daemon keeps one
 // immutable record per identity, rebuilds only those the new entries
@@ -18,8 +20,8 @@ package census
 
 import (
 	"encoding/json"
-	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -121,7 +123,19 @@ type Snapshot struct {
 	seqs   []int
 	recs   []*record
 	cached [numEndpoints][]byte
-	etag   string
+	// churnHead and arrivalsHead are the two series bodies with no
+	// points; churn and arrivals are the points' encoded elements, capped
+	// views of the fold's. ?last=N splices the newest N into the head.
+	churnHead, arrivalsHead []byte
+	churn, arrivals         [][]byte
+	etag                    string
+	// etagHdr, epochHdr and lengthHdr[ep] are the header values of a
+	// response from this snapshot, built once at publish and assigned
+	// into each response's header map. Each has len == cap, so a later
+	// Header().Add copies it instead of writing into what every response
+	// shares.
+	etagHdr, epochHdr []string
+	lengthHdr         [numEndpoints][]string
 }
 
 // ETag returns the strong entity tag shared by every cached payload
@@ -135,6 +149,48 @@ func (s *Snapshot) Node(id string) *NodeSummary {
 		return nil
 	}
 	return &s.recs[s.seqs[i]].NodeSummary
+}
+
+// appendLast appends to buf the body of a series endpoint
+// (epSeriesChurn or epSeriesArrivals) cut to its newest last points: the
+// encoded elements spliced into the series head, as the full body was
+// at publish.
+func (s *Snapshot) appendLast(buf []byte, ep, last int) []byte {
+	head, elems := s.churnHead, s.churn
+	if ep == epSeriesArrivals {
+		head, elems = s.arrivalsHead, s.arrivals
+	}
+	if last < len(elems) {
+		elems = elems[len(elems)-last:]
+	}
+	return appendSplice(buf, head, elems)
+}
+
+// setHeaders builds the header values of s's responses from its epoch
+// and cached bodies, in one string and one backing array.
+func (s *Snapshot) setHeaders() {
+	var ends [2 + numEndpoints]int
+	b := make([]byte, 0, 256)
+	b = strconv.AppendUint(append(b, `"census-`...), s.Epoch, 10)
+	b = append(b, '"')
+	ends[0] = len(b)
+	b = strconv.AppendUint(b, s.Epoch, 10)
+	ends[1] = len(b)
+	for ep, body := range s.cached {
+		b = strconv.AppendInt(b, int64(len(body)), 10)
+		ends[2+ep] = len(b)
+	}
+	str := string(b)
+	vals := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		vals[i], start = str[start:end], end
+	}
+	s.etag = vals[0]
+	s.etagHdr, s.epochHdr = vals[0:1:1], vals[1:2:2]
+	for ep := range s.lengthHdr {
+		s.lengthHdr[ep] = vals[2+ep : 3+ep : 3+ep]
+	}
 }
 
 // NodeIDs returns all known IDs in sorted order. The slice is shared
@@ -554,7 +610,9 @@ func (f *fold) snapshot(epoch uint64, now time.Time) (s *Snapshot, touched, move
 		ids:    f.ids,
 		seqs:   f.seqs,
 		recs:   f.recs,
-		etag:   fmt.Sprintf("%q", fmt.Sprintf("census-%d", epoch)),
+		// Capped like Points.
+		churn:    f.churn[:len(f.churn):len(f.churn)],
+		arrivals: f.arrivals[:len(f.arrivals):len(f.arrivals)],
 	}
 
 	nets := analysis.NetworkCensusOf(t.networks, t.genesis, t.impostors)
@@ -606,22 +664,25 @@ func (f *fold) snapshot(epoch uint64, now time.Time) (s *Snapshot, touched, move
 		Forks:                   analysis.Rank(t.forks),
 	})
 
-	// A series body is its header, marshaled with no points, and the
+	// A series body is its head, marshaled with no points, and the
 	// points' elements spliced in. nil[:0] is nil: with nothing sealed
 	// the churn series still says null.
-	s.cached[epSeriesChurn] = splice(marshal(churnPayload{
+	s.churnHead = marshal(churnPayload{
 		Epoch:           epoch,
 		Start:           f.start,
 		IntervalSeconds: f.interval.Seconds(),
 		Points:          s.Points[:0],
-	}), f.churn)
-	s.cached[epSeriesArrivals] = splice(marshal(arrivalsPayload{Epoch: epoch, Points: []arrivalPoint{}}), f.arrivals)
+	})
+	s.arrivalsHead = marshal(arrivalsPayload{Epoch: epoch, Points: []arrivalPoint{}})
+	s.cached[epSeriesChurn] = appendSplice(nil, s.churnHead, s.churn)
+	s.cached[epSeriesArrivals] = appendSplice(nil, s.arrivalsHead, s.arrivals)
 
 	s.cached[epIndex] = marshal(indexPayload{
 		Service:   "censusd",
 		Epoch:     epoch,
 		Endpoints: endpointPaths,
 	})
+	s.setHeaders()
 
 	return s, touched, moved
 }
@@ -644,18 +705,18 @@ func encode(v any, prefix string) []byte {
 	return buf
 }
 
-// splice returns body, a marshaled payload whose last field is an empty
-// array, with elems as that array's elements.
-func splice(body []byte, elems [][]byte) []byte {
+// appendSplice appends to buf body, a marshaled payload whose last field
+// is an empty array, with elems as that array's elements.
+func appendSplice(buf, body []byte, elems [][]byte) []byte {
 	if len(elems) == 0 {
-		return body
+		return append(buf, body...)
 	}
 	const empty, first, next, end = "[]\n}\n", "[\n" + elementPrefix, ",\n" + elementPrefix, "\n  ]\n}\n"
 	size := len(body) - len(empty) + len(elems)*len(next) + len(end)
 	for _, e := range elems {
 		size += len(e)
 	}
-	out := append(make([]byte, 0, size), body[:len(body)-len(empty)]...)
+	out := append(slices.Grow(buf, size), body[:len(body)-len(empty)]...)
 	for i, e := range elems {
 		if i == 0 {
 			out = append(out, first...)

@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/jsonenc"
 	"repro/internal/metrics"
 	"repro/internal/simclock"
 )
@@ -25,11 +28,9 @@ const DefaultMaxBodyBytes = 4 << 10
 type ServerConfig struct {
 	Source SnapshotSource
 	// Metrics is served by /metrics and also receives the server's own
-	// request instruments; nil disables both.
+	// request instruments, latency in wall time included; nil disables
+	// both.
 	Metrics *metrics.Registry
-	// Clock times request handling for the latency histogram; nil
-	// disables latency observation (counters still work).
-	Clock simclock.Clock
 	// MaxBodyBytes overrides DefaultMaxBodyBytes when positive.
 	MaxBodyBytes int64
 }
@@ -49,7 +50,11 @@ type ServerConfig struct {
 // Static endpoints serve bytes pre-marshaled at publish time, tagged
 // with a strong ETag derived from the snapshot epoch; If-None-Match
 // turns a poll against an unchanged epoch into a 304 with no body.
-// Handlers never lock and never marshal on the cached path.
+// ?last=N splices the newest N series elements, encoded when their
+// windows were sealed, into the series head, and a node body is
+// appended field by field; only /metrics marshals per request. Header
+// values of the cached paths are built once per publish. Handlers never
+// lock.
 func NewHandler(cfg ServerConfig) http.Handler {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = DefaultMaxBodyBytes
@@ -57,7 +62,6 @@ func NewHandler(cfg ServerConfig) http.Handler {
 	s := &server{
 		src:         cfg.Source,
 		reg:         cfg.Metrics,
-		clock:       cfg.Clock,
 		maxBody:     cfg.MaxBodyBytes,
 		requests:    cfg.Metrics.CounterVec("census.http_requests"),
 		statuses:    cfg.Metrics.CounterVec("census.http_status"),
@@ -82,7 +86,6 @@ func NewHandler(cfg ServerConfig) http.Handler {
 type server struct {
 	src     SnapshotSource
 	reg     *metrics.Registry
-	clock   simclock.Clock
 	maxBody int64
 	mux     *http.ServeMux
 
@@ -90,204 +93,192 @@ type server struct {
 	statuses    *metrics.CounterVec
 	notModified *metrics.Counter
 	latencyUS   *metrics.Histogram
+	// classes[i] is statuses' counter for statusClasses[i], resolved the
+	// first time a response of that class is counted (a class shows in
+	// /metrics once it has been served) and read without a lock after.
+	classes [len(statusClasses)]atomic.Pointer[metrics.Counter]
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// statusWriter records the status code for the per-class counter.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
+// bodyBufs recycles the buffers node and ?last bodies are built in: a
+// body is garbage once written (a ResponseWriter does not retain what
+// it is given).
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
+// endpoint serves one request and returns the status it wrote.
+type endpoint func(http.ResponseWriter, *http.Request) int
+
+// contentTypeJSON is every response's Content-Type value, shared by all
+// of them: len == cap, so a later Header().Add copies it.
+var contentTypeJSON = []string{"application/json"}
 
 // get wraps an endpoint handler with the shared request policy:
 // per-endpoint accounting, method gating (GET/HEAD only), and request
 // body bounds. The endpoint counter is resolved once at construction,
-// not per request.
-func (s *server) get(label string, h http.HandlerFunc) http.HandlerFunc {
+// not per request. Latency is what the request cost in wall time,
+// whatever clock the daemon publishes on.
+func (s *server) get(label string, h endpoint) http.HandlerFunc {
 	count := s.requests.WithLabel(label)
 	return func(w http.ResponseWriter, r *http.Request) {
 		count.Inc()
-		var began time.Time
-		timed := s.clock != nil
-		if timed {
-			began = s.clock.Now()
-		}
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		cost := simclock.StartStopwatch()
+		var status int
 		switch {
 		case r.Method != http.MethodGet && r.Method != http.MethodHead:
-			sw.Header().Set("Allow", "GET, HEAD")
-			s.writeError(sw, http.StatusMethodNotAllowed, "method not allowed")
+			w.Header().Set("Allow", "GET, HEAD")
+			status = writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		case r.ContentLength > s.maxBody:
-			s.writeError(sw, http.StatusRequestEntityTooLarge, "request body too large")
+			status = writeError(w, http.StatusRequestEntityTooLarge, "request body too large")
 		default:
 			if r.Body != nil && r.Body != http.NoBody {
-				r.Body = http.MaxBytesReader(sw, r.Body, s.maxBody)
+				r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
 			}
-			h(sw, r)
+			status = h(w, r)
 		}
-		s.statuses.WithLabel(statusClass(sw.status)).Inc()
-		if timed {
-			s.latencyUS.Observe(uint64(s.clock.Since(began) / time.Microsecond))
-		}
+		s.countStatus(status)
+		s.latencyUS.Observe(uint64(cost.Elapsed() / time.Microsecond))
 	}
 }
 
 // cachedPayload serves a snapshot's pre-marshaled body for one
-// endpoint index: a header write and one byte copy, no locks, no
-// allocation beyond the ResponseWriter's own.
-func (s *server) cachedPayload(ep int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// endpoint index: header values assigned from the snapshot and one byte
+// copy, no locks, no allocation beyond the ResponseWriter's own.
+func (s *server) cachedPayload(ep int) endpoint {
+	return func(w http.ResponseWriter, r *http.Request) int {
 		snap := s.src.Current()
 		if snap == nil {
-			s.writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
-			return
+			return writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
 		}
-		s.writeCached(w, r, snap, snap.cached[ep])
+		return s.writeCached(w, r, snap, ep)
 	}
 }
 
-func (s *server) writeCached(w http.ResponseWriter, r *http.Request, snap *Snapshot, body []byte) {
+func (s *server) writeCached(w http.ResponseWriter, r *http.Request, snap *Snapshot, ep int) int {
 	h := w.Header()
-	h.Set("ETag", snap.etag)
-	h.Set("X-Census-Epoch", strconv.FormatUint(snap.Epoch, 10))
+	h["Etag"] = snap.etagHdr
+	h["X-Census-Epoch"] = snap.epochHdr
 	if r.Header.Get("If-None-Match") == snap.etag {
 		s.notModified.Inc()
 		w.WriteHeader(http.StatusNotModified)
-		return
+		return http.StatusNotModified
 	}
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h["Content-Type"] = contentTypeJSON
+	h["Content-Length"] = snap.lengthHdr[ep]
 	w.WriteHeader(http.StatusOK)
 	if r.Method != http.MethodHead {
-		w.Write(body)
+		w.Write(snap.cached[ep])
 	}
+	return http.StatusOK
 }
 
 // series serves the churn/arrivals payloads. Without a query it is a
-// pure cached-bytes path; ?last=N re-slices to the most recent N
-// windows and marshals per request (the one deliberately dynamic
-// view).
-func (s *server) series(ep int) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// pure cached-bytes path; ?last=N splices the most recent N windows'
+// elements into the series head, a copy and no encoding.
+func (s *server) series(ep int) endpoint {
+	return func(w http.ResponseWriter, r *http.Request) int {
 		snap := s.src.Current()
 		if snap == nil {
-			s.writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
-			return
+			return writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
 		}
 		q := r.URL.Query()
 		if !q.Has("last") {
-			s.writeCached(w, r, snap, snap.cached[ep])
-			return
+			return s.writeCached(w, r, snap, ep)
 		}
 		last, err := strconv.Atoi(q.Get("last"))
 		if err != nil || last < 0 {
-			s.writeError(w, http.StatusBadRequest, "last must be a non-negative integer")
-			return
+			return writeError(w, http.StatusBadRequest, "last must be a non-negative integer")
 		}
-		points := snap.Points
-		if last < len(points) {
-			points = points[len(points)-last:]
-		}
-		switch ep {
-		case epSeriesChurn:
-			s.writeJSON(w, snap, churnPayload{
-				Epoch:           snap.Epoch,
-				Start:           snap.Start,
-				IntervalSeconds: snap.Interval.Seconds(),
-				Points:          points,
-			})
-		default:
-			arrivals := make([]arrivalPoint, len(points))
-			for i, pt := range points {
-				arrivals[i] = arrivalPoint{Epoch: pt.Epoch, Start: pt.Start, Arrived: pt.Arrived, Alive: pt.Alive}
-			}
-			s.writeJSON(w, snap, arrivalsPayload{Epoch: snap.Epoch, Points: arrivals})
-		}
+		buf := bodyBufs.Get().(*[]byte)
+		defer bodyBufs.Put(buf)
+		*buf = snap.appendLast((*buf)[:0], ep, last)
+		return writeBody(w, snap, *buf)
 	}
 }
 
 // node serves the per-identity lookup.
-func (s *server) node(w http.ResponseWriter, r *http.Request) {
+func (s *server) node(w http.ResponseWriter, r *http.Request) int {
 	snap := s.src.Current()
 	if snap == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
-		return
+		return writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
 	}
-	id := r.PathValue("id")
-	ns := snap.Node(id)
+	ns := snap.Node(r.PathValue("id"))
 	if ns == nil {
-		s.writeError(w, http.StatusNotFound, "unknown node")
-		return
+		return writeError(w, http.StatusNotFound, "unknown node")
 	}
-	s.writeJSON(w, snap, ns)
+	buf := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(buf)
+	var ok bool
+	if *buf, ok = ns.appendJSON((*buf)[:0]); !ok {
+		return writeError(w, http.StatusInternalServerError, "encode failed")
+	}
+	return writeBody(w, snap, *buf)
 }
 
 // metrics serves the live registry — always marshal-on-demand, since
 // instruments move between snapshots.
-func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, nil, s.reg.Snapshot())
+func (s *server) metrics(w http.ResponseWriter, r *http.Request) int {
+	return writeJSON(w, s.reg.Snapshot())
 }
 
 // index serves the endpoint list at exactly "/"; anything else that
 // fell through the mux is a JSON 404.
-func (s *server) index(w http.ResponseWriter, r *http.Request) {
+func (s *server) index(w http.ResponseWriter, r *http.Request) int {
 	if r.URL.Path != "/" {
-		s.writeError(w, http.StatusNotFound, "no such endpoint")
-		return
+		return writeError(w, http.StatusNotFound, "no such endpoint")
 	}
 	snap := s.src.Current()
 	if snap == nil {
-		s.writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
-		return
+		return writeError(w, http.StatusServiceUnavailable, "no snapshot published yet")
 	}
-	s.writeCached(w, r, snap, snap.cached[epIndex])
+	return s.writeCached(w, r, snap, epIndex)
 }
 
-func (s *server) writeJSON(w http.ResponseWriter, snap *Snapshot, v any) {
+// writeJSON marshals v, for /metrics, the one endpoint whose body is
+// not a function of the snapshot.
+func writeJSON(w http.ResponseWriter, v any) int {
 	buf, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, "encode failed")
-		return
+		return writeError(w, http.StatusInternalServerError, "encode failed")
 	}
-	buf = append(buf, '\n')
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	if snap != nil {
-		h.Set("X-Census-Epoch", strconv.FormatUint(snap.Epoch, 10))
-	}
-	h.Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf)
+	return writeBody(w, nil, append(buf, '\n'))
 }
 
-func (s *server) writeError(w http.ResponseWriter, code int, msg string) {
-	body, _ := json.Marshal(struct {
-		Error string `json:"error"`
-	}{msg})
-	body = append(body, '\n')
+// writeBody serves a 200 with a body built for this request, stamped
+// with snap's epoch when it came from one.
+func writeBody(w http.ResponseWriter, snap *Snapshot, body []byte) int {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(len(body)))
+	h["Content-Type"] = contentTypeJSON
+	if snap != nil {
+		h["X-Census-Epoch"] = snap.epochHdr
+	}
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
+	w.Write(body)
+	return http.StatusOK
+}
+
+func writeError(w http.ResponseWriter, code int, msg string) int {
+	body := jsonenc.AppendString(append(make([]byte, 0, 64), `{"error":`...), msg)
+	body = append(body, "}\n"...)
+	h := w.Header()
+	h["Content-Type"] = contentTypeJSON
+	h["Content-Length"] = []string{strconv.Itoa(len(body))}
 	w.WriteHeader(code)
 	w.Write(body)
+	return code
 }
 
-func statusClass(code int) string {
-	switch {
-	case code < 300:
-		return "2xx"
-	case code < 400:
-		return "3xx"
-	case code < 500:
-		return "4xx"
-	default:
-		return "5xx"
+var statusClasses = [...]string{"2xx", "3xx", "4xx", "5xx"}
+
+// countStatus counts one response under its status class.
+func (s *server) countStatus(code int) {
+	i := min(max(code/100, 2), 5) - 2
+	c := s.classes[i].Load()
+	if c == nil {
+		c = s.statuses.WithLabel(statusClasses[i])
+		s.classes[i].Store(c)
 	}
+	c.Inc()
 }

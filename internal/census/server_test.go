@@ -109,7 +109,7 @@ func checkGolden(t *testing.T, name string, got []byte) {
 func TestHandlerGoldens(t *testing.T) {
 	reg := metrics.New()
 	d, _ := fixture(t, reg)
-	h := census.NewHandler(census.ServerConfig{Source: d, Metrics: reg, Clock: simclock.NewSimulated(t0)})
+	h := census.NewHandler(census.ServerConfig{Source: d, Metrics: reg})
 
 	tests := []struct {
 		name       string
@@ -157,9 +157,54 @@ func TestHandlerGoldens(t *testing.T) {
 			checkGolden(t, tc.golden, rr.Body.Bytes())
 		})
 	}
-	// Latency is timed on ServerConfig.Clock, which is frozen here.
-	if lat := reg.Snapshot().Histograms["census.http_latency_us"]; lat.Count != uint64(len(tests)) || lat.Sum != 0 {
-		t.Errorf("census.http_latency_us = %+v, want %d samples of 0 µs", lat, len(tests))
+	snap := reg.Snapshot()
+	if lat := snap.Histograms["census.http_latency_us"]; lat.Count != uint64(len(tests)) {
+		t.Errorf("census.http_latency_us = %+v, want %d samples", lat, len(tests))
+	}
+	classes := map[string]uint64{}
+	for _, tc := range tests {
+		classes[fmt.Sprintf("census.http_status{%dxx}", tc.wantStatus/100)]++
+	}
+	for name, v := range snap.Counters {
+		if !strings.HasPrefix(name, "census.http_status") {
+			continue
+		}
+		if v != classes[name] {
+			t.Errorf("%s = %d, want %d", name, v, classes[name])
+		}
+		delete(classes, name)
+	}
+	if len(classes) > 0 {
+		t.Errorf("status classes never counted: %v", classes)
+	}
+}
+
+// slowSource takes a while to yield its snapshot, in wall time.
+type slowSource struct {
+	census.SnapshotSource
+	delay time.Duration
+}
+
+func (s slowSource) Current() *census.Snapshot {
+	time.Sleep(s.delay)
+	return s.SnapshotSource.Current()
+}
+
+// TestRequestLatencyIsWallTime: the daemon publishes on a simulated
+// clock that never moves while the request is served, and
+// census.http_latency_us must still record what the request cost.
+func TestRequestLatencyIsWallTime(t *testing.T) {
+	reg := metrics.New()
+	d, _ := fixture(t, reg)
+	h := census.NewHandler(census.ServerConfig{Source: slowSource{d, 2 * time.Millisecond}, Metrics: reg})
+
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/v1/summary", nil))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("status = %d", rr.Code)
+	}
+	if lat := reg.Snapshot().Histograms["census.http_latency_us"]; lat.Count != 1 || lat.Sum < 1000 {
+		t.Errorf("census.http_latency_us = %+v, want one sample of at least 1000 µs for a 2 ms request", lat)
 	}
 }
 
@@ -292,5 +337,61 @@ func TestHeadRequests(t *testing.T) {
 	}
 	if rr.Header().Get("Content-Length") == "0" || rr.Header().Get("Content-Length") == "" {
 		t.Errorf("Content-Length = %q, want the cached body size", rr.Header().Get("Content-Length"))
+	}
+}
+
+// reusedWriter is a ResponseWriter kept across requests, as a server
+// keeps its connection's: its header map is cleared, not reallocated.
+type reusedWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *reusedWriter) Header() http.Header         { return w.h }
+func (w *reusedWriter) WriteHeader(code int)        { w.status = code }
+func (w *reusedWriter) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestServeAllocs budgets what the request classes of the census-serve
+// mix allocate in the handler: a cached body and a 304 nothing; a node
+// lookup its Content-Length value (2) and ServeMux's wildcard match (1);
+// ?last=N its Content-Length and its parsed query (3). Their bodies are
+// built in pooled buffers. The last two budgets allow one allocation
+// more than go1.24 makes, for the standard library's share on other
+// releases; marshaling the node body takes four more.
+func TestServeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	reg := metrics.New()
+	d, _ := fixture(t, reg)
+	h := census.NewHandler(census.ServerConfig{Source: d, Metrics: reg})
+	w := &reusedWriter{h: make(http.Header)}
+	cases := []struct {
+		name, target, ifNoneMatch string
+		status                    int
+		budget                    float64
+	}{
+		{"cached", "/v1/clients", "", http.StatusOK, 0},
+		{"304", "/v1/summary", d.Current().ETag(), http.StatusNotModified, 0},
+		{"node", "/v1/nodes/aa", "", http.StatusOK, 4},
+		{"last", "/v1/series/churn?last=3", "", http.StatusOK, 6},
+	}
+	for _, c := range cases {
+		req := httptest.NewRequest("GET", c.target, nil)
+		if c.ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", c.ifNoneMatch)
+		}
+		got := testing.AllocsPerRun(200, func() {
+			clear(w.h)
+			w.status = http.StatusOK
+			h.ServeHTTP(w, req)
+		})
+		if w.status != c.status {
+			t.Fatalf("%s: status %d, want %d", c.name, w.status, c.status)
+		}
+		if got > c.budget {
+			t.Errorf("%s: %v allocations per request, budget %v", c.name, got, c.budget)
+		}
+		t.Logf("%s: %v allocations per request", c.name, got)
 	}
 }
