@@ -52,14 +52,14 @@ func BenchmarkTable1DisconnectReasons(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Full 7-day observers: the rare disconnect classes (Geth's
 		// Subprotocol-error sends) need the whole window to appear.
-		r := experiments.Table1(int64(i), 0)
+		r := experiments.Table1(experiments.RunCaseStudy(int64(i)))
 		requirePass(b, r)
 	}
 }
 
 func BenchmarkFig2MessageMix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := experiments.Fig2And3(int64(i), 0)
+		r := experiments.Fig2And3(experiments.RunCaseStudy(int64(i)))
 		requirePass(b, r)
 	}
 }
@@ -68,7 +68,7 @@ func BenchmarkFig4PeerConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Full 7-day observers: sub-cap occupancy comes from blips
 		// that may not occur in a short window.
-		r := experiments.Fig4(int64(i), 0)
+		r := experiments.Fig4(experiments.RunCaseStudy(int64(i)))
 		requirePass(b, r)
 	}
 }

@@ -8,94 +8,107 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
+	"io"
+	"sort"
 
 	"repro/internal/analysis"
+	"repro/internal/cli"
 	"repro/internal/geo"
 	"repro/internal/nodefinder/mlog"
 )
 
-func main() {
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: analyze [flags] <log.jsonl>")
-		flag.PrintDefaults()
+func main() { cli.Main(run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: analyze [flags] <log.jsonl>")
+		fs.PrintDefaults()
 	}
-	skipSanitize := flag.Bool("raw", false, "skip the §5.4 abusive-IP sanitization")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	skipSanitize := fs.Bool("raw", false, "skip the §5.4 abusive-IP sanitization")
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
+		return &cli.ExitError{Status: 2}
 	}
 
-	entries, err := mlog.ReadFile(flag.Arg(0))
+	entries, err := mlog.ReadFile(fs.Arg(0))
 	if err != nil && len(entries) == 0 {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		return err
 	}
 	if err != nil {
 		// A crashed crawl leaves a truncated final line; the records
 		// before it are still a valid (partial) measurement.
-		fmt.Fprintln(os.Stderr, "warning: log damaged, analyzing partial records:", err)
+		fmt.Fprintln(stderr, "warning: log damaged, analyzing partial records:", err)
 	}
-	fmt.Printf("%d log entries\n", len(entries))
+	fmt.Fprintf(stdout, "%d log entries\n", len(entries))
 
 	nodes := analysis.Aggregate(entries)
-	fmt.Printf("%d distinct node identities\n", len(nodes))
+	fmt.Fprintf(stdout, "%d distinct node identities\n", len(nodes))
 
 	if !*skipSanitize {
 		san := analysis.Sanitize(nodes)
-		fmt.Printf("§5.4 sanitization: removed %d identities at %d abusive IPs\n",
+		fmt.Fprintf(stdout, "§5.4 sanitization: removed %d identities at %d abusive IPs\n",
 			len(san.AbusiveNodes), len(san.AbusiveIPs))
-		for ip, ids := range san.AbusiveIPs {
-			fmt.Printf("  %-18s %6d identities\n", ip, len(ids))
+		ips := make([]string, 0, len(san.AbusiveIPs))
+		for ip := range san.AbusiveIPs {
+			ips = append(ips, ip)
+		}
+		sort.Strings(ips)
+		for _, ip := range ips {
+			fmt.Fprintf(stdout, "  %-18s %6d identities\n", ip, len(san.AbusiveIPs[ip]))
 		}
 		nodes = san.Kept
 	}
 
-	fmt.Println("\n=== DEVp2p services (Table 3) ===")
+	fmt.Fprintln(stdout, "\n=== DEVp2p services (Table 3) ===")
 	for _, r := range analysis.ServiceCensus(nodes) {
-		fmt.Printf("  %-18s %6d  %6.2f%%\n", r.Key, r.Count, r.Fraction*100)
+		fmt.Fprintf(stdout, "  %-18s %6d  %6.2f%%\n", r.Key, r.Count, r.Fraction*100)
 	}
 
 	nc := analysis.Networks(nodes)
-	fmt.Println("\n=== Networks (Figure 9) ===")
-	fmt.Printf("  %d networks, %d genesis hashes, %d single-peer networks, %d Mainnet-genesis impostors\n",
+	fmt.Fprintln(stdout, "\n=== Networks (Figure 9) ===")
+	fmt.Fprintf(stdout, "  %d networks, %d genesis hashes, %d single-peer networks, %d Mainnet-genesis impostors\n",
 		nc.DistinctNetworks, nc.DistinctGenesis, nc.SinglePeerNetworks, nc.MainnetGenesisImpostors)
 	for i, r := range nc.Networks {
 		if i >= 8 {
 			break
 		}
-		fmt.Printf("  %-24s %6d  %6.2f%%\n", r.Key, r.Count, r.Fraction*100)
+		fmt.Fprintf(stdout, "  %-24s %6d  %6.2f%%\n", r.Key, r.Count, r.Fraction*100)
 	}
 
 	mainnet := analysis.MainnetSubset(nodes)
-	fmt.Printf("\n=== Verified Mainnet: %d nodes ===\n", len(mainnet))
-	fmt.Println("clients (Table 4):")
+	fmt.Fprintf(stdout, "\n=== Verified Mainnet: %d nodes ===\n", len(mainnet))
+	fmt.Fprintln(stdout, "clients (Table 4):")
 	for _, r := range analysis.ClientCensus(mainnet) {
-		fmt.Printf("  %-18s %6d  %6.2f%%\n", r.Key, r.Count, r.Fraction*100)
+		fmt.Fprintf(stdout, "  %-18s %6d  %6.2f%%\n", r.Key, r.Count, r.Fraction*100)
 	}
 	for _, client := range []string{"Geth", "Parity"} {
 		vc := analysis.Versions(mainnet, client)
 		if vc.Total == 0 {
 			continue
 		}
-		fmt.Printf("%s versions (Table 5): %d nodes, %.1f%% stable\n", client, vc.Total, vc.StableShare*100)
+		fmt.Fprintf(stdout, "%s versions (Table 5): %d nodes, %.1f%% stable\n", client, vc.Total, vc.StableShare*100)
 	}
 
 	gc := analysis.Geography(mainnet, geo.NewDB())
-	fmt.Println("\n=== Geography (Figure 12, synthetic geo DB) ===")
+	fmt.Fprintln(stdout, "\n=== Geography (Figure 12, synthetic geo DB) ===")
 	for i, r := range gc.Countries {
 		if i >= 6 {
 			break
 		}
-		fmt.Printf("  %-8s %6d  %6.2f%%\n", r.Key, r.Count, r.Fraction*100)
+		fmt.Fprintf(stdout, "  %-8s %6d  %6.2f%%\n", r.Key, r.Count, r.Fraction*100)
 	}
-	fmt.Printf("  top-8 AS share %.1f%% (all cloud: %v)\n", gc.Top8ASShare*100, gc.Top8AllCloud)
+	fmt.Fprintf(stdout, "  top-8 AS share %.1f%% (all cloud: %v)\n", gc.Top8ASShare*100, gc.Top8AllCloud)
 
 	lat := analysis.LatencyCDF(mainnet)
 	if lat.Len() > 0 {
-		fmt.Println("\n=== Latency (Figure 13) ===")
-		fmt.Printf("  median %.1f ms, p90 %.1f ms, p99 %.1f ms (%d samples)\n",
+		fmt.Fprintln(stdout, "\n=== Latency (Figure 13) ===")
+		fmt.Fprintf(stdout, "  median %.1f ms, p90 %.1f ms, p99 %.1f ms (%d samples)\n",
 			lat.P(0.5), lat.P(0.9), lat.P(0.99), lat.Len())
 	}
+	return nil
 }

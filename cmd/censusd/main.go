@@ -24,6 +24,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -31,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/census"
+	"repro/internal/cli"
 	"repro/internal/geo"
 	"repro/internal/metrics"
 	"repro/internal/nodefinder"
@@ -39,64 +42,77 @@ import (
 )
 
 func main() {
-	var (
-		addr     = flag.String("addr", ":8424", "HTTP listen address")
-		nodes    = flag.Int("nodes", 10_000, "simulated world population")
-		seed     = flag.Int64("seed", 42, "world seed (deterministic crawl)")
-		interval = flag.Duration("interval", census.DefaultInterval, "virtual census interval")
-		chunk    = flag.Duration("chunk", 5*time.Minute, "virtual time advanced per pace tick")
-		pace     = flag.Duration("pace", time.Second, "wall time between virtual chunks")
-		points   = flag.Int("points", 336, "served churn series cap (0 = unbounded)")
-		mlogPath = flag.String("mlog", "", "also append the raw measurement log here (JSONL)")
-	)
-	flag.Parse()
-	if err := run(*addr, *nodes, *seed, *interval, *chunk, *pace, *points, *mlogPath); err != nil {
-		fmt.Fprintln(os.Stderr, "censusd:", err)
-		os.Exit(1)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	cli.Main(func(args []string, stdout, stderr io.Writer) error {
+		defer stop()
+		return run(ctx, args, stdout, stderr)
+	})
 }
 
-func run(addr string, nodes int, seed int64, interval, chunk, pace time.Duration, points int, mlogPath string) error {
-	cfg := simnet.DefaultConfig(seed)
-	cfg.BaseNodes = nodes
+// run serves until ctx is done, then shuts the server down.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("censusd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr     = fs.String("addr", ":8424", "HTTP listen address")
+		nodes    = fs.Int("nodes", 10_000, "simulated world population")
+		seed     = fs.Int64("seed", 42, "world seed (deterministic crawl)")
+		interval = fs.Duration("interval", census.DefaultInterval, "virtual census interval")
+		chunk    = fs.Duration("chunk", 5*time.Minute, "virtual time advanced per pace tick")
+		pace     = fs.Duration("pace", time.Second, "wall time between virtual chunks")
+		points   = fs.Int("points", 336, "served churn series cap (0 = unbounded)")
+		mlogPath = fs.String("mlog", "", "also append the raw measurement log here (JSONL)")
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
+
+	cfg := simnet.DefaultConfig(*seed)
+	cfg.BaseNodes = *nodes
 	w := simnet.NewWorld(cfg)
 
 	reg := metrics.New()
 	d := census.NewDaemon(census.DaemonConfig{
 		Clock:     w.Clock,
-		Interval:  interval,
+		Interval:  *interval,
 		Geo:       geo.NewDB(),
 		Metrics:   reg,
-		MaxPoints: points,
+		MaxPoints: *points,
 	})
 
 	sink := mlog.Sink(d)
-	if mlogPath != "" {
-		f, err := os.OpenFile(mlogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if *mlogPath != "" {
+		f, err := os.OpenFile(*mlogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		sink = mlog.Tee{mlog.NewWriter(f), d}
+		lw := mlog.NewWriter(f)
+		defer lw.Flush()
+		sink = mlog.Tee{lw, d}
 	}
 
-	dialer := w.NewDialer(seed + 2)
+	dialer := w.NewDialer(*seed + 2)
 	dialer.Metrics = nodefinder.NewDialerMetrics(reg)
 	f, err := nodefinder.New(nodefinder.Config{
 		Clock:         w.Clock,
-		Discovery:     w.NewDiscovery(seed + 1),
+		Discovery:     w.NewDiscovery(*seed + 1),
 		Dialer:        dialer,
 		Log:           sink,
 		Metrics:       reg,
-		Seed:          seed + 3,
+		Seed:          *seed + 3,
 		LookupWorkers: 4,
 	})
 	if err != nil {
 		return err
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	d.Start() // epoch grid anchored at the crawl start
-	gen := w.StartIncoming(f, 30*time.Second, seed+4)
+	gen := w.StartIncoming(f, 30*time.Second, *seed+4)
 	f.Start()
 	defer func() {
 		f.Stop()
@@ -106,7 +122,6 @@ func run(addr string, nodes int, seed int64, interval, chunk, pace time.Duration
 
 	handler := census.NewHandler(census.ServerConfig{Source: d, Metrics: reg})
 	srv := &http.Server{
-		Addr:              addr,
 		Handler:           handler,
 		ReadTimeout:       5 * time.Second,
 		ReadHeaderTimeout: 2 * time.Second,
@@ -115,23 +130,20 @@ func run(addr string, nodes int, seed int64, interval, chunk, pace time.Duration
 		MaxHeaderBytes:    16 << 10,
 	}
 	serveErr := make(chan error, 1)
-	// serveErr is cap-1 and ListenAndServe returns exactly once, so the
-	// send always finds the slot empty.
-	go func() { serveErr <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "censusd: serving %d-node world on %s (epoch every %s virtual, %s virtual per %s wall)\n",
-		nodes, addr, interval, chunk, pace)
-
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
+	// serveErr is cap-1 and Serve returns exactly once, so the send
+	// always finds the slot empty.
+	go func() { serveErr <- srv.Serve(ln) }()
+	fmt.Fprintf(stderr, "censusd: serving %d-node world on %s (epoch every %s virtual, %s virtual per %s wall)\n",
+		*nodes, ln.Addr(), *interval, *chunk, *pace)
 
 	// Pace the virtual crawl against wall time; every virtual interval
 	// boundary the daemon publishes a fresh epoch on its own tick.
-	ticker := time.NewTicker(pace)
+	ticker := time.NewTicker(*pace)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			fmt.Fprintln(os.Stderr, "censusd: shutting down")
+			fmt.Fprintln(stderr, "censusd: shutting down")
 			shutdownCtx, stop := context.WithTimeout(context.Background(), 5*time.Second)
 			defer stop()
 			return srv.Shutdown(shutdownCtx)
@@ -141,7 +153,7 @@ func run(addr string, nodes int, seed int64, interval, chunk, pace time.Duration
 			}
 			return err
 		case <-ticker.C:
-			w.Clock.Advance(chunk)
+			w.Clock.Advance(*chunk)
 			if s := d.Current(); s != nil {
 				reg.Gauge("censusd.virtual_hours").Set(int64(s.Time.Sub(s.Start).Hours()))
 			}

@@ -12,23 +12,29 @@
 //	    instances (see examples/quickstart) or any devp2p-compatible
 //	    listener.
 //
-// Both modes write the measurement log as JSON lines and print a
-// summary census on exit. With -metrics-interval, both also dump a
-// live crawl-health snapshot (dial outcomes, error taxonomy, table
-// gauges, latency histograms) to stderr on that cadence — virtual
-// time in sim mode — plus a final snapshot after the crawl.
+// Both modes write the measurement log as JSON lines and print the
+// final metrics and a summary census on exit. With -metrics-interval,
+// both also dump a live crawl-health snapshot (dial outcomes, error
+// taxonomy, table gauges, latency histograms) to stderr on that
+// cadence — virtual time in sim mode.
+//
+// Sim mode cross-checks the telemetry against the measurement log:
+// it exits non-zero unless the finder.conns counters sum to the
+// number of log records exactly.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/cli"
 	"repro/internal/crypto/secp256k1"
 	"repro/internal/devp2p"
 	"repro/internal/discv4"
@@ -38,37 +44,41 @@ import (
 	"repro/internal/nodefinder"
 	"repro/internal/nodefinder/mlog"
 	"repro/internal/rlpx"
-	"repro/internal/simclock"
 	"repro/internal/simnet"
 
 	cryptorand "crypto/rand"
 )
 
-func main() {
+func main() { cli.Main(run) }
+
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("nodefinder", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		simMode   = flag.Bool("sim", true, "crawl a simulated world (default)")
-		realMode  = flag.Bool("real", false, "crawl a real network over sockets")
-		nodes     = flag.Int("nodes", 1200, "sim: world population")
-		days      = flag.Int("days", 7, "sim: virtual days to crawl")
-		seed      = flag.Int64("seed", 1, "sim: seed")
-		bootnodes = flag.String("bootnodes", "", "real: comma-separated enode URLs")
-		duration  = flag.Duration("duration", 30*time.Second, "real: wall-clock crawl duration")
-		logPath   = flag.String("log", "", "write measurement log (JSONL) to this path")
-		metricsIv = flag.Duration("metrics-interval", 0, "dump a metrics snapshot to stderr this often (virtual time in sim mode; 0 disables)")
-		metricsFm = flag.String("metrics-format", "text", "periodic snapshot format: text or json")
+		simMode   = fs.Bool("sim", true, "crawl a simulated world (default)")
+		realMode  = fs.Bool("real", false, "crawl a real network over sockets")
+		nodes     = fs.Int("nodes", 1200, "sim: world population")
+		days      = fs.Int("days", 7, "sim: virtual days to crawl")
+		seed      = fs.Int64("seed", 1, "sim: seed")
+		bootnodes = fs.String("bootnodes", "", "real: comma-separated enode URLs")
+		duration  = fs.Duration("duration", 30*time.Second, "real: wall-clock crawl duration")
+		logPath   = fs.String("log", "", "write measurement log (JSONL) to this path")
+		metricsIv = fs.Duration("metrics-interval", 0, "dump a metrics snapshot to stderr this often (virtual time in sim mode; 0 disables)")
+		metricsFm = fs.String("metrics-format", "text", "periodic snapshot format: text or json")
 	)
-	flag.Parse()
+	if err := cli.Parse(fs, args); err != nil {
+		return err
+	}
 	if *realMode {
 		*simMode = false
 	}
 
-	var sinks mlog.Tee
 	col := mlog.NewCollector()
-	sinks = append(sinks, col)
+	sinks := mlog.Tee{col}
 	if *logPath != "" {
 		f, err := os.Create(*logPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer f.Close()
 		w := mlog.NewWriter(f)
@@ -77,43 +87,56 @@ func main() {
 	}
 
 	reg := metrics.New()
-	dump := snapshotDumper(reg, *metricsFm)
+	dump := snapshotDumper(reg, *metricsFm, stderr)
 
 	var st nodefinder.Stats
 	var err error
 	if *simMode {
-		st, err = runSim(*nodes, *days, *seed, sinks, reg, *metricsIv, dump)
+		st, err = runSim(*nodes, *days, *seed, sinks, reg, *metricsIv, dump, stderr)
 	} else {
-		st, err = runReal(*bootnodes, *duration, sinks, reg, *metricsIv, dump)
+		st, err = runReal(*bootnodes, *duration, sinks, reg, *metricsIv, dump, stderr)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("crawl complete: %d discovery rounds, %d dynamic dials, %d static dials, %d incoming, %d successful\n",
+	fmt.Fprintf(stdout, "crawl complete: %d discovery rounds, %d dynamic dials, %d static dials, %d incoming, %d successful\n",
 		st.DiscoveryAttempts, st.DynamicDials, st.StaticDials, st.IncomingConns, st.SuccessfulConns)
-	fmt.Println("\nfinal metrics:")
-	reg.WriteTo(os.Stdout) //nolint:errcheck
+	fmt.Fprintln(stdout, "\nfinal metrics:")
+	reg.WriteTo(stdout) //nolint:errcheck
 
-	obs := analysis.Aggregate(col.Entries())
+	entries := col.Entries()
+	if *simMode {
+		// Each recorded connection must have incremented finder.conns
+		// exactly once: the live telemetry and the log describe the
+		// same events.
+		conns := reg.Snapshot().CounterSum("finder.conns")
+		if conns != uint64(len(entries)) {
+			return fmt.Errorf("finder.conns total %d != %d mlog records", conns, len(entries))
+		}
+		fmt.Fprintf(stdout, "\nreconciled: finder.conns total %d == %d mlog connection records\n", conns, len(entries))
+	}
+
+	obs := analysis.Aggregate(entries)
 	san := analysis.Sanitize(obs)
-	fmt.Printf("identities: %d observed, %d removed as abusive (%d IPs), %d kept\n",
+	fmt.Fprintf(stdout, "identities: %d observed, %d removed as abusive (%d IPs), %d kept\n",
 		len(obs), len(san.AbusiveNodes), len(san.AbusiveIPs), len(san.Kept))
-	fmt.Println("\nDEVp2p services:")
+	fmt.Fprintln(stdout, "\nDEVp2p services:")
 	for _, r := range analysis.ServiceCensus(san.Kept) {
-		fmt.Printf("  %-20s %6d  %5.2f%%\n", r.Key, r.Count, r.Fraction*100)
+		fmt.Fprintf(stdout, "  %-20s %6d  %5.2f%%\n", r.Key, r.Count, r.Fraction*100)
 	}
-	fmt.Println("\nClients (verified Mainnet subset):")
+	fmt.Fprintln(stdout, "\nClients (verified Mainnet subset):")
 	for _, r := range analysis.ClientCensus(analysis.MainnetSubset(san.Kept)) {
-		fmt.Printf("  %-20s %6d  %5.2f%%\n", r.Key, r.Count, r.Fraction*100)
+		fmt.Fprintf(stdout, "  %-20s %6d  %5.2f%%\n", r.Key, r.Count, r.Fraction*100)
 	}
+	return nil
 }
 
 // snapshotDumper returns a function that writes one metrics snapshot
 // (stamped with the crawl clock's current time) to stderr. JSON
 // format emits exactly one JSON object per line, so the stream can
 // be consumed as JSONL.
-func snapshotDumper(reg *metrics.Registry, format string) func(now time.Time) {
+func snapshotDumper(reg *metrics.Registry, format string, stderr io.Writer) func(now time.Time) {
 	return func(now time.Time) {
 		if format == "json" {
 			line, err := json.Marshal(struct {
@@ -121,31 +144,16 @@ func snapshotDumper(reg *metrics.Registry, format string) func(now time.Time) {
 				Snapshot *metrics.Snapshot `json:"snapshot"`
 			}{now, reg.Snapshot()})
 			if err == nil {
-				fmt.Fprintf(os.Stderr, "%s\n", line)
+				fmt.Fprintf(stderr, "%s\n", line)
 			}
 			return
 		}
-		fmt.Fprintf(os.Stderr, "--- metrics @ %s ---\n", now.Format(time.RFC3339))
-		reg.WriteTo(os.Stderr) //nolint:errcheck
+		fmt.Fprintf(stderr, "--- metrics @ %s ---\n", now.Format(time.RFC3339))
+		reg.WriteTo(stderr) //nolint:errcheck
 	}
 }
 
-// scheduleDumps arms a recurring snapshot dump on the crawl clock
-// (virtual in sim mode, so an 82-day run prints its periodic
-// snapshots in seconds of wall time).
-func scheduleDumps(clock simclock.Clock, interval time.Duration, dump func(now time.Time)) {
-	if interval <= 0 {
-		return
-	}
-	var tick func()
-	tick = func() {
-		dump(clock.Now())
-		clock.AfterFunc(interval, tick)
-	}
-	clock.AfterFunc(interval, tick)
-}
-
-func runSim(nodes, days int, seed int64, sink mlog.Sink, reg *metrics.Registry, metricsIv time.Duration, dump func(time.Time)) (nodefinder.Stats, error) {
+func runSim(nodes, days int, seed int64, sink mlog.Sink, reg *metrics.Registry, metricsIv time.Duration, dump func(time.Time), stderr io.Writer) (nodefinder.Stats, error) {
 	cfg := simnet.DefaultConfig(seed)
 	cfg.BaseNodes = nodes
 	w := simnet.NewWorld(cfg)
@@ -163,18 +171,27 @@ func runSim(nodes, days int, seed int64, sink mlog.Sink, reg *metrics.Registry, 
 		return nodefinder.Stats{}, err
 	}
 	gen := w.StartIncoming(f, 20*time.Second, seed+4)
-	scheduleDumps(w.Clock, metricsIv, dump)
+	// The dumps run on the virtual clock, so an 82-day run prints its
+	// periodic snapshots in seconds of wall time.
+	if metricsIv > 0 {
+		var tick func()
+		tick = func() {
+			dump(w.Clock.Now())
+			w.Clock.AfterFunc(metricsIv, tick)
+		}
+		w.Clock.AfterFunc(metricsIv, tick)
+	}
 	f.Start()
 	for d := 0; d < days; d++ {
 		w.Clock.Advance(24 * time.Hour)
-		fmt.Fprintf(os.Stderr, "day %d/%d: %d identities known\n", d+1, days, f.Stats().KnownNodes)
+		fmt.Fprintf(stderr, "day %d/%d: %d identities known\n", d+1, days, f.Stats().KnownNodes)
 	}
 	f.Stop()
 	gen.Stop()
 	return f.Stats(), nil
 }
 
-func runReal(bootURLs string, duration time.Duration, sink mlog.Sink, reg *metrics.Registry, metricsIv time.Duration, dump func(time.Time)) (nodefinder.Stats, error) {
+func runReal(bootURLs string, duration time.Duration, sink mlog.Sink, reg *metrics.Registry, metricsIv time.Duration, dump func(time.Time), stderr io.Writer) (nodefinder.Stats, error) {
 	if bootURLs == "" {
 		return nodefinder.Stats{}, fmt.Errorf("real mode requires -bootnodes")
 	}
@@ -247,20 +264,28 @@ func runReal(bootURLs string, duration time.Duration, sink mlog.Sink, reg *metri
 		return nodefinder.Stats{}, err
 	}
 	listener.Finder = f
-	scheduleDumps(simclock.System{}, metricsIv, dump)
 	for _, b := range boots {
 		if err := disc.Ping(b); err != nil {
-			fmt.Fprintf(os.Stderr, "warning: bootstrap ping %s: %v\n", b.ID.TerminalString(), err)
+			fmt.Fprintf(stderr, "warning: bootstrap ping %s: %v\n", b.ID.TerminalString(), err)
 		}
 		f.AddStatic(b)
 	}
 	f.Start()
-	time.Sleep(duration)
-	f.Stop()
-	return f.Stats(), nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "error:", err)
-	os.Exit(1)
+	// The dumps run on this goroutine, on wall time, and end with the
+	// crawl.
+	var ticks <-chan time.Time
+	if metricsIv > 0 {
+		ticker := time.NewTicker(metricsIv)
+		defer ticker.Stop()
+		ticks = ticker.C
+	}
+	for end := time.After(duration); ; {
+		select {
+		case now := <-ticks:
+			dump(now)
+		case <-end:
+			f.Stop()
+			return f.Stats(), nil
+		}
+	}
 }

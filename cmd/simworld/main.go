@@ -3,44 +3,36 @@
 //
 // Usage:
 //
-//	simworld [-nodes N] [-seed S] [-advance DURATION]
-//	simworld -crawl [-days D] [-metrics-interval DURATION]
+//	simworld [-nodes N] [-seed S] [-advance DURATION] [-hostile-fraction F]
 //
-// The second form runs a NodeFinder crawl over the world with the
-// metrics registry wired in, dumping a snapshot every interval of
-// virtual time, and finally cross-checks the telemetry against the
-// measurement log: the crawl exits non-zero unless the finder.conns
-// counters equal the mlog record count exactly.
+// To crawl the world, run `nodefinder -sim` at the same -nodes and
+// -seed.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
-	"sort"
+	"io"
 	"time"
 
-	"repro/internal/metrics"
-	"repro/internal/nodefinder"
-	"repro/internal/nodefinder/mlog"
+	"repro/internal/analysis"
+	"repro/internal/cli"
 	"repro/internal/simnet"
 )
 
-func main() {
-	var (
-		nodes     = flag.Int("nodes", 1500, "base population size")
-		seed      = flag.Int64("seed", 1, "world seed")
-		advance   = flag.Duration("advance", 24*time.Hour, "virtual time to advance (abusive minting happens over time)")
-		crawl     = flag.Bool("crawl", false, "run an instrumented NodeFinder crawl over the world")
-		days      = flag.Int("days", 2, "crawl: virtual days to crawl")
-		metricsIv = flag.Duration("metrics-interval", 0, "crawl: dump a metrics snapshot this often in virtual time (implies -crawl)")
-		hostileFr = flag.Float64("hostile-fraction", 0, "share of the population running faultnet hostile peer behaviors")
-	)
-	flag.Parse()
+func main() { cli.Main(run) }
 
-	if *crawl || *metricsIv > 0 {
-		runCrawl(*nodes, *seed, *days, *metricsIv, *hostileFr)
-		return
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("simworld", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		nodes     = fs.Int("nodes", 1500, "base population size")
+		seed      = fs.Int64("seed", 1, "world seed")
+		advance   = fs.Duration("advance", 24*time.Hour, "virtual time to advance (abusive minting happens over time)")
+		hostileFr = fs.Float64("hostile-fraction", 0, "share of the population running faultnet hostile peer behaviors")
+	)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
 	cfg := simnet.DefaultConfig(*seed)
@@ -50,17 +42,17 @@ func main() {
 	w.Clock.Advance(*advance)
 	now := w.Clock.Now()
 
-	services := map[simnet.Service]int{}
-	clients := map[simnet.ClientType]int{}
+	services := map[string]int{}
+	clients := map[string]int{}
 	networks := map[string]int{}
 	reachable, online, abusive, mainnet, hostile := 0, 0, 0, 0, 0
 	for _, n := range w.Nodes {
 		if n.Hostile {
 			hostile++
 		}
-		services[n.Service]++
+		services[string(n.Service)]++
 		if n.Service == simnet.SvcEth {
-			clients[n.Client]++
+			clients[string(n.Client)]++
 			if n.Network != nil {
 				networks[n.Network.Name]++
 			}
@@ -79,110 +71,27 @@ func main() {
 		}
 	}
 
-	fmt.Printf("World seed=%d at %s (+%s virtual)\n", *seed, now.Format(time.RFC3339), *advance)
-	fmt.Printf("Identities: %d total, %d online now, %d reachable, %d abusive, %d hostile, %d genuine Mainnet\n",
+	fmt.Fprintf(stdout, "World seed=%d at %s (+%s virtual)\n", *seed, now.Format(time.RFC3339), *advance)
+	fmt.Fprintf(stdout, "Identities: %d total, %d online now, %d reachable, %d abusive, %d hostile, %d genuine Mainnet\n",
 		len(w.Nodes), online, reachable, abusive, hostile, mainnet)
-	fmt.Printf("Mainnet head: block %d\n\n", w.Mainnet.HeadAt(now))
+	fmt.Fprintf(stdout, "Mainnet head: block %d\n\n", w.Mainnet.HeadAt(now))
 
-	fmt.Println("Services:")
-	printCounts(convertKeys(services))
-	fmt.Println("\neth clients:")
-	printCounts(convertKeys(clients))
-	fmt.Println("\neth networks:")
-	printCounts(networks)
+	fmt.Fprintln(stdout, "Services:")
+	printCounts(stdout, services)
+	fmt.Fprintln(stdout, "\neth clients:")
+	printCounts(stdout, clients)
+	fmt.Fprintln(stdout, "\neth networks:")
+	printCounts(stdout, networks)
 
-	fmt.Printf("\nAbusive generator IPs: %d\n", len(w.AbusiveAddrs))
+	fmt.Fprintf(stdout, "\nAbusive generator IPs: %d\n", len(w.AbusiveAddrs))
 	for _, ip := range w.AbusiveAddrs {
-		fmt.Printf("  %s\n", ip)
+		fmt.Fprintf(stdout, "  %s\n", ip)
 	}
-	os.Exit(0)
+	return nil
 }
 
-// runCrawl runs an instrumented simulated crawl and reconciles the
-// live metrics against the measurement log.
-func runCrawl(nodes int, seed int64, days int, metricsIv time.Duration, hostileFr float64) {
-	reg := metrics.New()
-	cfg := simnet.DefaultConfig(seed)
-	cfg.BaseNodes = nodes
-	cfg.HostileFraction = hostileFr
-	w := simnet.NewWorld(cfg)
-
-	col := mlog.NewCollector()
-	dialer := w.NewDialer(seed + 2)
-	dialer.Metrics = nodefinder.NewDialerMetrics(reg)
-	f, err := nodefinder.New(nodefinder.Config{
-		Clock:     w.Clock,
-		Discovery: w.NewDiscovery(seed + 1),
-		Dialer:    dialer,
-		Log:       col,
-		Metrics:   reg,
-		Seed:      seed + 3,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
-	}
-	gen := w.StartIncoming(f, 20*time.Second, seed+4)
-
-	if metricsIv > 0 {
-		var tick func()
-		tick = func() {
-			fmt.Printf("--- metrics @ %s ---\n", w.Clock.Now().Format(time.RFC3339))
-			reg.WriteTo(os.Stdout) //nolint:errcheck
-			w.Clock.AfterFunc(metricsIv, tick)
-		}
-		w.Clock.AfterFunc(metricsIv, tick)
-	}
-
-	f.Start()
-	for d := 0; d < days; d++ {
-		w.Clock.Advance(24 * time.Hour)
-		fmt.Fprintf(os.Stderr, "day %d/%d: %d identities known\n", d+1, days, f.Stats().KnownNodes)
-	}
-	f.Stop()
-	gen.Stop()
-
-	fmt.Println("--- final metrics ---")
-	reg.WriteTo(os.Stdout) //nolint:errcheck
-
-	// Reconcile telemetry with the measurement log: each recorded
-	// connection must have incremented finder.conns exactly once.
-	snap := reg.Snapshot()
-	attempts := snap.CounterSum("finder.conns")
-	records := uint64(len(col.Entries()))
-	if attempts != records {
-		fmt.Fprintf(os.Stderr, "MISMATCH: finder.conns total %d != %d mlog records\n", attempts, records)
-		os.Exit(1)
-	}
-	fmt.Printf("\nreconciled: finder.conns total %d == %d mlog connection records\n", attempts, records)
-}
-
-func convertKeys[K ~string](m map[K]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		out[string(k)] = v
-	}
-	return out
-}
-
-func printCounts(m map[string]int) {
-	type kv struct {
-		k string
-		v int
-	}
-	var rows []kv
-	total := 0
-	for k, v := range m {
-		rows = append(rows, kv{k, v})
-		total += v
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].v != rows[j].v {
-			return rows[i].v > rows[j].v
-		}
-		return rows[i].k < rows[j].k
-	})
-	for _, r := range rows {
-		fmt.Printf("  %-24s %6d  %5.2f%%\n", r.k, r.v, 100*float64(r.v)/float64(total))
+func printCounts(w io.Writer, m map[string]int) {
+	for _, r := range analysis.Rank(m) {
+		fmt.Fprintf(w, "  %-24s %6d  %5.2f%%\n", r.Key, r.Count, 100*r.Fraction)
 	}
 }

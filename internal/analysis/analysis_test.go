@@ -86,13 +86,25 @@ func TestSanitizeFiveSteps(t *testing.T) {
 		id := fmt.Sprintf("slow%d", i)
 		entries = append(entries, helloEntry(id, "7.7.7.7", "Geth/v1", js, t0.Add(time.Duration(i)*5*time.Hour)))
 	}
+	// Step 5's boundary: 3 identities minted exactly every 30 minutes
+	// are flagged; one nanosecond slower on average is not.
+	for i := 0; i < 3; i++ {
+		entries = append(entries, helloEntry(fmt.Sprintf("at30m%d", i), "6.6.6.6", "Geth/v1", js, t0.Add(time.Duration(i)*30*time.Minute)))
+		entries = append(entries, helloEntry(fmt.Sprintf("over30m%d", i), "5.5.5.5", "Geth/v1", js, t0.Add(time.Duration(i)*(30*time.Minute+1))))
+	}
 
 	res := Sanitize(Aggregate(entries))
-	if len(res.AbusiveIPs) != 1 {
+	if len(res.AbusiveIPs) != 2 {
 		t.Fatalf("abusive IPs: %v", res.AbusiveIPs)
 	}
 	if len(res.AbusiveIPs["9.9.9.9"]) != 10 {
 		t.Fatalf("flagged %d nodes at 9.9.9.9", len(res.AbusiveIPs["9.9.9.9"]))
+	}
+	if len(res.AbusiveIPs["6.6.6.6"]) != 3 {
+		t.Errorf("an IP minting every 30 minutes exactly: %d nodes flagged, want 3", len(res.AbusiveIPs["6.6.6.6"]))
+	}
+	if res.AbusiveNodes["over30m0"] {
+		t.Error("an IP minting every 30 minutes + 1 ns flagged")
 	}
 	if res.AbusiveNodes["long1"] {
 		t.Error("long-lived node flagged")
@@ -100,7 +112,7 @@ func TestSanitizeFiveSteps(t *testing.T) {
 	if res.AbusiveNodes["b1"] || res.AbusiveNodes["slow0"] {
 		t.Error("benign nodes flagged")
 	}
-	if len(res.Kept) != len(Aggregate(entries))-10 {
+	if len(res.Kept) != len(Aggregate(entries))-13 {
 		t.Errorf("kept %d", len(res.Kept))
 	}
 }
@@ -293,6 +305,14 @@ func TestCDF(t *testing.T) {
 	empty := NewCDF(nil)
 	if empty.P(0.5) != 0 || empty.FracBelow(1) != 0 {
 		t.Error("empty CDF")
+	}
+
+	// Figure 13 leaves out observations without an RTT estimate.
+	lat := LatencyCDF(map[string]*NodeObservation{
+		"a": {LatencyUS: 0}, "b": {LatencyUS: 20_000}, "c": {LatencyUS: 50_000},
+	})
+	if lat.Len() != 2 || lat.P(0) != 20 {
+		t.Errorf("LatencyCDF: %d samples, min %f ms; want 2, 20", lat.Len(), lat.P(0))
 	}
 }
 

@@ -43,8 +43,8 @@ func TestQuickSuiteShapes(t *testing.T) {
 }
 
 func TestTable1Deterministic(t *testing.T) {
-	a := Table1(7, 24*time.Hour)
-	b := Table1(7, 24*time.Hour)
+	a := Table1(RunCaseStudy(7))
+	b := Table1(RunCaseStudy(7))
 	if a.Text != b.Text {
 		t.Fatal("case study not deterministic")
 	}

@@ -17,14 +17,8 @@ import (
 // Fig2And3 reproduces the case-study message mix: TRANSACTIONS must
 // dominate received traffic once synced, and Geth must send far more
 // transactions than Parity.
-func Fig2And3(seed int64, duration time.Duration) *Result {
-	gcfg := simnet.DefaultGethObserver(seed)
-	pcfg := simnet.DefaultParityObserver(seed)
-	if duration > 0 {
-		gcfg.Duration, pcfg.Duration = duration, duration
-	}
-	g := simnet.RunCaseStudy(gcfg)
-	p := simnet.RunCaseStudy(pcfg)
+func Fig2And3(cs *CaseStudy) *Result {
+	g, p := cs.Geth, cs.Parity
 
 	var b strings.Builder
 	b.WriteString("Received message totals (Geth observer):\n")
@@ -61,14 +55,8 @@ func renderMsgMap(m map[string]uint64) string {
 
 // Fig4 reproduces peer convergence: Geth→25, Parity→50 in minutes,
 // high occupancy thereafter.
-func Fig4(seed int64, duration time.Duration) *Result {
-	gcfg := simnet.DefaultGethObserver(seed)
-	pcfg := simnet.DefaultParityObserver(seed)
-	if duration > 0 {
-		gcfg.Duration, pcfg.Duration = duration, duration
-	}
-	g := simnet.RunCaseStudy(gcfg)
-	p := simnet.RunCaseStudy(pcfg)
+func Fig4(cs *CaseStudy) *Result {
+	g, p := cs.Geth, cs.Parity
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Geth:   time-to-full=%v  occupancy=%.1f%%  cap=25\n", g.TimeToFull, g.OccupancyFraction*100)

@@ -1,15 +1,10 @@
 package experiments
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // SuiteConfig selects the scale of a full regeneration.
 type SuiteConfig struct {
 	Crawl CrawlConfig
-	// CaseStudyDuration overrides the §3 observers' 7-day run.
-	CaseStudyDuration time.Duration
 	// Fig11Trials is the distance-metric sample count (paper: 100K).
 	Fig11Trials int
 	Seed        int64
@@ -24,9 +19,7 @@ func DefaultSuite() SuiteConfig {
 	}
 }
 
-// QuickSuite is a fast configuration for tests and benchmarks. The
-// case study keeps its full 7 days (it is cheap and needs the
-// initial-sync phase to finish for the message-mix shape).
+// QuickSuite is a fast configuration for tests and benchmarks.
 func QuickSuite() SuiteConfig {
 	return SuiteConfig{
 		Crawl:       QuickCrawl(),
@@ -41,11 +34,8 @@ func RunAll(cfg SuiteConfig, progress func(string)) ([]*Result, error) {
 		progress = func(string) {}
 	}
 	progress("running case study (Table 1, Figures 2-4)")
-	results := []*Result{
-		Table1(cfg.Seed, cfg.CaseStudyDuration),
-		Fig2And3(cfg.Seed, cfg.CaseStudyDuration),
-		Fig4(cfg.Seed, cfg.CaseStudyDuration),
-	}
+	cs := RunCaseStudy(cfg.Seed)
+	results := []*Result{Table1(cs), Fig2And3(cs), Fig4(cs)}
 
 	progress(fmt.Sprintf("crawling simulated world (%d nodes, %d days)", cfg.Crawl.BaseNodes, cfg.Crawl.Days))
 	run, err := RunCrawl(cfg.Crawl)

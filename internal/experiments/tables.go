@@ -11,16 +11,25 @@ import (
 	"repro/internal/simnet"
 )
 
+// CaseStudy is the §3 observer pair, a default Geth and a default
+// Parity client, that Table 1 and Figures 2-4 read.
+type CaseStudy struct {
+	Geth, Parity *simnet.CaseStudyResult
+}
+
+// RunCaseStudy observes both clients for their default 7 days: the
+// message-mix shape needs the initial sync to finish.
+func RunCaseStudy(seed int64) *CaseStudy {
+	return &CaseStudy{
+		Geth:   simnet.RunCaseStudy(simnet.DefaultGethObserver(seed)),
+		Parity: simnet.RunCaseStudy(simnet.DefaultParityObserver(seed)),
+	}
+}
+
 // Table1 reproduces the §3 disconnect-reason table from the case
 // study observer models.
-func Table1(seed int64, duration time.Duration) *Result {
-	gcfg := simnet.DefaultGethObserver(seed)
-	pcfg := simnet.DefaultParityObserver(seed)
-	if duration > 0 {
-		gcfg.Duration, pcfg.Duration = duration, duration
-	}
-	g := simnet.RunCaseStudy(gcfg)
-	p := simnet.RunCaseStudy(pcfg)
+func Table1(cs *CaseStudy) *Result {
+	g, p := cs.Geth, cs.Parity
 
 	var b strings.Builder
 	b.WriteString("Disconnect Msg                         recv Geth    recv Parity    sent Geth    sent Parity\n")

@@ -6,11 +6,15 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/devp2p"
 	"repro/internal/eth"
+	"repro/internal/metrics"
+	"repro/internal/nodedb"
+	"repro/internal/nodefinder/mlog"
 	"repro/internal/rlpx"
 	"repro/internal/snappy"
 )
@@ -72,6 +76,29 @@ func TestOutcomeClassCoversTransportSentinels(t *testing.T) {
 				t.Errorf("sentinel %v fell into the catch-all bucket", tc.sentinel)
 			}
 		})
+	}
+}
+
+// TestConnErrorsCountFailuresOnly pins what finder.conn_errors counts:
+// a dial that completed HELLO without an error adds nothing, a failed
+// one adds exactly one to its class, and so does a peer that sent
+// HELLO and then failed.
+func TestConnErrorsCountFailuresOnly(t *testing.T) {
+	reg := metrics.New()
+	m := newFinderMetrics(reg, nodedb.New())
+	errs := reg.CounterVec("finder.conn_errors")
+	for _, step := range []struct {
+		res  *DialResult
+		want map[string]uint64
+	}{
+		{&DialResult{Kind: mlog.ConnDynamicDial, Hello: &devp2p.Hello{}}, map[string]uint64{}},
+		{&DialResult{Kind: mlog.ConnDynamicDial, Err: rlpx.ErrBadHeaderMAC}, map[string]uint64{"rlpx-bad-mac": 1}},
+		{&DialResult{Kind: mlog.ConnStaticDial, Hello: &devp2p.Hello{}, Err: snappy.ErrCorrupt}, map[string]uint64{"rlpx-bad-mac": 1, "snappy-corrupt": 1}},
+	} {
+		m.observe(step.res)
+		if got := errs.Values(); !reflect.DeepEqual(got, step.want) {
+			t.Fatalf("after Hello=%v Err=%v: finder.conn_errors %v, want %v", step.res.Hello != nil, step.res.Err, got, step.want)
+		}
 	}
 }
 

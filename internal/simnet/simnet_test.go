@@ -282,6 +282,9 @@ func TestHostilePopulationCensus(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
+	if conns := snap.CounterSum("finder.conns"); conns != uint64(len(col.Entries())) {
+		t.Errorf("finder.conns total %d != %d mlog records: hostile dials broke the reconciliation", conns, len(col.Entries()))
+	}
 	for _, class := range []string{
 		"rlpx-bad-mac", "frame-oversize", "msg-oversize", "snappy-corrupt",
 		"rlp-malformed", "handshake-timeout", "tcp-reset", "rlpx-error",
