@@ -41,10 +41,12 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzAppendNode -fuzztime=$(FUZZTIME) ./internal/census
 	go test -run='^$$' -fuzz=FuzzAppendJSON -fuzztime=$(FUZZTIME) ./internal/nodefinder/mlog
 
-# The faultnet chaos suite: hostile peer taxonomy + the mixed
-# honest/hostile 215-node crawl, under the race detector.
+# The chaos suite under the race detector: the hostile peer taxonomy
+# (each kind over a pipe and loopback TCP, held to its bucket and to
+# SimDialer) + the mixed honest/hostile 215-node crawl.
 chaos:
-	go test -race -count=1 -run='TestHostileTaxonomy|TestChaosCrawl' ./internal/faultnet
+	go test -race -count=1 -run='TestPromotedHostileTaxonomy' ./internal/simnet
+	go test -race -count=1 -run='TestChaosCrawl' ./internal/faultnet
 
 # One-iteration benchmark pass: catches benchmarks that no longer
 # compile or panic, without the cost of real measurement. -run='^$'

@@ -8,9 +8,10 @@
 //
 //	nodefinder -real -bootnodes enode://...,enode://... [-duration 30s]
 //	    Crawl a real network over UDP/TCP sockets using the full
-//	    discv4 + RLPx + DEVp2p + eth stack. Point it at ethnode
-//	    instances (see examples/quickstart) or any devp2p-compatible
-//	    listener.
+//	    discv4 + RLPx + DEVp2p + eth stack, announcing Mainnet's
+//	    genesis. Bootnodes are static nodes, first dialed 10 s after
+//	    start; point it at any devp2p-compatible listener
+//	    (examples/quickstart crawls loopback-served simnet nodes).
 //
 // Both modes write the measurement log as JSON lines and print the
 // final metrics and a summary census on exit. With -metrics-interval,
@@ -218,10 +219,7 @@ func runReal(bootURLs string, duration time.Duration, sink mlog.Sink, reg *metri
 		Caps:       []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}},
 		ListenPort: 30303,
 	}
-	status := eth.Status{
-		ProtocolVersion: uint32(eth.Version63),
-		NetworkID:       1,
-	}
+	status := eth.MainnetStatus()
 
 	// The incoming listener and discovery share a port number so
 	// peers can dial back; the Finder is attached below, before any

@@ -11,11 +11,17 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/chain"
 	"repro/internal/cli"
 	"repro/internal/crypto/secp256k1"
+	"repro/internal/devp2p"
 	"repro/internal/enode"
+	"repro/internal/eth"
 	"repro/internal/nodefinder/mlog"
+	"repro/internal/rlpx"
+	"repro/internal/simnet"
 	"repro/internal/testutil/leakcheck"
 
 	cryptorand "crypto/rand"
@@ -75,11 +81,42 @@ func TestRunSim(t *testing.T) {
 	}
 }
 
-// TestRunReal crawls for 300 ms of wall time from a loopback bootnode
-// that never answers: discovery and the dial path are wired, the ping
-// times out with a warning, and every socket is closed on return.
+// TestRunReal crawls three loopback bootnodes over real sockets until
+// their first static dial, 10 s in: an honest Mainnet node of a simnet
+// world, whose log record must hold its HELLO, its STATUS and a DAO
+// verdict; an observer that records the STATUS -real announces, which
+// must carry Mainnet's genesis so a genesis-checking peer keeps the
+// session up to the DAO check; and a UDP socket that never answers,
+// which draws a ping warning. Every socket is closed on return.
 func TestRunReal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("crawls for 11 s of wall time")
+	}
 	leakcheck.Check(t)
+	cfg := simnet.DefaultConfig(5)
+	cfg.BaseNodes = 40
+	cfg.AbusiveIPs = 0
+	cfg.WireFidelity = true
+	w := simnet.NewWorld(cfg)
+	defer w.CloseWire()
+	var honest *simnet.SimNode
+	for _, n := range w.Nodes {
+		if n.Network == w.Mainnet && n.Service == simnet.SvcEth && !n.Hostile && n.OnlineAt(w.Clock.Now()) &&
+			n.BestBlockAt(w.Clock.Now()) > chain.DAOForkBlock {
+			honest = n
+			break
+		}
+	}
+	if honest == nil {
+		t.Fatal("no online Mainnet node in the world")
+	}
+	honest.Occupancy = 0
+	served, err := w.ServeLoopback(honest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observer, announced := statusObserver(t)
+
 	silent, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -92,8 +129,10 @@ func TestRunReal(t *testing.T) {
 	port := silent.LocalAddr().(*net.UDPAddr).Port
 	boot := enode.New(enode.PubkeyID(&key.Pub), net.IPv4(127, 0, 0, 1), uint16(port), uint16(port))
 
+	logPath := filepath.Join(t.TempDir(), "crawl.jsonl")
 	var stdout, stderr bytes.Buffer
-	err = run([]string{"-real", "-bootnodes", boot.String(), "-duration", "300ms", "-metrics-interval", "100ms"}, &stdout, &stderr)
+	err = run([]string{"-real", "-bootnodes", served.String() + "," + observer.String() + "," + boot.String(),
+		"-duration", "11s", "-metrics-interval", "5s", "-log", logPath}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
@@ -106,6 +145,67 @@ func TestRunReal(t *testing.T) {
 	if !strings.Contains(stdout.String(), "crawl complete:") || strings.Contains(stdout.String(), "reconciled:") {
 		t.Errorf("stdout:\n%s", stdout.String())
 	}
+
+	entries, err := mlog.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verified := false
+	for _, e := range entries {
+		if e.NodeID == honest.Node.ID.String() && e.Hello != nil && e.Status != nil && e.DAOFork != "" {
+			verified = e.Hello.ClientName == w.ClientNameAt(honest, w.Clock.Now()) &&
+				e.Status.GenesisHash == chain.MainnetGenesisHash.Hex() && e.DAOFork == "supported"
+		}
+	}
+	if !verified {
+		t.Errorf("no record of the world node's HELLO, STATUS and DAO verdict in %d entries", len(entries))
+	}
+	select {
+	case st := <-announced:
+		if st.NetworkID != chain.MainnetNetworkID || st.GenesisHash != chain.MainnetGenesisHash {
+			t.Errorf("-real announced network %d, genesis %x; want Mainnet's", st.NetworkID, st.GenesisHash)
+		}
+	default:
+		t.Error("the observer bootnode never read a STATUS")
+	}
+}
+
+// statusObserver is a bootnode that takes one connection through RLPx
+// and HELLO and reports the STATUS its dialer announces.
+func statusObserver(t *testing.T) (*enode.Node, <-chan *eth.Status) {
+	t.Helper()
+	key, err := secp256k1.GenerateKey(cryptorand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	announced := make(chan *eth.Status, 1)
+	go func() {
+		fd, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer fd.Close()
+		fd.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+		conn, err := rlpx.Accept(fd, key)
+		if err != nil {
+			return
+		}
+		hello := &devp2p.Hello{Version: devp2p.Version, Name: "observer", Caps: []devp2p.Cap{{Name: eth.ProtocolName, Version: 63}}, ID: enode.PubkeyID(&key.Pub)}
+		if _, err := devp2p.ExchangeHello(conn, hello); err != nil {
+			return
+		}
+		conn.SetSnappy(true)
+		if st, err := eth.ReadStatus(conn, devp2p.BaseProtocolLength); err == nil {
+			announced <- st
+		}
+	}()
+	port := ln.Addr().(*net.TCPAddr).Port
+	return enode.New(enode.PubkeyID(&key.Pub), net.IPv4(127, 0, 0, 1), uint16(port), uint16(port)), announced
 }
 
 func TestRunErrors(t *testing.T) {

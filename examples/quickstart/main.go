@@ -1,85 +1,71 @@
-// Quickstart: crawl a tiny real network end-to-end.
+// Quickstart: crawl a small world end-to-end over real sockets.
 //
-// This example starts a handful of miniature Ethereum nodes (real
-// RLPx/DEVp2p/eth over loopback TCP, real discv4 over loopback UDP),
-// points a NodeFinder at the bootstrap node, crawls for a few
-// seconds, and prints the census — the whole pipeline of the paper at
-// desk scale, with no simulation involved.
+// This example builds a small simulated DEVp2p world whose nodes own
+// real secp256k1 identities, serves each online node on its own
+// loopback TCP port (real RLPx/DEVp2p/eth per connection, and the
+// world's own peer limits, client names, networks and DAO stances),
+// seeds those addresses into a NodeFinder as static nodes, crawls them
+// for a few seconds with the socket-default RealDialer and prints the
+// census — the paper's dial, from TCP connect to the DAO header check,
+// at desk scale.
 //
 //	go run ./examples/quickstart
 package main
 
 import (
 	"crypto/rand"
+	"flag"
 	"fmt"
-	"log"
-	"net"
+	"io"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/chain"
+	"repro/internal/cli"
 	"repro/internal/crypto/secp256k1"
 	"repro/internal/devp2p"
-	"repro/internal/discv4"
 	"repro/internal/enode"
-	"repro/internal/ethnode"
+	"repro/internal/eth"
 	"repro/internal/nodefinder"
 	"repro/internal/nodefinder/mlog"
+	"repro/internal/simnet"
 )
 
-func main() {
-	// A small Mainnet-like chain all honest nodes serve.
-	mainnet := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "quickstart-mainnet", DAOFork: true})
-	mainnet.ExtendTo(chain.DAOForkBlock + 16)
-	fmt.Printf("simulated Mainnet genesis %s, head block %d\n",
-		mainnet.GenesisHash().Short(), mainnet.Head().Number)
+const (
+	worldNodes = 60
+	// Static nodes are re-dialed every staticInterval, so a crawl of
+	// crawlFor dials each served node four times.
+	staticInterval = 500 * time.Millisecond
+	crawlFor       = 2 * time.Second
+)
 
-	// Boot node plus a mixed population.
-	boot := mustNode(ethnode.Config{
-		Key: genKey(), ClientName: "Geth/v1.8.11-stable/linux-amd64/go1.10",
-		Chain: mainnet, Discovery: true,
-	})
-	defer boot.Close()
-	fmt.Printf("bootstrap: %s\n", boot.Self())
+func main() { cli.Main(run) }
 
-	population := []ethnode.Config{
-		{ClientName: "Geth/v1.8.11-stable/linux-amd64/go1.10", Chain: mainnet},
-		{ClientName: "Geth/v1.7.3-stable/linux-amd64/go1.9", Chain: mainnet},
-		{ClientName: "Parity/v1.10.6-stable/x86_64-linux-gnu/rustc1.26.0", Chain: mainnet, MaxPeers: 50},
-		{ClientName: "swarm/v0.3", Caps: []devp2p.Cap{{Name: "bzz", Version: 2}}},
-	}
-	for i, cfg := range population {
-		cfg.Key = genKey()
-		cfg.Discovery = true
-		cfg.Bootnodes = []*enode.Node{boot.Self()}
-		cfg.Seed = int64(i)
-		n := mustNode(cfg)
-		defer n.Close()
-		if err := n.Bond(boot.Self()); err != nil {
-			log.Fatalf("bonding node %d: %v", i, err)
-		}
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("quickstart", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	if err := cli.Parse(fs, args); err != nil {
+		return err
 	}
 
-	// The crawler: its own discovery endpoint plus the RealDialer.
-	key := genKey()
-	udp, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	cfg := simnet.DefaultConfig(1)
+	cfg.BaseNodes = worldNodes
+	cfg.AbusiveIPs = 0
+	cfg.UnreachableFraction = 0
+	cfg.WireFidelity = true
+	w := simnet.NewWorld(cfg)
+	defer w.CloseWire()
+	now := w.Clock.Now()
+	fmt.Fprintf(stdout, "simulated Mainnet genesis %s, head block %d\n",
+		w.Mainnet.GenesisHash.Short(), w.Mainnet.HeadAt(now))
+
+	key, err := secp256k1.GenerateKey(rand.Reader)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	disc, err := discv4.Listen(discv4.UDPConn{UDPConn: udp}, discv4.Config{
-		Key: key, AnnounceTCP: 30303, Bootnodes: []*enode.Node{boot.Self()},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer disc.Close()
-	if err := disc.Ping(boot.Self()); err != nil {
-		log.Fatal("bootstrap unreachable: ", err)
-	}
-
 	col := mlog.NewCollector()
 	finder, err := nodefinder.New(nodefinder.Config{
-		Discovery: nodefinder.RealDiscovery{T: disc},
+		Discovery: staticsOnly{enode.PubkeyID(&key.Pub)},
 		Dialer: &nodefinder.RealDialer{
 			Key: key,
 			Hello: devp2p.Hello{
@@ -87,57 +73,67 @@ func main() {
 				Caps:       []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}},
 				ListenPort: 30303,
 			},
-			Status:   ethnode.MainnetStatusFor(mainnet),
+			Status:   eth.MainnetStatus(),
 			CheckDAO: true,
 		},
 		Log:            col,
-		LookupInterval: 200 * time.Millisecond,
-		StaticInterval: 2 * time.Second,
+		StaticInterval: staticInterval,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	finder.AddStatic(boot.Self())
+
+	// Every served node has a free peer slot: at the 91-99 % occupancy
+	// §3 measured (and the world draws), a crawl of a few seconds
+	// would see little but Too-many-peers. nodefinder -sim keeps them.
+	served := 0
+	for _, n := range w.Nodes {
+		if !n.OnlineAt(now) {
+			continue
+		}
+		n.Occupancy = 0
+		self, err := w.ServeLoopback(n)
+		if err != nil {
+			return err
+		}
+		finder.AddStatic(self)
+		served++
+	}
+	fmt.Fprintf(stdout, "serving %d online nodes of %d on loopback TCP\n", served, len(w.Nodes))
+
 	finder.Start()
-	fmt.Println("crawling for 8 seconds over real sockets...")
-	time.Sleep(8 * time.Second)
+	fmt.Fprintf(stdout, "crawling for %v over real sockets...\n", crawlFor)
+	time.Sleep(crawlFor)
 	finder.Stop()
 
 	st := finder.Stats()
-	fmt.Printf("\n%d lookups, %d dynamic dials, %d static dials, %d successful handshakes\n",
+	fmt.Fprintf(stdout, "\n%d lookups, %d dynamic dials, %d static dials, %d successful handshakes\n",
 		st.DiscoveryAttempts, st.DynamicDials, st.StaticDials, st.SuccessfulConns)
 
 	nodes := analysis.Aggregate(col.Entries())
-	fmt.Printf("census: %d distinct identities\n\n", len(nodes))
-	fmt.Println("clients seen:")
+	fmt.Fprintf(stdout, "census: %d distinct identities\n\n", len(nodes))
+	fmt.Fprintln(stdout, "clients seen:")
 	for _, r := range analysis.ClientCensus(nodes) {
-		fmt.Printf("  %-12s %3d\n", r.Key, r.Count)
+		fmt.Fprintf(stdout, "  %-12s %3d\n", r.Key, r.Count)
 	}
-	fmt.Println("services seen:")
+	fmt.Fprintln(stdout, "services seen:")
 	for _, r := range analysis.ServiceCensus(nodes) {
-		fmt.Printf("  %-12s %3d\n", r.Key, r.Count)
+		fmt.Fprintf(stdout, "  %-12s %3d\n", r.Key, r.Count)
 	}
 	daoSupporters := 0
 	for _, o := range nodes {
-		if analysis.IsMainnetLike(o, mainnet.GenesisHash().Hex()) {
+		if analysis.IsMainnetLike(o, chain.MainnetGenesisHash.Hex()) {
 			daoSupporters++
 		}
 	}
-	fmt.Printf("verified Mainnet (pro-DAO) nodes: %d\n", daoSupporters)
+	fmt.Fprintf(stdout, "verified Mainnet (pro-DAO) nodes: %d\n", daoSupporters)
+	return nil
 }
 
-func genKey() *secp256k1.PrivateKey {
-	k, err := secp256k1.GenerateKey(rand.Reader)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return k
-}
+// staticsOnly is the crawl's discovery: every node it dials is seeded
+// as a static, so a lookup finds nothing.
+type staticsOnly struct{ self enode.ID }
 
-func mustNode(cfg ethnode.Config) *ethnode.Node {
-	n, err := ethnode.Start(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return n
-}
+func (d staticsOnly) Self() enode.ID { return d.self }
+
+func (d staticsOnly) Lookup(_ enode.ID, done func([]*enode.Node)) { done(nil) }

@@ -35,7 +35,7 @@ const (
 // Clients of the paper's era advertise 5, which implies snappy
 // compression of message payloads after the HELLO exchange; the rlpx
 // package implements it (Conn.SetSnappy) and both the crawler and
-// ethnode enable it when negotiated.
+// simnet's served nodes enable it when negotiated.
 const Version = 5
 
 // MaxHelloSize bounds the encoded HELLO payload accepted from a peer.

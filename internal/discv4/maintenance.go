@@ -15,8 +15,8 @@ import (
 //
 // Both loops are optional; Config.RevalidateInterval and
 // Config.RefreshInterval enable them. NodeFinder runs its own lookup
-// loop, so it leaves refresh disabled; ethnode instances enable both
-// to behave like normal clients.
+// loop, so it leaves refresh disabled; a transport standing in for a
+// normal client enables both.
 
 // LastInRandomBucket returns the least-recently-active entry of a
 // randomly chosen non-empty bucket, or nil when the table is empty.

@@ -88,15 +88,6 @@ func HexID(s string) (ID, error) {
 	return id, nil
 }
 
-// MustHexID is HexID that panics on error, for tests and constants.
-func MustHexID(s string) ID {
-	id, err := HexID(s)
-	if err != nil {
-		panic(err)
-	}
-	return id
-}
-
 func hexVal(c byte) (byte, bool) {
 	switch {
 	case '0' <= c && c <= '9':
@@ -195,15 +186,6 @@ func ParseURL(raw string) (*Node, error) {
 		}
 	}
 	return New(id, ip, uint16(udp), uint16(tcp)), nil
-}
-
-// MustParseURL is ParseURL that panics on error.
-func MustParseURL(raw string) *Node {
-	n, err := ParseURL(raw)
-	if err != nil {
-		panic(err)
-	}
-	return n
 }
 
 // LogDist returns the logarithmic XOR distance between two ID hashes

@@ -96,6 +96,21 @@ type Status struct {
 	Rest            []rlp.RawValue `rlp:"tail"`
 }
 
+// MainnetStatus is the STATUS a crawler announces to pass for a
+// Mainnet peer: network 1 with Mainnet's genesis as both genesis and
+// best hash, and zero total difficulty. A peer that checks the genesis
+// (Geth does) then keeps the session past STATUS, so the DAO-fork
+// header check can run.
+func MainnetStatus() Status {
+	return Status{
+		ProtocolVersion: uint32(Version63),
+		NetworkID:       chain.MainnetNetworkID,
+		TD:              new(big.Int),
+		BestHash:        chain.MainnetGenesisHash,
+		GenesisHash:     chain.MainnetGenesisHash,
+	}
+}
+
 // GetBlockHeaders requests a span of headers. Origin is either a
 // block hash or a number.
 type GetBlockHeaders struct {

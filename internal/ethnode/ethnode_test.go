@@ -1,22 +1,27 @@
-package ethnode
+// Package ethnode_test runs the crawler's real dial stack against an
+// Ethereum node over loopback TCP. Every node it dials is a simnet
+// World node served by World.ServeLoopback — the same serveWire every
+// crawl dials — and each test checks what the crawler learns from one
+// behaviour: HELLO, STATUS, the DAO-fork header and Table 1's
+// disconnect reasons. The last two tests turn the direction round (a
+// node dialing the crawler's listener) and crawl a served world end to
+// end.
+package ethnode_test
 
 import (
-	"fmt"
 	"math/rand"
 	"net"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/chain"
 	"repro/internal/crypto/secp256k1"
 	"repro/internal/devp2p"
-	"repro/internal/discv4"
 	"repro/internal/enode"
 	"repro/internal/eth"
 	"repro/internal/nodefinder"
 	"repro/internal/nodefinder/mlog"
-	"repro/internal/rlpx"
+	"repro/internal/simnet"
 	"repro/internal/testutil/leakcheck"
 )
 
@@ -29,27 +34,62 @@ func testKey(t testing.TB, seed int64) *secp256k1.PrivateKey {
 	return k
 }
 
-var mainnetSim = func() *chain.Chain {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "mainnet-sim", DAOFork: true})
-	c.ExtendTo(chain.DAOForkBlock + 30)
-	return c
-}()
-
-func startNode(t *testing.T, seed int64, cfg Config) *Node {
+// loopbackWorld builds a small world whose nodes own real identities,
+// so any of them can be served over TCP.
+func loopbackWorld(t *testing.T, seed int64) *simnet.World {
 	t.Helper()
-	cfg.Key = testKey(t, seed)
-	if cfg.ClientName == "" {
-		cfg.ClientName = "Geth/v1.8.11-stable/linux-amd64/go1.10"
+	cfg := simnet.DefaultConfig(seed)
+	cfg.BaseNodes = 40
+	cfg.AbusiveIPs = 0
+	cfg.UnreachableFraction = 0
+	cfg.WireFidelity = true
+	w := simnet.NewWorld(cfg)
+	t.Cleanup(func() {
+		// After a failure a serving goroutine may be stuck for good, and
+		// CloseWire would wait on it until the package times out.
+		if !t.Failed() {
+			w.CloseWire()
+		}
+	})
+	return w
+}
+
+// onlineHonest returns w's online honest nodes, in world order.
+func onlineHonest(w *simnet.World) []*simnet.SimNode {
+	now := w.Clock.Now()
+	var out []*simnet.SimNode
+	for _, n := range w.Nodes {
+		if !n.Hostile && n.OnlineAt(now) {
+			out = append(out, n)
+		}
 	}
-	if cfg.Chain == nil {
-		cfg.Chain = mainnetSim
+	return out
+}
+
+// serve conscripts w's first online honest node, frees its peer slots,
+// lets setup shape it and serves it on loopback TCP. It returns the
+// node and its loopback identity.
+func serve(t *testing.T, w *simnet.World, setup func(*simnet.SimNode)) (*simnet.SimNode, *enode.Node) {
+	t.Helper()
+	nodes := onlineHonest(w)
+	if len(nodes) == 0 {
+		t.Fatal("world has no online honest node")
 	}
-	n, err := Start(cfg)
+	n := nodes[0]
+	n.Occupancy = 0
+	setup(n)
+	self, err := w.ServeLoopback(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(n.Close)
-	return n
+	return n, self
+}
+
+// ethOn makes a node a synced eth node of nw.
+func ethOn(nw *simnet.Network) func(*simnet.SimNode) {
+	return func(n *simnet.SimNode) {
+		n.Service, n.Network, n.Fresh = simnet.SvcEth, nw, simnet.FreshSynced
+	}
 }
 
 func crawlerDialer(t *testing.T, seed int64, checkDAO bool) *nodefinder.RealDialer {
@@ -62,37 +102,37 @@ func crawlerDialer(t *testing.T, seed int64, checkDAO bool) *nodefinder.RealDial
 			Caps:       []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}},
 			ListenPort: 30303,
 		},
-		Status:      MainnetStatusFor(mainnetSim),
+		Status:      eth.MainnetStatus(),
 		DialTimeout: 3 * time.Second,
 		CheckDAO:    checkDAO,
 	}
 }
 
-func dialWith(d *nodefinder.RealDialer, target *Node) *nodefinder.DialResult {
-	var (
-		res *nodefinder.DialResult
-		wg  sync.WaitGroup
-	)
-	wg.Add(1)
-	d.Dial(target.Self(), mlog.ConnDynamicDial, func(r *nodefinder.DialResult) {
-		res = r
-		wg.Done()
-	})
-	wg.Wait()
-	return res
+func dial(t *testing.T, d *nodefinder.RealDialer, target *enode.Node) *nodefinder.DialResult {
+	t.Helper()
+	ch := make(chan *nodefinder.DialResult, 1)
+	d.Dial(target, mlog.ConnDynamicDial, func(r *nodefinder.DialResult) { ch <- r })
+	select {
+	case res := <-ch:
+		return res
+	case <-time.After(30 * time.Second):
+		t.Fatal("dial did not complete")
+		return nil
+	}
 }
 
 func TestFullHandshakeChain(t *testing.T) {
 	leakcheck.Check(t)
-	n := startNode(t, 1, Config{})
-	res := dialWith(crawlerDialer(t, 100, true), n)
+	w := loopbackWorld(t, 1)
+	n, self := serve(t, w, ethOn(w.Mainnet))
+	res := dial(t, crawlerDialer(t, 100, true), self)
 	if res.Err != nil {
 		t.Fatalf("dial error: %v", res.Err)
 	}
-	if res.Hello == nil || res.Hello.Name != "Geth/v1.8.11-stable/linux-amd64/go1.10" {
+	if res.Hello == nil || res.Hello.ID != n.Node.ID || res.Hello.Name != w.ClientNameAt(n, w.Clock.Now()) {
 		t.Fatalf("hello: %+v", res.Hello)
 	}
-	if res.Status == nil || res.Status.NetworkID != 1 || res.Status.GenesisHash != mainnetSim.GenesisHash() {
+	if res.Status == nil || res.Status.NetworkID != chain.MainnetNetworkID || res.Status.GenesisHash != w.Mainnet.GenesisHash {
 		t.Fatalf("status: %+v", res.Status)
 	}
 	if !res.DAOChecked || res.DAOFork != eth.DAOForkSupported {
@@ -102,20 +142,19 @@ func TestFullHandshakeChain(t *testing.T) {
 		t.Error("duration not recorded")
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for n.PeerCount() > 0 && time.Now().Before(deadline) {
+	for w.PromotedActive() > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if n.PeerCount() != 0 {
+	if w.PromotedActive() != 0 {
 		t.Error("peer slot not freed after disconnect")
 	}
 }
 
 func TestDAOOpposedDetected(t *testing.T) {
 	leakcheck.Check(t)
-	classic := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "mainnet-sim", DAOFork: false})
-	classic.ExtendTo(chain.DAOForkBlock + 30)
-	n := startNode(t, 2, Config{Chain: classic})
-	res := dialWith(crawlerDialer(t, 101, true), n)
+	w := loopbackWorld(t, 2)
+	_, self := serve(t, w, ethOn(w.Classic))
+	res := dial(t, crawlerDialer(t, 101, true), self)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
@@ -124,69 +163,23 @@ func TestDAOOpposedDetected(t *testing.T) {
 	}
 }
 
-// holdSession completes the handshake chain against target and keeps
-// the peer slot occupied until release closes.
-func holdSession(t *testing.T, seed int64, target *Node, release <-chan struct{}, ready chan<- error) {
-	key := testKey(t, seed)
-	fd, err := net.Dial("tcp4", target.Self().TCPAddr().String())
-	if err != nil {
-		ready <- err
-		return
-	}
-	defer fd.Close()
-	conn, err := rlpx.Initiate(fd, key, target.Self().ID)
-	if err != nil {
-		ready <- err
-		return
-	}
-	hello := &devp2p.Hello{
-		Version: devp2p.Version, Name: "holder",
-		Caps: []devp2p.Cap{{Name: "eth", Version: 63}},
-		ID:   enode.PubkeyID(&key.Pub),
-	}
-	theirs, err := devp2p.ExchangeHello(conn, hello)
-	if err != nil {
-		ready <- err
-		return
-	}
-	if hello.Version >= devp2p.Version && theirs.Version >= devp2p.Version {
-		conn.SetSnappy(true)
-	}
-	offset := devp2p.BaseProtocolLength
-	st := MainnetStatusFor(mainnetSim)
-	if err := eth.SendStatus(conn, offset, &st); err != nil {
-		ready <- err
-		return
-	}
-	if _, err := eth.ReadStatus(conn, offset); err != nil {
-		ready <- fmt.Errorf("status: %w", err)
-		return
-	}
-	ready <- nil
-	<-release
-	devp2p.SendDisconnect(conn, devp2p.DiscQuitting) //nolint:errcheck
-}
-
 func TestTooManyPeersDisconnect(t *testing.T) {
 	leakcheck.Check(t)
-	n := startNode(t, 5, Config{MaxPeers: 1})
-	release := make(chan struct{})
-	ready := make(chan error, 1)
-	go holdSession(t, 103, n, release, ready)
-	if err := <-ready; err != nil {
-		t.Fatalf("holder: %v", err)
-	}
-	if !n.WaitForPeers(1, 3*time.Second) {
-		t.Fatal("holder never registered")
-	}
-	res := dialWith(crawlerDialer(t, 104, false), n)
+	w := loopbackWorld(t, 5)
+	_, self := serve(t, w, func(n *simnet.SimNode) {
+		ethOn(w.Mainnet)(n)
+		n.Occupancy = 1 // every peer slot taken
+	})
+	res := dial(t, crawlerDialer(t, 104, false), self)
 	if res.Disconnect == nil || *res.Disconnect != devp2p.DiscTooManyPeers {
 		t.Fatalf("expected Too many peers, got disc=%v err=%v", res.Disconnect, res.Err)
 	}
-	close(release)
-	sent, _ := n.Counters.Snapshot()
-	if sent["DISCONNECT:Too many peers"] == 0 {
-		t.Error("counter not bumped")
+	// A full node turns the crawler away before HELLO.
+	if res.Hello != nil {
+		t.Errorf("hello recorded from a full node: %+v", res.Hello)
+	}
+	if got := nodefinder.OutcomeClass(res); got != "too-many-peers" {
+		t.Errorf("outcome class %q", got)
 	}
 }
 
@@ -195,11 +188,12 @@ func TestUselessPeerStillYieldsHello(t *testing.T) {
 	// When we advertise only bzz, the eth node rejects us as useless
 	// — but NodeFinder already captured the HELLO, which is all the
 	// DEVp2p census needs.
-	n := startNode(t, 7, Config{})
+	w := loopbackWorld(t, 7)
+	n, self := serve(t, w, ethOn(w.Mainnet))
 	d := crawlerDialer(t, 105, false)
 	d.Hello.Caps = []devp2p.Cap{{Name: "bzz", Version: 2}}
-	res := dialWith(d, n)
-	if res.Hello == nil {
+	res := dial(t, d, self)
+	if res.Hello == nil || res.Hello.ID != n.Node.ID {
 		t.Fatalf("no hello: %+v", res)
 	}
 	if res.Status != nil {
@@ -209,14 +203,24 @@ func TestUselessPeerStillYieldsHello(t *testing.T) {
 
 func TestGenesisMismatchStillYieldsStatus(t *testing.T) {
 	leakcheck.Check(t)
-	other := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "other-chain", Length: 5})
-	n := startNode(t, 8, Config{Chain: other})
-	res := dialWith(crawlerDialer(t, 106, false), n)
+	w := loopbackWorld(t, 8)
+	var other *simnet.Network
+	for _, nw := range w.Networks {
+		if nw.GenesisHash != w.Mainnet.GenesisHash {
+			other = nw
+			break
+		}
+	}
+	if other == nil {
+		t.Fatal("world has no chain with a foreign genesis")
+	}
+	_, self := serve(t, w, ethOn(other))
+	res := dial(t, crawlerDialer(t, 106, false), self)
 	if res.Status == nil {
 		t.Fatalf("no status: err=%v disc=%v", res.Err, res.Disconnect)
 	}
-	if res.Status.GenesisHash != other.GenesisHash() {
-		t.Error("wrong genesis learned")
+	if res.Status.GenesisHash != other.GenesisHash || res.Status.NetworkID != other.NetworkID {
+		t.Errorf("wrong chain learned: %+v, want %s", res.Status, other.Name)
 	}
 }
 
@@ -224,32 +228,12 @@ func TestNonEthServiceNode(t *testing.T) {
 	leakcheck.Check(t)
 	// A Swarm-only node (no chain): HELLO works, then it cuts us off
 	// as useless. These are the paper's "non-productive peers".
-	n := startNode(t, 9, Config{
-		ClientName: "swarm/v0.3",
-		Caps:       []devp2p.Cap{{Name: "bzz", Version: 2}},
-		Chain:      nil,
+	w := loopbackWorld(t, 9)
+	n, self := serve(t, w, func(n *simnet.SimNode) {
+		n.Service, n.Network = simnet.SvcSwarm, nil
 	})
-	// Force nil chain: startNode injected mainnetSim, so build
-	// directly instead.
-	n.Close()
-	raw, err := Start(Config{
-		Key:        testKey(t, 10),
-		ClientName: "swarm/v0.3",
-		Caps:       []devp2p.Cap{{Name: "bzz", Version: 2}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Close()
-	var res *nodefinder.DialResult
-	var wg sync.WaitGroup
-	wg.Add(1)
-	crawlerDialer(t, 107, false).Dial(raw.Self(), mlog.ConnDynamicDial, func(r *nodefinder.DialResult) {
-		res = r
-		wg.Done()
-	})
-	wg.Wait()
-	if res.Hello == nil || res.Hello.Name != "swarm/v0.3" {
+	res := dial(t, crawlerDialer(t, 107, false), self)
+	if res.Hello == nil || res.Hello.Name != w.ClientNameAt(n, w.Clock.Now()) {
 		t.Fatalf("hello: %+v err=%v", res.Hello, res.Err)
 	}
 	if len(res.Hello.Caps) != 1 || res.Hello.Caps[0].Name != "bzz" {
@@ -260,82 +244,102 @@ func TestNonEthServiceNode(t *testing.T) {
 	}
 }
 
-func TestDiscoveryIntegration(t *testing.T) {
+// staticsOnly is a crawl's discovery when every node it dials is
+// seeded as a static: a lookup finds nothing.
+type staticsOnly struct{ self enode.ID }
+
+func (d staticsOnly) Self() enode.ID { return d.self }
+
+func (d staticsOnly) Lookup(_ enode.ID, done func([]*enode.Node)) { done(nil) }
+
+func TestIncomingListenerCapturesDialingNodes(t *testing.T) {
 	leakcheck.Check(t)
-	boot := startNode(t, 11, Config{Discovery: true})
-	n1 := startNode(t, 12, Config{Discovery: true, Bootnodes: []*enode.Node{boot.Self()}})
-	n2 := startNode(t, 13, Config{Discovery: true, Bootnodes: []*enode.Node{boot.Self()}})
-	if err := n1.Bond(boot.Self()); err != nil {
+	if testing.Short() {
+		t.Skip("integration test")
+	}
+	key := testKey(t, 210)
+	col := mlog.NewCollector()
+	finder, err := nodefinder.New(nodefinder.Config{
+		Discovery: staticsOnly{self: enode.PubkeyID(&key.Pub)},
+		Dialer:    crawlerDialer(t, 212, false), // the finder is never started
+		Log:       col,
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n2.Bond(boot.Self()); err != nil {
+	listener, err := nodefinder.ListenIncoming("", key, devp2p.Hello{
+		Version: devp2p.Version,
+		Name:    "NodeFinder/v1.0",
+		Caps:    []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}},
+	}, eth.MainnetStatus(), finder)
+	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(14))
+	defer listener.Close()
+	port := uint16(listener.Addr().Port)
+	crawlerNode := enode.New(enode.PubkeyID(&key.Pub), net.IPv4(127, 0, 0, 1), port, port)
+
+	// A Geth node dials the crawler with the real dial stack: RLPx,
+	// HELLO, then a Mainnet STATUS.
+	const name = "Geth/v1.8.11-stable/linux-amd64/go1.10"
+	peer := crawlerDialer(t, 211, false)
+	peer.Hello.Name = name
+	res := dial(t, peer, crawlerNode)
+	if res.Hello == nil || res.Hello.ID != crawlerNode.ID {
+		t.Fatalf("dialing node saw hello %+v err=%v", res.Hello, res.Err)
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for finder.Stats().IncomingConns == 0 && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if finder.Stats().IncomingConns == 0 {
+		t.Fatal("listener never saw an incoming connection")
+	}
+	// The census must hold the dialing node's identity.
+	peerID := enode.PubkeyID(&peer.Key.Pub)
 	found := false
-	for i := 0; i < 5 && !found; i++ {
-		for _, n := range n1.Discovery().Lookup(enode.RandomID(rng)) {
-			if n.ID == n2.Self().ID {
-				found = true
-			}
-		}
-		if n1.Discovery().Table().Contains(n2.Self().ID) {
+	for _, e := range col.Entries() {
+		if e.ConnType == mlog.ConnIncoming && e.Hello != nil && e.Hello.ClientName == name {
 			found = true
+			if e.NodeID != peerID.String() {
+				t.Errorf("inbound entry for %s, want %s", e.NodeID, peerID)
+			}
+			if e.Status == nil {
+				t.Error("incoming session captured no STATUS")
+			}
 		}
 	}
 	if !found {
-		t.Fatal("n1 never learned n2 through the bootstrap")
+		t.Fatalf("census missing the inbound peer (entries=%d)", col.Len())
 	}
 }
 
 func TestEndToEndCrawl(t *testing.T) {
 	leakcheck.Check(t)
-	// The headline integration test: a NodeFinder over the REAL
-	// stack (discv4 + RLPx + DEVp2p + eth over loopback sockets)
-	// crawls a small world and produces census-grade logs.
+	// The headline integration test: a NodeFinder over the real stack
+	// (RLPx + DEVp2p + eth over loopback sockets) crawls a small
+	// served world and produces census-grade logs.
 	if testing.Short() {
 		t.Skip("integration test")
 	}
-	boot := startNode(t, 20, Config{Discovery: true})
-	world := []*Node{boot}
-	names := []string{
-		"Geth/v1.8.11-stable/linux-amd64/go1.10",
-		"Parity/v1.10.6-stable-xxx/x86_64-linux-gnu/rustc1.26",
-		"Geth/v1.7.3-stable/linux-amd64/go1.9",
+	w := loopbackWorld(t, 20)
+	now := w.Clock.Now()
+	nodes := onlineHonest(w)
+	if len(nodes) > 8 {
+		nodes = nodes[:8]
 	}
-	for i := 0; i < 3; i++ {
-		n := startNode(t, 21+int64(i), Config{
-			Discovery:  true,
-			Bootnodes:  []*enode.Node{boot.Self()},
-			ClientName: names[i],
-		})
-		if err := n.Bond(boot.Self()); err != nil {
-			t.Fatal(err)
-		}
-		world = append(world, n)
+	if len(nodes) < 4 {
+		t.Fatalf("only %d online honest nodes", len(nodes))
 	}
+	ethOn(w.Mainnet)(nodes[0]) // at least one node answers the DAO check
 
-	// The crawler's own discovery endpoint.
-	crawlKey := testKey(t, 30)
-	udp, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := newCrawlerDiscovery(crawlKey, udp, boot.Self())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.T.Close()
-	if err := tr.T.Ping(boot.Self()); err != nil {
-		t.Fatal(err)
-	}
-
+	key := testKey(t, 30)
 	col := mlog.NewCollector()
 	finder, err := nodefinder.New(nodefinder.Config{
-		Discovery:       tr,
+		Discovery:       staticsOnly{self: enode.PubkeyID(&key.Pub)},
 		Dialer:          crawlerDialer(t, 31, true),
 		Log:             col,
-		LookupInterval:  200 * time.Millisecond,
 		StaticInterval:  2 * time.Second,
 		MaxDynamicDials: 16,
 		Seed:            1,
@@ -343,20 +347,25 @@ func TestEndToEndCrawl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	finder.AddStatic(boot.Self())
+	names := map[string]bool{}
+	for _, n := range nodes {
+		n.Occupancy = 0
+		self, err := w.ServeLoopback(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		finder.AddStatic(self)
+		names[w.ClientNameAt(n, now)] = true
+	}
 	finder.Start()
 	defer finder.Stop()
 
 	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		if finder.Stats().SuccessfulConns >= 4 {
-			break
-		}
+	for finder.Stats().SuccessfulConns < uint64(len(nodes)) && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Millisecond)
 	}
-	st := finder.Stats()
-	if st.SuccessfulConns < 4 {
-		t.Fatalf("crawled only %d nodes: %+v", st.SuccessfulConns, st)
+	if st := finder.Stats(); st.SuccessfulConns < uint64(len(nodes)) {
+		t.Fatalf("crawled only %d of %d nodes: %+v", st.SuccessfulConns, len(nodes), st)
 	}
 
 	// The census must contain every client name in the world.
@@ -366,7 +375,7 @@ func TestEndToEndCrawl(t *testing.T) {
 			seen[e.Hello.ClientName] = true
 		}
 	}
-	for _, name := range names {
+	for name := range names {
 		if !seen[name] {
 			t.Errorf("census missing %s (saw %v)", name, seen)
 		}
@@ -384,20 +393,4 @@ func TestEndToEndCrawl(t *testing.T) {
 	if !hasStatus || !hasDAO {
 		t.Errorf("status=%v dao=%v", hasStatus, hasDAO)
 	}
-}
-
-// newCrawlerDiscovery builds a RealDiscovery over a fresh discv4
-// transport bootstrapped at boot.
-func newCrawlerDiscovery(key *secp256k1.PrivateKey, udp *net.UDPConn, boot *enode.Node) (nodefinder.RealDiscovery, error) {
-	tr, err := discv4.Listen(discv4.UDPConn{UDPConn: udp}, discv4.Config{
-		Key:         key,
-		AnnounceTCP: 30303,
-		Bootnodes:   []*enode.Node{boot},
-		RespTimeout: 500 * time.Millisecond,
-		Seed:        99,
-	})
-	if err != nil {
-		return nodefinder.RealDiscovery{}, err
-	}
-	return nodefinder.RealDiscovery{T: tr}, nil
 }

@@ -3,15 +3,15 @@ package faultnet_test
 import (
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/chain"
 	"repro/internal/crypto/secp256k1"
 	"repro/internal/devp2p"
 	"repro/internal/enode"
-	"repro/internal/ethnode"
+	"repro/internal/eth"
 	"repro/internal/faultnet"
 	"repro/internal/metrics"
 	"repro/internal/nodefinder"
@@ -54,10 +54,59 @@ func (d *pagedDiscovery) Lookup(target enode.ID, done func([]*enode.Node)) {
 	}()
 }
 
-// TestHostileTaxonomy dials every hostile peer model with the real
-// hardened dialer and pins each attack to its expected bucket in the
-// metrics error taxonomy — the acceptance criterion that every
-// failure class the chaos world can produce is observable.
+// serveHostile listens on an ephemeral loopback port and mounts kind
+// on every accepted connection with ServeConn, returning the
+// listener's node identity. Cleanup closes the listener and every
+// connection and waits for each attack to end.
+func serveHostile(t *testing.T, kind faultnet.HostileKind, key *secp256k1.PrivateKey, seed int64) *enode.Node {
+	t.Helper()
+	ln, err := net.Listen("tcp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu    sync.Mutex
+		conns []net.Conn
+		wg    sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			fd, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, fd)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer fd.Close()
+				faultnet.ServeConn(kind, key, seed, fd)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	addr := ln.Addr().(*net.TCPAddr)
+	return enode.New(enode.PubkeyID(&key.Pub), addr.IP, uint16(addr.Port), uint16(addr.Port))
+}
+
+// TestHostileTaxonomy dials every attack ServeConn mounts, served on
+// its own loopback socket with no simulated world in between, with
+// the real hardened dialer, and pins each to its expected bucket in
+// the metrics error taxonomy within the dial budget.
+// simnet.TestPromotedHostileTaxonomy holds the same attacks, projected
+// onto world nodes, to SimDialer's outcome.
 func TestHostileTaxonomy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
@@ -69,18 +118,22 @@ func TestHostileTaxonomy(t *testing.T) {
 		classes []string // acceptable OutcomeClass values
 	}{
 		{faultnet.HostileNeverAck, []string{"handshake-timeout"}},
-		{faultnet.HostileHangAfterHandshake, []string{"tcp-timeout", "handshake-timeout"}},
+		{faultnet.HostileHangAfterHandshake, []string{"tcp-timeout"}},
 		{faultnet.HostileWrongMAC, []string{"rlpx-bad-mac"}},
 		{faultnet.HostileGiantFrame, []string{"frame-oversize"}},
 		{faultnet.HostileOversizedHello, []string{"msg-oversize"}},
 		{faultnet.HostileBadRLPHello, []string{"rlp-malformed"}},
 		{faultnet.HostileSnappyBomb, []string{"snappy-corrupt"}},
 		{faultnet.HostileStatusFlood, []string{"eth-handshake"}},
+		// The RST can beat the crawler's auth write, which then fails
+		// as a broken pipe.
 		{faultnet.HostileImmediateReset, []string{"tcp-reset", "rlpx-error", "error-other"}},
-		{faultnet.HostileGarbage, []string{"rlpx-bad-handshake", "rlpx-error"}},
+		{faultnet.HostileGarbage, []string{"rlpx-bad-handshake"}},
+	}
+	if len(cases) != int(faultnet.NumHostileKinds) {
+		t.Fatalf("%d cases for %d hostile kinds", len(cases), faultnet.NumHostileKinds)
 	}
 
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "taxonomy", DAOFork: true, Length: 8})
 	dialer := &nodefinder.RealDialer{
 		Key: testKey(t, 1000),
 		Hello: devp2p.Hello{
@@ -89,7 +142,7 @@ func TestHostileTaxonomy(t *testing.T) {
 			Caps:       []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}},
 			ListenPort: 30303,
 		},
-		Status:      ethnode.MainnetStatusFor(c),
+		Status:      eth.MainnetStatus(),
 		DialTimeout: 2 * time.Second,
 		Budget:      1500 * time.Millisecond,
 	}
@@ -100,13 +153,9 @@ func TestHostileTaxonomy(t *testing.T) {
 	}
 	results := make(chan outcome, len(cases))
 	for i, tc := range cases {
-		srv, err := faultnet.StartHostile(tc.kind, testKey(t, 2000+int64(i)), int64(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(srv.Close)
+		target := serveHostile(t, tc.kind, testKey(t, 2000+int64(i)), int64(i))
 		kind := tc.kind
-		dialer.Dial(srv.Node(), mlog.ConnDynamicDial, func(res *nodefinder.DialResult) {
+		dialer.Dial(target, mlog.ConnDynamicDial, func(res *nodefinder.DialResult) {
 			results <- outcome{kind, res}
 		})
 	}
@@ -126,13 +175,7 @@ func TestHostileTaxonomy(t *testing.T) {
 			t.Errorf("%v: no result", tc.kind)
 			continue
 		}
-		matched := false
-		for _, want := range tc.classes {
-			if class == want {
-				matched = true
-			}
-		}
-		if !matched {
+		if !slices.Contains(tc.classes, class) {
 			t.Errorf("%v classified as %q, want one of %v", tc.kind, class, tc.classes)
 		}
 	}
@@ -204,8 +247,6 @@ func TestChaosCrawl(t *testing.T) {
 		t.Fatalf("only %d honest eth nodes in a %d-node world", honestCount, total)
 	}
 
-	mainnet := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "chaos-mainnet", DAOFork: true, Length: 8})
-
 	// Wire faults on the crawler's own dials: benign delays toward
 	// everyone, the full destructive schedule toward hostile peers
 	// (honest conns must stay deliverable or the census cannot
@@ -246,7 +287,7 @@ func TestChaosCrawl(t *testing.T) {
 				Caps:       []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}},
 				ListenPort: 30303,
 			},
-			Status:      ethnode.MainnetStatusFor(mainnet),
+			Status:      eth.MainnetStatus(),
 			DialTimeout: 5 * time.Second,
 			// Generous budget: a timed-out honest dial costs a 5-minute
 			// backoff, far past this test's horizon. On one loaded core,

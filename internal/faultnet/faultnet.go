@@ -1,7 +1,7 @@
 // Package faultnet is a deterministic fault-injection layer for the
 // crawler's transport stack: net.Conn, dialer, and listener wrappers
-// that misbehave on a seed-driven schedule, plus hostile peer servers
-// that speak deliberately broken protocol.
+// that misbehave on a seed-driven schedule, plus hostile peer
+// behaviours that speak deliberately broken protocol.
 //
 // The paper's crawler talks to tens of thousands of strangers (§5);
 // a measurable fraction of them stall handshakes, trickle bytes,
@@ -18,10 +18,11 @@
 //     connection whether to reset, stall, slow-loris, truncate,
 //     corrupt, duplicate, reorder, or delay traffic. Wrap a dial
 //     function with Plan.Dialer or a listener with Plan.Listener.
-//   - Protocol hostility (hostile.go): HostileServer speaks RLPx
-//     just far enough to attack a specific parser — never-ACK auth,
+//   - Protocol hostility (hostile.go): ServeConn speaks RLPx just
+//     far enough to attack a specific parser — never-ACK auth,
 //     handshake-then-hang, forged frame MACs, oversized HELLOs,
-//     snappy bombs, STATUS floods.
+//     snappy bombs, STATUS floods. simnet serves it as a hostile
+//     node's side of a promoted connection.
 package faultnet
 
 import (

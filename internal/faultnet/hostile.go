@@ -1,11 +1,9 @@
 package faultnet
 
 import (
-	"fmt"
 	"math/big"
 	"math/rand"
 	"net"
-	"sync"
 	"time"
 
 	"repro/internal/crypto/secp256k1"
@@ -16,7 +14,7 @@ import (
 	"repro/internal/rlpx"
 )
 
-// HostileKind selects which protocol attack a HostileServer mounts.
+// HostileKind selects which protocol attack a hostile peer mounts.
 type HostileKind int
 
 // Hostile peer behaviors. Each targets one layer of the crawler's
@@ -77,106 +75,15 @@ func (k HostileKind) String() string {
 
 // hostileConnDeadline bounds every hostile connection's lifetime so
 // the attacker side cannot leak goroutines either — the leak checker
-// watches both ends of the chaos test.
+// watches both ends of the taxonomy and chaos tests.
 const hostileConnDeadline = 30 * time.Second
-
-// HostileServer is a TCP peer that executes one attack per accepted
-// connection. It has a real node identity, so a crawler discovers
-// and dials it like any other peer.
-type HostileServer struct {
-	kind HostileKind
-	key  *secp256k1.PrivateKey
-	ln   net.Listener
-	node *enode.Node
-	rng  *rand.Rand
-
-	mu     sync.Mutex
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// StartHostile listens on an ephemeral loopback port and serves the
-// given attack. The seed drives any randomness in the attack bytes.
-func StartHostile(kind HostileKind, key *secp256k1.PrivateKey, seed int64) (*HostileServer, error) {
-	ln, err := net.Listen("tcp4", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("faultnet: hostile listen: %w", err)
-	}
-	addr := ln.Addr().(*net.TCPAddr)
-	s := &HostileServer{
-		kind:  kind,
-		key:   key,
-		ln:    ln,
-		node:  enode.New(enode.PubkeyID(&key.Pub), addr.IP, uint16(addr.Port), uint16(addr.Port)),
-		rng:   rand.New(rand.NewSource(seed)),
-		conns: make(map[net.Conn]struct{}),
-	}
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// Node returns the server's discoverable identity.
-func (s *HostileServer) Node() *enode.Node { return s.node }
-
-// Kind returns the attack this server mounts.
-func (s *HostileServer) Kind() HostileKind { return s.kind }
-
-// Close stops accepting, severs every live connection, and waits for
-// all serving goroutines to exit.
-func (s *HostileServer) Close() {
-	s.mu.Lock()
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-	s.ln.Close()
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-}
-
-func (s *HostileServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		fd, err := s.ln.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			fd.Close()
-			return
-		}
-		s.conns[fd] = struct{}{}
-		seed := s.rng.Int63()
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				fd.Close()
-				s.mu.Lock()
-				delete(s.conns, fd)
-				s.mu.Unlock()
-			}()
-			ServeConn(s.kind, s.key, seed, fd)
-		}()
-	}
-}
 
 // ServeConn mounts one hostile attack on an already-established
 // connection, then returns when the victim hangs up (or the
-// connection deadline expires). It is the per-connection core of
-// HostileServer, exported so simulated populations can project a
-// hostile node onto any net.Conn — e.g. an in-memory pipe created
-// when simnet promotes an event-driven node for one dial — and
-// produce byte-identical attacks without a TCP listener.
+// connection deadline expires). Simulated populations project a
+// hostile node onto any net.Conn with it — an in-memory pipe or an
+// accepted loopback socket when simnet promotes a node for one
+// connection — and the attack bytes are the same on both.
 //
 // Errors are irrelevant: the victim hanging up on us IS the desired
 // outcome.
@@ -311,11 +218,7 @@ func serveStatusFlood(conn *rlpx.Conn, key *secp256k1.PrivateKey) {
 		// attack is volume, not framing.
 		conn.SetSnappy(true)
 	}
-	status := &eth.Status{
-		ProtocolVersion: 63,
-		NetworkID:       99, // not Mainnet: keeps the victim's DAO check out of the loop
-		TD:              big.NewInt(1),
-	}
+	status := FloodStatus()
 	for {
 		if err := eth.SendStatus(conn, devp2p.BaseProtocolLength, status); err != nil {
 			return
@@ -323,15 +226,32 @@ func serveStatusFlood(conn *rlpx.Conn, key *secp256k1.PrivateKey) {
 	}
 }
 
-// exchangeHello sends a plausible HELLO (eth/63, devp2p v5) and
-// reads the victim's.
-func exchangeHello(conn *rlpx.Conn, key *secp256k1.PrivateKey) (*devp2p.Hello, error) {
-	ours := &devp2p.Hello{
+// FloodStatus is the STATUS a HostileStatusFlood peer repeats. Its
+// network is not Mainnet, which keeps the victim's DAO check out of
+// the loop.
+func FloodStatus() *eth.Status {
+	return &eth.Status{ProtocolVersion: 63, NetworkID: 99, TD: big.NewInt(1)}
+}
+
+// hostileCaps is what HostileHello offers: eth, so that the victim
+// goes on to the STATUS exchange the bomb and the flood attack.
+var hostileCaps = []devp2p.Cap{{Name: eth.ProtocolName, Version: 62}, {Name: eth.ProtocolName, Version: 63}}
+
+// HostileHello is the plausible HELLO (devp2p v5, eth/62 and eth/63)
+// the attacks that get past HELLO — the snappy bomb and the STATUS
+// flood — announce as node id. Caps is shared and must not be
+// modified.
+func HostileHello(id enode.ID) *devp2p.Hello {
+	return &devp2p.Hello{
 		Version:    devp2p.Version,
 		Name:       "faultnet/hostile",
-		Caps:       []devp2p.Cap{{Name: eth.ProtocolName, Version: 62}, {Name: eth.ProtocolName, Version: 63}},
+		Caps:       hostileCaps,
 		ListenPort: 30303,
-		ID:         enode.PubkeyID(&key.Pub),
+		ID:         id,
 	}
-	return devp2p.ExchangeHello(conn, ours)
+}
+
+// exchangeHello sends HostileHello and reads the victim's.
+func exchangeHello(conn *rlpx.Conn, key *secp256k1.PrivateKey) (*devp2p.Hello, error) {
+	return devp2p.ExchangeHello(conn, HostileHello(enode.PubkeyID(&key.Pub)))
 }

@@ -92,9 +92,10 @@ const histBuckets = 65
 
 // Histogram counts observations in fixed power-of-two buckets:
 // bucket i (i ≥ 1) holds values v with 2^(i-1) ≤ v < 2^i; bucket 0
-// holds v == 0. The zero value is ready to use; nil no-ops.
+// holds v == 0. The observation count is the buckets' sum, so an
+// Observe is two atomic adds. The zero value is ready to use; nil
+// no-ops.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64
 	buckets [histBuckets]atomic.Uint64
 }
@@ -104,7 +105,6 @@ func (h *Histogram) Observe(v uint64) {
 	if h == nil {
 		return
 	}
-	h.count.Add(1)
 	h.sum.Add(v)
 	h.buckets[bits.Len64(v)].Add(1)
 }
@@ -118,30 +118,33 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(uint64(d.Microseconds()))
 }
 
-// Count returns the number of observations.
+// Count returns the number of observations: the sum of the buckets.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0
 	}
-	return h.count.Load()
+	var n uint64
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
 }
 
 // Snapshot captures the histogram's current state. Under concurrent
-// writers the bucket counts are each individually atomic; the
-// aggregate may be mid-update, which is fine for telemetry.
+// writers the bucket counts are each individually atomic and Count is
+// their sum, so the two always agree; Sum may be mid-update, which is
+// fine for telemetry.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	s := HistogramSnapshot{
-		Count: h.count.Load(),
-		Sum:   h.sum.Load(),
-	}
+	s := HistogramSnapshot{Sum: h.sum.Load()}
 	for i := range h.buckets {
 		n := h.buckets[i].Load()
 		if n == 0 {
 			continue
 		}
+		s.Count += n
 		s.Buckets = append(s.Buckets, Bucket{Le: bucketUpper(i), Count: n})
 	}
 	s.Quantiles = s.Summary()

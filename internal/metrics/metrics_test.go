@@ -208,6 +208,45 @@ func TestHistogramShape(t *testing.T) {
 	}
 }
 
+// TestHistogramCountIsBucketSum takes snapshots while writers observe:
+// every snapshot's Count must equal the sum of its buckets, mid-update
+// or not, and the final count must lose no observation.
+func TestHistogramCountIsBucketSum(t *testing.T) {
+	const (
+		writers = 4
+		rounds  = 5000
+	)
+	var h Histogram
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				h.Observe(uint64(i))
+			}
+		}()
+	}
+	check := func(s HistogramSnapshot) {
+		var sum uint64
+		for _, b := range s.Buckets {
+			sum += b.Count
+		}
+		if s.Count != sum {
+			t.Fatalf("snapshot count %d, bucket sum %d", s.Count, sum)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		check(h.Snapshot())
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	check(s)
+	if s.Count != writers*rounds || h.Count() != writers*rounds {
+		t.Fatalf("count %d (Count() %d), want %d", s.Count, h.Count(), writers*rounds)
+	}
+}
+
 // TestCounterSum checks vec-family addressing in snapshots.
 func TestCounterSum(t *testing.T) {
 	r := New()

@@ -155,12 +155,12 @@ func (c *Simulated) push(d time.Duration, ev Event, t *simTimer) {
 // Advance moves the clock forward by d, firing all callbacks due in
 // the interval in order. It returns the number of callbacks fired.
 func (c *Simulated) Advance(d time.Duration) int {
-	return c.RunUntil(c.Now().Add(d))
+	return c.runUntil(c.Now().Add(d))
 }
 
-// RunUntil fires callbacks in order until the queue holds nothing due
+// runUntil fires callbacks in order until the queue holds nothing due
 // at or before target, then sets the clock to target.
-func (c *Simulated) RunUntil(target time.Time) int {
+func (c *Simulated) runUntil(target time.Time) int {
 	fired := 0
 	for c.fireNext(target.Sub(c.start), true) {
 		fired++

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/devp2p"
 	"repro/internal/enode"
 	"repro/internal/eth"
@@ -39,9 +40,9 @@ var (
 	// the same sentinel errors, so nodefinder.OutcomeClass buckets a
 	// simulated attack identically to a real one.
 	errSimNeverAck  = errors.New("rlpx: reading handshake size: i/o timeout")
-	errSimHangHello = errors.New("rlpx: reading hello frame: i/o timeout")
+	errSimHangHello = errors.New("read: i/o timeout") // devp2p passes the socket's own timeout up
 	errSimReset     = errors.New("read: connection reset by peer")
-	errSimGarbage   = errors.New("rlpx: reading handshake ack: invalid message")
+	errSimGarbage   = fmt.Errorf("rlpx: %w: decrypting: ecies: invalid message", rlpx.ErrBadHandshake)
 	errSimBadMAC    = fmt.Errorf("rlpx: %w", rlpx.ErrBadHeaderMAC)
 	errSimGiant     = fmt.Errorf("rlpx: %w: %d > %d", rlpx.ErrFrameTooBig, 2<<20, rlpx.DefaultMaxReadFrame)
 	errSimBigHello  = fmt.Errorf("devp2p: reading hello: %w", devp2p.ErrMsgTooBig)
@@ -219,16 +220,9 @@ func (d *SimDialer) outcome(res *nodefinder.DialResult, target *enode.Node, kind
 	res.BestBlock = n.BestBlockAt(start)
 
 	// DAO-fork verification for network-1 peers (Mainnet/Classic).
-	if n.Network != nil && n.Network.NetworkID == 1 {
+	if n.Network.NetworkID == chain.MainnetNetworkID {
 		res.DAOChecked = true
-		if n.BestBlockAt(start) < 1_920_000 {
-			res.DAOChecked = true
-			res.DAOFork = eth.DAOForkUnknown
-		} else if n.Network.DAOFork {
-			res.DAOFork = eth.DAOForkSupported
-		} else {
-			res.DAOFork = eth.DAOForkOpposed
-		}
+		res.DAOFork = n.Network.daoVerdict(res.BestBlock)
 		return 6 * rtt
 	}
 	return 5 * rtt
@@ -264,18 +258,14 @@ func (d *SimDialer) hostileOutcome(n *SimNode, res *nodefinder.DialResult, rtt t
 		// The bomb lands after a successful HELLO, exactly like the
 		// real attack: census-wise the node responded, but the eth
 		// handshake dies in decompression.
-		res.Hello = d.W.helloFor(n, start)
+		res.Hello = faultnet.HostileHello(n.Node.ID)
 		res.Err = errSimSnappy
 		return 4 * rtt
 	case faultnet.HostileStatusFlood:
-		// The flood handshakes honestly; the productive part of the
-		// census still records it (the crawler disconnects after
-		// STATUS regardless).
-		res.Hello = d.W.helloFor(n, start)
-		if n.Service == SvcEth {
-			res.Status = d.W.statusFor(n, start)
-			res.BestBlock = n.BestBlockAt(start)
-		}
+		// The flood handshakes with the attacker's HELLO and STATUS;
+		// the crawler records both and disconnects after STATUS.
+		res.Hello = faultnet.HostileHello(n.Node.ID)
+		res.Status = faultnet.FloodStatus()
 		return 5 * rtt
 	case faultnet.HostileImmediateReset:
 		res.Err = errSimReset
@@ -317,6 +307,22 @@ func (w *World) statusFor(n *SimNode, t time.Time) *eth.Status {
 		TD:              new(big.Int).Mul(big.NewInt(int64(best)), big.NewInt(131072)),
 		BestHash:        n.Network.BestHashAt(best),
 		GenesisHash:     n.Network.GenesisHash,
+	}
+}
+
+// daoVerdict is what NodeFinder's DAO-fork check learns from a node
+// of this network whose head is at best: before the fork block there
+// is no fork header to inspect, and after it the header's extra-data
+// shows which side of the fork the chain took. SimDialer reports it
+// as is; headersFor serves the headers that make RealDialer infer it.
+func (nw *Network) daoVerdict(best uint64) eth.DAOForkSupport {
+	switch {
+	case best < chain.DAOForkBlock:
+		return eth.DAOForkUnknown
+	case nw.DAOFork:
+		return eth.DAOForkSupported
+	default:
+		return eth.DAOForkOpposed
 	}
 }
 
@@ -401,16 +407,9 @@ func (g *IncomingGenerator) fire() {
 	if n.Service == SvcEth {
 		res.Status = g.W.statusFor(n, now)
 		res.BestBlock = n.BestBlockAt(now)
-		if n.Network.NetworkID == 1 {
+		if n.Network.NetworkID == chain.MainnetNetworkID {
 			res.DAOChecked = true
-			switch {
-			case n.BestBlockAt(now) < 1_920_000:
-				res.DAOFork = eth.DAOForkUnknown
-			case n.Network.DAOFork:
-				res.DAOFork = eth.DAOForkSupported
-			default:
-				res.DAOFork = eth.DAOForkOpposed
-			}
+			res.DAOFork = n.Network.daoVerdict(res.BestBlock)
 		}
 	}
 	res.Duration = 5 * rtt

@@ -107,18 +107,3 @@ func (w *World) MainnetGroundTruth(from, to time.Time) []enode.ID {
 	}
 	return out
 }
-
-// ReachabilityOf classifies a set of node IDs into reachable and
-// unreachable counts (Table 2's NFR/NFU split).
-func (w *World) ReachabilityOf(ids []enode.ID) (reachable, unreachable int) {
-	for _, id := range ids {
-		if n := w.NodeByID(id); n != nil {
-			if n.Reachable {
-				reachable++
-			} else {
-				unreachable++
-			}
-		}
-	}
-	return reachable, unreachable
-}

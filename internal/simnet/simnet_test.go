@@ -287,7 +287,7 @@ func TestHostilePopulationCensus(t *testing.T) {
 	}
 	for _, class := range []string{
 		"rlpx-bad-mac", "frame-oversize", "msg-oversize", "snappy-corrupt",
-		"rlp-malformed", "handshake-timeout", "tcp-reset", "rlpx-error",
+		"rlp-malformed", "handshake-timeout", "tcp-timeout", "tcp-reset", "rlpx-bad-handshake",
 	} {
 		if snap.Counter("finder.conn_errors{"+class+"}") == 0 {
 			t.Errorf("simulated attacks never surfaced class %q", class)

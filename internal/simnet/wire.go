@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"net"
@@ -9,6 +11,7 @@ import (
 
 	"repro/internal/chain"
 	"repro/internal/devp2p"
+	"repro/internal/enode"
 	"repro/internal/eth"
 	"repro/internal/faultnet"
 	"repro/internal/metrics"
@@ -36,6 +39,10 @@ import (
 // dial fails analytically with the same error shapes a real TCP
 // connect would produce, so nodefinder.OutcomeClass buckets them
 // identically to a live crawl.
+//
+// ServeLoopback puts the same promotion behind a real TCP listener,
+// for crawls and tests that dial through the kernel's socket stack:
+// each accepted conn is promoted as a DialWire pipe would be.
 
 // wireHandshakeTimeout bounds a promoted server's RLPx accept, a
 // backstop against a client that connects and never speaks.
@@ -50,16 +57,19 @@ var ethCapLengths = map[string]uint64{eth.ProtocolName: eth.ProtocolLength}
 var (
 	errWireRefused = errConnRefused
 	errWireTimeout = errTimeout
+	errWireClosed  = errors.New("simnet: wire closed")
 )
 
-// wireState tracks promoted connections so CloseWire can sever them
-// and tests can assert the population fully demotes.
+// wireState tracks promoted connections and loopback listeners so
+// CloseWire can sever them and tests can assert the population fully
+// demotes.
 type wireState struct {
-	mu     sync.Mutex
-	wg     sync.WaitGroup
-	conns  map[net.Conn]struct{}
-	closed bool
-	rng    *rand.Rand // occupancy draws and hostile attack seeds
+	mu        sync.Mutex
+	wg        sync.WaitGroup
+	conns     map[net.Conn]struct{}
+	listeners []net.Listener
+	closed    bool
+	rng       *rand.Rand // occupancy draws and hostile attack seeds
 
 	promotions *metrics.Counter
 	demotions  *metrics.Counter
@@ -103,14 +113,70 @@ func (w *World) DialWire(network, address string, timeout time.Duration) (net.Co
 	if !n.OnlineAt(now) {
 		return nil, errWireRefused
 	}
+	client, server := netpipe.Pair()
+	if !w.promote(n, server) {
+		client.Close()
+		return nil, errWireRefused
+	}
+	return client, nil
+}
 
+// ServeLoopback serves n over real TCP: it listens on an ephemeral
+// 127.0.0.1 port and returns n's own identity at that address. Every
+// connection the listener accepts is promoted exactly as a DialWire
+// dial is — the same occupancy draw, per-conn seed and serveWire, and
+// the same counters — and CloseWire closes the listener. The listener
+// serves n whatever its lifecycle says: offline, NAT'd and unknown
+// addresses are analytic failures, which only DialWire models.
+// Requires a WireFidelity world.
+func (w *World) ServeLoopback(n *SimNode) (*enode.Node, error) {
+	if n.key == nil {
+		return nil, errors.New("simnet: ServeLoopback needs a WireFidelity world")
+	}
+	ln, err := net.Listen("tcp4", "127.0.0.1:0")
+	if err != nil {
+		return nil, fmt.Errorf("simnet: loopback listen: %w", err)
+	}
 	ws := w.wire
 	ws.mu.Lock()
 	if ws.closed {
 		ws.mu.Unlock()
-		return nil, errWireRefused
+		ln.Close()
+		return nil, errWireClosed
 	}
-	client, server := netpipe.Pair()
+	ws.listeners = append(ws.listeners, ln)
+	ws.wg.Add(1)
+	ws.mu.Unlock()
+
+	go func() {
+		defer ws.wg.Done()
+		for {
+			fd, err := ln.Accept()
+			if err != nil {
+				return // CloseWire closed the listener
+			}
+			if !w.promote(n, fd) {
+				fd.Close()
+				return
+			}
+		}
+	}()
+	addr := ln.Addr().(*net.TCPAddr)
+	return enode.New(n.Node.ID, addr.IP, uint16(addr.Port), uint16(addr.Port)), nil
+}
+
+// promote hands the server end of one connection to n: it draws the
+// connection's attack seed and occupancy, registers the conn for
+// CloseWire, and runs serveWire on it until the peer hangs up, when
+// the node demotes. It reports false, touching nothing, once
+// CloseWire has run.
+func (w *World) promote(n *SimNode, server net.Conn) bool {
+	ws := w.wire
+	ws.mu.Lock()
+	if ws.closed {
+		ws.mu.Unlock()
+		return false
+	}
 	ws.conns[server] = struct{}{}
 	seed := ws.rng.Int63()
 	occupied := !n.Hostile && ws.rng.Float64() < n.Occupancy
@@ -131,21 +197,27 @@ func (w *World) DialWire(network, address string, timeout time.Duration) (net.Co
 		}()
 		w.serveWire(n, server, seed, occupied)
 	}()
-	return client, nil
+	return true
 }
 
-// CloseWire severs every promoted connection and waits for all
-// serving goroutines to demote. Call when done with a WireFidelity
-// world; analytic worlds have nothing to close.
+// CloseWire closes every loopback listener, severs every promoted
+// connection and waits for all serving goroutines to demote. Call
+// when done with a WireFidelity world; analytic worlds have nothing
+// to close.
 func (w *World) CloseWire() {
 	ws := w.wire
 	ws.mu.Lock()
 	ws.closed = true
+	listeners := ws.listeners
+	ws.listeners = nil
 	conns := make([]net.Conn, 0, len(ws.conns))
 	for c := range ws.conns {
 		conns = append(conns, c)
 	}
 	ws.mu.Unlock()
+	for _, ln := range listeners {
+		ln.Close()
+	}
 	for _, c := range conns {
 		c.Close()
 	}
@@ -155,8 +227,8 @@ func (w *World) CloseWire() {
 // serveWire runs one promoted connection to completion.
 func (w *World) serveWire(n *SimNode, fd net.Conn, seed int64, occupied bool) {
 	if n.Hostile {
-		// The hostile projection is faultnet's own attack code — the
-		// same bytes a listener-backed HostileServer would emit.
+		// The hostile projection is faultnet's own attack code, the
+		// same bytes over a pipe or a loopback socket.
 		faultnet.ServeConn(n.HostileKind, n.key, seed, fd)
 		return
 	}
@@ -266,9 +338,10 @@ func drain(conn *rlpx.Conn) {
 
 // headersFor synthesizes a header-chain response from the node's
 // analytic identity — no materialized chain required. The header the
-// crawler cares about is the DAO fork block: pro-fork network-1 nodes
-// carry the dao-hard-fork extra-data, anti-fork nodes do not, and
-// nodes that have not reached the fork respond with nothing.
+// crawler cares about is the DAO fork block, and daoVerdict decides
+// it: pro-fork nodes carry the dao-hard-fork extra-data, anti-fork
+// nodes do not, and nodes that have not reached the fork respond with
+// nothing.
 func (w *World) headersFor(n *SimNode, now time.Time, req *eth.GetBlockHeaders) []*chain.Header {
 	if req.Origin.IsHash || req.Amount == 0 || n.Network == nil {
 		return nil
@@ -287,7 +360,7 @@ func (w *World) headersFor(n *SimNode, now time.Time, req *eth.GetBlockHeaders) 
 			GasLimit:   8_000_000,
 			Time:       uint64(now.Unix()),
 		}
-		if n.Network.DAOFork && num >= chain.DAOForkBlock && num < chain.DAOForkBlock+10 {
+		if num < chain.DAOForkBlock+10 && n.Network.daoVerdict(num) == eth.DAOForkSupported {
 			h.Extra = append([]byte(nil), chain.DAOForkBlockExtra...)
 		}
 		headers = append(headers, h)

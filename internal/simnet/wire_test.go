@@ -131,6 +131,49 @@ func TestPromotedHonestDial(t *testing.T) {
 	}
 }
 
+// TestServeLoopback serves an honest Mainnet node over real TCP: a
+// socket dial runs the full chain through the same promotion as
+// DialWire, counters included, and CloseWire closes the listener along
+// with the conns, leaving no socket or goroutine behind.
+func TestServeLoopback(t *testing.T) {
+	leakcheck.Check(t)
+	reg := metrics.New()
+	w := wireWorld(t, 7, reg)
+	target := honestMainnetNode(t, w)
+	served, err := w.ServeLoopback(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.ID != target.Node.ID || !served.IP.IsLoopback() {
+		t.Fatalf("served as %v", served)
+	}
+	d := wireDialer(t, w, 10*time.Second)
+	d.DialFunc = nil
+	res := dialOne(t, d, served)
+	if class := nodefinder.OutcomeClass(res); class != "eth-handshake" || !res.DAOChecked || res.Hello.ID != target.Node.ID {
+		t.Fatalf("outcome %q (DAO checked %v): %v", class, res.DAOChecked, res.Err)
+	}
+	waitDemoted(t, w, 0)
+	snap := reg.Snapshot()
+	if p, d := snap.Counter("simnet.promotions"), snap.Counter("simnet.demotions"); p != 1 || d != 1 {
+		t.Fatalf("promotions=%d demotions=%d, want 1/1", p, d)
+	}
+
+	w.CloseWire()
+	if class := nodefinder.OutcomeClass(dialOne(t, d, served)); class != "tcp-refused" {
+		t.Errorf("dial after CloseWire: %q, want tcp-refused", class)
+	}
+	if _, err := w.ServeLoopback(target); err == nil {
+		t.Error("ServeLoopback after CloseWire succeeded")
+	}
+	cfg := simnet.DefaultConfig(7)
+	cfg.BaseNodes = 20
+	analytic := simnet.NewWorld(cfg)
+	if _, err := analytic.ServeLoopback(analytic.Nodes[0]); err == nil {
+		t.Error("an analytic world served a node it holds no key for")
+	}
+}
+
 // TestRealDialerOnVirtualTime dials with the world's own frozen clock:
 // every time a RealDialer reports, and the STATUS the world serves,
 // must come from that clock, on the connected path and the refused one
@@ -184,69 +227,42 @@ func TestPromotedOfflineAndUnknownDials(t *testing.T) {
 	}
 }
 
-// TestPromotedHostileTaxonomy projects every faultnet attack onto
-// promoted nodes and pins each to its bucket in the error taxonomy —
-// the same contract TestHostileTaxonomy pins for listener-backed
-// hostile servers, now with the attack riding an in-memory promotion.
+// TestPromotedHostileTaxonomy is the hostile half of the SimDialer
+// versus wire differential (TestSimDialerMatchesWire is the honest
+// half): it projects every faultnet attack onto a promoted node,
+// dials it over an in-memory pipe and over loopback TCP with the
+// hardened RealDialer, and pins each attack to its bucket in the error
+// taxonomy, to SimDialer's outcome for the same node, and to an end
+// within the dial budget.
 func TestPromotedHostileTaxonomy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration test")
 	}
 	leakcheck.Check(t, leakcheck.Window(10*time.Second))
-	reg := metrics.New()
-	w := wireWorld(t, 23, reg)
+	w := wireWorld(t, 23, nil)
 	now := w.Clock.Now()
-
-	cases := []struct {
-		kind    faultnet.HostileKind
-		classes []string
-	}{
-		{faultnet.HostileNeverAck, []string{"handshake-timeout"}},
-		{faultnet.HostileHangAfterHandshake, []string{"tcp-timeout", "handshake-timeout"}},
-		{faultnet.HostileWrongMAC, []string{"rlpx-bad-mac"}},
-		{faultnet.HostileGiantFrame, []string{"frame-oversize"}},
-		{faultnet.HostileOversizedHello, []string{"msg-oversize"}},
-		{faultnet.HostileBadRLPHello, []string{"rlp-malformed"}},
-		{faultnet.HostileSnappyBomb, []string{"snappy-corrupt"}},
-		{faultnet.HostileStatusFlood, []string{"eth-handshake"}},
-		// No TCP under the pipe: the reset degrades to an EOF during
-		// the RLPx handshake rather than an ECONNRESET.
-		{faultnet.HostileImmediateReset, []string{"tcp-reset", "rlpx-error", "error-other"}},
-		{faultnet.HostileGarbage, []string{"rlpx-bad-handshake", "rlpx-error"}},
+	online := func(n *simnet.SimNode) bool { return n.OnlineAt(now) }
+	attack := func(kind faultnet.HostileKind) func(*simnet.SimNode) {
+		return func(n *simnet.SimNode) { n.Hostile, n.HostileKind = true, kind }
 	}
-
-	// Conscript one online node per attack kind.
-	var conscripts []*simnet.SimNode
-	for _, n := range w.Nodes {
-		if n.OnlineAt(now) {
-			conscripts = append(conscripts, n)
-		}
-		if len(conscripts) == len(cases) {
-			break
-		}
-	}
-	if len(conscripts) < len(cases) {
-		t.Fatalf("only %d online nodes for %d attacks", len(conscripts), len(cases))
-	}
-
-	d := wireDialer(t, w, 1500*time.Millisecond)
-	for i, tc := range cases {
-		n := conscripts[i]
-		n.Hostile = true
-		n.HostileKind = tc.kind
-		res := dialOne(t, d, n.Node)
-		class := nodefinder.OutcomeClass(res)
-		matched := false
-		for _, want := range tc.classes {
-			if class == want {
-				matched = true
-			}
-		}
-		if !matched {
-			t.Errorf("%v classified as %q (err=%v), want one of %v", tc.kind, class, res.Err, tc.classes)
-		}
-	}
-	waitDemoted(t, w, 0)
+	reset := "a pipe has no RST: the reset arrives as an EOF in the RLPx handshake"
+	runDifferential(t, w, []dialCase{
+		{name: "never-ack", pick: online, setup: attack(faultnet.HostileNeverAck), classes: []string{"handshake-timeout"}},
+		{name: "hang-after-handshake", pick: online, setup: attack(faultnet.HostileHangAfterHandshake), classes: []string{"tcp-timeout"}},
+		{name: "wrong-mac", pick: online, setup: attack(faultnet.HostileWrongMAC), classes: []string{"rlpx-bad-mac"}},
+		{name: "giant-frame", pick: online, setup: attack(faultnet.HostileGiantFrame), classes: []string{"frame-oversize"}},
+		{name: "oversized-hello", pick: online, setup: attack(faultnet.HostileOversizedHello), classes: []string{"msg-oversize"}},
+		{name: "bad-rlp-hello", pick: online, setup: attack(faultnet.HostileBadRLPHello), classes: []string{"rlp-malformed"}},
+		{name: "snappy-bomb", pick: online, setup: attack(faultnet.HostileSnappyBomb), classes: []string{"snappy-corrupt"}},
+		{name: "status-flood", pick: online, setup: attack(faultnet.HostileStatusFlood), classes: []string{"eth-handshake"}},
+		{name: "immediate-reset", pick: online, setup: attack(faultnet.HostileImmediateReset),
+			classes: []string{"tcp-reset", "rlpx-error", "error-other"},
+			diverge: map[string]string{
+				overPipe:     reset,
+				overLoopback: "the RST can beat the crawler's auth write, which then fails as a broken pipe",
+			}},
+		{name: "garbage", pick: online, setup: attack(faultnet.HostileGarbage), classes: []string{"rlpx-bad-handshake"}},
+	})
 }
 
 // TestPromoteDemoteChurn hammers the promotion lifecycle: many

@@ -6,8 +6,8 @@
 // The crawler's robustness story depends on this: a hostile peer that
 // stalls a handshake or trickles bytes must cost the crawler a
 // bounded amount of time, never a leaked goroutine. Every integration
-// test that opens sockets (nodefinder, rlpx, ethnode, simnet,
-// faultnet) installs the checker so a regression in any teardown path
+// test that opens sockets (nodefinder, rlpx, simnet, faultnet, and
+// the commands and examples that crawl) installs the checker so a regression in any teardown path
 // is caught where it is introduced.
 //
 // The comparison is a snapshot diff of runtime stacks keyed by
