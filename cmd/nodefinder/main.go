@@ -9,8 +9,8 @@
 //	nodefinder -real -bootnodes enode://...,enode://... [-duration 30s]
 //	    Crawl a real network over UDP/TCP sockets using the full
 //	    discv4 + RLPx + DEVp2p + eth stack, announcing Mainnet's
-//	    genesis. Bootnodes are static nodes, first dialed 10 s after
-//	    start; point it at any devp2p-compatible listener
+//	    genesis. Bootnodes are static nodes, dialed at start and
+//	    every 10 s after; point it at any devp2p-compatible listener
 //	    (examples/quickstart crawls loopback-served simnet nodes).
 //
 // Both modes write the measurement log as JSON lines and print the

@@ -81,16 +81,17 @@ func TestRunSim(t *testing.T) {
 	}
 }
 
-// TestRunReal crawls three loopback bootnodes over real sockets until
-// their first static dial, 10 s in: an honest Mainnet node of a simnet
-// world, whose log record must hold its HELLO, its STATUS and a DAO
-// verdict; an observer that records the STATUS -real announces, which
-// must carry Mainnet's genesis so a genesis-checking peer keeps the
-// session up to the DAO check; and a UDP socket that never answers,
-// which draws a ping warning. Every socket is closed on return.
+// TestRunReal crawls three loopback bootnodes over real sockets for
+// two seconds, which their dial at start fits in: an honest Mainnet
+// node of a simnet world, whose log record must hold its HELLO, its
+// STATUS and a DAO verdict; an observer that records the STATUS -real
+// announces, which must carry Mainnet's genesis so a genesis-checking
+// peer keeps the session up to the DAO check; and a UDP socket that
+// never answers, which draws a ping warning. Every socket is closed
+// on return.
 func TestRunReal(t *testing.T) {
 	if testing.Short() {
-		t.Skip("crawls for 11 s of wall time")
+		t.Skip("crawls for 2 s of wall time")
 	}
 	leakcheck.Check(t)
 	cfg := simnet.DefaultConfig(5)
@@ -132,7 +133,7 @@ func TestRunReal(t *testing.T) {
 	logPath := filepath.Join(t.TempDir(), "crawl.jsonl")
 	var stdout, stderr bytes.Buffer
 	err = run([]string{"-real", "-bootnodes", served.String() + "," + observer.String() + "," + boot.String(),
-		"-duration", "11s", "-metrics-interval", "5s", "-log", logPath}, &stdout, &stderr)
+		"-duration", "2s", "-metrics-interval", "1s", "-log", logPath}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}

@@ -33,8 +33,9 @@ import (
 
 const (
 	worldNodes = 60
-	// Static nodes are re-dialed every staticInterval, so a crawl of
-	// crawlFor dials each served node four times.
+	// Static nodes are dialed at start and re-dialed every
+	// staticInterval, so a crawl of crawlFor dials each served node
+	// four or five times.
 	staticInterval = 500 * time.Millisecond
 	crawlFor       = 2 * time.Second
 )

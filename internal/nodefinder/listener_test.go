@@ -1,6 +1,7 @@
 package nodefinder
 
 import (
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -17,7 +18,9 @@ import (
 	"repro/internal/testutil/leakcheck"
 )
 
-func listenerFixture(t *testing.T) (*Listener, *Finder, *mlog.Collector, *chain.Chain) {
+// listenerFixture serves a Finder's inbound sessions, speaking devp2p
+// version in its HELLO.
+func listenerFixture(t *testing.T, version uint64) (*Listener, *Finder, *mlog.Collector, *chain.Chain) {
 	t.Helper()
 	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "listener-main", DAOFork: true, Length: 8})
 	key, err := secp256k1.GenerateKey(rand.New(rand.NewSource(500)))
@@ -30,7 +33,7 @@ func listenerFixture(t *testing.T) (*Listener, *Finder, *mlog.Collector, *chain.
 	f := newTestFinder(t, clock, w, col)
 
 	hello := devp2p.Hello{
-		Version: devp2p.Version,
+		Version: version,
 		Name:    "NodeFinder/test",
 		Caps:    []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}},
 	}
@@ -106,7 +109,7 @@ func waitIncoming(t *testing.T, col *mlog.Collector, want int) {
 
 func TestListenerRecordsEthPeer(t *testing.T) {
 	leakcheck.Check(t)
-	l, f, col, c := listenerFixture(t)
+	l, f, col, c := listenerFixture(t, devp2p.Version)
 	inboundClient(t, l, "Geth/v1.8.10-stable/linux", []devp2p.Cap{{Name: "eth", Version: 63}}, c, true)
 	waitIncoming(t, col, 1)
 	if got := f.Stats().IncomingConns; got != 1 {
@@ -134,7 +137,7 @@ func TestListenerRecordsEthPeer(t *testing.T) {
 
 func TestListenerRecordsNonEthPeer(t *testing.T) {
 	leakcheck.Check(t)
-	l, _, col, c := listenerFixture(t)
+	l, _, col, c := listenerFixture(t, devp2p.Version)
 	inboundClient(t, l, "swarm/v0.3", []devp2p.Cap{{Name: "bzz", Version: 2}}, c, false)
 	waitIncoming(t, col, 1)
 	e := col.Entries()[0]
@@ -148,7 +151,7 @@ func TestListenerRecordsNonEthPeer(t *testing.T) {
 
 func TestListenerSurvivesGarbage(t *testing.T) {
 	leakcheck.Check(t)
-	l, _, col, c := listenerFixture(t)
+	l, _, col, c := listenerFixture(t, devp2p.Version)
 	// Raw junk: handshake fails, nothing recorded, listener lives.
 	fd, err := net.DialTimeout("tcp", l.Addr().String(), 2*time.Second)
 	if err != nil {
@@ -165,7 +168,41 @@ func TestListenerSurvivesGarbage(t *testing.T) {
 
 func TestListenerCloseIdempotent(t *testing.T) {
 	leakcheck.Check(t)
-	l, _, _, _ := listenerFixture(t)
+	l, _, _, _ := listenerFixture(t, devp2p.Version)
 	l.Close()
 	l.Close()
+}
+
+// TestRealDialerNegotiatesSnappy dials a pre-snappy (devp2p v4) peer
+// and a v5 one. Payloads are snappy-compressed only when both sides
+// speak v5, so each side must decode the other's STATUS: a dialer that
+// compressed for a v4 peer, or did not for a v5 one, reads garbage.
+func TestRealDialerNegotiatesSnappy(t *testing.T) {
+	leakcheck.Check(t)
+	for _, version := range []uint64{devp2p.Version - 1, devp2p.Version} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			l, _, col, c := listenerFixture(t, version)
+			key, err := secp256k1.GenerateKey(rand.New(rand.NewSource(502)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &RealDialer{
+				Key:    key,
+				Hello:  devp2p.Hello{Version: devp2p.Version, Name: "NodeFinder/test", Caps: []devp2p.Cap{{Name: "eth", Version: 63}}},
+				Status: eth.Status{NetworkID: 1, TD: c.TD(), BestHash: c.HeadHash(), GenesisHash: c.GenesisHash()},
+			}
+			peer := enode.New(l.Hello.ID, net.IPv4(127, 0, 0, 1), uint16(l.Addr().Port), uint16(l.Addr().Port))
+			res := d.dial(peer, mlog.ConnStaticDial)
+			if res.Outcome() != OutcomeEthHandshake || res.Hello.Version != version {
+				t.Fatalf("dial of a v%d peer: %v (err %v), HELLO %+v", version, res.Outcome(), res.Err, res.Hello)
+			}
+			if res.Status.GenesisHash != c.GenesisHash() {
+				t.Errorf("peer's STATUS decoded with genesis %x, want %x", res.Status.GenesisHash, c.GenesisHash())
+			}
+			waitIncoming(t, col, 1)
+			if e := col.Entries()[0]; e.Status == nil || e.Status.GenesisHash != c.GenesisHash().Hex() {
+				t.Errorf("the peer could not decode the dialer's STATUS: %+v", e.Status)
+			}
+		})
+	}
 }

@@ -1,15 +1,11 @@
 package nodefinder
 
 import (
-	"errors"
-	"strings"
+	"sync/atomic"
 
-	"repro/internal/devp2p"
-	"repro/internal/eth"
 	"repro/internal/metrics"
 	"repro/internal/nodedb"
-	"repro/internal/rlpx"
-	"repro/internal/snappy"
+	"repro/internal/nodefinder/mlog"
 )
 
 // finderMetrics holds the Finder's resolved instruments. It is always
@@ -23,12 +19,12 @@ type finderMetrics struct {
 	// mlog.ConnType — by construction exactly one increment per mlog
 	// entry, which is what lets an operator cross-check live
 	// telemetry against the measurement log.
-	conns       *metrics.CounterVec
-	connsOK     *metrics.CounterVec
-	connsFailed *metrics.CounterVec
-	// errors taxonomizes failed establishment attempts by stage
+	conns       counterSlots
+	connsOK     counterSlots
+	connsFailed counterSlots
+	// errors taxonomizes failed establishment attempts by Outcome
 	// (tcp-refused, tcp-timeout, rlpx, too-many-peers, ...).
-	errors *metrics.CounterVec
+	errors counterSlots
 
 	dialDuration *metrics.Histogram
 	rtt          *metrics.Histogram
@@ -49,10 +45,10 @@ func newFinderMetrics(r *metrics.Registry, db *nodedb.DB) *finderMetrics {
 	return &finderMetrics{
 		lookups:      r.Counter("finder.lookups"),
 		lookupNodes:  r.Counter("finder.lookup_nodes"),
-		conns:        r.CounterVec("finder.conns"),
-		connsOK:      r.CounterVec("finder.conns_ok"),
-		connsFailed:  r.CounterVec("finder.conns_failed"),
-		errors:       r.CounterVec("finder.conn_errors"),
+		conns:        newCounterSlots(r.CounterVec("finder.conns"), numConnSlots),
+		connsOK:      newCounterSlots(r.CounterVec("finder.conns_ok"), numConnSlots),
+		connsFailed:  newCounterSlots(r.CounterVec("finder.conns_failed"), numConnSlots),
+		errors:       newCounterSlots(r.CounterVec("finder.conn_errors"), int(numOutcomes)),
 		dialDuration: r.Histogram("finder.conn_duration_us"),
 		rtt:          r.Histogram("finder.rtt_us"),
 		staleExpired: r.Counter("finder.stale_expired"),
@@ -62,21 +58,26 @@ func newFinderMetrics(r *metrics.Registry, db *nodedb.DB) *finderMetrics {
 }
 
 // observe records one finished connection attempt. Called from
-// Finder.record, i.e. exactly once per mlog entry.
+// Finder.record, i.e. exactly once per mlog entry. With no registry
+// it returns at once, without classifying.
 func (m *finderMetrics) observe(res *DialResult) {
-	kind := string(res.Kind)
-	m.conns.Inc(kind)
+	if m.conns.vec == nil {
+		return
+	}
+	kind, slot := string(res.Kind), connSlot(res.Kind)
+	m.conns.inc(slot, kind)
 	if res.Hello != nil {
-		m.connsOK.Inc(kind)
+		m.connsOK.inc(slot, kind)
 	} else {
-		m.connsFailed.Inc(kind)
+		m.connsFailed.inc(slot, kind)
 	}
 	// Taxonomize every attempt that ended in an error, including ones
 	// where the peer completed HELLO and then turned hostile (snappy
 	// bombs, giant frames) — those failures are exactly the ones an
 	// operator needs to see.
 	if res.Err != nil || res.Hello == nil {
-		m.errors.Inc(OutcomeClass(res))
+		o := res.Outcome()
+		m.errors.inc(int(o), o.String())
 	}
 	m.dialDuration.ObserveDuration(res.Duration)
 	if res.RTT > 0 {
@@ -84,88 +85,77 @@ func (m *finderMetrics) observe(res *DialResult) {
 	}
 }
 
-// OutcomeClass buckets a connection result into the paper's failure
-// taxonomy (§5.2: dead addresses, NAT timeouts, peer-limit
-// rejections, non-eth services, productive handshakes), extended
-// with the adversarial failure classes the hardened transport can
-// now distinguish: forged frame MACs, oversized frames and messages,
-// corrupt snappy payloads, stalled handshakes, and protocol-order
-// violations. Both the real dialer and the simulated one classify
-// through this single function, so their telemetry is comparable.
-func OutcomeClass(res *DialResult) string {
-	switch {
-	case res.Err != nil:
-		err := res.Err
-		msg := err.Error()
-		switch {
-		case errors.Is(err, rlpx.ErrBadHeaderMAC) || errors.Is(err, rlpx.ErrBadFrameMAC):
-			return "rlpx-bad-mac"
-		case errors.Is(err, rlpx.ErrFrameTooBig):
-			return "frame-oversize"
-		case errors.Is(err, devp2p.ErrMsgTooBig) || errors.Is(err, eth.ErrMsgTooBig):
-			return "msg-oversize"
-		case errors.Is(err, snappy.ErrCorrupt) || errors.Is(err, snappy.ErrTooLarge):
-			return "snappy-corrupt"
-		case errors.Is(err, devp2p.ErrUnexpectedMessage) || errors.Is(err, eth.ErrNoStatus):
-			return "protocol-violation"
-		case errors.Is(err, devp2p.ErrNoCommonProtocol):
-			return "no-common-caps"
-		case errors.Is(err, eth.ErrNetworkMismatch) || errors.Is(err, eth.ErrGenesisMismatch) || errors.Is(err, eth.ErrProtocolMismatch):
-			return "status-mismatch"
-		case errors.Is(err, rlpx.ErrBadHandshake):
-			return "rlpx-bad-handshake"
-		case strings.Contains(msg, "rlpx") && strings.Contains(msg, "timeout"):
-			return "handshake-timeout"
-		case strings.Contains(msg, "timeout"):
-			return "tcp-timeout"
-		case strings.Contains(msg, "refused"):
-			return "tcp-refused"
-		case strings.Contains(msg, "reset"):
-			return "tcp-reset"
-		case strings.Contains(msg, "rlpx"):
-			return "rlpx-error"
-		case strings.Contains(msg, "decoding hello") || strings.Contains(msg, "rlp"):
-			return "rlp-malformed"
-		default:
-			return "error-other"
-		}
-	case res.Disconnect != nil:
-		if *res.Disconnect == devp2p.DiscTooManyPeers {
-			return "too-many-peers"
-		}
-		return "disconnected"
-	case res.Status != nil:
-		return "eth-handshake"
-	case res.Hello != nil:
-		return "hello-no-eth"
-	default:
-		return "no-handshake"
+// numConnSlots is the number of mlog.ConnType values connSlot knows.
+const numConnSlots = 3
+
+// connSlot is k's slot in a per-ConnType counterSlots, or -1 for a
+// connection type it has none for.
+func connSlot(k mlog.ConnType) int {
+	switch k {
+	case mlog.ConnDynamicDial:
+		return 0
+	case mlog.ConnStaticDial:
+		return 1
+	case mlog.ConnIncoming:
+		return 2
 	}
+	return -1
+}
+
+// counterSlots is a CounterVec whose labels are each resolved once,
+// into a fixed slot, the first time they are counted — so a label
+// appears in a snapshot only after its first increment, as with
+// CounterVec.Inc — and counted after that with no lock and no map
+// lookup.
+type counterSlots struct {
+	vec   *metrics.CounterVec
+	slots []atomic.Pointer[metrics.Counter]
+}
+
+func newCounterSlots(vec *metrics.CounterVec, n int) counterSlots {
+	return counterSlots{vec: vec, slots: make([]atomic.Pointer[metrics.Counter], n)}
+}
+
+// inc counts one under label, whose slot is i; a negative i has no
+// slot and takes CounterVec.Inc's locked lookup.
+func (s *counterSlots) inc(i int, label string) {
+	if i < 0 {
+		s.vec.Inc(label)
+		return
+	}
+	c := s.slots[i].Load()
+	if c == nil {
+		c = s.vec.WithLabel(label)
+		s.slots[i].Store(c)
+	}
+	c.Inc()
 }
 
 // DialerMetrics instruments connection-establishment outcomes at the
 // dialer level, shared verbatim by RealDialer and simnet's SimDialer
 // so simulated 82-day runs emit the same counters as a real crawl.
-// A nil *DialerMetrics (or one built from a nil registry) no-ops.
+// A nil *DialerMetrics (or one built from a nil registry) no-ops,
+// and classifies nothing.
 type DialerMetrics struct {
-	outcomes   *metrics.CounterVec
+	outcomes   counterSlots
 	daoChecked *metrics.Counter
 }
 
 // NewDialerMetrics resolves dialer instruments against r.
 func NewDialerMetrics(r *metrics.Registry) *DialerMetrics {
 	return &DialerMetrics{
-		outcomes:   r.CounterVec("dialer.outcomes"),
+		outcomes:   newCounterSlots(r.CounterVec("dialer.outcomes"), int(numOutcomes)),
 		daoChecked: r.Counter("dialer.dao_checked"),
 	}
 }
 
 // Observe records one finished dial attempt.
 func (m *DialerMetrics) Observe(res *DialResult) {
-	if m == nil {
+	if m == nil || m.outcomes.vec == nil {
 		return
 	}
-	m.outcomes.Inc(OutcomeClass(res))
+	o := res.Outcome()
+	m.outcomes.inc(int(o), o.String())
 	if res.DAOChecked {
 		m.daoChecked.Inc()
 	}

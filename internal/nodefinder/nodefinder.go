@@ -99,6 +99,9 @@ type DialResult struct {
 	DAOFork eth.DAOForkSupport
 	// DAOChecked reports whether the fork check was performed.
 	DAOChecked bool
+
+	// outcome is the result's class once Outcome has classified it.
+	outcome Outcome
 }
 
 // Config configures a Finder.
@@ -166,6 +169,8 @@ type Finder struct {
 	lookupTimer []simclock.Timer
 	lookupFn    []func()
 	sweepTimer  simclock.Timer
+	// seeds are the static nodes added before Start, which Start dials.
+	seeds []*nodeState
 }
 
 // New validates the config and creates a Finder.
@@ -225,6 +230,10 @@ func (f *Finder) Start() {
 		return
 	}
 	f.running = true
+	for _, nd := range f.seeds {
+		f.armStaticTimerLocked(nd, 0)
+	}
+	f.seeds = nil
 	f.mu.Unlock()
 	// Each lookup worker is an independent self-perpetuating chain:
 	// runLookup → Discovery.Lookup → onLookupDone → scheduleLookup.
@@ -262,13 +271,21 @@ func cancel(t *simclock.Timer) {
 
 // AddStatic seeds the static list directly (bootstrap nodes are added
 // this way, per §4: "Bootstrap nodes are added to the StaticNodes
-// list and periodically re-dialed like any other nodes").
+// list and periodically re-dialed like any other nodes"). A node
+// added before Start is first dialed when the Finder starts, one
+// added while it runs at once.
 func (f *Finder) AddStatic(n *enode.Node) {
 	now := f.clock.Now()
 	f.cfg.DB.RecordSuccess(n, now)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.armStaticTimerLocked(f.nodeLocked(n, now))
+	nd := f.nodeLocked(n, now)
+	switch {
+	case f.running:
+		f.armStaticTimerLocked(nd, 0)
+	case !f.stopped:
+		f.seeds = append(f.seeds, nd)
+	}
 }
 
 // nodeLocked returns n's record, creating it on first sight — the one
@@ -386,7 +403,7 @@ func (f *Finder) onDialDone(nd *nodeState, res *DialResult) {
 	// any type of outbound connection attempt", §5.2) — provided the
 	// node is on the static list.
 	if static {
-		f.armStaticTimerLocked(nd)
+		f.armStaticTimerLocked(nd, f.cfg.StaticInterval)
 	}
 	if nd.kind == mlog.ConnDynamicDial {
 		launch = f.sched.fillLocked(now, launch)
@@ -398,11 +415,11 @@ func (f *Finder) onDialDone(nd *nodeState, res *DialResult) {
 	}
 }
 
-// armStaticTimerLocked (re)schedules nd's static re-dial one
-// StaticInterval out. Caller holds f.mu.
-func (f *Finder) armStaticTimerLocked(nd *nodeState) {
+// armStaticTimerLocked (re)schedules nd's static dial after delay.
+// Caller holds f.mu.
+func (f *Finder) armStaticTimerLocked(nd *nodeState, delay time.Duration) {
 	cancel(&nd.timer)
-	nd.timer = f.clock.AfterFunc(f.cfg.StaticInterval, nd.redial)
+	nd.timer = f.clock.AfterFunc(delay, nd.redial)
 }
 
 func (f *Finder) runStaticDial(nd *nodeState) {
@@ -415,7 +432,7 @@ func (f *Finder) runStaticDial(nd *nodeState) {
 		// Dropped from the static list (stale) since scheduling.
 	case nd.dialing:
 		// Already being dialed; re-arm rather than double-dial.
-		f.armStaticTimerLocked(nd)
+		f.armStaticTimerLocked(nd, f.cfg.StaticInterval)
 	default:
 		f.sched.beginLocked(nd, mlog.ConnStaticDial, f.clock.Now())
 		f.stats.StaticDials++

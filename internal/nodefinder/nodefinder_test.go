@@ -1,6 +1,7 @@
 package nodefinder
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -228,8 +229,9 @@ func TestBootstrapNodesAreStaticDialed(t *testing.T) {
 	w.mu.Lock()
 	dials := w.perNodeDial[boot.ID]
 	w.mu.Unlock()
-	if dials < 3 || dials > 4 {
-		t.Fatalf("bootstrap static dials in 2h = %d, want 3-4", dials)
+	// The first dial is at Start, then one per StaticInterval.
+	if dials < 4 || dials > 5 {
+		t.Fatalf("bootstrap static dials in 2h = %d, want 4-5", dials)
 	}
 }
 
@@ -312,7 +314,7 @@ func TestIncomingRacesSweepAndSave(t *testing.T) {
 			for _, n := range w.nodes {
 				f.HandleIncoming(&DialResult{Node: n, Kind: mlog.ConnIncoming, Start: clock.Now(), Hello: &devp2p.Hello{Name: "Geth/v1.8.11"}})
 			}
-			clock.Advance(time.Hour) // not started: only the static re-dials run
+			clock.Advance(time.Hour) // not started: nothing dials the nodes
 		}
 	}()
 	go func() {
@@ -407,17 +409,17 @@ func (t *countedTimer) Stop() bool {
 	return wasArmed
 }
 
-// asyncDiscovery answers every lookup with nothing, on a fresh
-// goroutine as the Discovery contract requires, and can wait for the
-// answers still in flight.
-type asyncDiscovery struct {
+// asyncWorld answers every lookup with nothing and every dial with a
+// refusal, on a fresh goroutine as the Discovery and Dialer contracts
+// require, and can wait for the answers still in flight.
+type asyncWorld struct {
 	self     enode.ID
 	inFlight sync.WaitGroup
 }
 
-func (d *asyncDiscovery) Self() enode.ID { return d.self }
+func (d *asyncWorld) Self() enode.ID { return d.self }
 
-func (d *asyncDiscovery) Lookup(_ enode.ID, done func([]*enode.Node)) {
+func (d *asyncWorld) Lookup(_ enode.ID, done func([]*enode.Node)) {
 	d.inFlight.Add(1)
 	go func() {
 		defer d.inFlight.Done()
@@ -425,25 +427,33 @@ func (d *asyncDiscovery) Lookup(_ enode.ID, done func([]*enode.Node)) {
 	}()
 }
 
+func (d *asyncWorld) Dial(n *enode.Node, kind mlog.ConnType, done func(*DialResult)) {
+	d.inFlight.Add(1)
+	go func() {
+		defer d.inFlight.Done()
+		done(&DialResult{Node: n, Kind: kind, Err: errors.New("connection refused")})
+	}()
+}
+
 // startStopFinder runs a Finder's whole life on clock — lookup chains
-// started, a static re-dial and the stale sweep armed — and returns
-// with it stopped and no reference left in the caller. collected is
-// closed when the Finder's dialer is freed: only the Finder holds it,
-// so that is when the Finder went (the Finder itself cannot carry the
-// finalizer, because its lookup callbacks point back at it and a
-// finalizer never runs on a member of a cycle).
+// started, a static node dialed and its re-dial armed, the stale sweep
+// armed — and returns with it stopped and no reference left in the
+// caller. collected is closed when the Finder's world (its discovery
+// and dialer) is freed: only the Finder holds it, so that is when the
+// Finder went (the Finder itself cannot carry the finalizer, because
+// its lookup callbacks point back at it and a finalizer never runs on
+// a member of a cycle).
 //
 //go:noinline
 func startStopFinder(t *testing.T, clock *countingClock) (collected chan struct{}) {
 	const workers = 3
-	disc := &asyncDiscovery{self: enode.RandomID(rand.New(rand.NewSource(9)))}
-	dialer := newFakeWorld(simclock.NewSimulated(t0), 0)
+	world := &asyncWorld{self: enode.RandomID(rand.New(rand.NewSource(9)))}
 	collected = make(chan struct{})
-	runtime.SetFinalizer(dialer, func(*fakeWorld) { close(collected) })
+	runtime.SetFinalizer(world, func(*asyncWorld) { close(collected) })
 	f, err := New(Config{
 		Clock:         clock,
-		Discovery:     disc,
-		Dialer:        dialer,
+		Discovery:     world,
+		Dialer:        world,
 		LookupWorkers: workers,
 	})
 	if err != nil {
@@ -452,19 +462,22 @@ func startStopFinder(t *testing.T, clock *countingClock) (collected chan struct{
 	f.AddStatic(enode.New(enode.RandomID(rand.New(rand.NewSource(10))), net.IPv4(10, 2, 0, 1), 30303, 30303))
 	f.Start()
 	// Wait for every worker's first round, so each chain has re-armed
-	// its timer (LookupInterval ahead) at least once.
-	for deadline := time.Now().Add(5 * time.Second); f.Stats().DiscoveryAttempts < workers; {
-		if time.Now().After(deadline) {
-			t.Fatal("lookup workers never ran")
+	// its timer (LookupInterval ahead) at least once, and for the static
+	// node's dial at Start, whose failure re-arms its re-dial.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st := f.Stats(); st.DiscoveryAttempts >= workers && st.FailedConns >= 1 {
+			break
 		}
-		time.Sleep(time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatal("lookup workers or the static dial never ran")
+		}
 	}
-	disc.inFlight.Wait()
+	world.inFlight.Wait()
 	if armed := clock.armedCount(); armed != workers+2 {
 		t.Fatalf("%d timers armed while running, want %d (lookup chains, sweep, static re-dial)", armed, workers+2)
 	}
 	f.Stop()
-	disc.inFlight.Wait()
+	world.inFlight.Wait()
 	return collected
 }
 

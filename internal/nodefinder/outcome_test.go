@@ -1,6 +1,7 @@
 package nodefinder
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -30,22 +31,22 @@ import (
 func TestOutcomeClassCoversTransportSentinels(t *testing.T) {
 	cases := map[string]struct {
 		sentinel error
-		want     string
+		want     Outcome
 	}{
-		"rlpx.ErrBadHeaderMAC":        {rlpx.ErrBadHeaderMAC, "rlpx-bad-mac"},
-		"rlpx.ErrBadFrameMAC":         {rlpx.ErrBadFrameMAC, "rlpx-bad-mac"},
-		"rlpx.ErrFrameTooBig":         {rlpx.ErrFrameTooBig, "frame-oversize"},
-		"rlpx.ErrBadHandshake":        {rlpx.ErrBadHandshake, "rlpx-bad-handshake"},
-		"devp2p.ErrUnexpectedMessage": {devp2p.ErrUnexpectedMessage, "protocol-violation"},
-		"devp2p.ErrNoCommonProtocol":  {devp2p.ErrNoCommonProtocol, "no-common-caps"},
-		"devp2p.ErrMsgTooBig":         {devp2p.ErrMsgTooBig, "msg-oversize"},
-		"eth.ErrNetworkMismatch":      {eth.ErrNetworkMismatch, "status-mismatch"},
-		"eth.ErrGenesisMismatch":      {eth.ErrGenesisMismatch, "status-mismatch"},
-		"eth.ErrProtocolMismatch":     {eth.ErrProtocolMismatch, "status-mismatch"},
-		"eth.ErrNoStatus":             {eth.ErrNoStatus, "protocol-violation"},
-		"eth.ErrMsgTooBig":            {eth.ErrMsgTooBig, "msg-oversize"},
-		"snappy.ErrCorrupt":           {snappy.ErrCorrupt, "snappy-corrupt"},
-		"snappy.ErrTooLarge":          {snappy.ErrTooLarge, "snappy-corrupt"},
+		"rlpx.ErrBadHeaderMAC":        {rlpx.ErrBadHeaderMAC, OutcomeRLPxBadMAC},
+		"rlpx.ErrBadFrameMAC":         {rlpx.ErrBadFrameMAC, OutcomeRLPxBadMAC},
+		"rlpx.ErrFrameTooBig":         {rlpx.ErrFrameTooBig, OutcomeFrameOversize},
+		"rlpx.ErrBadHandshake":        {rlpx.ErrBadHandshake, OutcomeRLPxBadHandshake},
+		"devp2p.ErrUnexpectedMessage": {devp2p.ErrUnexpectedMessage, OutcomeProtocolViolation},
+		"devp2p.ErrNoCommonProtocol":  {devp2p.ErrNoCommonProtocol, OutcomeNoCommonCaps},
+		"devp2p.ErrMsgTooBig":         {devp2p.ErrMsgTooBig, OutcomeMsgOversize},
+		"eth.ErrNetworkMismatch":      {eth.ErrNetworkMismatch, OutcomeStatusMismatch},
+		"eth.ErrGenesisMismatch":      {eth.ErrGenesisMismatch, OutcomeStatusMismatch},
+		"eth.ErrProtocolMismatch":     {eth.ErrProtocolMismatch, OutcomeStatusMismatch},
+		"eth.ErrNoStatus":             {eth.ErrNoStatus, OutcomeProtocolViolation},
+		"eth.ErrMsgTooBig":            {eth.ErrMsgTooBig, OutcomeMsgOversize},
+		"snappy.ErrCorrupt":           {snappy.ErrCorrupt, OutcomeSnappyCorrupt},
+		"snappy.ErrTooLarge":          {snappy.ErrTooLarge, OutcomeSnappyCorrupt},
 	}
 	declared := map[string]bool{}
 	for _, pkg := range []string{"rlpx", "devp2p", "eth", "snappy", "faultnet"} {
@@ -68,14 +69,27 @@ func TestOutcomeClassCoversTransportSentinels(t *testing.T) {
 		}
 		t.Run(tc.sentinel.Error(), func(t *testing.T) {
 			res := &DialResult{Err: fmt.Errorf("handshake stage: %w", tc.sentinel)}
-			got := OutcomeClass(res)
+			got := res.Outcome()
 			if got != tc.want {
-				t.Errorf("OutcomeClass(%v) = %q, want %q", tc.sentinel, got, tc.want)
+				t.Errorf("Outcome(%v) = %v, want %v", tc.sentinel, got, tc.want)
 			}
-			if got == "error-other" {
+			if got == OutcomeErrorOther {
 				t.Errorf("sentinel %v fell into the catch-all bucket", tc.sentinel)
 			}
 		})
+	}
+	// Every class has its own label: the one finder.conn_errors and
+	// dialer.outcomes show it under.
+	labels := map[string]Outcome{}
+	for o := Outcome(1); o < numOutcomes; o++ {
+		label := o.String()
+		if label == "" || strings.HasPrefix(label, "Outcome(") {
+			t.Errorf("outcome %d has no label", o)
+		}
+		if prev, dup := labels[label]; dup {
+			t.Errorf("outcomes %d and %d share the label %q", prev, o, label)
+		}
+		labels[label] = o
 	}
 }
 
@@ -186,19 +200,57 @@ func TestOutcomeClassNonErrorStates(t *testing.T) {
 	cases := []struct {
 		name string
 		res  *DialResult
-		want string
+		want Outcome
 	}{
-		{"too-many-peers", &DialResult{Disconnect: &tooMany}, "too-many-peers"},
-		{"disconnected", &DialResult{Disconnect: &requested}, "disconnected"},
-		{"eth-handshake", &DialResult{Hello: &devp2p.Hello{}, Status: &eth.Status{}}, "eth-handshake"},
-		{"hello-no-eth", &DialResult{Hello: &devp2p.Hello{}}, "hello-no-eth"},
-		{"no-handshake", &DialResult{}, "no-handshake"},
+		{"too-many-peers", &DialResult{Disconnect: &tooMany}, OutcomeTooManyPeers},
+		{"disconnected", &DialResult{Disconnect: &requested}, OutcomeDisconnected},
+		{"eth-handshake", &DialResult{Hello: &devp2p.Hello{}, Status: &eth.Status{}}, OutcomeEthHandshake},
+		{"hello-no-eth", &DialResult{Hello: &devp2p.Hello{}}, OutcomeHelloNoEth},
+		{"no-handshake", &DialResult{}, OutcomeNoHandshake},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := OutcomeClass(tc.res); got != tc.want {
-				t.Errorf("OutcomeClass = %q, want %q", got, tc.want)
+			if got := tc.res.Outcome(); got != tc.want {
+				t.Errorf("Outcome = %v, want %v", got, tc.want)
+			}
+			// The row's name is the label the counters show.
+			if got := OutcomeClass(tc.res); got != tc.name {
+				t.Errorf("OutcomeClass = %q, want %q", got, tc.name)
 			}
 		})
+	}
+}
+
+// claimsErr is an error whose Is method claims one sentinel.
+type claimsErr struct{ target error }
+
+func (e claimsErr) Error() string        { return "claims " + e.target.Error() }
+func (e claimsErr) Is(target error) bool { return target == e.target }
+
+// TestSentinelOutcomeIsErrorsIs holds the classifier's one walk of an
+// error tree to what an errors.Is test per sentinel, in Outcome
+// order, decides: through %w chains, multi-%w and errors.Join trees,
+// and Is methods, the earliest class wrapped anywhere wins.
+func TestSentinelOutcomeIsErrorsIs(t *testing.T) {
+	errs := []error{
+		errors.New("connect: connection refused"),
+		fmt.Errorf("a: %w", fmt.Errorf("b: %w", snappy.ErrCorrupt)),
+		errors.Join(snappy.ErrCorrupt, fmt.Errorf("c: %w", rlpx.ErrBadHeaderMAC)),
+		fmt.Errorf("%w then %w", eth.ErrNoStatus, rlpx.ErrFrameTooBig),
+		fmt.Errorf("d: %w", claimsErr{devp2p.ErrNoCommonProtocol}),
+		errors.Join(claimsErr{rlpx.ErrBadHandshake}, errors.Join(eth.ErrGenesisMismatch)),
+		claimsErr{errors.New("not a sentinel")},
+	}
+	for _, err := range errs {
+		want := numOutcomes
+		for _, s := range sentinelOutcomes {
+			if errors.Is(err, s.err) {
+				want = s.outcome
+				break
+			}
+		}
+		if got := sentinelOutcome(err, numOutcomes); got != want {
+			t.Errorf("%v: one walk finds %v, errors.Is in order %v", err, got, want)
+		}
 	}
 }

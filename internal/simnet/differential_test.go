@@ -128,8 +128,8 @@ func runDifferential(t *testing.T, w *simnet.World, cases []dialCase) {
 			if res == nil {
 				continue
 			}
-			class := nodefinder.OutcomeClass(res)
-			if !slices.Contains(c.classes, class) {
+			class := res.Outcome()
+			if !slices.Contains(c.classes, class.String()) {
 				t.Errorf("%s over %s: class %q (err=%v), want one of %v", c.name, transport, class, res.Err, c.classes)
 			}
 			if got := daoVerdict(res); got != c.dao {
@@ -138,7 +138,7 @@ func runDifferential(t *testing.T, w *simnet.World, cases []dialCase) {
 			// SimDialer knows a node by its ID, whatever address it is
 			// served at.
 			want := sim.OutcomeAt(dialed[i], mlog.ConnDynamicDial, now)
-			if simClass := nodefinder.OutcomeClass(want); simClass != class {
+			if simClass := want.Outcome(); simClass != class {
 				if reason, ok := c.diverge[transport]; ok {
 					t.Logf("%s over %s: class %q, SimDialer %q: %s", c.name, transport, class, simClass, reason)
 				} else {
