@@ -43,9 +43,11 @@ fuzz-smoke:
 
 # The chaos suite under the race detector: the hostile peer taxonomy
 # (each kind over a pipe and loopback TCP, held to its bucket and to
-# SimDialer) + the mixed honest/hostile 215-node crawl.
+# SimDialer), the hostile world crawled both ways (outbound dials and
+# inbound connections, no hostile STATUS in the census) + the mixed
+# honest/hostile 215-node crawl.
 chaos:
-	go test -race -count=1 -run='TestPromotedHostileTaxonomy' ./internal/simnet
+	go test -race -count=1 -run='TestPromotedHostileTaxonomy|TestHostilePopulationCensus' ./internal/simnet
 	go test -race -count=1 -run='TestChaosCrawl' ./internal/faultnet
 
 # One-iteration benchmark pass: catches benchmarks that no longer

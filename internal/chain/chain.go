@@ -143,181 +143,3 @@ func (h *Header) HashValue() Hash {
 func (h *Header) SupportsDAOFork() bool {
 	return bytes.Equal(h.Extra, DAOForkBlockExtra)
 }
-
-// Chain is a simple in-memory header chain for simulated nodes. To
-// keep multi-million-block chains cheap, only a sparse set of headers
-// is materialized: the genesis, explicitly extended blocks, and jump
-// landing points. Gaps use synthetic parent hashes derived from the
-// genesis, so lookups stay consistent without storing every header.
-type Chain struct {
-	NetworkID uint64
-	byNumber  map[uint64]*Header
-	byHash    map[Hash]*Header
-	head      *Header
-	headHash  Hash
-	genesis   Hash
-	td        *big.Int
-	daoFork   bool // whether this chain adopted the DAO fork
-}
-
-// Config parameterizes a synthetic chain.
-type Config struct {
-	NetworkID uint64
-	// GenesisSeed differentiates distinct blockchains sharing a
-	// network ID (the paper found 18,829 genesis hashes).
-	GenesisSeed string
-	// DAOFork marks the chain as pro-fork (Mainnet) rather than
-	// Classic.
-	DAOFork bool
-	// Length is the number of blocks to build above genesis.
-	Length int
-	// BlockDifficulty is the per-block difficulty increment.
-	BlockDifficulty int64
-}
-
-// New builds a deterministic synthetic chain.
-func New(cfg Config) *Chain {
-	if cfg.BlockDifficulty == 0 {
-		cfg.BlockDifficulty = 131072
-	}
-	c := &Chain{
-		NetworkID: cfg.NetworkID,
-		byNumber:  make(map[uint64]*Header),
-		byHash:    make(map[Hash]*Header),
-		td:        new(big.Int),
-		daoFork:   cfg.DAOFork,
-	}
-	genesis := &Header{
-		Difficulty: big.NewInt(cfg.BlockDifficulty),
-		Number:     big.NewInt(0),
-		GasLimit:   5000,
-		Extra:      []byte(cfg.GenesisSeed),
-	}
-	c.insert(genesis)
-	c.genesis = c.headHash
-	for i := 1; i <= cfg.Length; i++ {
-		c.Extend()
-	}
-	return c
-}
-
-// insert records a header as the new head.
-func (c *Chain) insert(h *Header) {
-	hash := h.HashValue()
-	n := h.Number.Uint64()
-	c.byNumber[n] = h
-	c.byHash[hash] = h
-	c.head, c.headHash = h, hash
-	c.td = new(big.Int).Add(c.td, h.Difficulty)
-}
-
-// Extend mines one synthetic block on the head.
-func (c *Chain) Extend() *Header {
-	head := c.Head()
-	n := new(big.Int).Add(head.Number, big.NewInt(1))
-	h := &Header{
-		ParentHash: c.headHash,
-		Difficulty: new(big.Int).Set(head.Difficulty),
-		Number:     n,
-		GasLimit:   head.GasLimit,
-		Time:       head.Time + 15,
-	}
-	if c.daoFork && n.Uint64() >= DAOForkBlock && n.Uint64() < DAOForkBlock+10 {
-		h.Extra = append([]byte(nil), DAOForkBlockExtra...)
-	}
-	c.insert(h)
-	return h
-}
-
-// jumpTo fast-forwards the head to the given height without
-// materializing intermediate headers. The landing header's parent
-// hash is a synthetic value derived from the genesis and height, so
-// distinct chains never collide. Total difficulty is credited for
-// the skipped span.
-func (c *Chain) jumpTo(number uint64) {
-	head := c.Head()
-	gap := number - head.Number.Uint64()
-	parent := Hash(keccak.Sum256(append(c.genesis[:], byte(number>>24), byte(number>>16), byte(number>>8), byte(number))))
-	h := &Header{
-		ParentHash: parent,
-		Difficulty: new(big.Int).Set(head.Difficulty),
-		Number:     new(big.Int).SetUint64(number),
-		GasLimit:   head.GasLimit,
-		Time:       head.Time + 15*gap,
-	}
-	// Credit difficulty for the skipped blocks (gap-1 of them; the
-	// landing block's own difficulty is added by insert).
-	skipped := new(big.Int).Mul(head.Difficulty, new(big.Int).SetUint64(gap-1))
-	c.td = new(big.Int).Add(c.td, skipped)
-	c.insert(h)
-}
-
-// ExtendTo grows the chain until the head reaches the given block
-// number, fast-forwarding across large gaps but materializing real
-// headers near interesting heights (e.g. the DAO fork window).
-func (c *Chain) ExtendTo(number uint64) {
-	const window = 64
-	for c.Head().Number.Uint64() < number {
-		cur := c.Head().Number.Uint64()
-		if number-cur > window {
-			// Land shortly before the target (and before the DAO
-			// window if it is in range) so real blocks cover it.
-			land := number - window/2
-			// Materialize real headers around the DAO fork window so
-			// fork checks can be answered either way.
-			if cur < DAOForkBlock && number >= DAOForkBlock && land > DAOForkBlock-window/2 {
-				land = DAOForkBlock - window/2
-			}
-			if land > cur+1 {
-				c.jumpTo(land)
-				continue
-			}
-		}
-		c.Extend()
-	}
-}
-
-// Head returns the latest header.
-func (c *Chain) Head() *Header { return c.head }
-
-// HeadHash returns the hash of the latest header — the "best hash" of
-// eth STATUS messages.
-func (c *Chain) HeadHash() Hash { return c.headHash }
-
-// GenesisHash returns block zero's hash.
-func (c *Chain) GenesisHash() Hash { return c.genesis }
-
-// TD returns the cumulative total difficulty.
-func (c *Chain) TD() *big.Int { return new(big.Int).Set(c.td) }
-
-// Len returns the number of materialized headers including genesis.
-func (c *Chain) Len() int { return len(c.byNumber) }
-
-// HeaderByNumber returns the header at the given height, or nil if it
-// is above the head or inside a fast-forwarded gap.
-func (c *Chain) HeaderByNumber(n uint64) *Header { return c.byNumber[n] }
-
-// HeaderByHash returns the header with the given hash, or nil.
-func (c *Chain) HeaderByHash(h Hash) *Header { return c.byHash[h] }
-
-// SupportsDAOFork reports the chain's fork stance.
-func (c *Chain) SupportsDAOFork() bool { return c.daoFork }
-
-// ValidateHeaderChain performs block-header validation (§2.3): parent
-// linkage, number monotonicity, and timestamp ordering, for a span of
-// headers. It returns the first offending index or -1.
-func ValidateHeaderChain(headers []*Header) int {
-	for i := 1; i < len(headers); i++ {
-		prev, cur := headers[i-1], headers[i]
-		if cur.ParentHash != prev.HashValue() {
-			return i
-		}
-		if cur.Number.Cmp(new(big.Int).Add(prev.Number, big.NewInt(1))) != 0 {
-			return i
-		}
-		if cur.Time < prev.Time {
-			return i
-		}
-	}
-	return -1
-}

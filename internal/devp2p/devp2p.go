@@ -277,24 +277,3 @@ type NegotiatedCap struct {
 	Offset uint64 // first message code
 	Length uint64 // number of codes reserved
 }
-
-// HasCap reports whether caps contains name at any version.
-func HasCap(caps []Cap, name string) bool {
-	for _, c := range caps {
-		if c.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
-// CapVersion returns the highest advertised version of name, or 0.
-func CapVersion(caps []Cap, name string) uint {
-	var v uint
-	for _, c := range caps {
-		if c.Name == name && c.Version > v {
-			v = c.Version
-		}
-	}
-	return v
-}

@@ -203,13 +203,6 @@ func TestMatchCapsAllocatesOnlyResult(t *testing.T) {
 }
 
 func TestCapHelpers(t *testing.T) {
-	caps := []Cap{{"eth", 62}, {"eth", 63}, {"les", 2}}
-	if !HasCap(caps, "eth") || HasCap(caps, "bzz") {
-		t.Error("HasCap wrong")
-	}
-	if CapVersion(caps, "eth") != 63 || CapVersion(caps, "pip") != 0 {
-		t.Error("CapVersion wrong")
-	}
 	if (Cap{"eth", 63}).String() != "eth/63" {
 		t.Error("Cap.String wrong")
 	}

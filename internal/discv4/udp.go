@@ -67,12 +67,6 @@ type Config struct {
 	Distance DistanceFunc
 	// RespTimeout bounds waits for pong/neighbors replies.
 	RespTimeout time.Duration
-	// RevalidateInterval enables periodic liveness checks of old
-	// bucket entries (zero disables).
-	RevalidateInterval time.Duration
-	// RefreshInterval enables periodic self/random refresh lookups
-	// (zero disables).
-	RefreshInterval time.Duration
 	// Seed feeds the table's internal shuffling.
 	Seed int64
 	// Metrics, when non-nil, receives live protocol telemetry
@@ -193,7 +187,6 @@ func Listen(conn PacketConn, cfg Config) (*Transport, error) {
 	t.wg.Add(2)
 	go t.readLoop()
 	go t.expireLoop()
-	t.startMaintenance()
 	return t, nil
 }
 

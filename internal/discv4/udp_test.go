@@ -69,6 +69,40 @@ func TestPingTimeout(t *testing.T) {
 	}
 }
 
+// TestRevalidationEvictsDeadNode: a table entry that fails three
+// pings in a row is evicted, and one that answers stays.
+func TestRevalidationEvictsDeadNode(t *testing.T) {
+	key := testKey(t, 60)
+	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Listen(UDPConn{conn}, Config{Key: key, AnnounceTCP: 30303, RespTimeout: 150 * time.Millisecond, Seed: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+
+	_, liveNode := newLoopbackTransport(t, 61, nil)
+	deadNode := enode.New(enode.RandomID(rand.New(rand.NewSource(62))), net.IPv4(127, 0, 0, 1), 9, 9)
+	a.table.AddSeenNode(liveNode, time.Now())
+	a.table.AddSeenNode(deadNode, time.Now())
+	for i := 0; i < 3; i++ {
+		if !a.table.Contains(deadNode.ID) {
+			t.Fatalf("dead node evicted after %d failed pings, want 3", i)
+		}
+		if a.Ping(deadNode) == nil {
+			t.Fatal("ping to a dead node succeeded")
+		}
+	}
+	if a.table.Contains(deadNode.ID) {
+		t.Fatal("dead node survived three failed pings")
+	}
+	if err := a.Ping(liveNode); err != nil || !a.table.Contains(liveNode.ID) {
+		t.Fatalf("live node: ping %v, in table %v", err, a.table.Contains(liveNode.ID))
+	}
+}
+
 func TestFindnodeRequiresBond(t *testing.T) {
 	a, aNode := newLoopbackTransport(t, 4, nil)
 	b, bNode := newLoopbackTransport(t, 5, nil)

@@ -233,6 +233,28 @@ func CheckCompatibility(ours, theirs *Status) error {
 	return nil
 }
 
+// capLengths gives MatchCaps the message space of eth, the one
+// subprotocol this package speaks. Read-only: every session shares it.
+var capLengths = map[string]uint64{ProtocolName: ProtocolLength}
+
+// Negotiate settles a session once both HELLOs are known, the same
+// way on either end: it turns on snappy compression of conn's later
+// payloads when both sides speak devp2p v5, and returns the shared eth
+// capability with its message-code offset, or nil when there is none.
+// *rlpx.Conn is the conn every caller passes.
+func Negotiate(conn interface{ SetSnappy(bool) }, ours, theirs *devp2p.Hello) *devp2p.NegotiatedCap {
+	if ours.Version >= devp2p.Version && theirs.Version >= devp2p.Version {
+		conn.SetSnappy(true)
+	}
+	caps := devp2p.MatchCaps(ours.Caps, theirs.Caps, capLengths)
+	for i := range caps {
+		if caps[i].Name == ProtocolName {
+			return &caps[i]
+		}
+	}
+	return nil
+}
+
 // RequestHeaders sends GET_BLOCK_HEADERS.
 func RequestHeaders(rw devp2p.MsgReadWriter, offset uint64, req *GetBlockHeaders) error {
 	return devp2p.WriteValue(rw, offset+GetBlockHeadersMsg, req)
@@ -269,39 +291,33 @@ func ReadHeaders(rw devp2p.MsgReadWriter, offset uint64) ([]*chain.Header, error
 	return nil, errors.New("eth: no header response within message budget")
 }
 
-// ServeHeaders answers one GET_BLOCK_HEADERS request from c. The
-// answered count is clamped to MaxHeadersServe regardless of what the
-// request demands.
-func ServeHeaders(c *chain.Chain, req *GetBlockHeaders) []*chain.Header {
-	amount := req.Amount
-	if amount > MaxHeadersServe {
-		amount = MaxHeadersServe
-	}
-	if amount == 0 {
+// ServeHeaders answers one GET_BLOCK_HEADERS request from a chain
+// whose header at each block number header returns (nil where the
+// chain has none). The answer stops at the first missing block, and
+// its count is clamped to MaxHeadersServe regardless of what the
+// request demands. A hash origin is answered empty: nothing served
+// here indexes its headers by hash.
+func ServeHeaders(req *GetBlockHeaders, header func(uint64) *chain.Header) []*chain.Header {
+	amount := min(req.Amount, MaxHeadersServe)
+	if amount == 0 || req.Origin.IsHash {
 		return nil
 	}
-	var start *chain.Header
-	if req.Origin.IsHash {
-		start = c.HeaderByHash(req.Origin.Hash)
-	} else {
-		start = c.HeaderByNumber(req.Origin.Number)
-	}
-	if start == nil {
+	num := req.Origin.Number
+	h := header(num)
+	if h == nil {
 		return nil
 	}
-	headers := []*chain.Header{start}
-	cur := start.Number.Uint64()
+	headers := []*chain.Header{h}
 	for uint64(len(headers)) < amount {
-		next, ok := req.Next(cur)
+		next, ok := req.Next(num)
 		if !ok {
 			break
 		}
-		h := c.HeaderByNumber(next)
-		if h == nil {
+		if h = header(next); h == nil {
 			break
 		}
 		headers = append(headers, h)
-		cur = next
+		num = next
 	}
 	return headers
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/chain"
 	"repro/internal/devp2p"
 	"repro/internal/rlp"
 )
@@ -71,15 +70,13 @@ func TestReadStatusRejectsGarbagePayload(t *testing.T) {
 }
 
 func TestServeHeadersZeroAmount(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "z", Length: 3})
-	if hs := ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 0}); hs != nil {
+	if hs := ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 0}, testChain(3, false)); hs != nil {
 		t.Fatal("zero amount returned headers")
 	}
 }
 
 func TestServeHeadersReverseUnderflow(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "u", Length: 3})
-	hs := ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 1}, Amount: 10, Reverse: true})
+	hs := ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 1}, Amount: 10, Reverse: true}, testChain(3, false))
 	if len(hs) != 2 { // blocks 1, 0 — stop at genesis
 		t.Fatalf("got %d headers", len(hs))
 	}

@@ -43,18 +43,35 @@ func (c *chanRW) WriteMsg(code uint64, payload []byte) error {
 
 const offset = devp2p.BaseProtocolLength
 
-func mainnetStatus(c *chain.Chain) *Status {
+// testStatus is a STATUS for a chain of the given network and genesis.
+func testStatus(networkID uint64, genesis chain.Hash) *Status {
 	return &Status{
 		ProtocolVersion: uint32(Version63),
-		NetworkID:       c.NetworkID,
-		TD:              c.TD(),
-		BestHash:        c.HeadHash(),
-		GenesisHash:     c.GenesisHash(),
+		NetworkID:       networkID,
+		TD:              big.NewInt(5 * 131072),
+		BestHash:        chain.Hash{5},
+		GenesisHash:     genesis,
+	}
+}
+
+// testChain is a synthesized header source for ServeHeaders: blocks 0
+// to head, with the DAO fork's ten blocks carrying the pro-fork
+// extra-data when proFork is set.
+func testChain(head uint64, proFork bool) func(uint64) *chain.Header {
+	return func(n uint64) *chain.Header {
+		if n > head {
+			return nil
+		}
+		h := &chain.Header{Difficulty: big.NewInt(131072), Number: new(big.Int).SetUint64(n)}
+		if proFork && n >= chain.DAOForkBlock && n < chain.DAOForkBlock+10 {
+			h.Extra = chain.DAOForkBlockExtra
+		}
+		return h
 	}
 }
 
 func TestStatusExchange(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "m", Length: 5})
+	sent := testStatus(1, chain.MainnetGenesisHash)
 	a, b := newChanRW()
 
 	go func() {
@@ -65,17 +82,17 @@ func TestStatusExchange(t *testing.T) {
 		}
 		SendStatus(b, offset, s) //nolint:errcheck // echo back
 	}()
-	if err := SendStatus(a, offset, mainnetStatus(c)); err != nil {
+	if err := SendStatus(a, offset, sent); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadStatus(a, offset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NetworkID != 1 || got.GenesisHash != c.GenesisHash() || got.BestHash != c.HeadHash() {
+	if got.NetworkID != 1 || got.GenesisHash != sent.GenesisHash || got.BestHash != sent.BestHash {
 		t.Errorf("got %+v", got)
 	}
-	if got.TD.Cmp(c.TD()) != 0 {
+	if got.TD.Cmp(sent.TD) != 0 {
 		t.Error("TD mismatch")
 	}
 }
@@ -91,21 +108,17 @@ func TestReadStatusDisconnect(t *testing.T) {
 }
 
 func TestCheckCompatibility(t *testing.T) {
-	main := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "mainnet", Length: 3})
-	classic := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "classic", Length: 3})
-	ropsten := chain.New(chain.Config{NetworkID: 3, GenesisSeed: "ropsten", Length: 3})
-
-	s1, s2 := mainnetStatus(main), mainnetStatus(main)
+	s1, s2 := testStatus(1, chain.MainnetGenesisHash), testStatus(1, chain.MainnetGenesisHash)
 	if err := CheckCompatibility(s1, s2); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckCompatibility(s1, mainnetStatus(ropsten)); !errors.Is(err, ErrNetworkMismatch) {
+	if err := CheckCompatibility(s1, testStatus(3, chain.RopstenGenesisHash)); !errors.Is(err, ErrNetworkMismatch) {
 		t.Errorf("network: %v", err)
 	}
-	if err := CheckCompatibility(s1, mainnetStatus(classic)); !errors.Is(err, ErrGenesisMismatch) {
+	if err := CheckCompatibility(s1, testStatus(1, chain.MordenGenesisHash)); !errors.Is(err, ErrGenesisMismatch) {
 		t.Errorf("genesis: %v", err)
 	}
-	older := mainnetStatus(main)
+	older := testStatus(1, chain.MainnetGenesisHash)
 	older.ProtocolVersion = uint32(Version62)
 	if err := CheckCompatibility(s1, older); !errors.Is(err, ErrProtocolMismatch) {
 		t.Errorf("version: %v", err)
@@ -142,35 +155,34 @@ func TestHashOrNumberRLP(t *testing.T) {
 }
 
 func TestServeHeaders(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "serve", Length: 50})
+	c := testChain(50, false)
 	// Forward span.
-	hs := ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 10}, Amount: 5})
+	hs := ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 10}, Amount: 5}, c)
 	if len(hs) != 5 || hs[0].Number.Uint64() != 10 || hs[4].Number.Uint64() != 14 {
 		t.Fatalf("forward: %d headers", len(hs))
 	}
 	// With skip.
-	hs = ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 3, Skip: 9})
+	hs = ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 3, Skip: 9}, c)
 	if len(hs) != 3 || hs[1].Number.Uint64() != 10 || hs[2].Number.Uint64() != 20 {
 		t.Fatalf("skip: %+v", hs)
 	}
 	// Reverse.
-	hs = ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 10}, Amount: 3, Reverse: true})
+	hs = ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 10}, Amount: 3, Reverse: true}, c)
 	if len(hs) != 3 || hs[2].Number.Uint64() != 8 {
 		t.Fatalf("reverse: %+v", hs)
 	}
-	// By hash.
-	target := c.HeaderByNumber(7)
-	hs = ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Hash: target.HashValue(), IsHash: true}, Amount: 1})
-	if len(hs) != 1 || hs[0].Number.Uint64() != 7 {
-		t.Fatalf("by hash: %+v", hs)
+	// By hash: no source is indexed by hash, so the answer is empty.
+	hs = ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Hash: c(7).HashValue(), IsHash: true}, Amount: 1}, c)
+	if hs != nil {
+		t.Fatalf("by hash: %d headers, want none", len(hs))
 	}
 	// Beyond head truncates.
-	hs = ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 48}, Amount: 10})
+	hs = ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 48}, Amount: 10}, c)
 	if len(hs) != 3 {
 		t.Fatalf("truncated: %d", len(hs))
 	}
 	// Unknown origin.
-	if hs := ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 999}, Amount: 1}); hs != nil {
+	if hs := ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 999}, Amount: 1}, c); hs != nil {
 		t.Fatal("phantom origin")
 	}
 }
@@ -179,18 +191,17 @@ func TestServeHeaders(t *testing.T) {
 // MaxHeadersServe clamp: a peer asking for 2^64-1 headers gets exactly
 // MaxHeadersServe of them, whichever way it walks the chain.
 func TestServeHeadersClampsAmount(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "clamp", Length: MaxHeadersServe + 100})
-	head := c.Head().Number.Uint64()
+	const head = MaxHeadersServe + 100
+	c := testChain(head, false)
 	for _, tc := range []struct {
 		name string
 		req  GetBlockHeaders
 	}{
 		{"forward", GetBlockHeaders{Origin: HashOrNumber{Number: 0}}},
 		{"reverse from head", GetBlockHeaders{Origin: HashOrNumber{Number: head}, Reverse: true}},
-		{"forward from hash", GetBlockHeaders{Origin: HashOrNumber{Hash: c.GenesisHash(), IsHash: true}}},
 	} {
 		tc.req.Amount = math.MaxUint64
-		if hs := ServeHeaders(c, &tc.req); len(hs) != MaxHeadersServe {
+		if hs := ServeHeaders(&tc.req, c); len(hs) != MaxHeadersServe {
 			t.Errorf("%s: Amount 2^64-1 answered %d headers, want MaxHeadersServe = %d", tc.name, len(hs), MaxHeadersServe)
 		}
 	}
@@ -200,7 +211,7 @@ func TestServeHeadersClampsAmount(t *testing.T) {
 // Skip whose step would pass the last or the first block number ends
 // the answer at the origin instead of wrapping around to it.
 func TestServeHeadersSkipWrap(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "wrap", Length: 50})
+	c := testChain(50, false)
 	for _, tc := range []struct {
 		name    string
 		req     GetBlockHeaders
@@ -216,7 +227,7 @@ func TestServeHeadersSkipWrap(t *testing.T) {
 		{"skip past genesis", GetBlockHeaders{Amount: 5, Skip: 10, Reverse: true}, []uint64{10}},
 	} {
 		tc.req.Origin = HashOrNumber{Number: 10}
-		hs := ServeHeaders(c, &tc.req)
+		hs := ServeHeaders(&tc.req, c)
 		got := make([]uint64, len(hs))
 		for i, h := range hs {
 			got[i] = h.Number.Uint64()
@@ -229,10 +240,8 @@ func TestServeHeadersSkipWrap(t *testing.T) {
 
 func TestVerifyDAOForkSupported(t *testing.T) {
 	// Serve from a pro-fork chain.
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "m", DAOFork: true})
-	c.ExtendTo(chain.DAOForkBlock + 1)
 	a, b := newChanRW()
-	go serveOneHeaderRequest(t, b, c)
+	go serveOneHeaderRequest(t, b, testChain(chain.DAOForkBlock+1, true))
 	support, err := VerifyDAOFork(a, offset)
 	if err != nil {
 		t.Fatal(err)
@@ -243,10 +252,8 @@ func TestVerifyDAOForkSupported(t *testing.T) {
 }
 
 func TestVerifyDAOForkOpposed(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "m", DAOFork: false})
-	c.ExtendTo(chain.DAOForkBlock + 1)
 	a, b := newChanRW()
-	go serveOneHeaderRequest(t, b, c)
+	go serveOneHeaderRequest(t, b, testChain(chain.DAOForkBlock+1, false))
 	support, err := VerifyDAOFork(a, offset)
 	if err != nil {
 		t.Fatal(err)
@@ -258,9 +265,8 @@ func TestVerifyDAOForkOpposed(t *testing.T) {
 
 func TestVerifyDAOForkUnknownForShortChain(t *testing.T) {
 	// Peer has not reached the fork block: empty response.
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "m", Length: 10})
 	a, b := newChanRW()
-	go serveOneHeaderRequest(t, b, c)
+	go serveOneHeaderRequest(t, b, testChain(10, true))
 	support, err := VerifyDAOFork(a, offset)
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +276,7 @@ func TestVerifyDAOForkUnknownForShortChain(t *testing.T) {
 	}
 }
 
-func serveOneHeaderRequest(t *testing.T, rw devp2p.MsgReadWriter, c *chain.Chain) {
+func serveOneHeaderRequest(t *testing.T, rw devp2p.MsgReadWriter, c func(uint64) *chain.Header) {
 	t.Helper()
 	code, payload, err := rw.ReadMsg()
 	if err != nil || code != offset+GetBlockHeadersMsg {
@@ -282,7 +288,7 @@ func serveOneHeaderRequest(t *testing.T, rw devp2p.MsgReadWriter, c *chain.Chain
 		t.Error(err)
 		return
 	}
-	resp, err := rlp.EncodeToBytes(ServeHeaders(c, &req))
+	resp, err := rlp.EncodeToBytes(ServeHeaders(&req, c))
 	if err != nil {
 		t.Error(err)
 		return
@@ -291,13 +297,13 @@ func serveOneHeaderRequest(t *testing.T, rw devp2p.MsgReadWriter, c *chain.Chain
 }
 
 func TestReadHeadersSkipsBroadcastNoise(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "m", Length: 5})
+	c := testChain(5, false)
 	a, b := newChanRW()
 	go func() {
 		// Noise first, then the real response.
 		b.WriteMsg(offset+TransactionsMsg, []byte{0xC0})   //nolint:errcheck
 		b.WriteMsg(offset+NewBlockHashesMsg, []byte{0xC0}) //nolint:errcheck
-		resp, _ := rlp.EncodeToBytes(ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 1}, Amount: 1}))
+		resp, _ := rlp.EncodeToBytes(ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 1}, Amount: 1}, c))
 		b.WriteMsg(offset+BlockHeadersMsg, resp) //nolint:errcheck
 	}()
 	hs, err := ReadHeaders(a, offset)
@@ -310,7 +316,7 @@ func TestReadHeadersSkipsBroadcastNoise(t *testing.T) {
 }
 
 func TestReadHeadersAnswersPing(t *testing.T) {
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "m", Length: 5})
+	c := testChain(5, false)
 	a, b := newChanRW()
 	go func() {
 		devp2p.SendPing(b) //nolint:errcheck
@@ -319,7 +325,7 @@ func TestReadHeadersAnswersPing(t *testing.T) {
 		if code != devp2p.PongMsg {
 			t.Errorf("no pong, code %#x", code)
 		}
-		resp, _ := rlp.EncodeToBytes(ServeHeaders(c, &GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 1}))
+		resp, _ := rlp.EncodeToBytes(ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 1}, c))
 		b.WriteMsg(offset+BlockHeadersMsg, resp) //nolint:errcheck
 	}()
 	if _, err := ReadHeaders(a, offset); err != nil {
@@ -357,5 +363,49 @@ func TestStatusRLPRoundTrip(t *testing.T) {
 	}
 	if back.TD.Cmp(s.TD) != 0 || back.BestHash != s.BestHash {
 		t.Errorf("got %+v", back)
+	}
+}
+
+// snappySwitch records what Negotiate asks of the transport.
+type snappySwitch struct{ on bool }
+
+func (s *snappySwitch) SetSnappy(on bool) { s.on = on }
+
+// TestNegotiate: the shared eth capability is the highest version both
+// sides list, its codes start above every shared capability that sorts
+// before it (bzz's default 16 here), a peer without eth gets nil, and
+// snappy is switched on exactly when both sides speak devp2p v5.
+func TestNegotiate(t *testing.T) {
+	ours := []devp2p.Cap{{Name: "bzz", Version: 1}, {Name: "eth", Version: 62}, {Name: "eth", Version: 63}, {Name: "les", Version: 2}}
+	theirs := []devp2p.Cap{{Name: "les", Version: 2}, {Name: "eth", Version: 63}, {Name: "bzz", Version: 1}, {Name: "eth", Version: 62}}
+	want := devp2p.NegotiatedCap{Cap: devp2p.Cap{Name: ProtocolName, Version: 63}, Offset: devp2p.BaseProtocolLength + 16, Length: ProtocolLength}
+	for _, tc := range []struct {
+		name         string
+		ours, theirs uint64
+		wantCompress bool
+	}{
+		{"v5 both sides", 5, 5, true},
+		{"v4 ours", 4, 5, false},
+		{"v4 theirs", 5, 4, false},
+		{"v4 both sides", 4, 4, false},
+	} {
+		var sw snappySwitch
+		got := Negotiate(&sw, &devp2p.Hello{Version: tc.ours, Caps: ours}, &devp2p.Hello{Version: tc.theirs, Caps: theirs})
+		if got == nil || *got != want {
+			t.Errorf("%s: negotiated %+v, want %+v", tc.name, got, want)
+		}
+		if sw.on != tc.wantCompress {
+			t.Errorf("%s: snappy %v, want %v", tc.name, sw.on, tc.wantCompress)
+		}
+	}
+
+	var sw snappySwitch
+	older := []devp2p.Cap{{Name: "bzz", Version: 1}, {Name: "eth", Version: 62}}
+	if got := Negotiate(&sw, &devp2p.Hello{Version: 5, Caps: ours}, &devp2p.Hello{Version: 5, Caps: older}); got == nil || got.Version != 62 || got.Offset != devp2p.BaseProtocolLength+16 {
+		t.Errorf("eth/62 peer: negotiated %+v, want eth/62 after bzz", got)
+	}
+	light := []devp2p.Cap{{Name: "bzz", Version: 1}, {Name: "les", Version: 2}}
+	if got := Negotiate(&sw, &devp2p.Hello{Version: 5, Caps: ours}, &devp2p.Hello{Version: 5, Caps: light}); got != nil {
+		t.Errorf("peer without eth: negotiated %+v, want nil", got)
 	}
 }

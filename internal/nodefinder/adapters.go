@@ -18,10 +18,6 @@ import (
 	"repro/internal/simclock"
 )
 
-// ethCapLengths gives MatchCaps the message space of eth, the one
-// subprotocol spoken here. Read-only: every handshake shares it.
-var ethCapLengths = map[string]uint64{eth.ProtocolName: eth.ProtocolLength}
-
 // RealDiscovery adapts a discv4.Transport to the Discovery interface.
 type RealDiscovery struct {
 	T *discv4.Transport
@@ -161,19 +157,9 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 		return res
 	}
 	res.Hello = theirs
-	// devp2p v5: both sides compress subsequent payloads with snappy.
-	if hello.Version >= devp2p.Version && theirs.Version >= devp2p.Version {
-		conn.SetSnappy(true)
-	}
 
 	// Without a shared eth capability there is nothing more to learn.
-	caps := devp2p.MatchCaps(hello.Caps, theirs.Caps, ethCapLengths)
-	var ethCap *devp2p.NegotiatedCap
-	for i := range caps {
-		if caps[i].Name == eth.ProtocolName {
-			ethCap = &caps[i]
-		}
-	}
+	ethCap := eth.Negotiate(conn, &hello, theirs)
 	if ethCap == nil {
 		devp2p.SendDisconnect(conn, devp2p.DiscUselessPeer) //nolint:errcheck
 		return res

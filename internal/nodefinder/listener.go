@@ -115,24 +115,16 @@ func (l *Listener) handle(fd net.Conn) {
 		return
 	}
 	res.Hello = theirs
-	if l.Hello.Version >= devp2p.Version && theirs.Version >= devp2p.Version {
-		conn.SetSnappy(true)
-	}
 
 	// If the peer shares eth, exchange STATUS to learn its chain.
-	caps := devp2p.MatchCaps(l.Hello.Caps, theirs.Caps, ethCapLengths)
-	for i := range caps {
-		if caps[i].Name != eth.ProtocolName {
-			continue
-		}
+	if ethCap := eth.Negotiate(conn, &l.Hello, theirs); ethCap != nil {
 		st := l.Status
-		st.ProtocolVersion = uint32(caps[i].Version)
-		if err := eth.SendStatus(conn, caps[i].Offset, &st); err == nil {
-			if theirStatus, err := eth.ReadStatus(conn, caps[i].Offset); err == nil {
+		st.ProtocolVersion = uint32(ethCap.Version)
+		if err := eth.SendStatus(conn, ethCap.Offset, &st); err == nil {
+			if theirStatus, err := eth.ReadStatus(conn, ethCap.Offset); err == nil {
 				res.Status = theirStatus
 			}
 		}
-		break
 	}
 
 	// Done collecting: free the slot (the peer may keep talking; we

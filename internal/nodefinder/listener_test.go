@@ -2,6 +2,7 @@ package nodefinder
 
 import (
 	"fmt"
+	"math/big"
 	"math/rand"
 	"net"
 	"testing"
@@ -18,11 +19,13 @@ import (
 	"repro/internal/testutil/leakcheck"
 )
 
-// listenerFixture serves a Finder's inbound sessions, speaking devp2p
-// version in its HELLO.
-func listenerFixture(t *testing.T, version uint64) (*Listener, *Finder, *mlog.Collector, *chain.Chain) {
+// listenerFixture serves a Finder's inbound sessions.
+func listenerFixture(t *testing.T) (*Listener, *Finder, *mlog.Collector, *eth.Status) {
 	t.Helper()
-	c := chain.New(chain.Config{NetworkID: 1, GenesisSeed: "listener-main", DAOFork: true, Length: 8})
+	// c is the STATUS of the chain the peers share: network 1 under a
+	// genesis of its own, eight blocks long.
+	c := &eth.Status{ProtocolVersion: uint32(eth.Version63), NetworkID: 1,
+		TD: big.NewInt(8 * 131072), BestHash: chain.Hash{8}, GenesisHash: chain.Hash{0x11, 0x57}}
 	key, err := secp256k1.GenerateKey(rand.New(rand.NewSource(500)))
 	if err != nil {
 		t.Fatal(err)
@@ -33,12 +36,12 @@ func listenerFixture(t *testing.T, version uint64) (*Listener, *Finder, *mlog.Co
 	f := newTestFinder(t, clock, w, col)
 
 	hello := devp2p.Hello{
-		Version: version,
+		Version: devp2p.Version,
 		Name:    "NodeFinder/test",
 		Caps:    []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}},
 	}
 	status := eth.Status{ProtocolVersion: uint32(eth.Version63), NetworkID: 1,
-		TD: c.TD(), BestHash: c.GenesisHash(), GenesisHash: c.GenesisHash()}
+		TD: new(big.Int), BestHash: c.GenesisHash, GenesisHash: c.GenesisHash}
 	l, err := ListenIncoming("", key, hello, status, f)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +52,7 @@ func listenerFixture(t *testing.T, version uint64) (*Listener, *Finder, *mlog.Co
 
 // inboundClient dials the listener and completes the handshake chain
 // from the peer's side.
-func inboundClient(t *testing.T, l *Listener, name string, caps []devp2p.Cap, c *chain.Chain, sendStatus bool) {
+func inboundClient(t *testing.T, l *Listener, name string, caps []devp2p.Cap, c *eth.Status, sendStatus bool) {
 	t.Helper()
 	key, err := secp256k1.GenerateKey(rand.New(rand.NewSource(501)))
 	if err != nil {
@@ -80,9 +83,7 @@ func inboundClient(t *testing.T, l *Listener, name string, caps []devp2p.Cap, c 
 		return
 	}
 	offset := devp2p.BaseProtocolLength
-	st := &eth.Status{ProtocolVersion: uint32(eth.Version63), NetworkID: 1,
-		TD: c.TD(), BestHash: c.HeadHash(), GenesisHash: c.GenesisHash()}
-	if err := eth.SendStatus(conn, offset, st); err != nil {
+	if err := eth.SendStatus(conn, offset, c); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eth.ReadStatus(conn, offset); err != nil {
@@ -109,7 +110,7 @@ func waitIncoming(t *testing.T, col *mlog.Collector, want int) {
 
 func TestListenerRecordsEthPeer(t *testing.T) {
 	leakcheck.Check(t)
-	l, f, col, c := listenerFixture(t, devp2p.Version)
+	l, f, col, c := listenerFixture(t)
 	inboundClient(t, l, "Geth/v1.8.10-stable/linux", []devp2p.Cap{{Name: "eth", Version: 63}}, c, true)
 	waitIncoming(t, col, 1)
 	if got := f.Stats().IncomingConns; got != 1 {
@@ -127,7 +128,7 @@ func TestListenerRecordsEthPeer(t *testing.T) {
 	if e.Hello == nil || e.Hello.ClientName != "Geth/v1.8.10-stable/linux" {
 		t.Fatalf("hello: %+v", e.Hello)
 	}
-	if e.Status == nil || e.Status.GenesisHash != c.GenesisHash().Hex() {
+	if e.Status == nil || e.Status.GenesisHash != c.GenesisHash.Hex() {
 		t.Fatalf("status: %+v", e.Status)
 	}
 	if e.DurationUS <= 0 {
@@ -137,7 +138,7 @@ func TestListenerRecordsEthPeer(t *testing.T) {
 
 func TestListenerRecordsNonEthPeer(t *testing.T) {
 	leakcheck.Check(t)
-	l, _, col, c := listenerFixture(t, devp2p.Version)
+	l, _, col, c := listenerFixture(t)
 	inboundClient(t, l, "swarm/v0.3", []devp2p.Cap{{Name: "bzz", Version: 2}}, c, false)
 	waitIncoming(t, col, 1)
 	e := col.Entries()[0]
@@ -151,7 +152,7 @@ func TestListenerRecordsNonEthPeer(t *testing.T) {
 
 func TestListenerSurvivesGarbage(t *testing.T) {
 	leakcheck.Check(t)
-	l, _, col, c := listenerFixture(t, devp2p.Version)
+	l, _, col, c := listenerFixture(t)
 	// Raw junk: handshake fails, nothing recorded, listener lives.
 	fd, err := net.DialTimeout("tcp", l.Addr().String(), 2*time.Second)
 	if err != nil {
@@ -168,9 +169,57 @@ func TestListenerSurvivesGarbage(t *testing.T) {
 
 func TestListenerCloseIdempotent(t *testing.T) {
 	leakcheck.Check(t)
-	l, _, _, _ := listenerFixture(t, devp2p.Version)
+	l, _, _, _ := listenerFixture(t)
 	l.Close()
 	l.Close()
+}
+
+// statusPeer serves one session on a loopback port as a peer speaking
+// devp2p version would. It decides compression by the protocol's rule
+// (on when both sides speak v5) itself rather than through
+// eth.Negotiate, so a dialer that gets the rule wrong is misread. The
+// channel yields the STATUS it decoded from the dialer, or nil.
+func statusPeer(t *testing.T, version uint64, status *eth.Status) (*enode.Node, <-chan *eth.Status) {
+	t.Helper()
+	key, err := secp256k1.GenerateKey(rand.New(rand.NewSource(500)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	got := make(chan *eth.Status, 1)
+	go func() {
+		var decoded *eth.Status
+		defer func() { got <- decoded }()
+		fd, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer fd.Close()
+		conn, err := rlpx.Accept(fd, key)
+		if err != nil {
+			return
+		}
+		hello := &devp2p.Hello{Version: version, Name: "Geth/v1.7.3-stable/linux",
+			Caps: []devp2p.Cap{{Name: "eth", Version: 63}}, ID: enode.PubkeyID(&key.Pub)}
+		theirs, err := devp2p.ExchangeHello(conn, hello)
+		if err != nil {
+			return
+		}
+		if version >= 5 && theirs.Version >= 5 {
+			conn.SetSnappy(true)
+		}
+		if decoded, err = eth.ReadStatus(conn, devp2p.BaseProtocolLength); err != nil {
+			return
+		}
+		eth.SendStatus(conn, devp2p.BaseProtocolLength, status) //nolint:errcheck
+		conn.ReadMsg()                                          //nolint:errcheck // the dialer's DISCONNECT
+	}()
+	addr := ln.Addr().(*net.TCPAddr)
+	return enode.New(enode.PubkeyID(&key.Pub), addr.IP, uint16(addr.Port), uint16(addr.Port)), got
 }
 
 // TestRealDialerNegotiatesSnappy dials a pre-snappy (devp2p v4) peer
@@ -181,7 +230,9 @@ func TestRealDialerNegotiatesSnappy(t *testing.T) {
 	leakcheck.Check(t)
 	for _, version := range []uint64{devp2p.Version - 1, devp2p.Version} {
 		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
-			l, _, col, c := listenerFixture(t, version)
+			c := &eth.Status{ProtocolVersion: uint32(eth.Version63), NetworkID: 1,
+				TD: big.NewInt(8 * 131072), BestHash: chain.Hash{8}, GenesisHash: chain.Hash{0x11, 0x57}}
+			peer, got := statusPeer(t, version, c)
 			key, err := secp256k1.GenerateKey(rand.New(rand.NewSource(502)))
 			if err != nil {
 				t.Fatal(err)
@@ -189,19 +240,17 @@ func TestRealDialerNegotiatesSnappy(t *testing.T) {
 			d := &RealDialer{
 				Key:    key,
 				Hello:  devp2p.Hello{Version: devp2p.Version, Name: "NodeFinder/test", Caps: []devp2p.Cap{{Name: "eth", Version: 63}}},
-				Status: eth.Status{NetworkID: 1, TD: c.TD(), BestHash: c.HeadHash(), GenesisHash: c.GenesisHash()},
+				Status: eth.Status{NetworkID: 1, TD: new(big.Int), BestHash: c.GenesisHash, GenesisHash: c.GenesisHash},
 			}
-			peer := enode.New(l.Hello.ID, net.IPv4(127, 0, 0, 1), uint16(l.Addr().Port), uint16(l.Addr().Port))
 			res := d.dial(peer, mlog.ConnStaticDial)
 			if res.Outcome() != OutcomeEthHandshake || res.Hello.Version != version {
 				t.Fatalf("dial of a v%d peer: %v (err %v), HELLO %+v", version, res.Outcome(), res.Err, res.Hello)
 			}
-			if res.Status.GenesisHash != c.GenesisHash() {
-				t.Errorf("peer's STATUS decoded with genesis %x, want %x", res.Status.GenesisHash, c.GenesisHash())
+			if res.Status.GenesisHash != c.GenesisHash {
+				t.Errorf("peer's STATUS decoded with genesis %x, want %x", res.Status.GenesisHash, c.GenesisHash)
 			}
-			waitIncoming(t, col, 1)
-			if e := col.Entries()[0]; e.Status == nil || e.Status.GenesisHash != c.GenesisHash().Hex() {
-				t.Errorf("the peer could not decode the dialer's STATUS: %+v", e.Status)
+			if st := <-got; st == nil || st.GenesisHash != c.GenesisHash {
+				t.Errorf("the peer could not decode the dialer's STATUS: %+v", st)
 			}
 		})
 	}

@@ -127,11 +127,6 @@ type Config struct {
 	// aggregate lookup rate scales with the worker count. Zero means
 	// one worker — the original single-chain crawler.
 	LookupWorkers int
-	// QueueCap bounds the queue of discovered dial candidates; those
-	// beyond the cap are dropped (and counted in finder.queue_dropped)
-	// rather than growing memory without bound during a discovery
-	// burst. Zero means DefaultQueueCap; negative disables the bound.
-	QueueCap int
 }
 
 // Stats are cumulative crawler counters, the raw material for
@@ -192,7 +187,6 @@ func New(cfg Config) (*Finder, error) {
 	cfg.MaxDynamicDials = cmp.Or(cfg.MaxDynamicDials, DefaultMaxDynamicDials)
 	cfg.StaleAfter = cmp.Or(cfg.StaleAfter, DefaultStaleAfter)
 	cfg.LookupWorkers = max(cfg.LookupWorkers, 1)
-	cfg.QueueCap = max(cmp.Or(cfg.QueueCap, DefaultQueueCap), 0) // negative: unbounded
 	f := &Finder{
 		cfg:         cfg,
 		clock:       cfg.Clock,
@@ -205,7 +199,7 @@ func New(cfg Config) (*Finder, error) {
 	for i := range f.lookupFn {
 		f.lookupFn[i] = func() { f.runLookup(i) }
 	}
-	f.sched = newDialScheduler(cfg.QueueCap, cfg.MaxDynamicDials, f.rng, f.metrics, cfg.Metrics)
+	f.sched = newDialScheduler(DefaultQueueCap, cfg.MaxDynamicDials, f.rng, f.metrics, cfg.Metrics)
 	return f, nil
 }
 

@@ -66,7 +66,9 @@ type dialScheduler struct {
 	m   *finderMetrics
 }
 
-// DefaultQueueCap is the candidate queue's bound (Config.QueueCap).
+// DefaultQueueCap bounds the queue of discovered dial candidates;
+// those beyond it are dropped (and counted in finder.queue_dropped)
+// rather than growing memory without bound during a discovery burst.
 const DefaultQueueCap = 4096
 
 func newDialScheduler(queueCap, maxActive int, rng *rand.Rand, m *finderMetrics, r *metrics.Registry) *dialScheduler {
@@ -100,7 +102,7 @@ func (s *dialScheduler) admissibleLocked(nd *nodeState, now time.Time) bool {
 // it (and counts the drop): discovery keeps returning live nodes, so
 // dropping is cheaper than growing without bound during a burst.
 func (s *dialScheduler) enqueueLocked(nd *nodeState) bool {
-	if s.queueCap > 0 && s.queued >= s.queueCap {
+	if s.queued >= s.queueCap {
 		s.m.queueDropped.Inc()
 		return false
 	}

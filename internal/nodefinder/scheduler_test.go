@@ -72,24 +72,13 @@ func TestQueueBounded(t *testing.T) {
 	if len(s.queue) != 32 {
 		t.Fatalf("ring grew to %d slots for a cap of %d, want 32", len(s.queue), queueCap)
 	}
-
-	// Unbounded mode (cap<=0) admits everything.
-	u := testScheduler(0, 16, nil)
-	for i := 0; i < burst; i++ {
-		if !u.enqueueLocked(testNode(i)) {
-			t.Fatal("unbounded queue rejected a candidate")
-		}
-	}
-	if u.queued != burst {
-		t.Fatalf("unbounded queue holds %d, want %d", u.queued, burst)
-	}
 }
 
 // TestFillRespectsBudget: fillLocked never exceeds the concurrency
 // budget, marks launched nodes in-flight, and re-checks admission at
 // dequeue time.
 func TestFillRespectsBudget(t *testing.T) {
-	s := testScheduler(0, 6, nil)
+	s := testScheduler(DefaultQueueCap, 6, nil)
 	now := time.Unix(0, 0)
 	nodes := make([]*nodeState, 40)
 	for i := range nodes {
@@ -134,7 +123,7 @@ func TestFillRespectsBudget(t *testing.T) {
 // TestSchedulerAdmission pins the per-node gates in the original
 // Finder's order: in-flight, redial suppression, backoff.
 func TestSchedulerAdmission(t *testing.T) {
-	s := testScheduler(0, 16, nil)
+	s := testScheduler(DefaultQueueCap, 16, nil)
 	now := time.Unix(1000, 0)
 	nd := testNode(1)
 
@@ -188,7 +177,7 @@ func TestBackoffDelayTable(t *testing.T) {
 		{7, maxDialBackoff},  // stays capped
 		{20, maxDialBackoff}, // deep streaks cannot overflow
 	}
-	s := testScheduler(0, 16, nil)
+	s := testScheduler(DefaultQueueCap, 16, nil)
 	for _, tc := range cases {
 		for trial := 0; trial < 200; trial++ {
 			d := s.backoffDelayLocked(tc.streak)
@@ -236,7 +225,7 @@ func (r *refBackoff) prune(now time.Time) {
 // random schedule of completions and sweeps.
 func TestBackoffPrune(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	s := testScheduler(0, 16, nil)
+	s := testScheduler(DefaultQueueCap, 16, nil)
 	ref := &refBackoff{streak: map[int]int{}, until: map[int]time.Time{}}
 	nodes := make([]*nodeState, 50)
 	for i := range nodes {
@@ -286,35 +275,40 @@ func TestBackoffPrune(t *testing.T) {
 }
 
 // TestMultiWorkerFinderDeterministic: the full Finder with several
-// lookup workers feeding a tight queue is still a pure function of its
-// seed under the simulated clock.
+// lookup workers feeding a queue tight enough to shed load is still a
+// pure function of its seed under the simulated clock.
 func TestMultiWorkerFinderDeterministic(t *testing.T) {
-	run := func() (uint64, uint64) {
+	run := func() (uint64, uint64, uint64) {
 		clk := simclock.NewSimulated(t0)
 		w := newFakeWorld(clk, 200)
+		reg := metrics.New()
 		f, err := New(Config{
 			Clock:         clk,
 			Discovery:     w,
 			Dialer:        w,
+			Metrics:       reg,
 			Seed:          7,
 			LookupWorkers: 3,
-			QueueCap:      16,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		f.sched.queueCap = 16
 		f.Start()
 		clk.Advance(2 * time.Hour)
 		f.Stop()
 		st := f.Stats()
-		return st.DynamicDials, st.SuccessfulConns
+		return st.DynamicDials, st.SuccessfulConns, reg.Snapshot().Counter("finder.queue_dropped")
 	}
-	d1, s1 := run()
-	d2, s2 := run()
-	if d1 != d2 || s1 != s2 {
-		t.Fatalf("multi-worker crawl not deterministic: (%d,%d) vs (%d,%d)", d1, s1, d2, s2)
+	d1, s1, q1 := run()
+	d2, s2, q2 := run()
+	if d1 != d2 || s1 != s2 || q1 != q2 {
+		t.Fatalf("multi-worker crawl not deterministic: (%d,%d,%d) vs (%d,%d,%d)", d1, s1, q1, d2, s2, q2)
 	}
 	if d1 == 0 || s1 == 0 {
 		t.Fatalf("multi-worker crawl did nothing: dials=%d successes=%d", d1, s1)
+	}
+	if q1 == 0 {
+		t.Fatal("the 16-slot queue never shed a candidate")
 	}
 }

@@ -195,7 +195,7 @@ func (d *SimDialer) outcome(res *nodefinder.DialResult, target *enode.Node, kind
 	// Hostile nodes attack the wire before any honest outcome class
 	// can apply.
 	if n.Hostile {
-		return d.hostileOutcome(n, res, rtt, start)
+		return d.hostileOutcome(n, res, rtt)
 	}
 
 	// Peer-limit check happens before the protocol handshake, as in
@@ -205,34 +205,14 @@ func (d *SimDialer) outcome(res *nodefinder.DialResult, target *enode.Node, kind
 		return 3 * rtt
 	}
 
-	// DEVp2p HELLO.
-	res.Hello = d.W.helloFor(n, start)
-
-	// Only a shared eth capability yields a STATUS; light protocols
-	// (les/pip) and other services end here — §5.3's explanation for
-	// the nodes Ethernodes saw but NodeFinder could not verify.
-	if n.Service != SvcEth {
-		return 4 * rtt
-	}
-
-	// eth STATUS.
-	res.Status = d.W.statusFor(n, start)
-	res.BestBlock = n.BestBlockAt(start)
-
-	// DAO-fork verification for network-1 peers (Mainnet/Classic).
-	if n.Network.NetworkID == chain.MainnetNetworkID {
-		res.DAOChecked = true
-		res.DAOFork = n.Network.daoVerdict(res.BestBlock)
-		return 6 * rtt
-	}
-	return 5 * rtt
+	return time.Duration(d.W.answer(res, n, start)) * rtt
 }
 
 // hostileOutcome models a dial against one of faultnet's hostile
 // peer behaviors, with the failure surfacing at the same protocol
 // stage — and carrying the same sentinel error — as the real stack
 // produces. Caller holds d.mu.
-func (d *SimDialer) hostileOutcome(n *SimNode, res *nodefinder.DialResult, rtt time.Duration, start time.Time) time.Duration {
+func (d *SimDialer) hostileOutcome(n *SimNode, res *nodefinder.DialResult, rtt time.Duration) time.Duration {
 	switch n.HostileKind {
 	case faultnet.HostileNeverAck:
 		// Auth sent, no ack: the handshake deadline expires.
@@ -276,8 +256,15 @@ func (d *SimDialer) hostileOutcome(n *SimNode, res *nodefinder.DialResult, rtt t
 	}
 }
 
-// helloFor builds a node's HELLO at virtual time t.
-func (w *World) helloFor(n *SimNode, t time.Time) *devp2p.Hello {
+// answer fills in what honest node n tells a crawler that reaches it
+// at virtual time t: its HELLO and, when it speaks eth, its STATUS and
+// head block, plus on network 1 (Mainnet and Classic) the DAO-fork
+// verdict the crawler's header check learns. It returns the round
+// trips the session takes from the TCP connect: the HELLO lands in
+// the fourth, the STATUS in the fifth and the fork header in the
+// sixth. SimDialer, the inbound generator and the wire server all
+// answer through it.
+func (w *World) answer(res *nodefinder.DialResult, n *SimNode, t time.Time) int {
 	var caps []devp2p.Cap
 	switch n.Service {
 	case SvcEth:
@@ -289,32 +276,42 @@ func (w *World) helloFor(n *SimNode, t time.Time) *devp2p.Hello {
 	default:
 		caps = []devp2p.Cap{{Name: n.CapName(), Version: 1}}
 	}
-	return &devp2p.Hello{
+	res.Hello = &devp2p.Hello{
 		Version:    devp2p.Version,
 		Name:       w.ClientNameAt(n, t),
 		Caps:       caps,
 		ListenPort: 30303,
 		ID:         n.Node.ID,
 	}
-}
-
-// statusFor builds a node's eth STATUS at virtual time t.
-func (w *World) statusFor(n *SimNode, t time.Time) *eth.Status {
+	// Only a shared eth capability yields a STATUS; light protocols
+	// (les/pip) and other services end here — §5.3's explanation for
+	// the nodes Ethernodes saw but NodeFinder could not verify.
+	if n.Service != SvcEth {
+		return 4
+	}
 	best := n.BestBlockAt(t)
-	return &eth.Status{
+	res.Status = &eth.Status{
 		ProtocolVersion: uint32(eth.Version63),
 		NetworkID:       n.Network.NetworkID,
 		TD:              new(big.Int).Mul(big.NewInt(int64(best)), big.NewInt(131072)),
 		BestHash:        n.Network.BestHashAt(best),
 		GenesisHash:     n.Network.GenesisHash,
 	}
+	res.BestBlock = best
+	if n.Network.NetworkID != chain.MainnetNetworkID {
+		return 5
+	}
+	res.DAOChecked = true
+	res.DAOFork = n.Network.daoVerdict(best)
+	return 6
 }
 
 // daoVerdict is what NodeFinder's DAO-fork check learns from a node
 // of this network whose head is at best: before the fork block there
 // is no fork header to inspect, and after it the header's extra-data
 // shows which side of the fork the chain took. SimDialer reports it
-// as is; headersFor serves the headers that make RealDialer infer it.
+// as is; headerAt synthesizes the headers that make RealDialer infer
+// it.
 func (nw *Network) daoVerdict(best uint64) eth.DAOForkSupport {
 	switch {
 	case best < chain.DAOForkBlock:
@@ -329,6 +326,8 @@ func (nw *Network) daoVerdict(best uint64) eth.DAOForkSupport {
 // IncomingGenerator schedules inbound connections to a Finder:
 // online nodes (reachable or not) periodically dial the crawler, the
 // only way NAT'd nodes become visible (§5.5, Table 2's NFU column).
+// Hostile nodes never dial in: faultnet models attacks on the
+// crawler's outbound dials only.
 type IncomingGenerator struct {
 	W      *World
 	Finder *nodefinder.Finder
@@ -387,7 +386,7 @@ func (g *IncomingGenerator) fire() {
 	var n *SimNode
 	for try := 0; try < 32; try++ {
 		cand := g.W.Nodes[g.rng.Intn(len(g.W.Nodes))]
-		if cand.OnlineAt(now) {
+		if !cand.Hostile && cand.OnlineAt(now) {
 			n = cand
 			break
 		}
@@ -398,21 +397,13 @@ func (g *IncomingGenerator) fire() {
 	}
 	rtt := time.Duration(float64(n.RTTMedian) * math.Exp(g.rng.NormFloat64()*0.25))
 	res := &nodefinder.DialResult{
-		Node:  n.Node,
-		Kind:  mlog.ConnIncoming,
-		Start: now,
-		RTT:   rtt,
-		Hello: g.W.helloFor(n, now),
+		Node:     n.Node,
+		Kind:     mlog.ConnIncoming,
+		Start:    now,
+		RTT:      rtt,
+		Duration: 5 * rtt,
 	}
-	if n.Service == SvcEth {
-		res.Status = g.W.statusFor(n, now)
-		res.BestBlock = n.BestBlockAt(now)
-		if n.Network.NetworkID == chain.MainnetNetworkID {
-			res.DAOChecked = true
-			res.DAOFork = n.Network.daoVerdict(res.BestBlock)
-		}
-	}
-	res.Duration = 5 * rtt
+	g.W.answer(res, n, now)
 	g.mu.Unlock()
 	g.Finder.HandleIncoming(res)
 }

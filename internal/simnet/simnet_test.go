@@ -1,13 +1,11 @@
 package simnet
 
 import (
-	"math"
 	"testing"
 	"time"
 
 	"repro/internal/devp2p"
 	"repro/internal/enode"
-	"repro/internal/eth"
 	"repro/internal/faultnet"
 	"repro/internal/metrics"
 	"repro/internal/nodefinder"
@@ -218,12 +216,13 @@ func TestCrawlDiscoversPopulation(t *testing.T) {
 	}
 }
 
-// TestHostilePopulationCensus runs a crawl over a world where a
-// third of the population mounts faultnet's wire attacks, and checks
-// that (a) the honest census still forms, (b) every hostile failure
-// surfaces in the same metrics taxonomy the real transport feeds,
-// and (c) no hostile node (save the honestly-handshaking STATUS
-// flooder) ever contributes a verified STATUS to the census.
+// TestHostilePopulationCensus runs a crawl, outbound and inbound, over
+// a world where a third of the population mounts faultnet's wire
+// attacks, and checks that (a) the honest census still forms, (b)
+// every hostile failure surfaces in the same metrics taxonomy the real
+// transport feeds, and (c) no hostile node (save the
+// honestly-handshaking STATUS flooder) ever contributes a verified
+// STATUS to the census, whichever side opened the connection.
 func TestHostilePopulationCensus(t *testing.T) {
 	leakcheck.Check(t)
 	cfg := DefaultConfig(8)
@@ -258,10 +257,12 @@ func TestHostilePopulationCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Start()
+	gen := w.StartIncoming(f, 30*time.Second, 400)
 	w.Clock.Advance(12 * time.Hour)
+	gen.Stop()
 	f.Stop()
 
-	honest, hostileStatus := 0, 0
+	honest, hostileStatus, incoming := 0, 0, 0
 	for _, e := range col.Entries() {
 		n := w.NodeByID(mustID(t, e.NodeID))
 		if n == nil {
@@ -270,12 +271,15 @@ func TestHostilePopulationCensus(t *testing.T) {
 		if !n.Hostile && e.Status != nil {
 			honest++
 		}
+		if e.ConnType == mlog.ConnIncoming && e.Status != nil {
+			incoming++
+		}
 		if n.Hostile && e.Status != nil && n.HostileKind != faultnet.HostileStatusFlood {
 			hostileStatus++
 		}
 	}
-	if honest == 0 {
-		t.Fatal("hostile minority starved the honest census entirely")
+	if honest == 0 || incoming == 0 {
+		t.Fatalf("hostile minority starved the honest census: %d verified STATUS entries, %d of them inbound", honest, incoming)
 	}
 	if hostileStatus != 0 {
 		t.Errorf("%d verified STATUS entries from hostile nodes", hostileStatus)
@@ -439,26 +443,4 @@ func mustID(t *testing.T, hex string) enode.ID {
 		t.Fatal(err)
 	}
 	return id
-}
-
-// TestHeadersForSkipWrap holds the simulated header answer to the
-// uint64 range, as eth.ServeHeaders is: a Skip of 2^64-1 or 2^63
-// answers the origin alone, forward and reverse.
-func TestHeadersForSkipWrap(t *testing.T) {
-	now := time.Date(2018, 4, 1, 0, 0, 0, 0, time.UTC)
-	n := &SimNode{Network: &Network{base: 100, baseTime: now}, Fresh: FreshSynced}
-	w := &World{}
-	for _, skip := range []uint64{math.MaxUint64, 1 << 63} {
-		for _, reverse := range []bool{false, true} {
-			req := &eth.GetBlockHeaders{Origin: eth.HashOrNumber{Number: 10}, Amount: 5, Skip: skip, Reverse: reverse}
-			hs := w.headersFor(n, now, req)
-			if len(hs) != 1 || hs[0].Number.Uint64() != 10 {
-				t.Errorf("skip %d reverse %v: answered %d headers, want block 10 alone", skip, reverse, len(hs))
-			}
-		}
-	}
-	req := &eth.GetBlockHeaders{Origin: eth.HashOrNumber{Number: 10}, Amount: 3, Skip: 45}
-	if hs := w.headersFor(n, now, req); len(hs) != 2 || hs[1].Number.Uint64() != 56 {
-		t.Errorf("skip 45 from 10 under head 100: answered %d headers, want blocks 10 and 56", len(hs))
-	}
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/metrics"
 	"repro/internal/netpipe"
+	"repro/internal/nodefinder"
 	"repro/internal/rlp"
 	"repro/internal/rlpx"
 )
@@ -47,10 +48,6 @@ import (
 // wireHandshakeTimeout bounds a promoted server's RLPx accept, a
 // backstop against a client that connects and never speaks.
 const wireHandshakeTimeout = 10 * time.Second
-
-// ethCapLengths gives MatchCaps the message space of eth, the one
-// subprotocol spoken here. Read-only: every handshake shares it.
-var ethCapLengths = map[string]uint64{eth.ProtocolName: eth.ProtocolLength}
 
 // Analytic connect failures, shaped like the net package's errors so
 // the taxonomy matches a real crawl.
@@ -263,22 +260,13 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 	if err != nil {
 		return
 	}
-	ours := w.helloFor(n, now)
-	if err := devp2p.SendHello(conn, ours); err != nil {
+	var ours nodefinder.DialResult
+	w.answer(&ours, n, now)
+	if err := devp2p.SendHello(conn, ours.Hello); err != nil {
 		return
 	}
-	if ours.Version >= devp2p.Version && theirs.Version >= devp2p.Version {
-		conn.SetSnappy(true)
-	}
-
-	caps := devp2p.MatchCaps(ours.Caps, theirs.Caps, ethCapLengths)
-	var ethCap *devp2p.NegotiatedCap
-	for i := range caps {
-		if caps[i].Name == eth.ProtocolName {
-			ethCap = &caps[i]
-		}
-	}
-	if n.Service != SvcEth || ethCap == nil {
+	ethCap := eth.Negotiate(conn, ours.Hello, theirs)
+	if ours.Status == nil || ethCap == nil {
 		// Non-eth service (or no shared eth cap): the crawler learns
 		// the HELLO and cuts us loose as a useless peer.
 		drain(conn)
@@ -288,11 +276,11 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 	if _, err := eth.ReadStatus(conn, ethCap.Offset); err != nil {
 		return
 	}
-	status := w.statusFor(n, now)
-	status.ProtocolVersion = uint32(ethCap.Version)
-	if err := eth.SendStatus(conn, ethCap.Offset, status); err != nil {
+	ours.Status.ProtocolVersion = uint32(ethCap.Version)
+	if err := eth.SendStatus(conn, ethCap.Offset, ours.Status); err != nil {
 		return
 	}
+	header := func(num uint64) *chain.Header { return n.Network.headerAt(ours.BestBlock, num, now) }
 
 	// Serve requests (the DAO-fork header check, pings) until the
 	// crawler disconnects.
@@ -313,7 +301,7 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 			if err := rlp.DecodeBytes(payload, &req); err != nil {
 				return
 			}
-			resp, err := rlp.EncodeToBytes(w.headersFor(n, now, &req))
+			resp, err := rlp.EncodeToBytes(eth.ServeHeaders(&req, header))
 			if err != nil {
 				return
 			}
@@ -336,39 +324,25 @@ func drain(conn *rlpx.Conn) {
 	}
 }
 
-// headersFor synthesizes a header-chain response from the node's
-// analytic identity — no materialized chain required. The header the
-// crawler cares about is the DAO fork block, and daoVerdict decides
-// it: pro-fork nodes carry the dao-hard-fork extra-data, anti-fork
-// nodes do not, and nodes that have not reached the fork respond with
-// nothing.
-func (w *World) headersFor(n *SimNode, now time.Time, req *eth.GetBlockHeaders) []*chain.Header {
-	if req.Origin.IsHash || req.Amount == 0 || n.Network == nil {
+// headerAt synthesizes block num of nw's chain as a node whose head is
+// at best serves it at virtual time now — no materialized chain
+// required. Above the head there is no header. The header the crawler
+// asks for is the DAO fork block, and daoVerdict decides it: a
+// pro-fork chain's fork window carries the dao-hard-fork extra-data,
+// an anti-fork chain's does not, and a node short of the fork has no
+// header to show.
+func (nw *Network) headerAt(best, num uint64, now time.Time) *chain.Header {
+	if num > best {
 		return nil
 	}
-	best := n.BestBlockAt(now)
-	amount := req.Amount
-	if amount > 16 {
-		amount = 16 // the crawler never asks for more than one
+	h := &chain.Header{
+		Difficulty: big.NewInt(131072),
+		Number:     new(big.Int).SetUint64(num),
+		GasLimit:   8_000_000,
+		Time:       uint64(now.Unix()),
 	}
-	var headers []*chain.Header
-	num := req.Origin.Number
-	for uint64(len(headers)) < amount && num <= best {
-		h := &chain.Header{
-			Difficulty: big.NewInt(131072),
-			Number:     new(big.Int).SetUint64(num),
-			GasLimit:   8_000_000,
-			Time:       uint64(now.Unix()),
-		}
-		if num < chain.DAOForkBlock+10 && n.Network.daoVerdict(num) == eth.DAOForkSupported {
-			h.Extra = append([]byte(nil), chain.DAOForkBlockExtra...)
-		}
-		headers = append(headers, h)
-		next, ok := req.Next(num)
-		if !ok {
-			break
-		}
-		num = next
+	if num < chain.DAOForkBlock+10 && nw.daoVerdict(num) == eth.DAOForkSupported {
+		h.Extra = append([]byte(nil), chain.DAOForkBlockExtra...)
 	}
-	return headers
+	return h
 }
