@@ -15,7 +15,8 @@ fmt-check:
 ci: fmt-check build vet test experiments-check race bench-smoke fuzz-smoke chaos bench-ledger mutate
 
 # 30 seconds of coverage-guided fuzzing per untrusted-input decoder,
-# then per differential target of the hand-written arithmetic (the
+# then per differential target: the hand-written wire codecs against
+# the rlp reflection oracle, and the hand-written arithmetic (the
 # secp256k1 field, scalar and point code against math/big and the
 # oracle; the snappy encoder against its own decoder; the census
 # daemon's incremental publish against its from-scratch oracle; the
@@ -25,10 +26,7 @@ ci: fmt-check build vet test experiments-check race bench-smoke fuzz-smoke chaos
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/rlp
-	go test -run='^$$' -fuzz=FuzzPlanVsOracleStruct -fuzztime=$(FUZZTIME) ./internal/rlp
-	go test -run='^$$' -fuzz=FuzzPlanVsOracleSlice -fuzztime=$(FUZZTIME) ./internal/rlp
-	go test -run='^$$' -fuzz=FuzzPlanVsOracleBigInt -fuzztime=$(FUZZTIME) ./internal/rlp
-	go test -run='^$$' -fuzz=FuzzPlanVsOracleCustom -fuzztime=$(FUZZTIME) ./internal/rlp
+	go test -run='^$$' -fuzz=FuzzWireVsOracle -fuzztime=$(FUZZTIME) ./internal/rlp
 	go test -run='^$$' -fuzz=FuzzDecodePacket -fuzztime=$(FUZZTIME) ./internal/discv4
 	go test -run='^$$' -fuzz=FuzzReadHello -fuzztime=$(FUZZTIME) ./internal/devp2p
 	go test -run='^$$' -fuzz=FuzzDecodeDisconnect -fuzztime=$(FUZZTIME) ./internal/devp2p

@@ -130,12 +130,58 @@ type Header struct {
 
 // HashValue computes the header hash.
 func (h *Header) HashValue() Hash {
-	enc, err := rlp.EncodeToBytes(h)
-	if err != nil {
-		// Headers constructed by this package always encode.
-		panic("chain: header encode failed: " + err.Error())
+	var buf [640]byte // a header with up to 32 bytes of extra-data encodes in place
+	return Hash(keccak.Sum256(h.AppendRLP(buf[:0])))
+}
+
+// AppendRLP implements rlp.Encoder.
+func (h *Header) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	for _, f := range [...][]byte{h.ParentHash[:], h.UncleHash[:], h.Coinbase[:], h.Root[:], h.TxHash[:], h.ReceiptHash[:], h.Bloom[:]} {
+		b = rlp.AppendBytes(b, f)
 	}
-	return Hash(keccak.Sum256(enc))
+	b = rlp.AppendBigInt(b, h.Difficulty)
+	b = rlp.AppendBigInt(b, h.Number)
+	b = rlp.AppendUint(b, h.GasLimit)
+	b = rlp.AppendUint(b, h.GasUsed)
+	b = rlp.AppendUint(b, h.Time)
+	b = rlp.AppendBytes(b, h.Extra)
+	b = rlp.AppendBytes(b, h.MixDigest[:])
+	b = rlp.AppendBytes(b, h.Nonce[:])
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (h *Header) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	for _, f := range [...][]byte{h.ParentHash[:], h.UncleHash[:], h.Coinbase[:], h.Root[:], h.TxHash[:], h.ReceiptHash[:], h.Bloom[:]} {
+		if err = s.ReadBytes(f); err != nil {
+			return err
+		}
+	}
+	if h.Difficulty, err = s.BigInt(); err != nil {
+		return err
+	}
+	if h.Number, err = s.BigInt(); err != nil {
+		return err
+	}
+	for _, f := range [...]*uint64{&h.GasLimit, &h.GasUsed, &h.Time} {
+		if *f, err = s.Uint64(); err != nil {
+			return err
+		}
+	}
+	if h.Extra, err = s.Bytes(); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(h.MixDigest[:]); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(h.Nonce[:]); err != nil {
+		return err
+	}
+	return s.ListEnd()
 }
 
 // SupportsDAOFork reports whether a header at the DAO fork height

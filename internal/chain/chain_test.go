@@ -72,3 +72,24 @@ func TestHeaderHashSensitivity(t *testing.T) {
 		t.Fatal("distinct headers share a hash")
 	}
 }
+
+// TestMainnetGenesisHash encodes the Mainnet genesis header and checks
+// its Keccak against MainnetGenesisHash: golden wire bytes that hold
+// the header codec to Ethereum itself, independent of any oracle.
+func TestMainnetGenesisHash(t *testing.T) {
+	extra := MustHexToHash("11bbe8db4e347b4e8c937c1c8370e4b5ed33adb3db69cbdb7a38e1e50b1b82fa")
+	genesis := &Header{
+		UncleHash:   MustHexToHash("1dcc4de8dec75d7aab85b567b6ccd41ad312451b948a7413f0a142fd40d49347"),
+		Root:        MustHexToHash("d7f8974fb5ac78d9ac099b9ad5018bedc2ce0a72dad1827a1709da30580f0544"),
+		TxHash:      MustHexToHash("56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421"),
+		ReceiptHash: MustHexToHash("56e81f171bcc55a6ff8345e692c0f86e5b48e01b996cadc001622fb5e363b421"),
+		Difficulty:  big.NewInt(17179869184),
+		Number:      new(big.Int),
+		GasLimit:    5000,
+		Extra:       extra[:],
+		Nonce:       [8]byte{7: 0x42},
+	}
+	if got := genesis.HashValue(); got != MainnetGenesisHash {
+		t.Errorf("genesis header hashes to %s, want %s", got.Hex(), MainnetGenesisHash.Hex())
+	}
+}

@@ -41,7 +41,7 @@ const Version = 5
 // MaxHelloSize bounds the encoded HELLO payload accepted from a peer.
 // Real HELLOs are a few hundred bytes (client name, a handful of
 // caps); a multi-kilobyte one is a hostile peer padding the message,
-// and is rejected before the reflection-driven RLP decode walks it.
+// and is rejected before the RLP decoder walks it.
 const MaxHelloSize = 4096
 
 // MaxDisconnectSize bounds the DISCONNECT payload worth parsing; the
@@ -105,6 +105,30 @@ type Cap struct {
 // String renders the conventional name/version form, e.g. "eth/63".
 func (c Cap) String() string { return c.Name + "/" + strconv.FormatUint(uint64(c.Version), 10) }
 
+// AppendRLP implements rlp.Encoder.
+func (c *Cap) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = rlp.AppendString(b, c.Name)
+	b = rlp.AppendUint(b, uint64(c.Version))
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (c *Cap) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if c.Name, err = s.Text(); err != nil {
+		return err
+	}
+	v, err := s.Uint64()
+	if err != nil {
+		return err
+	}
+	c.Version = uint(v)
+	return s.ListEnd()
+}
+
 // Hello is the DEVp2p handshake message.
 type Hello struct {
 	Version    uint64
@@ -112,8 +136,51 @@ type Hello struct {
 	Caps       []Cap
 	ListenPort uint64
 	ID         enode.ID
-	// Rest absorbs additional fields from future versions.
+	// Rest captures the fields a newer version appends. Its tag marks
+	// it for the reference codec in internal/rlp's tests.
 	Rest []rlp.RawValue `rlp:"tail"`
+}
+
+// AppendRLP implements rlp.Encoder.
+func (h *Hello) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = rlp.AppendUint(b, h.Version)
+	b = rlp.AppendString(b, h.Name)
+	b, caps := rlp.ListStart(b)
+	for i := range h.Caps {
+		b = h.Caps[i].AppendRLP(b)
+	}
+	b = rlp.ListEnd(b, caps)
+	b = rlp.AppendUint(b, h.ListenPort)
+	b = rlp.AppendBytes(b, h.ID[:])
+	b = rlp.AppendRaw(b, h.Rest...)
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (h *Hello) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if h.Version, err = s.Uint64(); err != nil {
+		return err
+	}
+	if h.Name, err = s.Text(); err != nil {
+		return err
+	}
+	if h.Caps, err = rlp.DecodeList[Cap](s); err != nil {
+		return err
+	}
+	if h.ListenPort, err = s.Uint64(); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(h.ID[:]); err != nil {
+		return err
+	}
+	if h.Rest, err = s.Rest(); err != nil {
+		return err
+	}
+	return s.ListEnd()
 }
 
 // MsgReadWriter is the framed-message transport devp2p runs over;

@@ -228,20 +228,16 @@ func TestPingPongHelpers(t *testing.T) {
 
 func TestHelloRLPForwardCompat(t *testing.T) {
 	// A HELLO with extra fields (from a future client) must decode.
-	type futureHello struct {
-		Version    uint64
-		Name       string
-		Caps       []Cap
-		ListenPort uint64
-		ID         enode.ID
-		Extra1     uint64
-		Extra2     []byte
-	}
-	fh := futureHello{Version: 6, Name: "Future/v9", ListenPort: 1, ID: enode.RandomID(rand.New(rand.NewSource(3))), Extra1: 7, Extra2: []byte("x")}
-	enc, err := rlp.EncodeToBytes(&fh)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := enode.RandomID(rand.New(rand.NewSource(3)))
+	enc, list := rlp.ListStart(nil)
+	enc = rlp.AppendUint(enc, 6)
+	enc = rlp.AppendString(enc, "Future/v9")
+	enc = append(enc, 0xC0) // no caps
+	enc = rlp.AppendUint(enc, 1)
+	enc = rlp.AppendBytes(enc, id[:])
+	enc = rlp.AppendUint(enc, 7)            // Extra1
+	enc = rlp.AppendBytes(enc, []byte("x")) // Extra2
+	enc = rlp.ListEnd(enc, list)
 	var h Hello
 	if err := rlp.DecodeBytes(enc, &h); err != nil {
 		t.Fatal(err)

@@ -72,13 +72,84 @@ func NewEndpoint(addr *net.UDPAddr, tcpPort uint16) Endpoint {
 	return Endpoint{IP: ip, UDP: uint16(addr.Port), TCP: tcpPort}
 }
 
+// AppendRLP implements rlp.Encoder.
+func (e *Endpoint) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = appendAddr(b, e.IP, e.UDP, e.TCP)
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (e *Endpoint) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if e.IP, e.UDP, e.TCP, err = decodeAddr(s); err != nil {
+		return err
+	}
+	return s.ListEnd()
+}
+
+// appendAddr and decodeAddr code the IP, UDP port, TCP port triple
+// that an Endpoint and an RPCNode both begin with.
+func appendAddr(b []byte, ip net.IP, udp, tcp uint16) []byte {
+	b = rlp.AppendBytes(b, ip)
+	b = rlp.AppendUint(b, uint64(udp))
+	return rlp.AppendUint(b, uint64(tcp))
+}
+
+func decodeAddr(s *rlp.Stream) (ip net.IP, udp, tcp uint16, err error) {
+	if ip, err = s.Bytes(); err != nil {
+		return
+	}
+	if udp, err = s.Uint16(); err != nil {
+		return
+	}
+	tcp, err = s.Uint16()
+	return
+}
+
+// The packet payloads. Each Rest captures the fields a newer version
+// appends; its tag marks it for the reference codec in internal/rlp's
+// tests.
+
 // Ping is the liveness probe. Expiration is an absolute Unix time
 // after which receivers drop the packet.
 type Ping struct {
 	Version    uint
 	From, To   Endpoint
 	Expiration uint64
-	Rest       []rlp.RawValue `rlp:"tail"` // forward compatibility
+	Rest       []rlp.RawValue `rlp:"tail"`
+}
+
+// AppendRLP implements rlp.Encoder.
+func (p *Ping) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = rlp.AppendUint(b, uint64(p.Version))
+	b = p.From.AppendRLP(b)
+	b = p.To.AppendRLP(b)
+	b = rlp.AppendUint(b, p.Expiration)
+	b = rlp.AppendRaw(b, p.Rest...)
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (p *Ping) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	v, err := s.Uint64()
+	if err != nil {
+		return err
+	}
+	p.Version = uint(v)
+	if err = p.From.DecodeRLP(s); err != nil {
+		return err
+	}
+	if err = p.To.DecodeRLP(s); err != nil {
+		return err
+	}
+	return decodeTail(s, &p.Expiration, &p.Rest)
 }
 
 // Pong answers a ping; ReplyTok echoes the ping's packet hash.
@@ -89,11 +160,55 @@ type Pong struct {
 	Rest       []rlp.RawValue `rlp:"tail"`
 }
 
+// AppendRLP implements rlp.Encoder.
+func (p *Pong) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = p.To.AppendRLP(b)
+	b = rlp.AppendBytes(b, p.ReplyTok)
+	b = rlp.AppendUint(b, p.Expiration)
+	b = rlp.AppendRaw(b, p.Rest...)
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (p *Pong) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if err = p.To.DecodeRLP(s); err != nil {
+		return err
+	}
+	if p.ReplyTok, err = s.Bytes(); err != nil {
+		return err
+	}
+	return decodeTail(s, &p.Expiration, &p.Rest)
+}
+
 // Findnode asks for the k closest nodes to Target.
 type Findnode struct {
 	Target     enode.ID
 	Expiration uint64
 	Rest       []rlp.RawValue `rlp:"tail"`
+}
+
+// AppendRLP implements rlp.Encoder.
+func (f *Findnode) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = rlp.AppendBytes(b, f.Target[:])
+	b = rlp.AppendUint(b, f.Expiration)
+	b = rlp.AppendRaw(b, f.Rest...)
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (f *Findnode) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(f.Target[:]); err != nil {
+		return err
+	}
+	return decodeTail(s, &f.Expiration, &f.Rest)
 }
 
 // Neighbors carries the response node list.
@@ -103,12 +218,70 @@ type Neighbors struct {
 	Rest       []rlp.RawValue `rlp:"tail"`
 }
 
+// AppendRLP implements rlp.Encoder.
+func (n *Neighbors) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b, nodes := rlp.ListStart(b)
+	for i := range n.Nodes {
+		b = n.Nodes[i].AppendRLP(b)
+	}
+	b = rlp.ListEnd(b, nodes)
+	b = rlp.AppendUint(b, n.Expiration)
+	b = rlp.AppendRaw(b, n.Rest...)
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (n *Neighbors) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if n.Nodes, err = rlp.DecodeList[RPCNode](s); err != nil {
+		return err
+	}
+	return decodeTail(s, &n.Expiration, &n.Rest)
+}
+
+// decodeTail reads the expiration and the Rest every packet ends
+// with, and leaves the packet's list.
+func decodeTail(s *rlp.Stream, expiration *uint64, rest *[]rlp.RawValue) (err error) {
+	if *expiration, err = s.Uint64(); err != nil {
+		return err
+	}
+	if *rest, err = s.Rest(); err != nil {
+		return err
+	}
+	return s.ListEnd()
+}
+
 // RPCNode is the node record as transmitted in neighbors packets.
 type RPCNode struct {
 	IP  net.IP
 	UDP uint16
 	TCP uint16
 	ID  enode.ID
+}
+
+// AppendRLP implements rlp.Encoder.
+func (r *RPCNode) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = appendAddr(b, r.IP, r.UDP, r.TCP)
+	b = rlp.AppendBytes(b, r.ID[:])
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (r *RPCNode) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if r.IP, r.UDP, r.TCP, err = decodeAddr(s); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(r.ID[:]); err != nil {
+		return err
+	}
+	return s.ListEnd()
 }
 
 // Node converts an RPCNode to an enode.Node.

@@ -11,7 +11,6 @@ package eth
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/big"
 
@@ -93,7 +92,47 @@ type Status struct {
 	TD              *big.Int
 	BestHash        chain.Hash
 	GenesisHash     chain.Hash
-	Rest            []rlp.RawValue `rlp:"tail"`
+	// Rest captures the fields a newer version appends. Its tag marks
+	// it for the reference codec in internal/rlp's tests.
+	Rest []rlp.RawValue `rlp:"tail"`
+}
+
+// AppendRLP implements rlp.Encoder.
+func (st *Status) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = rlp.AppendUint(b, uint64(st.ProtocolVersion))
+	b = rlp.AppendUint(b, st.NetworkID)
+	b = rlp.AppendBigInt(b, st.TD)
+	b = rlp.AppendBytes(b, st.BestHash[:])
+	b = rlp.AppendBytes(b, st.GenesisHash[:])
+	b = rlp.AppendRaw(b, st.Rest...)
+	return rlp.ListEnd(b, list)
+}
+
+// DecodeRLP implements rlp.Decoder.
+func (st *Status) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if st.ProtocolVersion, err = s.Uint32(); err != nil {
+		return err
+	}
+	if st.NetworkID, err = s.Uint64(); err != nil {
+		return err
+	}
+	if st.TD, err = s.BigInt(); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(st.BestHash[:]); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(st.GenesisHash[:]); err != nil {
+		return err
+	}
+	if st.Rest, err = s.Rest(); err != nil {
+		return err
+	}
+	return s.ListEnd()
 }
 
 // MainnetStatus is the STATUS a crawler announces to pass for a
@@ -128,23 +167,46 @@ type HashOrNumber struct {
 	IsHash bool
 }
 
-// EncodeRLP implements rlp.Encoder.
-func (h *HashOrNumber) EncodeRLP(w io.Writer) error {
-	var enc []byte
-	var err error
-	if h.IsHash {
-		enc, err = rlp.EncodeToBytes(h.Hash)
-	} else {
-		enc, err = rlp.EncodeToBytes(h.Number)
-	}
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(enc)
-	return err
+// AppendRLP implements rlp.Encoder.
+func (g *GetBlockHeaders) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = g.Origin.AppendRLP(b)
+	b = rlp.AppendUint(b, g.Amount)
+	b = rlp.AppendUint(b, g.Skip)
+	b = rlp.AppendBool(b, g.Reverse)
+	return rlp.ListEnd(b, list)
 }
 
 // DecodeRLP implements rlp.Decoder.
+func (g *GetBlockHeaders) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if err = g.Origin.DecodeRLP(s); err != nil {
+		return err
+	}
+	if g.Amount, err = s.Uint64(); err != nil {
+		return err
+	}
+	if g.Skip, err = s.Uint64(); err != nil {
+		return err
+	}
+	if g.Reverse, err = s.Bool(); err != nil {
+		return err
+	}
+	return s.ListEnd()
+}
+
+// AppendRLP implements rlp.Encoder.
+func (h *HashOrNumber) AppendRLP(b []byte) []byte {
+	if h.IsHash {
+		return rlp.AppendBytes(b, h.Hash[:])
+	}
+	return rlp.AppendUint(b, h.Number)
+}
+
+// DecodeRLP implements rlp.Decoder: a 32-byte string is a hash,
+// anything else must be a number.
 func (h *HashOrNumber) DecodeRLP(s *rlp.Stream) error {
 	_, size, err := s.Kind()
 	if err != nil {
@@ -152,12 +214,7 @@ func (h *HashOrNumber) DecodeRLP(s *rlp.Stream) error {
 	}
 	if size == 32 {
 		h.IsHash = true
-		var hash [32]byte
-		if err := s.ReadBytes(hash[:]); err != nil {
-			return err
-		}
-		h.Hash = chain.Hash(hash)
-		return nil
+		return s.ReadBytes(h.Hash[:])
 	}
 	h.IsHash = false
 	h.Number, err = s.Uint64()

@@ -105,9 +105,24 @@ func (failingRW) WriteMsg(uint64, []byte) error    { return errors.New("closed")
 
 func TestHashOrNumberDecodeErrors(t *testing.T) {
 	// A list is neither a hash nor a number.
-	enc, _ := rlp.EncodeToBytes([]uint{1, 2})
+	enc, err := rlp.EncodeToBytes([]uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var h HashOrNumber
 	if err := rlp.DecodeBytes(enc, &h); err == nil {
 		t.Fatal("list accepted as HashOrNumber")
+	}
+}
+
+// TestVerifyDAOForkRefusesEmptyHeader: a BLOCK_HEADERS body holding an
+// empty list where the header should be is malformed. Decoding it to a
+// nil *chain.Header would let one hostile answer panic the crawler in
+// SupportsDAOFork.
+func TestVerifyDAOForkRefusesEmptyHeader(t *testing.T) {
+	a, b := newChanRW()
+	b.WriteMsg(offset+BlockHeadersMsg, []byte{0xC1, 0xC0}) //nolint:errcheck
+	if _, err := VerifyDAOFork(a, offset); err == nil {
+		t.Fatal("a body of one empty header was accepted")
 	}
 }

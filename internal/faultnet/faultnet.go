@@ -16,8 +16,8 @@
 //
 //   - Wire faults (this file, conn.go): a Plan decides per
 //     connection whether to reset, stall, slow-loris, truncate,
-//     corrupt, duplicate, reorder, or delay traffic. Wrap a dial
-//     function with Plan.Dialer or a listener with Plan.Listener.
+//     corrupt, duplicate, reorder, or delay traffic. Plan.Wrap puts
+//     the next draw on a connection.
 //   - Protocol hostility (hostile.go): ServeConn speaks RLPx just
 //     far enough to attack a specific parser — never-ACK auth,
 //     handshake-then-hang, forged frame MACs, oversized HELLOs,
@@ -204,42 +204,4 @@ func (p *Plan) resetAfter() int {
 func (p *Plan) Wrap(fd net.Conn) net.Conn {
 	kind, seed := p.draw()
 	return newConn(fd, p, kind, seed)
-}
-
-// DialFunc matches nodefinder.RealDialer's DialFunc hook.
-type DialFunc func(network, address string, timeout time.Duration) (net.Conn, error)
-
-// Dialer wraps next so every successful dial's connection carries
-// one of the plan's faults. Nil next uses net.DialTimeout.
-func (p *Plan) Dialer(next DialFunc) DialFunc {
-	if next == nil {
-		next = net.DialTimeout
-	}
-	return func(network, address string, timeout time.Duration) (net.Conn, error) {
-		fd, err := next(network, address, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return p.Wrap(fd), nil
-	}
-}
-
-// Listener wraps ln so every accepted connection carries one of the
-// plan's faults. A Stall draw additionally delays the accept itself,
-// modeling a backlogged or deliberately slow accept loop.
-func (p *Plan) Listener(ln net.Listener) net.Listener {
-	return &listener{Listener: ln, plan: p}
-}
-
-type listener struct {
-	net.Listener
-	plan *Plan
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	fd, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.plan.Wrap(fd), nil
 }

@@ -241,38 +241,3 @@ func TestSlowLorisTrickles(t *testing.T) {
 		t.Fatalf("content mangled: %q", got)
 	}
 }
-
-func TestDialerAndListenerWrap(t *testing.T) {
-	leakcheck.Check(t)
-	p := &Plan{Seed: 3, Weights: map[Kind]int{Latency: 1}, Latency: 20 * time.Millisecond}
-	ln, err := net.Listen("tcp4", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped := p.Listener(ln)
-	defer wrapped.Close()
-	go func() {
-		c, err := wrapped.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		io.Copy(c, c) //nolint:errcheck // echo
-	}()
-	dial := p.Dialer(nil)
-	c, err := dial("tcp4", ln.Addr().String(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.Write([]byte("ping")) //nolint:errcheck
-	buf := make([]byte, 4)
-	c.SetReadDeadline(time.Now().Add(2 * time.Second)) //nolint:errcheck
-	if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "ping" {
-		t.Fatal(err, buf)
-	}
-	counts := p.Counts()
-	if counts[Latency] < 2 {
-		t.Fatalf("expected both directions faulted, counts = %v", counts)
-	}
-}

@@ -160,6 +160,23 @@ func TestSchedulerAdmission(t *testing.T) {
 	}
 }
 
+// TestRedialSuppressionBoundary pins the window's end: a node dialed
+// successfully at t is admissible again at exactly
+// t+redialSuppression, and not 1 ns before.
+func TestRedialSuppressionBoundary(t *testing.T) {
+	s := testScheduler(DefaultQueueCap, 16, nil)
+	now := time.Unix(1000, 0)
+	nd := testNode(1)
+	s.beginLocked(nd, mlog.ConnStaticDial, now)
+	s.completeLocked(nd, true, now)
+	if s.admissibleLocked(nd, now.Add(redialSuppression-time.Nanosecond)) {
+		t.Error("admissible 1 ns before the suppression window ends")
+	}
+	if !s.admissibleLocked(nd, now.Add(redialSuppression)) {
+		t.Error("not admissible exactly when the suppression window ends")
+	}
+}
+
 // TestBackoffDelayTable pins the backoff policy to the pre-refactor
 // Finder's exact shape: redialSuppression doubled per consecutive
 // failure, capped at maxDialBackoff, with ±20% jitter.

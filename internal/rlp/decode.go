@@ -1,94 +1,141 @@
 package rlp
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"math/big"
 	"reflect"
+	"unsafe"
 )
 
-// Decoder is implemented by types that want custom RLP decoding.
+// Decoder is implemented by every type with a wire decoding.
 type Decoder interface {
-	// DecodeRLP reads one value from the stream into the receiver.
-	DecodeRLP(*Stream) error
+	// DecodeRLP reads one value from s into the receiver. It must not
+	// retain s after it returns.
+	DecodeRLP(s *Stream) error
 }
-
-var decoderType = reflect.TypeOf((*Decoder)(nil)).Elem()
 
 // DecodeBytes parses RLP data from b into v. Input must contain
-// exactly one value and no trailing data.
-func DecodeBytes(b []byte, v any) error {
-	return decodeBytesInner(b, v, true)
-}
+// exactly one value and no trailing data. v is a Decoder, a *uint64 or
+// *[]uint64 (DISCONNECT's payloads), or a pointer to a slice of
+// pointers to a Decoder; any other value is an error.
+func DecodeBytes(b []byte, v any) error { return decode(b, v, true) }
 
 // DecodeFirst parses the first RLP value in b into v, ignoring any
-// trailing bytes. Protocol code that frames several values itself
-// (the discv4 packet codec tolerates trailing data for forward
-// compatibility) uses this where DecodeBytes would reject the input.
-func DecodeFirst(b []byte, v any) error {
-	return decodeBytesInner(b, v, false)
-}
+// trailing bytes. Protocol code whose payloads carry padding after the
+// value (EIP-8 handshake bodies, discv4 packets) uses it where
+// DecodeBytes would reject the input.
+func DecodeFirst(b []byte, v any) error { return decode(b, v, false) }
 
-func decodeBytesInner(b []byte, v any, exact bool) error {
-	if v == nil {
-		return errors.New("rlp: Decode target is nil")
+var errNilTarget = errors.New("rlp: Decode target is a nil pointer")
+
+func decode(b []byte, v any, exact bool) error {
+	s := Stream{in: b}
+	var err error
+	switch v := v.(type) {
+	case Decoder:
+		err = v.DecodeRLP(noescape(&s))
+	case *uint64:
+		if v == nil {
+			return errNilTarget
+		}
+		*v, err = s.Uint64()
+	case *[]uint64:
+		if v == nil {
+			return errNilTarget
+		}
+		*v, err = s.uint64s()
+	default:
+		_, err = codeSlice(nil, noescape(&s), v)
 	}
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer {
-		return fmt.Errorf("rlp: Decode target must be a pointer, got %T", v)
-	}
-	if rv.IsNil() {
-		return errors.New("rlp: Decode target is a nil pointer")
-	}
-	d := byteDec{in: b}
-	if err := d.decode(cachedPlan(rv.Type().Elem()), rv.Elem(), len(b), false); err != nil {
-		return err
-	}
-	if exact && d.pos < len(b) {
+	if err == nil && exact && s.pos < len(b) {
 		return ErrMoreThanOneValue
 	}
-	return nil
+	return err
 }
 
-// Stream is a streaming RLP decoder with explicit list handling. A
-// Stream is not safe for concurrent use.
-type Stream struct {
-	r io.Reader
-
-	pos            uint64 // total bytes consumed from r
-	remainingBytes uint64 // bytes left in the input, if limited
-	limited        bool
-
-	// Header state for the value at the front of the stream.
-	kind    Kind
-	size    uint64
-	kindErr error
-	haveHdr bool
-	byteval byte // value of a Byte-kind item
-
-	// Stack of enclosing lists; each entry is the absolute stream
-	// position at which that list's payload ends.
-	stack []uint64
+// noescape hides p from escape analysis. A Stream handed to a Decoder
+// through the interface would otherwise be moved to the heap: one
+// allocation per decoded message, on a path whose only other
+// allocations are the decoded values themselves. Sound because a
+// DecodeRLP does not retain its Stream, and the Stream hands out only
+// copies of its input.
+func noescape(p *Stream) *Stream {
+	x := uintptr(unsafe.Pointer(p))
+	return *(**Stream)(unsafe.Pointer(&x))
 }
 
-// Reset discards all stream state and starts reading from r. The
-// list stack's backing array is kept so pooled streams do not regrow
-// it on every decode.
-func (s *Stream) Reset(r io.Reader, inputLimit uint64) {
-	stack := s.stack[:0]
-	*s = Stream{r: r, stack: stack}
-	if inputLimit > 0 {
-		s.limited = true
-		s.remainingBytes = inputLimit
-	} else if br, ok := r.(*bytes.Reader); ok {
-		s.limited = true
-		s.remainingBytes = uint64(br.Len())
-	} else if _, ok := r.(*bufio.Reader); ok {
-		// Unlimited buffered reader: fine as-is.
+// codeSlice codes the one composite the front doors take: a slice of
+// pointers to a self-coding type (a BLOCK_HEADERS body, []*chain.Header)
+// or a pointer to one. With s nil it appends v's encoding to dst, a nil
+// element as an empty list; otherwise it decodes one list from s into
+// the slice v points to.
+func codeSlice(dst []byte, s *Stream, v any) ([]byte, error) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() == reflect.Pointer && !rv.IsNil() {
+		rv = rv.Elem()
 	}
+	iface := reflect.TypeFor[Encoder]()
+	if s != nil {
+		iface = reflect.TypeFor[Decoder]()
+	}
+	ok := rv.Kind() == reflect.Slice && rv.Type().Elem().Kind() == reflect.Pointer && rv.Type().Elem().Implements(iface)
+	if !ok || s != nil && !rv.CanSet() { // a decode needs a pointer to the slice
+		return dst, fmt.Errorf("rlp: cannot code %T", v)
+	}
+	if s == nil {
+		dst, list := ListStart(dst)
+		for i := range rv.Len() {
+			if e := rv.Index(i); e.IsNil() {
+				dst = append(dst, 0xC0)
+			} else {
+				dst = e.Interface().(Encoder).AppendRLP(dst)
+			}
+		}
+		return ListEnd(dst, list), nil
+	}
+	n, err := s.openList()
+	if err != nil {
+		return nil, err
+	}
+	rv.SetZero()
+	rv.Grow(n)
+	rv.SetLen(n)
+	for i := range n {
+		e := reflect.New(rv.Type().Elem().Elem())
+		if err := e.Interface().(Decoder).DecodeRLP(s); err != nil {
+			return nil, err
+		}
+		rv.Index(i).Set(e)
+	}
+	return nil, s.ListEnd()
+}
+
+// maxDepth bounds list nesting. The deepest wire type (a NEIGHBORS
+// packet's node records) nests three lists.
+const maxDepth = 32
+
+// Stream is an RLP decoder over a byte slice with explicit list
+// handling. Every declared size is checked against the input that is
+// left before anything is read or allocated, and every value it
+// returns is a copy: nothing decoded aliases the input. A Stream is
+// not safe for concurrent use.
+type Stream struct {
+	in  []byte
+	pos int
+
+	// The header of the value at the front, once Kind has read it;
+	// pos is then past the header (past the value, for a Byte).
+	haveHdr  bool
+	kind     Kind
+	size     uint64
+	kindErr  error
+	byteval  byte
+	hdrStart int
+
+	depth int
+	ends  [maxDepth]int // payload end of each enclosing list
 }
 
 // Kind returns the kind and size of the next value in the stream.
@@ -97,169 +144,91 @@ func (s *Stream) Kind() (Kind, uint64, error) {
 	if s.haveHdr {
 		return s.kind, s.size, s.kindErr
 	}
-	// If inside a list and the list is exhausted, signal EOL.
-	if len(s.stack) > 0 && s.pos >= s.stack[len(s.stack)-1] {
-		return 0, 0, EOL
-	}
-	kind, size, err := s.readKind()
-	s.kind, s.size, s.kindErr, s.haveHdr = kind, size, err, true
-	if err == nil && len(s.stack) > 0 {
-		// The header bytes already advanced pos; verify the payload
-		// fits the enclosing list.
-		if s.pos+size > s.stack[len(s.stack)-1] {
-			s.kindErr = ErrElemTooLarge
-			return s.kind, s.size, s.kindErr
+	end := len(s.in)
+	if s.depth > 0 {
+		end = s.ends[s.depth-1]
+		if s.pos >= end {
+			return 0, 0, EOL
 		}
+	} else if s.pos >= end {
+		return 0, 0, io.EOF
 	}
-	if err == nil && s.limited && size > s.remainingBytes {
-		s.kindErr = ErrValueTooLarge
-		return s.kind, s.size, s.kindErr
-	}
+	s.haveHdr, s.hdrStart = true, s.pos
+	s.kind, s.size, s.kindErr = s.readHeader(end)
 	return s.kind, s.size, s.kindErr
 }
 
-func (s *Stream) readKind() (Kind, uint64, error) {
-	b, err := s.readByte()
+// readHeader parses the header at pos, which is before end.
+func (s *Stream) readHeader(end int) (Kind, uint64, error) {
+	tag := s.in[s.pos]
+	s.pos++
+	var (
+		kind Kind
+		size uint64
+		err  error
+	)
+	switch {
+	case tag < 0x80:
+		s.byteval = tag
+		return Byte, 0, nil
+	case tag < 0xB8:
+		kind, size = String, uint64(tag-0x80)
+	case tag < 0xC0:
+		kind = String
+		size, err = s.readSize(int(tag-0xB7), end)
+	case tag < 0xF8:
+		kind, size = List, uint64(tag-0xC0)
+	default:
+		kind = List
+		size, err = s.readSize(int(tag-0xF7), end)
+	}
 	if err != nil {
-		if len(s.stack) == 0 {
-			// At top level, end of input is a clean io.EOF; an
-			// exhausted limit means the same thing.
-			if err == io.ErrUnexpectedEOF || (err == ErrValueTooLarge && s.remainingBytes == 0) {
-				err = io.EOF
-			}
-		}
 		return 0, 0, err
 	}
-	switch {
-	case b < 0x80:
-		s.byteval = b
-		return Byte, 0, nil
-	case b < 0xB8:
-		return String, uint64(b - 0x80), nil
-	case b < 0xC0:
-		size, err := s.readSize(b - 0xB7)
-		if err != nil {
-			return 0, 0, err
-		}
-		if size < 56 {
-			return 0, 0, ErrCanonSize
-		}
-		return String, size, nil
-	case b < 0xF8:
-		return List, uint64(b - 0xC0), nil
-	default:
-		size, err := s.readSize(b - 0xF7)
-		if err != nil {
-			return 0, 0, err
-		}
-		if size < 56 {
-			return 0, 0, ErrCanonSize
-		}
-		return List, size, nil
+	// The payload must fit the enclosing list, then the input. A size
+	// so large that pos+size wraps skips the first check and fails the
+	// second.
+	if pe := uint64(s.pos) + size; s.depth > 0 && pe >= uint64(s.pos) && pe > uint64(end) {
+		return kind, size, ErrElemTooLarge
 	}
+	if size > uint64(len(s.in)-s.pos) {
+		return kind, size, ErrValueTooLarge
+	}
+	return kind, size, nil
 }
 
 // readSize reads an n-byte big-endian size, enforcing canonical form.
-func (s *Stream) readSize(n byte) (uint64, error) {
-	if n > 8 {
-		return 0, ErrCanonSize
+func (s *Stream) readSize(n, end int) (uint64, error) {
+	if n > end-s.pos {
+		if s.depth > 0 {
+			return 0, ErrElemTooLarge
+		}
+		return 0, ErrValueTooLarge
 	}
-	var buf [8]byte
-	if err := s.readFull(buf[8-n:]); err != nil {
-		return 0, err
-	}
-	if buf[8-n] == 0 {
+	if s.in[s.pos] == 0 {
 		return 0, ErrCanonSize
 	}
 	var size uint64
-	for _, c := range buf {
+	for _, c := range s.in[s.pos : s.pos+n] {
 		size = size<<8 | uint64(c)
+	}
+	s.pos += n
+	if size < 56 {
+		return 0, ErrCanonSize
 	}
 	return size, nil
 }
 
-func (s *Stream) readByte() (byte, error) {
-	var buf [1]byte
-	if err := s.readFull(buf[:]); err != nil {
-		return 0, err
-	}
-	return buf[0], nil
-}
-
-func (s *Stream) readFull(buf []byte) error {
-	if err := s.willRead(uint64(len(buf))); err != nil {
-		return err
-	}
-	n, err := io.ReadFull(s.r, buf)
-	if err == io.EOF {
-		if n < len(buf) {
-			err = io.ErrUnexpectedEOF
-		} else {
-			err = nil
-		}
-	}
-	return err
-}
-
-// willRead accounts for n upcoming bytes against the list stack and
-// the input limit.
-func (s *Stream) willRead(n uint64) error {
+// take consumes the payload of the string whose header Kind has read.
+func (s *Stream) take(size uint64) []byte {
 	s.haveHdr = false
-	if len(s.stack) > 0 {
-		if s.pos+n > s.stack[len(s.stack)-1] {
-			return ErrElemTooLarge
-		}
-	}
-	if s.limited {
-		if n > s.remainingBytes {
-			return ErrValueTooLarge
-		}
-		s.remainingBytes -= n
-	}
-	s.pos += n
-	return nil
+	b := s.in[s.pos : s.pos+int(size)]
+	s.pos += int(size)
+	return b
 }
 
-// maxPrealloc caps the upfront allocation for a wire-declared byte
-// string on an unlimited stream. A peer's header can claim any length
-// up to 2^64; allocating it before a single payload byte arrives lets
-// one lying frame exhaust memory. Above the cap the buffer grows only
-// as bytes are actually read.
-const maxPrealloc = 1 << 16
-
-// readBytesSized returns a buffer holding size payload bytes without
-// trusting the wire-declared size: limited streams have already
-// checked size against the input limit in Kind, and unlimited streams
-// preallocate at most maxPrealloc, growing chunk by chunk as data
-// really arrives.
-func (s *Stream) readBytesSized(size uint64) ([]byte, error) {
-	if s.limited || size <= maxPrealloc {
-		// On a limited stream Kind has verified size <= remainingBytes,
-		// so the allocation is bounded by the caller-chosen input limit.
-		b := make([]byte, size)
-		if err := s.readFull(b); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	buf := make([]byte, 0, maxPrealloc)
-	for remaining := size; remaining > 0; {
-		n := remaining
-		if n > maxPrealloc {
-			n = maxPrealloc
-		}
-		chunk := make([]byte, n)
-		if err := s.readFull(chunk); err != nil {
-			return nil, err
-		}
-		buf = append(buf, chunk...)
-		remaining -= n
-	}
-	return buf, nil
-}
-
-// Bytes reads a byte string and returns its contents.
-func (s *Stream) Bytes() ([]byte, error) {
+// str consumes a byte string and returns its payload in place.
+func (s *Stream) str() ([]byte, error) {
 	kind, size, err := s.Kind()
 	if err != nil {
 		return nil, err
@@ -267,12 +236,9 @@ func (s *Stream) Bytes() ([]byte, error) {
 	switch kind {
 	case Byte:
 		s.haveHdr = false
-		return []byte{s.byteval}, nil
+		return s.in[s.pos-1 : s.pos], nil
 	case String:
-		b, err := s.readBytesSized(size)
-		if err != nil {
-			return nil, err
-		}
+		b := s.take(size)
 		if size == 1 && b[0] < 0x80 {
 			return nil, ErrCanonSize
 		}
@@ -282,66 +248,72 @@ func (s *Stream) Bytes() ([]byte, error) {
 	}
 }
 
-// ReadBytes reads a byte string into the provided buffer, which must
-// exactly match the value size.
+// Bytes reads a byte string and returns a copy of its contents.
+func (s *Stream) Bytes() ([]byte, error) {
+	b, err := s.str()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
+}
+
+// Text reads a byte string as a Go string.
+func (s *Stream) Text() (string, error) {
+	b, err := s.str()
+	return string(b), err
+}
+
+// ReadBytes reads a byte string into buf, whose length must match the
+// value's.
 func (s *Stream) ReadBytes(buf []byte) error {
 	kind, size, err := s.Kind()
 	if err != nil {
 		return err
 	}
 	switch kind {
-	case Byte:
-		if len(buf) != 1 {
-			return fmt.Errorf("rlp: byte string of length 1, want %d", len(buf))
-		}
-		s.haveHdr = false
-		buf[0] = s.byteval
-		return nil
-	case String:
-		if uint64(len(buf)) != size {
-			return fmt.Errorf("rlp: byte string of length %d, want %d", size, len(buf))
-		}
-		if err := s.readFull(buf); err != nil {
-			return err
-		}
-		if size == 1 && buf[0] < 0x80 {
-			return ErrCanonSize
-		}
-		return nil
-	default:
+	case List:
 		return ErrExpectedString
+	case Byte:
+		size = 1
 	}
+	if uint64(len(buf)) != size {
+		return fmt.Errorf("rlp: byte string of length %d, want %d", size, len(buf))
+	}
+	b, err := s.str()
+	copy(buf, b)
+	return err
 }
 
-// Raw reads one full value (header included) and returns it verbatim.
+// Raw reads one full value (header included) and returns a copy.
 func (s *Stream) Raw() ([]byte, error) {
 	kind, size, err := s.Kind()
 	if err != nil {
 		return nil, err
 	}
-	if kind == Byte {
-		s.haveHdr = false
-		return []byte{s.byteval}, nil
+	s.haveHdr = false
+	if kind != Byte {
+		s.pos += int(size)
 	}
-	// Re-synthesize the header, then copy the payload through.
-	head := make([]byte, 0, 9)
-	base := byte(0x80)
-	if kind == List {
-		base = 0xC0
+	out := make([]byte, s.pos-s.hdrStart)
+	copy(out, s.in[s.hdrStart:s.pos])
+	return out, nil
+}
+
+// Rest reads the values left in the current list verbatim: the tail a
+// newer peer appends to a known message. It is nil when there are
+// none.
+func (s *Stream) Rest() ([]RawValue, error) {
+	var rest []RawValue
+	for s.MoreDataInList() {
+		r, err := s.Raw()
+		if err != nil {
+			return nil, err
+		}
+		rest = append(rest, r)
 	}
-	if size < 56 {
-		head = append(head, base+byte(size))
-	} else {
-		var tmp [8]byte
-		n := putInt(tmp[:], size)
-		head = append(head, base+55+byte(n))
-		head = append(head, tmp[:n]...)
-	}
-	payload, err := s.readBytesSized(size)
-	if err != nil {
-		return nil, err
-	}
-	return append(head, payload...), nil
+	return rest, nil
 }
 
 // Uint64 reads an integer value of at most 8 bytes.
@@ -381,13 +353,13 @@ func (s *Stream) uint(maxbits int) (uint64, error) {
 		if size > uint64(maxbits/8) {
 			return 0, ErrUintOverflow
 		}
-		b := make([]byte, size)
-		if err := s.readFull(b); err != nil {
-			return 0, err
+		b := s.take(size)
+		if len(b) > 0 && b[0] == 0 {
+			return 0, ErrCanonInt
 		}
-		v, err := readInt(b)
-		if err != nil {
-			return 0, err
+		var v uint64
+		for _, c := range b {
+			v = v<<8 | uint64(c)
 		}
 		if size == 1 && v < 0x80 {
 			return 0, ErrCanonSize
@@ -416,7 +388,7 @@ func (s *Stream) Bool() (bool, error) {
 
 // BigInt reads an arbitrary-size unsigned integer.
 func (s *Stream) BigInt() (*big.Int, error) {
-	b, err := s.Bytes()
+	b, err := s.str()
 	if err != nil {
 		return nil, err
 	}
@@ -424,6 +396,41 @@ func (s *Stream) BigInt() (*big.Int, error) {
 		return nil, ErrCanonInt
 	}
 	return new(big.Int).SetBytes(b), nil
+}
+
+// DecodeList reads a list of self-coding values into a slice
+// allocated once, at its final length.
+func DecodeList[T any, P interface {
+	*T
+	Decoder
+}](s *Stream) ([]T, error) {
+	n, err := s.openList()
+	if err != nil {
+		return nil, err
+	}
+	list := make([]T, n)
+	for i := range list {
+		if err := P(&list[i]).DecodeRLP(s); err != nil {
+			return nil, err
+		}
+	}
+	return list, s.ListEnd()
+}
+
+// uint64s reads a list of integers.
+func (s *Stream) uint64s() ([]uint64, error) {
+	if _, err := s.List(); err != nil {
+		return nil, err
+	}
+	var list []uint64
+	for s.MoreDataInList() {
+		u, err := s.Uint64()
+		if err != nil {
+			return nil, err
+		}
+		list = append(list, u)
+	}
+	return list, s.ListEnd()
 }
 
 // List begins decoding a list. Subsequent reads return the list
@@ -437,21 +444,25 @@ func (s *Stream) List() (uint64, error) {
 	if kind != List {
 		return 0, ErrExpectedList
 	}
+	if s.depth == maxDepth {
+		return 0, fmt.Errorf("rlp: lists nested more than %d deep", maxDepth)
+	}
 	s.haveHdr = false
-	s.stack = append(s.stack, s.pos+size)
+	s.ends[s.depth] = s.pos + int(size)
+	s.depth++
 	return size, nil
 }
 
-// ListEnd leaves the innermost list, discarding nothing; all elements
-// must already have been consumed.
+// ListEnd leaves the innermost list, whose elements must all have been
+// consumed.
 func (s *Stream) ListEnd() error {
-	if len(s.stack) == 0 {
+	if s.depth == 0 {
 		return errors.New("rlp: ListEnd called outside of a list")
 	}
-	if s.pos < s.stack[len(s.stack)-1] {
+	if s.pos < s.ends[s.depth-1] {
 		return errors.New("rlp: ListEnd with unconsumed list elements")
 	}
-	s.stack = s.stack[:len(s.stack)-1]
+	s.depth--
 	s.haveHdr = false
 	return nil
 }
@@ -462,134 +473,53 @@ func (s *Stream) Skip() error {
 	if err != nil {
 		return err
 	}
-	switch kind {
-	case Byte:
-		s.haveHdr = false
-		return nil
-	case String:
-		return s.discard(size)
-	default:
-		// Consume the entire list payload as raw bytes.
-		s.haveHdr = false
-		s.stack = append(s.stack, s.pos+size)
-		if err := s.discard(size); err != nil {
-			return err
-		}
-		return s.ListEnd()
+	s.haveHdr = false
+	if kind != Byte {
+		s.pos += int(size)
 	}
-}
-
-func (s *Stream) discard(n uint64) error {
-	if err := s.willRead(n); err != nil {
-		return err
-	}
-	_, err := io.CopyN(io.Discard, s.r, int64(n))
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return err
+	return nil
 }
 
 // MoreDataInList reports whether the current innermost list has
 // unconsumed elements.
 func (s *Stream) MoreDataInList() bool {
-	return len(s.stack) > 0 && s.pos < s.stack[len(s.stack)-1]
+	return s.depth > 0 && s.pos < s.ends[s.depth-1]
 }
 
-// CountValues returns the number of top-level values in b.
-func CountValues(b []byte) (int, error) {
-	count := 0
-	for len(b) > 0 {
-		_, tagsize, size, err := readHead(b)
-		if err != nil {
+// openList enters a list and counts its values.
+func (s *Stream) openList() (int, error) {
+	if _, err := s.List(); err != nil {
+		return 0, err
+	}
+	return s.count()
+}
+
+// count returns the number of values left in the current list,
+// without consuming them.
+func (s *Stream) count() (int, error) {
+	c := Stream{in: s.in[:s.ends[s.depth-1]], pos: s.pos}
+	n := 0
+	for ; c.pos < len(c.in); n++ {
+		if err := c.Skip(); err != nil {
 			return 0, err
 		}
-		// Guard tagsize+size against uint64 overflow: a hostile header
-		// can announce a 2^64-1 byte value.
-		if size > uint64(len(b)) || tagsize > uint64(len(b))-size {
-			return 0, ErrValueTooLarge
-		}
-		b = b[tagsize+size:]
-		count++
 	}
-	return count, nil
+	return n, nil
 }
 
-// SplitList splits b into the payload of a list and any remaining
-// trailing bytes.
-func SplitList(b []byte) (content, rest []byte, err error) {
-	kind, tagsize, size, err := readHead(b)
-	if err != nil {
-		return nil, nil, err
-	}
-	if kind != List {
-		return nil, nil, ErrExpectedList
-	}
-	if size > uint64(len(b)) || tagsize > uint64(len(b))-size {
-		return nil, nil, ErrValueTooLarge
-	}
-	return b[tagsize : tagsize+size], b[tagsize+size:], nil
-}
-
-// SplitString splits b into the payload of a string and remaining
-// trailing bytes.
+// SplitString splits b into the payload of a string and the bytes
+// that follow it.
 func SplitString(b []byte) (content, rest []byte, err error) {
-	kind, tagsize, size, err := readHead(b)
-	if err != nil {
+	s := Stream{in: b}
+	kind, size, err := s.Kind()
+	switch {
+	case err != nil:
 		return nil, nil, err
-	}
-	if kind == List {
+	case kind == List:
 		return nil, nil, ErrExpectedString
-	}
-	if kind == Byte {
+	case kind == Byte:
 		return b[:1], b[1:], nil
 	}
-	if size > uint64(len(b)) || tagsize > uint64(len(b))-size {
-		return nil, nil, ErrValueTooLarge
-	}
-	return b[tagsize : tagsize+size], b[tagsize+size:], nil
-}
-
-// readHead parses the header at the start of b.
-func readHead(b []byte) (kind Kind, tagsize, size uint64, err error) {
-	if len(b) == 0 {
-		return 0, 0, 0, io.ErrUnexpectedEOF
-	}
-	tag := b[0]
-	switch {
-	case tag < 0x80:
-		return Byte, 0, 1, nil
-	case tag < 0xB8:
-		return String, 1, uint64(tag - 0x80), nil
-	case tag < 0xC0:
-		n := uint64(tag - 0xB7)
-		size, err = parseSize(b[1:], n)
-		return String, 1 + n, size, err
-	case tag < 0xF8:
-		return List, 1, uint64(tag - 0xC0), nil
-	default:
-		n := uint64(tag - 0xF7)
-		size, err = parseSize(b[1:], n)
-		return List, 1 + n, size, err
-	}
-}
-
-func parseSize(b []byte, n uint64) (uint64, error) {
-	if uint64(len(b)) < n {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if n > 8 {
-		return 0, ErrCanonSize
-	}
-	if b[0] == 0 {
-		return 0, ErrCanonSize
-	}
-	var size uint64
-	for i := uint64(0); i < n; i++ {
-		size = size<<8 | uint64(b[i])
-	}
-	if size < 56 {
-		return 0, ErrCanonSize
-	}
-	return size, nil
+	end := s.pos + int(size)
+	return b[s.pos:end], b[end:], nil
 }

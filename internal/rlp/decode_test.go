@@ -7,74 +7,74 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
+func newStream(b []byte) *Stream { return &Stream{in: b} }
+
 func TestDecodeVectorsRoundTrip(t *testing.T) {
-	// Every encoding vector must decode back to the original value.
+	// Every encoding vector must read back to the original value,
+	// consuming the whole input.
 	for i, test := range encTests {
-		rv := reflect.ValueOf(test.val)
-		if !rv.IsValid() || rv.Kind() == reflect.Pointer && rv.IsNil() {
-			continue // nil pointers round-trip to nil; handled separately
-		}
-		enc := mustHex(test.want)
-		target := reflect.New(rv.Type())
-		if err := DecodeBytes(enc, target.Interface()); err != nil {
+		s := newStream(mustHex(test.want))
+		got, err := test.dec(s)
+		if err != nil {
 			t.Errorf("test %d (%s): decode error: %v", i, test.want, err)
 			continue
 		}
-		got := target.Elem().Interface()
-		if !reflect.DeepEqual(got, test.val) {
-			// big.Int needs Cmp, not DeepEqual of internals.
-			if bi, ok := test.val.(*big.Int); ok {
-				if gbi, ok2 := got.(*big.Int); ok2 && gbi.Cmp(bi) == 0 {
-					continue
-				}
-			}
-			if b, ok := test.val.([]byte); ok && len(b) == 0 {
-				if gb, ok2 := got.([]byte); ok2 && len(gb) == 0 {
-					continue
-				}
-			}
+		if test.val != nil && !reflect.DeepEqual(got, test.val) {
 			t.Errorf("test %d: round trip %#v -> %#v", i, test.val, got)
+		}
+		if _, _, err := s.Kind(); err != io.EOF {
+			t.Errorf("test %d: %v after the value, want io.EOF", i, err)
 		}
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
+	bytesOf := func(s *Stream) error { _, err := s.Bytes(); return err }
+	textOf := func(s *Stream) error { _, err := s.Text(); return err }
+	u64 := func(s *Stream) error { _, err := s.Uint64(); return err }
+	u8 := func(s *Stream) error { _, err := s.Uint8(); return err }
+	list := func(s *Stream) error { _, err := s.uint64s(); return err }
 	tests := []struct {
 		input string
-		into  any
+		read  func(*Stream) error
 		want  error
 	}{
 		// Non-canonical single byte as string size.
-		{"8100", ptr([]byte{}), ErrCanonSize},
-		{"817f", ptr([]byte{}), ErrCanonSize},
+		{"8100", bytesOf, ErrCanonSize},
+		{"817f", bytesOf, ErrCanonSize},
 		// Leading zero in integer.
-		{"820011", ptr(uint64(0)), ErrCanonInt},
-		{"00", ptr(uint64(0)), ErrCanonInt},
+		{"820011", u64, ErrCanonInt},
+		{"00", u64, ErrCanonInt},
+		{"8100", u64, ErrCanonInt},
 		// Non-minimal length-of-length.
-		{"b800", ptr([]byte{}), ErrCanonSize},
-		{"b90037", ptr([]byte{}), ErrCanonSize},
-		{"f80102", ptr([]uint{}), ErrCanonSize},
+		{"b800", bytesOf, ErrCanonSize},
+		{"b90037", bytesOf, ErrCanonSize},
+		{"f80102", list, ErrCanonSize},
 		// Kind mismatches.
-		{"c0", ptr(uint64(0)), ErrExpectedString},
-		{"c0", ptr([]byte{}), ErrExpectedString},
-		{"c0", ptr(""), ErrExpectedString},
-		{"83646f67", ptr([]uint{}), ErrExpectedList},
+		{"c0", u64, ErrExpectedString},
+		{"c0", bytesOf, ErrExpectedString},
+		{"c0", textOf, ErrExpectedString},
+		{"83646f67", list, ErrExpectedList},
 		// Overflow.
-		{"89ffffffffffffffffff", ptr(uint64(0)), ErrUintOverflow},
-		{"8180", ptr(uint8(0)), nil}, // 128 fits a uint8
-		{"820100", ptr(uint8(0)), ErrUintOverflow},
+		{"89ffffffffffffffffff", u64, ErrUintOverflow},
+		{"8180", u8, nil}, // 128 fits a uint8
+		{"820100", u8, ErrUintOverflow},
 		// Truncated input: the announced size exceeds the input.
-		{"83", ptr([]byte{}), ErrValueTooLarge},
-		{"c3", ptr([]uint{}), ErrValueTooLarge},
+		{"83", bytesOf, ErrValueTooLarge},
+		{"c3", list, ErrValueTooLarge},
+		{"b90400", bytesOf, ErrValueTooLarge},
+		{"bfffffffffffffffff", list, ErrValueTooLarge},
 		// Element larger than containing list.
-		{"c2820505", ptr([]uint{}), ErrElemTooLarge},
+		{"c2820505", list, ErrElemTooLarge},
+		{"c2b90400", list, ErrElemTooLarge},
 	}
 	for _, test := range tests {
-		err := DecodeBytes(mustHex(test.input), test.into)
+		err := test.read(newStream(mustHex(test.input)))
 		if test.want == nil {
 			if err != nil {
 				t.Errorf("input %s: unexpected error %v", test.input, err)
@@ -82,7 +82,7 @@ func TestDecodeErrors(t *testing.T) {
 			continue
 		}
 		if !errors.Is(err, test.want) {
-			t.Errorf("input %s into %T: got %v, want %v", test.input, test.into, err, test.want)
+			t.Errorf("input %s: got %v, want %v", test.input, err, test.want)
 		}
 	}
 }
@@ -92,6 +92,9 @@ func TestDecodeTrailingBytes(t *testing.T) {
 	err := DecodeBytes(mustHex("0105"), &x)
 	if !errors.Is(err, ErrMoreThanOneValue) {
 		t.Errorf("got %v, want ErrMoreThanOneValue", err)
+	}
+	if err := DecodeFirst(mustHex("0105"), &x); err != nil || x != 1 {
+		t.Errorf("DecodeFirst: %d, %v; want 1, nil", x, err)
 	}
 }
 
@@ -109,17 +112,63 @@ func TestDecodeIntoNil(t *testing.T) {
 	}
 }
 
+// inner and outer are self-coding types nested the way wire types
+// nest: outer = [A, B, inner, D...], inner = [X].
+type inner struct{ X uint64 }
+
+type outer struct {
+	A uint64
+	B string
+	C inner
+	D []uint64
+}
+
+func (in *inner) AppendRLP(b []byte) []byte {
+	b, l := ListStart(b)
+	return ListEnd(AppendUint(b, in.X), l)
+}
+
+func (in *inner) DecodeRLP(s *Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if in.X, err = s.Uint64(); err != nil {
+		return err
+	}
+	return s.ListEnd()
+}
+
+func (o *outer) AppendRLP(b []byte) []byte {
+	b, l := ListStart(b)
+	b = AppendUint(b, o.A)
+	b = AppendString(b, o.B)
+	b = o.C.AppendRLP(b)
+	b, _ = EncodeAppend(b, o.D)
+	return ListEnd(b, l)
+}
+
+func (o *outer) DecodeRLP(s *Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if o.A, err = s.Uint64(); err != nil {
+		return err
+	}
+	if o.B, err = s.Text(); err != nil {
+		return err
+	}
+	if err = o.C.DecodeRLP(s); err != nil {
+		return err
+	}
+	if o.D, err = s.uint64s(); err != nil {
+		return err
+	}
+	return s.ListEnd()
+}
+
 func TestDecodeStruct(t *testing.T) {
-	type inner struct {
-		X uint
-	}
-	type outer struct {
-		A uint
-		B string
-		C inner
-		D []uint
-	}
-	enc, err := EncodeToBytes(outer{7, "hi", inner{9}, []uint{1, 2}})
+	want := outer{7, "hi", inner{9}, []uint64{1, 2}}
+	enc, err := EncodeToBytes(&want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,112 +176,65 @@ func TestDecodeStruct(t *testing.T) {
 	if err := DecodeBytes(enc, &got); err != nil {
 		t.Fatal(err)
 	}
-	want := outer{7, "hi", inner{9}, []uint{1, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("got %+v, want %+v", got, want)
 	}
 }
 
 func TestDecodeStructErrors(t *testing.T) {
-	type two struct{ A, B uint }
-	// Too few elements.
-	if err := DecodeBytes(mustHex("c101"), &two{}); err == nil {
-		t.Error("expected error for short list")
+	// Too few elements: the missing one reads as EOL.
+	if err := DecodeBytes(mustHex("c101"), &outer{}); !errors.Is(err, EOL) {
+		t.Errorf("short list: %v, want EOL", err)
 	}
-	// Too many elements.
-	if err := DecodeBytes(mustHex("c3010203"), &two{}); err == nil {
+	// Too many elements: ListEnd refuses to leave the list.
+	if err := DecodeBytes(mustHex("c30102c0"), &inner{}); err == nil {
 		t.Error("expected error for long list")
 	}
 }
 
-func TestDecodeOptionalFields(t *testing.T) {
-	type withOpt struct {
-		A uint
-		B uint `rlp:"optional"`
-	}
-	var v withOpt
-	if err := DecodeBytes(mustHex("c101"), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.A != 1 || v.B != 0 {
-		t.Errorf("got %+v", v)
-	}
-	if err := DecodeBytes(mustHex("c20102"), &v); err != nil {
-		t.Fatal(err)
-	}
-	if v.A != 1 || v.B != 2 {
-		t.Errorf("got %+v", v)
-	}
-}
-
 func TestDecodeTailField(t *testing.T) {
-	type withTail struct {
-		A    uint
-		Rest []uint `rlp:"tail"`
+	s := newStream(mustHex("c3010203"))
+	s.List()   //nolint:errcheck
+	s.Uint64() //nolint:errcheck
+	rest, err := s.Rest()
+	if err != nil || !reflect.DeepEqual(rest, []RawValue{{0x02}, {0x03}}) {
+		t.Errorf("got %x, %v", rest, err)
 	}
-	var v withTail
-	if err := DecodeBytes(mustHex("c3010203"), &v); err != nil {
+	if err := s.ListEnd(); err != nil {
 		t.Fatal(err)
 	}
-	if v.A != 1 || !reflect.DeepEqual(v.Rest, []uint{2, 3}) {
-		t.Errorf("got %+v", v)
+	// Empty tail is nil.
+	s = newStream(mustHex("c101"))
+	s.List()   //nolint:errcheck
+	s.Uint64() //nolint:errcheck
+	if rest, err := s.Rest(); rest != nil || err != nil {
+		t.Errorf("got %x, %v", rest, err)
 	}
-	// Empty tail is fine.
-	if err := DecodeBytes(mustHex("c101"), &v); err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Rest) != 0 {
-		t.Errorf("got %+v", v)
+	// A tail element that overruns its list is refused.
+	s = newStream(mustHex("c20183"))
+	s.List()   //nolint:errcheck
+	s.Uint64() //nolint:errcheck
+	if _, err := s.Rest(); !errors.Is(err, ErrElemTooLarge) {
+		t.Errorf("overrun tail: %v", err)
 	}
 }
 
 func TestDecodeByteArray(t *testing.T) {
 	var a [4]byte
-	if err := DecodeBytes(mustHex("8401020304"), &a); err != nil {
+	if err := newStream(mustHex("8401020304")).ReadBytes(a[:]); err != nil {
 		t.Fatal(err)
 	}
 	if a != [4]byte{1, 2, 3, 4} {
 		t.Errorf("got %x", a)
 	}
 	// Wrong size.
-	if err := DecodeBytes(mustHex("83010203"), &a); err == nil {
+	if err := newStream(mustHex("83010203")).ReadBytes(a[:]); err == nil {
 		t.Error("expected size mismatch error")
 	}
 }
 
-func TestDecodeInterface(t *testing.T) {
-	var v any
-	if err := DecodeBytes(mustHex("c88363617483646f67"), &v); err != nil {
-		t.Fatal(err)
-	}
-	list, ok := v.([]any)
-	if !ok || len(list) != 2 {
-		t.Fatalf("got %#v", v)
-	}
-	if string(list[0].([]byte)) != "cat" || string(list[1].([]byte)) != "dog" {
-		t.Errorf("got %#v", v)
-	}
-}
-
-func TestDecodePointerReuse(t *testing.T) {
-	var p *uint64
-	if err := DecodeBytes(mustHex("05"), &p); err != nil {
-		t.Fatal(err)
-	}
-	if p == nil || *p != 5 {
-		t.Errorf("got %v", p)
-	}
-	// Empty value resets to nil.
-	if err := DecodeBytes(mustHex("80"), &p); err != nil {
-		t.Fatal(err)
-	}
-	if p != nil {
-		t.Errorf("got %v, want nil", *p)
-	}
-}
-
 func TestStreamList(t *testing.T) {
-	s := newStream(bytes.NewReader(mustHex("c50183040404")), 0)
+	s := newStream(mustHex("c50183040404"))
 	size, err := s.List()
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +261,7 @@ func TestStreamList(t *testing.T) {
 
 func TestStreamSkip(t *testing.T) {
 	// [1, [2,3], "dog"] — skip the nested list.
-	enc, _ := EncodeToBytes([]any{uint(1), []uint{2, 3}, "dog"})
-	s := newStream(bytes.NewReader(enc), 0)
+	s := newStream(mustHex("c801c202038364" + "6f67"))
 	if _, err := s.List(); err != nil {
 		t.Fatal(err)
 	}
@@ -270,52 +271,38 @@ func TestStreamSkip(t *testing.T) {
 	if err := s.Skip(); err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Bytes()
-	if err != nil || string(b) != "dog" {
+	b, err := s.Text()
+	if err != nil || b != "dog" {
 		t.Fatalf("got %q, %v", b, err)
 	}
 }
 
 func TestStreamRaw(t *testing.T) {
 	enc := mustHex("c88363617483646f67")
-	s := newStream(bytes.NewReader(enc), 0)
-	raw, err := s.Raw()
+	raw, err := newStream(enc).Raw()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(raw, enc) {
 		t.Errorf("got %x, want %x", raw, enc)
 	}
-}
-
-func TestStreamReset(t *testing.T) {
-	s := newStream(bytes.NewReader(mustHex("01")), 0)
-	if v, _ := s.Uint64(); v != 1 {
-		t.Fatal("bad")
-	}
-	s.Reset(bytes.NewReader(mustHex("02")), 0)
-	if v, _ := s.Uint64(); v != 2 {
-		t.Fatal("bad after reset")
+	// The copy does not alias the input.
+	raw[1] = 0
+	if enc[1] == 0 {
+		t.Error("Raw aliases its input")
 	}
 }
 
 func TestCountValues(t *testing.T) {
-	n, err := CountValues(mustHex("0102c20304"))
+	s := newStream(mustHex("c50102c20304"))
+	s.List() //nolint:errcheck
+	n, err := s.count()
 	if err != nil || n != 3 {
 		t.Errorf("got %d, %v", n, err)
 	}
-}
-
-func TestSplitList(t *testing.T) {
-	content, rest, err := SplitList(mustHex("c2010205"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(content, []byte{1, 2}) || !bytes.Equal(rest, []byte{5}) {
-		t.Errorf("content %x rest %x", content, rest)
-	}
-	if _, _, err := SplitList(mustHex("83010203")); err != ErrExpectedList {
-		t.Errorf("got %v", err)
+	// Counting consumes nothing.
+	if v, err := s.Uint64(); v != 1 || err != nil {
+		t.Errorf("after count: %d, %v", v, err)
 	}
 }
 
@@ -350,15 +337,8 @@ func TestQuickUint64RoundTrip(t *testing.T) {
 // Property: byte strings always round-trip.
 func TestQuickBytesRoundTrip(t *testing.T) {
 	f := func(b []byte) bool {
-		enc, err := EncodeToBytes(b)
-		if err != nil {
-			return false
-		}
-		var out []byte
-		if err := DecodeBytes(enc, &out); err != nil {
-			return false
-		}
-		return bytes.Equal(out, b)
+		out, err := newStream(AppendBytes(nil, b)).Bytes()
+		return err == nil && bytes.Equal(out, b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -369,41 +349,31 @@ func TestQuickBytesRoundTrip(t *testing.T) {
 func TestQuickBigIntRoundTrip(t *testing.T) {
 	f := func(b []byte) bool {
 		v := new(big.Int).SetBytes(b)
-		enc, err := EncodeToBytes(v)
-		if err != nil {
-			return false
-		}
-		out := new(big.Int)
-		if err := DecodeBytes(enc, &out); err != nil {
-			return false
-		}
-		return out.Cmp(v) == 0
+		out, err := newStream(AppendBigInt(nil, v)).BigInt()
+		return err == nil && out.Cmp(v) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: nested string slices round-trip.
+// Property: lists of strings round-trip.
 func TestQuickStringSliceRoundTrip(t *testing.T) {
 	f := func(v []string) bool {
-		enc, err := EncodeToBytes(v)
-		if err != nil {
+		b, l := ListStart(nil)
+		for _, str := range v {
+			b = AppendString(b, str)
+		}
+		s := newStream(ListEnd(b, l))
+		if _, err := s.List(); err != nil {
 			return false
 		}
-		var out []string
-		if err := DecodeBytes(enc, &out); err != nil {
-			return false
-		}
-		if len(out) != len(v) {
-			return false
-		}
-		for i := range v {
-			if out[i] != v[i] {
+		for _, want := range v {
+			if got, err := s.Text(); err != nil || got != want {
 				return false
 			}
 		}
-		return true
+		return s.ListEnd() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -417,26 +387,28 @@ func TestQuickDecoderNoPanic(t *testing.T) {
 		n := rng.Intn(64)
 		b := make([]byte, n)
 		rng.Read(b)
-		var s []any
+		var s []uint64
 		_ = DecodeBytes(b, &s) // must not panic
 		var u uint64
 		_ = DecodeBytes(b, &u)
-		var raw RawValue
-		_ = DecodeBytes(b, &raw)
+		_, _ = newStream(b).Raw()
+		var o outer
+		_ = DecodeBytes(b, &o)
 	}
 }
 
-// Property: struct encoding equals the encoding of its field list.
+// Property: a list built with ListStart and ListEnd is its elements'
+// encodings behind one header for their total size, however long.
 func TestQuickStructFieldEquivalence(t *testing.T) {
 	f := func(a uint64, b []byte, c string) bool {
-		type s struct {
-			A uint64
-			B []byte
-			C string
-		}
-		e1, err1 := EncodeToBytes(s{a, b, c})
-		e2, err2 := EncodeToBytes([]any{a, b, c})
-		return err1 == nil && err2 == nil && bytes.Equal(e1, e2)
+		e1, l := ListStart([]byte{0xAB})
+		e1 = AppendUint(e1, a)
+		e1 = AppendBytes(e1, b)
+		e1 = AppendString(e1, c)
+		e1 = ListEnd(e1, l)
+		payload := AppendString(AppendBytes(AppendUint(nil, a), b), c)
+		e2 := append(appendHead([]byte{0xAB}, 0xC0, uint64(len(payload))), payload...)
+		return bytes.Equal(e1, e2)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -444,12 +416,23 @@ func TestQuickStructFieldEquivalence(t *testing.T) {
 }
 
 func TestDecodeDeeplyNested(t *testing.T) {
-	// 2000 nested lists must be rejected, not overflow the stack.
-	b := bytes.Repeat([]byte{0xC1}, 2000)
-	b = append(b, 0xC0)
-	var v any
-	if err := DecodeBytes(b, &v); err == nil {
-		t.Error("expected nesting depth error")
+	// Lists nested 2000 deep must be refused at maxDepth, not followed.
+	var b []byte
+	starts := make([]int, 2000)
+	for i := range starts {
+		b, starts[i] = ListStart(b)
+	}
+	for i := len(starts) - 1; i >= 0; i-- {
+		b = ListEnd(b, starts[i])
+	}
+	s := newStream(b)
+	var err error
+	depth := 0
+	for ; err == nil; depth++ {
+		_, err = s.List()
+	}
+	if depth != maxDepth+1 || !strings.Contains(err.Error(), "nested") {
+		t.Errorf("List failed at depth %d (%v), want %d", depth, err, maxDepth+1)
 	}
 }
 

@@ -4,99 +4,142 @@ import (
 	"bytes"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math/big"
+	"strings"
 	"testing"
 )
 
-// encTest is one encoding vector: a Go value and its expected hex.
+// encTest is one encoding vector: how to append a value, how to read
+// it back from a Stream, and its expected hex.
 type encTest struct {
+	enc  func([]byte) []byte
+	dec  func(*Stream) (any, error)
 	val  any
 	want string
+}
+
+func uintVec(i uint64, want string) encTest {
+	return encTest{func(b []byte) []byte { return AppendUint(b, i) }, func(s *Stream) (any, error) { return s.Uint64() }, i, want}
+}
+
+func bigVec(i *big.Int, want string) encTest {
+	dec := func(s *Stream) (any, error) {
+		v, err := s.BigInt()
+		if err != nil {
+			return nil, err
+		}
+		if i == nil && v.Sign() == 0 || i != nil && v.Cmp(i) == 0 {
+			return i, nil // nil encodes as zero
+		}
+		return v, nil
+	}
+	return encTest{func(b []byte) []byte { return AppendBigInt(b, i) }, dec, i, want}
+}
+
+func bytesVec(p []byte, want string) encTest {
+	return encTest{func(b []byte) []byte { return AppendBytes(b, p) }, func(s *Stream) (any, error) { return s.Bytes() }, p, want}
+}
+
+func stringVec(str, want string) encTest {
+	return encTest{func(b []byte) []byte { return AppendString(b, str) }, func(s *Stream) (any, error) { return s.Text() }, str, want}
+}
+
+// listVec encodes its elements with elem inside one list and reads
+// them back with read.
+func listVec[T any](elems []T, elem func([]byte, T) []byte, read func(*Stream) (T, error), want string) encTest {
+	enc := func(b []byte) []byte {
+		b, l := ListStart(b)
+		for _, e := range elems {
+			b = elem(b, e)
+		}
+		return ListEnd(b, l)
+	}
+	dec := func(s *Stream) (any, error) {
+		if _, err := s.List(); err != nil {
+			return nil, err
+		}
+		out := []T{}
+		for s.MoreDataInList() {
+			e, err := read(s)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, e)
+		}
+		return out, s.ListEnd()
+	}
+	return encTest{enc, dec, elems, want}
+}
+
+// nestedVec builds nested empty lists: each element is the number of
+// lists it contains.
+func nestedVec() encTest {
+	var nest func(b []byte, depth int) []byte
+	nest = func(b []byte, depth int) []byte {
+		b, l := ListStart(b)
+		for i := range depth {
+			b = nest(b, i)
+		}
+		return ListEnd(b, l)
+	}
+	return encTest{func(b []byte) []byte { return nest(b, 3) }, func(s *Stream) (any, error) { return s.Raw() }, nil, "c7c0c1c0c3c0c1c0"}
 }
 
 // The classic vectors from the Ethereum wiki plus edge cases.
 var encTests = []encTest{
 	// Booleans.
-	{true, "01"},
-	{false, "80"},
+	{func(b []byte) []byte { return AppendBool(b, true) }, func(s *Stream) (any, error) { return s.Bool() }, true, "01"},
+	{func(b []byte) []byte { return AppendBool(b, false) }, func(s *Stream) (any, error) { return s.Bool() }, false, "80"},
 
 	// Integers.
-	{uint64(0), "80"},
-	{uint64(1), "01"},
-	{uint64(0x7f), "7f"},
-	{uint64(0x80), "8180"},
-	{uint64(0xff), "81ff"},
-	{uint64(0x100), "820100"},
-	{uint64(1024), "820400"},
-	{uint64(0xffffff), "83ffffff"},
-	{uint64(0xffffffff), "84ffffffff"},
-	{uint64(0xffffffffff), "85ffffffffff"},
-	{uint64(0xffffffffffff), "86ffffffffffff"},
-	{uint64(0xffffffffffffff), "87ffffffffffffff"},
-	{uint64(0xffffffffffffffff), "88ffffffffffffffff"},
-	{uint8(0x80), "8180"},
-	{uint16(0x8000), "828000"},
-	{uint32(0), "80"},
+	uintVec(0, "80"),
+	uintVec(1, "01"),
+	uintVec(0x7f, "7f"),
+	uintVec(0x80, "8180"),
+	uintVec(0xff, "81ff"),
+	uintVec(0x100, "820100"),
+	uintVec(1024, "820400"),
+	uintVec(0xffffff, "83ffffff"),
+	uintVec(0xffffffff, "84ffffffff"),
+	uintVec(0xffffffffff, "85ffffffffff"),
+	uintVec(0xffffffffffff, "86ffffffffffff"),
+	uintVec(0xffffffffffffff, "87ffffffffffffff"),
+	uintVec(0xffffffffffffffff, "88ffffffffffffffff"),
 
 	// Big integers.
-	{big.NewInt(0), "80"},
-	{big.NewInt(1), "01"},
-	{big.NewInt(127), "7f"},
-	{big.NewInt(128), "8180"},
-	{new(big.Int).SetBytes(mustHex("102030405060708090a0b0c0d0e0f2")), "8f102030405060708090a0b0c0d0e0f2"},
-	{new(big.Int).SetBytes(mustHex("0100020003000400050006000700080009000a000b000c000d000e01")), "9c0100020003000400050006000700080009000a000b000c000d000e01"},
-	{(*big.Int)(nil), "80"},
+	bigVec(big.NewInt(0), "80"),
+	bigVec(big.NewInt(1), "01"),
+	bigVec(big.NewInt(127), "7f"),
+	bigVec(big.NewInt(128), "8180"),
+	bigVec(new(big.Int).SetBytes(mustHex("102030405060708090a0b0c0d0e0f2")), "8f102030405060708090a0b0c0d0e0f2"),
+	bigVec(new(big.Int).SetBytes(mustHex("0100020003000400050006000700080009000a000b000c000d000e01")), "9c0100020003000400050006000700080009000a000b000c000d000e01"),
+	bigVec(nil, "80"),
 
 	// Byte strings.
-	{[]byte{}, "80"},
-	{[]byte{0x00}, "00"},
-	{[]byte{0x7e}, "7e"},
-	{[]byte{0x7f}, "7f"},
-	{[]byte{0x80}, "8180"},
-	{[]byte("dog"), "83646f67"},
-	{[]byte("Lorem ipsum dolor sit amet, consectetur adipisicing elit"),
-		"b8384c6f72656d20697073756d20646f6c6f722073697420616d65742c20636f6e7365637465747572206164697069736963696e6720656c6974"},
-	{"dog", "83646f67"},
-	{"", "80"},
-
-	// Fixed-size byte arrays.
-	{[4]byte{1, 2, 3, 4}, "8401020304"},
-	{[1]byte{0x7f}, "7f"},
-	{[0]byte{}, "80"},
+	bytesVec([]byte{}, "80"),
+	bytesVec([]byte{0x00}, "00"),
+	bytesVec([]byte{0x7e}, "7e"),
+	bytesVec([]byte{0x7f}, "7f"),
+	bytesVec([]byte{0x80}, "8180"),
+	bytesVec([]byte("dog"), "83646f67"),
+	bytesVec([]byte("Lorem ipsum dolor sit amet, consectetur adipisicing elit"),
+		"b8384c6f72656d20697073756d20646f6c6f722073697420616d65742c20636f6e7365637465747572206164697069736963696e6720656c6974"),
+	stringVec("dog", "83646f67"),
+	stringVec("", "80"),
 
 	// Lists.
-	{[]uint{}, "c0"},
-	{[]uint{1, 2, 3}, "c3010203"},
-	{[]any{}, "c0"},
-	{[]string{"cat", "dog"}, "c88363617483646f67"},
+	listVec([]uint64{}, AppendUint, (*Stream).Uint64, "c0"),
+	listVec([]uint64{1, 2, 3}, AppendUint, (*Stream).Uint64, "c3010203"),
+	listVec([]string{"cat", "dog"}, AppendString, (*Stream).Text, "c88363617483646f67"),
 	// The set-theoretic representation of three:
 	// [ [], [[]], [ [], [[]] ] ]
-	{[]any{[]any{}, []any{[]any{}}, []any{[]any{}, []any{[]any{}}}},
-		"c7c0c1c0c3c0c1c0"},
-	// Nested slices.
-	{[][]uint{{}, {1}, {2, 3}}, "c6c0c101c20203"},
-
-	// Structs.
-	{struct{}{}, "c0"},
-	{struct{ A, B uint }{1, 2}, "c20102"},
-	{struct {
-		A uint
-		B string
-	}{5, "cusp"}, "c6058463757370"},
-
-	// Pointers.
-	{ptr(uint64(5)), "05"},
-	{(*uint64)(nil), "80"},
-	{(*[]uint)(nil), "c0"},
-	{(*struct{ A uint })(nil), "c0"},
-	{ptr([]byte("dog")), "83646f67"},
+	nestedVec(),
+	// A payload of 56 bytes or more moves up behind a longer header.
+	listVec([]string{strings.Repeat("a", 60)}, AppendString, (*Stream).Text, "f83eb83c"+strings.Repeat("61", 60)),
 
 	// RawValue pass-through.
-	{RawValue(mustHex("c20102")), "c20102"},
+	{func(b []byte) []byte { return AppendRaw(b, RawValue(mustHex("c20102"))) }, func(s *Stream) (any, error) { return s.Raw() }, []byte(mustHex("c20102")), "c20102"},
 }
-
-func ptr[T any](v T) *T { return &v }
 
 func mustHex(s string) []byte {
 	b, err := hex.DecodeString(s)
@@ -108,31 +151,21 @@ func mustHex(s string) []byte {
 
 func TestEncodeVectors(t *testing.T) {
 	for i, test := range encTests {
-		got, err := EncodeToBytes(test.val)
-		if err != nil {
-			t.Errorf("test %d (%#v): unexpected error: %v", i, test.val, err)
-			continue
+		// Into a used buffer: the helpers append.
+		got := test.enc([]byte{0xAB})
+		if got[0] != 0xAB || hex.EncodeToString(got[1:]) != test.want {
+			t.Errorf("test %d (%#v): got %x, want ab%s", i, test.val, got, test.want)
 		}
-		if hex.EncodeToString(got) != test.want {
-			t.Errorf("test %d (%#v): got %x, want %s", i, test.val, got, test.want)
-		}
-	}
-}
-
-func TestEncodeToWriter(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Encode(&buf, []string{"cat", "dog"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(buf.Bytes()); got != "c88363617483646f67" {
-		t.Errorf("got %s", got)
 	}
 }
 
 func TestEncodeNegativeBigInt(t *testing.T) {
-	if _, err := EncodeToBytes(big.NewInt(-1)); err != ErrNegativeBigInt {
-		t.Errorf("got %v, want ErrNegativeBigInt", err)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AppendBigInt(-1) did not panic")
+		}
+	}()
+	AppendBigInt(nil, big.NewInt(-1))
 }
 
 func TestEncodeUnsupportedTypes(t *testing.T) {
@@ -143,59 +176,13 @@ func TestEncodeUnsupportedTypes(t *testing.T) {
 	}
 }
 
-func TestEncodeStructTags(t *testing.T) {
-	type tagged struct {
-		A uint
-		B uint `rlp:"-"`
-		C uint
-	}
-	got, err := EncodeToBytes(tagged{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hex.EncodeToString(got) != "c20103" {
-		t.Errorf("got %x, want c20103 (B skipped)", got)
-	}
-}
-
 func TestEncodeTailField(t *testing.T) {
-	type withTail struct {
-		A    uint
-		Rest []uint `rlp:"tail"`
-	}
-	got, err := EncodeToBytes(withTail{1, []uint{2, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Tail elements are spliced into the outer list, not nested.
-	if hex.EncodeToString(got) != "c3010203" {
-		t.Errorf("got %x, want c3010203", got)
-	}
-}
-
-func TestEncodeOptionalFields(t *testing.T) {
-	type withOpt struct {
-		A uint
-		B uint `rlp:"optional"`
-		C uint `rlp:"optional"`
-	}
-	tests := []struct {
-		in   withOpt
-		want string
-	}{
-		{withOpt{1, 0, 0}, "c101"},
-		{withOpt{1, 2, 0}, "c20102"},
-		{withOpt{1, 0, 3}, "c3018003"}, // zero B must be kept to preserve C's position
-		{withOpt{1, 2, 3}, "c3010203"},
-	}
-	for _, test := range tests {
-		got, err := EncodeToBytes(test.in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if hex.EncodeToString(got) != test.want {
-			t.Errorf("%+v: got %x, want %s", test.in, got, test.want)
-		}
+	// A captured tail is spliced into the outer list, not nested.
+	b, l := ListStart(nil)
+	b = AppendUint(b, 1)
+	b = AppendRaw(b, RawValue{0x02}, RawValue{0x03})
+	if got := hex.EncodeToString(ListEnd(b, l)); got != "c3010203" {
+		t.Errorf("got %s, want c3010203", got)
 	}
 }
 
@@ -213,14 +200,11 @@ type customEnc struct{}
 
 var _ Encoder = (*customEnc)(nil)
 
-func (c *customEnc) EncodeRLP(w io.Writer) error {
-	_, err := w.Write(mustHex("c20102"))
-	return err
-}
+func (c *customEnc) AppendRLP(b []byte) []byte { return append(b, mustHex("c20102")...) }
 
 func TestEncodeLongList(t *testing.T) {
 	// A list longer than 55 bytes gets a multi-byte header.
-	vals := make([]uint, 60)
+	vals := make([]uint64, 60)
 	for i := range vals {
 		vals[i] = 1
 	}
@@ -237,11 +221,7 @@ func TestEncodeLongList(t *testing.T) {
 }
 
 func TestEncodeLongString(t *testing.T) {
-	b := make([]byte, 1024)
-	got, err := EncodeToBytes(b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := AppendBytes(nil, make([]byte, 1024))
 	if got[0] != 0xB9 || got[1] != 0x04 || got[2] != 0x00 {
 		t.Errorf("header = %x", got[:3])
 	}
@@ -254,9 +234,6 @@ func TestAppendUint(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("AppendUint(%d) = %x, want %x", i, got, want)
 		}
-		if IntSize(i) != len(want) {
-			t.Errorf("IntSize(%d) = %d, want %d", i, IntSize(i), len(want))
-		}
 	}
 }
 
@@ -265,32 +242,30 @@ func BenchmarkEncodeIntSlice(b *testing.B) {
 	for i := range vals {
 		vals[i] = uint64(i * 7777)
 	}
+	buf := make([]byte, 0, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := EncodeToBytes(vals); err != nil {
+		if _, err := EncodeAppend(buf, vals); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkEncodeStruct(b *testing.B) {
-	type header struct {
-		ParentHash [32]byte
-		Number     uint64
-		Time       uint64
-		Extra      []byte
-	}
-	h := header{Number: 4370000, Time: 1508131331, Extra: []byte("dao-hard-fork")}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeToBytes(&h); err != nil {
-			b.Fatal(err)
-		}
-	}
+// pair is a two-field wire type that codes itself.
+type pair struct {
+	Name string
+	Port uint64
+}
+
+func (p *pair) AppendRLP(b []byte) []byte {
+	b, list := ListStart(b)
+	b = AppendString(b, p.Name)
+	b = AppendUint(b, p.Port)
+	return ListEnd(b, list)
 }
 
 func ExampleEncodeToBytes() {
-	b, _ := EncodeToBytes([]string{"cat", "dog"})
+	b, _ := EncodeToBytes(&pair{Name: "cat", Port: 30303})
 	fmt.Printf("%x\n", b)
-	// Output: c88363617483646f67
+	// Output: c78363617482765f
 }

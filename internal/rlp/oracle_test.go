@@ -1,24 +1,32 @@
 package rlp
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 	"reflect"
 )
 
-// The differential oracle: the original reflection codec, with no
-// compiled plans and no pooling, byte-for-byte the seed behavior. It
-// was the production fallback behind a runtime switch until the plan
-// codec became the only wire path; it lives in a test file so no
-// binary links it. The FuzzPlanVsOracle* targets, FuzzDecode,
-// TestPlanMatchesOracle and TestPlanErrorParity run the plan codec
-// against it — any divergence in output bytes, decoded values,
-// success/failure or (outside custom codecs) error text is a bug in
-// the plan layer. The pattern matches internal/crypto/secp256k1's
-// math/big oracle.
+// The reference codec: a reflection walker over struct fields. It
+// lives in a test file so no binary links it. FuzzWireVsOracle and TestWireMatchesOracle
+// (wire_test.go, through export_test.go) hold every wire type's
+// AppendRLP and DecodeRLP to it: the same bytes, the same decoded
+// values and the same accept/reject. Its encoder is independent of the
+// Append helpers (list headers are placed once the whole value is
+// written); its decoder walks the Stream.
+//
+// A type in oracleLeaves (eth.HashOrNumber, whose shape depends on its
+// value) codes itself. Every other type is walked field by field,
+// whatever methods it has: a struct is the list of its exported fields
+// in order, and a last field tagged `rlp:"tail"` takes the list's
+// remaining values. As in geth, a pointer decodes by allocating, so an
+// empty value never yields a nil pointer.
+var oracleLeaves = map[reflect.Type]bool{}
+
+var (
+	bigIntType   = reflect.TypeOf(new(big.Int))
+	rawValueType = reflect.TypeOf(RawValue{})
+)
 
 // oracleEncodeToBytes is EncodeToBytes on the reflection walker.
 func oracleEncodeToBytes(v any) ([]byte, error) {
@@ -29,323 +37,297 @@ func oracleEncodeToBytes(v any) ([]byte, error) {
 	return buf.finish(), nil
 }
 
-// oracleDecodeBytes is DecodeBytes on a fresh reflection Stream.
+// oracleDecodeBytes is DecodeBytes on the reflection walker.
 func oracleDecodeBytes(b []byte, v any) error {
-	s := newStream(bytes.NewReader(b), uint64(len(b)))
-	if err := s.Decode(v); err != nil {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("rlp: oracle decode target must be a non-nil pointer, got %T", v)
+	}
+	s := &Stream{in: b}
+	if err := s.decodeValue(rv.Elem()); err != nil {
 		return err
 	}
-	if s.remainingBytes > 0 { // a bytes.Reader always limits the stream
+	if s.pos < len(b) {
 		return ErrMoreThanOneValue
 	}
 	return nil
 }
 
-// newStream creates a decoding stream reading from r. If inputLimit
-// is greater than zero, the stream refuses to read values larger than
-// the limit. Production code only ever meets a Stream as the argument
-// of a custom DecodeRLP, over a byte slice the codec already bounded,
-// so there is no exported constructor.
-func newStream(r io.Reader, inputLimit uint64) *Stream {
-	s := new(Stream)
-	s.Reset(r, inputLimit)
-	return s
+// listHead marks a pending list whose payload length is unknown until
+// the list is closed.
+type listHead struct {
+	offset int // index into encBuffer.str where the list payload starts
+	size   int // total size of encoded payload, including nested headers
 }
 
-// writeBigInt is the allocating reference for writeBigIntFast.
-func (buf *encBuffer) writeBigInt(i *big.Int) error {
-	if i == nil {
-		buf.writeByte(0x80)
-		return nil
+// encBuffer accumulates string data and pending list headers; headers
+// are materialized in finish once all payload sizes are known.
+type encBuffer struct {
+	str    []byte     // string data, excluding list headers
+	lheads []listHead // all list headers, in order of appearance
+	lhsize int        // sum of encoded sizes of all list headers
+}
+
+func (buf *encBuffer) size() int { return len(buf.str) + buf.lhsize }
+
+func headerSize(payload int) int {
+	if payload < 56 {
+		return 1
 	}
-	if i.Sign() < 0 {
-		return ErrNegativeBigInt
+	return 1 + intSize(uint64(payload))
+}
+
+// putBigEndian writes i big-endian with no leading zeros into b and
+// returns the number of bytes written.
+func putBigEndian(b []byte, i uint64) int {
+	n := 0
+	for x := i; x > 0; x >>= 8 {
+		n++
 	}
-	if i.BitLen() <= 64 {
-		buf.writeUint(i.Uint64())
-		return nil
+	for j := n - 1; j >= 0; j-- {
+		b[j] = byte(i)
+		i >>= 8
 	}
-	b := i.Bytes()
+	return n
+}
+
+func (buf *encBuffer) writeHead(base byte, size int) {
+	if size < 56 {
+		buf.str = append(buf.str, base+byte(size))
+		return
+	}
+	var tmp [9]byte
+	n := putBigEndian(tmp[1:], uint64(size))
+	tmp[0] = base + 55 + byte(n)
+	buf.str = append(buf.str, tmp[:n+1]...)
+}
+
+func (buf *encBuffer) writeString(b []byte) {
+	if len(b) == 1 && b[0] < 0x80 {
+		buf.str = append(buf.str, b[0])
+		return
+	}
 	buf.writeHead(0x80, len(b))
-	buf.write(b)
-	return nil
+	buf.str = append(buf.str, b...)
+}
+
+func (buf *encBuffer) writeUint(i uint64) {
+	var tmp [8]byte
+	buf.writeString(tmp[:putBigEndian(tmp[:], i)])
+}
+
+func (buf *encBuffer) listStart() int {
+	buf.lheads = append(buf.lheads, listHead{offset: len(buf.str), size: buf.lhsize})
+	return len(buf.lheads) - 1
+}
+
+func (buf *encBuffer) listEnd(idx int) {
+	h := &buf.lheads[idx]
+	h.size = buf.size() - h.offset - h.size
+	buf.lhsize += headerSize(h.size)
+}
+
+// finish interleaves the string data with the materialized list
+// headers.
+func (buf *encBuffer) finish() []byte {
+	out := make([]byte, 0, buf.size())
+	strpos := 0
+	for _, h := range buf.lheads {
+		out = append(out, buf.str[strpos:h.offset]...)
+		strpos = h.offset
+		var tmp [9]byte
+		if h.size < 56 {
+			out = append(out, 0xC0+byte(h.size))
+		} else {
+			n := putBigEndian(tmp[1:], uint64(h.size))
+			tmp[0] = 0xC0 + 55 + byte(n)
+			out = append(out, tmp[:n+1]...)
+		}
+	}
+	return append(out, buf.str[strpos:]...)
 }
 
 func (buf *encBuffer) encode(v reflect.Value) error {
-	if buf.depth > maxEncodeDepth {
-		return fmt.Errorf("rlp: encode nesting exceeds %d levels", maxEncodeDepth)
-	}
 	if !v.IsValid() {
-		return fmt.Errorf("rlp: cannot encode nil interface value")
+		return errors.New("rlp: oracle cannot encode nil")
 	}
 	typ := v.Type()
-
-	// Custom encoders and special types first.
-	if typ == rawValueType {
-		buf.write(v.Bytes())
+	switch {
+	case typ == rawValueType:
+		buf.str = append(buf.str, v.Bytes()...)
 		return nil
-	}
-	if typ.Implements(encoderType) {
-		if typ.Kind() == reflect.Pointer && v.IsNil() {
-			buf.writeByte(0xC0)
-			return nil
-		}
-		// EncodeRLP writes fully-encoded bytes; capture them and
-		// splice verbatim.
-		w := &encWriter{}
-		if err := v.Interface().(Encoder).EncodeRLP(w); err != nil {
-			return err
-		}
-		buf.write(w.data)
-		return nil
-	}
-	if !typ.Implements(encoderType) && typ.Kind() != reflect.Pointer &&
-		reflect.PointerTo(typ).Implements(encoderType) && typ != bigIntType.Elem() {
-		// Pointer-receiver Encoder used for a value: take the address
-		// (copying if unaddressable) so EncodeRLP applies.
+	case oracleLeaves[typ]:
 		cp := reflect.New(typ)
 		cp.Elem().Set(v)
-		return buf.encode(cp)
+		buf.str = cp.Interface().(Encoder).AppendRLP(buf.str)
+		return nil
+	case typ == bigIntType:
+		i := v.Interface().(*big.Int)
+		if i == nil {
+			buf.writeString(nil)
+			return nil
+		}
+		if i.Sign() < 0 {
+			return errors.New("rlp: oracle cannot encode negative big.Int")
+		}
+		buf.writeString(i.Bytes())
+		return nil
 	}
-	if typ == bigIntType {
-		return buf.writeBigInt(v.Interface().(*big.Int))
-	}
-	if typ.Kind() != reflect.Pointer && reflect.PointerTo(typ) == bigIntType {
-		i := v.Interface().(big.Int)
-		return buf.writeBigInt(&i)
-	}
-
 	switch typ.Kind() {
 	case reflect.Bool:
 		if v.Bool() {
-			buf.writeByte(0x01)
+			buf.writeUint(1)
 		} else {
-			buf.writeByte(0x80)
+			buf.writeUint(0)
 		}
-		return nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		buf.writeUint(v.Uint())
-		return nil
 	case reflect.String:
 		buf.writeString([]byte(v.String()))
-		return nil
-	case reflect.Slice:
-		if typ.Elem().Kind() == reflect.Uint8 && !typ.Elem().Implements(encoderType) {
-			buf.writeString(v.Bytes())
+	case reflect.Slice, reflect.Array:
+		if typ.Elem().Kind() == reflect.Uint8 {
+			cp := reflect.New(typ).Elem() // addressable, so Bytes works on arrays
+			cp.Set(v)
+			buf.writeString(cp.Bytes())
 			return nil
 		}
-		return buf.encodeList(v)
-	case reflect.Array:
-		if isByteArray(typ) {
-			if !v.CanAddr() {
-				// Copy so Slice is legal on unaddressable arrays.
-				cp := reflect.New(typ).Elem()
-				cp.Set(v)
-				v = cp
+		idx := buf.listStart()
+		for i := range v.Len() {
+			if err := buf.encode(v.Index(i)); err != nil {
+				return err
 			}
-			buf.writeString(v.Slice(0, v.Len()).Bytes())
-			return nil
 		}
-		return buf.encodeList(v)
+		buf.listEnd(idx)
 	case reflect.Struct:
-		return buf.encodeStruct(v)
-	case reflect.Pointer:
-		if v.IsNil() {
-			return buf.encodeNilPointer(typ.Elem())
-		}
-		return buf.encode(v.Elem())
-	case reflect.Interface:
-		if v.IsNil() {
-			return fmt.Errorf("rlp: cannot encode nil interface value")
-		}
-		return buf.encode(v.Elem())
-	default:
-		return fmt.Errorf("rlp: type %v is not RLP-serializable", typ)
-	}
-}
-
-// encodeNilPointer writes the conventional empty value for a nil
-// pointer: empty string for string-like element types, empty list for
-// list-like ones.
-func (buf *encBuffer) encodeNilPointer(elem reflect.Type) error {
-	switch {
-	case elem.Kind() == reflect.Struct && elem != bigIntType.Elem():
-		buf.writeByte(0xC0)
-	case elem.Kind() == reflect.Slice && elem.Elem().Kind() != reflect.Uint8:
-		buf.writeByte(0xC0)
-	case elem.Kind() == reflect.Array && !isByteArray(elem):
-		buf.writeByte(0xC0)
-	default:
-		buf.writeByte(0x80)
-	}
-	return nil
-}
-
-func (buf *encBuffer) encodeList(v reflect.Value) error {
-	idx := buf.listStart()
-	buf.depth++
-	for i := 0; i < v.Len(); i++ {
-		if err := buf.encode(v.Index(i)); err != nil {
+		fields, err := structFields(typ)
+		if err != nil {
 			return err
 		}
-	}
-	buf.depth--
-	buf.listEnd(idx)
-	return nil
-}
-
-func (buf *encBuffer) encodeStruct(v reflect.Value) error {
-	fields, err := structFields(v.Type())
-	if err != nil {
-		return err
-	}
-	// Trailing optional fields holding zero values are omitted, in
-	// reverse order, so that older decoders accept the output.
-	last := len(fields)
-	for last > 0 && fields[last-1].optional && v.Field(fields[last-1].index).IsZero() {
-		last--
-	}
-	idx := buf.listStart()
-	buf.depth++
-	for _, f := range fields[:last] {
-		fv := v.Field(f.index)
-		if f.tail {
-			// Tail fields splice their elements into the outer list.
-			for i := 0; i < fv.Len(); i++ {
+		idx := buf.listStart()
+		for _, f := range fields {
+			fv := v.Field(f.index)
+			if !f.tail {
+				if err := buf.encode(fv); err != nil {
+					return err
+				}
+				continue
+			}
+			for i := range fv.Len() {
 				if err := buf.encode(fv.Index(i)); err != nil {
 					return err
 				}
 			}
-			continue
 		}
-		if err := buf.encode(fv); err != nil {
-			return err
+		buf.listEnd(idx)
+	case reflect.Pointer:
+		if v.IsNil() {
+			buf.str = append(buf.str, 0xC0) // every pointer the wire types hold is to a list
+			return nil
 		}
+		return buf.encode(v.Elem())
+	default:
+		return fmt.Errorf("rlp: oracle cannot encode %v", typ)
 	}
-	buf.depth--
-	buf.listEnd(idx)
 	return nil
 }
 
-// encWriter collects bytes written by a custom Encoder implementation.
-type encWriter struct{ data []byte }
-
-func (w *encWriter) Write(p []byte) (int, error) {
-	w.data = append(w.data, p...)
-	return len(p), nil
+// fieldInfo describes one struct field relevant to RLP.
+type fieldInfo struct {
+	index int
+	name  string
+	tail  bool
 }
 
-// Decode reads the next value from the stream into v, which must be a
-// non-nil pointer.
-func (s *Stream) Decode(v any) error {
-	if v == nil {
-		return errors.New("rlp: Decode target is nil")
+// structFields returns the RLP-visible fields of a struct type.
+func structFields(typ reflect.Type) ([]fieldInfo, error) {
+	var fields []fieldInfo
+	for i := range typ.NumField() {
+		f := typ.Field(i)
+		if !f.IsExported() || f.Tag.Get("rlp") == "-" {
+			continue
+		}
+		if len(fields) > 0 && fields[len(fields)-1].tail {
+			return nil, fmt.Errorf("rlp: field %s.%s follows tail field", typ, f.Name)
+		}
+		info := fieldInfo{index: i, name: f.Name}
+		switch tag := f.Tag.Get("rlp"); tag {
+		case "":
+		case "tail":
+			if f.Type.Kind() != reflect.Slice {
+				return nil, fmt.Errorf("rlp: tail field %s.%s must be a slice", typ, f.Name)
+			}
+			info.tail = true
+		default:
+			return nil, fmt.Errorf("rlp: unknown struct tag %q on %s.%s", tag, typ, f.Name)
+		}
+		fields = append(fields, info)
 	}
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer {
-		return fmt.Errorf("rlp: Decode target must be a pointer, got %T", v)
-	}
-	if rv.IsNil() {
-		return errors.New("rlp: Decode target is a nil pointer")
-	}
-	return s.decodeValue(rv.Elem())
+	return fields, nil
 }
 
 func (s *Stream) decodeValue(v reflect.Value) error {
-	if len(s.stack) > maxDecodeDepth {
-		return fmt.Errorf("rlp: decode nesting exceeds %d levels", maxDecodeDepth)
-	}
 	typ := v.Type()
-
-	if typ == rawValueType {
+	switch {
+	case typ == rawValueType:
 		raw, err := s.Raw()
-		if err != nil {
-			return err
-		}
 		v.SetBytes(raw)
-		return nil
-	}
-	if reflect.PointerTo(typ).Implements(decoderType) {
+		return err
+	case oracleLeaves[typ]:
 		return v.Addr().Interface().(Decoder).DecodeRLP(s)
-	}
-	if typ == bigIntType {
+	case typ == bigIntType:
 		i, err := s.BigInt()
-		if err != nil {
-			return wrapTypeError(err, typ)
+		if err == nil {
+			v.Set(reflect.ValueOf(i))
 		}
-		v.Set(reflect.ValueOf(i))
-		return nil
+		return err
 	}
-	if typ.Kind() != reflect.Pointer && reflect.PointerTo(typ) == bigIntType {
-		i, err := s.BigInt()
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
-		v.Set(reflect.ValueOf(*i))
-		return nil
-	}
-
 	switch typ.Kind() {
 	case reflect.Bool:
 		b, err := s.Bool()
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
 		v.SetBool(b)
-		return nil
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return err
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		i, err := s.uint(typ.Bits())
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
 		v.SetUint(i)
-		return nil
+		return err
 	case reflect.String:
 		b, err := s.Bytes()
-		if err != nil {
-			return wrapTypeError(err, typ)
-		}
 		v.SetString(string(b))
-		return nil
+		return err
 	case reflect.Slice:
 		if typ.Elem().Kind() == reflect.Uint8 {
 			b, err := s.Bytes()
-			if err != nil {
-				return wrapTypeError(err, typ)
+			if err == nil {
+				v.SetBytes(b)
 			}
-			v.SetBytes(b)
-			return nil
+			return err
 		}
-		return s.decodeSlice(v)
+		if _, err := s.List(); err != nil {
+			return err
+		}
+		if err := s.decodeElems(v); err != nil {
+			return err
+		}
+		return s.ListEnd()
 	case reflect.Array:
-		if isByteArray(typ) {
-			if !v.CanAddr() {
-				return fmt.Errorf("rlp: cannot decode into unaddressable array of type %v", typ)
-			}
-			err := s.ReadBytes(v.Slice(0, v.Len()).Bytes())
-			return wrapTypeError(err, typ)
+		if typ.Elem().Kind() == reflect.Uint8 {
+			return s.ReadBytes(v.Bytes())
 		}
-		return s.decodeArray(v)
+		return fmt.Errorf("rlp: oracle cannot decode into %v", typ)
 	case reflect.Struct:
 		return s.decodeStruct(v)
 	case reflect.Pointer:
-		return s.decodePointer(v)
-	case reflect.Interface:
-		if typ.NumMethod() != 0 {
-			return fmt.Errorf("rlp: cannot decode into non-empty interface %v", typ)
-		}
-		return s.decodeInterface(v)
+		v.Set(reflect.New(typ.Elem()))
+		return s.decodeValue(v.Elem())
 	default:
-		return fmt.Errorf("rlp: type %v is not RLP-deserializable", typ)
+		return fmt.Errorf("rlp: oracle cannot decode into %v", typ)
 	}
 }
 
-func (s *Stream) decodeSlice(v reflect.Value) error {
-	if _, err := s.List(); err != nil {
-		return wrapTypeError(err, v.Type())
-	}
+// decodeElems sets the slice v to the values left in the current list.
+func (s *Stream) decodeElems(v reflect.Value) error {
 	out := reflect.MakeSlice(v.Type(), 0, 4)
-	for i := 0; ; i++ {
+	for {
 		elem := reflect.New(v.Type().Elem()).Elem()
 		err := s.decodeValue(elem)
 		if err == EOL {
@@ -357,28 +339,7 @@ func (s *Stream) decodeSlice(v reflect.Value) error {
 		out = reflect.Append(out, elem)
 	}
 	v.Set(out)
-	return s.ListEnd()
-}
-
-func (s *Stream) decodeArray(v reflect.Value) error {
-	if _, err := s.List(); err != nil {
-		return wrapTypeError(err, v.Type())
-	}
-	i := 0
-	for ; i < v.Len(); i++ {
-		err := s.decodeValue(v.Index(i))
-		if err == EOL {
-			return fmt.Errorf("rlp: list has %d elements, want %d for %v", i, v.Len(), v.Type())
-		}
-		if err != nil {
-			return err
-		}
-	}
-	// Array full: list must end now.
-	if _, _, err := s.Kind(); err != EOL {
-		return fmt.Errorf("rlp: list has more than %d elements for %v", v.Len(), v.Type())
-	}
-	return s.ListEnd()
+	return nil
 }
 
 func (s *Stream) decodeStruct(v reflect.Value) error {
@@ -387,33 +348,18 @@ func (s *Stream) decodeStruct(v reflect.Value) error {
 		return err
 	}
 	if _, err := s.List(); err != nil {
-		return wrapTypeError(err, v.Type())
+		return err
 	}
 	for _, f := range fields {
 		fv := v.Field(f.index)
 		if f.tail {
-			// Collect remaining elements into the tail slice.
-			out := reflect.MakeSlice(fv.Type(), 0, 4)
-			for {
-				elem := reflect.New(fv.Type().Elem()).Elem()
-				err := s.decodeValue(elem)
-				if err == EOL {
-					break
-				}
-				if err != nil {
-					return err
-				}
-				out = reflect.Append(out, elem)
+			if err := s.decodeElems(fv); err != nil {
+				return err
 			}
-			fv.Set(out)
 			continue
 		}
 		err := s.decodeValue(fv)
 		if err == EOL {
-			if f.optional {
-				// Remaining optional fields keep their zero values.
-				break
-			}
 			return fmt.Errorf("rlp: too few elements for %v (missing %s)", v.Type(), f.name)
 		}
 		if err != nil {
@@ -424,67 +370,4 @@ func (s *Stream) decodeStruct(v reflect.Value) error {
 		return fmt.Errorf("rlp: input list has too many elements for %v", v.Type())
 	}
 	return s.ListEnd()
-}
-
-func (s *Stream) decodePointer(v reflect.Value) error {
-	// A nil value decodes into a nil pointer when the input is the
-	// empty string/list; otherwise allocate and decode into it.
-	kind, size, err := s.Kind()
-	if err != nil {
-		return wrapTypeError(err, v.Type())
-	}
-	if size == 0 && kind != Byte {
-		// Consume the empty value and leave/make the pointer nil.
-		s.haveHdr = false
-		if kind == List {
-			s.stack = append(s.stack, s.pos)
-			if err := s.ListEnd(); err != nil {
-				return err
-			}
-		}
-		v.Set(reflect.Zero(v.Type()))
-		return nil
-	}
-	if v.IsNil() {
-		v.Set(reflect.New(v.Type().Elem()))
-	}
-	return s.decodeValue(v.Elem())
-}
-
-// decodeInterface fills an empty interface with []byte for strings
-// and []any for lists.
-func (s *Stream) decodeInterface(v reflect.Value) error {
-	kind, _, err := s.Kind()
-	if err != nil {
-		return err
-	}
-	if kind == List {
-		if _, err := s.List(); err != nil {
-			return err
-		}
-		vals := []any{}
-		for {
-			var elem any
-			ev := reflect.ValueOf(&elem).Elem()
-			err := s.decodeInterface(ev)
-			if err == EOL {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			vals = append(vals, elem)
-		}
-		if err := s.ListEnd(); err != nil {
-			return err
-		}
-		v.Set(reflect.ValueOf(vals))
-		return nil
-	}
-	b, err := s.Bytes()
-	if err != nil {
-		return err
-	}
-	v.Set(reflect.ValueOf(b))
-	return nil
 }

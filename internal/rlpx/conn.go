@@ -172,8 +172,8 @@ func (c *Conn) WriteMsg(code uint64, payload []byte) error {
 // WriteMsgValue RLP-encodes v straight into the connection's payload
 // scratch and sends it as one message, skipping the per-message
 // payload allocation that WriteMsg(code, rlp.EncodeToBytes(v)) pays.
-// Encoding uses the compiled codec plans, so steady-state sends of
-// wire structs allocate nothing on the encode side.
+// Wire types append their own encoding, so steady-state sends
+// allocate nothing on the encode side.
 func (c *Conn) WriteMsgValue(code uint64, v any) error {
 	payload, err := rlp.EncodeAppend(c.pbuf[:0], v)
 	if err != nil {

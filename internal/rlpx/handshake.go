@@ -51,7 +51,9 @@ var (
 	ErrBadHandshake = errors.New("rlpx: bad handshake")
 )
 
-// authMsgV4 is the EIP-8 auth body (initiator → recipient).
+// authMsgV4 is the EIP-8 auth body (initiator → recipient). Rest
+// captures the fields a newer version appends; its tag marks it for
+// the reference codec in internal/rlp's tests.
 type authMsgV4 struct {
 	Signature   [sigLen]byte
 	InitiatorPK [pubLen]byte
@@ -60,12 +62,72 @@ type authMsgV4 struct {
 	Rest        []rlp.RawValue `rlp:"tail"`
 }
 
+func (m *authMsgV4) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = rlp.AppendBytes(b, m.Signature[:])
+	b = rlp.AppendBytes(b, m.InitiatorPK[:])
+	return appendBodyTail(b, list, m.Nonce[:], m.Version, m.Rest)
+}
+
+func (m *authMsgV4) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(m.Signature[:]); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(m.InitiatorPK[:]); err != nil {
+		return err
+	}
+	return decodeBodyTail(s, m.Nonce[:], &m.Version, &m.Rest)
+}
+
 // authAckV4 is the EIP-8 ack body (recipient → initiator).
 type authAckV4 struct {
 	EphemeralPK [pubLen]byte
 	Nonce       [nonceLen]byte
 	Version     uint
 	Rest        []rlp.RawValue `rlp:"tail"`
+}
+
+func (m *authAckV4) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = rlp.AppendBytes(b, m.EphemeralPK[:])
+	return appendBodyTail(b, list, m.Nonce[:], m.Version, m.Rest)
+}
+
+func (m *authAckV4) DecodeRLP(s *rlp.Stream) (err error) {
+	if _, err = s.List(); err != nil {
+		return err
+	}
+	if err = s.ReadBytes(m.EphemeralPK[:]); err != nil {
+		return err
+	}
+	return decodeBodyTail(s, m.Nonce[:], &m.Version, &m.Rest)
+}
+
+// appendBodyTail and decodeBodyTail code the nonce, version and Rest
+// both bodies end with, and close the body's list.
+func appendBodyTail(b []byte, list int, nonce []byte, version uint, rest []rlp.RawValue) []byte {
+	b = rlp.AppendBytes(b, nonce)
+	b = rlp.AppendUint(b, uint64(version))
+	b = rlp.AppendRaw(b, rest...)
+	return rlp.ListEnd(b, list)
+}
+
+func decodeBodyTail(s *rlp.Stream, nonce []byte, version *uint, rest *[]rlp.RawValue) error {
+	if err := s.ReadBytes(nonce); err != nil {
+		return err
+	}
+	v, err := s.Uint64()
+	if err != nil {
+		return err
+	}
+	*version = uint(v)
+	if *rest, err = s.Rest(); err != nil {
+		return err
+	}
+	return s.ListEnd()
 }
 
 // secrets are the symmetric session keys derived by the handshake,

@@ -301,11 +301,7 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 			if err := rlp.DecodeBytes(payload, &req); err != nil {
 				return
 			}
-			resp, err := rlp.EncodeToBytes(eth.ServeHeaders(&req, header))
-			if err != nil {
-				return
-			}
-			if err := conn.WriteMsg(ethCap.Offset+eth.BlockHeadersMsg, resp); err != nil {
+			if err := devp2p.WriteValue(conn, ethCap.Offset+eth.BlockHeadersMsg, eth.ServeHeaders(&req, header)); err != nil {
 				return
 			}
 		default:
