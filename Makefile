@@ -21,8 +21,9 @@ ci: fmt-check build vet test experiments-check race bench-smoke fuzz-smoke chaos
 # oracle; the snappy encoder against its own decoder; the census
 # daemon's incremental publish against its from-scratch oracle; the
 # measurement log's JSON encoder and the census's node body against
-# encoding/json). Each
-# target also replays its committed regression corpus first.
+# encoding/json; an rlpx Conn pair against the payloads sent through
+# the scratch buffers every message reuses). Each target also replays
+# its committed regression corpus first.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/rlp
@@ -32,6 +33,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecodeDisconnect -fuzztime=$(FUZZTIME) ./internal/devp2p
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/snappy
 	go test -run='^$$' -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/snappy
+	go test -run='^$$' -fuzz=FuzzConnRoundTrip -fuzztime=$(FUZZTIME) ./internal/rlpx
 	go test -run='^$$' -fuzz=FuzzFieldArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzScalarArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzPointArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1

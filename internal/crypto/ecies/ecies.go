@@ -90,21 +90,22 @@ func Encrypt(rand io.Reader, pub *secp256k1.PublicKey, msg, s1, s2 []byte) ([]by
 
 // Seal is Encrypt appending the ciphertext to dst, so a caller that
 // owns a packet buffer pays for no intermediate copies. dst must not
-// overlap msg.
+// overlap msg. The ephemeral key is held on the stack, and its entropy
+// is read into the bytes of dst its public key then overwrites.
 func Seal(dst []byte, rand io.Reader, pub *secp256k1.PublicKey, msg, s1, s2 []byte) ([]byte, error) {
-	eph, err := secp256k1.GenerateKey(rand)
-	if err != nil {
+	start := len(dst)
+	dst = append(dst, 0x04)
+	dst = append(dst, make([]byte, 64+aes.BlockSize+len(msg))...)
+	var eph secp256k1.PrivateKey
+	if err := secp256k1.GenerateKeyInto(&eph, rand, (*[32]byte)(dst[start+1:])); err != nil {
 		return nil, fmt.Errorf("ecies: ephemeral key: %w", err)
 	}
 	var z [32]byte
-	if err := secp256k1.SharedSecretInto(&z, eph, pub); err != nil {
+	if err := secp256k1.SharedSecretInto(&z, &eph, pub); err != nil {
 		return nil, fmt.Errorf("ecies: ECDH: %w", err)
 	}
 	ke, km := deriveKeys(z[:], s1)
 
-	start := len(dst)
-	dst = append(dst, 0x04)
-	dst = append(dst, make([]byte, 64+aes.BlockSize+len(msg))...)
 	eph.Pub.PutRaw((*[64]byte)(dst[start+1:]))
 	iv := dst[start+65 : start+65+aes.BlockSize]
 	if _, err := io.ReadFull(rand, iv); err != nil {
@@ -130,12 +131,12 @@ func Open(dst []byte, priv *secp256k1.PrivateKey, ct, s1, s2 []byte) ([]byte, er
 	if len(ct) < Overhead {
 		return nil, ErrTooShort
 	}
-	ephPub, err := secp256k1.ParsePublicKey(ct[:65])
-	if err != nil {
+	var ephPub secp256k1.PublicKey
+	if err := secp256k1.ParsePublicKeyInto(&ephPub, ct[:65]); err != nil {
 		return nil, fmt.Errorf("ecies: ephemeral key: %w", err)
 	}
 	var z [32]byte
-	if err := secp256k1.SharedSecretInto(&z, priv, ephPub); err != nil {
+	if err := secp256k1.SharedSecretInto(&z, priv, &ephPub); err != nil {
 		return nil, fmt.Errorf("ecies: ECDH: %w", err)
 	}
 	ke, km := deriveKeys(z[:], s1)

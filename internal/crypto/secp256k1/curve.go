@@ -147,7 +147,8 @@ type PrivateKey struct {
 }
 
 // PublicKey is a finite point on the curve, held in limb form. Values
-// come from GenerateKey, ParsePublicKey or RecoverPubkey, all of which
+// come from GenerateKey, ParsePublicKey or RecoverPubkey (or their
+// in-place forms, which fill caller storage), all of which
 // establish the curve equation; the zero value is not a valid key and
 // every operation that takes one rejects it.
 type PublicKey struct {
@@ -157,13 +158,24 @@ type PublicKey struct {
 // GenerateKey creates a private key using entropy from rand: 32 bytes
 // per attempt, retried until they encode a scalar in [1, N-1].
 func GenerateKey(rand io.Reader) (*PrivateKey, error) {
-	var buf [32]byte
+	k := new(PrivateKey)
+	if err := GenerateKeyInto(k, rand, new([32]byte)); err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// GenerateKeyInto is GenerateKey writing the key into k. The entropy
+// is read into buf, storage the caller owns: a buffer handed to an
+// io.Reader escapes, so one of this function's own would cost an
+// allocation per call. k is unspecified on error.
+func GenerateKeyInto(k *PrivateKey, rand io.Reader, buf *[32]byte) error {
 	for {
 		if _, err := io.ReadFull(rand, buf[:]); err != nil {
-			return nil, fmt.Errorf("secp256k1: reading entropy: %w", err)
+			return fmt.Errorf("secp256k1: reading entropy: %w", err)
 		}
-		if k, err := PrivateKeyFromBytes(buf[:]); err == nil {
-			return k, nil
+		if k.setBytes(buf) {
+			return nil
 		}
 	}
 }
@@ -184,12 +196,21 @@ func PrivateKeyFromBytes(b []byte) (*PrivateKey, error) {
 		return nil, fmt.Errorf("secp256k1: private key must be 32 bytes, got %d", len(b))
 	}
 	k := new(PrivateKey)
-	if !k.d.setBytes((*[32]byte)(b)) || k.d.isZero() {
+	if !k.setBytes((*[32]byte)(b)) {
 		return nil, errors.New("secp256k1: scalar out of range")
+	}
+	return k, nil
+}
+
+// setBytes loads k from a big-endian scalar and derives its public
+// point, reporting false when b is not in [1, N-1].
+func (k *PrivateKey) setBytes(b *[32]byte) bool {
+	if !k.d.setBytes(b) || k.d.isZero() {
+		return false
 	}
 	j := scalarBaseMultJac(&k.d)
 	k.Pub.p, _ = j.toAffine() // d ∈ [1, N-1], so d·G is finite
-	return k, nil
+	return true
 }
 
 // D returns the private scalar as a big.Int.
@@ -239,23 +260,32 @@ func (p *PublicKey) PutRaw(out *[64]byte) {
 // encodings and validates that the coordinates are canonical (< P)
 // and the point is on the curve.
 func ParsePublicKey(b []byte) (*PublicKey, error) {
+	pub := new(PublicKey)
+	if err := ParsePublicKeyInto(pub, b); err != nil {
+		return nil, err
+	}
+	return pub, nil
+}
+
+// ParsePublicKeyInto is ParsePublicKey writing the key into pub,
+// which is unspecified on error.
+func ParsePublicKeyInto(pub *PublicKey, b []byte) error {
 	switch len(b) {
 	case 65:
 		if b[0] != 0x04 {
-			return nil, fmt.Errorf("secp256k1: unsupported public key prefix 0x%02x", b[0])
+			return fmt.Errorf("secp256k1: unsupported public key prefix 0x%02x", b[0])
 		}
 		b = b[1:]
 	case 64:
 	default:
-		return nil, fmt.Errorf("secp256k1: invalid public key length %d", len(b))
+		return fmt.Errorf("secp256k1: invalid public key length %d", len(b))
 	}
-	pub := new(PublicKey)
 	xok := pub.p.x.setBytes((*[32]byte)(b[:32]))
 	yok := pub.p.y.setBytes((*[32]byte)(b[32:]))
 	if !xok || !yok || !pub.p.onCurve() {
-		return nil, errors.New("secp256k1: point not on curve")
+		return errors.New("secp256k1: point not on curve")
 	}
-	return pub, nil
+	return nil
 }
 
 // SharedSecret computes the ECDH shared secret: the X coordinate of

@@ -707,9 +707,11 @@ func TestECDSADifferentialOracle(t *testing.T) {
 	}
 }
 
-// TestKeyOpAllocs pins the heap cost of the key operations to what
-// they return: the signature, the recovered key, the secret, and the
-// new key plus the entropy buffer the io.Reader call forces out.
+// TestKeyOpAllocs pins the heap cost of the key operations. The
+// in-place forms write into caller storage and allocate nothing; the
+// pointer-returning wrappers over them allocate what they return: the
+// signature, the recovered or parsed key, the secret, and the new key
+// plus the entropy buffer the io.Reader call forces out.
 func TestKeyOpAllocs(t *testing.T) {
 	k, peer := testKey(t, 1700), testKey(t, 1701)
 	hash := sha256.Sum256([]byte("allocs"))
@@ -719,21 +721,47 @@ func TestKeyOpAllocs(t *testing.T) {
 	}
 	raw := peer.Pub.SerializeRaw()
 	rng := testRand(1702)
+	var (
+		sigInto  [SignatureLength]byte
+		pubInto  PublicKey
+		keyInto  PrivateKey
+		entropy  [32]byte
+		secret32 [32]byte
+	)
 	for _, c := range []struct {
 		name string
 		max  float64
 		fn   func()
 	}{
 		{"Sign", 1, func() { Sign(k, hash[:]) }},
+		{"SignInto", 0, func() { SignInto(&sigInto, k, hash[:]) }},
 		{"RecoverPubkey", 1, func() { RecoverPubkey(hash[:], sig) }},
+		{"RecoverPubkeyInto", 0, func() { RecoverPubkeyInto(&pubInto, hash[:], sig) }},
 		{"Verify", 0, func() { Verify(&k.Pub, hash[:], sig) }},
 		{"SharedSecret", 1, func() { SharedSecret(k, &peer.Pub) }},
+		{"SharedSecretInto", 0, func() { SharedSecretInto(&secret32, k, &peer.Pub) }},
 		{"ParsePublicKey", 1, func() { ParsePublicKey(raw) }},
+		{"ParsePublicKeyInto", 0, func() { ParsePublicKeyInto(&pubInto, raw) }},
 		{"GenerateKey", 2, func() { GenerateKey(rng) }},
+		{"GenerateKeyInto", 0, func() { GenerateKeyInto(&keyInto, rng, &entropy) }},
 	} {
 		if got := testing.AllocsPerRun(20, c.fn); got > c.max {
 			t.Errorf("%s allocates %.0f objects per call, budget %.0f", c.name, got, c.max)
 		}
+	}
+	// The in-place forms compute what the wrappers return.
+	if SignInto(&sigInto, k, hash[:]); !bytes.Equal(sigInto[:], sig) {
+		t.Error("SignInto and Sign disagree")
+	}
+	if err := RecoverPubkeyInto(&pubInto, hash[:], sig); err != nil || !pubInto.Equal(&k.Pub) {
+		t.Errorf("RecoverPubkeyInto did not recover the signer: %v", err)
+	}
+	if err := ParsePublicKeyInto(&pubInto, raw); err != nil || !pubInto.Equal(&peer.Pub) {
+		t.Errorf("ParsePublicKeyInto did not parse the key: %v", err)
+	}
+	want, _ := GenerateKey(testRand(1703))
+	if err := GenerateKeyInto(&keyInto, testRand(1703), &entropy); err != nil || keyInto.d != want.d || !keyInto.Pub.Equal(&want.Pub) {
+		t.Errorf("GenerateKeyInto and GenerateKey disagree from one entropy stream: %v", err)
 	}
 }
 

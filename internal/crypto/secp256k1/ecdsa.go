@@ -15,8 +15,17 @@ const SignatureLength = 65
 // discovery packets carry. S is canonicalized to the lower half of
 // the group order so signatures are unique.
 func Sign(priv *PrivateKey, hash []byte) ([]byte, error) {
+	sig := new([SignatureLength]byte)
+	if err := SignInto(sig, priv, hash); err != nil {
+		return nil, err
+	}
+	return sig[:], nil
+}
+
+// SignInto is Sign writing the signature into sig.
+func SignInto(sig *[SignatureLength]byte, priv *PrivateKey, hash []byte) error {
 	if len(hash) != 32 {
-		return nil, fmt.Errorf("secp256k1: hash must be 32 bytes, got %d", len(hash))
+		return fmt.Errorf("secp256k1: hash must be 32 bytes, got %d", len(hash))
 	}
 	var z scalar
 	z.setBytes((*[32]byte)(hash)) // N is 256 bits: no truncation, just mod N
@@ -52,13 +61,12 @@ func Sign(priv *PrivateKey, hash []byte) ([]byte, error) {
 			s.neg(&s)
 			v ^= 1
 		}
-		sig := make([]byte, SignatureLength)
 		r.putBytes(sig[:32])
 		s.putBytes(sig[32:64])
 		sig[64] = v
-		return sig, nil
+		return nil
 	}
-	return nil, errors.New("secp256k1: could not produce signature")
+	return errors.New("secp256k1: could not produce signature")
 }
 
 // parseRS loads the r and s halves of a signature, requiring both in
@@ -99,19 +107,29 @@ func Verify(pub *PublicKey, hash, sig []byte) bool {
 // recoverable signature over hash. sig is r || s || v. The recovery
 // equation is Q = r⁻¹(s·R − z·G) = (−z·r⁻¹)·G + (s·r⁻¹)·R.
 func RecoverPubkey(hash, sig []byte) (*PublicKey, error) {
+	pub := new(PublicKey)
+	if err := RecoverPubkeyInto(pub, hash, sig); err != nil {
+		return nil, err
+	}
+	return pub, nil
+}
+
+// RecoverPubkeyInto is RecoverPubkey writing the key into pub, which
+// is unspecified on error.
+func RecoverPubkeyInto(pub *PublicKey, hash, sig []byte) error {
 	if len(hash) != 32 {
-		return nil, fmt.Errorf("secp256k1: hash must be 32 bytes, got %d", len(hash))
+		return fmt.Errorf("secp256k1: hash must be 32 bytes, got %d", len(hash))
 	}
 	if len(sig) != SignatureLength {
-		return nil, fmt.Errorf("secp256k1: signature must be %d bytes, got %d", SignatureLength, len(sig))
+		return fmt.Errorf("secp256k1: signature must be %d bytes, got %d", SignatureLength, len(sig))
 	}
 	v := sig[64]
 	if v > 3 {
-		return nil, fmt.Errorf("secp256k1: invalid recovery id %d", v)
+		return fmt.Errorf("secp256k1: invalid recovery id %d", v)
 	}
 	r, s, ok := parseRS(sig)
 	if !ok {
-		return nil, errors.New("secp256k1: signature values out of range")
+		return errors.New("secp256k1: signature values out of range")
 	}
 
 	// R.x = r (+ N if bit 1 of v set), which must stay below p;
@@ -122,11 +140,11 @@ func RecoverPubkey(hash, sig []byte) (*PublicKey, error) {
 		var carry uint64
 		rp.x.n, carry = add256(r.n, scN.n)
 		if carry != 0 || rp.x.condSubP() {
-			return nil, errors.New("secp256k1: recovery x out of field range")
+			return errors.New("secp256k1: recovery x out of field range")
 		}
 	}
 	if !rp.liftX(v&1 == 1) {
-		return nil, errors.New("secp256k1: x is not on the curve")
+		return errors.New("secp256k1: x is not on the curve")
 	}
 
 	var z, rinv, u1, u2 scalar
@@ -136,15 +154,14 @@ func RecoverPubkey(hash, sig []byte) (*PublicKey, error) {
 	u1.neg(&u1)
 	u2.mul(&s, &rinv)
 	qj := doubleScalarMultJac(&u1, &rp, &u2)
-	pub := new(PublicKey)
 	var finite bool
 	if pub.p, finite = qj.toAffine(); !finite {
-		return nil, errors.New("secp256k1: recovered point at infinity")
+		return errors.New("secp256k1: recovered point at infinity")
 	}
 	if !pub.p.onCurve() {
-		return nil, errors.New("secp256k1: recovered point not on curve")
+		return errors.New("secp256k1: recovered point not on curve")
 	}
-	return pub, nil
+	return nil
 }
 
 // liftX sets a.y to the square root of a.x³ + 7 with the requested

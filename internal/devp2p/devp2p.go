@@ -184,7 +184,9 @@ func (h *Hello) DecodeRLP(s *rlp.Stream) (err error) {
 }
 
 // MsgReadWriter is the framed-message transport devp2p runs over;
-// *rlpx.Conn implements it.
+// *rlpx.Conn implements it. A payload ReadMsg returns may be reused by
+// the next ReadMsg, so it is decoded (decoded values never alias it)
+// before the next read.
 type MsgReadWriter interface {
 	ReadMsg() (code uint64, payload []byte, err error)
 	WriteMsg(code uint64, payload []byte) error
@@ -265,7 +267,18 @@ func ExchangeHello(rw MsgReadWriter, ours *Hello) (*Hello, error) {
 
 // SendDisconnect writes a DISCONNECT with the given reason.
 func SendDisconnect(rw MsgReadWriter, reason DisconnectReason) error {
-	return WriteValue(rw, DiscMsg, []uint64{uint64(reason)})
+	return WriteValue(rw, DiscMsg, disconnectMsg(reason))
+}
+
+// disconnectMsg encodes DISCONNECT's payload, the list [reason]. Every
+// reason fits in a byte, and Go boxes such an integer into an `any`
+// without allocating, which a []uint64{reason} payload could not do.
+type disconnectMsg DisconnectReason
+
+func (m disconnectMsg) AppendRLP(b []byte) []byte {
+	b, list := rlp.ListStart(b)
+	b = rlp.AppendUint(b, uint64(m))
+	return rlp.ListEnd(b, list)
 }
 
 // DecodeDisconnect parses a DISCONNECT payload, accepting both the

@@ -23,13 +23,21 @@ import (
 	"time"
 )
 
-// Pair returns the two ends of a connected in-memory conn.
+// Pair returns the two ends of a connected in-memory conn. The pair —
+// both ends, both directions' queues and the arrays those start on —
+// is one allocation.
 func Pair() (net.Conn, net.Conn) {
-	a2b := newBuffer()
-	b2a := newBuffer()
-	a := &conn{rd: b2a, wr: a2b, local: addr("netpipe-a"), remote: addr("netpipe-b")}
-	b := &conn{rd: a2b, wr: b2a, local: addr("netpipe-b"), remote: addr("netpipe-a")}
-	return a, b
+	p := new(pair)
+	p.a2b.init()
+	p.b2a.init()
+	p.a = conn{rd: &p.b2a, wr: &p.a2b, local: "netpipe-a", remote: "netpipe-b"}
+	p.b = conn{rd: &p.a2b, wr: &p.b2a, local: "netpipe-b", remote: "netpipe-a"}
+	return &p.a, &p.b
+}
+
+type pair struct {
+	a, b     conn
+	a2b, b2a buffer
 }
 
 type addr string
@@ -37,22 +45,36 @@ type addr string
 func (a addr) Network() string { return "netpipe" }
 func (a addr) String() string  { return string(a) }
 
+// queueInline is the array each queue starts on: the most an honest
+// RLPx session leaves unread in one direction (an auth packet, or a
+// couple of frames) fits, so such a session grows no queue.
+// maxKeepQueue caps the backing array a drained queue keeps; a
+// larger one is dropped and the queue returns to its inline array.
+const (
+	queueInline  = 2048
+	maxKeepQueue = 64 << 10
+)
+
 // buffer is one direction of the pipe: an unbounded byte queue with a
-// condition variable for blocked readers and deadline wake-ups.
+// condition variable for blocked readers and deadline wake-ups. The
+// queued bytes are q[r:]; once a reader drains them the queue starts
+// over at the front of the same backing array.
 type buffer struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	data   []byte
+	cond   sync.Cond
+	q      []byte
+	r      int
 	closed bool // write end closed: drain then EOF
 
 	readDeadline  time.Time
 	deadlineTimer *time.Timer
+
+	inline [queueInline]byte
 }
 
-func newBuffer() *buffer {
-	b := &buffer{}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+func (b *buffer) init() {
+	b.cond.L = &b.mu
+	b.q = b.inline[:0]
 }
 
 func (b *buffer) write(p []byte) (int, error) {
@@ -61,7 +83,12 @@ func (b *buffer) write(p []byte) (int, error) {
 	if b.closed {
 		return 0, io.ErrClosedPipe
 	}
-	b.data = append(b.data, p...)
+	if b.r > 0 && len(b.q)+len(p) > cap(b.q) {
+		// Slide the unread bytes to the front before growing.
+		n := copy(b.q, b.q[b.r:])
+		b.q, b.r = b.q[:n], 0
+	}
+	b.q = append(b.q, p...)
 	b.cond.Broadcast()
 	return len(p), nil
 }
@@ -70,11 +97,14 @@ func (b *buffer) read(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		if len(b.data) > 0 {
-			n := copy(p, b.data)
-			b.data = b.data[n:]
-			if len(b.data) == 0 {
-				b.data = nil // release the backing array
+		if b.r < len(b.q) {
+			n := copy(p, b.q[b.r:])
+			b.r += n
+			if b.r == len(b.q) {
+				b.q, b.r = b.q[:0], 0
+				if cap(b.q) > maxKeepQueue {
+					b.q = b.inline[:0]
+				}
 			}
 			return n, nil
 		}
@@ -89,25 +119,32 @@ func (b *buffer) read(p []byte) (int, error) {
 }
 
 // close marks the write end closed. Pending data stays readable; a
-// reader that drains it then sees io.EOF, like a TCP FIN.
+// reader that drains it then sees io.EOF, like a TCP FIN. A reader of
+// a closed buffer never blocks again, so its deadline timer goes too,
+// and none is armed afterwards: a closed pair leaves no timer behind.
 func (b *buffer) close() {
 	b.mu.Lock()
 	b.closed = true
+	if b.deadlineTimer != nil {
+		b.deadlineTimer.Stop()
+		b.deadlineTimer = nil
+	}
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
 
 // setReadDeadline arms a wake-up for readers blocked on the buffer.
-// The buffer keeps one timer for its whole life and re-arms it: RLPx
-// sets a fresh deadline before every message, and a new timer each
-// time was two allocations per read. A wake-up left over from an
-// earlier deadline is harmless — readers re-check the deadline.
+// The buffer binds one timer to its wake-up the first time and re-arms
+// it from then on: RLPx sets a fresh deadline before every message,
+// and a new timer each time was two allocations per read. A wake-up
+// left over from an earlier deadline is harmless — readers re-check
+// the deadline.
 func (b *buffer) setReadDeadline(t time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.readDeadline = t
 	d := time.Until(t)
-	if t.IsZero() || d <= 0 {
+	if b.closed || t.IsZero() || d <= 0 {
 		if b.deadlineTimer != nil {
 			b.deadlineTimer.Stop()
 		}
@@ -125,17 +162,6 @@ func (b *buffer) setReadDeadline(t time.Time) {
 func (b *buffer) wake() {
 	b.mu.Lock()
 	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// stopTimer releases the deadline timer; called on Close so a closed
-// conn leaves no timer behind.
-func (b *buffer) stopTimer() {
-	b.mu.Lock()
-	if b.deadlineTimer != nil {
-		b.deadlineTimer.Stop()
-		b.deadlineTimer = nil
-	}
 	b.mu.Unlock()
 }
 
@@ -186,7 +212,6 @@ func (c *conn) Close() error {
 	c.closed = true
 	c.mu.Unlock()
 	c.rd.close()
-	c.rd.stopTimer()
 	c.wr.close()
 	return nil
 }

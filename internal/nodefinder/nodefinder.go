@@ -409,17 +409,20 @@ func (f *Finder) onDialDone(nd *nodeState, res *DialResult) {
 	}
 }
 
-// armStaticTimerLocked (re)schedules nd's static dial after delay.
-// Caller holds f.mu.
+// armStaticTimerLocked (re)schedules nd's static dial after delay. A
+// node keeps its one timer and re-arms it, pending or fired: a crawl
+// re-arms every static node every half hour. Caller holds f.mu.
 func (f *Finder) armStaticTimerLocked(nd *nodeState, delay time.Duration) {
-	cancel(&nd.timer)
+	if nd.timer != nil {
+		nd.timer.Reset(delay)
+		return
+	}
 	nd.timer = f.clock.AfterFunc(delay, nd.redial)
 }
 
 func (f *Finder) runStaticDial(nd *nodeState) {
 	launch := false
 	f.mu.Lock()
-	nd.timer = nil
 	switch {
 	case f.stopped:
 	case !f.cfg.DB.IsStatic(nd.rec):

@@ -382,14 +382,8 @@ type countingClock struct {
 }
 
 func (c *countingClock) AfterFunc(d time.Duration, fn func()) simclock.Timer {
-	t := &countedTimer{clock: c}
-	if d <= 0 {
-		go fn()
-		return t
-	}
-	c.mu.Lock()
-	c.armed[t] = fn
-	c.mu.Unlock()
+	t := &countedTimer{clock: c, fn: fn}
+	t.arm(d)
 	return t
 }
 
@@ -399,13 +393,32 @@ func (c *countingClock) armedCount() int {
 	return len(c.armed)
 }
 
-type countedTimer struct{ clock *countingClock }
+type countedTimer struct {
+	clock *countingClock
+	fn    func()
+}
+
+func (t *countedTimer) arm(d time.Duration) {
+	if d <= 0 {
+		go t.fn()
+		return
+	}
+	t.clock.mu.Lock()
+	t.clock.armed[t] = t.fn
+	t.clock.mu.Unlock()
+}
 
 func (t *countedTimer) Stop() bool {
 	t.clock.mu.Lock()
 	defer t.clock.mu.Unlock()
 	_, wasArmed := t.clock.armed[t]
 	delete(t.clock.armed, t)
+	return wasArmed
+}
+
+func (t *countedTimer) Reset(d time.Duration) bool {
+	wasArmed := t.Stop()
+	t.arm(d)
 	return wasArmed
 }
 

@@ -33,7 +33,7 @@ type nodeState struct {
 	failStreak   int
 	backoffUntil time.Time
 
-	timer    simclock.Timer    // the pending static re-dial
+	timer    simclock.Timer    // the static re-dial, pending or fired; re-armed by Reset
 	redial   func()            // what timer runs; bound once, like
 	dialDone func(*DialResult) // the dial's completion callback
 }

@@ -39,23 +39,45 @@ const DefaultMaxReadFrame = 1 << 20
 // goroutine than the reader/writer and are therefore atomic; the
 // frame reader and writer themselves must each be used from at most
 // one goroutine at a time.
+//
+// A Conn is one allocation, made before the handshake starts: it holds
+// the handshake's keys and packets, the session keys, the frame layer
+// and every scratch buffer either direction uses, each sized so that
+// an honest session's messages fit.
 type Conn struct {
 	fd       net.Conn
 	rw       frameRW
 	remoteID enode.ID
+	hs       handshakeState
 
 	// pbuf is the WriteMsgValue payload scratch and zbuf the snappy
-	// output scratch. Like the frame buffers in frameRW they are owned
-	// by the single writer goroutine and reused across messages.
+	// output scratch, owned by the single writer goroutine; dbuf holds
+	// the decompressed payload ReadMsg returns, owned by the reader.
+	// Like the frame buffers in frameRW they are reused across
+	// messages and start on the arrays below.
 	pbuf []byte
 	zbuf []byte
+	dbuf []byte
 
 	readTimeout  atomic.Int64 // nanoseconds; 0 disables
 	writeTimeout atomic.Int64
 	rtt          atomic.Int64
 	maxReadFrame atomic.Int64
 	snappy       atomic.Bool
+
+	pscratch, zscratch, dscratch [honestPayload]byte
 }
+
+// honestPayload sizes a Conn's scratch arrays: every message an honest
+// session of this stack carries (HELLO, STATUS, a DAO-fork header,
+// DISCONNECT) fits, so such a session grows no buffer. A larger
+// message moves its buffer to the heap, where it is kept for later
+// messages up to maxKeepPayload.
+const honestPayload = 1024
+
+// maxKeepPayload caps each scratch buffer retained between messages;
+// a rare oversized message should not pin its buffer forever.
+const maxKeepPayload = 1 << 17
 
 // Initiate performs the initiator handshake over an established TCP
 // connection toward the node with the given identity, bounded by
@@ -67,14 +89,10 @@ func Initiate(fd net.Conn, priv *secp256k1.PrivateKey, remoteID enode.ID) (*Conn
 // InitiateTimeout is Initiate with an explicit handshake deadline
 // (zero disables it — the caller manages fd deadlines itself).
 func InitiateTimeout(fd net.Conn, priv *secp256k1.PrivateKey, remoteID enode.ID, timeout time.Duration) (*Conn, error) {
+	c := &Conn{fd: fd}
 	armHandshakeDeadline(fd, timeout)
-	sec, err := initiatorHandshake(fd, priv, remoteID)
-	countHandshake(err)
-	if err != nil {
-		return nil, err
-	}
-	clearHandshakeDeadline(fd, timeout)
-	return newConn(fd, sec), nil
+	err := c.hs.initiate(fd, priv, remoteID)
+	return c.established(timeout, err)
 }
 
 // Accept performs the recipient handshake on an inbound connection
@@ -88,14 +106,10 @@ func Accept(fd net.Conn, priv *secp256k1.PrivateKey) (*Conn, error) {
 // AcceptTimeout is Accept with an explicit handshake deadline (zero
 // disables it).
 func AcceptTimeout(fd net.Conn, priv *secp256k1.PrivateKey, timeout time.Duration) (*Conn, error) {
+	c := &Conn{fd: fd}
 	armHandshakeDeadline(fd, timeout)
-	sec, err := recipientHandshake(fd, priv)
-	countHandshake(err)
-	if err != nil {
-		return nil, err
-	}
-	clearHandshakeDeadline(fd, timeout)
-	return newConn(fd, sec), nil
+	err := c.hs.accept(fd, priv)
+	return c.established(timeout, err)
 }
 
 func armHandshakeDeadline(fd net.Conn, timeout time.Duration) {
@@ -106,19 +120,24 @@ func armHandshakeDeadline(fd net.Conn, timeout time.Duration) {
 	}
 }
 
-func clearHandshakeDeadline(fd net.Conn, timeout time.Duration) {
-	if timeout > 0 {
-		fd.SetDeadline(time.Time{}) //nolint:errcheck
+// established finishes a handshake that returned err: it counts the
+// attempt and, on success, clears the handshake deadline and keys the
+// frame layer from the session secrets.
+func (c *Conn) established(timeout time.Duration, err error) (*Conn, error) {
+	countHandshake(err)
+	if err != nil {
+		return nil, err
 	}
-}
-
-func newConn(fd net.Conn, sec *secrets) *Conn {
-	c := &Conn{fd: fd, remoteID: sec.remoteID}
-	c.rw.init(fd, sec)
+	if timeout > 0 {
+		c.fd.SetDeadline(time.Time{}) //nolint:errcheck
+	}
+	c.remoteID = c.hs.sec.remoteID
+	c.rw.init(c.fd, &c.hs.sec)
+	c.pbuf, c.zbuf, c.dbuf = c.pscratch[:0], c.zscratch[:0], c.dscratch[:0]
 	c.readTimeout.Store(int64(FrameReadTimeout))
 	c.writeTimeout.Store(int64(FrameWriteTimeout))
 	c.maxReadFrame.Store(DefaultMaxReadFrame)
-	return c
+	return c, nil
 }
 
 // RemoteID returns the authenticated peer identity.
@@ -157,9 +176,7 @@ func (c *Conn) WriteMsg(code uint64, payload []byte) error {
 		if err != nil {
 			return fmt.Errorf("rlpx: compressing payload: %w", err)
 		}
-		if cap(enc) <= maxKeepPayload {
-			c.zbuf = enc[:0]
-		}
+		keep(&c.zbuf, enc)
 		payload = enc
 	}
 	err := c.rw.WriteMsg(code, payload)
@@ -179,17 +196,22 @@ func (c *Conn) WriteMsgValue(code uint64, v any) error {
 	if err != nil {
 		return fmt.Errorf("rlpx: encoding message: %w", err)
 	}
-	if cap(payload) <= maxKeepPayload {
-		c.pbuf = payload[:0]
-	}
+	keep(&c.pbuf, payload)
 	return c.WriteMsg(code, payload)
 }
 
-// maxKeepPayload caps each scratch buffer retained between messages;
-// a rare oversized message should not pin its buffer forever.
-const maxKeepPayload = 1 << 17
+// keep makes b, the result of appending to *buf, the scratch for
+// later messages unless it outgrew maxKeepPayload.
+func keep(buf *[]byte, b []byte) {
+	if cap(b) <= maxKeepPayload {
+		*buf = b[:0]
+	}
+}
 
-// ReadMsg receives one message with the standard read deadline.
+// ReadMsg receives one message with the standard read deadline. The
+// payload lives in the connection's read scratch and is valid until
+// the next ReadMsg: decode it (decoded values never alias it) or copy
+// it before reading again.
 func (c *Conn) ReadMsg() (code uint64, payload []byte, err error) {
 	if d := c.readTimeout.Load(); d > 0 {
 		// Wall time by design: socket deadlines are absolute wall-clock
@@ -197,22 +219,23 @@ func (c *Conn) ReadMsg() (code uint64, payload []byte, err error) {
 		c.fd.SetReadDeadline(time.Now().Add(time.Duration(d))) //nolint:errcheck
 	}
 	max := int(c.maxReadFrame.Load())
-	// A compressed frame is only decompressed from, so it can land in
-	// the reader's scratch; the caller owns the decompressed copy.
 	compressed := c.snappy.Load()
-	code, payload, err = c.rw.ReadMsg(max, compressed)
-	if err == nil {
-		countRead(len(payload))
+	code, payload, err = c.rw.ReadMsg(max)
+	if err != nil {
+		return 0, nil, err
 	}
-	if err == nil && compressed && len(payload) > 0 {
+	countRead(len(payload))
+	if compressed && len(payload) > 0 {
 		// The decompressed payload is held to the same cap as the wire
 		// frame, so a snappy bomb cannot expand past it.
-		payload, err = snappy.DecodeCapped(payload, max)
+		dec, err := snappy.AppendDecodeCapped(c.dbuf[:0], payload, max)
 		if err != nil {
 			return 0, nil, fmt.Errorf("rlpx: decompressing payload: %w", err)
 		}
+		keep(&c.dbuf, dec)
+		payload = dec
 	}
-	return code, payload, err
+	return code, payload, nil
 }
 
 // Close tears down the underlying connection.

@@ -83,8 +83,10 @@ func (m *macState) update(seed []byte) []byte {
 }
 
 // frameRW encrypts and authenticates frames in both directions.
-// wbuf and headbuf are per-direction scratch reused across frames;
-// the Conn contract of one goroutine per direction makes that safe.
+// wbuf and rbuf are per-direction scratch reused across frames; the
+// Conn contract of one goroutine per direction makes that safe. They
+// start on the arrays frameRW carries, which hold every frame of an
+// honest session, and move to the heap only for a larger frame.
 type frameRW struct {
 	conn    io.ReadWriter
 	enc     cipher.Stream // egress AES-CTR keystream
@@ -92,9 +94,19 @@ type frameRW struct {
 	em      macState
 	im      macState
 	wbuf    []byte   // whole egress wire frame: header|hmac|frame|fmac
-	rbuf    []byte   // ingress frame+fmac of a transient read
+	rbuf    []byte   // ingress frame+fmac; the payload ReadMsg returns lives here
 	headbuf [32]byte // ingress header ciphertext + MAC
+
+	wscratch, rscratch [frameScratch]byte
 }
+
+// frameScratch fits the wire image of an honestPayload-sized message:
+// header and its MAC, code and padding, frame MAC.
+const frameScratch = 32 + honestPayload + 16 + 16
+
+// zeroIV is the CTR streams' IV: the key is session-unique. NewCTR
+// copies it, and a shared array costs no allocation per session.
+var zeroIV [aes.BlockSize]byte
 
 // init keys rw from the handshake's secrets. One AES block per key is
 // shared by the two directions: cipher.Block is stateless, and each
@@ -108,17 +120,31 @@ func (rw *frameRW) init(conn io.ReadWriter, s *secrets) {
 	if err != nil {
 		panic("rlpx: mac secret has wrong length: " + err.Error())
 	}
-	var iv [aes.BlockSize]byte // zero IV: the key is session-unique
 	rw.conn = conn
-	rw.enc = cipher.NewCTR(frameBlock, iv[:])
-	rw.dec = cipher.NewCTR(frameBlock, iv[:])
+	rw.enc = cipher.NewCTR(frameBlock, zeroIV[:])
+	rw.dec = cipher.NewCTR(frameBlock, zeroIV[:])
 	rw.em = macState{hash: s.egressMAC, block: macBlock}
 	rw.im = macState{hash: s.ingressMAC, block: macBlock}
+	rw.wbuf = rw.wscratch[:0]
+	rw.rbuf = rw.rscratch[:0]
+}
+
+// scratch returns *buf resliced to n bytes, or a new n-byte buffer
+// when it is too small, kept in *buf for later messages only up to
+// maxKeepPayload: a rare oversized message should not pin its buffer.
+func scratch(buf *[]byte, n int) []byte {
+	if cap(*buf) >= n {
+		return (*buf)[:n]
+	}
+	b := make([]byte, n)
+	if n <= maxKeepPayload {
+		*buf = b
+	}
+	return b
 }
 
 // WriteMsg frames one message: code plus pre-encoded RLP payload.
-// The wire image is assembled in rw.wbuf, which is reused across
-// calls and only grows.
+// The wire image is assembled in rw.wbuf.
 func (rw *frameRW) WriteMsg(code uint64, payload []byte) error {
 	var codeArr [9]byte
 	codeBytes := rlp.AppendUint(codeArr[:0], code)
@@ -130,11 +156,7 @@ func (rw *frameRW) WriteMsg(code uint64, payload []byte) error {
 	if over := frameSize % 16; over != 0 {
 		padded += 16 - over
 	}
-	total := 32 + padded + 16
-	if cap(rw.wbuf) < total {
-		rw.wbuf = make([]byte, total)
-	}
-	wbuf := rw.wbuf[:total]
+	wbuf := scratch(&rw.wbuf, 32+padded+16)
 
 	// Header: 3-byte size, zero header-data, zero padding to 16. The
 	// tail must be cleared explicitly since the buffer is reused.
@@ -167,15 +189,12 @@ func (rw *frameRW) WriteMsg(code uint64, payload []byte) error {
 
 // ReadMsg reads and authenticates one frame, returning the message
 // code and payload. maxFrame caps the advertised frame size; the
-// check runs before the frame buffer is allocated, so a hostile
-// header announcing (say) 16 MiB costs nothing but the 32-byte header
-// read. Non-positive maxFrame falls back to the absolute limit.
-//
-// The payload normally gets a buffer of its own and belongs to the
-// caller. With transient set it aliases rw's read scratch instead and
-// is valid only until the next ReadMsg — for a caller that is about to
-// decompress it and keep nothing of the frame.
-func (rw *frameRW) ReadMsg(maxFrame int, transient bool) (code uint64, payload []byte, err error) {
+// check runs before the frame buffer is sized, so a hostile header
+// announcing (say) 16 MiB costs nothing but the 32-byte header read.
+// Non-positive maxFrame falls back to the absolute limit. The payload
+// is decrypted in place in rw.rbuf and is valid until the next
+// ReadMsg.
+func (rw *frameRW) ReadMsg(maxFrame int) (code uint64, payload []byte, err error) {
 	if maxFrame <= 0 || maxFrame > MaxFrameSize {
 		maxFrame = MaxFrameSize
 	}
@@ -196,18 +215,7 @@ func (rw *frameRW) ReadMsg(maxFrame int, transient bool) (code uint64, payload [
 	if over := frameSize % 16; over != 0 {
 		padded += 16 - over
 	}
-	var framebuf []byte
-	switch {
-	case !transient:
-		framebuf = make([]byte, padded+16)
-	case cap(rw.rbuf) >= padded+16:
-		framebuf = rw.rbuf[:padded+16]
-	default:
-		framebuf = make([]byte, padded+16)
-		if len(framebuf) <= maxKeepPayload {
-			rw.rbuf = framebuf
-		}
-	}
+	framebuf := scratch(&rw.rbuf, padded+16)
 	if _, err := io.ReadFull(rw.conn, framebuf); err != nil {
 		return 0, nil, fmt.Errorf("rlpx: reading frame: %w", err)
 	}

@@ -138,17 +138,31 @@ type secrets struct {
 	remoteID              enode.ID
 }
 
-// handshakeState accumulates one side's handshake and owns its
-// scratch: the two raw packets (kept whole because they seed the frame
+// handshakeState accumulates one side's handshake and owns everything
+// it works on, by value: the keys, the two bodies, the derived
+// secrets, the two raw packets (kept whole because they seed the frame
 // MACs) and one plaintext buffer that serves the outbound body before
-// sealing and the inbound body after opening.
+// sealing and the inbound body after opening. It lives inside its
+// Conn, so a handshake between two of these stacks allocates nothing
+// of its own beyond the ECIES ciphers.
 type handshakeState struct {
 	initiator bool
-	remotePub *secp256k1.PublicKey // remote static key
+	remotePub secp256k1.PublicKey // remote static key
 
 	initNonce, respNonce [nonceLen]byte
-	ephemeralKey         *secp256k1.PrivateKey
-	remoteEphemeralPub   *secp256k1.PublicKey
+	ephemeralKey         secp256k1.PrivateKey
+	remoteEphemeralPub   secp256k1.PublicKey
+	// entropy receives the random reads that land nowhere else: a
+	// buffer handed to an io.Reader escapes, so a local one would be
+	// an allocation per read.
+	entropy [32]byte
+
+	// The bodies, held here so that rlp.DecodeFirst's `any` takes a
+	// pointer into the Conn rather than moving a local to the heap.
+	auth authMsgV4
+	ack  authAckV4
+
+	sec secrets
 
 	rbuf  []byte // raw inbound packet, size prefix included
 	wbuf  []byte // raw outbound packet, size prefix included
@@ -171,18 +185,17 @@ const (
 	maxPacket   = 2 + ecies.Overhead + maxPlainLen
 )
 
-func newHandshakeState(initiator bool) *handshakeState {
-	h := &handshakeState{initiator: initiator}
+func (h *handshakeState) init(initiator bool) {
+	h.initiator = initiator
 	h.rbuf = h.scratch[0:0:maxPacket]
 	h.wbuf = h.scratch[maxPacket : maxPacket : 2*maxPacket]
 	h.plain = h.scratch[2*maxPacket : 2*maxPacket]
-	return h
 }
 
 // staticSharedXorNonce is what the auth signature covers: the static
 // ECDH secret XOR the initiator's nonce.
 func (h *handshakeState) staticSharedXorNonce(priv *secp256k1.PrivateKey) (signed [32]byte, err error) {
-	if err := secp256k1.SharedSecretInto(&signed, priv, h.remotePub); err != nil {
+	if err := secp256k1.SharedSecretInto(&signed, priv, &h.remotePub); err != nil {
 		return signed, fmt.Errorf("rlpx: static ECDH: %w", err)
 	}
 	for i := range signed {
@@ -191,77 +204,68 @@ func (h *handshakeState) staticSharedXorNonce(priv *secp256k1.PrivateKey) (signe
 	return signed, nil
 }
 
-// initiatorHandshake runs the auth/ack exchange from the dialing
-// side. remoteID must be the expected node identity.
-func initiatorHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey, remoteID enode.ID) (*secrets, error) {
-	remotePub, err := remoteID.Pubkey()
-	if err != nil {
-		return nil, fmt.Errorf("rlpx: remote ID is not a valid key: %w", err)
+// initiate runs the auth/ack exchange from the dialing side and
+// leaves the session keys in h.sec. remoteID must be the expected
+// node identity.
+func (h *handshakeState) initiate(conn io.ReadWriter, priv *secp256k1.PrivateKey, remoteID enode.ID) error {
+	h.init(true)
+	if err := secp256k1.ParsePublicKeyInto(&h.remotePub, remoteID[:]); err != nil {
+		return fmt.Errorf("rlpx: remote ID is not a valid key: %w", err)
 	}
-	h := newHandshakeState(true)
-	h.remotePub = remotePub
-
 	if err := h.makeAuthMsg(priv); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := conn.Write(h.wbuf); err != nil {
-		return nil, fmt.Errorf("rlpx: writing auth: %w", err)
+		return fmt.Errorf("rlpx: writing auth: %w", err)
 	}
 
 	if err := h.readHandshakeMsg(conn, priv); err != nil {
-		return nil, err
+		return err
 	}
 	// DecodeFirst: EIP-8 bodies carry random padding after the list.
-	var ack authAckV4
-	if err := rlp.DecodeFirst(h.plain, &ack); err != nil {
-		return nil, fmt.Errorf("%w: decoding ack: %v", ErrBadHandshake, err)
+	if err := rlp.DecodeFirst(h.plain, &h.ack); err != nil {
+		return fmt.Errorf("%w: decoding ack: %v", ErrBadHandshake, err)
 	}
-	h.respNonce = ack.Nonce
-	h.remoteEphemeralPub, err = secp256k1.ParsePublicKey(ack.EphemeralPK[:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad ephemeral key in ack: %v", ErrBadHandshake, err)
+	h.respNonce = h.ack.Nonce
+	if err := secp256k1.ParsePublicKeyInto(&h.remoteEphemeralPub, h.ack.EphemeralPK[:]); err != nil {
+		return fmt.Errorf("%w: bad ephemeral key in ack: %v", ErrBadHandshake, err)
 	}
 	return h.deriveSecrets(remoteID)
 }
 
-// recipientHandshake runs the exchange from the listening side and
-// returns the discovered initiator identity.
-func recipientHandshake(conn io.ReadWriter, priv *secp256k1.PrivateKey) (*secrets, error) {
-	h := newHandshakeState(false)
-
+// accept runs the exchange from the listening side and leaves the
+// session keys, with the discovered initiator identity, in h.sec.
+func (h *handshakeState) accept(conn io.ReadWriter, priv *secp256k1.PrivateKey) error {
+	h.init(false)
 	if err := h.readHandshakeMsg(conn, priv); err != nil {
-		return nil, err
+		return err
 	}
-	var auth authMsgV4
-	if err := rlp.DecodeFirst(h.plain, &auth); err != nil {
-		return nil, fmt.Errorf("%w: decoding auth: %v", ErrBadHandshake, err)
+	if err := rlp.DecodeFirst(h.plain, &h.auth); err != nil {
+		return fmt.Errorf("%w: decoding auth: %v", ErrBadHandshake, err)
 	}
-	remotePub, err := secp256k1.ParsePublicKey(auth.InitiatorPK[:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: bad initiator key: %v", ErrBadHandshake, err)
+	if err := secp256k1.ParsePublicKeyInto(&h.remotePub, h.auth.InitiatorPK[:]); err != nil {
+		return fmt.Errorf("%w: bad initiator key: %v", ErrBadHandshake, err)
 	}
-	h.remotePub = remotePub
-	h.initNonce = auth.Nonce
+	h.initNonce = h.auth.Nonce
 
 	// Recover the initiator's ephemeral key from the signature over
 	// (static-shared-secret XOR nonce).
 	signed, err := h.staticSharedXorNonce(priv)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	h.remoteEphemeralPub, err = secp256k1.RecoverPubkey(signed[:], auth.Signature[:])
-	if err != nil {
-		return nil, fmt.Errorf("%w: recovering ephemeral key: %v", ErrBadHandshake, err)
+	if err := secp256k1.RecoverPubkeyInto(&h.remoteEphemeralPub, signed[:], h.auth.Signature[:]); err != nil {
+		return fmt.Errorf("%w: recovering ephemeral key: %v", ErrBadHandshake, err)
 	}
 
 	// Send the ack.
 	if err := h.makeAuthAck(); err != nil {
-		return nil, err
+		return err
 	}
 	if _, err := conn.Write(h.wbuf); err != nil {
-		return nil, fmt.Errorf("rlpx: writing ack: %w", err)
+		return fmt.Errorf("rlpx: writing ack: %w", err)
 	}
-	return h.deriveSecrets(enode.PubkeyID(remotePub))
+	return h.deriveSecrets(enode.PubkeyID(&h.remotePub))
 }
 
 // makeAuthMsg builds the sealed auth packet in h.wbuf.
@@ -269,23 +273,19 @@ func (h *handshakeState) makeAuthMsg(priv *secp256k1.PrivateKey) error {
 	if _, err := rand.Read(h.initNonce[:]); err != nil {
 		return err
 	}
-	var err error
-	h.ephemeralKey, err = secp256k1.GenerateKey(rand.Reader)
-	if err != nil {
+	if err := secp256k1.GenerateKeyInto(&h.ephemeralKey, rand.Reader, &h.entropy); err != nil {
 		return err
 	}
 	signed, err := h.staticSharedXorNonce(priv)
 	if err != nil {
 		return err
 	}
-	sig, err := secp256k1.Sign(h.ephemeralKey, signed[:])
-	if err != nil {
+	if err := secp256k1.SignInto(&h.auth.Signature, &h.ephemeralKey, signed[:]); err != nil {
 		return fmt.Errorf("rlpx: signing auth: %w", err)
 	}
-	msg := &authMsgV4{Version: authVersion, Nonce: h.initNonce}
-	copy(msg.Signature[:], sig)
-	priv.Pub.PutRaw(&msg.InitiatorPK)
-	return h.sealEIP8(msg)
+	priv.Pub.PutRaw(&h.auth.InitiatorPK)
+	h.auth.Nonce, h.auth.Version = h.initNonce, authVersion
+	return h.sealEIP8(&h.auth)
 }
 
 // makeAuthAck builds the sealed ack packet in h.wbuf.
@@ -293,38 +293,35 @@ func (h *handshakeState) makeAuthAck() error {
 	if _, err := rand.Read(h.respNonce[:]); err != nil {
 		return err
 	}
-	var err error
-	h.ephemeralKey, err = secp256k1.GenerateKey(rand.Reader)
-	if err != nil {
+	if err := secp256k1.GenerateKeyInto(&h.ephemeralKey, rand.Reader, &h.entropy); err != nil {
 		return err
 	}
-	msg := &authAckV4{Version: ackVersion, Nonce: h.respNonce}
-	h.ephemeralKey.Pub.PutRaw(&msg.EphemeralPK)
-	return h.sealEIP8(msg)
+	h.ephemeralKey.Pub.PutRaw(&h.ack.EphemeralPK)
+	h.ack.Nonce, h.ack.Version = h.respNonce, ackVersion
+	return h.sealEIP8(&h.ack)
 }
 
 // sealEIP8 RLP-encodes, pads, encrypts, and prefixes a handshake
 // message per EIP-8, leaving the packet in h.wbuf.
-func (h *handshakeState) sealEIP8(msg any) error {
-	body, err := rlp.EncodeAppend(h.plain[:0], msg)
-	if err != nil {
-		return err
-	}
+func (h *handshakeState) sealEIP8(msg rlp.Encoder) error {
+	body := msg.AppendRLP(h.plain[:0])
 	// Random padding of 100-300 bytes disguises the message type.
 	n := len(body)
-	body = append(body, make([]byte, 100+randByteInt(maxPadLen-100))...)
+	body = append(body, make([]byte, 100+h.randInt(maxPadLen-100))...)
 	rand.Read(body[n:])
 	h.plain = body[:0]
 
 	ctLen := len(body) + ecies.Overhead
 	h.wbuf = append(h.wbuf[:0], byte(ctLen>>8), byte(ctLen))
-	h.wbuf, err = ecies.Seal(h.wbuf, rand.Reader, h.remotePub, body, nil, h.wbuf[:2])
+	var err error
+	h.wbuf, err = ecies.Seal(h.wbuf, rand.Reader, &h.remotePub, body, nil, h.wbuf[:2])
 	return err
 }
 
-func randByteInt(n int) int {
-	var b [2]byte
-	rand.Read(b[:])
+// randInt draws from [0, n) for n ≤ 1<<16, reading into h.entropy.
+func (h *handshakeState) randInt(n int) int {
+	b := h.entropy[:2]
+	rand.Read(b)
 	return (int(b[0])<<8 | int(b[1])) % n
 }
 
@@ -353,16 +350,17 @@ func (h *handshakeState) readHandshakeMsg(r io.Reader, priv *secp256k1.PrivateKe
 }
 
 // deriveSecrets computes the frame keys and MAC states (§ "secrets"
-// of the RLPx spec).
-func (h *handshakeState) deriveSecrets(remoteID enode.ID) (*secrets, error) {
+// of the RLPx spec) into h.sec.
+func (h *handshakeState) deriveSecrets(remoteID enode.ID) error {
 	var eph [32]byte
-	if err := secp256k1.SharedSecretInto(&eph, h.ephemeralKey, h.remoteEphemeralPub); err != nil {
-		return nil, fmt.Errorf("rlpx: ephemeral ECDH: %w", err)
+	if err := secp256k1.SharedSecretInto(&eph, &h.ephemeralKey, &h.remoteEphemeralPub); err != nil {
+		return fmt.Errorf("rlpx: ephemeral ECDH: %w", err)
 	}
 	// shared-secret = keccak(eph || keccak(respNonce || initNonce))
 	nonceHash := hashPair(&h.respNonce, &h.initNonce)
 	sharedSecret := hashPair(&eph, &nonceHash)
-	s := &secrets{remoteID: remoteID}
+	s := &h.sec
+	s.remoteID = remoteID
 	s.aes = hashPair(&eph, &sharedSecret)
 	s.mac = hashPair(&eph, &s.aes)
 
@@ -375,7 +373,7 @@ func (h *handshakeState) deriveSecrets(remoteID enode.ID) (*secrets, error) {
 	}
 	s.egressMAC = seedMAC(&s.mac, egressNonce, h.wbuf)
 	s.ingressMAC = seedMAC(&s.mac, ingressNonce, h.rbuf)
-	return s, nil
+	return nil
 }
 
 // hashPair is keccak(a || b), hashed from one stack buffer.

@@ -420,60 +420,3 @@ func netpipePair(tb testing.TB, initKey, recipKey *secp256k1.PrivateKey) (*Conn,
 	}
 	return client, server
 }
-
-// handshakePairAllocBudget is the recorded heap cost of one complete
-// handshake, both sides, over netpipe (measured: 59, and 71 under the
-// race detector, which the budget has to admit). What is left is what
-// the exchange hands out or must build per session: four keys and
-// their entropy reads, the signature, the two handshake states, AES
-// and CTR objects for two ECIES messages and the frame ciphers each
-// side, the two conns, the pipe itself and the accept goroutine. The
-// handshake this replaced cost about 470.
-const handshakePairAllocBudget = 75
-
-func TestHandshakePairAllocs(t *testing.T) {
-	initKey, recipKey := testKey(t, 30), testKey(t, 31)
-	allocs := testing.AllocsPerRun(20, func() {
-		client, server := netpipePair(t, initKey, recipKey)
-		client.Close()
-		server.Close()
-	})
-	if allocs > handshakePairAllocBudget {
-		t.Errorf("handshake pair allocates %.0f objects, budget %d", allocs, handshakePairAllocBudget)
-	}
-	t.Logf("handshake pair: %.0f allocs", allocs)
-}
-
-// TestFrameRoundTripAllocs: a STATUS-sized message there and back with
-// snappy on costs the two decompressed payloads handed to the callers
-// and netpipe's two queue buffers — not a buffer per layer per frame.
-func TestFrameRoundTripAllocs(t *testing.T) {
-	client, server := netpipePair(t, testKey(t, 32), testKey(t, 33))
-	defer client.Close()
-	client.SetSnappy(true)
-	server.SetSnappy(true)
-	echoDone := make(chan struct{})
-	go func() {
-		defer close(echoDone)
-		for {
-			code, payload, err := server.ReadMsg()
-			if err != nil || server.WriteMsg(code, payload) != nil {
-				return
-			}
-		}
-	}()
-	payload := make([]byte, 80)
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := client.WriteMsg(0x10, payload); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := client.ReadMsg(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 4 {
-		t.Errorf("frame round trip allocates %.1f objects, want at most 4", allocs)
-	}
-	server.Close()
-	<-echoDone
-}

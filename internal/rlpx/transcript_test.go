@@ -89,7 +89,7 @@ func TestFrameTranscript(t *testing.T) {
 
 	r.init(&wire, transcriptSecrets(true))
 	for _, m := range msgs {
-		code, payload, err := r.ReadMsg(0, false)
+		code, payload, err := r.ReadMsg(0)
 		if err != nil {
 			t.Fatalf("reading %s back: %v", m.name, err)
 		}

@@ -32,6 +32,11 @@ type Timer interface {
 	// Stop cancels the timer; it reports whether the call prevented
 	// the callback from firing.
 	Stop() bool
+	// Reset re-arms the timer to run its callback after d, whether it
+	// is pending, stopped or already fired; it reports whether it was
+	// pending. A periodic callback re-armed this way costs no new
+	// timer.
+	Reset(d time.Duration) bool
 }
 
 // System is the real-time clock backed by the time package.
@@ -65,6 +70,8 @@ func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.began) }
 type systemTimer struct{ t *time.Timer }
 
 func (t systemTimer) Stop() bool { return t.t.Stop() }
+
+func (t systemTimer) Reset(d time.Duration) bool { return t.t.Reset(d) }
 
 // Event is a callback scheduled on a Simulated clock with Schedule.
 // A type that carries its own state can be its own Event, so that
@@ -135,9 +142,9 @@ func (c *Simulated) Schedule(d time.Duration, ev Event) {
 
 // AfterFunc implements Clock: Schedule with a handle that can stop it.
 func (c *Simulated) AfterFunc(d time.Duration, fn func()) Timer {
-	t := &simTimer{clock: c}
+	t := &simTimer{clock: c, ev: funcEvent(fn)}
 	c.mu.Lock()
-	c.push(d, funcEvent(fn), t)
+	c.push(d, t.ev, t)
 	c.mu.Unlock()
 	return t
 }
@@ -222,7 +229,30 @@ func (c *Simulated) NextDeadline() (time.Time, bool) {
 // simTimer is AfterFunc's handle on its heap slot.
 type simTimer struct {
 	clock *Simulated
-	index int // position in clock.heap; -1 once fired or stopped
+	ev    Event // the callback, kept for Reset after it fired
+	index int   // position in clock.heap; -1 once fired or stopped
+}
+
+// Reset implements Timer. The event gets the deadline and the place in
+// the scheduling order a fresh AfterFunc would give it, so a run that
+// re-arms with Reset fires exactly as one that stops and re-creates;
+// a pending event is re-keyed and sifted where it stands.
+func (t *simTimer) Reset(d time.Duration) bool {
+	c := t.clock
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if t.index < 0 {
+		c.push(d, t.ev, t)
+		return false
+	}
+	if d < 0 {
+		d = 0
+	}
+	e := &c.heap[t.index]
+	e.at, e.seq = c.now+d, c.seq
+	c.seq++
+	c.up(c.down(t.index))
+	return true
 }
 
 // Stop implements Timer.

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -354,5 +355,94 @@ func TestScheduleAllocatesNothing(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("Schedule and fire allocate %.1f objects, want 0", n)
+	}
+}
+
+// TestResetMatchesStopAndAfterFunc is a differential test of Reset:
+// random schedules of re-arms (negative, zero and positive delays, on
+// pending, stopped and fired timers, some from inside a callback),
+// stops, handle-less events and advances, driven once through Reset
+// and once through Stop plus a fresh AfterFunc, must fire the same
+// callbacks at the same instants in the same order, and report the
+// same pending states.
+func TestResetMatchesStopAndAfterFunc(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		reset := rearmSchedule(t, seed, true)
+		recreate := rearmSchedule(t, seed, false)
+		if len(reset) != len(recreate) {
+			t.Fatalf("seed %d: %d events through Reset, %d through Stop+AfterFunc", seed, len(reset), len(recreate))
+		}
+		for i := range reset {
+			if reset[i] != recreate[i] {
+				t.Fatalf("seed %d, event %d: %q through Reset, %q through Stop+AfterFunc", seed, i, reset[i], recreate[i])
+			}
+		}
+	}
+}
+
+// rearmSchedule runs seed's schedule and returns what happened, in
+// order.
+func rearmSchedule(t *testing.T, seed int64, useReset bool) []string {
+	c := NewSimulated(epoch)
+	rng := rand.New(rand.NewSource(seed))
+	const n = 40
+	timers := make([]Timer, n)
+	fires := make([]int, n)
+	var log []string
+	var rearm func(i int, d time.Duration) bool
+	rearm = func(i int, d time.Duration) bool {
+		if useReset && timers[i] != nil {
+			return timers[i].Reset(d)
+		}
+		pending := timers[i] != nil && timers[i].Stop()
+		timers[i] = c.AfterFunc(d, func() {
+			fires[i]++
+			log = append(log, fmt.Sprintf("fire %d at %v", i, c.Now().Sub(epoch)))
+			// Every third firing re-arms from inside the callback, as a
+			// static re-dial that finds its node busy does.
+			if fires[i]%3 == 0 {
+				rearm(i, time.Duration(i%4)*time.Second)
+			}
+		})
+		return pending
+	}
+	for step := 0; step < 3000; step++ {
+		i := rng.Intn(n)
+		switch op := rng.Intn(20); {
+		case op < 10:
+			d := time.Duration(rng.Intn(120)-10) * time.Second
+			log = append(log, fmt.Sprintf("rearm %d by %v: %v", i, d, rearm(i, d)))
+		case op < 13:
+			if timers[i] != nil {
+				log = append(log, fmt.Sprintf("stop %d: %v", i, timers[i].Stop()))
+			}
+		case op < 15:
+			k := step
+			c.Schedule(time.Duration(rng.Intn(60))*time.Second, funcEvent(func() {
+				log = append(log, fmt.Sprintf("event %d at %v", k, c.Now().Sub(epoch)))
+			}))
+		default:
+			log = append(log, fmt.Sprintf("advance: %d fired", c.Advance(time.Duration(rng.Intn(30))*time.Second)))
+		}
+		if step%250 == 0 {
+			checkHeap(t, c)
+		}
+	}
+	log = append(log, fmt.Sprintf("drain: %d fired", c.RunAll(1<<20)))
+	return log
+}
+
+// TestResetAllocatesNothing: re-arming a pending or a fired timer
+// reuses its handle and its heap slot.
+func TestResetAllocatesNothing(t *testing.T) {
+	c := NewSimulated(epoch)
+	tm := c.AfterFunc(time.Second, func() {})
+	n := testing.AllocsPerRun(100, func() {
+		tm.Reset(2 * time.Second)
+		c.Advance(3 * time.Second)
+		tm.Reset(time.Second)
+	})
+	if n != 0 {
+		t.Fatalf("Reset allocates %.1f objects, want 0", n)
 	}
 }

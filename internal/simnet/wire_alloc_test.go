@@ -28,8 +28,12 @@ func TestWireDialAllocs(t *testing.T) {
 		}
 		waitDemoted(t, w, 0) // the serving side's teardown belongs to this dial
 	})
-	const budget = 170 // measures 155, harness channel and timeout timer included
+	// Measures 82, harness channel and timeout timer included (150
+	// before each RLPx end was born holding its keys and scratch and a
+	// netpipe pair became one allocation).
+	const budget = 90
 	if allocs > budget {
 		t.Errorf("honest mainnet wire dial: %.1f allocs, budget %d", allocs, budget)
 	}
+	t.Logf("honest mainnet wire dial: %.1f allocs", allocs)
 }

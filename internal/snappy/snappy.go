@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Tag values for the low two bits of each element's first byte.
@@ -237,6 +238,14 @@ func Decode(src []byte) ([]byte, error) {
 // decoded length — fails fast without reserving the claimed space.
 // Transports should pass their own message-size limit here.
 func DecodeCapped(src []byte, maxLen int) ([]byte, error) {
+	return AppendDecodeCapped(nil, src, maxLen)
+}
+
+// AppendDecodeCapped is DecodeCapped appending the decoded block to
+// dst, for callers that own an output buffer: the decode twin of
+// AppendEncode. dst grows at most once, by the checked announced
+// length, and must not overlap src. On error the result is nil.
+func AppendDecodeCapped(dst, src []byte, maxLen int) ([]byte, error) {
 	dLen64, consumed := readUvarint(src)
 	if consumed == 0 {
 		return nil, ErrCorrupt
@@ -247,9 +256,11 @@ func DecodeCapped(src []byte, maxLen int) ([]byte, error) {
 	if dLen64 > uint64(maxLen) {
 		return nil, ErrTooLarge
 	}
-	dLen := int(dLen64)
 	src = src[consumed:]
-	dst := make([]byte, 0, dLen)
+	// Copies reach back into the block alone, never into dst's prefix.
+	base := len(dst)
+	end := base + int(dLen64)
+	dst = slices.Grow(dst, int(dLen64))
 
 	for len(src) > 0 {
 		tag := src[0]
@@ -300,7 +311,7 @@ func DecodeCapped(src []byte, maxLen int) ([]byte, error) {
 			offset := int(tag&0xE0)<<3 | int(src[1])
 			src = src[2:]
 			var err error
-			dst, err = copyFrom(dst, offset, length)
+			dst, err = copyFrom(dst, base, offset, length)
 			if err != nil {
 				return nil, err
 			}
@@ -313,7 +324,7 @@ func DecodeCapped(src []byte, maxLen int) ([]byte, error) {
 			offset := int(src[1]) | int(src[2])<<8
 			src = src[3:]
 			var err error
-			dst, err = copyFrom(dst, offset, length)
+			dst, err = copyFrom(dst, base, offset, length)
 			if err != nil {
 				return nil, err
 			}
@@ -326,25 +337,26 @@ func DecodeCapped(src []byte, maxLen int) ([]byte, error) {
 			offset := int(src[1]) | int(src[2])<<8 | int(src[3])<<16 | int(src[4])<<24
 			src = src[5:]
 			var err error
-			dst, err = copyFrom(dst, offset, length)
+			dst, err = copyFrom(dst, base, offset, length)
 			if err != nil {
 				return nil, err
 			}
 		}
-		if len(dst) > dLen {
+		if len(dst) > end {
 			return nil, ErrCorrupt
 		}
 	}
-	if len(dst) != dLen {
+	if len(dst) != end {
 		return nil, ErrCorrupt
 	}
 	return dst, nil
 }
 
 // copyFrom appends length bytes starting offset back from the end of
-// dst, allowing overlapping (run-length) copies.
-func copyFrom(dst []byte, offset, length int) ([]byte, error) {
-	if offset <= 0 || offset > len(dst) || length <= 0 {
+// dst, allowing overlapping (run-length) copies. The block being
+// decoded starts at dst[base].
+func copyFrom(dst []byte, base, offset, length int) ([]byte, error) {
+	if offset <= 0 || offset > len(dst)-base || length <= 0 {
 		return nil, ErrCorrupt
 	}
 	pos := len(dst) - offset

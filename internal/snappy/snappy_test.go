@@ -177,6 +177,28 @@ func TestEncodeAllocs(t *testing.T) {
 	}
 }
 
+// AppendDecodeCapped keeps dst's prefix, decodes after it, allocates
+// nothing into a buffer with room, and lets no copy reach back past
+// the block into the prefix.
+func TestAppendDecodeCapped(t *testing.T) {
+	src := bytes.Repeat([]byte("eth/63 status "), 20)
+	enc, _ := Encode(src)
+	buf := make([]byte, 0, 512)
+	out, err := AppendDecodeCapped(append(buf, "pre"...), enc, len(src))
+	if err != nil || string(out[:3]) != "pre" || !bytes.Equal(out[3:], src) {
+		t.Fatalf("AppendDecodeCapped = %q, %v", out, err)
+	}
+	if got := testing.AllocsPerRun(100, func() { AppendDecodeCapped(buf[:0], enc, len(src)) }); got != 0 {
+		t.Errorf("decoding into a buffer with room allocates %.0f objects", got)
+	}
+	// One literal byte, then a 4-byte copy from offset 2: a reach into
+	// the prefix, corrupt however long the prefix is.
+	reach := []byte{5, 0 << 2, 'x', 0<<2 | tagCopy1, 2}
+	if _, err := AppendDecodeCapped([]byte("prefix"), reach, 16); err != ErrCorrupt {
+		t.Errorf("copy reaching into dst's prefix: err = %v, want ErrCorrupt", err)
+	}
+}
+
 // Inputs on both sides of each table-size boundary round-trip and
 // still compress: a smaller table must not stop finding matches.
 func TestTableSizeClasses(t *testing.T) {
