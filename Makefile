@@ -22,8 +22,9 @@ ci: fmt-check build vet test experiments-check race bench-smoke fuzz-smoke chaos
 # daemon's incremental publish against its from-scratch oracle; the
 # measurement log's JSON encoder and the census's node body against
 # encoding/json; an rlpx Conn pair against the payloads sent through
-# the scratch buffers every message reuses). Each target also replays
-# its committed regression corpus first.
+# the scratch buffers every message reuses; the by-value AES-CTR
+# stream against crypto/cipher.NewCTR). Each target also replays its
+# committed regression corpus first.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/rlp
@@ -34,6 +35,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecode -fuzztime=$(FUZZTIME) ./internal/snappy
 	go test -run='^$$' -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) ./internal/snappy
 	go test -run='^$$' -fuzz=FuzzConnRoundTrip -fuzztime=$(FUZZTIME) ./internal/rlpx
+	go test -run='^$$' -fuzz=FuzzStreamVsStdlib -fuzztime=$(FUZZTIME) ./internal/crypto/ctr
 	go test -run='^$$' -fuzz=FuzzFieldArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzScalarArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1
 	go test -run='^$$' -fuzz=FuzzPointArithmetic -fuzztime=$(FUZZTIME) ./internal/crypto/secp256k1

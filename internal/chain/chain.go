@@ -108,6 +108,10 @@ const (
 // checks it to separate Mainnet from Classic peers.
 var DAOForkBlockExtra = []byte{0x64, 0x61, 0x6f, 0x2d, 0x68, 0x61, 0x72, 0x64, 0x2d, 0x66, 0x6f, 0x72, 0x6b}
 
+// A BLOCK_HEADERS body is a []*Header; registering it lets rlp's front
+// doors code one like any wire type.
+func init() { rlp.RegisterList[Header]() }
+
 // Header is an Ethereum block header. Field order matters: the header
 // hash is the Keccak-256 of this exact RLP encoding.
 type Header struct {

@@ -14,13 +14,13 @@ package ecies
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
 
+	"repro/internal/crypto/ctr"
 	"repro/internal/crypto/secp256k1"
 )
 
@@ -115,7 +115,9 @@ func Seal(dst []byte, rand io.Reader, pub *secp256k1.PublicKey, msg, s1, s2 []by
 	if err != nil {
 		return nil, err
 	}
-	cipher.NewCTR(block, iv).XORKeyStream(dst[start+65+aes.BlockSize:], msg)
+	var stream ctr.Stream
+	stream.Init(block, iv)
+	stream.XORKeyStream(dst[start+65+aes.BlockSize:], msg)
 	tag := messageTag(&km, dst[start+65:], s2)
 	return append(dst, tag[:]...), nil
 }
@@ -154,6 +156,8 @@ func Open(dst []byte, priv *secp256k1.PrivateKey, ct, s1, s2 []byte) ([]byte, er
 	iv, payload := body[:aes.BlockSize], body[aes.BlockSize:]
 	start := len(dst)
 	dst = append(dst, make([]byte, len(payload))...)
-	cipher.NewCTR(block, iv).XORKeyStream(dst[start:], payload)
+	var stream ctr.Stream
+	stream.Init(block, iv)
+	stream.XORKeyStream(dst[start:], payload)
 	return dst, nil
 }

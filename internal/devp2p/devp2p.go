@@ -234,7 +234,18 @@ func SendHello(rw MsgReadWriter, h *Hello) error {
 // ReadHello reads the peer's HELLO, tolerating a DISCONNECT in its
 // place (returned as DisconnectError — the common "Too many peers"
 // case the paper's scanner must classify).
-func ReadHello(rw MsgReadWriter) (*Hello, error) {
+func ReadHello(rw MsgReadWriter) (*Hello, error) { return readHello(rw, nil) }
+
+// ReadHelloInto is ReadHello decoding into h, so that a server can
+// keep the peer's HELLO in storage it already owns for the session.
+func ReadHelloInto(rw MsgReadWriter, h *Hello) error {
+	_, err := readHello(rw, h)
+	return err
+}
+
+// readHello decodes a HELLO into h, or into a new Hello when h is nil:
+// a DISCONNECT in its place costs no Hello.
+func readHello(rw MsgReadWriter, h *Hello) (*Hello, error) {
 	code, payload, err := rw.ReadMsg()
 	if err != nil {
 		return nil, err
@@ -244,11 +255,13 @@ func ReadHello(rw MsgReadWriter) (*Hello, error) {
 		if len(payload) > MaxHelloSize {
 			return nil, fmt.Errorf("%w: hello is %d bytes (max %d)", ErrMsgTooBig, len(payload), MaxHelloSize)
 		}
-		var h Hello
-		if err := rlp.DecodeBytes(payload, &h); err != nil {
+		if h == nil {
+			h = new(Hello)
+		}
+		if err := rlp.DecodeBytes(payload, h); err != nil {
 			return nil, fmt.Errorf("devp2p: decoding hello: %w", err)
 		}
-		return &h, nil
+		return h, nil
 	case DiscMsg:
 		return nil, DisconnectError{DecodeDisconnect(payload)}
 	default:
@@ -315,16 +328,22 @@ func SendPong(rw MsgReadWriter) error { return rw.WriteMsg(PongMsg, []byte{0xC0}
 // stack their message spaces above the base protocol, so equal HELLOs
 // yield equal offsets on both ends. For equal names the highest
 // shared version wins. A name lengths does not list gets 16 codes.
-//
-// Cap lists are a handful of entries, so MatchCaps scans them rather
-// than building a map, and keeps the result sorted as it grows: the
-// result slice is its only allocation.
 func MatchCaps(ours, theirs []Cap, lengths map[string]uint64) []NegotiatedCap {
-	var out []NegotiatedCap
+	// Every shared name is in both lists once at least.
+	return AppendMatchCaps(make([]NegotiatedCap, 0, min(len(ours), len(theirs))), ours, theirs, lengths)
+}
+
+// AppendMatchCaps is MatchCaps appending to dst, so that a caller with
+// room for the result allocates nothing. Cap lists are a handful of
+// entries, so it scans them rather than building a map, and keeps the
+// result sorted as it grows.
+func AppendMatchCaps(dst []NegotiatedCap, ours, theirs []Cap, lengths map[string]uint64) []NegotiatedCap {
+	start := len(dst)
 	for _, oc := range ours {
 		if !slices.Contains(theirs, oc) {
 			continue
 		}
+		out := dst[start:]
 		i := 0
 		for i < len(out) && out[i].Name < oc.Name {
 			i++
@@ -333,22 +352,18 @@ func MatchCaps(ours, theirs []Cap, lengths map[string]uint64) []NegotiatedCap {
 			out[i].Version = max(out[i].Version, oc.Version)
 			continue
 		}
-		if out == nil {
-			// Every shared name is in both lists once at least.
-			out = make([]NegotiatedCap, 0, min(len(ours), len(theirs)))
-		}
-		out = slices.Insert(out, i, NegotiatedCap{Cap: oc})
+		dst = slices.Insert(dst, start+i, NegotiatedCap{Cap: oc})
 	}
 	offset := BaseProtocolLength
-	for i := range out {
-		length := lengths[out[i].Name]
+	for i := start; i < len(dst); i++ {
+		length := lengths[dst[i].Name]
 		if length == 0 {
 			length = 16 // conservative default message space
 		}
-		out[i].Offset, out[i].Length = offset, length
+		dst[i].Offset, dst[i].Length = offset, length
 		offset += length
 	}
-	return out
+	return dst
 }
 
 // NegotiatedCap is a shared capability with its assigned code space.

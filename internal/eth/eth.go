@@ -254,6 +254,19 @@ func SendStatus(rw devp2p.MsgReadWriter, offset uint64, s *Status) error {
 // ReadStatus reads the peer's STATUS. A DISCONNECT in its place is
 // surfaced as devp2p.DisconnectError.
 func ReadStatus(rw devp2p.MsgReadWriter, offset uint64) (*Status, error) {
+	return readStatus(rw, offset, nil)
+}
+
+// ReadStatusInto is ReadStatus decoding into st, so that a server can
+// keep the peer's STATUS in storage it already owns for the session.
+func ReadStatusInto(rw devp2p.MsgReadWriter, offset uint64, st *Status) error {
+	_, err := readStatus(rw, offset, st)
+	return err
+}
+
+// readStatus decodes a STATUS into st, or into a new Status when st is
+// nil: a DISCONNECT in its place costs no Status.
+func readStatus(rw devp2p.MsgReadWriter, offset uint64, st *Status) (*Status, error) {
 	code, payload, err := rw.ReadMsg()
 	if err != nil {
 		return nil, err
@@ -265,11 +278,13 @@ func ReadStatus(rw devp2p.MsgReadWriter, offset uint64) (*Status, error) {
 		if len(payload) > MaxStatusSize {
 			return nil, fmt.Errorf("%w: status is %d bytes (max %d)", ErrMsgTooBig, len(payload), MaxStatusSize)
 		}
-		var s Status
-		if err := rlp.DecodeBytes(payload, &s); err != nil {
+		if st == nil {
+			st = new(Status)
+		}
+		if err := rlp.DecodeBytes(payload, st); err != nil {
 			return nil, fmt.Errorf("eth: decoding status: %w", err)
 		}
-		return &s, nil
+		return st, nil
 	default:
 		return nil, fmt.Errorf("%w: code %#x", ErrNoStatus, code)
 	}
@@ -297,19 +312,19 @@ var capLengths = map[string]uint64{ProtocolName: ProtocolLength}
 // Negotiate settles a session once both HELLOs are known, the same
 // way on either end: it turns on snappy compression of conn's later
 // payloads when both sides speak devp2p v5, and returns the shared eth
-// capability with its message-code offset, or nil when there is none.
-// *rlpx.Conn is the conn every caller passes.
-func Negotiate(conn interface{ SetSnappy(bool) }, ours, theirs *devp2p.Hello) *devp2p.NegotiatedCap {
+// capability with its message-code offset, with ok false when there
+// is none. *rlpx.Conn is the conn every caller passes.
+func Negotiate(conn interface{ SetSnappy(bool) }, ours, theirs *devp2p.Hello) (ethCap devp2p.NegotiatedCap, ok bool) {
 	if ours.Version >= devp2p.Version && theirs.Version >= devp2p.Version {
 		conn.SetSnappy(true)
 	}
-	caps := devp2p.MatchCaps(ours.Caps, theirs.Caps, capLengths)
-	for i := range caps {
-		if caps[i].Name == ProtocolName {
-			return &caps[i]
+	var room [4]devp2p.NegotiatedCap
+	for _, c := range devp2p.AppendMatchCaps(room[:0], ours.Caps, theirs.Caps, capLengths) {
+		if c.Name == ProtocolName {
+			return c, true
 		}
 	}
-	return nil
+	return devp2p.NegotiatedCap{}, false
 }
 
 // RequestHeaders sends GET_BLOCK_HEADERS.
@@ -348,24 +363,25 @@ func ReadHeaders(rw devp2p.MsgReadWriter, offset uint64) ([]*chain.Header, error
 	return nil, errors.New("eth: no header response within message budget")
 }
 
-// ServeHeaders answers one GET_BLOCK_HEADERS request from a chain
-// whose header at each block number header returns (nil where the
-// chain has none). The answer stops at the first missing block, and
-// its count is clamped to MaxHeadersServe regardless of what the
-// request demands. A hash origin is answered empty: nothing served
-// here indexes its headers by hash.
-func ServeHeaders(req *GetBlockHeaders, header func(uint64) *chain.Header) []*chain.Header {
+// ServeHeaders appends to dst the answer to one GET_BLOCK_HEADERS
+// request from a chain whose header at each block number header
+// returns (nil where the chain has none). The answer stops at the
+// first missing block, and its count is clamped to MaxHeadersServe
+// regardless of what the request demands. A hash origin is answered
+// empty: nothing served here indexes its headers by hash.
+func ServeHeaders(dst []*chain.Header, req *GetBlockHeaders, header func(uint64) *chain.Header) []*chain.Header {
 	amount := min(req.Amount, MaxHeadersServe)
 	if amount == 0 || req.Origin.IsHash {
-		return nil
+		return dst
 	}
 	num := req.Origin.Number
 	h := header(num)
 	if h == nil {
-		return nil
+		return dst
 	}
-	headers := []*chain.Header{h}
-	for uint64(len(headers)) < amount {
+	start := len(dst)
+	dst = append(dst, h)
+	for uint64(len(dst)-start) < amount {
 		next, ok := req.Next(num)
 		if !ok {
 			break
@@ -373,10 +389,10 @@ func ServeHeaders(req *GetBlockHeaders, header func(uint64) *chain.Header) []*ch
 		if h = header(next); h == nil {
 			break
 		}
-		headers = append(headers, h)
+		dst = append(dst, h)
 		num = next
 	}
-	return headers
+	return dst
 }
 
 // Next returns the block number the request asks for after n: Skip+1

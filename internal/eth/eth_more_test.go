@@ -70,13 +70,13 @@ func TestReadStatusRejectsGarbagePayload(t *testing.T) {
 }
 
 func TestServeHeadersZeroAmount(t *testing.T) {
-	if hs := ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 0}, testChain(3, false)); hs != nil {
+	if hs := ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 0}, testChain(3, false)); hs != nil {
 		t.Fatal("zero amount returned headers")
 	}
 }
 
 func TestServeHeadersReverseUnderflow(t *testing.T) {
-	hs := ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 1}, Amount: 10, Reverse: true}, testChain(3, false))
+	hs := ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 1}, Amount: 10, Reverse: true}, testChain(3, false))
 	if len(hs) != 2 { // blocks 1, 0 — stop at genesis
 		t.Fatalf("got %d headers", len(hs))
 	}

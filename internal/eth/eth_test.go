@@ -157,32 +157,32 @@ func TestHashOrNumberRLP(t *testing.T) {
 func TestServeHeaders(t *testing.T) {
 	c := testChain(50, false)
 	// Forward span.
-	hs := ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 10}, Amount: 5}, c)
+	hs := ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 10}, Amount: 5}, c)
 	if len(hs) != 5 || hs[0].Number.Uint64() != 10 || hs[4].Number.Uint64() != 14 {
 		t.Fatalf("forward: %d headers", len(hs))
 	}
 	// With skip.
-	hs = ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 3, Skip: 9}, c)
+	hs = ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 3, Skip: 9}, c)
 	if len(hs) != 3 || hs[1].Number.Uint64() != 10 || hs[2].Number.Uint64() != 20 {
 		t.Fatalf("skip: %+v", hs)
 	}
 	// Reverse.
-	hs = ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 10}, Amount: 3, Reverse: true}, c)
+	hs = ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 10}, Amount: 3, Reverse: true}, c)
 	if len(hs) != 3 || hs[2].Number.Uint64() != 8 {
 		t.Fatalf("reverse: %+v", hs)
 	}
 	// By hash: no source is indexed by hash, so the answer is empty.
-	hs = ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Hash: c(7).HashValue(), IsHash: true}, Amount: 1}, c)
+	hs = ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Hash: c(7).HashValue(), IsHash: true}, Amount: 1}, c)
 	if hs != nil {
 		t.Fatalf("by hash: %d headers, want none", len(hs))
 	}
 	// Beyond head truncates.
-	hs = ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 48}, Amount: 10}, c)
+	hs = ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 48}, Amount: 10}, c)
 	if len(hs) != 3 {
 		t.Fatalf("truncated: %d", len(hs))
 	}
 	// Unknown origin.
-	if hs := ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 999}, Amount: 1}, c); hs != nil {
+	if hs := ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 999}, Amount: 1}, c); hs != nil {
 		t.Fatal("phantom origin")
 	}
 }
@@ -201,7 +201,7 @@ func TestServeHeadersClampsAmount(t *testing.T) {
 		{"reverse from head", GetBlockHeaders{Origin: HashOrNumber{Number: head}, Reverse: true}},
 	} {
 		tc.req.Amount = math.MaxUint64
-		if hs := ServeHeaders(&tc.req, c); len(hs) != MaxHeadersServe {
+		if hs := ServeHeaders(nil, &tc.req, c); len(hs) != MaxHeadersServe {
 			t.Errorf("%s: Amount 2^64-1 answered %d headers, want MaxHeadersServe = %d", tc.name, len(hs), MaxHeadersServe)
 		}
 	}
@@ -227,7 +227,7 @@ func TestServeHeadersSkipWrap(t *testing.T) {
 		{"skip past genesis", GetBlockHeaders{Amount: 5, Skip: 10, Reverse: true}, []uint64{10}},
 	} {
 		tc.req.Origin = HashOrNumber{Number: 10}
-		hs := ServeHeaders(&tc.req, c)
+		hs := ServeHeaders(nil, &tc.req, c)
 		got := make([]uint64, len(hs))
 		for i, h := range hs {
 			got[i] = h.Number.Uint64()
@@ -288,7 +288,7 @@ func serveOneHeaderRequest(t *testing.T, rw devp2p.MsgReadWriter, c func(uint64)
 		t.Error(err)
 		return
 	}
-	resp, err := rlp.EncodeToBytes(ServeHeaders(&req, c))
+	resp, err := rlp.EncodeToBytes(ServeHeaders(nil, &req, c))
 	if err != nil {
 		t.Error(err)
 		return
@@ -303,7 +303,7 @@ func TestReadHeadersSkipsBroadcastNoise(t *testing.T) {
 		// Noise first, then the real response.
 		b.WriteMsg(offset+TransactionsMsg, []byte{0xC0})   //nolint:errcheck
 		b.WriteMsg(offset+NewBlockHashesMsg, []byte{0xC0}) //nolint:errcheck
-		resp, _ := rlp.EncodeToBytes(ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 1}, Amount: 1}, c))
+		resp, _ := rlp.EncodeToBytes(ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 1}, Amount: 1}, c))
 		b.WriteMsg(offset+BlockHeadersMsg, resp) //nolint:errcheck
 	}()
 	hs, err := ReadHeaders(a, offset)
@@ -325,7 +325,7 @@ func TestReadHeadersAnswersPing(t *testing.T) {
 		if code != devp2p.PongMsg {
 			t.Errorf("no pong, code %#x", code)
 		}
-		resp, _ := rlp.EncodeToBytes(ServeHeaders(&GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 1}, c))
+		resp, _ := rlp.EncodeToBytes(ServeHeaders(nil, &GetBlockHeaders{Origin: HashOrNumber{Number: 0}, Amount: 1}, c))
 		b.WriteMsg(offset+BlockHeadersMsg, resp) //nolint:errcheck
 	}()
 	if _, err := ReadHeaders(a, offset); err != nil {
@@ -373,7 +373,7 @@ func (s *snappySwitch) SetSnappy(on bool) { s.on = on }
 
 // TestNegotiate: the shared eth capability is the highest version both
 // sides list, its codes start above every shared capability that sorts
-// before it (bzz's default 16 here), a peer without eth gets nil, and
+// before it (bzz's default 16 here), a peer without eth gets none, and
 // snappy is switched on exactly when both sides speak devp2p v5.
 func TestNegotiate(t *testing.T) {
 	ours := []devp2p.Cap{{Name: "bzz", Version: 1}, {Name: "eth", Version: 62}, {Name: "eth", Version: 63}, {Name: "les", Version: 2}}
@@ -390,8 +390,8 @@ func TestNegotiate(t *testing.T) {
 		{"v4 both sides", 4, 4, false},
 	} {
 		var sw snappySwitch
-		got := Negotiate(&sw, &devp2p.Hello{Version: tc.ours, Caps: ours}, &devp2p.Hello{Version: tc.theirs, Caps: theirs})
-		if got == nil || *got != want {
+		got, ok := Negotiate(&sw, &devp2p.Hello{Version: tc.ours, Caps: ours}, &devp2p.Hello{Version: tc.theirs, Caps: theirs})
+		if !ok || got != want {
 			t.Errorf("%s: negotiated %+v, want %+v", tc.name, got, want)
 		}
 		if sw.on != tc.wantCompress {
@@ -401,11 +401,11 @@ func TestNegotiate(t *testing.T) {
 
 	var sw snappySwitch
 	older := []devp2p.Cap{{Name: "bzz", Version: 1}, {Name: "eth", Version: 62}}
-	if got := Negotiate(&sw, &devp2p.Hello{Version: 5, Caps: ours}, &devp2p.Hello{Version: 5, Caps: older}); got == nil || got.Version != 62 || got.Offset != devp2p.BaseProtocolLength+16 {
+	if got, ok := Negotiate(&sw, &devp2p.Hello{Version: 5, Caps: ours}, &devp2p.Hello{Version: 5, Caps: older}); !ok || got.Version != 62 || got.Offset != devp2p.BaseProtocolLength+16 {
 		t.Errorf("eth/62 peer: negotiated %+v, want eth/62 after bzz", got)
 	}
 	light := []devp2p.Cap{{Name: "bzz", Version: 1}, {Name: "les", Version: 2}}
-	if got := Negotiate(&sw, &devp2p.Hello{Version: 5, Caps: ours}, &devp2p.Hello{Version: 5, Caps: light}); got != nil {
-		t.Errorf("peer without eth: negotiated %+v, want nil", got)
+	if got, ok := Negotiate(&sw, &devp2p.Hello{Version: 5, Caps: ours}, &devp2p.Hello{Version: 5, Caps: light}); ok {
+		t.Errorf("peer without eth: negotiated %+v, want none", got)
 	}
 }

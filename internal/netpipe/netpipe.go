@@ -30,14 +30,53 @@ func Pair() (net.Conn, net.Conn) {
 	p := new(pair)
 	p.a2b.init()
 	p.b2a.init()
-	p.a = conn{rd: &p.b2a, wr: &p.a2b, local: "netpipe-a", remote: "netpipe-b"}
-	p.b = conn{rd: &p.a2b, wr: &p.b2a, local: "netpipe-b", remote: "netpipe-a"}
+	p.a = conn{p: p, rd: &p.b2a, wr: &p.a2b, local: "netpipe-a", remote: "netpipe-b"}
+	p.b = conn{p: p, rd: &p.a2b, wr: &p.b2a, local: "netpipe-b", remote: "netpipe-a"}
 	return &p.a, &p.b
 }
 
+// pair is both ends of a connection and one deadline timer for both
+// directions, made at the first read deadline and re-armed from then
+// on (RLPx sets a fresh deadline before every message): a pair's
+// deadlines cost two allocations in all.
 type pair struct {
 	a, b     conn
 	a2b, b2a buffer
+
+	tmu   sync.Mutex // guards timer; taken before either buffer's mu
+	timer *time.Timer
+}
+
+// arm wakes the readers of each open buffer whose read deadline has
+// passed and points the timer at the earliest deadline still ahead,
+// or stops it: a closed pair leaves no timer armed, and a deadline set
+// after Close arms none. The timer runs arm when it fires.
+func (p *pair) arm() {
+	p.tmu.Lock()
+	defer p.tmu.Unlock()
+	now := time.Now()
+	var next time.Time
+	for _, b := range [2]*buffer{&p.a2b, &p.b2a} {
+		b.mu.Lock()
+		switch d := b.readDeadline; {
+		case b.closed || d.IsZero():
+		case !d.After(now):
+			b.cond.Broadcast()
+		case next.IsZero() || d.Before(next):
+			next = d
+		}
+		b.mu.Unlock()
+	}
+	switch {
+	case next.IsZero():
+		if p.timer != nil {
+			p.timer.Stop()
+		}
+	case p.timer == nil:
+		p.timer = time.AfterFunc(next.Sub(now), p.arm)
+	default:
+		p.timer.Reset(next.Sub(now))
+	}
 }
 
 type addr string
@@ -66,8 +105,7 @@ type buffer struct {
 	r      int
 	closed bool // write end closed: drain then EOF
 
-	readDeadline  time.Time
-	deadlineTimer *time.Timer
+	readDeadline time.Time
 
 	inline [queueInline]byte
 }
@@ -120,53 +158,18 @@ func (b *buffer) read(p []byte) (int, error) {
 
 // close marks the write end closed. Pending data stays readable; a
 // reader that drains it then sees io.EOF, like a TCP FIN. A reader of
-// a closed buffer never blocks again, so its deadline timer goes too,
-// and none is armed afterwards: a closed pair leaves no timer behind.
+// a closed buffer never blocks again, so the pair's timer need not
+// wake it.
 func (b *buffer) close() {
 	b.mu.Lock()
 	b.closed = true
-	if b.deadlineTimer != nil {
-		b.deadlineTimer.Stop()
-		b.deadlineTimer = nil
-	}
-	b.cond.Broadcast()
-	b.mu.Unlock()
-}
-
-// setReadDeadline arms a wake-up for readers blocked on the buffer.
-// The buffer binds one timer to its wake-up the first time and re-arms
-// it from then on: RLPx sets a fresh deadline before every message,
-// and a new timer each time was two allocations per read. A wake-up
-// left over from an earlier deadline is harmless — readers re-check
-// the deadline.
-func (b *buffer) setReadDeadline(t time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.readDeadline = t
-	d := time.Until(t)
-	if b.closed || t.IsZero() || d <= 0 {
-		if b.deadlineTimer != nil {
-			b.deadlineTimer.Stop()
-		}
-		b.cond.Broadcast()
-		return
-	}
-	if b.deadlineTimer == nil {
-		b.deadlineTimer = time.AfterFunc(d, b.wake)
-	} else {
-		b.deadlineTimer.Reset(d)
-	}
-}
-
-// wake rouses blocked readers so they notice an expired deadline.
-func (b *buffer) wake() {
-	b.mu.Lock()
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
 
 // conn is one endpoint.
 type conn struct {
+	p             *pair
 	rd, wr        *buffer
 	local, remote addr
 
@@ -213,6 +216,7 @@ func (c *conn) Close() error {
 	c.mu.Unlock()
 	c.rd.close()
 	c.wr.close()
+	c.p.arm()
 	return nil
 }
 
@@ -226,7 +230,10 @@ func (c *conn) SetDeadline(t time.Time) error {
 }
 
 func (c *conn) SetReadDeadline(t time.Time) error {
-	c.rd.setReadDeadline(t)
+	c.rd.mu.Lock()
+	c.rd.readDeadline = t
+	c.rd.mu.Unlock()
+	c.p.arm()
 	return nil
 }
 

@@ -148,8 +148,8 @@ func TestDrainedQueueReleasesLargeArray(t *testing.T) {
 }
 
 // TestCloseLeavesNoTimer: closing the ends wakes their blocked readers
-// (no goroutine outlives the test) and stops both deadline timers, and
-// a deadline set after Close arms none.
+// (no goroutine outlives the test) and stops the pair's deadline
+// timer, and a deadline set after Close arms none.
 func TestCloseLeavesNoTimer(t *testing.T) {
 	leakcheck.Check(t)
 	a, b := Pair()
@@ -172,13 +172,12 @@ func TestCloseLeavesNoTimer(t *testing.T) {
 	}
 	a.SetReadDeadline(far) //nolint:errcheck
 	b.SetReadDeadline(far) //nolint:errcheck
-	for _, buf := range []*buffer{a.(*conn).rd, b.(*conn).rd} {
-		buf.mu.Lock()
-		if buf.deadlineTimer != nil {
-			t.Error("a closed pair still holds a deadline timer")
-		}
-		buf.mu.Unlock()
+	p := a.(*conn).p
+	p.tmu.Lock()
+	if p.timer != nil && p.timer.Stop() {
+		t.Error("a closed pair still holds an armed deadline timer")
 	}
+	p.tmu.Unlock()
 }
 
 // TestConcurrentDeadlines: deadlines moved from other goroutines while
@@ -214,11 +213,23 @@ func TestConcurrentDeadlines(t *testing.T) {
 	readers.Wait()
 }
 
-// TestPairAllocs: a pair is one allocation, and a message through it,
-// queue and deadline re-arming included, is none.
+// TestPairAllocs: a pair is one allocation, its deadlines — both
+// directions' — two more in all, and a message through it, queue and
+// deadline re-arming included, none.
 func TestPairAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { Pair() }); got != 1 {
 		t.Errorf("Pair allocates %.0f objects, want 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		a, b := Pair()
+		far := time.Now().Add(time.Minute)
+		a.SetReadDeadline(far)                  //nolint:errcheck
+		b.SetReadDeadline(far.Add(time.Second)) //nolint:errcheck
+		a.SetDeadline(far.Add(time.Minute))     //nolint:errcheck
+		a.Close()
+		b.Close()
+	}); got > 3 {
+		t.Errorf("a pair with deadlines on both ends allocates %.0f objects, want at most 1 + 2", got)
 	}
 	a, b := Pair()
 	defer a.Close()

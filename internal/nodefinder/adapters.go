@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/big"
 	"net"
+	"net/netip"
+	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/chain"
@@ -39,10 +42,11 @@ func (d RealDiscovery) Lookup(target enode.ID, done func([]*enode.Node)) {
 type RealDialer struct {
 	Key *secp256k1.PrivateKey
 	// Hello is the HELLO NodeFinder announces. Its ID field is
-	// filled automatically.
+	// filled automatically. It and Status are read at the first Dial.
 	Hello devp2p.Hello
 	// Status is the eth STATUS NodeFinder announces (it mirrors
-	// Mainnet identity so peers complete the exchange).
+	// Mainnet identity so peers complete the exchange); its
+	// ProtocolVersion is the one each session negotiates.
 	Status eth.Status
 	// DialTimeout bounds TCP connection establishment (the paper
 	// keeps Geth's 15 s default).
@@ -67,6 +71,36 @@ type RealDialer struct {
 	// clock. Simulation harnesses inject simclock.Simulated here so
 	// dial timings land on the virtual timeline.
 	Clock simclock.Clock
+
+	once     sync.Once    // builds hello and statuses at the first Dial
+	hello    devp2p.Hello // Hello with its ID
+	statuses []eth.Status // Status at each eth version Hello lists
+}
+
+// announce builds what the dialer tells every peer. Dials only read it,
+// so none sends a copy of its own.
+func (d *RealDialer) announce() {
+	d.hello = d.Hello
+	d.hello.ID = enode.PubkeyID(&d.Key.Pub)
+	for _, c := range d.Hello.Caps {
+		st := d.Status
+		st.ProtocolVersion = uint32(c.Version)
+		if st.TD == nil {
+			st.TD = new(big.Int)
+		}
+		if c.Name == eth.ProtocolName {
+			d.statuses = append(d.statuses, st)
+		}
+	}
+}
+
+// dialAddr is n.TCPAddr().String() in one allocation, the string.
+func dialAddr(n *enode.Node) string {
+	var buf [64]byte
+	if ip, ok := netip.AddrFromSlice(n.IP); ok {
+		return string(netip.AddrPortFrom(ip.Unmap(), n.TCP).AppendTo(buf[:0]))
+	}
+	return string(strconv.AppendUint(append(buf[:0], ':'), uint64(n.TCP), 10))
 }
 
 func (d *RealDialer) clock() simclock.Clock {
@@ -108,7 +142,7 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 		dialFn = net.DialTimeout
 	}
 	tcpStart := clk.Now()
-	fd, err := dialFn("tcp", n.TCPAddr().String(), timeout)
+	fd, err := dialFn("tcp", dialAddr(n), timeout)
 	if err != nil {
 		res.Err = fmt.Errorf("tcp dial: %w", err)
 		res.Duration = clk.Since(res.Start)
@@ -144,9 +178,8 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 	}
 
 	// DEVp2p HELLO exchange.
-	hello := d.Hello
-	hello.ID = enode.PubkeyID(&d.Key.Pub)
-	theirs, err := devp2p.ExchangeHello(conn, &hello)
+	d.once.Do(d.announce)
+	theirs, err := devp2p.ExchangeHello(conn, &d.hello)
 	if err != nil {
 		var de devp2p.DisconnectError
 		if errors.As(err, &de) {
@@ -159,19 +192,21 @@ func (d *RealDialer) dial(n *enode.Node, kind mlog.ConnType) *DialResult {
 	res.Hello = theirs
 
 	// Without a shared eth capability there is nothing more to learn.
-	ethCap := eth.Negotiate(conn, &hello, theirs)
-	if ethCap == nil {
+	ethCap, ok := eth.Negotiate(conn, &d.hello, theirs)
+	if !ok {
 		devp2p.SendDisconnect(conn, devp2p.DiscUselessPeer) //nolint:errcheck
 		return res
 	}
 
-	// eth STATUS exchange.
-	status := d.Status
-	status.ProtocolVersion = uint32(ethCap.Version)
-	if status.TD == nil {
-		status.TD = new(big.Int)
+	// eth STATUS exchange, at the version both sides speak: one our
+	// HELLO lists, so announce built its STATUS.
+	status := &d.statuses[0]
+	for i := range d.statuses {
+		if d.statuses[i].ProtocolVersion == uint32(ethCap.Version) {
+			status = &d.statuses[i]
+		}
 	}
-	if err := eth.SendStatus(conn, ethCap.Offset, &status); err != nil {
+	if err := eth.SendStatus(conn, ethCap.Offset, status); err != nil {
 		res.Err = err
 		return res
 	}

@@ -117,7 +117,7 @@ func (l *Listener) handle(fd net.Conn) {
 	res.Hello = theirs
 
 	// If the peer shares eth, exchange STATUS to learn its chain.
-	if ethCap := eth.Negotiate(conn, &l.Hello, theirs); ethCap != nil {
+	if ethCap, ok := eth.Negotiate(conn, &l.Hello, theirs); ok {
 		st := l.Status
 		st.ProtocolVersion = uint32(ethCap.Version)
 		if err := eth.SendStatus(conn, ethCap.Offset, &st); err == nil {

@@ -513,3 +513,14 @@ func TestStopLeavesNoTimer(t *testing.T) {
 		t.Error("stopped Finder's dialer still reachable after a GC")
 	}
 }
+
+// TestDialAddrMatchesTCPAddr: the address RealDialer dials is the one
+// net.TCPAddr prints, which World.DialWire and net.Dial both parse.
+func TestDialAddrMatchesTCPAddr(t *testing.T) {
+	for _, ip := range []net.IP{net.IPv4(10, 0, 0, 7), net.ParseIP("2001:db8::1"), net.ParseIP("::1"), net.IP{192, 168, 1, 2}, nil} {
+		n := enode.New(enode.ID{1}, ip, 30303, 30303)
+		if got, want := dialAddr(n), n.TCPAddr().String(); got != want {
+			t.Errorf("dialAddr(%v) = %q, want %q", ip, got, want)
+		}
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"reflect"
 	"unsafe"
 )
 
@@ -19,7 +18,8 @@ type Decoder interface {
 // DecodeBytes parses RLP data from b into v. Input must contain
 // exactly one value and no trailing data. v is a Decoder, a *uint64 or
 // *[]uint64 (DISCONNECT's payloads), or a pointer to a slice of
-// pointers to a Decoder; any other value is an error.
+// pointers to a type registered with RegisterList; any other value is
+// an error.
 func DecodeBytes(b []byte, v any) error { return decode(b, v, true) }
 
 // DecodeFirst parses the first RLP value in b into v, ignoring any
@@ -47,7 +47,7 @@ func decode(b []byte, v any, exact bool) error {
 		}
 		*v, err = s.uint64s()
 	default:
-		_, err = codeSlice(nil, noescape(&s), v)
+		_, err = codeList(nil, noescape(&s), v)
 	}
 	if err == nil && exact && s.pos < len(b) {
 		return ErrMoreThanOneValue
@@ -66,50 +66,44 @@ func noescape(p *Stream) *Stream {
 	return *(**Stream)(unsafe.Pointer(&x))
 }
 
-// codeSlice codes the one composite the front doors take: a slice of
-// pointers to a self-coding type (a BLOCK_HEADERS body, []*chain.Header)
-// or a pointer to one. With s nil it appends v's encoding to dst, a nil
-// element as an empty list; otherwise it decodes one list from s into
-// the slice v points to.
-func codeSlice(dst []byte, s *Stream, v any) ([]byte, error) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() == reflect.Pointer && !rv.IsNil() {
-		rv = rv.Elem()
-	}
-	iface := reflect.TypeFor[Encoder]()
-	if s != nil {
-		iface = reflect.TypeFor[Decoder]()
-	}
-	ok := rv.Kind() == reflect.Slice && rv.Type().Elem().Kind() == reflect.Pointer && rv.Type().Elem().Implements(iface)
-	if !ok || s != nil && !rv.CanSet() { // a decode needs a pointer to the slice
-		return dst, fmt.Errorf("rlp: cannot code %T", v)
-	}
-	if s == nil {
-		dst, list := ListStart(dst)
-		for i := range rv.Len() {
-			if e := rv.Index(i); e.IsNil() {
-				dst = append(dst, 0xC0)
-			} else {
-				dst = e.Interface().(Encoder).AppendRLP(dst)
-			}
+// listCodecs are the registered list types, written only by init
+// functions. Each codes v and reports true if v is its []*T or *[]*T.
+var listCodecs []func(dst []byte, s *Stream, v any) ([]byte, bool, error)
+
+// RegisterList lets the front doors code a []*T, or a pointer to one
+// (a BLOCK_HEADERS body, []*chain.Header), with appendList and
+// decodePointers. T's package calls it from an init function.
+func RegisterList[T any, P interface {
+	*T
+	Encoder
+	Decoder
+}]() {
+	listCodecs = append(listCodecs, func(dst []byte, s *Stream, v any) ([]byte, bool, error) {
+		if l, ok := v.([]P); ok && s == nil {
+			return appendList(dst, l), true, nil
 		}
-		return ListEnd(dst, list), nil
-	}
-	n, err := s.openList()
-	if err != nil {
-		return nil, err
-	}
-	rv.SetZero()
-	rv.Grow(n)
-	rv.SetLen(n)
-	for i := range n {
-		e := reflect.New(rv.Type().Elem().Elem())
-		if err := e.Interface().(Decoder).DecodeRLP(s); err != nil {
-			return nil, err
+		l, ok := v.(*[]P)
+		switch {
+		case !ok || l == nil:
+			return dst, false, nil
+		case s == nil:
+			return appendList(dst, *l), true, nil
 		}
-		rv.Index(i).Set(e)
+		var err error
+		*l, err = decodePointers[T, P](s)
+		return nil, true, err
+	})
+}
+
+// codeList codes v with its registered list codec: with s nil it
+// appends v's encoding to dst, otherwise it decodes a list from s.
+func codeList(dst []byte, s *Stream, v any) ([]byte, error) {
+	for _, code := range listCodecs {
+		if out, ok, err := code(dst, s, v); ok {
+			return out, err
+		}
 	}
-	return nil, s.ListEnd()
+	return dst, fmt.Errorf("rlp: cannot code %T", v)
 }
 
 // maxDepth bounds list nesting. The deepest wire type (a NEIGHBORS
@@ -411,6 +405,26 @@ func DecodeList[T any, P interface {
 	list := make([]T, n)
 	for i := range list {
 		if err := P(&list[i]).DecodeRLP(s); err != nil {
+			return nil, err
+		}
+	}
+	return list, s.ListEnd()
+}
+
+// decodePointers reads a list of self-coding values into a slice of
+// pointers to them, each allocated as it is read.
+func decodePointers[T any, P interface {
+	*T
+	Decoder
+}](s *Stream) ([]P, error) {
+	n, err := s.openList()
+	if err != nil {
+		return nil, err
+	}
+	list := make([]P, n)
+	for i := range list {
+		list[i] = new(T)
+		if err := list[i].DecodeRLP(s); err != nil {
 			return nil, err
 		}
 	}

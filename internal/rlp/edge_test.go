@@ -11,12 +11,9 @@ import (
 // stream's integer readers, and the splitter's error paths.
 
 func TestEncodeNilEncoderPointer(t *testing.T) {
-	// A nil element of a slice of self-coding pointers encodes as an
+	// A nil element of a list of self-coding pointers encodes as an
 	// empty list by convention.
-	got, err := EncodeToBytes([]*customEnc{nil, {}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := appendList(nil, []*customEnc{nil, {}})
 	if !bytes.Equal(got, mustHex("c4c0c20102")) {
 		t.Errorf("got %x", got)
 	}

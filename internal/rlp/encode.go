@@ -17,8 +17,9 @@ func EncodeToBytes(v any) ([]byte, error) { return EncodeAppend(nil, v) }
 
 // EncodeAppend appends the RLP encoding of v to dst and returns the
 // extended slice. v is an Encoder, a uint64 or []uint64 (DISCONNECT's
-// payloads), or a slice of (or pointer to a slice of) pointers to an
-// Encoder; any other value is an error. Into a dst with room to spare
+// payloads), or a slice of (or pointer to a slice of) pointers to a
+// type registered with RegisterList; any other value is an error.
+// Into a dst with room to spare
 // it allocates nothing.
 func EncodeAppend(dst []byte, v any) ([]byte, error) {
 	switch v := v.(type) {
@@ -34,7 +35,24 @@ func EncodeAppend(dst []byte, v any) ([]byte, error) {
 		}
 		return ListEnd(dst, list), nil
 	}
-	return codeSlice(dst, nil, v)
+	return codeList(dst, nil, v)
+}
+
+// appendList appends the list of vals' encodings to b, a nil element
+// encoded as an empty list.
+func appendList[T any, P interface {
+	*T
+	Encoder
+}](b []byte, vals []P) []byte {
+	b, list := ListStart(b)
+	for _, v := range vals {
+		if v == nil {
+			b = append(b, 0xC0)
+		} else {
+			b = v.AppendRLP(b)
+		}
+	}
+	return ListEnd(b, list)
 }
 
 // AppendUint appends the RLP encoding of i to b.

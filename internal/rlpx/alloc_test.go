@@ -7,14 +7,15 @@ package rlpx
 import "testing"
 
 // handshakePairAllocBudget is the recorded heap cost of one complete
-// handshake, both sides, over netpipe (measured: 27). What is left is
-// what no session can share: the AES and CTR objects of two ECIES
-// messages and of each side's frame ciphers (16), the two Conns, each
-// born holding its keys, packets and scratch, the pipe, and the test
-// harness's accept goroutine and result variables. The handshake this
-// replaced cost about 470, and before each Conn held its own handshake
-// state, keys and secrets, 59.
-const handshakePairAllocBudget = 29
+// handshake, both sides, over netpipe (measured: 19). What is left is
+// what no session can share: the AES blocks of two ECIES messages and
+// of each side's frame ciphers (8; their CTR streams are held by
+// value), the two Conns, each born holding its keys, packets and
+// scratch, the pipe, and the test harness's accept goroutine and
+// result variables. The handshake this replaced cost about 470;
+// before each Conn held its own handshake state, keys and secrets, 59,
+// and before the CTR streams were held by value, 27.
+const handshakePairAllocBudget = 21
 
 func TestHandshakePairAllocs(t *testing.T) {
 	initKey, recipKey := testKey(t, 30), testKey(t, 31)

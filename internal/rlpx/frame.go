@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/crypto/ctr"
 	"repro/internal/crypto/keccak"
 	"repro/internal/rlp"
 )
@@ -89,8 +90,8 @@ func (m *macState) update(seed []byte) []byte {
 // honest session, and move to the heap only for a larger frame.
 type frameRW struct {
 	conn    io.ReadWriter
-	enc     cipher.Stream // egress AES-CTR keystream
-	dec     cipher.Stream // ingress AES-CTR keystream
+	enc     ctr.Stream // egress AES-CTR keystream
+	dec     ctr.Stream // ingress AES-CTR keystream
 	em      macState
 	im      macState
 	wbuf    []byte   // whole egress wire frame: header|hmac|frame|fmac
@@ -104,8 +105,7 @@ type frameRW struct {
 // header and its MAC, code and padding, frame MAC.
 const frameScratch = 32 + honestPayload + 16 + 16
 
-// zeroIV is the CTR streams' IV: the key is session-unique. NewCTR
-// copies it, and a shared array costs no allocation per session.
+// zeroIV is the CTR streams' IV: the key is session-unique.
 var zeroIV [aes.BlockSize]byte
 
 // init keys rw from the handshake's secrets. One AES block per key is
@@ -121,8 +121,8 @@ func (rw *frameRW) init(conn io.ReadWriter, s *secrets) {
 		panic("rlpx: mac secret has wrong length: " + err.Error())
 	}
 	rw.conn = conn
-	rw.enc = cipher.NewCTR(frameBlock, zeroIV[:])
-	rw.dec = cipher.NewCTR(frameBlock, zeroIV[:])
+	rw.enc.Init(frameBlock, zeroIV[:])
+	rw.dec.Init(frameBlock, zeroIV[:])
 	rw.em = macState{hash: s.egressMAC, block: macBlock}
 	rw.im = macState{hash: s.ingressMAC, block: macBlock}
 	rw.wbuf = rw.wscratch[:0]

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"math/rand"
 	"sync"
 	"time"
@@ -205,7 +204,7 @@ func (d *SimDialer) outcome(res *nodefinder.DialResult, target *enode.Node, kind
 		return 3 * rtt
 	}
 
-	return time.Duration(d.W.answer(res, n, start)) * rtt
+	return time.Duration(d.W.answer(res, new(devp2p.Hello), n, start)) * rtt
 }
 
 // hostileOutcome models a dial against one of faultnet's hostile
@@ -257,32 +256,23 @@ func (d *SimDialer) hostileOutcome(n *SimNode, res *nodefinder.DialResult, rtt t
 }
 
 // answer fills in what honest node n tells a crawler that reaches it
-// at virtual time t: its HELLO and, when it speaks eth, its STATUS and
-// head block, plus on network 1 (Mainnet and Classic) the DAO-fork
-// verdict the crawler's header check learns. It returns the round
-// trips the session takes from the TCP connect: the HELLO lands in
-// the fourth, the STATUS in the fifth and the fork header in the
-// sixth. SimDialer, the inbound generator and the wire server all
-// answer through it.
-func (w *World) answer(res *nodefinder.DialResult, n *SimNode, t time.Time) int {
-	var caps []devp2p.Cap
-	switch n.Service {
-	case SvcEth:
-		caps = []devp2p.Cap{{Name: "eth", Version: 62}, {Name: "eth", Version: 63}}
-	case SvcLES:
-		caps = []devp2p.Cap{{Name: "les", Version: 2}}
-	case SvcPIP:
-		caps = []devp2p.Cap{{Name: "pip", Version: 1}}
-	default:
-		caps = []devp2p.Cap{{Name: n.CapName(), Version: 1}}
-	}
-	res.Hello = &devp2p.Hello{
+// at virtual time t: its HELLO, written to hello, and, when it speaks
+// eth, its STATUS and head block, plus on network 1 (Mainnet and
+// Classic) the DAO-fork verdict the crawler's header check learns. It
+// returns the round trips the session takes from the TCP connect: the
+// HELLO lands in the fourth, the STATUS in the fifth and the fork
+// header in the sixth. SimDialer, the inbound generator and the wire
+// server all answer through it, from values shared between dials
+// (answers.go).
+func (w *World) answer(res *nodefinder.DialResult, hello *devp2p.Hello, n *SimNode, t time.Time) int {
+	*hello = devp2p.Hello{
 		Version:    devp2p.Version,
 		Name:       w.ClientNameAt(n, t),
-		Caps:       caps,
+		Caps:       serviceCaps[n.Service],
 		ListenPort: 30303,
 		ID:         n.Node.ID,
 	}
+	res.Hello = hello
 	// Only a shared eth capability yields a STATUS; light protocols
 	// (les/pip) and other services end here — §5.3's explanation for
 	// the nodes Ethernodes saw but NodeFinder could not verify.
@@ -290,13 +280,7 @@ func (w *World) answer(res *nodefinder.DialResult, n *SimNode, t time.Time) int 
 		return 4
 	}
 	best := n.BestBlockAt(t)
-	res.Status = &eth.Status{
-		ProtocolVersion: uint32(eth.Version63),
-		NetworkID:       n.Network.NetworkID,
-		TD:              new(big.Int).Mul(big.NewInt(int64(best)), big.NewInt(131072)),
-		BestHash:        n.Network.BestHashAt(best),
-		GenesisHash:     n.Network.GenesisHash,
-	}
+	res.Status = n.Network.head(best).statusAt(eth.Version63)
 	res.BestBlock = best
 	if n.Network.NetworkID != chain.MainnetNetworkID {
 		return 5
@@ -403,7 +387,7 @@ func (g *IncomingGenerator) fire() {
 		RTT:      rtt,
 		Duration: 5 * rtt,
 	}
-	g.W.answer(res, n, now)
+	g.W.answer(res, new(devp2p.Hello), n, now)
 	g.mu.Unlock()
 	g.Finder.HandleIncoming(res)
 }

@@ -83,7 +83,7 @@ func runDifferential(t *testing.T, w *simnet.World, cases []dialCase) {
 	}
 
 	pipe := wireDialer(t, w, 1500*time.Millisecond)
-	loopback := *pipe
+	loopback := wireDialer(t, w, 1500*time.Millisecond)
 	loopback.DialFunc = nil // the kernel's TCP stack
 	for _, transport := range []string{overPipe, overLoopback} {
 		type result struct {
@@ -106,7 +106,7 @@ func runDifferential(t *testing.T, w *simnet.World, cases []dialCase) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				d, node = &loopback, served
+				d, node = loopback, served
 			}
 			dialed[i] = node
 			launched++

@@ -38,8 +38,8 @@ func headerSession(t *testing.T, w *simnet.World, n *simnet.SimNode) func(eth.Ge
 	if err != nil {
 		t.Fatal(err)
 	}
-	ethCap := eth.Negotiate(conn, hello, theirs)
-	if ethCap == nil {
+	ethCap, ok := eth.Negotiate(conn, hello, theirs)
+	if !ok {
 		t.Fatalf("node offers no eth: %v", theirs.Caps)
 	}
 	status := eth.MainnetStatus()

@@ -19,6 +19,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"sync"
 	"time"
 
 	"repro/internal/chain"
@@ -94,6 +95,10 @@ type Network struct {
 	// HeadAt returns the chain head number at a virtual time.
 	base     uint64
 	baseTime time.Time
+
+	heads    heads         // answers by best block (answers.go)
+	forkOnce sync.Once     // builds fork
+	fork     *chain.Header // the DAO fork block's header
 }
 
 // HeadAt extrapolates the head block at t from a 15-second block time.
@@ -106,8 +111,10 @@ func (n *Network) HeadAt(t time.Time) uint64 {
 
 // BestHashAt synthesizes the head block hash at a height.
 func (n *Network) BestHashAt(num uint64) chain.Hash {
-	h := keccak.Sum256(append(n.GenesisHash[:], byte(num>>24), byte(num>>16), byte(num>>8), byte(num)))
-	return chain.Hash(h)
+	var in [len(n.GenesisHash) + 4]byte
+	copy(in[:], n.GenesisHash[:])
+	in[32], in[33], in[34], in[35] = byte(num>>24), byte(num>>16), byte(num>>8), byte(num)
+	return chain.Hash(keccak.Sum256(in[:]))
 }
 
 // Freshness classifies a node's sync state (Figure 14).
@@ -274,6 +281,8 @@ type World struct {
 	ipCounter uint32
 	// abusive IP addresses.
 	AbusiveAddrs []net.IP
+
+	names clientNames // (answers.go)
 }
 
 // NewWorld builds the initial population.
@@ -286,6 +295,7 @@ func NewWorld(cfg WorldConfig) *World {
 		byID:   make(map[enode.ID]*SimNode),
 		byAddr: make(map[string]*SimNode),
 		keyRng: rand.New(rand.NewSource(cfg.Seed ^ 0x6b37)),
+		names:  clientNames{m: make(map[clientName]string)},
 	}
 	w.wire = newWireState(cfg.Seed, cfg.Metrics)
 	w.buildNetworks()

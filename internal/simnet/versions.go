@@ -1,8 +1,6 @@
 package simnet
 
 import (
-	"fmt"
-	"strings"
 	"time"
 )
 
@@ -84,26 +82,23 @@ func versionAt(releases []Release, t time.Time, lagDays float64, stableOnly bool
 }
 
 // ClientNameAt composes the node's full DEVp2p client identifier at
-// virtual time t, in the formats real clients use.
+// virtual time t, in the formats real clients use. Each distinct name
+// is built once and shared.
 func (w *World) ClientNameAt(n *SimNode, t time.Time) string {
 	switch n.Client {
-	case ClientGeth:
-		v := n.PinnedVersion
-		if v == "" {
-			v = versionAt(GethReleases, t, n.UpgradeLagDays, false).Version
-			if n.DevBuild {
-				// Source builds track the development branch: the
-				// same version number with the unstable tag.
-				v = strings.Replace(v, "-stable", "-unstable", 1)
-			}
+	case ClientGeth, ClientParity:
+		k := clientName{client: n.Client, version: n.PinnedVersion, os: n.OSBuild}
+		switch {
+		case k.version != "":
+		case n.Client == ClientGeth:
+			k.version = versionAt(GethReleases, t, n.UpgradeLagDays, false).Version
+			// Source builds track the development branch: the same
+			// version number with the unstable tag.
+			k.dev = n.DevBuild
+		default:
+			k.version = versionAt(ParityReleases, t, n.UpgradeLagDays, n.StableOnly).Version
 		}
-		return fmt.Sprintf("Geth/%s/%s", v, n.OSBuild)
-	case ClientParity:
-		v := n.PinnedVersion
-		if v == "" {
-			v = versionAt(ParityReleases, t, n.UpgradeLagDays, n.StableOnly).Version
-		}
-		return fmt.Sprintf("Parity/%s/%s", v, n.OSBuild)
+		return w.names.get(k)
 	case ClientEthereumJS:
 		if n.Abusive {
 			return "ethereumjs-devp2p/v1.0.0"

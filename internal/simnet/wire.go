@@ -3,7 +3,6 @@ package simnet
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"math/rand"
 	"net"
 	"sync"
@@ -256,31 +255,31 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 		return
 	}
 
-	theirs, err := devp2p.ReadHello(conn)
-	if err != nil {
+	s := new(session)
+	if err := devp2p.ReadHelloInto(conn, &s.theirs); err != nil {
 		return
 	}
 	var ours nodefinder.DialResult
-	w.answer(&ours, n, now)
-	if err := devp2p.SendHello(conn, ours.Hello); err != nil {
+	w.answer(&ours, &s.ours, n, now)
+	if err := devp2p.SendHello(conn, &s.ours); err != nil {
 		return
 	}
-	ethCap := eth.Negotiate(conn, ours.Hello, theirs)
-	if ours.Status == nil || ethCap == nil {
+	ethCap, ok := eth.Negotiate(conn, &s.ours, &s.theirs)
+	if ours.Status == nil || !ok {
 		// Non-eth service (or no shared eth cap): the crawler learns
 		// the HELLO and cuts us loose as a useless peer.
 		drain(conn)
 		return
 	}
 
-	if _, err := eth.ReadStatus(conn, ethCap.Offset); err != nil {
+	if err := eth.ReadStatusInto(conn, ethCap.Offset, &s.status); err != nil {
 		return
 	}
-	ours.Status.ProtocolVersion = uint32(ethCap.Version)
-	if err := eth.SendStatus(conn, ethCap.Offset, ours.Status); err != nil {
+	best := ours.BestBlock
+	if err := eth.SendStatus(conn, ethCap.Offset, n.Network.head(best).statusAt(ethCap.Version)); err != nil {
 		return
 	}
-	header := func(num uint64) *chain.Header { return n.Network.headerAt(ours.BestBlock, num, now) }
+	header := func(num uint64) *chain.Header { return n.Network.headerAt(best, num) }
 
 	// Serve requests (the DAO-fork header check, pings) until the
 	// crawler disconnects.
@@ -297,17 +296,28 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 				return
 			}
 		case ethCap.Offset + eth.GetBlockHeadersMsg:
-			var req eth.GetBlockHeaders
-			if err := rlp.DecodeBytes(payload, &req); err != nil {
+			if err := rlp.DecodeBytes(payload, &s.req); err != nil {
 				return
 			}
-			if err := devp2p.WriteValue(conn, ethCap.Offset+eth.BlockHeadersMsg, eth.ServeHeaders(&req, header)); err != nil {
+			s.headers = eth.ServeHeaders(s.room[:0], &s.req, header)
+			if err := devp2p.WriteValue(conn, ethCap.Offset+eth.BlockHeadersMsg, &s.headers); err != nil {
 				return
 			}
 		default:
 			// Ignore broadcast traffic.
 		}
 	}
+}
+
+// session is serveHonest's scratch for one connection, in one
+// allocation: the node's HELLO, what it decodes from the crawler, and
+// the headers it answers with.
+type session struct {
+	ours, theirs devp2p.Hello
+	status       eth.Status
+	req          eth.GetBlockHeaders
+	headers      []*chain.Header
+	room         [1]*chain.Header // the one header a DAO check asks for
 }
 
 // drain reads until the peer hangs up, so the crawler's trailing
@@ -318,27 +328,4 @@ func drain(conn *rlpx.Conn) {
 			return
 		}
 	}
-}
-
-// headerAt synthesizes block num of nw's chain as a node whose head is
-// at best serves it at virtual time now — no materialized chain
-// required. Above the head there is no header. The header the crawler
-// asks for is the DAO fork block, and daoVerdict decides it: a
-// pro-fork chain's fork window carries the dao-hard-fork extra-data,
-// an anti-fork chain's does not, and a node short of the fork has no
-// header to show.
-func (nw *Network) headerAt(best, num uint64, now time.Time) *chain.Header {
-	if num > best {
-		return nil
-	}
-	h := &chain.Header{
-		Difficulty: big.NewInt(131072),
-		Number:     new(big.Int).SetUint64(num),
-		GasLimit:   8_000_000,
-		Time:       uint64(now.Unix()),
-	}
-	if num < chain.DAOForkBlock+10 && nw.daoVerdict(num) == eth.DAOForkSupported {
-		h.Extra = append([]byte(nil), chain.DAOForkBlockExtra...)
-	}
-	return h
 }

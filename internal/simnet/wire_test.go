@@ -1,11 +1,14 @@
 package simnet_test
 
 import (
+	"math/big"
 	"math/rand"
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/chain"
 	"repro/internal/crypto/secp256k1"
 	"repro/internal/devp2p"
 	"repro/internal/enode"
@@ -128,6 +131,90 @@ func TestPromotedHonestDial(t *testing.T) {
 	snap := reg.Snapshot()
 	if p, d := snap.Counter("simnet.promotions"), snap.Counter("simnet.demotions"); p != 1 || d != 1 {
 		t.Fatalf("promotions=%d demotions=%d, want 1/1", p, d)
+	}
+}
+
+// TestOneDialCannotChangeAnother: what World.answer shares between
+// dials — a service's caps, a client name, a head's STATUS — is
+// read-only. Wire sessions that negotiate eth/62 and eth/63 and hand
+// the node a HELLO and STATUS of their own, run while another node at
+// the same head is answered (under -race, a write to a shared value
+// races with those reads), leave that node's answer as it was, down to
+// the STATUS the two nodes share.
+func TestOneDialCannotChangeAnother(t *testing.T) {
+	w := wireWorld(t, 7, nil)
+	now := w.Clock.Now()
+	var a, b *simnet.SimNode
+	for _, n := range w.Nodes {
+		if n.Service != simnet.SvcEth || n.Hostile || n.Network != w.Mainnet || !n.OnlineAt(now) {
+			continue
+		}
+		if a == nil {
+			a = n
+		} else if n.BestBlockAt(now) == a.BestBlockAt(now) {
+			b = n
+			break
+		}
+	}
+	if b == nil {
+		t.Fatal("no two online Mainnet nodes at one head")
+	}
+	a.Occupancy, b.Occupancy = 0, 0
+	sim := w.NewDialer(1)
+	answer := func() *nodefinder.DialResult { return sim.OutcomeAt(b.Node, mlog.ConnDynamicDial, now) }
+	before := answer()
+	if sim.OutcomeAt(a.Node, mlog.ConnDynamicDial, now).Status != before.Status {
+		t.Fatal("two nodes at one head answer with STATUSes of their own: nothing here is shared")
+	}
+	wantHello := *before.Hello
+	wantHello.Caps = append([]devp2p.Cap(nil), before.Hello.Caps...)
+	wantStatus := *before.Status
+	wantStatus.TD = new(big.Int).Set(before.Status.TD)
+
+	// Four sessions at once, then an eth/62 one last, so a session that
+	// wrote its version into the shared STATUS leaves it written.
+	results := make(chan *nodefinder.DialResult, 5)
+	dial := func(i int) {
+		d := wireDialer(t, w, 10*time.Second)
+		d.Status = eth.Status{NetworkID: 1, TD: big.NewInt(1 << 40), BestHash: chain.Hash{byte(i)}, GenesisHash: chain.MainnetGenesisHash}
+		if i%2 == 0 {
+			d.Hello.Caps = []devp2p.Cap{{Name: "eth", Version: 62}}
+		}
+		d.Dial(a.Node, mlog.ConnDynamicDial, func(res *nodefinder.DialResult) { results <- res })
+	}
+	versions := map[uint32]int{}
+	collect := func() {
+		res := <-results
+		if res.Status == nil || !res.DAOChecked {
+			t.Fatalf("dial: STATUS %+v, DAO checked %v, err %v", res.Status, res.DAOChecked, res.Err)
+		}
+		versions[res.Status.ProtocolVersion]++
+	}
+	for i := range 4 {
+		dial(i)
+	}
+	for range 50 {
+		answer()
+	}
+	for range 4 {
+		collect()
+	}
+	dial(4)
+	collect()
+	if versions[62] != 3 || versions[63] != 2 {
+		t.Fatalf("negotiated eth versions %v, want three sessions at 62 and two at 63", versions)
+	}
+
+	after := answer()
+	if !reflect.DeepEqual(*after.Hello, wantHello) {
+		t.Errorf("HELLO after another node's dials: %+v, want %+v", *after.Hello, wantHello)
+	}
+	got := *after.Status
+	if got.TD.Cmp(wantStatus.TD) != 0 {
+		t.Errorf("TD after another node's dials: %v, want %v", got.TD, wantStatus.TD)
+	}
+	if got.TD, wantStatus.TD = nil, nil; !reflect.DeepEqual(got, wantStatus) {
+		t.Errorf("STATUS after another node's dials: %+v, want %+v", got, wantStatus)
 	}
 }
 
