@@ -156,36 +156,78 @@ func (h *Header) AppendRLP(b []byte) []byte {
 }
 
 // DecodeRLP implements rlp.Decoder.
-func (h *Header) DecodeRLP(s *rlp.Stream) (err error) {
-	if _, err = s.List(); err != nil {
+func (h *Header) DecodeRLP(s *rlp.Stream) error {
+	difficulty, number, extra, err := h.scan(s)
+	if err != nil {
 		return err
+	}
+	h.Difficulty = new(big.Int).SetBytes(difficulty)
+	h.Number = new(big.Int).SetBytes(number)
+	h.Extra = append(make([]byte, 0, len(extra)), extra...)
+	return nil
+}
+
+// scan reads a header from s as DecodeRLP does, the fixed-size fields
+// into h; the two integers and the extra-data it returns in place, as
+// views into s's input.
+func (h *Header) scan(s *rlp.Stream) (difficulty, number, extra []byte, err error) {
+	if _, err = s.List(); err != nil {
+		return
 	}
 	for _, f := range [...][]byte{h.ParentHash[:], h.UncleHash[:], h.Coinbase[:], h.Root[:], h.TxHash[:], h.ReceiptHash[:], h.Bloom[:]} {
 		if err = s.ReadBytes(f); err != nil {
-			return err
+			return
 		}
 	}
-	if h.Difficulty, err = s.BigInt(); err != nil {
-		return err
+	if difficulty, err = s.BigIntView(); err != nil {
+		return
 	}
-	if h.Number, err = s.BigInt(); err != nil {
-		return err
+	if number, err = s.BigIntView(); err != nil {
+		return
 	}
 	for _, f := range [...]*uint64{&h.GasLimit, &h.GasUsed, &h.Time} {
 		if *f, err = s.Uint64(); err != nil {
-			return err
+			return
 		}
 	}
-	if h.Extra, err = s.Bytes(); err != nil {
-		return err
+	if extra, err = s.BytesView(); err != nil {
+		return
 	}
 	if err = s.ReadBytes(h.MixDigest[:]); err != nil {
-		return err
+		return
 	}
 	if err = s.ReadBytes(h.Nonce[:]); err != nil {
-		return err
+		return
 	}
-	return s.ListEnd()
+	err = s.ListEnd()
+	return
+}
+
+// FirstHeaderExtra reads a BLOCK_HEADERS body without building its
+// headers, refusing exactly what rlp.DecodeBytes into a []*Header
+// refuses, and returns the first header's extra-data in place (a view
+// into body); ok is false when the list is empty.
+func FirstHeaderExtra(body []byte) (extra []byte, ok bool, err error) {
+	err = rlp.Scan(body, func(s *rlp.Stream) error {
+		if _, err := s.List(); err != nil {
+			return err
+		}
+		for s.MoreDataInList() {
+			var h Header
+			_, _, x, err := h.scan(s)
+			if err != nil {
+				return err
+			}
+			if !ok {
+				extra, ok = x, true
+			}
+		}
+		return s.ListEnd()
+	})
+	if err != nil {
+		return nil, false, err
+	}
+	return extra, ok, nil
 }
 
 // SupportsDAOFork reports whether a header at the DAO fork height

@@ -25,21 +25,49 @@ func fuzzSeeds() [][32]byte {
 		x.FillBytes(b[:])
 		return
 	}
-	var ones [32]byte
-	for i := range ones {
-		ones[i] = 0xFF
+	fill := func(head, rest byte) (b [32]byte) {
+		for i := range b {
+			b[i] = rest
+		}
+		b[0] = head
+		return
 	}
+	one := big.NewInt(1)
+	pow2 := func(k uint) *big.Int { return new(big.Int).Lsh(one, k) }
 	return [][32]byte{
 		mk(big.NewInt(0)),
-		mk(big.NewInt(1)),
+		mk(one),
 		mk(big.NewInt(2)),
-		mk(new(big.Int).Sub(P, big.NewInt(1))),
+		mk(new(big.Int).Sub(P, one)),
 		mk(P),
-		mk(new(big.Int).Add(P, big.NewInt(1))),
-		mk(new(big.Int).Sub(N, big.NewInt(1))),
+		mk(new(big.Int).Add(P, one)),
+		mk(new(big.Int).Sub(N, one)),
 		mk(N),
 		mk(halfN),
-		ones,
+		fill(0xFF, 0xFF),
+		// Appended after the indices other tests name. For the
+		// inversion: powers of two and long runs of trailing zeros
+		// (the divstep batching), small values and values just below
+		// the moduli (f and g shrink to one limb at different paces).
+		mk(big.NewInt(3)),
+		mk(pow2(62)),
+		mk(pow2(64)),
+		mk(pow2(255)),
+		mk(new(big.Int).Mul(big.NewInt(3), pow2(200))),
+		mk(new(big.Int).Sub(pow2(62), one)),
+		mk(new(big.Int).Sub(P, big.NewInt(2))),
+		mk(new(big.Int).Sub(N, big.NewInt(2))),
+		// For the base table's signed digits (in [−127, 128]): (N+1)/2,
+		// the first scalar it negates, whose top digit is +128 as
+		// (N−1)/2's is; +128 in the lowest window alone and in every
+		// window but the top; all-0x80 bytes, which are negated; a
+		// lowest digit of −127; a carry through 31 windows.
+		mk(new(big.Int).Add(halfN, one)),
+		mk(big.NewInt(0x80)),
+		fill(0x7F, 0x80),
+		fill(0x80, 0x80),
+		fill(0x7F, 0x81),
+		mk(new(big.Int).Sub(pow2(248), one)),
 	}
 }
 
@@ -107,12 +135,13 @@ func checkFieldPair(t *testing.T, ab, bb [32]byte) {
 		}
 	}
 
-	if ba.Sign() != 0 {
-		r.inv(&fa)
-		want = new(big.Int).ModInverse(ba, P)
-		if r.toBig().Cmp(want) != 0 {
-			t.Errorf("inv(%x) = %x, want %x", ba, r.toBig(), want)
-		}
+	r.inv(&fa)
+	want = new(big.Int).ModInverse(ba, P)
+	if want == nil {
+		want = new(big.Int) // inv(0) = 0
+	}
+	if r.toBig().Cmp(want) != 0 {
+		t.Errorf("inv(%x) = %x, want %x", ba, r.toBig(), want)
 	}
 
 	// sqrt must accept exactly the quadratic residues.
@@ -167,12 +196,13 @@ func checkScalarPair(t *testing.T, ab, bb [32]byte) {
 		t.Errorf("scalar neg(%x) = %x, want %x", ba, r.toBig(), want)
 	}
 
-	if ba.Sign() != 0 {
-		r.inverse(&sa)
-		want = new(big.Int).ModInverse(ba, N)
-		if r.toBig().Cmp(want) != 0 {
-			t.Errorf("scalar inverse(%x) = %x, want %x", ba, r.toBig(), want)
-		}
+	r.inverse(&sa)
+	want = new(big.Int).ModInverse(ba, N)
+	if want == nil {
+		want = new(big.Int) // inverse(0) = 0
+	}
+	if r.toBig().Cmp(want) != 0 {
+		t.Errorf("scalar inverse(%x) = %x, want %x", ba, r.toBig(), want)
 	}
 
 	if got, want := sa.isHigh(), ba.Cmp(halfN) > 0; got != want {
@@ -351,6 +381,26 @@ func TestReduceThirdFold(t *testing.T) {
 	r.sqr(&fa)
 	if !r.equal(&feOne) {
 		t.Errorf("(p−1)² = %x, want 1", r.toBig())
+	}
+}
+
+// TestModInfo holds the safegcd moduli to the curve parameters: the
+// signed 62-bit limbs sum to P and N, and inv62 inverts each mod 2^62.
+func TestModInfo(t *testing.T) {
+	for _, c := range []struct {
+		mi   *modInfo
+		want *big.Int
+	}{{&modP, P}, {&modN, N}} {
+		v := new(big.Int)
+		for i := len(c.mi.m) - 1; i >= 0; i-- {
+			v.Lsh(v, 62).Add(v, big.NewInt(c.mi.m[i]))
+		}
+		if v.Cmp(c.want) != 0 {
+			t.Errorf("modulus limbs sum to %x, want %x", v, c.want)
+		}
+		if got := uint64(c.mi.m[0]) * c.mi.inv62 & (1<<62 - 1); got != 1 {
+			t.Errorf("inv62 of %x: m·inv62 ≡ %#x (mod 2^62), want 1", c.want, got)
+		}
 	}
 }
 

@@ -326,9 +326,9 @@ func (r *fieldElement) sqrN(n int) {
 }
 
 // pow223 sets r = a^(2^223 − 1) and x2 = a^3, x22 = a^(2^22 − 1):
-// the shared prefix of the inversion and square-root addition chains.
-// p − 2 and (p + 1)/4 both start with 223 one bits, then a zero, then
-// 22 one bits; runs of ones are built by doubling their length
+// the prefix of the square-root addition chain, since (p + 1)/4
+// starts with 223 one bits, then a zero, then 22 one bits; runs of
+// ones are built by doubling their length
 // (2^2n − 1 = (2^n − 1)·2^n + (2^n − 1)).
 func (r *fieldElement) pow223(a, x2, x22 *fieldElement) {
 	var x3, x6, x9, x11, x44, x88, x176, x220 fieldElement
@@ -365,25 +365,16 @@ func (r *fieldElement) pow223(a, x2, x22 *fieldElement) {
 	r.mul(r, &x3)
 }
 
-// inv sets r = a⁻¹ mod p via Fermat's little theorem, a^(p−2), in 255
-// squarings and 15 multiplications; inv(0) = 0. The low 33 bits of
-// p − 2 after the shared prefix are 0, 22 ones, 0000, 1, 0, 11, 0, 1.
+// inv sets r = a⁻¹ mod p by the safegcd inversion (modinv.go);
+// inv(0) = 0.
 func (r *fieldElement) inv(a *fieldElement) {
-	var t, x2, x22 fieldElement
-	t.pow223(a, &x2, &x22)
-	t.sqrN(23)
-	t.mul(&t, &x22)
-	t.sqrN(5)
-	t.mul(&t, a)
-	t.sqrN(3)
-	t.mul(&t, &x2)
-	t.sqrN(2)
-	r.mul(&t, a)
+	r.n = a.n
+	modInv(&r.n, &modP)
 }
 
 // sqrt sets r to a square root of a and reports whether a is a
 // quadratic residue. p ≡ 3 (mod 4), so the candidate is a^((p+1)/4),
-// whose low 31 bits after the shared prefix are 0, 22 ones, 0000, 11,
+// whose low 31 bits after the pow223 prefix are 0, 22 ones, 0000, 11,
 // 00.
 func (r *fieldElement) sqrt(a *fieldElement) bool {
 	var t, x2, x22, check fieldElement

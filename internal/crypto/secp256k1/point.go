@@ -235,14 +235,13 @@ func oddMultiples(tbl *[8]affinePoint, p *affinePoint) (z fieldElement) {
 	return z
 }
 
-// batchToAffine normalizes a slice of finite Jacobian points with a
-// single field inversion (Montgomery's trick): one inv plus three
-// multiplies per point instead of one inv each.
-func batchToAffine(ps []jacPoint) []affinePoint {
+// batchToAffine normalizes finite Jacobian points into out (same
+// length) with a single field inversion (Montgomery's trick): one inv
+// plus three multiplies per point instead of one inv each.
+func batchToAffine(out []affinePoint, ps []jacPoint) {
 	n := len(ps)
-	out := make([]affinePoint, n)
 	if n == 0 {
-		return out
+		return
 	}
 	// prefix[i] = z_0 · z_1 · … · z_i
 	prefix := make([]fieldElement, n)
@@ -266,5 +265,4 @@ func batchToAffine(ps []jacPoint) []affinePoint {
 		out[i].x.mul(&ps[i].x, &zinv2)
 		out[i].y.mul(&ps[i].y, &zinv3)
 	}
-	return out
 }

@@ -19,7 +19,6 @@ var (
 	scN = scalar{n: [4]uint64{
 		0xBFD25E8CD0364141, 0xBAAEDCE6AF48A03B, 0xFFFFFFFFFFFFFFFE, 0xFFFFFFFFFFFFFFFF,
 	}}
-	scOne = scalar{n: [4]uint64{1, 0, 0, 0}}
 
 	// Derived from the big.Int N in initScalarConstants so the limb
 	// forms cannot drift from the authoritative parameter: R² mod N
@@ -206,59 +205,11 @@ func (r *scalar) mul(a, b *scalar) {
 	montMul(r, &aR, b)     // aR·b·R⁻¹ = a·b
 }
 
-// inverse sets r = a⁻¹ mod N by the binary extended Euclidean
-// algorithm for an odd modulus; inverse(0) = 0. The loop keeps
-// x1·a ≡ u and x2·a ≡ v (mod N) while shrinking u and v: each pass
-// strips the factors of two (halving x mod N alongside) and subtracts
-// the smaller from the larger, so bitlen(u)+bitlen(v) falls every
-// pass and at most ~512 cheap limb steps run — a quarter of the cost
-// of a Fermat ladder over Montgomery multiplication.
+// inverse sets r = a⁻¹ mod N by the safegcd inversion (modinv.go);
+// inverse(0) = 0.
 func (r *scalar) inverse(a *scalar) {
-	if a.isZero() {
-		*r = scalar{}
-		return
-	}
-	u, v := *a, scN
-	x1, x2 := scOne, scalar{}
-	for !u.equal(&scOne) && !v.equal(&scOne) {
-		for u.n[0]&1 == 0 {
-			u.shr1(0)
-			x1.half()
-		}
-		for v.n[0]&1 == 0 {
-			v.shr1(0)
-			x2.half()
-		}
-		if u.cmp(&v) >= 0 {
-			u.n, _ = sub256(u.n, v.n)
-			x1.sub(&x1, &x2)
-		} else {
-			v.n, _ = sub256(v.n, u.n)
-			x2.sub(&x2, &x1)
-		}
-	}
-	if u.equal(&scOne) {
-		*r = x1
-	} else {
-		*r = x2
-	}
-}
-
-// shr1 shifts r right one bit, shifting top (0 or 1) in at bit 255.
-func (r *scalar) shr1(top uint64) {
-	r.n[0] = r.n[0]>>1 | r.n[1]<<63
-	r.n[1] = r.n[1]>>1 | r.n[2]<<63
-	r.n[2] = r.n[2]>>1 | r.n[3]<<63
-	r.n[3] = r.n[3]>>1 | top<<63
-}
-
-// half sets r = r/2 mod N: an odd r becomes even by adding N first.
-func (r *scalar) half() {
-	var carry uint64
-	if r.n[0]&1 == 1 {
-		r.n, carry = add256(r.n, scN.n)
-	}
-	r.shr1(carry)
+	r.n = a.n
+	modInv(&r.n, &modN)
 }
 
 // GLV endomorphism. secp256k1 has φ(x, y) = (β·x, y) with φ(P) = λ·P,

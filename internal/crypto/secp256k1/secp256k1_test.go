@@ -344,3 +344,49 @@ func BenchmarkScalarMult(b *testing.B) {
 		ScalarMult(p, k)
 	}
 }
+
+func BenchmarkGenerateKey(b *testing.B) {
+	rng := testRand(48)
+	var k PrivateKey
+	var entropy [32]byte
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := GenerateKeyInto(&k, rng, &entropy); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchInputs returns 64 pseudo-random 256-bit values for the
+// inversion benchmarks, reduced by the caller.
+func benchInputs() (in [64][32]byte) {
+	rng := testRand(49)
+	for i := range in {
+		rng.Read(in[i][:])
+	}
+	return in
+}
+
+func BenchmarkFieldInverse(b *testing.B) {
+	var fs [64]fieldElement
+	for i, v := range benchInputs() {
+		fs[i].setBytes(&v)
+	}
+	var r fieldElement
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.inv(&fs[i%len(fs)])
+	}
+}
+
+func BenchmarkScalarInverse(b *testing.B) {
+	var ss [64]scalar
+	for i, v := range benchInputs() {
+		ss[i].setBytes(&v)
+	}
+	var r scalar
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.inverse(&ss[i%len(ss)])
+	}
+}

@@ -2,13 +2,15 @@ package secp256k1
 
 // gTable is the precomputed base-point table, built once at package
 // init from the authoritative big.Int parameters:
-// gTable[w][d-1] = d · 16^w · G for d ∈ 1..15, a 4-bit windowed
-// decomposition of G multiples. ScalarBaseMult becomes at most 64
-// mixed additions with no doublings at all.
+// gTable[w][d-1] = d · 256^w · G for d ∈ 1..128. A scalar below N/2,
+// read as 32 signed 8-bit digits in [−127, 128], picks one entry per
+// window — negated for a negative digit — so ScalarBaseMult is at
+// most 32 mixed additions with no doublings at all.
 //
-// Memory: 64·15 affine points · 64 bytes = 60 KiB, built in well
-// under a millisecond thanks to batch normalization.
-var gTable [64][15]affinePoint
+// Memory: 32·128 affine points · 64 bytes = 256 KiB, built in a few
+// milliseconds: 127 mixed additions and one batch normalization per
+// window.
+var gTable [32][128]affinePoint
 
 func init() {
 	initScalarConstants()
@@ -17,42 +19,53 @@ func init() {
 }
 
 func buildBaseTables() {
-	var g affinePoint
-	g.x.setBig(Gx)
-	g.y.setBig(Gy)
-
-	// windowBase walks 16^w·G; every table entry stays finite because
-	// d·16^w < N for all d ≤ 15, w ≤ 63.
-	var windowBase jacPoint
-	windowBase.setAffine(&g)
-	jacs := make([]jacPoint, 0, 64*15)
-	for w := 0; w < 64; w++ {
-		entry := windowBase
-		jacs = append(jacs, entry)
-		for d := 2; d <= 15; d++ {
-			entry.add(&entry, &windowBase)
-			jacs = append(jacs, entry)
+	var base affinePoint // 256^w·G
+	base.x.setBig(Gx)
+	base.y.setBig(Gy)
+	// Every entry stays finite: d·256^w ≤ 2^7·2^248 < N.
+	var jacs [128]jacPoint
+	for w := range gTable {
+		jacs[0].setAffine(&base)
+		for d := 1; d < len(jacs); d++ {
+			jacs[d].addMixed(&jacs[d-1], &base, nil)
 		}
-		windowBase.double(&windowBase)
-		windowBase.double(&windowBase)
-		windowBase.double(&windowBase)
-		windowBase.double(&windowBase)
-	}
-	aff := batchToAffine(jacs)
-	for w := 0; w < 64; w++ {
-		copy(gTable[w][:], aff[w*15:(w+1)*15])
+		batchToAffine(gTable[w][:], jacs[:])
+		var next jacPoint
+		next.double(&jacs[len(jacs)-1])
+		base, _ = next.toAffine()
 	}
 }
 
-// scalarBaseMultJac computes k·G by walking the windowed table: one
-// mixed addition per non-zero nibble of k.
+// scalarBaseMultJac computes k·G by walking the windowed table. k is
+// first replaced by N − k when it is above (N−1)/2 (the result's y is
+// negated back at the end), so its top byte is at most 0x7F and the
+// top digit absorbs the last carry. Each byte plus the carry in
+// becomes a digit in [−127, 128]: above 128 it is taken as the
+// negative digit v − 256 and carries one into the next window.
 func scalarBaseMultJac(k *scalar) jacPoint {
+	kk, negate := *k, k.isHigh()
+	if negate {
+		kk.neg(k)
+	}
 	var acc jacPoint
-	for w := 0; w < 64; w++ {
-		nib := (k.n[w/16] >> uint((w%16)*4)) & 15
-		if nib != 0 {
-			acc.addMixed(&acc, &gTable[w][nib-1], nil)
+	carry := 0
+	for w := range gTable {
+		d := int(kk.n[w/8]>>(w%8*8)&0xFF) + carry
+		carry = 0
+		if d > 128 {
+			d -= 256
+			carry = 1
 		}
+		if d > 0 {
+			acc.addMixed(&acc, &gTable[w][d-1], nil)
+		} else if d < 0 {
+			q := gTable[w][-d-1]
+			q.y.neg(&q.y)
+			acc.addMixed(&acc, &q, nil)
+		}
+	}
+	if negate {
+		acc.y.neg(&acc.y)
 	}
 	return acc
 }

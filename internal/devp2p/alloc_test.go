@@ -47,4 +47,19 @@ func TestHelloAllocs(t *testing.T) {
 	if dec > 4 {
 		t.Errorf("hello decode: %v allocs/op, want <= 4", dec)
 	}
+
+	// The serving side's read keeps only the caps it knows, in the
+	// storage the caller gives it: nothing allocated.
+	known := []Cap{{Name: "eth", Version: 63}}
+	lean := Hello{Caps: make([]Cap, 0, 1)}
+	rw := &oneMsgRW{code: HelloMsg, payload: encoded}
+	caps := testing.AllocsPerRun(200, func() {
+		rw.read = false
+		if err := ReadHelloCaps(rw, &lean, known); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if caps > 0 || len(lean.Caps) != 1 || lean.Caps[0] != known[0] {
+		t.Errorf("ReadHelloCaps: %v allocs/op and caps %v, want 0 and %v", caps, lean.Caps, known)
+	}
 }

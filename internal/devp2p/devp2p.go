@@ -158,17 +158,34 @@ func (h *Hello) AppendRLP(b []byte) []byte {
 }
 
 // DecodeRLP implements rlp.Decoder.
-func (h *Hello) DecodeRLP(s *rlp.Stream) (err error) {
+func (h *Hello) DecodeRLP(s *rlp.Stream) error { return h.decode(s, true, nil) }
+
+// decode reads a HELLO into h. With all set it decodes every field.
+// Otherwise it keeps only what negotiating against known needs and
+// allocates nothing once h.Caps has room: the name and the tail are
+// checked and dropped, and of the capabilities only those equal to one
+// in known are kept, once each, as known's values (AppendMatchCaps
+// matches nothing else). Either way it refuses the same inputs.
+func (h *Hello) decode(s *rlp.Stream, all bool, known []Cap) (err error) {
 	if _, err = s.List(); err != nil {
 		return err
 	}
 	if h.Version, err = s.Uint64(); err != nil {
 		return err
 	}
-	if h.Name, err = s.Text(); err != nil {
-		return err
+	if all {
+		if h.Name, err = s.Text(); err != nil {
+			return err
+		}
+		h.Caps, err = rlp.DecodeList[Cap](s)
+	} else {
+		if _, err = s.BytesView(); err != nil {
+			return err
+		}
+		h.Name = ""
+		h.Caps, err = appendKnownCaps(h.Caps[:0], s, known)
 	}
-	if h.Caps, err = rlp.DecodeList[Cap](s); err != nil {
+	if err != nil {
 		return err
 	}
 	if h.ListenPort, err = s.Uint64(); err != nil {
@@ -177,10 +194,45 @@ func (h *Hello) DecodeRLP(s *rlp.Stream) (err error) {
 	if err = s.ReadBytes(h.ID[:]); err != nil {
 		return err
 	}
-	if h.Rest, err = s.Rest(); err != nil {
+	if all {
+		h.Rest, err = s.Rest()
+	} else {
+		h.Rest, err = nil, s.SkipRest()
+	}
+	if err != nil {
 		return err
 	}
 	return s.ListEnd()
+}
+
+// appendKnownCaps reads a capability list as Cap.DecodeRLP reads each
+// entry, appending to dst the entries in known that it finds.
+func appendKnownCaps(dst []Cap, s *rlp.Stream, known []Cap) ([]Cap, error) {
+	if _, err := s.List(); err != nil {
+		return nil, err
+	}
+	for s.MoreDataInList() {
+		if _, err := s.List(); err != nil {
+			return nil, err
+		}
+		name, err := s.BytesView()
+		if err != nil {
+			return nil, err
+		}
+		v, err := s.Uint64()
+		if err != nil {
+			return nil, err
+		}
+		if err := s.ListEnd(); err != nil {
+			return nil, err
+		}
+		for _, k := range known {
+			if k.Name == string(name) && k.Version == uint(v) && !slices.Contains(dst, k) {
+				dst = append(dst, k)
+			}
+		}
+	}
+	return dst, s.ListEnd()
 }
 
 // MsgReadWriter is the framed-message transport devp2p runs over;
@@ -234,18 +286,39 @@ func SendHello(rw MsgReadWriter, h *Hello) error {
 // ReadHello reads the peer's HELLO, tolerating a DISCONNECT in its
 // place (returned as DisconnectError — the common "Too many peers"
 // case the paper's scanner must classify).
-func ReadHello(rw MsgReadWriter) (*Hello, error) { return readHello(rw, nil) }
-
-// ReadHelloInto is ReadHello decoding into h, so that a server can
-// keep the peer's HELLO in storage it already owns for the session.
-func ReadHelloInto(rw MsgReadWriter, h *Hello) error {
-	_, err := readHello(rw, h)
-	return err
+func ReadHello(rw MsgReadWriter) (*Hello, error) {
+	payload, err := readHelloPayload(rw)
+	if err != nil {
+		return nil, err
+	}
+	h := new(Hello)
+	if err := rlp.DecodeBytes(payload, h); err != nil {
+		return nil, fmt.Errorf("devp2p: decoding hello: %w", err)
+	}
+	return h, nil
 }
 
-// readHello decodes a HELLO into h, or into a new Hello when h is nil:
-// a DISCONNECT in its place costs no Hello.
-func readHello(rw MsgReadWriter, h *Hello) (*Hello, error) {
+// ReadHelloCaps reads the peer's HELLO into h as ReadHello does,
+// refusing the same inputs, but keeps only what negotiating against
+// known needs: h.Version, h.ListenPort, h.ID, and in h.Caps (reusing
+// its storage) the capabilities of known the peer lists. For a server
+// that negotiates and forgets the peer, one HELLO read allocates
+// nothing but an error.
+func ReadHelloCaps(rw MsgReadWriter, h *Hello, known []Cap) error {
+	payload, err := readHelloPayload(rw)
+	if err != nil {
+		return err
+	}
+	if err := rlp.Scan(payload, func(s *rlp.Stream) error { return h.decode(s, false, known) }); err != nil {
+		return fmt.Errorf("devp2p: decoding hello: %w", err)
+	}
+	return nil
+}
+
+// readHelloPayload reads the message that must be the peer's HELLO and
+// returns its payload, valid until the next read. A DISCONNECT in its
+// place is surfaced as DisconnectError.
+func readHelloPayload(rw MsgReadWriter) ([]byte, error) {
 	code, payload, err := rw.ReadMsg()
 	if err != nil {
 		return nil, err
@@ -255,13 +328,7 @@ func readHello(rw MsgReadWriter, h *Hello) (*Hello, error) {
 		if len(payload) > MaxHelloSize {
 			return nil, fmt.Errorf("%w: hello is %d bytes (max %d)", ErrMsgTooBig, len(payload), MaxHelloSize)
 		}
-		if h == nil {
-			h = new(Hello)
-		}
-		if err := rlp.DecodeBytes(payload, h); err != nil {
-			return nil, fmt.Errorf("devp2p: decoding hello: %w", err)
-		}
-		return h, nil
+		return payload, nil
 	case DiscMsg:
 		return nil, DisconnectError{DecodeDisconnect(payload)}
 	default:

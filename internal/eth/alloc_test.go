@@ -51,3 +51,41 @@ func TestStatusAllocs(t *testing.T) {
 		t.Errorf("status decode: %v allocs/op, want <= 2", dec)
 	}
 }
+
+// replayRW answers every read with one message and drops writes.
+type replayRW struct {
+	code    uint64
+	payload []byte
+}
+
+func (rw *replayRW) ReadMsg() (uint64, []byte, error) { return rw.code, rw.payload, nil }
+func (rw *replayRW) WriteMsg(uint64, []byte) error    { return nil }
+
+// TestLeanReadAllocs: the DAO check and the serving side's STATUS read
+// check their message in place and allocate nothing.
+func TestLeanReadAllocs(t *testing.T) {
+	body, err := rlp.EncodeToBytes([]*chain.Header{testChain(chain.DAOForkBlock, true)(chain.DAOForkBlock)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	headers := &replayRW{offset + BlockHeadersMsg, body}
+	if n := testing.AllocsPerRun(200, func() {
+		if got, err := VerifyDAOFork(headers, offset); err != nil || got != DAOForkSupported {
+			t.Fatalf("VerifyDAOFork = %v, %v", got, err)
+		}
+	}); n > 0 {
+		t.Errorf("VerifyDAOFork: %v allocs/op, want 0", n)
+	}
+	status, err := rlp.EncodeToBytes(testStatus(1, chain.MainnetGenesisHash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	statuses := &replayRW{offset + StatusMsg, status}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := SkipStatus(statuses, offset); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 0 {
+		t.Errorf("SkipStatus: %v allocs/op, want 0", n)
+	}
+}

@@ -9,6 +9,7 @@
 package eth
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -110,29 +111,47 @@ func (st *Status) AppendRLP(b []byte) []byte {
 }
 
 // DecodeRLP implements rlp.Decoder.
-func (st *Status) DecodeRLP(s *rlp.Stream) (err error) {
-	if _, err = s.List(); err != nil {
+func (st *Status) DecodeRLP(s *rlp.Stream) error {
+	td, err := st.scan(s, true)
+	if err != nil {
 		return err
+	}
+	st.TD = new(big.Int).SetBytes(td)
+	return nil
+}
+
+// scan reads a STATUS from s as DecodeRLP does, except that it returns
+// the TD in place (a view into s's input), and decodes the tail into
+// st.Rest only when keepRest is set, checking and dropping it
+// otherwise.
+func (st *Status) scan(s *rlp.Stream, keepRest bool) (td []byte, err error) {
+	if _, err = s.List(); err != nil {
+		return nil, err
 	}
 	if st.ProtocolVersion, err = s.Uint32(); err != nil {
-		return err
+		return nil, err
 	}
 	if st.NetworkID, err = s.Uint64(); err != nil {
-		return err
+		return nil, err
 	}
-	if st.TD, err = s.BigInt(); err != nil {
-		return err
+	if td, err = s.BigIntView(); err != nil {
+		return nil, err
 	}
 	if err = s.ReadBytes(st.BestHash[:]); err != nil {
-		return err
+		return nil, err
 	}
 	if err = s.ReadBytes(st.GenesisHash[:]); err != nil {
-		return err
+		return nil, err
 	}
-	if st.Rest, err = s.Rest(); err != nil {
-		return err
+	if keepRest {
+		st.Rest, err = s.Rest()
+	} else {
+		err = s.SkipRest()
 	}
-	return s.ListEnd()
+	if err != nil {
+		return nil, err
+	}
+	return td, s.ListEnd()
 }
 
 // MainnetStatus is the STATUS a crawler announces to pass for a
@@ -254,19 +273,40 @@ func SendStatus(rw devp2p.MsgReadWriter, offset uint64, s *Status) error {
 // ReadStatus reads the peer's STATUS. A DISCONNECT in its place is
 // surfaced as devp2p.DisconnectError.
 func ReadStatus(rw devp2p.MsgReadWriter, offset uint64) (*Status, error) {
-	return readStatus(rw, offset, nil)
+	payload, err := readStatusPayload(rw, offset)
+	if err != nil {
+		return nil, err
+	}
+	st := new(Status)
+	if err := rlp.DecodeBytes(payload, st); err != nil {
+		return nil, fmt.Errorf("eth: decoding status: %w", err)
+	}
+	return st, nil
 }
 
-// ReadStatusInto is ReadStatus decoding into st, so that a server can
-// keep the peer's STATUS in storage it already owns for the session.
-func ReadStatusInto(rw devp2p.MsgReadWriter, offset uint64, st *Status) error {
-	_, err := readStatus(rw, offset, st)
-	return err
+// SkipStatus reads the peer's STATUS and drops it, refusing exactly
+// what ReadStatus refuses: for a server that answers whatever the peer
+// announces. It allocates nothing but an error.
+func SkipStatus(rw devp2p.MsgReadWriter, offset uint64) error {
+	payload, err := readStatusPayload(rw, offset)
+	if err != nil {
+		return err
+	}
+	err = rlp.Scan(payload, func(s *rlp.Stream) error {
+		var st Status
+		_, err := st.scan(s, false)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("eth: decoding status: %w", err)
+	}
+	return nil
 }
 
-// readStatus decodes a STATUS into st, or into a new Status when st is
-// nil: a DISCONNECT in its place costs no Status.
-func readStatus(rw devp2p.MsgReadWriter, offset uint64, st *Status) (*Status, error) {
+// readStatusPayload reads the message that must be the peer's STATUS
+// and returns its payload, valid until the next read. A DISCONNECT in
+// its place is surfaced as devp2p.DisconnectError.
+func readStatusPayload(rw devp2p.MsgReadWriter, offset uint64) ([]byte, error) {
 	code, payload, err := rw.ReadMsg()
 	if err != nil {
 		return nil, err
@@ -278,13 +318,7 @@ func readStatus(rw devp2p.MsgReadWriter, offset uint64, st *Status) (*Status, er
 		if len(payload) > MaxStatusSize {
 			return nil, fmt.Errorf("%w: status is %d bytes (max %d)", ErrMsgTooBig, len(payload), MaxStatusSize)
 		}
-		if st == nil {
-			st = new(Status)
-		}
-		if err := rlp.DecodeBytes(payload, st); err != nil {
-			return nil, fmt.Errorf("eth: decoding status: %w", err)
-		}
-		return st, nil
+		return payload, nil
 	default:
 		return nil, fmt.Errorf("%w: code %#x", ErrNoStatus, code)
 	}
@@ -335,6 +369,21 @@ func RequestHeaders(rw devp2p.MsgReadWriter, offset uint64, req *GetBlockHeaders
 // ReadHeaders reads a BLOCK_HEADERS response, skipping unrelated
 // broadcast messages (transactions, new blocks) that may interleave.
 func ReadHeaders(rw devp2p.MsgReadWriter, offset uint64) ([]*chain.Header, error) {
+	payload, err := readHeadersPayload(rw, offset)
+	if err != nil {
+		return nil, err
+	}
+	var headers []*chain.Header
+	if err := rlp.DecodeBytes(payload, &headers); err != nil {
+		return nil, fmt.Errorf("eth: decoding headers: %w", err)
+	}
+	return headers, nil
+}
+
+// readHeadersPayload waits for a BLOCK_HEADERS message, answering
+// pings and skipping broadcast traffic, and returns its payload, valid
+// until the next read.
+func readHeadersPayload(rw devp2p.MsgReadWriter, offset uint64) ([]byte, error) {
 	for i := 0; i < 32; i++ { // bounded tolerance for broadcast noise
 		code, payload, err := rw.ReadMsg()
 		if err != nil {
@@ -345,11 +394,7 @@ func ReadHeaders(rw devp2p.MsgReadWriter, offset uint64) ([]*chain.Header, error
 			if len(payload) > MaxHeadersSize {
 				return nil, fmt.Errorf("%w: headers response is %d bytes (max %d)", ErrMsgTooBig, len(payload), MaxHeadersSize)
 			}
-			var headers []*chain.Header
-			if err := rlp.DecodeBytes(payload, &headers); err != nil {
-				return nil, fmt.Errorf("eth: decoding headers: %w", err)
-			}
-			return headers, nil
+			return payload, nil
 		case devp2p.DiscMsg:
 			return nil, devp2p.DisconnectError{Reason: devp2p.DecodeDisconnect(payload)}
 		case devp2p.PingMsg:
@@ -437,23 +482,28 @@ func (s DAOForkSupport) String() string {
 	}
 }
 
-// VerifyDAOFork runs the request/response round.
+// daoRequest is the DAO check's GET_BLOCK_HEADERS body, encoded once:
+// every dial sends it, and nothing writes it.
+var daoRequest = (&GetBlockHeaders{Origin: HashOrNumber{Number: chain.DAOForkBlock}, Amount: 1}).AppendRLP(nil)
+
+// VerifyDAOFork runs the request/response round. It reads only the
+// first header's extra-data, in place, while refusing every answer
+// ReadHeaders refuses, so a check allocates nothing but an error.
 func VerifyDAOFork(rw devp2p.MsgReadWriter, offset uint64) (DAOForkSupport, error) {
-	req := &GetBlockHeaders{
-		Origin: HashOrNumber{Number: chain.DAOForkBlock},
-		Amount: 1,
-	}
-	if err := RequestHeaders(rw, offset, req); err != nil {
+	if err := rw.WriteMsg(offset+GetBlockHeadersMsg, daoRequest); err != nil {
 		return DAOForkUnknown, err
 	}
-	headers, err := ReadHeaders(rw, offset)
+	payload, err := readHeadersPayload(rw, offset)
 	if err != nil {
 		return DAOForkUnknown, err
 	}
-	if len(headers) == 0 {
+	extra, ok, err := chain.FirstHeaderExtra(payload)
+	switch {
+	case err != nil:
+		return DAOForkUnknown, fmt.Errorf("eth: decoding headers: %w", err)
+	case !ok:
 		return DAOForkUnknown, nil
-	}
-	if headers[0].SupportsDAOFork() {
+	case bytes.Equal(extra, chain.DAOForkBlockExtra):
 		return DAOForkSupported, nil
 	}
 	return DAOForkOpposed, nil

@@ -117,12 +117,16 @@ func TestHashOrNumberDecodeErrors(t *testing.T) {
 
 // TestVerifyDAOForkRefusesEmptyHeader: a BLOCK_HEADERS body holding an
 // empty list where the header should be is malformed. Decoding it to a
-// nil *chain.Header would let one hostile answer panic the crawler in
-// SupportsDAOFork.
+// nil *chain.Header would let one hostile answer panic a caller of
+// SupportsDAOFork; both readers of the body refuse it.
 func TestVerifyDAOForkRefusesEmptyHeader(t *testing.T) {
 	a, b := newChanRW()
 	b.WriteMsg(offset+BlockHeadersMsg, []byte{0xC1, 0xC0}) //nolint:errcheck
+	b.WriteMsg(offset+BlockHeadersMsg, []byte{0xC1, 0xC0}) //nolint:errcheck
 	if _, err := VerifyDAOFork(a, offset); err == nil {
-		t.Fatal("a body of one empty header was accepted")
+		t.Fatal("VerifyDAOFork accepted a body of one empty header")
+	}
+	if hs, err := ReadHeaders(a, offset); err == nil {
+		t.Fatalf("ReadHeaders decoded a body of one empty header to %d headers", len(hs))
 	}
 }

@@ -28,6 +28,22 @@ func DecodeBytes(b []byte, v any) error { return decode(b, v, true) }
 // DecodeBytes would reject the input.
 func DecodeFirst(b []byte, v any) error { return decode(b, v, false) }
 
+// Scan runs fn on a Stream over b, then requires, as DecodeBytes
+// does, that nothing follow what fn read: the front door for code that
+// checks a message in place instead of decoding it into a value. fn
+// must not retain the Stream, and what its View methods return is
+// valid only as long as b is.
+func Scan(b []byte, fn func(*Stream) error) error {
+	s := Stream{in: b}
+	if err := fn(noescape(&s)); err != nil {
+		return err
+	}
+	if s.pos < len(b) {
+		return ErrMoreThanOneValue
+	}
+	return nil
+}
+
 var errNilTarget = errors.New("rlp: Decode target is a nil pointer")
 
 func decode(b []byte, v any, exact bool) error {
@@ -113,8 +129,8 @@ const maxDepth = 32
 // Stream is an RLP decoder over a byte slice with explicit list
 // handling. Every declared size is checked against the input that is
 // left before anything is read or allocated, and every value it
-// returns is a copy: nothing decoded aliases the input. A Stream is
-// not safe for concurrent use.
+// returns but a View's is a copy: nothing decoded aliases the input.
+// A Stream is not safe for concurrent use.
 type Stream struct {
 	in  []byte
 	pos int
@@ -253,6 +269,10 @@ func (s *Stream) Bytes() ([]byte, error) {
 	return out, nil
 }
 
+// BytesView is Bytes without the copy: the contents in place, valid
+// only as long as the Stream's input is.
+func (s *Stream) BytesView() ([]byte, error) { return s.str() }
+
 // Text reads a byte string as a Go string.
 func (s *Stream) Text() (string, error) {
 	b, err := s.str()
@@ -308,6 +328,17 @@ func (s *Stream) Rest() ([]RawValue, error) {
 		rest = append(rest, r)
 	}
 	return rest, nil
+}
+
+// SkipRest discards the values left in the current list, refusing
+// what Rest refuses.
+func (s *Stream) SkipRest() error {
+	for s.MoreDataInList() {
+		if err := s.Skip(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Uint64 reads an integer value of at most 8 bytes.
@@ -382,6 +413,17 @@ func (s *Stream) Bool() (bool, error) {
 
 // BigInt reads an arbitrary-size unsigned integer.
 func (s *Stream) BigInt() (*big.Int, error) {
+	b, err := s.BigIntView()
+	if err != nil {
+		return nil, err
+	}
+	return new(big.Int).SetBytes(b), nil
+}
+
+// BigIntView is BigInt without the big.Int: the integer's canonical
+// big-endian bytes in place, valid only as long as the Stream's input
+// is.
+func (s *Stream) BigIntView() ([]byte, error) {
 	b, err := s.str()
 	if err != nil {
 		return nil, err
@@ -389,7 +431,7 @@ func (s *Stream) BigInt() (*big.Int, error) {
 	if len(b) > 0 && b[0] == 0 {
 		return nil, ErrCanonInt
 	}
-	return new(big.Int).SetBytes(b), nil
+	return b, nil
 }
 
 // DecodeList reads a list of self-coding values into a slice

@@ -256,11 +256,12 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 	}
 
 	s := new(session)
-	if err := devp2p.ReadHelloInto(conn, &s.theirs); err != nil {
-		return
-	}
 	var ours nodefinder.DialResult
 	w.answer(&ours, &s.ours, n, now)
+	s.theirs.Caps = s.theirCaps[:0]
+	if err := devp2p.ReadHelloCaps(conn, &s.theirs, s.ours.Caps); err != nil {
+		return
+	}
 	if err := devp2p.SendHello(conn, &s.ours); err != nil {
 		return
 	}
@@ -272,7 +273,7 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 		return
 	}
 
-	if err := eth.ReadStatusInto(conn, ethCap.Offset, &s.status); err != nil {
+	if err := eth.SkipStatus(conn, ethCap.Offset); err != nil {
 		return
 	}
 	best := ours.BestBlock
@@ -310,11 +311,12 @@ func (w *World) serveHonest(n *SimNode, fd net.Conn, occupied bool) {
 }
 
 // session is serveHonest's scratch for one connection, in one
-// allocation: the node's HELLO, what it decodes from the crawler, and
-// the headers it answers with.
+// allocation: the node's HELLO, what negotiation needs of the
+// crawler's (its STATUS is checked and dropped), and the headers it
+// answers with.
 type session struct {
 	ours, theirs devp2p.Hello
-	status       eth.Status
+	theirCaps    [2]devp2p.Cap // the crawler's caps that are also ours
 	req          eth.GetBlockHeaders
 	headers      []*chain.Header
 	room         [1]*chain.Header // the one header a DAO check asks for
