@@ -289,8 +289,10 @@ func TestIncomingListenerCapturesDialingNodes(t *testing.T) {
 		t.Fatalf("dialing node saw hello %+v err=%v", res.Hello, res.Err)
 	}
 
+	// HandleIncoming counts the connection before it logs it: wait for
+	// the record, which comes last.
 	deadline := time.Now().Add(5 * time.Second)
-	for finder.Stats().IncomingConns == 0 && time.Now().Before(deadline) {
+	for col.Len() == 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if finder.Stats().IncomingConns == 0 {

@@ -1,19 +1,14 @@
-// Package nodedb is NodeFinder's persistent node database (§4).
+// Package nodedb is NodeFinder's node database (§4).
 //
 // The paper's crawler stores every address it has dialed together
-// with last-dialed timestamps, so that the StaticNodes list can be
-// regenerated after a restart, and removes addresses whose last
-// successful TCP connection is older than 24 hours. This package
-// implements that store: an in-memory index with optional JSON
-// snapshot persistence.
+// with last-dialed timestamps, and removes addresses whose last
+// successful TCP connection is older than 24 hours from its
+// StaticNodes list. This package implements that store in memory:
+// one record per node, reached by a dense handle.
 package nodedb
 
 import (
-	"encoding/json"
-	"fmt"
 	"net"
-	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,63 +16,81 @@ import (
 )
 
 // Record is the stored state for one node, guarded by the database's
-// lock: holders of a *Record read IDx freely (it never changes) and
-// go through DB methods for the rest.
+// lock: holders of a *Record read ID, IDx and Handle freely (they
+// never change) and go through DB methods for the rest.
 type Record struct {
-	ID  enode.ID `json:"-"`
-	IDx string   `json:"id"` // hex form for JSON
-	IP  net.IP   `json:"ip"`
-	UDP uint16   `json:"udp"`
-	TCP uint16   `json:"tcp"`
+	ID  enode.ID
+	IDx string // hex form: the log's nodeID
+	IP  net.IP
+	UDP uint16
+	TCP uint16
 
-	FirstSeen       time.Time `json:"firstSeen"`
-	LastDial        time.Time `json:"lastDial"`
-	LastSuccess     time.Time `json:"lastSuccess"` // last successful TCP connection
-	DialCount       int       `json:"dialCount"`
-	SuccessCount    int       `json:"successCount"`
-	Static          bool      `json:"static"` // member of the StaticNodes list
-	LastDisconnects string    `json:"lastDisconnect,omitempty"`
+	FirstSeen    time.Time
+	LastDial     time.Time
+	LastSuccess  time.Time // last successful TCP connection
+	DialCount    int
+	SuccessCount int
+	Static       bool // member of the StaticNodes list
 
-	// prev and next link the static records in LastSuccess order; both
-	// are nil off the list.
-	prev, next *Record
+	// h is the record's handle. prev and next link the static records
+	// in LastSuccess order, by handle; a record is on the ring exactly
+	// while Static is set.
+	h, prev, next uint32
 }
 
-// Node converts a record back to an enode.Node.
-func (r *Record) Node() *enode.Node { return enode.New(r.ID, r.IP, r.UDP, r.TCP) }
+// Handle is the record's dense number, from 1 and fixed for the
+// database's lifetime, by which a caller indexes tables of its own.
+func (r *Record) Handle() uint32 { return r.h }
+
+// Records live by value in chunks of chunkSize that never move, so a
+// *Record stays valid while the table grows.
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+)
 
 // DB is the node database. Safe for concurrent use.
 type DB struct {
-	mu    sync.RWMutex
-	nodes map[enode.ID]*Record
-	// static is the sentinel of the ring of static records, stalest
+	mu sync.RWMutex
+	// index is the one ID-keyed map: ID to handle. It holds no
+	// pointers, so the collector does not scan it.
+	index map[enode.ID]uint32
+	// chunks hold the records; handle h is chunks[h>>chunkBits][h%chunkSize].
+	// Handle 0 is the sentinel of the ring of static records, stalest
 	// LastSuccess first: a success is a move to the back, and
 	// ExpireStale reads off the front instead of scanning the table.
-	static    Record
+	chunks    []*[chunkSize]Record
 	staticLen int
 }
 
 // New creates an empty database.
 func New() *DB {
-	db := &DB{nodes: make(map[enode.ID]*Record)}
-	db.static.prev, db.static.next = &db.static, &db.static
-	return db
+	return &DB{index: make(map[enode.ID]uint32), chunks: []*[chunkSize]Record{new([chunkSize]Record)}}
 }
+
+// at returns the record with handle h. Caller holds db.mu.
+func (db *DB) at(h uint32) *Record { return &db.chunks[h>>chunkBits][h%chunkSize] }
 
 // ensure returns the record for a node, creating it on first sight;
 // refresh makes a known record take n's endpoint. Caller holds db.mu.
 func (db *DB) ensure(n *enode.Node, now time.Time, refresh bool) *Record {
-	r, ok := db.nodes[n.ID]
-	if !ok {
-		r, refresh = &Record{ID: n.ID, IDx: n.ID.String(), FirstSeen: now}, true
-		// The census exists to record every distinct peer ID: growth is
-		// bounded by the real network's size, and evicting entries
-		// would erase the measurement.
-		db.nodes[n.ID] = r
+	if h, ok := db.index[n.ID]; ok {
+		r := db.at(h)
+		if refresh {
+			r.IP, r.UDP, r.TCP = n.IP, n.UDP, n.TCP
+		}
+		return r
 	}
-	if refresh {
-		r.IP, r.UDP, r.TCP = n.IP, n.UDP, n.TCP
+	// The census exists to record every distinct peer ID: growth is
+	// bounded by the real network's size, and evicting entries would
+	// erase the measurement.
+	h := uint32(len(db.index) + 1)
+	if int(h>>chunkBits) == len(db.chunks) {
+		db.chunks = append(db.chunks, new([chunkSize]Record))
 	}
+	db.index[n.ID] = h
+	r := db.at(h)
+	*r = Record{ID: n.ID, IDx: n.ID.String(), IP: n.IP, UDP: n.UDP, TCP: n.TCP, FirstSeen: now, h: h}
 	return r
 }
 
@@ -93,14 +106,17 @@ func (db *DB) Ensure(n *enode.Node, now time.Time) *Record {
 func (db *DB) Get(id enode.ID) *Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.nodes[id]
+	if h, ok := db.index[id]; ok {
+		return db.at(h)
+	}
+	return nil
 }
 
 // Len returns the number of known nodes.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.nodes)
+	return len(db.index)
 }
 
 // RecordDial notes a dial attempt.
@@ -144,6 +160,7 @@ func (db *DB) RecordIncoming(n *enode.Node, now time.Time, success bool) *Record
 	if success {
 		r.LastSuccess = now
 		if r.Static {
+			db.unlink(r)
 			db.fileStatic(r)
 		}
 	}
@@ -157,34 +174,37 @@ func (db *DB) IsStatic(r *Record) bool {
 	return r.Static
 }
 
+// succeeded notes a success at now and files r at its place in the
+// static ring. Caller holds db.mu.
 func (db *DB) succeeded(r *Record, now time.Time) {
 	r.LastSuccess = now
 	r.SuccessCount++
-	if !r.Static {
+	if r.Static {
+		db.unlink(r)
+	} else {
 		r.Static = true
 		db.staticLen++
 	}
 	db.fileStatic(r)
 }
 
-// fileStatic puts r at its place in the static ring: behind every
+// fileStatic links r, off the ring, in at its place: behind every
 // record whose LastSuccess is no later — the back, unless the caller's
 // clock stepped backwards. Caller holds db.mu.
 func (db *DB) fileStatic(r *Record) {
-	db.unlink(r)
-	at := db.static.prev
-	for at != &db.static && at.LastSuccess.After(r.LastSuccess) {
-		at = at.prev
+	at := db.at(0).prev
+	for at != 0 && db.at(at).LastSuccess.After(r.LastSuccess) {
+		at = db.at(at).prev
 	}
-	r.prev, r.next = at, at.next
-	at.next.prev, at.next = r, r
+	prev := db.at(at)
+	r.prev, r.next = at, prev.next
+	db.at(prev.next).prev, prev.next = r.h, r.h
 }
 
+// unlink takes r off the static ring. Caller holds db.mu.
 func (db *DB) unlink(r *Record) {
-	if r.next != nil {
-		r.prev.next, r.next.prev = r.next, r.prev
-		r.prev, r.next = nil, nil
-	}
+	db.at(r.prev).next, db.at(r.next).prev = r.next, r.prev
+	r.prev, r.next = 0, 0
 }
 
 // StaticLen returns the size of the static list.
@@ -194,21 +214,6 @@ func (db *DB) StaticLen() int {
 	return db.staticLen
 }
 
-// StaticNodes returns the current static list, sorted by ID for
-// determinism.
-func (db *DB) StaticNodes() []*enode.Node {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]*enode.Node, 0, db.staticLen)
-	for r := db.static.next; r != &db.static; r = r.next {
-		out = append(out, r.Node())
-	}
-	sort.Slice(out, func(i, j int) bool {
-		return string(out[i].ID.Bytes()) < string(out[j].ID.Bytes())
-	})
-	return out
-}
-
 // ExpireStale demotes nodes whose last successful connection is older
 // than maxAge (the paper uses 24 hours) and returns how many were
 // removed from the static list.
@@ -216,83 +221,15 @@ func (db *DB) ExpireStale(now time.Time, maxAge time.Duration) int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	removed := 0
-	for r := db.static.next; r != &db.static && now.Sub(r.LastSuccess) > maxAge; r = db.static.next {
+	for h := db.at(0).next; h != 0; h = db.at(0).next {
+		r := db.at(h)
+		if now.Sub(r.LastSuccess) <= maxAge {
+			break
+		}
 		db.unlink(r)
 		r.Static = false
 		removed++
 	}
 	db.staticLen -= removed
 	return removed
-}
-
-// Save writes a JSON snapshot to path.
-func (db *DB) Save(path string) error {
-	db.mu.RLock()
-	records := make([]*Record, 0, len(db.nodes))
-	for _, r := range db.nodes {
-		records = append(records, r)
-	}
-	sort.Slice(records, func(i, j int) bool { return records[i].IDx < records[j].IDx })
-	data, err := json.MarshalIndent(records, "", " ") // reads every field: still under the lock
-	db.mu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("nodedb: marshal: %w", err)
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("nodedb: write: %w", err)
-	}
-	return os.Rename(tmp, path)
-}
-
-// Load reads a snapshot written by Save, replacing current contents.
-func (db *DB) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("nodedb: read: %w", err)
-	}
-	var records []*Record
-	if err := json.Unmarshal(data, &records); err != nil {
-		return fmt.Errorf("nodedb: unmarshal: %w", err)
-	}
-	nodes := make(map[enode.ID]*Record, len(records))
-	for _, r := range records {
-		id, err := enode.HexID(r.IDx)
-		if err != nil {
-			return fmt.Errorf("nodedb: record %q: %w", r.IDx, err)
-		}
-		r.ID = id
-		nodes[id] = r
-	}
-	// Stalest first, so that every record files at the ring's back.
-	sort.SliceStable(records, func(i, j int) bool { return records[i].LastSuccess.Before(records[j].LastSuccess) })
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.nodes, db.staticLen = nodes, 0
-	db.static.prev, db.static.next = &db.static, &db.static
-	for _, r := range records {
-		if r.Static {
-			db.fileStatic(r)
-			db.staticLen++
-		}
-	}
-	return nil
-}
-
-// All returns every record (copies of the pointers; treat as
-// read-only), sorted by first-seen time then ID.
-func (db *DB) All() []*Record {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]*Record, 0, len(db.nodes))
-	for _, r := range db.nodes {
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].FirstSeen.Equal(out[j].FirstSeen) {
-			return out[i].FirstSeen.Before(out[j].FirstSeen)
-		}
-		return out[i].IDx < out[j].IDx
-	})
-	return out
 }

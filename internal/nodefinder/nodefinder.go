@@ -59,6 +59,8 @@ const (
 // Lookup MUST NOT invoke done synchronously: real implementations run
 // the lookup on a goroutine; simulated ones schedule done on the
 // virtual clock. This keeps the Finder's state machine re-entrant.
+// The found slice is valid until done returns: an implementation may
+// reuse its backing array for a later lookup.
 type Discovery interface {
 	// Self returns the local node ID.
 	Self() enode.ID
@@ -69,7 +71,9 @@ type Discovery interface {
 
 // Dialer performs the full connection-establishment chain against one
 // node and reports the decoded results. Like Discovery.Lookup, Dial
-// MUST NOT invoke done synchronously.
+// MUST NOT invoke done synchronously, and the *DialResult (with the
+// Hello, Status and Disconnect it points at) is valid until done
+// returns: an implementation may reuse it for a later dial.
 type Dialer interface {
 	// Dial starts a connection attempt; done is invoked later (from
 	// any goroutine) with the result.
@@ -153,19 +157,31 @@ type Finder struct {
 	running bool
 	stopped bool
 	stats   Stats
-	// nodes holds the one record of every node discovery handed over.
-	nodes map[enode.ID]*nodeState
+	// nodes holds the one record of every node the Finder has met, by
+	// value, at its nodedb handle: see nodeLocked.
+	nodes []*[nodeChunk]nodeState
 	sched *dialScheduler
 
 	// Every timer the Finder arms is kept so Stop can cancel it: an
 	// armed timer's closure holds the Finder (and its dialer, database
-	// and log) for as long as the clock does. lookupTimer[i] is worker
-	// i's pending round, lookupFn[i] the callback that runs it.
-	lookupTimer []simclock.Timer
-	lookupFn    []func()
-	sweepTimer  simclock.Timer
+	// and log) for as long as the clock does.
+	workers    []lookupWorker
+	sweepTimer simclock.Timer
 	// seeds are the static nodes added before Start, which Start dials.
 	seeds []*nodeState
+}
+
+// nodeChunk is how many nodeStates the table adds at a time. Chunks
+// never move: the queue, a dial and its callbacks hold *nodeState.
+const nodeChunk = 1024
+
+// lookupWorker is one self-perpetuating discovery chain, runLookup →
+// Lookup → onLookupDone → timer, with its callbacks bound once.
+type lookupWorker struct {
+	timer simclock.Timer // the pending round
+	run   func()         // what timer runs
+	done  func(found []*enode.Node)
+	start time.Time // when the round in flight began; f.mu
 }
 
 // New validates the config and creates a Finder.
@@ -188,16 +204,16 @@ func New(cfg Config) (*Finder, error) {
 	cfg.StaleAfter = cmp.Or(cfg.StaleAfter, DefaultStaleAfter)
 	cfg.LookupWorkers = max(cfg.LookupWorkers, 1)
 	f := &Finder{
-		cfg:         cfg,
-		clock:       cfg.Clock,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		metrics:     newFinderMetrics(cfg.Metrics, cfg.DB),
-		nodes:       make(map[enode.ID]*nodeState),
-		lookupTimer: make([]simclock.Timer, cfg.LookupWorkers),
-		lookupFn:    make([]func(), cfg.LookupWorkers),
+		cfg:     cfg,
+		clock:   cfg.Clock,
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		metrics: newFinderMetrics(cfg.Metrics, cfg.DB),
+		workers: make([]lookupWorker, cfg.LookupWorkers),
 	}
-	for i := range f.lookupFn {
-		f.lookupFn[i] = func() { f.runLookup(i) }
+	for i := range f.workers {
+		w := &f.workers[i]
+		w.run = func() { f.runLookup(w) }
+		w.done = func(found []*enode.Node) { f.onLookupDone(w, found) }
 	}
 	f.sched = newDialScheduler(DefaultQueueCap, cfg.MaxDynamicDials, f.rng, f.metrics, cfg.Metrics)
 	return f, nil
@@ -225,17 +241,16 @@ func (f *Finder) Start() {
 	}
 	f.running = true
 	for _, nd := range f.seeds {
-		f.armStaticTimerLocked(nd, 0)
+		f.armLocked(&nd.timer, 0, nd.redial)
 	}
 	f.seeds = nil
 	f.mu.Unlock()
-	// Each lookup worker is an independent self-perpetuating chain:
-	// runLookup → Discovery.Lookup → onLookupDone → scheduleLookup.
-	// One worker (the default) is the original crawler cadence.
-	for i := range f.lookupFn {
-		f.scheduleLookup(i, 0)
+	// Each lookup worker is an independent chain; one worker (the
+	// default) is the original crawler cadence.
+	for i := range f.workers {
+		f.scheduleLookup(&f.workers[i], 0)
 	}
-	f.runStaleSweep() // a database loaded from disk may hold stale nodes already
+	f.runStaleSweep() // static nodes added before Start may be stale already
 }
 
 // Stop halts scheduling and cancels every armed timer, so nothing the
@@ -246,11 +261,13 @@ func (f *Finder) Stop() {
 	defer f.mu.Unlock()
 	f.stopped = true
 	f.running = false
-	for _, nd := range f.nodes {
-		cancel(&nd.timer)
+	for _, chunk := range f.nodes {
+		for i := range chunk {
+			cancel(&chunk[i].timer)
+		}
 	}
-	for i := range f.lookupTimer {
-		cancel(&f.lookupTimer[i])
+	for i := range f.workers {
+		cancel(&f.workers[i].timer)
 	}
 	cancel(&f.sweepTimer)
 }
@@ -276,48 +293,51 @@ func (f *Finder) AddStatic(n *enode.Node) {
 	nd := f.nodeLocked(n, now)
 	switch {
 	case f.running:
-		f.armStaticTimerLocked(nd, 0)
+		f.armLocked(&nd.timer, 0, nd.redial)
 	case !f.stopped:
 		f.seeds = append(f.seeds, nd)
 	}
 }
 
-// nodeLocked returns n's record, creating it on first sight — the one
-// ID-keyed lookup a discovered node costs. A known node follows the
-// endpoint discovery last reported, except while a dial is reading it.
+// nodeLocked returns n's record, creating it on first sight: nodedb's
+// index is the one ID-keyed lookup a discovered node costs, and the
+// handle it yields is the node's place in f.nodes. A known node follows
+// the endpoint discovery last reported, except while a dial reads it.
 func (f *Finder) nodeLocked(n *enode.Node, now time.Time) *nodeState {
-	nd := f.nodes[n.ID]
+	rec := f.cfg.DB.Ensure(n, now)
+	h := rec.Handle()
+	for int(h/nodeChunk) >= len(f.nodes) {
+		f.nodes = append(f.nodes, new([nodeChunk]nodeState))
+	}
+	nd := &f.nodes[h/nodeChunk][h%nodeChunk]
 	switch {
-	case nd == nil:
-		nd = &nodeState{node: n, ip: n.IP.String(), rec: f.cfg.DB.Ensure(n, now)}
+	case nd.rec == nil:
+		nd.node, nd.ip, nd.rec = n, n.IP.String(), rec
 		nd.redial = func() { f.runStaticDial(nd) }
 		nd.dialDone = func(res *DialResult) { f.onDialDone(nd, res) }
-		f.nodes[n.ID] = nd
 	case nd.node != n && !nd.dialing:
 		if !nd.node.IP.Equal(n.IP) || nd.node.UDP != n.UDP || nd.node.TCP != n.TCP {
 			nd.ip = n.IP.String()
-			f.cfg.DB.Ensure(n, now)
 		}
 		nd.node = n
 	}
 	return nd
 }
 
-// scheduleLookup arms lookup worker's next discovery round after
-// delay, unless the Finder has stopped.
-func (f *Finder) scheduleLookup(worker int, delay time.Duration) {
+// scheduleLookup arms w's next discovery round after delay, unless
+// the Finder has stopped.
+func (f *Finder) scheduleLookup(w *lookupWorker, delay time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.stopped {
-		return
+	if !f.stopped {
+		f.armLocked(&w.timer, delay, w.run)
 	}
-	f.lookupTimer[worker] = f.clock.AfterFunc(delay, f.lookupFn[worker])
 }
 
-// runLookup performs one of worker's discovery rounds and schedules
-// the next so that rounds start no closer than LookupInterval apart
-// ("based on start time", §4).
-func (f *Finder) runLookup(worker int) {
+// runLookup performs one of w's discovery rounds; its completion
+// schedules the next so that rounds start no closer than
+// LookupInterval apart ("based on start time", §4).
+func (f *Finder) runLookup(w *lookupWorker) {
 	f.mu.Lock()
 	if f.stopped {
 		f.mu.Unlock()
@@ -325,25 +345,25 @@ func (f *Finder) runLookup(worker int) {
 	}
 	f.stats.DiscoveryAttempts++
 	target := enode.RandomID(f.rng) // f.rng needs f.mu: backoff jitter shares it
+	w.start = f.clock.Now()
 	f.mu.Unlock()
 	f.metrics.lookups.Inc()
-
-	start := f.clock.Now()
-	f.cfg.Discovery.Lookup(target, func(found []*enode.Node) {
-		f.onLookupDone(worker, start, found)
-	})
+	f.cfg.Discovery.Lookup(target, w.done)
 }
 
-func (f *Finder) onLookupDone(worker int, start time.Time, found []*enode.Node) {
+func (f *Finder) onLookupDone(w *lookupWorker, found []*enode.Node) {
 	f.metrics.lookupNodes.Add(uint64(len(found)))
 	now := f.clock.Now()
 	self := f.cfg.Discovery.Self()
-	var buf [8]*nodeState
+	// A fill launches at most what this round enqueues (the last one
+	// left the queue empty or the budget spent): a bucket, 16 nodes.
+	var buf [16]*nodeState
 	f.mu.Lock()
 	if f.stopped {
 		f.mu.Unlock()
 		return
 	}
+	start := w.start
 	for _, n := range found {
 		if n.ID == self {
 			continue
@@ -365,7 +385,7 @@ func (f *Finder) onLookupDone(worker int, start time.Time, found []*enode.Node) 
 	}
 
 	// Next round: LookupInterval after this round STARTED.
-	f.scheduleLookup(worker, max(0, start.Add(f.cfg.LookupInterval).Sub(now)))
+	f.scheduleLookup(w, max(0, start.Add(f.cfg.LookupInterval).Sub(now)))
 }
 
 // dial runs the outbound attempt the scheduler has marked in flight.
@@ -397,7 +417,7 @@ func (f *Finder) onDialDone(nd *nodeState, res *DialResult) {
 	// any type of outbound connection attempt", §5.2) — provided the
 	// node is on the static list.
 	if static {
-		f.armStaticTimerLocked(nd, f.cfg.StaticInterval)
+		f.armLocked(&nd.timer, f.cfg.StaticInterval, nd.redial)
 	}
 	if nd.kind == mlog.ConnDynamicDial {
 		launch = f.sched.fillLocked(now, launch)
@@ -409,15 +429,16 @@ func (f *Finder) onDialDone(nd *nodeState, res *DialResult) {
 	}
 }
 
-// armStaticTimerLocked (re)schedules nd's static dial after delay. A
-// node keeps its one timer and re-arms it, pending or fired: a crawl
-// re-arms every static node every half hour. Caller holds f.mu.
-func (f *Finder) armStaticTimerLocked(nd *nodeState, delay time.Duration) {
-	if nd.timer != nil {
-		nd.timer.Reset(delay)
+// armLocked makes *t run fn after delay. A timer, once made, is kept
+// and re-armed, pending or fired: a crawl re-arms every static node
+// every half hour and every lookup worker every round. Caller holds
+// f.mu.
+func (f *Finder) armLocked(t *simclock.Timer, delay time.Duration, fn func()) {
+	if *t != nil {
+		(*t).Reset(delay)
 		return
 	}
-	nd.timer = f.clock.AfterFunc(delay, nd.redial)
+	*t = f.clock.AfterFunc(delay, fn)
 }
 
 func (f *Finder) runStaticDial(nd *nodeState) {
@@ -429,7 +450,7 @@ func (f *Finder) runStaticDial(nd *nodeState) {
 		// Dropped from the static list (stale) since scheduling.
 	case nd.dialing:
 		// Already being dialed; re-arm rather than double-dial.
-		f.armStaticTimerLocked(nd, f.cfg.StaticInterval)
+		f.armLocked(&nd.timer, f.cfg.StaticInterval, nd.redial)
 	default:
 		f.sched.beginLocked(nd, mlog.ConnStaticDial, f.clock.Now())
 		f.stats.StaticDials++

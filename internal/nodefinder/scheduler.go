@@ -11,13 +11,15 @@ import (
 	"repro/internal/simclock"
 )
 
-// nodeState is the Finder's one record of a node. Discovery finds it
-// with a single ID-keyed lookup; from there it travels by pointer
-// through the queue, the dial, its completion, the log record and the
-// static re-arm, so nothing after discovery hashes a 64-byte ID again.
-// The Finder's lock guards every field; node, ip and kind change only
-// while no dial is in flight, so the dialing goroutine reads them
-// without it.
+// nodeState is the Finder's one record of a node, held by value in
+// the Finder's table at the node's nodedb handle. Discovery finds it
+// with a single ID-keyed lookup, nodedb's; from there it travels by
+// pointer through the queue, the dial, its completion, the log record
+// and the static re-arm, so nothing after discovery hashes a 64-byte
+// ID again. The Finder's lock guards every field; node, ip and kind
+// change only while no dial is in flight, so the dialing goroutine
+// reads them without it. rec is nil until the Finder first meets the
+// node.
 type nodeState struct {
 	node *enode.Node // endpoint discovery last handed over; what a dial targets
 	ip   string      // node.IP.String(), rendered once per endpoint

@@ -56,8 +56,9 @@ type SimDiscovery struct {
 	W    *World
 	self enode.ID
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu   sync.Mutex
+	rng  *rand.Rand
+	free *simLookup // finished lookups, for reuse
 }
 
 // NewDiscovery creates a discovery handle with its own RNG stream.
@@ -87,7 +88,13 @@ func (d *SimDiscovery) Lookup(target enode.ID, done func([]*enode.Node)) {
 	// table entries). This staleness is why only ≈31% of dialed
 	// nodes respond (Figures 6-7).
 	now := d.W.Clock.Now()
-	l := &simLookup{done: done}
+	l := d.free
+	if l != nil {
+		d.free = l.next
+	} else {
+		l = &simLookup{d: d}
+	}
+	l.done = done
 	found := l.nodes[:0]
 	population := d.W.Nodes
 	if len(population) > 0 {
@@ -110,18 +117,25 @@ func (d *SimDiscovery) Lookup(target enode.ID, done func([]*enode.Node)) {
 	d.W.Clock.Schedule(dur, l)
 }
 
-// simLookup is one discovery round in flight, and the one object it
-// allocates: the array its result lives in and the completion it owes.
-// It keeps a count rather than a slice header, which holds it to 144
-// bytes: at 160 it would share a size class with the log entries and
-// scatter them through memory, slowing every pass over a retained log.
+// simLookup is one discovery round in flight: the array its result
+// lives in and the completion it owes. Finished ones are recycled.
 type simLookup struct {
 	nodes [16]*enode.Node
 	n     int
 	done  func([]*enode.Node)
+	d     *SimDiscovery
+	next  *simLookup // on the free list
 }
 
-func (l *simLookup) Fire() { l.done(l.nodes[:l.n]) }
+// Fire recycles the lookup, zeroed, only once done has returned.
+func (l *simLookup) Fire() {
+	l.done(l.nodes[:l.n])
+	d := l.d
+	d.mu.Lock()
+	*l = simLookup{d: d, next: d.free}
+	d.free = l
+	d.mu.Unlock()
+}
 
 // SimDialer implements nodefinder.Dialer over the world, modeling the
 // outcome classes the paper's crawler observed: dead addresses, NAT
@@ -137,8 +151,9 @@ type SimDialer struct {
 	// crawl emit comparable telemetry.
 	Metrics *nodefinder.DialerMetrics
 
-	mu  sync.Mutex
-	rng *rand.Rand
+	mu   sync.Mutex
+	rng  *rand.Rand
+	free *simDial // finished dials, for reuse
 }
 
 // NewDialer creates a dialer with its own RNG stream.
@@ -148,28 +163,46 @@ func (w *World) NewDialer(seed int64) *SimDialer {
 
 // Dial implements nodefinder.Dialer.
 func (d *SimDialer) Dial(target *enode.Node, kind mlog.ConnType, done func(*nodefinder.DialResult)) {
-	p := &simDial{d: d, done: done}
-	p.res.Duration = d.outcome(&p.res, target, kind, d.W.Clock.Now())
+	start := d.W.Clock.Now()
+	d.mu.Lock()
+	p := d.free
+	if p != nil {
+		d.free = p.next
+	} else {
+		p = &simDial{d: d}
+	}
+	p.done = done
+	p.res.Duration = d.outcome(&p.res, &p.hello, target, kind, start)
+	d.mu.Unlock()
 	d.W.Clock.Schedule(p.res.Duration, p)
 }
 
-// simDial is one dial in flight, and the one object it allocates: the
-// result it will report and the completion it owes.
+// simDial is one dial in flight: the result it will report, the HELLO
+// that result points at, and the completion it owes. Finished ones are
+// recycled.
 type simDial struct {
-	res  nodefinder.DialResult
-	d    *SimDialer
-	done func(*nodefinder.DialResult)
+	res   nodefinder.DialResult
+	hello devp2p.Hello
+	d     *SimDialer
+	done  func(*nodefinder.DialResult)
+	next  *simDial // on the free list
 }
 
+// Fire recycles the dial, zeroed, only once done has returned.
 func (p *simDial) Fire() {
 	p.d.Metrics.Observe(&p.res)
 	p.done(&p.res)
+	d := p.d
+	d.mu.Lock()
+	*p = simDial{d: d, next: d.free}
+	d.free = p
+	d.mu.Unlock()
 }
 
-// outcome fills in the dial result and returns its virtual duration.
-func (d *SimDialer) outcome(res *nodefinder.DialResult, target *enode.Node, kind mlog.ConnType, start time.Time) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// outcome fills in the dial result, and the HELLO it points at when
+// the node answers one, and returns the dial's virtual duration.
+// Caller holds d.mu.
+func (d *SimDialer) outcome(res *nodefinder.DialResult, hello *devp2p.Hello, target *enode.Node, kind mlog.ConnType, start time.Time) time.Duration {
 	res.Node, res.Kind, res.Start = target, kind, start
 
 	n := d.W.NodeByID(target.ID)
@@ -204,7 +237,7 @@ func (d *SimDialer) outcome(res *nodefinder.DialResult, target *enode.Node, kind
 		return 3 * rtt
 	}
 
-	return time.Duration(d.W.answer(res, new(devp2p.Hello), n, start)) * rtt
+	return time.Duration(d.W.answer(res, hello, n, start)) * rtt
 }
 
 // hostileOutcome models a dial against one of faultnet's hostile
@@ -323,6 +356,9 @@ type IncomingGenerator struct {
 	stopped bool
 	mu      sync.Mutex
 	tick    incomingTick
+	// res and hello are the connection the tick is reporting.
+	res   nodefinder.DialResult
+	hello devp2p.Hello
 }
 
 // incomingTick is the generator's clock event, so re-arming it
@@ -380,14 +416,14 @@ func (g *IncomingGenerator) fire() {
 		return
 	}
 	rtt := time.Duration(float64(n.RTTMedian) * math.Exp(g.rng.NormFloat64()*0.25))
-	res := &nodefinder.DialResult{
+	g.res = nodefinder.DialResult{
 		Node:     n.Node,
 		Kind:     mlog.ConnIncoming,
 		Start:    now,
 		RTT:      rtt,
 		Duration: 5 * rtt,
 	}
-	g.W.answer(res, new(devp2p.Hello), n, now)
+	g.W.answer(&g.res, &g.hello, n, now)
 	g.mu.Unlock()
-	g.Finder.HandleIncoming(res)
+	g.Finder.HandleIncoming(&g.res)
 }
